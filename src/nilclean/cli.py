@@ -4,7 +4,8 @@ Commands: decompose, classify, rcf, verify, demo-obstruction.  Structured
 output is a line-oriented ``key: value`` document (values in JSON), schema
 "nilclean-cert/1"; multiple documents in one stream are separated by blank
 lines.  Exit codes are stable: 0 success, 2 parse error, 3 unsupported ring,
-4 verification failure, 5 resource cap exceeded.
+4 verification failure, 5 resource cap exceeded, 70 internal check failure
+(a bug: the message names the broken invariant and the input matrix).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .decompose import decompose, decompose_triangular
 from .errors import (
     DomainError,
     InputError,
+    InternalCheckError,
     NilcleanError,
     ResourceCapError,
     UnsupportedRingError,
@@ -36,6 +38,7 @@ from .errors import (
 from .frobenius import RcfResult, rcf, verify_rcf
 from .matrix import (
     DecompositionCertificate,
+    MAX_DIMENSION,
     MatrixRing,
     RingMatrix,
     verify_certificate,
@@ -49,6 +52,7 @@ EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERIFY = 4
 EXIT_RESOURCE = 5
+EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE
 
 EXHAUSTIVE_CAP = 10**6
 
@@ -275,11 +279,12 @@ def cmd_decompose(args) -> int:
 
 def _decompose_exhaustive(args) -> int:
     n, m = args.exhaustive
+    if n < 1:
+        raise InputError(f"exhaustive sweep needs a dimension N >= 1, got {n}")
     ring = MatrixRing(factorize(m))
-    count = m ** (n * n)
-    if count > EXHAUSTIVE_CAP:
+    if n > MAX_DIMENSION or m ** (n * n) > EXHAUSTIVE_CAP:
         raise ResourceCapError(
-            f"exhaustive sweep of M_{n}(Z_{m}) has {count} matrices, over the cap"
+            f"exhaustive sweep of M_{n}(Z_{m}) has {m}^{n * n} matrices, over the cap"
         )
     emitted = 0
     first = True
@@ -480,6 +485,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_PARSE
+    except InternalCheckError as err:
+        print(f"internal check failed: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:  # console script target

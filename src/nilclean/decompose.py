@@ -2,14 +2,18 @@
 
 Pipeline: companion blocks over GF(2)/GF(3) are decomposed by closed-form
 templates keyed on the block's bottom-right entry (the trace of a companion
-matrix); whole field matrices reduce to companion blocks through the
-Frobenius form; Z_{p^e} lifts the field solution through the nilpotent kernel
-by the cubic idempotent iteration; composite 2-3-smooth moduli recombine the
-prime-power solutions entrywise by the CRT.  Triangular and truncated
-polynomial variants reuse the same machinery on the diagonal and on the
-constant term respectively.
+matrix); a whole field matrix is brought to the block-upper-triangular Krylov
+form, the templates split its diagonal companion blocks, and everything off
+the diagonal goes into W, which stays nilpotent because its diagonal blocks
+are (the Frobenius form is not needed, and serves only the rcf command);
+Z_{p^e} lifts the field solution through the nilpotent kernel by the cubic
+idempotent iteration; composite 2-3-smooth moduli recombine the prime-power
+solutions entrywise by the CRT.  Triangular and truncated polynomial variants
+reuse the same machinery on the diagonal and on the constant term
+respectively.
 
-Every certificate-producing operation re-verifies its output before returning
+Nested layers compose unverified (E, F, W, tags) parts; every public
+certificate-producing function verifies its output once, before returning,
 and raises InternalCheckError on failure: a wrong certificate is a bug here,
 never a value.
 """
@@ -21,7 +25,7 @@ import enum
 import numpy as np
 
 from .errors import DomainError, InputError, InternalCheckError, UnsupportedRingError
-from .frobenius import CompanionBlock, rcf
+from .frobenius import CompanionBlock, krylov_form
 from .matrix import (
     DecompositionCertificate,
     MatrixRing,
@@ -58,87 +62,53 @@ class CaseTag(enum.Enum):
     GF2_TRACE_ZERO = "gf2:trace-zero"
 
 
-def _shift_matrix(n: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n):
-        out[i, i - 1] = 1
-    return out
-
-
-def _last_column_matrix(col, n: int, p: int) -> np.ndarray:
-    out = np.zeros((n, n), dtype=np.int64)
-    for i, c in enumerate(col):
-        out[i, n - 1] = c % p
-    return out
-
-
-def _companion_triple_gf3(last_col: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, CaseTag]:
-    """Template decomposition of the GF(3) companion matrix with the given
-    last column; returns raw (E, F, W) arrays and the case tag."""
+def _companion_pair_gf3(last_col: tuple[int, ...], e: np.ndarray, f: np.ndarray) -> CaseTag:
+    """Template idempotents of the GF(3) companion matrix with the given last
+    column, written into the zero arrays e and f; W is the companion matrix
+    minus both.  Returns the case tag."""
     n = len(last_col)
     trace = last_col[-1] % 3
     if trace == 1:
-        e = _last_column_matrix(last_col, n, 3)
-        f = np.zeros((n, n), dtype=np.int64)
-        return e, f, _shift_matrix(n), CaseTag.GF3_TRACE_ONE
+        e[:, -1] = [c % 3 for c in last_col]
+        return CaseTag.GF3_TRACE_ONE
     if trace == 2:
         # M with last column (c_0..c_{n-2}, -1) satisfies M^2 = -M, so -M is
         # idempotent and (-M) + (-M) = -2M = M restores the column.
-        neg = tuple(-c % 3 for c in last_col[:-1]) + (1,)
-        e = _last_column_matrix(neg, n, 3)
-        return e, e.copy(), _shift_matrix(n), CaseTag.GF3_TRACE_MINUS_ONE
+        e[:, -1] = f[:, -1] = [-c % 3 for c in last_col[:-1]] + [1]
+        return CaseTag.GF3_TRACE_MINUS_ONE
     if n == 1:
-        z = np.zeros((1, 1), dtype=np.int64)
-        return z, z.copy(), z.copy(), CaseTag.GF3_TRACE_ZERO_DIM1
+        return CaseTag.GF3_TRACE_ZERO_DIM1
     if n == 2:
-        e = np.eye(2, dtype=np.int64)
-        f = np.array([[2, 1], [1, 2]], dtype=np.int64)
-        w = np.array([[0, (last_col[0] - 1) % 3], [0, 0]], dtype=np.int64)
-        return e, f, w, CaseTag.GF3_TRACE_ZERO_DIM2
-    # n >= 3: two idempotents supported on the bottom-right 3x3 corner plus a
-    # nilpotent carrying the shortened shift and the adjusted last column.
-    e = np.zeros((n, n), dtype=np.int64)
-    e[n - 2, n - 2] = 1
-    e[n - 1, n - 3] = 1
-    e[n - 1, n - 1] = 1
-    f = np.zeros((n, n), dtype=np.int64)
-    f[n - 2, n - 3], f[n - 2, n - 2], f[n - 2, n - 1] = 1, 2, 1
-    f[n - 1, n - 3], f[n - 1, n - 2], f[n - 1, n - 1] = 2, 1, 2
-    w = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n - 2):
-        w[i, i - 1] = 1
-    for i in range(n - 3):
-        w[i, n - 1] = last_col[i] % 3
-    w[n - 3, n - 1] = last_col[n - 3] % 3
-    w[n - 2, n - 1] = (last_col[n - 2] - 1) % 3
-    return e, f, w, CaseTag.GF3_TRACE_ZERO_BIG
+        e[0, 0] = e[1, 1] = 1
+        f[:] = ((2, 1), (1, 2))
+        return CaseTag.GF3_TRACE_ZERO_DIM2
+    # n >= 3: two idempotents supported on the bottom-right 3x3 corner; W
+    # keeps the shortened shift and the adjusted last column.
+    e[n - 2, n - 2] = e[n - 1, n - 3] = e[n - 1, n - 1] = 1
+    f[n - 2 :, n - 3 :] = ((1, 2, 1), (2, 1, 2))
+    return CaseTag.GF3_TRACE_ZERO_BIG
 
 
-def _companion_triple_gf2(last_col: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, CaseTag]:
-    """Template decomposition of the GF(2) companion matrix: a column whose
-    bottom entry is 1 is idempotent; a trace-zero block sheds a corner unit
-    idempotent, after which the remainder has bottom entry 1 again."""
+def _companion_pair_gf2(last_col: tuple[int, ...], e: np.ndarray, f: np.ndarray) -> CaseTag:
+    """Template idempotents of the GF(2) companion matrix, written into the
+    zero arrays e and f: a column whose bottom entry is 1 is idempotent; a
+    trace-zero block sheds a corner unit idempotent, after which the
+    remainder has bottom entry 1 again."""
     n = len(last_col)
-    trace = last_col[-1] % 2
-    if trace == 1:
-        e = _last_column_matrix(last_col, n, 2)
-        f = np.zeros((n, n), dtype=np.int64)
-        return e, f, _shift_matrix(n), CaseTag.GF2_TRACE_ONE
-    if n == 1:
-        z = np.zeros((1, 1), dtype=np.int64)
-        return z, z.copy(), z.copy(), CaseTag.GF2_TRACE_ZERO
-    e = np.zeros((n, n), dtype=np.int64)
-    e[n - 1, n - 1] = 1
-    rem_col = tuple(c % 2 for c in last_col[:-1]) + (1,)
-    f = _last_column_matrix(rem_col, n, 2)
-    return e, f, _shift_matrix(n), CaseTag.GF2_TRACE_ZERO
+    if last_col[-1] % 2 == 1:
+        e[:, -1] = [c % 2 for c in last_col]
+        return CaseTag.GF2_TRACE_ONE
+    if n > 1:
+        e[n - 1, n - 1] = 1
+        f[:, -1] = [c % 2 for c in last_col[:-1]] + [1]
+    return CaseTag.GF2_TRACE_ZERO
 
 
-def _companion_triple(p: int, last_col: tuple[int, ...]):
+def _companion_pair(p: int, last_col: tuple[int, ...], e: np.ndarray, f: np.ndarray) -> CaseTag:
     if p == 3:
-        return _companion_triple_gf3(last_col)
+        return _companion_pair_gf3(last_col, e, f)
     if p == 2:
-        return _companion_triple_gf2(last_col)
+        return _companion_pair_gf2(last_col, e, f)
     raise UnsupportedRingError(
         f"no companion decomposition over GF({p}); only GF(2) and GF(3) matrix "
         f"rings admit two-idempotents-plus-nilpotent decompositions"
@@ -149,71 +119,66 @@ def _tag_string(tag: CaseTag, degree: int) -> str:
     return f"{tag.value}:n{degree}"
 
 
+def _decompose_companion(block: CompanionBlock, p: int):
+    if block.poly.p != p:
+        raise InputError(f"decompose_companion_gf{p} expects a GF({p}) block")
+    n = block.degree
+    e, f = np.zeros((2, n, n), dtype=np.int64)
+    tag = _companion_pair(p, block.last_column, e, f)
+    c = block.matrix()
+    e, f = RingMatrix(c.ring, e[None]), RingMatrix(c.ring, f[None])
+    return e, f, c - e - f, tag
+
+
 def decompose_companion_gf3(block: CompanionBlock) -> tuple[RingMatrix, RingMatrix, RingMatrix, CaseTag]:
     """Decompose a GF(3) companion block as E + F + W."""
-    if block.poly.p != 3:
-        raise InputError("decompose_companion_gf3 expects a GF(3) block")
-    ring = zm_ring(3)
-    e, f, w, tag = _companion_triple_gf3(block.last_column)
-    return (
-        RingMatrix(ring, e[None]),
-        RingMatrix(ring, f[None]),
-        RingMatrix(ring, w[None]),
-        tag,
-    )
+    return _decompose_companion(block, 3)
 
 
 def decompose_companion_gf2(block: CompanionBlock) -> tuple[RingMatrix, RingMatrix, RingMatrix, CaseTag]:
     """Decompose a GF(2) companion block as E + F + W."""
-    if block.poly.p != 2:
-        raise InputError("decompose_companion_gf2 expects a GF(2) block")
-    ring = zm_ring(2)
-    e, f, w, tag = _companion_triple_gf2(block.last_column)
-    return (
-        RingMatrix(ring, e[None]),
-        RingMatrix(ring, f[None]),
-        RingMatrix(ring, w[None]),
-        tag,
-    )
+    return _decompose_companion(block, 2)
 
 
 def _certify(a: RingMatrix, e: RingMatrix, f: RingMatrix, w: RingMatrix,
              tags: tuple[str, ...]) -> DecompositionCertificate:
     k = w.nilpotency_exponent()
     if k is None:
-        raise InternalCheckError("constructed W is not nilpotent")
+        raise InternalCheckError("constructed W is not nilpotent", a)
     cert = DecompositionCertificate(a, e, f, w, k, tags)
     if not verify_certificate(cert):
-        raise InternalCheckError(f"certificate failed self-check: {cert.failure}")
+        raise InternalCheckError(f"certificate failed self-check: {cert.failure}", a)
     return cert
 
 
-def decompose_field_matrix(a: RingMatrix) -> DecompositionCertificate:
-    """Decompose any matrix over GF(2) or GF(3) through its Frobenius form."""
+def _field_parts(a: RingMatrix):
+    """Unverified (E, F, W, tags) over GF(2) or GF(3): templates on the
+    diagonal blocks of the Krylov form, conjugated back, and W = A - E - F."""
     if not a.ring.is_prime_field() or a.ring.m not in (2, 3):
         raise UnsupportedRingError(
             f"decompose_field_matrix supports GF(2) and GF(3), not {a.ring.describe()}"
         )
     p = a.ring.m
     n = a.n
-    form = rcf(a)
-    e_big = np.zeros((n, n), dtype=np.int64)
-    f_big = np.zeros((n, n), dtype=np.int64)
-    w_big = np.zeros((n, n), dtype=np.int64)
+    last_columns, q, q_inv = krylov_form(a)
+    e = np.zeros((n, n), dtype=np.int64)
+    f = np.zeros((n, n), dtype=np.int64)
     tags = []
     at = 0
-    for block in form.blocks:
-        d = block.degree
-        eb, fb, wb, tag = _companion_triple(p, block.last_column)
-        e_big[at : at + d, at : at + d] = eb
-        f_big[at : at + d, at : at + d] = fb
-        w_big[at : at + d, at : at + d] = wb
+    for col in last_columns:
+        d = len(col)
+        tag = _companion_pair(p, col, e[at : at + d, at : at + d], f[at : at + d, at : at + d])
         tags.append(_tag_string(tag, d))
         at += d
-    t, t_inv = form.transform, form.transform_inv
-    def conj(x: np.ndarray) -> RingMatrix:
-        return RingMatrix(a.ring, t_inv.coeffs[0].dot(x).dot(t.coeffs[0])[None] % p)
-    return _certify(a, conj(e_big), conj(f_big), conj(w_big), tuple(tags))
+    e = q.dot(e).dot(q_inv) % p
+    f = q.dot(f).dot(q_inv) % p
+    w = (a.coeffs[0] - e - f) % p
+    return tuple(RingMatrix(a.ring, x[None]) for x in (e, f, w)) + (tuple(tags),)
+
+
+def decompose_field_matrix(a: RingMatrix) -> DecompositionCertificate:
+    """Decompose any matrix over GF(2) or GF(3) through its Krylov form."""
+    return _certify(a, *_field_parts(a))
 
 
 def _embed(mat: RingMatrix, ring: MatrixRing) -> RingMatrix:
@@ -246,13 +211,24 @@ def lift_idempotent_matrix(x: RingMatrix) -> RingMatrix:
         if y2 == y:
             return y
         y = 3 * y2 - 2 * (y2 @ y)
-    raise InternalCheckError("idempotent lifting exceeded its iteration cap")
+    raise InternalCheckError("idempotent lifting exceeded its iteration cap", x)
+
+
+def _prime_power_parts(a: RingMatrix):
+    """Unverified parts over Z_{p^e}, p in {2, 3}: solve over GF(p), lift both
+    idempotents, absorb the difference into W (nilpotent because the
+    reduction kernel is)."""
+    p, e = a.ring.modulus.factors[0]
+    if e == 1:
+        return _field_parts(a)
+    base_e, base_f, _, tags = _field_parts(a.reduce_mod_prime(p))
+    lifted_e = lift_idempotent_matrix(_embed(base_e, a.ring))
+    lifted_f = lift_idempotent_matrix(_embed(base_f, a.ring))
+    return lifted_e, lifted_f, a - lifted_e - lifted_f, tags
 
 
 def decompose_prime_power(a: RingMatrix) -> DecompositionCertificate:
-    """Decompose over Z_{p^e} (p in {2, 3}): solve over GF(p), lift both
-    idempotents, absorb the difference into W (nilpotent because the
-    reduction kernel is)."""
+    """Decompose over Z_{p^e} (p in {2, 3}) by lifting the GF(p) solution."""
     ring = a.ring
     if ring.d != 1 or len(ring.modulus.factors) != 1:
         raise InputError("decompose_prime_power expects a prime-power modulus")
@@ -261,11 +237,22 @@ def decompose_prime_power(a: RingMatrix) -> DecompositionCertificate:
         raise UnsupportedRingError(f"unsupported prime {p}; only 2 and 3 work")
     if e == 1:
         return decompose_field_matrix(a)
-    base = decompose_field_matrix(a.reduce_mod_prime(p))
-    lifted_e = lift_idempotent_matrix(_embed(base.e, ring))
-    lifted_f = lift_idempotent_matrix(_embed(base.f, ring))
-    w = a - lifted_e - lifted_f
-    return _certify(a, lifted_e, lifted_f, w, base.case_tags)
+    return _certify(a, *_prime_power_parts(a))
+
+
+def _zm_parts(a: RingMatrix):
+    """Unverified parts over a 2-3-smooth Z_m: one solution per prime power,
+    recombined entrywise by the CRT."""
+    factors = a.ring.modulus.factors
+    if len(factors) == 1:
+        return _prime_power_parts(a)
+    (p1, e1), (p2, e2) = factors
+    a1, a2 = matrix_crt_split(a, factorize(p1**e1), factorize(p2**e2))
+    e_1, f_1, _, tags1 = _prime_power_parts(a1)
+    e_2, f_2, _, tags2 = _prime_power_parts(a2)
+    e = matrix_crt_recombine(e_1, e_2)
+    f = matrix_crt_recombine(f_1, f_2)
+    return e, f, a - e - f, tags1 + tags2
 
 
 def decompose_zm(a: RingMatrix) -> DecompositionCertificate:
@@ -274,19 +261,9 @@ def decompose_zm(a: RingMatrix) -> DecompositionCertificate:
     if ring.d != 1:
         raise InputError("decompose_zm expects a plain Z_m matrix")
     require_two_three_smooth(ring.modulus)
-    factors = ring.modulus.factors
-    if len(factors) == 1:
+    if len(ring.modulus.factors) == 1:
         return decompose_prime_power(a)
-    (p1, e1), (p2, e2) = factors
-    m1 = factorize(p1**e1)
-    m2 = factorize(p2**e2)
-    a1, a2 = matrix_crt_split(a, m1, m2)
-    c1 = decompose_prime_power(a1)
-    c2 = decompose_prime_power(a2)
-    e = matrix_crt_recombine(c1.e, c2.e)
-    f = matrix_crt_recombine(c1.f, c2.f)
-    w = matrix_crt_recombine(c1.w, c2.w)
-    return _certify(a, e, f, w, c1.case_tags + c2.case_tags)
+    return _certify(a, *_zm_parts(a))
 
 
 def decompose_triangular(t: RingMatrix) -> DecompositionCertificate:
@@ -310,7 +287,7 @@ def decompose_triangular(t: RingMatrix) -> DecompositionCertificate:
     w = t - e - f
     cert = _certify(t, e, f, w, ())
     if not (e.is_upper_triangular() and f.is_upper_triangular() and w.is_upper_triangular()):
-        raise InternalCheckError("triangular decomposition left the triangular ring")
+        raise InternalCheckError("triangular decomposition left the triangular ring", t)
     return cert
 
 
@@ -322,12 +299,10 @@ def decompose_trunc_poly_matrix(a: RingMatrix) -> DecompositionCertificate:
     require_two_three_smooth(ring.modulus)
     if ring.d == 1:
         return decompose_zm(a)
-    const = RingMatrix(zm_ring(ring.m), a.coeffs[:1].copy())
-    base = decompose_zm(const)
-    e = lift_idempotent_matrix(_embed(base.e, ring))
-    f = lift_idempotent_matrix(_embed(base.f, ring))
-    w = a - e - f
-    return _certify(a, e, f, w, base.case_tags)
+    base_e, base_f, _, tags = _zm_parts(RingMatrix(zm_ring(ring.m), a.coeffs[:1].copy()))
+    e = lift_idempotent_matrix(_embed(base_e, ring))
+    f = lift_idempotent_matrix(_embed(base_f, ring))
+    return _certify(a, e, f, a - e - f, tags)
 
 
 def decompose(a: RingMatrix) -> DecompositionCertificate:

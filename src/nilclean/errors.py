@@ -22,4 +22,13 @@ class ResourceCapError(NilcleanError):
 
 
 class InternalCheckError(NilcleanError):
-    """A construction failed its own verification; indicates a bug, never bad input."""
+    """A construction failed its own verification; indicates a bug, never bad input.
+
+    ``invariant`` names the check that broke; ``matrix``, when known, is the
+    input that reproduces it.
+    """
+
+    def __init__(self, invariant: str, matrix=None):
+        super().__init__(invariant if matrix is None else f"{invariant}; input {matrix!r}")
+        self.invariant = invariant
+        self.matrix = matrix

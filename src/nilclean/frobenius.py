@@ -1,5 +1,6 @@
-"""Polynomial arithmetic over GF(p) and the Frobenius (rational canonical)
-form with an explicit similarity transform.
+"""Polynomial arithmetic over GF(p), the Frobenius (rational canonical) form
+with an explicit similarity transform, and the cheaper block-triangular
+Krylov form that decompositions use.
 
 The canonical form is computed by the cyclic-chain construction: repeatedly
 pick a vector of maximal order in the quotient by the invariant subspace
@@ -288,14 +289,19 @@ def _poly_apply_vec(rows: list[list[int]], coeffs: Sequence[int],
 class _Span:
     """Fully reduced row-echelon basis over GF(p): every stored row has a unit
     pivot and zeros in all other pivot columns, so one pass reduces a vector.
+    Rows are replaced, never changed in place, so copies may share them.
+
+    ``hists``, when kept (krylov_form), writes each row as a combination of
+    the chain vectors inserted so far, in insertion order.
     """
 
-    __slots__ = ("p", "rows", "pivs")
+    __slots__ = ("p", "rows", "pivs", "hists")
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, rows=None, pivs=None, hists=None):
         self.p = p
-        self.rows: list[list[int]] = []
-        self.pivs: list[int] = []
+        self.rows: list[list[int]] = rows if rows is not None else []
+        self.pivs: list[int] = pivs if pivs is not None else []
+        self.hists: Optional[list[list[int]]] = hists
 
     @property
     def dim(self) -> int:
@@ -329,31 +335,36 @@ class _Span:
 def _conductor(mat_rows: list[list[int]], w: list[int], span: _Span, p: int):
     """Minimal monic g with g(A)w in the span (an A-invariant subspace).
 
-    Returns (coefficient tuple of g, [w, Aw, ..., A^{deg g - 1} w]).  Histories
-    track each working row as a combination of the Krylov iterates modulo the
-    span, so the vanishing reduction reads off g directly (monic by design:
-    row t never touches iterates beyond t).
+    Returns (coefficient tuple of g, [w, Aw, ..., A^{deg g - 1} w], the span
+    extended by that chain).  Histories track each working row as a
+    combination of the span's chain vectors (indices below span.dim, zero
+    when the span keeps no histories) followed by the Krylov iterates, so the
+    vanishing reduction reads off g directly (monic by design: row t never
+    touches iterates beyond t).
     """
     n = len(w)
-    rows = [r[:] for r in span.rows]
+    base = span.dim
+    rows = span.rows[:]
     pivs = span.pivs[:]
-    hists = [[0] * (n + 1) for _ in rows]
+    hists = span.hists[:] if span.hists is not None else [[0] * (n + 1)] * base
     krylov: list[list[int]] = []
     u = [c % p for c in w]
     for t in range(n + 1):
         h = [0] * (n + 1)
-        h[t] = 1
-        v = u[:]
+        h[base + t] = 1
+        v = u
         for row, piv, rh in zip(rows, pivs, hists):
             c = v[piv]
             if c:
                 v = [(a - c * b) % p for a, b in zip(v, row)]
                 h = [(a - c * b) % p for a, b in zip(h, rh)]
-        if not any(v):
-            return _ptrim(h[: t + 1]), krylov
-        piv = next(j for j, c in enumerate(v) if c)
-        inv = pow(v[piv], -1, p)
-        if inv != 1:
+        for piv, lead in enumerate(v):
+            if lead:
+                break
+        else:
+            return _ptrim(h[base : base + t + 1]), krylov, _Span(p, rows, pivs, hists)
+        if lead != 1:
+            inv = pow(lead, -1, p)
             v = [c * inv % p for c in v]
             h = [c * inv % p for c in h]
         for idx, row in enumerate(rows):
@@ -384,7 +395,7 @@ def _max_order_vector(mat_rows: list[list[int]], span: _Span, p: int):
         e_i[i] = 1
         if span.dim and not any(span.reduce(e_i)):
             continue
-        g, kry = _conductor(mat_rows, e_i, span, p)
+        g, kry, _ = _conductor(mat_rows, e_i, span, p)
         dg = _pdeg(g)
         if dg < 1 or (dg <= _pdeg(h) and _pdivides(g, h, p)):
             continue
@@ -405,7 +416,7 @@ def _max_order_vector(mat_rows: list[list[int]], span: _Span, p: int):
     if w is None:
         raise InternalCheckError("no vector outside the current span")
     if krylov is None:
-        g, krylov = _conductor(mat_rows, w, span, p)
+        g, krylov, _ = _conductor(mat_rows, w, span, p)
         if g != h:
             raise InternalCheckError("combined vector has unexpected order")
     return w, h, krylov
@@ -471,6 +482,43 @@ def _solve_chain(cols: list[list[int]], y: list[int], p: int) -> list[int]:
     for r, col in enumerate(piv_cols):
         x[col] = aug[r][-1]
     return x
+
+
+def krylov_form(a: RingMatrix) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Block-upper-triangular companion form over GF(p), with its transform.
+
+    Scans e_1, e_2, ...; each one outside the span so far contributes its
+    conductor chain w, Aw, ..., A^{d-1} w, where g of degree d is the minimal
+    monic polynomial with g(A) w in that span.  In the basis Q of the
+    concatenated chains, Q^-1 A Q is block upper triangular with the companion
+    matrix of each chain's g on the diagonal: A maps each chain vector to the
+    next, and the last one to -(g_0 w + ... + g_{d-1} A^{d-1} w) plus a vector
+    of the earlier chains.  Unlike rcf, blocks need not divide one another, so
+    each chain is eliminated once, and its elimination histories give Q^-1.
+
+    Returns the last columns -g[:-1] of the diagonal blocks in basis order,
+    then Q and Q^-1 as int64 arrays reduced mod p.
+    """
+    if not a.ring.is_prime_field():
+        raise InputError("krylov_form requires a matrix over a prime field GF(p)")
+    p, n = a.ring.m, a.n
+    mat_rows = a.coeffs[0].tolist()
+    span = _Span(p, hists=[])
+    last_columns: list[tuple[int, ...]] = []
+    basis: list[list[int]] = []
+    for i in range(n):
+        if span.dim == n:
+            break
+        e_i = [0] * n
+        e_i[i] = 1
+        g, chain, span = _conductor(mat_rows, e_i, span, p)
+        if chain:
+            last_columns.append(tuple(-c % p for c in g[:-1]))
+            basis.extend(chain)
+    # the reduced rows are now the unit vectors e_piv = sum_j hist[j] q_j, so
+    # column piv of Q^-1 is that row's history
+    q_inv_t = [h[:n] for _, h in sorted(zip(span.pivs, span.hists))]
+    return last_columns, np.array(basis, dtype=np.int64).T, np.array(q_inv_t, dtype=np.int64).T
 
 
 def rcf(a: RingMatrix) -> RcfResult:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, ResourceCapError
 from .residue import (
     Modulus,
     crt_recombine_int,
@@ -23,6 +23,7 @@ from .residue import (
 )
 
 MAX_DIMENSION = 64
+MAX_TRUNC_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,10 @@ class MatrixRing:
     def __post_init__(self):
         if self.trunc_degree < 1:
             raise InputError("truncation degree must be >= 1")
+        if self.trunc_degree > MAX_TRUNC_DEGREE:
+            raise ResourceCapError(
+                f"truncation degree {self.trunc_degree} is over the cap {MAX_TRUNC_DEGREE}"
+            )
 
     @property
     def m(self) -> int:
@@ -157,21 +162,15 @@ class RingMatrix:
     def __mul__(self, scalar: int) -> "RingMatrix":
         if not isinstance(scalar, (int, np.integer)):
             return NotImplemented
-        return RingMatrix(self.ring, (self.coeffs * int(scalar)) % self.ring.m)
+        m = self.ring.m
+        # reduce first: an unreduced scalar could wrap the int64 product
+        return RingMatrix(self.ring, (self.coeffs * (int(scalar) % m)) % m)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         self._match(other)
-        m, d = self.ring.m, self.ring.d
-        if d == 1:
-            return RingMatrix(self.ring, self.coeffs[0].dot(other.coeffs[0])[None, :, :] % m)
-        out = np.zeros_like(self.coeffs)
-        for i in range(d):
-            a = self.coeffs[i]
-            for j in range(d - i):
-                out[i + j] += a.dot(other.coeffs[j]) % m
-        return RingMatrix(self.ring, out % m)
+        return RingMatrix(self.ring, _stack_mul(self.coeffs, other.coeffs, self.ring.m))
 
     def __pow__(self, k: int) -> "RingMatrix":
         if k < 0:
@@ -200,12 +199,10 @@ class RingMatrix:
         return not self.coeffs.any()
 
     def to_rows(self) -> list:
+        # tolist() yields Python ints from int64 and object arrays alike
         if self.ring.d == 1:
-            return [[int(v) for v in row] for row in self.coeffs[0]]
-        return [
-            [[int(self.coeffs[t, i, j]) for t in range(self.ring.d)] for j in range(self.n)]
-            for i in range(self.n)
-        ]
+            return self.coeffs[0].tolist()
+        return self.coeffs.transpose(1, 2, 0).tolist()
 
     def __repr__(self) -> str:
         return f"RingMatrix({self.ring.describe()}, {self.to_rows()})"
@@ -236,43 +233,9 @@ class RingMatrix:
         return img if img.dtype == np.int64 else img.astype(np.int64)
 
     def nilpotency_exponent(self) -> Optional[int]:
-        """Minimal k with self^k = 0, or None if not nilpotent.
-
-        Nilpotency holds iff the image in M_n(GF(p)) is nilpotent for every
-        prime p | m (the reduction kernel is a nilpotent ideal), and then the
-        minimal exponent is found by binary search under the proven bound.
-        """
-        n = self.n
-        for p in self.ring.modulus.primes:
-            b = self.residue_field_image(p)
-            power = b
-            t = 1
-            while t < n:
-                power = power.dot(power) % p
-                t *= 2
-            if power.any():
-                return None
-        lo, hi = 1, self.ring.nilpotency_bound(n)
-        if self.ring.d == 1:
-            mat, m = self.coeffs[0], self.ring.m
-            if _pow_raw(mat, hi, m).any():
-                raise InternalCheckError("nilpotency bound violated")  # pragma: no cover
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _pow_raw(mat, mid, m).any():
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return lo
-        if not (self ** hi).is_zero():
-            raise InternalCheckError("nilpotency bound violated")  # pragma: no cover
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if (self ** mid).is_zero():
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        """Minimal k with self^k = 0, or None if not nilpotent: a nilpotent
+        matrix has self^bound = 0 under the proven nilpotency bound."""
+        return _min_exponent(self.coeffs, self.ring.m, self.ring.nilpotency_bound(self.n))
 
     def is_invertible(self) -> bool:
         """True iff the reduction mod every prime factor is invertible."""
@@ -332,17 +295,40 @@ class RingMatrix:
 # GF(p) kernels shared with the canonical-form machinery
 # ---------------------------------------------------------------------------
 
-def _pow_raw(mat: np.ndarray, k: int, m: int) -> np.ndarray:
-    """mat^k mod m on a bare 2-d array, k >= 1 (repeated squaring)."""
-    result = None
-    base = mat
-    while k:
-        if k & 1:
-            result = base if result is None else result.dot(base) % m
-        k >>= 1
-        if k:
-            base = base.dot(base) % m
-    return result
+def _stack_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Product of two (d, n, n) coefficient stacks, truncated at x^d, mod m."""
+    d = a.shape[0]
+    if d == 1:
+        return np.matmul(a, b) % m
+    out = np.zeros_like(a)
+    for i in range(d):
+        for j in range(d - i):
+            out[i + j] += a[i].dot(b[j]) % m
+    return out % m
+
+
+def _min_exponent(x: np.ndarray, m: int, bound: int) -> Optional[int]:
+    """Minimal k <= bound with x^k = 0 for a coefficient stack x, else None.
+
+    Squares x until some x^(2^j) vanishes, keeping the squares, then descends
+    greedily through them to the largest e with x^e != 0.  Both x^e != 0 and
+    x^(e+1) = 0 are among the products computed on the way, so one pass of
+    O(log bound) products proves the exponent minimal.
+    """
+    squares = [x]
+    while np.count_nonzero(squares[-1]):
+        if 1 << (len(squares) - 1) >= bound:
+            return None
+        squares.append(_stack_mul(squares[-1], squares[-1], m))
+    if len(squares) == 1:
+        return 1
+    top = len(squares) - 2
+    acc, e = squares[top], 1 << top
+    for j in range(top - 1, -1, -1):
+        cand = _stack_mul(acc, squares[j], m)
+        if np.count_nonzero(cand):
+            acc, e = cand, e + (1 << j)
+    return e + 1 if e < bound else None
 
 
 def _gf_rank(a: np.ndarray, p: int) -> int:
@@ -480,34 +466,17 @@ def check_certificate(cert: DecompositionCertificate) -> Optional[str]:
     ring = cert.a.ring
     if any(x.ring != ring or x.n != cert.a.n for x in mats):
         raise InputError("certificate matrices disagree in ring or dimension")
-    k = cert.nilpotency_exponent
-    if ring.d == 1:
-        m = ring.m
-        a, e, f, w = (x.coeffs[0] for x in mats)
-        if ((e.dot(e) - e) % m).any():
-            return CHECK_E_IDEMPOTENT
-        if ((f.dot(f) - f) % m).any():
-            return CHECK_F_IDEMPOTENT
-        if ((e + f + w - a) % m).any():
-            return CHECK_SUM
-        if k < 1 or k > ring.nilpotency_bound(cert.a.n):
-            return CHECK_NILPOTENCY
-        if _pow_raw(w, k, m).any():
-            return CHECK_NILPOTENCY
-        if k > 1 and not _pow_raw(w, k - 1, m).any():
-            return CHECK_NILPOTENCY
-        return None
-    if not cert.e.is_idempotent():
+    m = ring.m
+    a, e, f, w = (x.coeffs for x in mats)
+    if np.count_nonzero((_stack_mul(e, e, m) - e) % m):
         return CHECK_E_IDEMPOTENT
-    if not cert.f.is_idempotent():
+    if np.count_nonzero((_stack_mul(f, f, m) - f) % m):
         return CHECK_F_IDEMPOTENT
-    if not (cert.e + cert.f + cert.w) == cert.a:
+    if np.count_nonzero((e + f + w - a) % m):
         return CHECK_SUM
-    if k < 1 or k > ring.nilpotency_bound(cert.a.n):
-        return CHECK_NILPOTENCY
-    if not (cert.w ** k).is_zero():
-        return CHECK_NILPOTENCY
-    if k > 1 and (cert.w ** (k - 1)).is_zero():
+    k = cert.nilpotency_exponent
+    bound = ring.nilpotency_bound(cert.a.n)
+    if not 1 <= k <= bound or _min_exponent(w, m, bound) != k:
         return CHECK_NILPOTENCY
     return None
 

@@ -1,12 +1,15 @@
 """CLI: document round-trips, exit codes, golden sweep, negative controls."""
 
+import importlib
 import io
 import json
 import pathlib
+import time
 
 import pytest
 
 from nilclean.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RESOURCE,
@@ -21,7 +24,7 @@ from nilclean.cli import (
 )
 from nilclean.decompose import decompose_zm
 from nilclean.errors import InputError
-from nilclean.matrix import RingMatrix, verify_certificate, zm_ring
+from nilclean.matrix import CHECK_SUM, RingMatrix, verify_certificate, zm_ring
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "m2_z3_sweep.txt"
 
@@ -138,6 +141,40 @@ class TestDecomposeCommand:
     def test_exhaustive_cap(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["decompose", "--exhaustive", "3", "64"])
         assert code == EXIT_RESOURCE
+
+    @pytest.mark.parametrize("n", ("0", "-1"))
+    def test_exhaustive_dimension_below_one(self, capsys, monkeypatch, n):
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--exhaustive", n, "3"])
+        assert code == EXIT_PARSE
+        assert out == "" and "N >= 1" in err
+
+    def test_exhaustive_huge_dimension_is_capped(self, capsys, monkeypatch):
+        code, _, _ = run(capsys, monkeypatch, ["decompose", "--exhaustive", "10000000", "2"])
+        assert code == EXIT_RESOURCE
+
+    def test_trunc_degree_over_cap(self, capsys, monkeypatch):
+        doc = "modulus: 6\ntrunc-degree: 100000000\nA: [[[1]]]\n"
+        start = time.perf_counter()
+        code, _, err = run(capsys, monkeypatch, ["decompose"], doc)
+        assert code == EXIT_RESOURCE and "cap" in err
+        code, _, _ = run(capsys, monkeypatch, ["decompose"], "ring: Z6[x]/(x^100000000)\nA: [[1]]\n")
+        assert code == EXIT_RESOURCE
+        assert time.perf_counter() - start < 1.0
+
+
+class TestInternalCheck:
+    def test_failed_self_check_has_own_exit_code(self, capsys, monkeypatch):
+        def broken(cert):
+            cert.failure = CHECK_SUM
+            return False
+
+        monkeypatch.setattr(importlib.import_module("nilclean.decompose"),
+                            "verify_certificate", broken)
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--modulus", "3"], "0 1\n1 0\n")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert CHECK_SUM in err and "[[0, 1], [1, 0]]" in err
+        assert "Traceback" not in err
 
 
 class TestGoldenSweep:
@@ -257,6 +294,15 @@ class TestVerifyCommand:
     def test_empty_input(self, capsys, monkeypatch):
         code, _, _ = run(capsys, monkeypatch, ["verify"], "")
         assert code == EXIT_PARSE
+
+    def test_trunc_degree_over_cap(self, capsys, monkeypatch):
+        doc = ("schema: nilclean-cert/1\nkind: certificate\nmodulus: 6\n"
+               "trunc-degree: 100000000\nA: [[[1]]]\nE: [[[1]]]\nF: [[[0]]]\n"
+               "W: [[[0]]]\nnilpotency-exponent: 1\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, monkeypatch, ["verify"], doc)
+        assert code == EXIT_RESOURCE and "cap" in err
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDemoObstruction:

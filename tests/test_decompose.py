@@ -1,5 +1,6 @@
 """The constructive decomposition pipeline, bottom templates to full rings."""
 
+import importlib
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mat_mul_naive, nilpotency_naive_exact
 from nilclean.decompose import (
     CaseTag,
     decompose,
@@ -172,6 +174,67 @@ class TestFieldMatrix:
     def test_unsupported_field(self):
         with pytest.raises(UnsupportedRingError):
             decompose_field_matrix(RingMatrix.identity(2, zm_ring(5)))
+
+
+def repeated_blocks_conjugate(p, n, deg, gen):
+    """A random conjugate of diag(C, ..., C) for one random GF(p) companion
+    block C of degree deg: derogatory, with n / deg equal invariant factors."""
+    ring = zm_ring(p)
+    col = gen.integers(0, p, deg)
+    blocks = np.zeros((n, n), dtype=np.int64)
+    for at in range(0, n, deg):
+        for i in range(1, deg):
+            blocks[at + i, at + i - 1] = 1
+        blocks[at : at + deg, at + deg - 1] = col
+    while True:
+        t = RingMatrix.random(n, ring, gen)
+        if t.is_invertible():
+            return t @ RingMatrix(ring, blocks[None]) @ t.inverse()
+
+
+class TestKrylovPath:
+    @pytest.mark.parametrize("p", (2, 3))
+    @pytest.mark.parametrize("n", (8, 16))
+    def test_derogatory_against_naive(self, p, n):
+        gen = np.random.default_rng(1000 * p + n)
+        for deg in (1, 2, 4):
+            a = repeated_blocks_conjugate(p, n, deg, gen)
+            cert = decompose_field_matrix(a)
+            rows_a, e, f, w = (x.to_rows() for x in (a, cert.e, cert.f, cert.w))
+            assert mat_mul_naive(e, e, p) == e
+            assert mat_mul_naive(f, f, p) == f
+            assert [[(x + y + z) % p for x, y, z in zip(*r)] for r in zip(e, f, w)] == rows_a
+            assert nilpotency_naive_exact(w, p, n) == cert.nilpotency_exponent
+            assert sum(int(tag.rsplit(":n", 1)[1]) for tag in cert.case_tags) == n
+            assert len(cert.case_tags) >= n // deg
+
+
+class TestSelfCheckCount:
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        module = importlib.import_module("nilclean.decompose")
+        original = module.verify_certificate
+        calls = []
+
+        def counting(cert):
+            calls.append(cert)
+            return original(cert)
+
+        monkeypatch.setattr(module, "verify_certificate", counting)
+        return calls
+
+    @pytest.mark.parametrize("call,ring", [
+        (decompose_field_matrix, zm_ring(3)),
+        (decompose_prime_power, zm_ring(9)),
+        (decompose_zm, zm_ring(72)),
+        (decompose_zm, zm_ring(6)),
+        (decompose, trunc_ring(6, 3)),
+        (decompose_trunc_poly_matrix, trunc_ring(72, 2)),
+    ])
+    def test_one_check_per_public_call(self, checks, call, ring, rng):
+        cert = call(RingMatrix.random(6, ring, rng))
+        assert cert.verified
+        assert checks == [cert]
 
 
 class TestLiftMatrix:

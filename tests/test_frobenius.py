@@ -1,15 +1,18 @@
 """Polynomials over GF(p), companion blocks, and the canonical form."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import charpoly_cofactor
+from conftest import charpoly_cofactor, mat_mul_naive, poly_mul
 from nilclean.errors import InputError
 from nilclean.frobenius import (
     CompanionBlock,
     FieldPoly,
     companion,
+    krylov_form,
     rcf,
     verify_rcf,
 )
@@ -182,3 +185,52 @@ class TestRcf:
             r1, r2 = rcf(a), rcf(a)
             assert r1.transform == r2.transform
             assert [b.poly for b in r1.blocks] == [b.poly for b in r2.blocks]
+
+
+class TestKrylovForm:
+    @staticmethod
+    def check_form(a, p):
+        """Q^-1 A Q is block upper triangular with companion diagonal blocks
+        whose polynomials multiply to the characteristic polynomial."""
+        n = a.n
+        cols, q, q_inv = krylov_form(a)
+        q, q_inv = q.tolist(), q_inv.tolist()
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert mat_mul_naive(q, q_inv, p) == ident
+        t = mat_mul_naive(mat_mul_naive(q_inv, a.to_rows(), p), q, p)
+        at = 0
+        charpoly = (1,)
+        for col in cols:
+            d = len(col)
+            block = companion(FieldPoly(p, tuple(-c % p for c in col) + (1,))).to_rows()
+            assert [row[at : at + d] for row in t[at : at + d]] == block
+            assert all(v == 0 for row in t[at + d :] for v in row[at : at + d])
+            charpoly = poly_mul(charpoly, tuple(-c % p for c in col) + (1,), p)
+            at += d
+        assert at == n
+        assert charpoly == charpoly_cofactor(a.to_rows(), p)
+        return cols
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (2, 3)])
+    def test_exhaustive(self, p, n):
+        for entries in itertools.product(range(p), repeat=n * n):
+            rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
+            self.check_form(RingMatrix.from_rows(rows, zm_ring(p)), p)
+
+    def test_random_fields(self, rng):
+        for p in (2, 3, 5):
+            for n in (1, 4, 6):
+                for _ in range(5):
+                    self.check_form(RingMatrix.random(n, zm_ring(p), rng), p)
+
+    def test_identity_gives_unit_blocks(self):
+        cols = self.check_form(RingMatrix.identity(3, zm_ring(3)), 3)
+        assert cols == [(1,), (1,), (1,)]
+
+    def test_companion_is_one_block(self):
+        cols = self.check_form(companion(poly(3, 1, 2, 0, 1)), 3)
+        assert cols == [(2, 1, 0)]
+
+    def test_non_prime_field_rejected(self):
+        with pytest.raises(InputError):
+            krylov_form(RingMatrix.identity(2, zm_ring(6)))

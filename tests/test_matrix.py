@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mat_mul_naive, nilpotency_naive_exact
-from nilclean.errors import InputError
+from nilclean.errors import InputError, ResourceCapError
 from nilclean.matrix import (
+    MAX_TRUNC_DEGREE,
     DecompositionCertificate,
+    MatrixRing,
     RingMatrix,
     check_certificate,
     matrix_crt_recombine,
@@ -71,6 +73,20 @@ class TestArithmetic:
         for other in (b, c):
             with pytest.raises(InputError):
                 _ = a @ other
+
+    def test_scalar_reduced_before_multiplying(self):
+        # (2^31 - 2) * 2^40 would wrap int64; the scalar is reduced first
+        m = 2**31 - 1
+        a = RingMatrix.from_rows([[m - 1]], zm_ring(m))
+        expected = [[(m - 1) * 2**40 % m]]
+        assert expected == [[2147483135]]
+        assert (a * 2**40).to_rows() == expected
+        assert (2**40 * a).to_rows() == expected
+
+    def test_trunc_degree_cap(self):
+        assert MatrixRing(factorize(6), MAX_TRUNC_DEGREE).d == MAX_TRUNC_DEGREE
+        with pytest.raises(ResourceCapError):
+            MatrixRing(factorize(6), MAX_TRUNC_DEGREE + 1)
 
     def test_huge_modulus_object_path(self):
         m = 2**31  # forces exact Python-integer entries
