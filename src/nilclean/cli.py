@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import re
 import sys
 from typing import Optional, Sequence
@@ -133,9 +134,9 @@ def certificate_to_doc(cert: DecompositionCertificate) -> str:
 
 def certificate_from_doc(doc: dict) -> DecompositionCertificate:
     try:
-        ring = MatrixRing(factorize(int(doc["modulus"])), int(doc.get("trunc-degree", 1)))
+        ring = MatrixRing(factorize(_doc_int(doc, "modulus")), _doc_int(doc, "trunc-degree", 1))
         mats = {key: RingMatrix.from_rows(doc[key], ring) for key in ("A", "E", "F", "W")}
-        exponent = int(doc["nilpotency-exponent"])
+        exponent = _doc_int(doc, "nilpotency-exponent")
         tags = tuple(doc.get("case-tags", []))
     except KeyError as missing:
         raise InputError(f"certificate document lacks field {missing}")
@@ -144,7 +145,7 @@ def certificate_from_doc(doc: dict) -> DecompositionCertificate:
     n = mats["A"].n
     if any(mat.n != n for mat in mats.values()):
         raise InputError("certificate matrices disagree in dimension")
-    if "n" in doc and int(doc["n"]) != n:
+    if "n" in doc and _doc_int(doc, "n") != n:
         raise InputError("declared dimension does not match the matrices")
     return DecompositionCertificate(
         mats["A"], mats["E"], mats["F"], mats["W"], exponent, tags
@@ -217,6 +218,16 @@ def _read_input(args) -> str:
     return sys.stdin.read()
 
 
+def _doc_int(doc: dict, key: str, default: Optional[int] = None) -> int:
+    """An integer field of a document; KeyError when it is missing and has
+    no default, InputError when it is not an integer."""
+    value = doc[key] if default is None else doc.get(key, default)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"field {key!r} must be an integer, got {value!r}") from None
+
+
 def _parse_matrix_input(text: str, args) -> RingMatrix:
     """Accept either a key-value matrix document or plain whitespace rows."""
     stripped = text.strip()
@@ -229,10 +240,13 @@ def _parse_matrix_input(text: str, args) -> RingMatrix:
         if "ring" in doc:
             ring = parse_matrix_ring(str(doc["ring"]))
         elif "modulus" in doc:
-            ring = MatrixRing(factorize(int(doc["modulus"])), int(doc.get("trunc-degree", 1)))
+            ring = MatrixRing(factorize(_doc_int(doc, "modulus")), _doc_int(doc, "trunc-degree", 1))
         else:
             ring = _ring_from_flags(args)
-        return RingMatrix.from_rows(doc["A"], ring)
+        try:
+            return RingMatrix.from_rows(doc["A"], ring)
+        except (TypeError, ValueError) as bad:
+            raise InputError(f"field 'A' is not a matrix of integers: {bad}") from None
     ring = _ring_from_flags(args)
     if ring.d != 1:
         raise InputError("plain whitespace matrices support only Z_m entries")
@@ -431,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", metavar="FILE", help="read input from FILE instead of stdin")
         p.add_argument("--format", choices=("plain", "doc"), default="doc",
                        help="output format (default: doc)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized batch modes (fixed default)")
 
     p = sub.add_parser("decompose", help="decompose a matrix as E + F + W")
     common(p)

@@ -2,16 +2,17 @@
 with an explicit similarity transform, and the cheaper block-triangular
 Krylov form that decompositions use.
 
-The canonical form is computed by the cyclic-chain construction: repeatedly
-pick a vector of maximal order in the quotient by the invariant subspace
-spanned so far, correct it to an exact annihilator representative, and append
-its Krylov chain.  Orders are computed as conductor polynomials by reducing
-Krylov iterates against an RREF basis while tracking the combination history;
-maximal orders are realized without factoring via coprime-part splitting of
-polynomial lcms.  Every step that relies on a theorem is also asserted at
-runtime, so a bug surfaces as InternalCheckError rather than a wrong form.
-
-Block order is ascending divisibility: f_1 | f_2 | ... | f_k.
+Both forms rest on conductor polynomials: the Krylov iterates of a vector are
+reduced against the ``gfp`` elimination kernel, whose histories write each
+row over the chain vectors, and the first iterate that vanishes reads off the
+polynomial.  ``gfp.field`` packs vectors by p: one int over GF(2), two
+bit-planes over GF(3), int lists for p >= 5 (of the commands, only rcf meets
+them).  The canonical form repeatedly picks a vector of maximal order modulo
+the invariant subspace spanned so far (coprime splitting of lcms, no
+factoring), corrects it to an exact annihilator representative, and appends
+its chain; blocks ascend in divisibility, f_1 | f_2 | ... | f_k.  Each step
+that relies on a theorem is asserted at runtime, so a bug surfaces as
+InternalCheckError rather than a wrong form.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, InternalCheckError
+from .gfp import Echelon, field, inverse
 from .matrix import RingMatrix, zm_ring
 from .residue import factorize
 
@@ -46,8 +48,7 @@ def _padd(a, b, p):
 
 
 def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)])
+    return _padd(a, [-c for c in b], p)
 
 
 def _pmul(a, b, p):
@@ -166,12 +167,6 @@ class FieldPoly:
         q, r = _pdivmod(self.coeffs, other.coeffs, self.p)
         return FieldPoly(self.p, q), FieldPoly(self.p, r)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def gcd(self, other: "FieldPoly") -> "FieldPoly":
         self._match(other)
         return FieldPoly(self.p, _pgcd(self.coeffs, other.coeffs, self.p))
@@ -185,18 +180,6 @@ class FieldPoly:
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % self.p
         return acc
-
-    def monic(self) -> "FieldPoly":
-        return FieldPoly(self.p, _pmonic(self.coeffs, self.p))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append(f"{c}" if i == 0 else (f"x^{i}" if c == 1 else f"{c}x^{i}"))
-        return " + ".join(terms) + f" over GF({self.p})"
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +231,6 @@ class RcfResult:
     transform: RingMatrix
     transform_inv: RingMatrix
 
-    @property
-    def polynomials(self) -> tuple[FieldPoly, ...]:
-        return tuple(b.poly for b in self.blocks)
-
     def block_diagonal(self) -> RingMatrix:
         n = sum(b.degree for b in self.blocks)
         out = RingMatrix.zeros(n, self.transform.ring)
@@ -264,224 +243,105 @@ class RcfResult:
 
 
 # ---------------------------------------------------------------------------
-# Conductor machinery
+# Conductor machinery, on the packed vectors of the gfp kernel
 # ---------------------------------------------------------------------------
 
-# The canonical-form kernels below work on plain Python lists: the matrices in
-# play are small (n <= 64, hot paths n <= 8) and list arithmetic avoids the
-# per-call overhead that dominates numpy at these sizes.
+def _chain(f, cols, w, d: int) -> list:
+    """The Krylov chain [w, Aw, ..., A^{d-1} w]."""
+    chain = []
+    for _ in range(d):
+        chain.append(w)
+        w = f.matvec(cols, w)
+    return chain
 
-def _matvec(rows: list[list[int]], u: list[int], p: int) -> list[int]:
-    return [sum(map(int.__mul__, r, u)) % p for r in rows]
 
-
-def _poly_apply_vec(rows: list[list[int]], coeffs: Sequence[int],
-                    v: list[int], p: int) -> list[int]:
-    """Evaluate (sum_j coeffs[j] * A^j) v by Horner."""
-    acc = [0] * len(v)
-    for c in reversed(tuple(coeffs)):
-        acc = _matvec(rows, acc, p)
+def _combine(f, coeffs: Sequence[int], chain: list):
+    """sum_j coeffs[j] chain[j], i.e. q(A) w for q = coeffs and the chain of w."""
+    if len(coeffs) > len(chain):
+        raise InternalCheckError("polynomial degree exceeds the Krylov chain")
+    acc = f.zero
+    for c, u in zip(coeffs, chain):
         if c:
-            acc = [(a + c * b) % p for a, b in zip(acc, v)]
+            acc = f.axpy(acc, f.p - c, u)
     return acc
 
 
-class _Span:
-    """Fully reduced row-echelon basis over GF(p): every stored row has a unit
-    pivot and zeros in all other pivot columns, so one pass reduces a vector.
-    Rows are replaced, never changed in place, so copies may share them.
-
-    ``hists``, when kept (krylov_form), writes each row as a combination of
-    the chain vectors inserted so far, in insertion order.
-    """
-
-    __slots__ = ("p", "rows", "pivs", "hists")
-
-    def __init__(self, p: int, rows=None, pivs=None, hists=None):
-        self.p = p
-        self.rows: list[list[int]] = rows if rows is not None else []
-        self.pivs: list[int] = pivs if pivs is not None else []
-        self.hists: Optional[list[list[int]]] = hists
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def reduce(self, v: list[int]) -> list[int]:
-        p = self.p
-        v = [c % p for c in v]
-        for row, piv in zip(self.rows, self.pivs):
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        return v
-
-    def insert(self, v: list[int]) -> int:
-        """Insert an already-reduced nonzero vector; returns its pivot column."""
-        p = self.p
-        piv = next(j for j, c in enumerate(v) if c)
-        inv = pow(v[piv], -1, p)
-        if inv != 1:
-            v = [c * inv % p for c in v]
-        for idx, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                self.rows[idx] = [(a - c * b) % p for a, b in zip(row, v)]
-        self.rows.append(v)
-        self.pivs.append(piv)
-        return piv
-
-
-def _conductor(mat_rows: list[list[int]], w: list[int], span: _Span, p: int):
+def _conductor(cols, w, span: Echelon):
     """Minimal monic g with g(A)w in the span (an A-invariant subspace).
 
-    Returns (coefficient tuple of g, [w, Aw, ..., A^{deg g - 1} w], the span
-    extended by that chain).  Histories track each working row as a
-    combination of the span's chain vectors (indices below span.dim, zero
-    when the span keeps no histories) followed by the Krylov iterates, so the
+    Returns (coefficient tuple of g, [w, Aw, ..., A^{deg g - 1} w]) and
+    extends the span by that chain in place.  The Krylov iterate A^t w goes in
+    with history unit(span.dim + t), after the span's own rows, so the
     vanishing reduction reads off g directly (monic by design: row t never
     touches iterates beyond t).
     """
-    n = len(w)
+    f = span.f
     base = span.dim
-    rows = span.rows[:]
-    pivs = span.pivs[:]
-    hists = span.hists[:] if span.hists is not None else [[0] * (n + 1)] * base
-    krylov: list[list[int]] = []
-    u = [c % p for c in w]
-    for t in range(n + 1):
-        h = [0] * (n + 1)
-        h[base + t] = 1
-        v = u
-        for row, piv, rh in zip(rows, pivs, hists):
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-                h = [(a - c * b) % p for a, b in zip(h, rh)]
-        for piv, lead in enumerate(v):
-            if lead:
-                break
-        else:
-            return _ptrim(h[base : base + t + 1]), krylov, _Span(p, rows, pivs, hists)
-        if lead != 1:
-            inv = pow(lead, -1, p)
-            v = [c * inv % p for c in v]
-            h = [c * inv % p for c in h]
-        for idx, row in enumerate(rows):
-            c = row[piv]
-            if c:
-                rows[idx] = [(a - c * b) % p for a, b in zip(row, v)]
-                hists[idx] = [(a - c * b) % p for a, b in zip(hists[idx], h)]
-        rows.append(v)
-        pivs.append(piv)
-        hists.append(h)
+    krylov: list = []
+    u = w
+    for t in range(len(cols) + 1):
+        h = span.insert(u, f.unit(base + t))
+        if h is not None:
+            return _ptrim(f.get(h, base + j) for j in range(t + 1)), krylov
         krylov.append(u)
-        u = _matvec(mat_rows, u, p)
+        u = f.matvec(cols, u)
     raise InternalCheckError("conductor search exceeded the dimension bound")
 
 
-def _max_order_vector(mat_rows: list[list[int]], span: _Span, p: int):
+def _max_order_vector(cols, span: Echelon):
     """Vector of maximal order in V / span, scanning standard basis vectors in
     index order and combining through coprime lcm splitting."""
-    n = len(mat_rows)
+    f = span.f
+    p, n = f.p, len(cols)
     target = n - span.dim
-    w: Optional[list[int]] = None
+    w = None
     h: tuple[int, ...] = (1,)
-    krylov: Optional[list[list[int]]] = None
+    krylov: Optional[list] = None
     for i in range(n):
         if _pdeg(h) >= target:
             break
-        e_i = [0] * n
-        e_i[i] = 1
-        if span.dim and not any(span.reduce(e_i)):
-            continue
-        g, kry, _ = _conductor(mat_rows, e_i, span, p)
+        g, kry = _conductor(cols, f.unit(i), span.copy())
         dg = _pdeg(g)
         if dg < 1 or (dg <= _pdeg(h) and _pdivides(g, h, p)):
             continue
         if w is None or _pdivides(h, g, p):
             # g is a strict multiple of the running order: adopt e_i outright
-            w, h, krylov = e_i, g, kry
+            w, h, krylov = f.unit(i), g, kry
             continue
         l = _plcm(h, g, p)
         f1 = _pcoprime_part(h, g, p)
         g1 = _pdivmod(l, f1, p)[0]
         if _pdeg(_pgcd(f1, g1, p)) != 0:
             raise InternalCheckError("coprime splitting failed")
-        u1 = _poly_apply_vec(mat_rows, _pdivmod(h, f1, p)[0], w, p)
-        u2 = _poly_apply_vec(mat_rows, _pdivmod(g, g1, p)[0], e_i, p)
-        w = [(a + b) % p for a, b in zip(u1, u2)]
+        if krylov is None:
+            krylov = _chain(f, cols, w, _pdeg(h))
+        u1 = _combine(f, _pdivmod(h, f1, p)[0], krylov)
+        u2 = _combine(f, _pdivmod(g, g1, p)[0], kry)
+        w = f.axpy(u1, p - 1, u2)
         h = l
         krylov = None  # combined vector: chain must be recomputed
     if w is None:
         raise InternalCheckError("no vector outside the current span")
     if krylov is None:
-        g, krylov, _ = _conductor(mat_rows, w, span, p)
+        g, krylov = _conductor(cols, w, span.copy())
         if g != h:
             raise InternalCheckError("combined vector has unexpected order")
     return w, h, krylov
 
 
-def _apply_order(mat_rows: list[list[int]], h: tuple[int, ...], w: list[int],
-                 krylov: list[list[int]], p: int) -> list[int]:
-    """h(A) w given the Krylov iterates [w, Aw, ..., A^{deg h - 1} w]."""
+def _apply_order(f, cols, h: tuple[int, ...], krylov: list):
+    """h(A) w given the Krylov iterates [w, Aw, ..., A^{deg h - 1} w]: h is
+    monic, so A^{deg h} w plus the lower terms."""
     if _pdeg(h) != len(krylov) or not krylov:
         raise InternalCheckError("Krylov chain does not match the order degree")
-    acc = _matvec(mat_rows, krylov[-1], p)  # A^{deg} w, h is monic
-    for c, u in zip(h, krylov):
-        if c:
-            acc = [(a + c * b) % p for a, b in zip(acc, u)]
-    return acc
+    return f.axpy(f.matvec(cols, krylov[-1]), f.p - 1, _combine(f, h[:-1], krylov))
 
 
-def _gauss_inverse(rows: list[list[int]], p: int) -> Optional[list[list[int]]]:
-    """Gauss-Jordan inverse on list rows; None when singular."""
-    n = len(rows)
-    aug = [row[:] + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] % p), None)
-        if piv is None:
-            return None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        if inv != 1:
-            aug[col] = [c * inv % p for c in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [(a - c * b) % p for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _solve_chain(cols: list[list[int]], y: list[int], p: int) -> list[int]:
-    """Solve sum_j x_j cols[j] = y over GF(p); cols are independent."""
-    n = len(y)
-    k = len(cols)
-    aug = [[cols[j][i] for j in range(k)] + [y[i]] for i in range(n)]
-    rank = 0
-    piv_cols = []
-    for col in range(k):
-        piv = next((i for i in range(rank, n) if aug[i][col] % p), None)
-        if piv is None:
-            raise InternalCheckError("chain basis is rank deficient")
-        if piv != rank:
-            aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = pow(aug[rank][col], -1, p)
-        if inv != 1:
-            aug[rank] = [c * inv % p for c in aug[rank]]
-        for i in range(n):
-            if i != rank and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [(a - c * b) % p for a, b in zip(aug[i], aug[rank])]
-        piv_cols.append(col)
-        rank += 1
-    if any(aug[i][-1] for i in range(rank, n)):
-        raise InternalCheckError("inconsistent chain-coordinate system")
-    x = [0] * k
-    for r, col in enumerate(piv_cols):
-        x[col] = aug[r][-1]
-    return x
+def _packed(a: RingMatrix, what: str):
+    """The field and the packed columns of a matrix over GF(p)."""
+    if not a.ring.is_prime_field():
+        raise InputError(f"{what} requires a matrix over a prime field GF(p)")
+    return (f := field(a.ring.m, a.n)), f.pack(a.coeffs[0].T)
 
 
 def krylov_form(a: RingMatrix) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
@@ -499,26 +359,21 @@ def krylov_form(a: RingMatrix) -> tuple[list[tuple[int, ...]], np.ndarray, np.nd
     Returns the last columns -g[:-1] of the diagonal blocks in basis order,
     then Q and Q^-1 as int64 arrays reduced mod p.
     """
-    if not a.ring.is_prime_field():
-        raise InputError("krylov_form requires a matrix over a prime field GF(p)")
+    f, cols = _packed(a, "krylov_form")
     p, n = a.ring.m, a.n
-    mat_rows = a.coeffs[0].tolist()
-    span = _Span(p, hists=[])
+    span = Echelon(f)
     last_columns: list[tuple[int, ...]] = []
-    basis: list[list[int]] = []
+    basis: list = []
     for i in range(n):
         if span.dim == n:
             break
-        e_i = [0] * n
-        e_i[i] = 1
-        g, chain, span = _conductor(mat_rows, e_i, span, p)
+        g, chain = _conductor(cols, f.unit(i), span)
         if chain:
             last_columns.append(tuple(-c % p for c in g[:-1]))
             basis.extend(chain)
-    # the reduced rows are now the unit vectors e_piv = sum_j hist[j] q_j, so
-    # column piv of Q^-1 is that row's history
-    q_inv_t = [h[:n] for _, h in sorted(zip(span.pivs, span.hists))]
-    return last_columns, np.array(basis, dtype=np.int64).T, np.array(q_inv_t, dtype=np.int64).T
+    # the chain vectors went in with unit histories, in basis order
+    q_and_inv_t = f.unpack(basis + span.inverse(), n)
+    return last_columns, q_and_inv_t[:n].T, q_and_inv_t[n:].T
 
 
 def rcf(a: RingMatrix) -> RcfResult:
@@ -526,67 +381,52 @@ def rcf(a: RingMatrix) -> RcfResult:
 
     Deterministic: candidate vectors are scanned in standard-basis order.
     """
-    if not a.ring.is_prime_field():
-        raise InputError("rcf requires a matrix over a prime field GF(p)")
-    p = a.ring.m
-    n = a.n
-    mat_rows = [[int(v) for v in row] for row in a.coeffs[0]]
-    span = _Span(p)
-    gens: list[tuple[list[int], tuple[int, ...]]] = []
-    chains: list[list[list[int]]] = []
+    f, cols = _packed(a, "rcf")
+    p, n = a.ring.m, a.n
+    # every chain vector so far, with unit histories: solve() gives coordinates
+    span = Echelon(f)
+    polys: list[tuple[int, ...]] = []
+    chains: list[list] = []
     while span.dim < n:
-        w, h, krylov = _max_order_vector(mat_rows, span, p)
-        if gens:
+        w, h, krylov = _max_order_vector(cols, span)
+        if polys:
             # y = h(A) w lies in the span; rewrite it over the chain basis and
             # subtract (q_i / h)(A) v_i so that h annihilates w exactly.
-            y = _apply_order(mat_rows, h, w, krylov, p)
-            if any(y):
-                cols = [u for chain in chains for u in chain]
-                x = _solve_chain(cols, y, p)
+            y = _apply_order(f, cols, h, krylov)
+            if f.lead(y) >= 0:
+                x = span.solve(y)
+                if x is None:
+                    raise InternalCheckError("inconsistent chain-coordinate system")
                 at = 0
-                for (v_i, _), chain in zip(gens, chains):
+                for chain in chains:
                     d_i = len(chain)
-                    q = _ptrim(x[at : at + d_i])
+                    q = _ptrim(f.get(x, j) for j in range(at, at + d_i))
                     at += d_i
                     if not q:
                         continue
                     quo, rem = _pdivmod(q, h, p)
                     if rem:
                         raise InternalCheckError("adjustment divisibility failed")
-                    corr = _poly_apply_vec(mat_rows, quo, v_i, p)
-                    w = [(a - b) % p for a, b in zip(w, corr)]
-                krylov = []
-                u = w
-                for _ in range(_pdeg(h)):
-                    krylov.append(u)
-                    u = _matvec(mat_rows, u, p)
-        if any(_apply_order(mat_rows, h, w, krylov, p)):
+                    w = f.axpy(w, 1, _combine(f, quo, chain))
+                krylov = _chain(f, cols, w, _pdeg(h))
+        if f.lead(_apply_order(f, cols, h, krylov)) >= 0:
             raise InternalCheckError("generator is not annihilated by its order")
-        gens.append((w, h))
+        polys.append(h)
         chains.append(krylov)
         for u in krylov:
-            v = span.reduce(u)
-            if not any(v):
+            if span.insert(u, f.unit(span.dim)) is not None:
                 raise InternalCheckError("chain vector already inside the span")
-            span.insert(v)
-    gens.reverse()
+    polys.reverse()
     chains.reverse()
-    polys = [h for _, h in gens]
     for fa, fb in zip(polys, polys[1:]):
         if not _pdivides(fa, fb, p):
             raise InternalCheckError("invariant factors do not form a chain")
-    basis_cols = [u for chain in chains for u in chain]
-    q_rows = [[basis_cols[j][i] for j in range(n)] for i in range(n)]
-    q_inv_rows = _gauss_inverse(q_rows, p)
-    if q_inv_rows is None:
+    q = f.unpack([u for chain in chains for u in chain], n).T
+    q_inv = inverse(q, p)
+    if q_inv is None:
         raise InternalCheckError("chain basis is singular")
-    ring = a.ring
-    blocks = tuple(CompanionBlock(FieldPoly(p, f)) for f in polys)
-    return RcfResult(
-        blocks=blocks,
-        transform=RingMatrix(ring, np.array(q_inv_rows, dtype=np.int64)[None, :, :]),
-        transform_inv=RingMatrix(ring, np.array(q_rows, dtype=np.int64)[None, :, :]),
-    )
+    blocks = tuple(CompanionBlock(FieldPoly(p, g)) for g in polys)
+    return RcfResult(blocks, RingMatrix(a.ring, q_inv[None]), RingMatrix(a.ring, q[None]))
 
 
 def verify_rcf(a: RingMatrix, result: RcfResult) -> bool:

@@ -10,11 +10,13 @@ to exact Python integers through object arrays.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import gfp
 from .errors import InputError, InternalCheckError, ResourceCapError
 from .residue import (
     Modulus,
@@ -116,7 +118,7 @@ class RingMatrix:
                     if len(entry) > d:
                         raise InputError("entry has more coefficients than the ring degree")
                     for t, c in enumerate(entry):
-                        coeffs[t, i, j] = int(c) % ring.m
+                        coeffs[t, i, j] = operator.index(c) % ring.m  # no float or str
         return cls(ring, coeffs)
 
     @classmethod
@@ -241,10 +243,8 @@ class RingMatrix:
         """True iff the reduction mod every prime factor is invertible."""
         if self.ring.d != 1:
             raise InputError("is_invertible expects a plain Z_m matrix")
-        return all(
-            _gf_rank(self.residue_field_image(p), p) == self.n
-            for p in self.ring.modulus.primes
-        )
+        return all(gfp.rank(self.residue_field_image(p), p) == self.n
+                   for p in self.ring.modulus.primes)
 
     def det(self) -> int:
         """Determinant in Z_m via per-prime-power fraction-free elimination."""
@@ -268,7 +268,7 @@ class RingMatrix:
         mod = 1
         for p, e in self.ring.modulus.factors:
             q = p**e
-            x = _gf_inverse(self.residue_field_image(p), p)
+            x = gfp.inverse(self.residue_field_image(p), p)
             if x is None:
                 raise InputError("matrix is not invertible (singular mod %d)" % p)
             a = np.array([[int(v) % q for v in row] for row in self.coeffs[0]], dtype=object)
@@ -276,23 +276,17 @@ class RingMatrix:
             ident = 2 * np.eye(n, dtype=object)
             for _ in range(max(1, (e - 1).bit_length() + 1)):
                 x = x.dot(ident - a.dot(x) % q) % q
-            if res is None:
-                res = x
-            else:
-                comb = np.zeros((n, n), dtype=object)
-                for i in range(n):
-                    for j in range(n):
-                        comb[i, j] = crt_recombine_int(int(res[i, j]), mod, int(x[i, j]), q)
-                res = comb
+            # CRT: the unique lift of (res mod mod, x mod q) below mod * q
+            res = x if res is None else x + q * ((res - x) * pow(q, -1, mod) % mod)
             mod *= q
-        out = RingMatrix.from_rows([[int(v) for v in row] for row in res], self.ring)
+        out = RingMatrix.from_rows(res.tolist(), self.ring)
         if not (out @ self == RingMatrix.identity(n, self.ring)):
             raise InternalCheckError("inverse failed verification")  # pragma: no cover
         return out
 
 
 # ---------------------------------------------------------------------------
-# GF(p) kernels shared with the canonical-form machinery
+# Coefficient-stack kernels
 # ---------------------------------------------------------------------------
 
 def _stack_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
@@ -329,54 +323,6 @@ def _min_exponent(x: np.ndarray, m: int, bound: int) -> Optional[int]:
         if np.count_nonzero(cand):
             acc, e = cand, e + (1 << j)
     return e + 1 if e < bound else None
-
-
-def _gf_rank(a: np.ndarray, p: int) -> int:
-    a = a % p
-    n = a.shape[0]
-    rank = 0
-    col = 0
-    a = a.copy()
-    while rank < n and col < n:
-        piv = None
-        for i in range(rank, n):
-            if a[i, col] % p:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank] = a[rank] * inv % p
-        for i in range(n):
-            if i != rank and a[i, col]:
-                a[i] = (a[i] - a[i, col] * a[rank]) % p
-        rank += 1
-        col += 1
-    return rank
-
-
-def _gf_inverse(a: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """Gauss-Jordan inverse over GF(p); None when singular."""
-    n = a.shape[0]
-    aug = np.concatenate([a % p, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i, col] % p:
-                piv = i
-                break
-        if piv is None:
-            return None
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = aug[col] * pow(int(aug[col, col]), -1, p) % p
-        for i in range(n):
-            if i != col and aug[i, col]:
-                aug[i] = (aug[i] - aug[i, col] * aug[col]) % p
-    return aug[:, n:]
 
 
 def _bareiss_det(rows: list[list[int]]) -> int:
@@ -454,14 +400,16 @@ class DecompositionCertificate:
     e: RingMatrix
     f: RingMatrix
     w: RingMatrix
-    nilpotency_exponent: int
+    nilpotency_exponent: Optional[int]
     case_tags: tuple[str, ...] = ()
     verified: bool = False
     failure: Optional[str] = field(default=None, compare=False)
 
 
 def check_certificate(cert: DecompositionCertificate) -> Optional[str]:
-    """Re-run all certificate conditions; return the first failed check name."""
+    """Re-run all certificate conditions; return the first failed check name.
+    A certificate under construction claims exponent None and gets W's minimal
+    one filled in: one powering pass both finds the exponent and proves it."""
     mats = (cert.a, cert.e, cert.f, cert.w)
     ring = cert.a.ring
     if any(x.ring != ring or x.n != cert.a.n for x in mats):
@@ -476,7 +424,12 @@ def check_certificate(cert: DecompositionCertificate) -> Optional[str]:
         return CHECK_SUM
     k = cert.nilpotency_exponent
     bound = ring.nilpotency_bound(cert.a.n)
-    if not 1 <= k <= bound or _min_exponent(w, m, bound) != k:
+    if k is not None and not 1 <= k <= bound:
+        return CHECK_NILPOTENCY
+    found = _min_exponent(w, m, bound)
+    if k is None:
+        cert.nilpotency_exponent = k = found
+    if found is None or found != k:
         return CHECK_NILPOTENCY
     return None
 

@@ -97,6 +97,25 @@ def nilpotency_naive_exact(rows, m, cap):
     return None
 
 
+def rank_naive(rows, p):
+    """Rank over GF(p) by plain Gaussian elimination on a copy of the rows."""
+    a = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], p - 2, p)
+        a[rank] = [v * inv % p for v in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                c = a[i][col]
+                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

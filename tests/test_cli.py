@@ -162,6 +162,46 @@ class TestDecomposeCommand:
         assert time.perf_counter() - start < 1.0
 
 
+NON_INTEGER_FIELDS = [
+    ("A", "[[1.5]]"),
+    ("A", "5"),
+    ("A", '"x"'),
+    ("A", "[[[1.5]]]"),
+    ("modulus", '"abc"'),
+    ("modulus", "3.5"),
+]
+
+
+def _document(**fields):
+    values = {"modulus": "3", "A": "[[1]]", "E": "[[1]]", "F": "[[0]]", "W": "[[0]]",
+              "nilpotency-exponent": "1"}
+    values.update(fields)
+    return "".join(f"{key}: {value}\n" for key, value in values.items())
+
+
+class TestNonIntegerDocuments:
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("key,value", NON_INTEGER_FIELDS)
+    def test_parse_exit_without_traceback(self, capsys, monkeypatch, command, key, value):
+        code, _, err = run(capsys, monkeypatch, [command], _document(**{key: value}))
+        assert code == EXIT_PARSE
+        assert "input error" in err and "Traceback" not in err
+
+    def test_well_formed_document_still_accepted(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["verify"], _document())
+        assert code == EXIT_OK and "ok" in out
+
+
+class TestFlags:
+    @pytest.mark.parametrize("args", [["decompose"], ["classify", "Z2", "nil-clean"], ["rcf"],
+                                      ["verify"], ["demo-obstruction", "2"]])
+    def test_no_seed_flag(self, capsys, args):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--seed", "1"])
+        assert exit_info.value.code == EXIT_PARSE
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 class TestInternalCheck:
     def test_failed_self_check_has_own_exit_code(self, capsys, monkeypatch):
         def broken(cert):

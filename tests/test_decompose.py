@@ -223,6 +223,19 @@ class TestSelfCheckCount:
         monkeypatch.setattr(module, "verify_certificate", counting)
         return calls
 
+    @pytest.fixture
+    def powerings(self, monkeypatch):
+        module = importlib.import_module("nilclean.matrix")
+        original = module._min_exponent
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "_min_exponent", counting)
+        return calls
+
     @pytest.mark.parametrize("call,ring", [
         (decompose_field_matrix, zm_ring(3)),
         (decompose_prime_power, zm_ring(9)),
@@ -231,10 +244,12 @@ class TestSelfCheckCount:
         (decompose, trunc_ring(6, 3)),
         (decompose_trunc_poly_matrix, trunc_ring(72, 2)),
     ])
-    def test_one_check_per_public_call(self, checks, call, ring, rng):
+    def test_one_check_per_public_call(self, checks, powerings, call, ring, rng):
         cert = call(RingMatrix.random(6, ring, rng))
         assert cert.verified
         assert checks == [cert]
+        # one powering pass both finds W's exponent and proves it
+        assert len(powerings) == 1
 
 
 class TestLiftMatrix:

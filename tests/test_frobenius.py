@@ -1,7 +1,10 @@
 """Polynomials over GF(p), companion blocks, and the canonical form."""
 
+import hashlib
 import itertools
+import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -234,3 +237,81 @@ class TestKrylovForm:
     def test_non_prime_field_rejected(self):
         with pytest.raises(InputError):
             krylov_form(RingMatrix.identity(2, zm_ring(6)))
+
+
+def pinned_matrix(p, n, kind, seed):
+    """A seeded random matrix, or a low-rank one with many invariant factors."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        rows = rng.integers(0, p, size=(n, n))
+    else:
+        k = max(1, n // 4)
+        rows = rng.integers(0, p, size=(n, k)).dot(rng.integers(0, p, size=(k, n))) % p
+    return RingMatrix.from_rows(rows.tolist(), zm_ring(p))
+
+
+def sha256(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+# SHA-256 digests of the list-based elimination's outputs, recorded before the
+# packed kernel replaced it: (p, n, kind, krylov_form digest, rcf digest)
+PINNED = [
+    (2, 8, "random",
+     "63abbb05f7c0b026d5c2149c0f1b3de48bc1e67440c1711e78ff30d59929e510",
+     "7ab2a7adeb959efd6a648ca6e33031023abaae09de3b5430e7252548a9fca6cb"),
+    (2, 8, "low-rank",
+     "ddb43edf05d52832a08a50680ce4d38f1c2eea99a70eba9dffb44bb24b60dbb3",
+     "70355bf1f6b6525e9be4e0320b9a47fff6ba6633a2b790b9eaa467813307af15"),
+    (2, 32, "random",
+     "d316f7aa05ca16449eb30104d9c57c1495c5ef245ee06a615f2f3d55df6779bd",
+     "208cfe2cca7ec1c245c018dbb80ecaf150cac14b7cf4098c7dbb2c2a540bc7b3"),
+    (2, 32, "low-rank",
+     "fe48ad5c67abcd19b8f5bd3147ed59fe8962b39d9897c3b63708c0a809ffe7d5",
+     "45f8fb88f6b298dc33ba0d4c87f261f0ea254dab90384cd833d048c1759c42a6"),
+    (2, 64, "random",
+     "3f622d31ba0fb0a832bd44508ae867aa11f936109dcca1fcd421bad0985f629e",
+     "a4c22d2fbd692218272285ec7fa172c72d47259d194ae998a11447ef39c0e548"),
+    (2, 64, "low-rank",
+     "7ecd22f145bc381782708abe580b3f14b374d7452d075699faf9f3d3de09e7e8",
+     "5a3890b324d46260ea390606456db5753f85544c052782071cb8484486633723"),
+    (3, 8, "random",
+     "1330f98c776bee4d1b315ff0d4e1d2c2d0429cf6c21fffa8036847d36089731b",
+     "a350716c1a23b21e7303d4233ede40b79d1eb30e45fca0e0681fad77a319ecca"),
+    (3, 8, "low-rank",
+     "fb185c62f8052a3fb81ac38988cfae96a32ae5211757545f121771e25452a966",
+     "7d959c9493d2eaef45ec15bcdc44ebdf44f463a293aca0ddfa7ad1f877a44d5c"),
+    (3, 32, "random",
+     "d6593b1a87354a6d465fc3cda22adbe8002820ee8954aae5fbdb5b9151d929a5",
+     "d4bf3cb0ec25a86ead7a5116fdd431380bdd9fb0e76f2fd1702689253d0ffabb"),
+    (3, 32, "low-rank",
+     "40a84407782fcbf4c5a7f1e2cf3e1ff3fb762eae483e08f487afd2dc431da66d",
+     "cbe7663eaae19fe4cc59b7721ff459b59e2e4b99e02fd5c1c8a2b6c31c7fc4e2"),
+    (3, 64, "random",
+     "af2a334f278b450db9f95e65eae9d92437c8020449492f1e523e4d1979856747",
+     "b843cfcb153f463bb1dc0fe1321c4d20e9d39a3de447f2b2aeb200da6783f470"),
+    (3, 64, "low-rank",
+     "17e938a38cf9b745b802555cc65c6b4ad84725fef8715d52bcd1f898d98081fd",
+     "d69c67b0b0f931c371e3fbb248180d4236ef97be63d9afcdef11c341fa52f40d"),
+    (5, 8, "random",
+     None,
+     "3ab4d9620126ed16ac6fbf8d3a233989847c0da5381d63321b5b3c52d76988c7"),
+    (5, 16, "low-rank",
+     None,
+     "9809fe9c7de52668ae68d6fe34ffef9c2cb8cc8c9ee0fe5edeb503a6f9b303cb"),
+]
+
+
+class TestPinnedOutputs:
+    """krylov_form and rcf are bit-for-bit those of the list-based kernel."""
+
+    @pytest.mark.parametrize("p,n,kind,krylov_digest,rcf_digest", PINNED,
+                             ids=[f"gf{c[0]}-n{c[1]}-{c[2]}" for c in PINNED])
+    def test_digests(self, p, n, kind, krylov_digest, rcf_digest):
+        a = pinned_matrix(p, n, kind, 1000 * p + n)
+        if krylov_digest is not None:
+            cols, q, q_inv = krylov_form(a)
+            assert sha256([[list(c) for c in cols], q.tolist(), q_inv.tolist()]) == krylov_digest
+        result = rcf(a)
+        blocks = [list(b.poly.coeffs) for b in result.blocks]
+        assert sha256([blocks, result.transform.to_rows(), result.transform_inv.to_rows()]) == rcf_digest
