@@ -1,9 +1,11 @@
 """Constructive two-idempotents-plus-nilpotent decompositions over Z_m.
 
-The package splits into the exact-arithmetic layers (residue, matrix), the
-canonical-form machinery (frobenius), the constructive decompositions with
-verified certificates (decompose), an independent brute-force oracle over
-small finite rings (classifier), and a batch CLI (cli).
+The package splits into factored moduli (residue), exact matrices over Z_m and
+Z_m[x]/(x^d) with their certificates (matrix; an element is a 1 x 1 matrix),
+the GF(p) elimination kernel (gfp), the canonical-form machinery (frobenius),
+the constructive decompositions with verified certificates (decompose), an
+independent brute-force oracle over small finite rings (classifier), and a
+batch CLI (cli).
 """
 
 from .classifier import (
@@ -31,8 +33,6 @@ from .classifier import (
 from .decompose import (
     CaseTag,
     decompose,
-    decompose_companion_gf2,
-    decompose_companion_gf3,
     decompose_field_matrix,
     decompose_prime_power,
     decompose_triangular,
@@ -68,17 +68,9 @@ from .matrix import (
     zm_ring,
 )
 from .residue import (
-    ElementClassification,
     Modulus,
-    TruncPolyElem,
-    ZmodElem,
-    classify_element,
-    crt_recombine,
-    crt_split,
     factorize,
     is_two_three_smooth,
-    lift_idempotent_elem,
-    strong_decompose_element,
     two_three_smooth_moduli,
 )
 

@@ -83,7 +83,7 @@ def parse_document(text: str) -> dict:
         value = value.strip()
         try:
             doc[key] = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:  # also an integer over Python's 4,300-digit limit
             doc[key] = value
     if not doc:
         raise InputError("empty document")
@@ -95,20 +95,22 @@ def split_documents(text: str) -> list[dict]:
     return [parse_document(c) for c in chunks if c.strip()]
 
 
-def _ring_label(ring: MatrixRing) -> str:
-    return ring.describe()
-
-
 def parse_matrix_ring(text: str) -> MatrixRing:
     """Entry-ring descriptor for matrices: "Z12" or "Z6[x]/(x^2)"."""
     s = text.replace(" ", "")
-    mobj = re.fullmatch(r"Z(\d+)\[x\]/\(x\^(\d+)\)", s)
-    if mobj:
-        return MatrixRing(factorize(int(mobj.group(1))), int(mobj.group(2)))
-    mobj = re.fullmatch(r"Z(\d+)", s)
-    if mobj:
-        return MatrixRing(factorize(int(mobj.group(1))))
-    raise InputError(f"cannot parse matrix ring {text!r}")
+    mobj = re.fullmatch(r"Z(\d+)(?:\[x\]/\(x\^(\d+)\))?", s)
+    if not mobj:
+        raise InputError(f"cannot parse matrix ring {text!r}")
+    m, d = (_digits(g) for g in mobj.groups(default="1"))
+    return MatrixRing(factorize(m), d)
+
+
+def _digits(text: str) -> int:
+    """int() of a digit run; Python refuses runs over 4,300 digits."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"integer with {len(text)} digits is too long") from None
 
 
 def certificate_to_doc(cert: DecompositionCertificate) -> str:
@@ -117,7 +119,7 @@ def certificate_to_doc(cert: DecompositionCertificate) -> str:
         [
             ("schema", SCHEMA),
             ("kind", "certificate"),
-            ("ring", _ring_label(ring)),
+            ("ring", ring.describe()),
             ("modulus", ring.m),
             ("trunc-degree", ring.d),
             ("n", cert.a.n),
@@ -225,7 +227,7 @@ def _doc_int(doc: dict, key: str, default: Optional[int] = None) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise InputError(f"field {key!r} must be an integer, got {value!r}") from None
+        raise InputError(f"field {key!r} must be an integer, got {value!r:.40}") from None
 
 
 def _parse_matrix_input(text: str, args) -> RingMatrix:
@@ -341,7 +343,7 @@ def cmd_classify(args) -> int:
             continue
         mobj = _GENERALIZED_RE.fullmatch(name)
         if mobj:
-            reports.append(classifier.is_generalized_n_like(ring, int(mobj.group(1))))
+            reports.append(classifier.is_generalized_n_like(ring, _digits(mobj.group(1))))
             continue
         raise InputError(f"unknown property {name!r}")
     if args.format == "plain":

@@ -25,7 +25,7 @@ import enum
 import numpy as np
 
 from .errors import DomainError, InputError, InternalCheckError, UnsupportedRingError
-from .frobenius import CompanionBlock, krylov_form
+from .frobenius import krylov_form
 from .matrix import (
     DecompositionCertificate,
     MatrixRing,
@@ -36,13 +36,7 @@ from .matrix import (
     verify_certificate,
     zm_ring,
 )
-from .residue import (
-    ZmodElem,
-    factorize,
-    lift_iteration_cap,
-    require_two_three_smooth,
-    strong_decompose_element,
-)
+from .residue import factorize, lift_iteration_cap, require_two_three_smooth
 
 
 class CaseTag(enum.Enum):
@@ -104,40 +98,8 @@ def _companion_pair_gf2(last_col: tuple[int, ...], e: np.ndarray, f: np.ndarray)
     return CaseTag.GF2_TRACE_ZERO
 
 
-def _companion_pair(p: int, last_col: tuple[int, ...], e: np.ndarray, f: np.ndarray) -> CaseTag:
-    if p == 3:
-        return _companion_pair_gf3(last_col, e, f)
-    if p == 2:
-        return _companion_pair_gf2(last_col, e, f)
-    raise UnsupportedRingError(
-        f"no companion decomposition over GF({p}); only GF(2) and GF(3) matrix "
-        f"rings admit two-idempotents-plus-nilpotent decompositions"
-    )
-
-
 def _tag_string(tag: CaseTag, degree: int) -> str:
     return f"{tag.value}:n{degree}"
-
-
-def _decompose_companion(block: CompanionBlock, p: int):
-    if block.poly.p != p:
-        raise InputError(f"decompose_companion_gf{p} expects a GF({p}) block")
-    n = block.degree
-    e, f = np.zeros((2, n, n), dtype=np.int64)
-    tag = _companion_pair(p, block.last_column, e, f)
-    c = block.matrix()
-    e, f = RingMatrix(c.ring, e[None]), RingMatrix(c.ring, f[None])
-    return e, f, c - e - f, tag
-
-
-def decompose_companion_gf3(block: CompanionBlock) -> tuple[RingMatrix, RingMatrix, RingMatrix, CaseTag]:
-    """Decompose a GF(3) companion block as E + F + W."""
-    return _decompose_companion(block, 3)
-
-
-def decompose_companion_gf2(block: CompanionBlock) -> tuple[RingMatrix, RingMatrix, RingMatrix, CaseTag]:
-    """Decompose a GF(2) companion block as E + F + W."""
-    return _decompose_companion(block, 2)
 
 
 def _certify(a: RingMatrix, e: RingMatrix, f: RingMatrix, w: RingMatrix,
@@ -157,6 +119,7 @@ def _field_parts(a: RingMatrix):
         )
     p = a.ring.m
     n = a.n
+    pair = _companion_pair_gf3 if p == 3 else _companion_pair_gf2
     last_columns, q, q_inv = krylov_form(a)
     e = np.zeros((n, n), dtype=np.int64)
     f = np.zeros((n, n), dtype=np.int64)
@@ -164,7 +127,7 @@ def _field_parts(a: RingMatrix):
     at = 0
     for col in last_columns:
         d = len(col)
-        tag = _companion_pair(p, col, e[at : at + d, at : at + d], f[at : at + d, at : at + d])
+        tag = pair(col, e[at : at + d, at : at + d], f[at : at + d, at : at + d])
         tags.append(_tag_string(tag, d))
         at += d
     e = q.dot(e).dot(q_inv) % p
@@ -237,16 +200,16 @@ def decompose_prime_power(a: RingMatrix) -> DecompositionCertificate:
     return _certify(a, *_prime_power_parts(a))
 
 
-def _zm_parts(a: RingMatrix):
+def _zm_parts(a: RingMatrix, prime_power_parts=_prime_power_parts):
     """Unverified parts over a 2-3-smooth Z_m: one solution per prime power,
     recombined entrywise by the CRT."""
     factors = a.ring.modulus.factors
     if len(factors) == 1:
-        return _prime_power_parts(a)
+        return prime_power_parts(a)
     (p1, e1), (p2, e2) = factors
     a1, a2 = matrix_crt_split(a, factorize(p1**e1), factorize(p2**e2))
-    e_1, f_1, _, tags1 = _prime_power_parts(a1)
-    e_2, f_2, _, tags2 = _prime_power_parts(a2)
+    e_1, f_1, _, tags1 = prime_power_parts(a1)
+    e_2, f_2, _, tags2 = prime_power_parts(a2)
     e = matrix_crt_recombine(e_1, e_2)
     f = matrix_crt_recombine(f_1, f_2)
     return e, f, a - e - f, tags1 + tags2
@@ -263,25 +226,33 @@ def decompose_zm(a: RingMatrix) -> DecompositionCertificate:
     return _certify(a, *_zm_parts(a))
 
 
+def _diagonal_parts(t: RingMatrix):
+    """Unverified parts of an upper-triangular matrix over Z_{p^k}, p in
+    {2, 3}: the 0/1 diagonals e = [t_ii mod p != 0] and f = [t_ii mod p = 2]
+    are idempotent as integers, and W = T - E - F has a diagonal divisible
+    by p."""
+    p = t.ring.modulus.primes[0]
+    diag = np.diagonal(t.coeffs[0]) % p
+    idx = np.arange(t.n)
+    e, f = RingMatrix.zeros(t.n, t.ring), RingMatrix.zeros(t.n, t.ring)
+    for x, bits in ((e, diag != 0), (f, diag == 2)):
+        # through int64: a bool array cast to object would store True, not 1
+        x.coeffs[0, idx, idx] = bits.astype(np.int64).astype(x.coeffs.dtype)
+    return e, f, t - e - f, ()
+
+
 def decompose_triangular(t: RingMatrix) -> DecompositionCertificate:
     """Decompose an upper-triangular matrix over 2-3-smooth Z_m entirely inside
-    the triangular ring: diagonal entries split elementwise, the strict upper
-    part rides along in W (whose diagonal is nilpotent, so W is)."""
+    the triangular ring: the diagonal splits entrywise per prime power,
+    recombined by the CRT, and the strict upper part rides along in W (whose
+    diagonal is nilpotent, so W is)."""
     ring = t.ring
     if ring.d != 1:
         raise InputError("decompose_triangular expects a plain Z_m matrix")
     if not t.is_upper_triangular():
         raise InputError("matrix is not upper triangular")
     require_two_three_smooth(ring.modulus)
-    mod = ring.modulus
-    n = t.n
-    e = RingMatrix.zeros(n, ring)
-    f = RingMatrix.zeros(n, ring)
-    for i in range(n):
-        ei, fi, _ = strong_decompose_element(ZmodElem(int(t.coeffs[0, i, i]), mod))
-        e.coeffs[0, i, i] = ei.residue
-        f.coeffs[0, i, i] = fi.residue
-    w = t - e - f
+    e, f, w, _ = _zm_parts(t, _diagonal_parts)
     cert = _certify(t, e, f, w, ())
     if not (e.is_upper_triangular() and f.is_upper_triangular() and w.is_upper_triangular()):
         raise InternalCheckError("triangular decomposition left the triangular ring", t)

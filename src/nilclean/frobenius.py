@@ -42,15 +42,6 @@ def _pdeg(a: tuple[int, ...]) -> int:
     return len(a) - 1
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
-
-
-def _psub(a, b, p):
-    return _padd(a, [-c for c in b], p)
-
-
 def _pmul(a, b, p):
     if not a or not b:
         return ()
@@ -146,40 +137,10 @@ class FieldPoly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def _match(self, other: "FieldPoly") -> None:
+    def divides(self, other: "FieldPoly") -> bool:
         if self.p != other.p:
             raise InputError("mixed characteristics in polynomial arithmetic")
-
-    def __add__(self, other):
-        self._match(other)
-        return FieldPoly(self.p, _padd(self.coeffs, other.coeffs, self.p))
-
-    def __sub__(self, other):
-        self._match(other)
-        return FieldPoly(self.p, _psub(self.coeffs, other.coeffs, self.p))
-
-    def __mul__(self, other):
-        self._match(other)
-        return FieldPoly(self.p, _pmul(self.coeffs, other.coeffs, self.p))
-
-    def __divmod__(self, other):
-        self._match(other)
-        q, r = _pdivmod(self.coeffs, other.coeffs, self.p)
-        return FieldPoly(self.p, q), FieldPoly(self.p, r)
-
-    def gcd(self, other: "FieldPoly") -> "FieldPoly":
-        self._match(other)
-        return FieldPoly(self.p, _pgcd(self.coeffs, other.coeffs, self.p))
-
-    def divides(self, other: "FieldPoly") -> bool:
-        self._match(other)
         return _pdivides(self.coeffs, other.coeffs, self.p)
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,7 @@ import numpy as np
 
 from . import gfp
 from .errors import InputError, InternalCheckError, ResourceCapError
-from .residue import (
-    Modulus,
-    crt_recombine_int,
-    factorize,
-)
+from .residue import Modulus, factorize
 
 MAX_DIMENSION = 64
 MAX_TRUNC_DEGREE = 64
@@ -246,18 +242,6 @@ class RingMatrix:
         return all(gfp.rank(self.residue_field_image(p), p) == self.n
                    for p in self.ring.modulus.primes)
 
-    def det(self) -> int:
-        """Determinant in Z_m via per-prime-power fraction-free elimination."""
-        if self.ring.d != 1:
-            raise InputError("det expects a plain Z_m matrix")
-        res, mod = 0, 1
-        for p, e in self.ring.modulus.factors:
-            q = p**e
-            d_q = _bareiss_det([[int(v) % q for v in row] for row in self.coeffs[0]]) % q
-            res = d_q if mod == 1 else crt_recombine_int(res, mod, d_q, q)
-            mod *= q
-        return res
-
     def inverse(self) -> "RingMatrix":
         """Explicit inverse over Z_m: invert mod each prime, Newton-lift to the
         prime power, recombine by CRT.  Raises InputError when singular."""
@@ -323,26 +307,6 @@ def _min_exponent(x: np.ndarray, m: int, bound: int) -> Optional[int]:
         if np.count_nonzero(cand):
             acc, e = cand, e + (1 << j)
     return e + 1 if e < bound else None
-
-
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant over the integers (exact divisions only)."""
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,18 @@
-"""Exact arithmetic and element-level structure theory for Z_m and Z_m[x]/(x^d).
+"""Factored moduli and 2-3-smoothness for Z_m.
 
-Everything here is a pure function of canonical representatives: residues live
-in [0, m), truncated polynomials store exactly d coefficients.  The modulus is
-carried together with its prime factorization, because the factorization gates
-which constructive decompositions apply (only 2 and 3 may occur as prime
-factors) and supplies the nilpotency-exponent bookkeeping.
+A modulus is carried together with its prime factorization, because the
+factorization gates which constructive decompositions apply (only 2 and 3 may
+occur as prime factors) and supplies the nilpotency-exponent bookkeeping.
+Arithmetic on elements lives in ``matrix``: an element of Z_m or of
+Z_m[x]/(x^d) is a 1 x 1 RingMatrix.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import DomainError, InputError, InternalCheckError, UnsupportedRingError
+from .errors import InputError, UnsupportedRingError
 
 MAX_MODULUS = 2**31
 
@@ -53,11 +51,6 @@ class Modulus:
     def max_exponent(self) -> int:
         """Nilpotency exponent of the nilradical of Z_m."""
         return max(e for _, e in self.factors)
-
-    @property
-    def radical(self) -> int:
-        """Product of the distinct prime factors (generator of the nilradical)."""
-        return math.prod(self.primes)
 
     def is_prime(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
@@ -102,123 +95,6 @@ def require_two_three_smooth(mod: Modulus) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ElementClassification:
-    is_idempotent: bool
-    is_unit: bool
-    nilpotency_exponent: Optional[int]
-
-
-@dataclass(frozen=True)
-class ZmodElem:
-    """A residue in canonical form 0 <= residue < m."""
-
-    residue: int
-    modulus: Modulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "residue", self.residue % self.modulus.m)
-
-    def _match(self, other: "ZmodElem") -> int:
-        if self.modulus != other.modulus:
-            raise InputError("mixed moduli in Z_m arithmetic")
-        return self.modulus.m
-
-    def __add__(self, other: "ZmodElem") -> "ZmodElem":
-        m = self._match(other)
-        return ZmodElem((self.residue + other.residue) % m, self.modulus)
-
-    def __sub__(self, other: "ZmodElem") -> "ZmodElem":
-        m = self._match(other)
-        return ZmodElem((self.residue - other.residue) % m, self.modulus)
-
-    def __neg__(self) -> "ZmodElem":
-        return ZmodElem(-self.residue % self.modulus.m, self.modulus)
-
-    def __mul__(self, other: "ZmodElem") -> "ZmodElem":
-        m = self._match(other)
-        return ZmodElem((self.residue * other.residue) % m, self.modulus)
-
-    def __pow__(self, k: int) -> "ZmodElem":
-        return ZmodElem(pow(self.residue, k, self.modulus.m), self.modulus)
-
-    def classify(self) -> ElementClassification:
-        return classify_element(self)
-
-    def __str__(self) -> str:
-        return f"{self.residue} (mod {self.modulus.m})"
-
-
-def _nilpotency_exponent_int(a: int, mod: Modulus) -> Optional[int]:
-    """Minimal k with a^k = 0 in Z_m, or None.
-
-    a is nilpotent iff every prime factor of m divides a; the minimal exponent
-    is max over p of ceil(e_p / v_p(a)).
-    """
-    a %= mod.m
-    if a == 0:
-        return 1
-    k = 1
-    for p, e in mod.factors:
-        if a % p != 0:
-            return None
-        v = 0
-        t = a
-        while t % p == 0:
-            t //= p
-            v += 1
-        k = max(k, -(-e // v))
-    return k
-
-
-def classify_element(a: ZmodElem) -> ElementClassification:
-    """Idempotency, unit-ness and minimal nilpotency exponent of a residue."""
-    r, m = a.residue, a.modulus.m
-    return ElementClassification(
-        is_idempotent=(r * r) % m == r,
-        is_unit=math.gcd(r, m) == 1,
-        nilpotency_exponent=_nilpotency_exponent_int(r, a.modulus),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Chinese remaindering
-# ---------------------------------------------------------------------------
-
-def crt_split_int(a: int, m1: int, m2: int) -> tuple[int, int]:
-    if math.gcd(m1, m2) != 1:
-        raise InputError(f"split moduli {m1}, {m2} are not coprime")
-    return a % m1, a % m2
-
-
-def crt_recombine_int(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Unique x mod m1*m2 with x = r1 (mod m1), x = r2 (mod m2)."""
-    if math.gcd(m1, m2) != 1:
-        raise InputError(f"moduli {m1}, {m2} are not coprime")
-    u = pow(m2, -1, m1)  # m2*u = 1 (mod m1)
-    x = (r2 + m2 * ((r1 - r2) * u % m1)) % (m1 * m2)
-    return x
-
-
-def crt_split(a: ZmodElem, m1: Modulus, m2: Modulus) -> tuple[ZmodElem, ZmodElem]:
-    if m1.m * m2.m != a.modulus.m:
-        raise InputError(f"{m1.m} * {m2.m} != {a.modulus.m}")
-    r1, r2 = crt_split_int(a.residue, m1.m, m2.m)
-    return ZmodElem(r1, m1), ZmodElem(r2, m2)
-
-
-def crt_recombine(a1: ZmodElem, a2: ZmodElem) -> ZmodElem:
-    m1, m2 = a1.modulus.m, a2.modulus.m
-    if m1 * m2 > MAX_MODULUS:
-        raise InputError("recombined modulus exceeds 2^31")
-    x = crt_recombine_int(a1.residue, m1, a2.residue, m2)
-    return ZmodElem(x, factorize(m1 * m2))
-
-
-# ---------------------------------------------------------------------------
-# Idempotent lifting and the element-level decomposition
-# ---------------------------------------------------------------------------
-
 def lift_iteration_cap(radical_exponent: int) -> int:
     """Iterations after which the cubic lifting must have converged.
 
@@ -229,167 +105,6 @@ def lift_iteration_cap(radical_exponent: int) -> int:
     if radical_exponent <= 1:
         return 1
     return (radical_exponent - 1).bit_length() + 1
-
-
-def lift_idempotent_elem(x: ZmodElem) -> ZmodElem:
-    """Lift x to the idempotent congruent to it modulo the nilradical of Z_m.
-
-    Requires x^2 - x nilpotent (x must reduce to 0 or 1 modulo every prime
-    factor); iterates x <- 3x^2 - 2x^3 to a fixed point.
-    """
-    mod = x.modulus
-    m = mod.m
-    r = x.residue
-    if _nilpotency_exponent_int((r * r - r) % m, mod) is None:
-        raise DomainError(f"{x} has non-nilpotent idempotency defect; cannot lift")
-    cap = lift_iteration_cap(mod.max_exponent)
-    for _ in range(cap + 1):
-        if (r * r) % m == r:
-            return ZmodElem(r, mod)
-        r = (3 * r * r - 2 * r * r * r) % m
-    raise InternalCheckError("idempotent lifting exceeded its iteration cap")
-
-
-_GF2_TABLE = {0: (0, 0), 1: (1, 0)}
-_GF3_TABLE = {0: (0, 0), 1: (1, 0), 2: (1, 1)}
-
-
-def _strong_decompose_prime_power(a: int, p: int, e: int) -> tuple[int, int, int]:
-    """Deterministic e + f + w decomposition of a in Z_{p^e}, p in {2, 3}.
-
-    The idempotent parts are read off the residue mod p (0 and 1 are already
-    idempotent integers, so no lifting rounds are needed); the remainder is
-    divisible by p, hence nilpotent.
-    """
-    q = p**e
-    a %= q
-    table = _GF2_TABLE if p == 2 else _GF3_TABLE
-    ebar, fbar = table[a % p]
-    return ebar, fbar, (a - ebar - fbar) % q
-
-
-def strong_decompose_element(a: ZmodElem) -> tuple[ZmodElem, ZmodElem, ZmodElem]:
-    """Write a = e + f + w with e, f idempotent and w nilpotent in Z_m.
-
-    Only defined for 2-3-smooth moduli; produced by the fixed per-prime-power
-    tables recombined through the CRT, so the output is deterministic.
-    """
-    mod = a.modulus
-    require_two_three_smooth(mod)
-    e_res, f_res, w_res, crt_mod = 0, 0, 0, 1
-    for p, e in mod.factors:
-        q = p**e
-        ep, fp, wp = _strong_decompose_prime_power(a.residue, p, e)
-        if crt_mod == 1:
-            e_res, f_res, w_res = ep, fp, wp
-        else:
-            e_res = crt_recombine_int(e_res, crt_mod, ep, q)
-            f_res = crt_recombine_int(f_res, crt_mod, fp, q)
-            w_res = crt_recombine_int(w_res, crt_mod, wp, q)
-        crt_mod *= q
-    parts = tuple(ZmodElem(r, mod) for r in (e_res, f_res, w_res))
-    e_el, f_el, w_el = parts
-    assert (e_el * e_el).residue == e_el.residue
-    assert (f_el * f_el).residue == f_el.residue
-    assert _nilpotency_exponent_int(w_el.residue, mod) is not None
-    assert (e_el + f_el + w_el).residue == a.residue
-    return parts
-
-
-# ---------------------------------------------------------------------------
-# Truncated polynomial ring Z_m[x]/(x^d)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TruncPolyElem:
-    """Element of Z_m[x]/(x^d): exactly d coefficients, ascending degree."""
-
-    coeffs: tuple[int, ...]
-    base: Modulus
-
-    def __post_init__(self):
-        if len(self.coeffs) < 1:
-            raise InputError("degree bound must be >= 1")
-        m = self.base.m
-        object.__setattr__(self, "coeffs", tuple(c % m for c in self.coeffs))
-
-    @property
-    def degree_bound(self) -> int:
-        return len(self.coeffs)
-
-    def _match(self, other: "TruncPolyElem") -> None:
-        if self.base != other.base or len(self.coeffs) != len(other.coeffs):
-            raise InputError("mixed truncated-polynomial rings")
-
-    def __add__(self, other: "TruncPolyElem") -> "TruncPolyElem":
-        self._match(other)
-        m = self.base.m
-        return TruncPolyElem(
-            tuple((a + b) % m for a, b in zip(self.coeffs, other.coeffs)), self.base
-        )
-
-    def __sub__(self, other: "TruncPolyElem") -> "TruncPolyElem":
-        self._match(other)
-        m = self.base.m
-        return TruncPolyElem(
-            tuple((a - b) % m for a, b in zip(self.coeffs, other.coeffs)), self.base
-        )
-
-    def __neg__(self) -> "TruncPolyElem":
-        m = self.base.m
-        return TruncPolyElem(tuple(-a % m for a in self.coeffs), self.base)
-
-    def __mul__(self, other: "TruncPolyElem") -> "TruncPolyElem":
-        self._match(other)
-        m = self.base.m
-        d = len(self.coeffs)
-        out = [0] * d
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(d - i):
-                out[i + j] = (out[i + j] + a * other.coeffs[j]) % m
-        return TruncPolyElem(tuple(out), self.base)
-
-    def __pow__(self, k: int) -> "TruncPolyElem":
-        result = self.one()
-        base = self
-        while k > 0:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def one(self) -> "TruncPolyElem":
-        return TruncPolyElem((1,) + (0,) * (len(self.coeffs) - 1), self.base)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def classify(self) -> ElementClassification:
-        """Units and nilpotents are decided by the constant term alone."""
-        const = ZmodElem(self.coeffs[0], self.base)
-        cls = classify_element(const)
-        exponent = None
-        if cls.nilpotency_exponent is not None:
-            cap = self.base.max_exponent + len(self.coeffs)  # radical exponent bound
-            power = self.one()
-            for k in range(1, cap + 1):
-                power = power * self
-                if power.is_zero():
-                    exponent = k
-                    break
-            assert exponent is not None
-        return ElementClassification(
-            is_idempotent=(self * self) == self,
-            is_unit=cls.is_unit,
-            nilpotency_exponent=exponent,
-        )
-
-    def __str__(self) -> str:
-        terms = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs)]
-        return " + ".join(terms) + f" (mod {self.base.m}, x^{len(self.coeffs)})"
 
 
 def two_three_smooth_moduli(limit: int) -> list[int]:

@@ -97,6 +97,19 @@ def nilpotency_naive_exact(rows, m, cap):
     return None
 
 
+def det_cofactor(rows, m):
+    """Determinant mod m by cofactor expansion along the first row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0] % m
+    total = 0
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = rows[0][j] * det_cofactor(minor, m)
+        total = (total - term if j % 2 else total + term) % m
+    return total
+
+
 def rank_naive(rows, p):
     """Rank over GF(p) by plain Gaussian elimination on a copy of the rows."""
     a = [[v % p for v in row] for row in rows]

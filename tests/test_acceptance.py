@@ -32,14 +32,7 @@ from nilclean.decompose import (
 )
 from nilclean.frobenius import rcf, verify_rcf
 from nilclean.matrix import RingMatrix, trunc_ring, zm_ring
-from nilclean.residue import (
-    ZmodElem,
-    classify_element,
-    factorize,
-    is_two_three_smooth,
-    lift_idempotent_elem,
-    lift_iteration_cap,
-)
+from nilclean.residue import factorize, is_two_three_smooth, lift_iteration_cap
 
 
 def all_matrices(n, m):
@@ -204,7 +197,8 @@ def test_acceptance_10_lifting():
         cap = lift_iteration_cap(mod.max_exponent)
         eligible = 0
         for x in range(q):
-            if classify_element(ZmodElem((x * x - x) % q, mod)).nilpotency_exponent is None:
+            # elements of Z_q are 1 x 1 matrices
+            if RingMatrix.from_rows([[x * x - x]], zm_ring(q)).nilpotency_exponent() is None:
                 continue
             eligible += 1
             value = x
@@ -214,8 +208,8 @@ def test_acceptance_10_lifting():
                 steps += 1
                 assert steps <= cap
             assert value % p == x % p
-            lifted = lift_idempotent_elem(ZmodElem(x, mod))
-            assert lifted.residue == value
+            lifted = lift_idempotent_matrix(RingMatrix.from_rows([[x]], zm_ring(q)))
+            assert lifted.to_rows() == [[value]]
         assert eligible == (64 if q == 64 else 54)
     # matrix level: 1000 random eligible matrices across Z_4, Z_8, Z_9, Z_27
     rng = np.random.default_rng(1010)

@@ -1,6 +1,7 @@
 """Brute-force oracle: enumerations, predicates, witnesses, audits."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -150,6 +151,31 @@ class TestIdentityPredicates:
         report = is_generalized_n_like(zm(5), 3)
         assert not report.holds and report.counterexample is not None
 
+    def test_generalized_against_naive_powers(self):
+        def naive_holds(ring, n):
+            def power(x, k):
+                out = x
+                for _ in range(k - 1):
+                    out = ring.mul(out, x)
+                return out
+
+            return all(
+                ring.sub(ring.sub(power(ring.mul(a, b), n), ring.mul(a, power(b, n))),
+                         ring.sub(ring.mul(power(a, n), b), ring.mul(a, b))) == ring.zero
+                for a in ring.elements() for b in ring.elements()
+            )
+
+        for text in ("Z4", "Z5", "Z6", "Z8", "M2(Z2)", "Z2[x]/(x^2)"):
+            ring = parse_ring_descriptor(text)
+            for n in range(2, 8):
+                assert is_generalized_n_like(ring, n).holds == naive_holds(ring, n)
+
+    def test_generalized_huge_n(self):
+        # square-and-multiply: n = 10^12 costs about 40 squarings per power
+        start = time.perf_counter()
+        assert is_generalized_n_like(zm(2), 10**12).holds
+        assert time.perf_counter() - start < 1.0
+
     def test_generalized_requires_n_at_least_2(self):
         with pytest.raises(InputError):
             is_generalized_n_like(zm(2), 1)
@@ -245,15 +271,20 @@ class TestOracleConstructionAgreement:
                 decompose_zm(RingMatrix.identity(1, zm_ring(m)))
 
     def test_element_decompositions_agree_with_oracle(self):
-        from nilclean.residue import ZmodElem, strong_decompose_element
+        from nilclean.decompose import decompose_triangular
+        from nilclean.matrix import RingMatrix, zm_ring
 
         for m in two_three_smooth_moduli(36):
             ring = zm(m)
             report = is_two_nil_clean(ring)
             assert report.holds
+            idem = set(enumerate_idempotents(ring))
+            nil = {x for x, _ in enumerate_nilpotents(ring)}
             for a in range(m):
-                e, f, w = strong_decompose_element(ZmodElem(a, factorize(m)))
-                assert (e.residue + f.residue + w.residue) % m == a
+                cert = decompose_triangular(RingMatrix.from_rows([[a]], zm_ring(m)))
+                e, f, w = (x.to_rows()[0][0] for x in (cert.e, cert.f, cert.w))
+                assert (e + f + w) % m == a
+                assert (e,) in idem and (f,) in idem and (w,) in nil
 
 
 class TestDeterminism:

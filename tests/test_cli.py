@@ -192,6 +192,28 @@ class TestNonIntegerDocuments:
         assert code == EXIT_OK and "ok" in out
 
 
+HUGE = "9" * 5000  # int() refuses strings of more than 4,300 digits
+
+OVERSIZED_INTEGER_INPUTS = {
+    "generalized-n": (["classify", "Z2", f"generalized-{HUGE}-like"], ""),
+    "classify-ring": (["classify", f"Z{HUGE}", "tripotent"], ""),
+    "ring-flag": (["decompose", "--ring", f"Z{HUGE}"], "1\n"),
+    "trunc-degree-flag": (["decompose", "--ring", f"Z6[x]/(x^{HUGE})"], "1\n"),
+    "ring-field": (["decompose"], f"ring: Z{HUGE}\nA: [[1]]\n"),
+    "matrix-entry": (["decompose"], _document(A=f"[[{HUGE}]]")),
+    "verify-modulus": (["verify"], _document(modulus=HUGE)),
+}
+
+
+class TestOversizedIntegers:
+    @pytest.mark.parametrize("args,stdin", OVERSIZED_INTEGER_INPUTS.values(),
+                             ids=OVERSIZED_INTEGER_INPUTS.keys())
+    def test_parse_exit_without_traceback(self, capsys, monkeypatch, args, stdin):
+        code, _, err = run(capsys, monkeypatch, args, stdin)
+        assert code == EXIT_PARSE
+        assert "input error" in err and "Traceback" not in err
+
+
 class TestFlags:
     @pytest.mark.parametrize("args", [["decompose"], ["classify", "Z2", "nil-clean"], ["rcf"],
                                       ["verify"], ["demo-obstruction", "2"]])

@@ -12,8 +12,6 @@ from conftest import mat_mul_naive, nilpotency_naive_exact
 from nilclean.decompose import (
     CaseTag,
     decompose,
-    decompose_companion_gf2,
-    decompose_companion_gf3,
     decompose_field_matrix,
     decompose_prime_power,
     decompose_triangular,
@@ -34,6 +32,16 @@ def block_of(p, last_col):
     return CompanionBlock(FieldPoly(p, coeffs))
 
 
+def split_block(p, last_col):
+    """E, F, W and the case tag of the companion block with this last column.
+    The Krylov form of a companion matrix is the matrix itself (Q = I), so
+    decompose_field_matrix returns the template's parts and one tag."""
+    cert = decompose_field_matrix(companion(block_of(p, last_col).poly))
+    (tag,) = cert.case_tags
+    assert tag.endswith(f":n{len(last_col)}")
+    return cert.e, cert.f, cert.w, CaseTag(tag.rsplit(":", 1)[0])
+
+
 def check_block_triple(p, last_col, e, f, w, expect_tag=None):
     a = companion(block_of(p, last_col).poly)
     assert e.is_idempotent()
@@ -44,7 +52,7 @@ def check_block_triple(p, last_col, e, f, w, expect_tag=None):
 
 class TestCompanionGf3:
     def test_trace_one_display(self):
-        e, f, w, tag = decompose_companion_gf3(block_of(3, (1, 1)))
+        e, f, w, tag = split_block(3, (1, 1))
         assert e.to_rows() == [[0, 1], [0, 1]]
         assert f.is_zero()
         assert w.to_rows() == [[0, 0], [1, 0]]
@@ -52,7 +60,7 @@ class TestCompanionGf3:
 
     def test_trace_zero_dim2_display(self):
         for c0 in range(3):
-            e, f, w, tag = decompose_companion_gf3(block_of(3, (c0, 0)))
+            e, f, w, tag = split_block(3, (c0, 0))
             assert e == RingMatrix.identity(2, zm_ring(3))
             assert f.to_rows() == [[2, 1], [1, 2]]
             assert w.to_rows() == [[0, (c0 - 1) % 3], [0, 0]]
@@ -60,7 +68,7 @@ class TestCompanionGf3:
 
     def test_trace_minus_one_corrected(self):
         # block [[0,1],[1,2]]: twin idempotents with last column (-c_0, ..., 1)
-        e, f, w, tag = decompose_companion_gf3(block_of(3, (1, -1)))
+        e, f, w, tag = split_block(3, (1, -1))
         assert e.to_rows() == [[0, 2], [0, 1]]
         assert f == e
         assert w.to_rows() == [[0, 0], [1, 0]]
@@ -70,7 +78,7 @@ class TestCompanionGf3:
     def test_trace_zero_dim3_display(self):
         for c0 in range(3):
             for c1 in range(3):
-                e, f, w, tag = decompose_companion_gf3(block_of(3, (c0, c1, 0)))
+                e, f, w, tag = split_block(3, (c0, c1, 0))
                 assert e.to_rows() == [[0, 0, 0], [0, 1, 0], [1, 0, 1]]
                 assert f.to_rows() == [[0, 0, 0], [1, 2, 1], [2, 1, 2]]
                 assert w.to_rows() == [
@@ -85,7 +93,7 @@ class TestCompanionGf3:
     def test_exhaustive_blocks(self, deg):
         seen_tags = set()
         for last_col in itertools.product(range(3), repeat=deg):
-            e, f, w, tag = decompose_companion_gf3(block_of(3, last_col))
+            e, f, w, tag = split_block(3, last_col)
             check_block_triple(3, last_col, e, f, w)
             seen_tags.add(tag)
             trace = last_col[-1]
@@ -106,19 +114,20 @@ class TestCompanionGf3:
         # pinned here by exhausting every trace-zero block of these degrees
         for rest in itertools.product(range(3), repeat=deg - 1):
             last_col = rest + (0,)
-            e, f, w, tag = decompose_companion_gf3(block_of(3, last_col))
+            e, f, w, tag = split_block(3, last_col)
             assert tag is CaseTag.GF3_TRACE_ZERO_BIG
             check_block_triple(3, last_col, e, f, w)
 
     def test_wrong_field_rejected(self):
-        with pytest.raises(InputError):
-            decompose_companion_gf3(block_of(2, (1, 1)))
+        # templates exist over GF(2) and GF(3) only
+        with pytest.raises(UnsupportedRingError):
+            split_block(5, (1, 1))
 
 
 class TestCompanionGf2:
     def test_trace_one(self):
         for c0 in range(2):
-            e, f, w, tag = decompose_companion_gf2(block_of(2, (c0, 1)))
+            e, f, w, tag = split_block(2, (c0, 1))
             assert e.to_rows() == [[0, c0], [0, 1]]
             assert f.is_zero()
             assert w.to_rows() == [[0, 0], [1, 0]]
@@ -126,7 +135,7 @@ class TestCompanionGf2:
 
     def test_trace_zero_corner_split(self):
         for c0 in range(2):
-            e, f, w, tag = decompose_companion_gf2(block_of(2, (c0, 0)))
+            e, f, w, tag = split_block(2, (c0, 0))
             assert e.to_rows() == [[0, 0], [0, 1]]
             assert f.to_rows() == [[0, c0], [0, 1]]
             assert w.to_rows() == [[0, 0], [1, 0]]
@@ -134,19 +143,19 @@ class TestCompanionGf2:
             check_block_triple(2, (c0, 0), e, f, w)
 
     def test_zero_block_stays_zero(self):
-        e, f, w, tag = decompose_companion_gf2(block_of(2, (0,)))
+        e, f, w, tag = split_block(2, (0,))
         assert e.is_zero() and f.is_zero() and w.is_zero()
         assert tag is CaseTag.GF2_TRACE_ZERO
 
     @pytest.mark.parametrize("deg", range(1, 9))
     def test_exhaustive_blocks(self, deg):
         for last_col in itertools.product(range(2), repeat=deg):
-            e, f, w, tag = decompose_companion_gf2(block_of(2, last_col))
+            e, f, w, tag = split_block(2, last_col)
             check_block_triple(2, last_col, e, f, w)
 
     def test_wrong_field_rejected(self):
-        with pytest.raises(InputError):
-            decompose_companion_gf2(block_of(3, (1, 1)))
+        with pytest.raises(UnsupportedRingError):
+            split_block(7, (1, 1))
 
 
 class TestFieldMatrix:

@@ -9,17 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import charpoly_cofactor, mat_mul_naive, poly_mul
+from conftest import charpoly_cofactor, mat_mul_naive, poly_add, poly_mul, poly_trim
+from nilclean.cli import certificate_to_doc
+from nilclean.decompose import decompose_triangular
 from nilclean.errors import InputError
 from nilclean.frobenius import (
     CompanionBlock,
     FieldPoly,
+    _pdivides,
+    _pdivmod,
+    _pgcd,
+    _pmul,
     companion,
     krylov_form,
     rcf,
     verify_rcf,
 )
 from nilclean.matrix import RingMatrix, zm_ring
+from nilclean.residue import two_three_smooth_moduli
 
 
 def poly(p, *coeffs):
@@ -27,21 +34,26 @@ def poly(p, *coeffs):
 
 
 class TestFieldPoly:
+    """The GF(p)[x] tuple arithmetic that rcf runs: ascending coefficient
+    tuples, trimmed, () the zero polynomial."""
+
     def test_gcd_example(self):
         # gcd(x^2 - 1, x - 1) over GF(3)
-        g = poly(3, -1, 0, 1).gcd(poly(3, -1, 1))
-        assert g.coeffs == (2, 1) and g.is_monic()
+        assert _pgcd((2, 0, 1), (2, 1), 3) == (2, 1)
 
     def test_evaluate_example(self):
-        assert poly(3, 2, 2, 1).evaluate(1) == 2  # x^2 + 2x + 2 at 1
+        # factor theorem over GF(3): x - r divides g exactly when g(r) = 0;
+        # x^2 + 2x + 2 has no root, x^2 - 1 has the roots 1 and 2
+        for coeffs, roots in (((2, 2, 1), []), ((2, 0, 1), [1, 2])):
+            g = poly(3, *coeffs)
+            assert [r for r in range(3) if poly(3, -r, 1).divides(g)] == roots
 
     def test_divmod_example(self):
-        q, r = divmod(poly(2, 0, 0, 0, 1), poly(2, 0, 1))
-        assert q.coeffs == (0, 0, 1) and r.coeffs == ()
+        assert _pdivmod((0, 0, 0, 1), (0, 1), 2) == ((0, 0, 1), ())
 
     def test_zero_division(self):
         with pytest.raises(InputError):
-            divmod(poly(3, 1), poly(3))
+            _pdivmod((1,), (), 3)
 
     def test_composite_characteristic_rejected(self):
         with pytest.raises(InputError):
@@ -51,18 +63,17 @@ class TestFieldPoly:
     @settings(max_examples=80)
     def test_divmod_and_gcd_properties(self, p, data):
         coeffs = st.lists(st.integers(0, p - 1), min_size=0, max_size=6)
-        a = FieldPoly(p, tuple(data.draw(coeffs)))
-        b = FieldPoly(p, tuple(data.draw(coeffs)))
-        c = FieldPoly(p, tuple(data.draw(coeffs)))
-        assert ((a + b) * c).coeffs == (a * c + b * c).coeffs
-        if b.coeffs:
-            q, r = divmod(a, b)
-            assert (q * b + r).coeffs == a.coeffs
-            assert r.degree < b.degree
-        g = a.gcd(b)
-        if g.coeffs:
-            assert g.is_monic()
-            assert g.divides(a) and g.divides(b)
+        a, b, c = (poly_trim(data.draw(coeffs)) for _ in range(3))
+        assert _pmul(poly_add(a, b, p), c, p) == poly_add(_pmul(a, c, p), _pmul(b, c, p), p)
+        if b:
+            q, r = _pdivmod(a, b, p)
+            assert poly_add(poly_mul(q, b, p), r, p) == a
+            assert len(r) < len(b)
+        g = _pgcd(a, b, p)
+        if g:
+            assert g[-1] == 1
+            assert _pdivides(g, a, p) and _pdivides(g, b, p)
+            assert FieldPoly(p, g).divides(FieldPoly(p, a))
 
 
 class TestCompanion:
@@ -315,3 +326,30 @@ class TestPinnedOutputs:
         result = rcf(a)
         blocks = [list(b.poly.coeffs) for b in result.blocks]
         assert sha256([blocks, result.transform.to_rows(), result.transform_inv.to_rows()]) == rcf_digest
+
+
+# SHA-256 digests of certificate_to_doc(decompose_triangular(T)), recorded
+# while the diagonal still went through the element-level decomposition: one
+# seeded upper-triangular T per 2-3-smooth m <= 2^31 (object-dtype rings
+# included), for each n
+PINNED_TRIANGULAR = [
+    (1, "3c0f309893b9296d35cb664ce9dc2eaca9ad7fe5d6358c29637501685058bbda"),
+    (2, "f87ed469e2f6054a3a4ef7dbaa56ff089810b41e159f048789ec31b9f02990e4"),
+    (5, "1b0c746c30bdad7a5c3b5df92e88fe2a80dea5ae54875931b822b88bfc287960"),
+    (12, "99b2dfbfc25fc64cef2dd64aa1e7065b4cec5ba6c048a2a3aa881316ca6c90fd"),
+]
+
+
+class TestPinnedTriangular:
+    """decompose_triangular's certificates are bit-for-bit the pinned ones."""
+
+    @pytest.mark.parametrize("n,digest", PINNED_TRIANGULAR,
+                             ids=[f"n{n}" for n, _ in PINNED_TRIANGULAR])
+    def test_digests(self, n, digest):
+        rng = np.random.default_rng(7000 + n)
+        h = hashlib.sha256()
+        for m in two_three_smooth_moduli(2**31):
+            rows = np.triu(rng.integers(0, m, size=(n, n))).tolist()
+            cert = decompose_triangular(RingMatrix.from_rows(rows, zm_ring(m)))
+            h.update(certificate_to_doc(cert).encode())
+        assert h.hexdigest() == digest

@@ -1,4 +1,5 @@
-"""Element-level arithmetic, classification, CRT, lifting, decomposition."""
+"""Factored moduli and smoothness, and the element-level facts of Z_m and
+Z_m[x]/(x^d) checked on 1 x 1 matrices: an element is a 1 x 1 RingMatrix."""
 
 import math
 
@@ -6,20 +7,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilclean.decompose import decompose_triangular, lift_idempotent_matrix
 from nilclean.errors import DomainError, InputError, UnsupportedRingError
+from nilclean.matrix import (
+    RingMatrix,
+    matrix_crt_recombine,
+    matrix_crt_split,
+    trunc_ring,
+    zm_ring,
+)
 from nilclean.residue import (
     Modulus,
-    TruncPolyElem,
-    ZmodElem,
-    classify_element,
-    crt_recombine,
-    crt_split,
     factorize,
     is_two_three_smooth,
-    lift_idempotent_elem,
-    strong_decompose_element,
     two_three_smooth_moduli,
 )
+
+
+def elem(a, m):
+    """The residue a as a 1 x 1 matrix over Z_m."""
+    return RingMatrix.from_rows([[a]], zm_ring(m))
+
+
+def poly(coeffs, m):
+    """The truncated polynomial with these coefficients, x^len(coeffs) = 0."""
+    return RingMatrix.from_rows([[list(coeffs)]], trunc_ring(m, len(coeffs)))
+
+
+def value(x):
+    (row,) = x.to_rows()
+    return row[0]
 
 
 class TestFactorize:
@@ -69,30 +86,29 @@ class TestSmoothness:
 
 class TestCrt:
     def test_examples(self):
-        a, b = crt_split(ZmodElem(7, factorize(12)), factorize(4), factorize(3))
-        assert (a.residue, b.residue) == (3, 1)
-        z = crt_split(ZmodElem(0, factorize(6)), factorize(2), factorize(3))
-        assert (z[0].residue, z[1].residue) == (0, 0)
-        back = crt_recombine(ZmodElem(3, factorize(4)), ZmodElem(1, factorize(3)))
-        assert back.residue == 7 and back.modulus.m == 12
+        a, b = matrix_crt_split(elem(7, 12), factorize(4), factorize(3))
+        assert (value(a), value(b)) == (3, 1)
+        z = matrix_crt_split(elem(0, 6), factorize(2), factorize(3))
+        assert (value(z[0]), value(z[1])) == (0, 0)
+        back = matrix_crt_recombine(elem(3, 4), elem(1, 3))
+        assert value(back) == 7 and back.ring.m == 12
 
     def test_non_coprime_rejected(self):
         with pytest.raises(InputError):
-            crt_split(ZmodElem(1, factorize(12)), factorize(6), factorize(2))
+            matrix_crt_split(elem(1, 12), factorize(6), factorize(2))
         with pytest.raises(InputError):
-            crt_recombine(ZmodElem(1, factorize(6)), ZmodElem(1, factorize(4)))
+            matrix_crt_recombine(elem(1, 6), elem(1, 4))
 
     def test_roundtrip_exhaustive_small(self):
         # all coprime splits of all m <= 200, all residues
         for m in range(4, 201):
-            mod = factorize(m)
             for d in range(2, m):
                 if m % d or math.gcd(d, m // d) != 1:
                     continue
                 m1, m2 = factorize(d), factorize(m // d)
                 for a in range(m):
-                    x, y = crt_split(ZmodElem(a, mod), m1, m2)
-                    assert crt_recombine(x, y).residue == a
+                    x, y = matrix_crt_split(elem(a, m), m1, m2)
+                    assert value(matrix_crt_recombine(x, y)) == a
 
     @given(st.integers(min_value=2, max_value=2**15), st.integers(min_value=2, max_value=2**15),
            st.integers(min_value=0, max_value=2**30))
@@ -100,95 +116,95 @@ class TestCrt:
         if math.gcd(m1, m2) != 1:
             return
         m = m1 * m2
-        x, y = crt_split(ZmodElem(a, factorize(m)), factorize(m1), factorize(m2))
-        assert crt_recombine(x, y).residue == a % m
+        x, y = matrix_crt_split(elem(a, m), factorize(m1), factorize(m2))
+        assert value(matrix_crt_recombine(x, y)) == a % m
 
 
 class TestClassify:
     def test_examples(self):
-        four = classify_element(ZmodElem(4, factorize(12)))
-        assert four.is_idempotent and not four.is_unit and four.nilpotency_exponent is None
-        six = classify_element(ZmodElem(6, factorize(12)))
-        assert six.nilpotency_exponent == 2 and not six.is_idempotent
-        one = classify_element(ZmodElem(1, factorize(60)))
-        assert one.is_idempotent and one.is_unit
+        four = elem(4, 12)
+        assert four.is_idempotent() and not four.is_invertible()
+        assert four.nilpotency_exponent() is None
+        six = elem(6, 12)
+        assert six.nilpotency_exponent() == 2 and not six.is_idempotent()
+        one = elem(1, 60)
+        assert one.is_idempotent() and one.is_invertible()
 
     def test_nilpotent_iff_power_m_vanishes(self):
         # brute-force cross-check a^m = 0 for every m and residue
         for m in range(2, 1001):
-            mod = factorize(m)
             for a in range(m):
-                present = classify_element(ZmodElem(a, mod)).nilpotency_exponent is not None
+                present = elem(a, m).nilpotency_exponent() is not None
                 assert present == (pow(a, m, m) == 0)
 
     def test_exponent_minimality(self):
         for m in range(2, 150):
-            mod = factorize(m)
             for a in range(m):
-                k = classify_element(ZmodElem(a, mod)).nilpotency_exponent
+                k = elem(a, m).nilpotency_exponent()
                 if k is not None:
                     assert pow(a, k, m) == 0
                     assert k == 1 or pow(a, k - 1, m) != 0
 
     def test_unit_and_nilpotent_exclusive(self):
         for m in (2, 4, 12, 36, 90):
-            mod = factorize(m)
             for a in range(m):
-                cls = classify_element(ZmodElem(a, mod))
-                assert not (cls.is_unit and cls.nilpotency_exponent is not None)
+                x = elem(a, m)
+                assert x.is_invertible() == (math.gcd(a, m) == 1)
+                assert not (x.is_invertible() and x.nilpotency_exponent() is not None)
 
 
 class TestLiftIdempotent:
     def test_examples(self):
-        assert lift_idempotent_elem(ZmodElem(3, factorize(4))).residue == 1
-        assert lift_idempotent_elem(ZmodElem(0, factorize(9))).residue == 0
-        assert lift_idempotent_elem(ZmodElem(4, factorize(12))).residue == 4
+        assert value(lift_idempotent_matrix(elem(3, 4))) == 1
+        assert value(lift_idempotent_matrix(elem(0, 9))) == 0
+        assert value(lift_idempotent_matrix(elem(4, 12))) == 4
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
-            lift_idempotent_elem(ZmodElem(2, factorize(12)))  # 2 mod 3 = 2
+            lift_idempotent_matrix(elem(2, 12))  # 2 mod 3 = 2
 
     def test_exhaustive_prime_powers(self):
         for m in (4, 8, 16, 27, 64, 81, 72, 36):
             mod = factorize(m)
             for x in range(m):
-                defect = (x * x - x) % m
-                eligible = classify_element(ZmodElem(defect, mod)).nilpotency_exponent is not None
+                eligible = elem(x * x - x, m).nilpotency_exponent() is not None
                 if not eligible:
+                    with pytest.raises(DomainError):
+                        lift_idempotent_matrix(elem(x, m))
                     continue
-                e = lift_idempotent_elem(ZmodElem(x, mod))
-                assert (e * e).residue == e.residue
+                e = value(lift_idempotent_matrix(elem(x, m)))
+                assert e * e % m == e
                 # fixed point of the iteration itself
-                assert (3 * e.residue**2 - 2 * e.residue**3) % m == e.residue
+                assert (3 * e**2 - 2 * e**3) % m == e
                 for p, _ in mod.factors:
-                    assert e.residue % p == x % p
+                    assert e % p == x % p
 
 
 class TestStrongDecompose:
+    @staticmethod
+    def parts(a, m):
+        cert = decompose_triangular(elem(a, m))
+        return tuple(value(x) for x in (cert.e, cert.f, cert.w))
+
     def test_examples(self):
-        mod6 = factorize(6)
-        e, f, w = strong_decompose_element(ZmodElem(5, mod6))
-        assert (e.residue, f.residue, w.residue) == (1, 4, 0)
-        z = strong_decompose_element(ZmodElem(0, factorize(12)))
-        assert tuple(x.residue for x in z) == (0, 0, 0)
-        e, f, w = strong_decompose_element(ZmodElem(2, factorize(9)))
-        assert (e.residue, f.residue, w.residue) == (1, 1, 0)
+        assert self.parts(5, 6) == (1, 4, 0)
+        assert self.parts(0, 12) == (0, 0, 0)
+        assert self.parts(2, 9) == (1, 1, 0)
 
     def test_unsupported_modulus(self):
         with pytest.raises(UnsupportedRingError):
-            strong_decompose_element(ZmodElem(3, factorize(5)))
+            decompose_triangular(elem(3, 5))
         with pytest.raises(UnsupportedRingError):
-            strong_decompose_element(ZmodElem(1, factorize(10)))
+            decompose_triangular(elem(1, 10))
 
     def test_exhaustive_smooth_up_to_200(self):
         for m in two_three_smooth_moduli(200):
-            mod = factorize(m)
             for a in range(m):
-                e, f, w = strong_decompose_element(ZmodElem(a, mod))
-                assert (e * e).residue == e.residue
-                assert (f * f).residue == f.residue
-                assert classify_element(w).nilpotency_exponent is not None
-                assert (e.residue + f.residue + w.residue) % m == a
+                e, f, w = self.parts(a, m)
+                assert e * e % m == e
+                assert f * f % m == f
+                assert elem(w, m).nilpotency_exponent() is not None
+                assert (e + f + w) % m == a
 
     def test_matches_brute_force_feasibility(self):
         # decomposability of every element is equivalent to 2-3-smoothness
@@ -204,26 +220,21 @@ class TestStrongDecompose:
 
 class TestTruncPoly:
     def test_truncating_product(self):
-        mod3 = factorize(3)
-        one_plus = TruncPolyElem((1, 1), mod3)
-        one_minus = TruncPolyElem((1, 2), mod3)
-        assert (one_plus * one_minus).coeffs == (1, 0)
+        assert value(poly((1, 1), 3) @ poly((1, 2), 3)) == [1, 0]
 
     def test_nilpotent_generator(self):
-        x = TruncPolyElem((0, 1, 0), factorize(2))
-        cls = x.classify()
-        assert cls.nilpotency_exponent == 3 and not cls.is_unit
+        x = poly((0, 1, 0), 2)
+        assert x.nilpotency_exponent() == 3 and not x.is_idempotent()
 
     def test_unit_with_char_two(self):
-        u = TruncPolyElem((1, 1), factorize(2))
-        cls = u.classify()
-        assert cls.is_unit
-        assert (u * u).coeffs == (1, 0)
+        u = poly((1, 1), 2)
+        assert u @ u == RingMatrix.identity(1, u.ring)
+        assert value(u @ u) == [1, 0]
 
     def test_mismatched_rings_rejected(self):
-        a = TruncPolyElem((1, 0), factorize(2))
-        b = TruncPolyElem((1, 0, 0), factorize(2))
-        c = TruncPolyElem((1, 0), factorize(3))
+        a = poly((1, 0), 2)
+        b = poly((1, 0, 0), 2)
+        c = poly((1, 0), 3)
         for other in (b, c):
             with pytest.raises(InputError):
                 _ = a + other
@@ -235,22 +246,20 @@ class TestTruncPoly:
     )
     @settings(max_examples=60)
     def test_ring_axioms(self, m, d, data):
-        mod = factorize(m)
         coeff = st.tuples(*[st.integers(0, m - 1)] * d)
-        a = TruncPolyElem(data.draw(coeff), mod)
-        b = TruncPolyElem(data.draw(coeff), mod)
-        c = TruncPolyElem(data.draw(coeff), mod)
-        assert (a + b).coeffs == (b + a).coeffs
-        assert (a * b).coeffs == (b * a).coeffs
-        assert ((a + b) * c).coeffs == (a * c + b * c).coeffs
-        assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
+        a, b, c = (poly(data.draw(coeff), m) for _ in range(3))
+        assert a + b == b + a
+        assert a @ b == b @ a
+        assert (a + b) @ c == a @ c + b @ c
+        assert (a @ b) @ c == a @ (b @ c)
         assert (a + (-a)).is_zero()
 
     def test_classify_unit_iff_constant_unit(self):
-        mod = factorize(6)
-        for c0 in range(6):
-            for c1 in range(6):
-                f = TruncPolyElem((c0, c1), mod)
-                cls = f.classify()
-                assert cls.is_unit == (math.gcd(c0, 6) == 1)
-                assert (cls.nilpotency_exponent is not None) == (c0 % 2 == 0 and c0 % 3 == 0)
+        ring = trunc_ring(6, 2)
+        one = RingMatrix.identity(1, ring)
+        elements = [poly((c0, c1), 6) for c0 in range(6) for c1 in range(6)]
+        for f in elements:
+            c0 = value(f)[0]
+            is_unit = any(f @ g == one for g in elements)
+            assert is_unit == (math.gcd(c0, 6) == 1)
+            assert (f.nilpotency_exponent() is not None) == (c0 % 2 == 0 and c0 % 3 == 0)

@@ -16,3 +16,17 @@ def load(name):
 def test_randomized_stress_up_to_n64():
     # rcf, is_invertible, inverse and conjugation invariance at n <= 64
     assert load("randomized_stress").main(["--seed", "1", "--count", "30", "--max-dim", "64"]) == 0
+
+
+def test_exhaustive_verification_small_sweep(capsys):
+    module = load("exhaustive_verification")
+    config = module.SweepConfig(field_shapes=((2, 2), (2, 3)), composite_shapes=((2, 4), (2, 6)),
+                                max_modulus=36, chain_max=3)
+    for run in (module.run_field_sweeps, module.run_composite_sweeps,
+                module.run_oracle_survey, module.run_growth_demo):
+        run(config)
+    out = capsys.readouterr().out
+    assert "M_2(Z_3): 81 certificates" in out and "M_2(Z_6): 1296 certificates" in out
+    assert "agrees with 2-3-smoothness" in out
+    assert "tripotent Z_m: m in [2, 3, 6]" in out
+    assert "k=2: 2" in out and "k=3: 3" in out
