@@ -3,8 +3,10 @@
 
 Sweeps every matrix of the configured shapes through the constructive
 decomposition (certificates verified on every call), cross-checks the
-classifier oracle against 2-3-smoothness over a modulus range, and prints the
-tripotent table and the obstruction-growth demo.
+classifier oracle against theory (2-3-smoothness over a modulus range, and
+the known verdicts on small matrix rings, each report replayed), and prints
+the tripotent table and the obstruction-growth demo.  Exits 1 when any
+oracle verdict disagrees with theory or fails to replay.
 """
 
 import argparse
@@ -16,10 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from nilclean.classifier import (
+    MatFactor,
     RingDescriptor,
     ZmFactor,
+    is_nil_clean,
+    is_strongly_two_nil_clean,
     is_tripotent,
     is_two_nil_clean,
+    is_weakly_nil_clean,
     min_nilpotent_index_over_decompositions,
 )
 from nilclean.decompose import decompose_field_matrix, decompose_zm
@@ -33,6 +39,29 @@ class SweepConfig:
     composite_shapes: tuple = ((2, 4), (2, 6), (2, 9), (2, 12))
     max_modulus: int = 200
     chain_max: int = 5
+    matrix_rings: tuple = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9),
+                           (3, 2), (3, 3))  # (n, m): M_n(Z_m) in the classifier survey
+
+
+SURVEY_PREDICATES = {
+    "two-nil-clean": is_two_nil_clean,
+    "nil-clean": is_nil_clean,
+    "weakly-nil-clean": is_weakly_nil_clean,
+    "strongly-two-nil-clean": is_strongly_two_nil_clean,
+}
+
+
+def expected_verdicts(n, m):
+    """What theory says of M_n(Z_m) (Z_m for n = 1): two-nil-clean exactly
+    when m is 2-3-smooth; M_n(Z_2) nil-clean, hence weakly nil-clean; for
+    n >= 2 over a reduced ring (m in 2, 3, 6) never strongly two-nil-clean,
+    since that would make it tripotent while it has nonzero nilpotents."""
+    verdicts = {"two-nil-clean": is_two_three_smooth(factorize(m))}
+    if m == 2:
+        verdicts["nil-clean"] = verdicts["weakly-nil-clean"] = True
+    if n >= 2 and m in (2, 3, 6):
+        verdicts["strongly-two-nil-clean"] = False
+    return verdicts
 
 
 def sweep_matrices(n, m):
@@ -68,18 +97,28 @@ def run_composite_sweeps(config):
 
 
 def run_oracle_survey(config):
+    """Print the survey; return the verdicts that disagree with theory or
+    whose evidence does not replay."""
     start = time.perf_counter()
-    disagreements = []
-    for m in range(2, config.max_modulus + 1):
-        holds = is_two_nil_clean(RingDescriptor((ZmFactor(m),))).holds
-        if holds != is_two_three_smooth(factorize(m)):
-            disagreements.append(m)
-    status = "agrees with 2-3-smoothness" if not disagreements else f"DISAGREES at {disagreements}"
-    print(f"  two-nil-clean(Z_m) for m <= {config.max_modulus}: {status}, "
+    rings = [(1, m) for m in range(2, config.max_modulus + 1)] + list(config.matrix_rings)
+    failures = []
+    for n, m in rings:
+        ring = RingDescriptor((ZmFactor(m),) if n == 1 else (MatFactor(n, m),))
+        for name, holds in expected_verdicts(n, m).items():
+            report = SURVEY_PREDICATES[name](ring)
+            if report.holds != holds or not report.replay():
+                failures.append(f"{name}({ring.describe()})")
+    status = ("every verdict agrees with 2-3-smoothness and the matrix-ring theory, and replays"
+              if not failures else f"DISAGREES at {failures}")
+    matrices = ", ".join(f"M{n}(Z{m})" for n, m in config.matrix_rings)
+    print(f"  Z_m for m <= {config.max_modulus}, {matrices}: {status}, "
           f"{time.perf_counter() - start:.2f}s")
     tripotent = [m for m in range(2, config.max_modulus + 1)
                  if is_tripotent(RingDescriptor((ZmFactor(m),))).holds]
     print(f"  tripotent Z_m: m in {tripotent}")
+    if tripotent != [m for m in (2, 3, 6) if m <= config.max_modulus]:
+        failures.append("tripotent(Z_m)")
+    return failures
 
 
 def run_growth_demo(config):
@@ -103,10 +142,10 @@ def main(argv=None):
     print("exhaustive composite-modulus sweeps:")
     run_composite_sweeps(config)
     print("classifier oracle survey:")
-    run_oracle_survey(config)
+    failures = run_oracle_survey(config)
     print("obstruction growth:")
     run_growth_demo(config)
-    return 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -279,16 +279,22 @@ def _check_cap(ring: RingDescriptor, cap: int = UNIVERSAL_SCAN_CAP) -> None:
         )
 
 
-def _nilpotency_exponent_simple(ring: RingDescriptor, a) -> Optional[int]:
-    """Minimal k with a^k = 0 by direct powering, or None."""
-    if a == ring.zero:
-        return 1
-    power = a
-    for k in range(2, ring.nilpotency_bound() + 1):
-        power = ring.mul(power, a)
-        if power == ring.zero:
-            return k
-    return None
+def _nilpotency_exponents(ring: RingDescriptor):
+    """The map a -> minimal k with a^k = 0 (by direct powering) or None, with
+    the ring's zero and nilpotency bound computed once, not per element."""
+    zero, bound, mul = ring.zero, ring.nilpotency_bound(), ring.mul
+
+    def exponent(a) -> Optional[int]:
+        if a == zero:
+            return 1
+        power = a
+        for k in range(2, bound + 1):
+            power = mul(power, a)
+            if power == zero:
+                return k
+        return None
+
+    return exponent
 
 
 def enumerate_idempotents(ring: RingDescriptor) -> list[tuple]:
@@ -300,30 +306,32 @@ def enumerate_idempotents(ring: RingDescriptor) -> list[tuple]:
 def enumerate_nilpotents(ring: RingDescriptor) -> list[tuple[tuple, int]]:
     """All nilpotent elements with their minimal exponents, in iteration order."""
     _check_cap(ring)
-    out = []
-    for a in ring.elements():
-        k = _nilpotency_exponent_simple(ring, a)
-        if k is not None:
-            out.append((a, k))
-    return out
+    exponent = _nilpotency_exponents(ring)
+    return [(a, k) for a in ring.elements() if (k := exponent(a)) is not None]
 
 
 # ---------------------------------------------------------------------------
 # Decomposition-style predicates
 # ---------------------------------------------------------------------------
 
-def _sum_reach(ring: RingDescriptor, parts_list: list[tuple]) -> dict:
-    """Map from reachable sums to the first decomposition that attains them.
+def _first_unreached(ring: RingDescriptor, xs: list, ys: list):
+    """First element of the ring, in iteration order, that is not x + y with
+    x in xs and y in ys, or None.  Walks the shorter list and looks a - x up
+    in a set of the longer one, so each element stops at its first split."""
+    if len(xs) > len(ys):
+        xs, ys = ys, xs
+    negated = [ring.neg(x) for x in xs]
+    targets = set(ys)
+    for a in ring.elements():
+        if not any(ring.add(a, nx) in targets for nx in negated):
+            return a
+    return None
 
-    parts_list entries are tuples of addends (kept in the stored witness)."""
-    reach: dict = {}
-    for parts in parts_list:
-        total = parts[0]
-        for x in parts[1:]:
-            total = ring.add(total, x)
-        if total not in reach:
-            reach[total] = parts
-    return reach
+
+def _first_split(ring: RingDescriptor, a, xs, nil_set: set) -> tuple:
+    """(x, a - x) for the first x in xs that leaves a nilpotent remainder."""
+    x = next(x for x in xs if ring.sub(a, x) in nil_set)
+    return x, ring.sub(a, x)
 
 
 def is_two_nil_clean(ring: RingDescriptor) -> PropertyReport:
@@ -331,13 +339,16 @@ def is_two_nil_clean(ring: RingDescriptor) -> PropertyReport:
     _check_cap(ring)
     idem = enumerate_idempotents(ring)
     nil = [a for a, _ in enumerate_nilpotents(ring)]
-    sums = _sum_reach(ring, [(e, f) for e in idem for f in idem])
-    reach = _sum_reach(ring, [s + (w,) for s in sums.values() for w in nil])
-    for a in ring.elements():
-        if a not in reach:
-            return PropertyReport("two-nil-clean", ring, False, counterexample=a)
+    sums: dict = {}  # each distinct e + f with the first (e, f) that attains it
+    for e in idem:
+        for f in idem:
+            sums.setdefault(ring.add(e, f), (e, f))
+    missing = _first_unreached(ring, list(sums), nil)
+    if missing is not None:
+        return PropertyReport("two-nil-clean", ring, False, counterexample=missing)
     one = ring.one
-    return PropertyReport("two-nil-clean", ring, True, one, reach[one])
+    s, w = _first_split(ring, one, sums, set(nil))
+    return PropertyReport("two-nil-clean", ring, True, one, sums[s] + (w,))
 
 
 def is_nil_clean(ring: RingDescriptor) -> PropertyReport:
@@ -345,33 +356,32 @@ def is_nil_clean(ring: RingDescriptor) -> PropertyReport:
     _check_cap(ring)
     idem = enumerate_idempotents(ring)
     nil = [a for a, _ in enumerate_nilpotents(ring)]
-    reach = _sum_reach(ring, [(e, w) for e in idem for w in nil])
-    for a in ring.elements():
-        if a not in reach:
-            return PropertyReport("nil-clean", ring, False, counterexample=a)
+    missing = _first_unreached(ring, idem, nil)
+    if missing is not None:
+        return PropertyReport("nil-clean", ring, False, counterexample=missing)
     one = ring.one
-    return PropertyReport("nil-clean", ring, True, one, reach[one])
+    return PropertyReport("nil-clean", ring, True, one, _first_split(ring, one, idem, set(nil)))
 
 
 def is_weakly_nil_clean(ring: RingDescriptor) -> PropertyReport:
     """Every element w + e or w - e with w nilpotent, e idempotent?
 
-    The stored witness carries (e-or-negated-e, w) plus the sign marker."""
+    The stored witness carries (e-or-negated-e, w) plus the sign marker: for
+    the first e that splits one, the sign whose w comes first among the
+    nilpotents, +1 on a tie."""
     _check_cap(ring)
     idem = enumerate_idempotents(ring)
     nil = [a for a, _ in enumerate_nilpotents(ring)]
-    reach: dict = {}
-    for e in idem:
-        for w in nil:
-            for sign in (1, -1):
-                a = ring.add(w, e if sign == 1 else ring.neg(e))
-                if a not in reach:
-                    reach[a] = (e, w, sign)
-    for a in ring.elements():
-        if a not in reach:
-            return PropertyReport("weakly-nil-clean", ring, False, counterexample=a)
+    missing = _first_unreached(ring, idem + [ring.neg(e) for e in idem], nil)
+    if missing is not None:
+        return PropertyReport("weakly-nil-clean", ring, False, counterexample=missing)
     one = ring.one
-    return PropertyReport("weakly-nil-clean", ring, True, one, reach[one])
+    rank = {w: i for i, w in enumerate(nil)}
+    for e in idem:
+        splits = [(rank[w], -sign, w, sign)
+                  for w, sign in ((ring.sub(one, e), 1), (ring.add(one, e), -1)) if w in rank]
+        if splits:
+            return PropertyReport("weakly-nil-clean", ring, True, one, (e,) + min(splits)[2:])
 
 
 def is_strongly_two_nil_clean(ring: RingDescriptor) -> PropertyReport:
@@ -379,25 +389,27 @@ def is_strongly_two_nil_clean(ring: RingDescriptor) -> PropertyReport:
     _check_cap(ring)
     idem = enumerate_idempotents(ring)
     nil_set = {a for a, _ in enumerate_nilpotents(ring)}
-
-    def commuting_triple(a):
-        for e in idem:
-            for f in idem:
-                w = ring.sub(a, ring.add(e, f))
-                if (
-                    w in nil_set
-                    and ring.commutes(e, f)
-                    and ring.commutes(e, w)
-                    and ring.commutes(f, w)
-                ):
-                    return e, f, w
-        return None
-
     for a in ring.elements():
-        if commuting_triple(a) is None:
+        if _commuting_triple(ring, idem, nil_set, a) is None:
             return PropertyReport("strongly-two-nil-clean", ring, False, counterexample=a)
     one = ring.one
-    return PropertyReport("strongly-two-nil-clean", ring, True, one, commuting_triple(one))
+    return PropertyReport("strongly-two-nil-clean", ring, True, one,
+                          _commuting_triple(ring, idem, nil_set, one))
+
+
+def _commuting_triple(ring: RingDescriptor, idem: list, nil_set: set, a) -> Optional[tuple]:
+    """The first (e, f, w) with a = e + f + w, all three commuting pairwise."""
+    for e in idem:
+        for f in idem:
+            w = ring.sub(a, ring.add(e, f))
+            if (
+                w in nil_set
+                and ring.commutes(e, f)
+                and ring.commutes(e, w)
+                and ring.commutes(f, w)
+            ):
+                return e, f, w
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +526,11 @@ def min_nilpotent_index_over_decompositions(ring: RingDescriptor, a) -> Optional
     no decomposition at all."""
     _check_cap(ring)
     idem = enumerate_idempotents(ring)
+    exponent = _nilpotency_exponents(ring)
     best: Optional[int] = None
     for e in idem:
         for f in idem:
-            w = ring.sub(a, ring.add(e, f))
-            k = _nilpotency_exponent_simple(ring, w)
+            k = exponent(ring.sub(a, ring.add(e, f)))
             if k is not None and (best is None or k < best):
                 best = k
     return best
@@ -561,6 +573,7 @@ def _is_idempotent(ring, a) -> bool:
 def _replay_report(report: PropertyReport) -> bool:
     ring = report.ring
     name = report.property
+    exponent = _nilpotency_exponents(ring)
     if not report.holds:
         a = report.counterexample
         if a is None:
@@ -569,30 +582,17 @@ def _replay_report(report: PropertyReport) -> bool:
             return min_nilpotent_index_over_decompositions(ring, a) is None
         if name == "nil-clean":
             idem = enumerate_idempotents(ring)
-            return all(
-                _nilpotency_exponent_simple(ring, ring.sub(a, e)) is None for e in idem
-            )
+            return all(exponent(ring.sub(a, e)) is None for e in idem)
         if name == "weakly-nil-clean":
             idem = enumerate_idempotents(ring)
             return all(
-                _nilpotency_exponent_simple(ring, ring.sub(a, e)) is None
-                and _nilpotency_exponent_simple(ring, ring.add(a, e)) is None
+                exponent(ring.sub(a, e)) is None
+                and exponent(ring.add(a, e)) is None
                 for e in idem
             )
         if name == "strongly-two-nil-clean":
-            idem = enumerate_idempotents(ring)
             nil_set = {x for x, _ in enumerate_nilpotents(ring)}
-            for e in idem:
-                for f in idem:
-                    w = ring.sub(a, ring.add(e, f))
-                    if (
-                        w in nil_set
-                        and ring.commutes(e, f)
-                        and ring.commutes(e, w)
-                        and ring.commutes(f, w)
-                    ):
-                        return False
-            return True
+            return _commuting_triple(ring, enumerate_idempotents(ring), nil_set, a) is None
         if name == "tripotent":
             return ring.mul(ring.mul(a, a), a) != a
         if name == "two-boolean":
@@ -618,14 +618,14 @@ def _replay_report(report: PropertyReport) -> bool:
         return (
             _is_idempotent(ring, e)
             and _is_idempotent(ring, f)
-            and _nilpotency_exponent_simple(ring, w) is not None
+            and exponent(w) is not None
             and ring.add(ring.add(e, f), w) == a
         )
     if name == "nil-clean":
         e, w = parts
         return (
             _is_idempotent(ring, e)
-            and _nilpotency_exponent_simple(ring, w) is not None
+            and exponent(w) is not None
             and ring.add(e, w) == a
         )
     if name == "weakly-nil-clean":
@@ -633,7 +633,7 @@ def _replay_report(report: PropertyReport) -> bool:
         signed = e if sign == 1 else ring.neg(e)
         return (
             _is_idempotent(ring, e)
-            and _nilpotency_exponent_simple(ring, w) is not None
+            and exponent(w) is not None
             and ring.add(w, signed) == a
         )
     if name == "strongly-two-nil-clean":
@@ -641,7 +641,7 @@ def _replay_report(report: PropertyReport) -> bool:
         return (
             _is_idempotent(ring, e)
             and _is_idempotent(ring, f)
-            and _nilpotency_exponent_simple(ring, w) is not None
+            and exponent(w) is not None
             and ring.add(ring.add(e, f), w) == a
             and ring.commutes(e, f)
             and ring.commutes(e, w)

@@ -83,7 +83,7 @@ def parse_document(text: str) -> dict:
         value = value.strip()
         try:
             doc[key] = json.loads(value)
-        except ValueError:  # also an integer over Python's 4,300-digit limit
+        except (ValueError, RecursionError):  # also over 4,300 digits, or nested too deep
             doc[key] = value
     if not doc:
         raise InputError("empty document")
@@ -137,7 +137,7 @@ def certificate_to_doc(cert: DecompositionCertificate) -> str:
 def certificate_from_doc(doc: dict) -> DecompositionCertificate:
     try:
         ring = MatrixRing(factorize(_doc_int(doc, "modulus")), _doc_int(doc, "trunc-degree", 1))
-        mats = {key: RingMatrix.from_rows(doc[key], ring) for key in ("A", "E", "F", "W")}
+        mats = {key: _doc_matrix(doc, key, ring) for key in ("A", "E", "F", "W")}
         exponent = _doc_int(doc, "nilpotency-exponent")
         tags = tuple(doc.get("case-tags", []))
     except KeyError as missing:
@@ -230,6 +230,16 @@ def _doc_int(doc: dict, key: str, default: Optional[int] = None) -> int:
         raise InputError(f"field {key!r} must be an integer, got {value!r:.40}") from None
 
 
+def _doc_matrix(doc: dict, key: str, ring: MatrixRing) -> RingMatrix:
+    """A matrix field of a document; KeyError when it is missing, InputError
+    when it is not a JSON list: parse_document keeps a value that is not JSON
+    as its raw text, whose characters must not be read as rows."""
+    value = doc[key]
+    if not isinstance(value, list):
+        raise InputError(f"field {key!r} is not a JSON matrix: {value!r:.40}")
+    return RingMatrix.from_rows(value, ring)
+
+
 def _parse_matrix_input(text: str, args) -> RingMatrix:
     """Accept either a key-value matrix document or plain whitespace rows."""
     stripped = text.strip()
@@ -246,7 +256,7 @@ def _parse_matrix_input(text: str, args) -> RingMatrix:
         else:
             ring = _ring_from_flags(args)
         try:
-            return RingMatrix.from_rows(doc["A"], ring)
+            return _doc_matrix(doc, "A", ring)
         except (TypeError, ValueError) as bad:
             raise InputError(f"field 'A' is not a matrix of integers: {bad}") from None
     ring = _ring_from_flags(args)

@@ -129,6 +129,63 @@ def rank_naive(rows, p):
     return rank
 
 
+# --- full-sumset references for the classifier's sum predicates ----------
+# The oracle's earlier algorithm: materialise every sum, then scan the ring
+# for a missing element.  Each returns (holds, witness_element,
+# witness_parts, counterexample) for a ring descriptor, using only the
+# ring's own add/neg/mul and element order.
+
+def _naive_idempotents_nilpotents(ring):
+    idem = [a for a in ring.elements() if ring.mul(a, a) == a]
+    nil = []
+    for a in ring.elements():
+        power = a
+        for _ in range(ring.nilpotency_bound()):
+            if power == ring.zero:
+                nil.append(a)
+                break
+            power = ring.mul(power, a)
+    return idem, nil
+
+
+def _naive_sum_reach(ring, parts_list):
+    reach = {}
+    for parts in parts_list:
+        total = parts[0]
+        for x in parts[1:]:
+            total = ring.add(total, x)
+        reach.setdefault(total, parts)
+    return reach
+
+
+def _naive_verdict(ring, reach):
+    for a in ring.elements():
+        if a not in reach:
+            return False, None, None, a
+    return True, ring.one, reach[ring.one], None
+
+
+def naive_two_nil_clean(ring):
+    idem, nil = _naive_idempotents_nilpotents(ring)
+    sums = _naive_sum_reach(ring, [(e, f) for e in idem for f in idem])
+    return _naive_verdict(ring, _naive_sum_reach(ring, [s + (w,) for s in sums.values() for w in nil]))
+
+
+def naive_nil_clean(ring):
+    idem, nil = _naive_idempotents_nilpotents(ring)
+    return _naive_verdict(ring, _naive_sum_reach(ring, [(e, w) for e in idem for w in nil]))
+
+
+def naive_weakly_nil_clean(ring):
+    idem, nil = _naive_idempotents_nilpotents(ring)
+    reach = {}
+    for e in idem:
+        for w in nil:
+            for sign in (1, -1):
+                reach.setdefault(ring.add(w, e if sign == 1 else ring.neg(e)), (e, w, sign))
+    return _naive_verdict(ring, reach)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

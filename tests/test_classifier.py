@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import naive_nil_clean, naive_two_nil_clean, naive_weakly_nil_clean
 from nilclean.classifier import (
     MatFactor,
     RingDescriptor,
@@ -16,6 +17,7 @@ from nilclean.classifier import (
     enumerate_nilpotents,
     implication_audit,
     is_generalized_n_like,
+    is_nil_clean,
     is_strongly_sit,
     is_strongly_two_nil_clean,
     is_tripotent,
@@ -301,3 +303,35 @@ class TestDeterminism:
         assert list(ring.elements()) == [
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)
         ]
+
+
+# 101 rings, failing ones among them (Z5, Z10, M2(Z5), M2(Z7), Z7xM2(Z2),
+# Z5xZ2 fail all three predicates, Z3[x]/(x^2)xZ4 fails nil-clean)
+EQUIVALENCE_RINGS = (
+    [f"Z{m}" for m in range(2, 80)]
+    + [f"M2(Z{m})" for m in range(2, 8)]
+    + ["M3(Z2)", "Z3xZ3", "Z7xM2(Z2)", "Z3[x]/(x^2)xZ4", "Z5xZ2", "Z2[x]/(x^3)",
+       "Z2[x]/(x^4)", "Z3[x]/(x^3)", "Z4[x]/(x^2)", "Z8[x]/(x^2)", "Z9[x]/(x^2)",
+       "Z2xZ4xZ8", "Z2xZ2xZ2", "Z6xZ10", "M2(Z2)xZ3", "M2(Z2)xZ5", "M2(Z3)xZ2"]
+)
+
+
+class TestSumsetEquivalence:
+    """The early-exit search returns the full-sumset algorithm's reports."""
+
+    @pytest.mark.parametrize("predicate,naive", [
+        (is_two_nil_clean, naive_two_nil_clean),
+        (is_nil_clean, naive_nil_clean),
+        (is_weakly_nil_clean, naive_weakly_nil_clean),
+    ], ids=["two-nil-clean", "nil-clean", "weakly-nil-clean"])
+    def test_reports_identical(self, predicate, naive):
+        verdicts = set()
+        for text in EQUIVALENCE_RINGS:
+            ring = parse_ring_descriptor(text)
+            report = predicate(ring)
+            got = (report.holds, report.witness_element, report.witness_parts,
+                   report.counterexample)
+            assert got == naive(ring), text
+            assert report.replay(), text
+            verdicts.add(report.holds)
+        assert verdicts == {True, False}

@@ -7,7 +7,10 @@ import pathlib
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from nilclean.classifier import PropertyReport, parse_ring_descriptor
 from nilclean.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -214,6 +217,90 @@ class TestOversizedIntegers:
         assert "input error" in err and "Traceback" not in err
 
 
+NON_JSON_MATRICES = {
+    "missing-bracket": "[[1]",
+    "json-string": '"12"',
+    "oversized-entry": f"[[{HUGE}]]",
+}
+
+
+class TestNonJsonMatrixFields:
+    """A value json.loads refuses stays raw text; it must not be read as rows."""
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("value", NON_JSON_MATRICES.values(), ids=NON_JSON_MATRICES.keys())
+    def test_field_named(self, capsys, monkeypatch, command, value):
+        code, _, err = run(capsys, monkeypatch, [command], _document(A=value))
+        assert code == EXIT_PARSE
+        assert "field 'A' is not a JSON matrix" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["E", "F", "W"])
+    def test_other_certificate_fields(self, capsys, monkeypatch, key):
+        code, _, err = run(capsys, monkeypatch, ["verify"], _document(**{key: "[[0]"}))
+        assert code == EXIT_PARSE and f"field {key!r} is not a JSON matrix" in err
+
+
+DOC_KEYS = ("schema", "kind", "ring", "modulus", "trunc-degree", "n", "A", "E", "F", "W",
+            "nilpotency-exponent", "case-tags", "verified")
+FUZZ_SECONDS = 2.0  # per example; a well-formed document of this size takes milliseconds
+
+_scalars = st.one_of(
+    st.integers(-20, 20),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.text(max_size=3),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-9, 9), max_size=3),  # a polynomial entry
+)
+_matrices = st.one_of(
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 12), min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.lists(st.lists(_scalars, max_size=4), max_size=4),  # ragged or badly typed
+)
+_json_text = st.one_of(_matrices, _scalars).map(json.dumps)
+_values = st.one_of(
+    _json_text,
+    _json_text.flatmap(lambda t: st.integers(0, len(t)).map(lambda cut: t[:cut])),  # truncated
+    st.sampled_from([HUGE, f"[[{HUGE}]]", "[" * 5000 + "]" * 5000, "NaN", "1e400", "-0"]),
+    st.integers(-3, 2**32).map(str),  # moduli and degrees, in and out of range
+    st.sampled_from(["Z6", "Z5", "Z12", "Z6[x]/(x^2)", "Z0", "GF(4)", f"Z{HUGE}"]),
+    st.text(max_size=12),
+)
+_keys = st.one_of(st.sampled_from(DOC_KEYS), st.text(max_size=6))
+
+
+@st.composite
+def _documents(draw):
+    """A document from scratch, or a well-formed one with some fields replaced."""
+    fields = {}
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        square = st.lists(st.lists(st.integers(0, 12), min_size=n, max_size=n),
+                          min_size=n, max_size=n)
+        fields = {key: json.dumps(draw(square)) for key in ("A", "E", "F", "W")}
+        fields.update({"modulus": str(draw(st.sampled_from([2, 3, 4, 5, 6, 12]))),
+                       "trunc-degree": str(draw(st.integers(1, 3))),
+                       "nilpotency-exponent": str(draw(st.integers(1, 4)))})
+    fields.update(draw(st.dictionaries(_keys, _values, max_size=6)))
+    return "".join(f"{key}: {value}\n" for key, value in fields.items())
+
+
+class TestDocumentFuzz:
+    """Arbitrary decompose and verify documents end in a documented exit code,
+    without a traceback, in bounded time."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(command=st.sampled_from(["decompose", "verify"]), text=_documents())
+    def test_documented_exit_code(self, capsys, monkeypatch, command, text):
+        start = time.perf_counter()
+        code, _, err = run(capsys, monkeypatch, [command], text)
+        assert time.perf_counter() - start < FUZZ_SECONDS
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY, EXIT_RESOURCE)
+        assert "Traceback" not in err
+
+
 class TestFlags:
     @pytest.mark.parametrize("args", [["decompose"], ["classify", "Z2", "nil-clean"], ["rcf"],
                                       ["verify"], ["demo-obstruction", "2"]])
@@ -290,6 +377,25 @@ class TestClassifyCommand:
     def test_resource_cap(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["classify", "M2(Z36)", "two-nil-clean"])
         assert code == EXIT_RESOURCE
+
+    def test_m3z3_two_nil_clean_within_five_seconds(self, capsys, monkeypatch):
+        # 19,683 elements, 236 idempotents, 729 nilpotents: the search must
+        # stop at each element's first split, not build every sum first
+        start = time.perf_counter()
+        code, out, _ = run(capsys, monkeypatch, ["classify", "M3(Z3)", "two-nil-clean"])
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_OK
+        doc = parse_document(out)
+        assert doc["holds"] is True
+
+        def element(value):
+            return (tuple(x for row in value[0] for x in row),)
+
+        report = PropertyReport("two-nil-clean", parse_ring_descriptor("M3(Z3)"), True,
+                                element(doc["witness-element"]),
+                                tuple(element(part) for part in doc["witness-parts"]))
+        assert report.witness_element == ((1, 0, 0, 0, 1, 0, 0, 0, 1),)
+        assert report.replay()
 
 
 class TestRcfCommand:

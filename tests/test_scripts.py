@@ -21,7 +21,7 @@ def test_randomized_stress_up_to_n64():
 def test_exhaustive_verification_small_sweep(capsys):
     module = load("exhaustive_verification")
     config = module.SweepConfig(field_shapes=((2, 2), (2, 3)), composite_shapes=((2, 4), (2, 6)),
-                                max_modulus=36, chain_max=3)
+                                max_modulus=36, chain_max=3, matrix_rings=((2, 2), (2, 5), (2, 6)))
     for run in (module.run_field_sweeps, module.run_composite_sweeps,
                 module.run_oracle_survey, module.run_growth_demo):
         run(config)
@@ -30,3 +30,19 @@ def test_exhaustive_verification_small_sweep(capsys):
     assert "agrees with 2-3-smoothness" in out
     assert "tripotent Z_m: m in [2, 3, 6]" in out
     assert "k=2: 2" in out and "k=3: 3" in out
+
+
+def test_oracle_survey_flags_a_wrong_verdict(capsys, monkeypatch):
+    module = load("exhaustive_verification")
+    config = module.SweepConfig(max_modulus=12, matrix_rings=((2, 2), (2, 6)))
+    assert module.run_oracle_survey(config) == []
+    real = module.SURVEY_PREDICATES["nil-clean"]
+
+    def flipped(ring):
+        report = real(ring)
+        report.holds = not report.holds
+        return report
+
+    monkeypatch.setitem(module.SURVEY_PREDICATES, "nil-clean", flipped)
+    assert module.run_oracle_survey(config) == ["nil-clean(Z2)", "nil-clean(M2(Z2))"]
+    assert "DISAGREES at ['nil-clean(Z2)', 'nil-clean(M2(Z2))']" in capsys.readouterr().out
