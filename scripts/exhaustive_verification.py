@@ -21,11 +21,7 @@ from nilclean.classifier import (
     MatFactor,
     RingDescriptor,
     ZmFactor,
-    is_nil_clean,
-    is_strongly_two_nil_clean,
-    is_tripotent,
-    is_two_nil_clean,
-    is_weakly_nil_clean,
+    decide,
     min_nilpotent_index_over_decompositions,
 )
 from nilclean.decompose import decompose_field_matrix, decompose_zm
@@ -41,14 +37,6 @@ class SweepConfig:
     chain_max: int = 5
     matrix_rings: tuple = ((2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9),
                            (3, 2), (3, 3))  # (n, m): M_n(Z_m) in the classifier survey
-
-
-SURVEY_PREDICATES = {
-    "two-nil-clean": is_two_nil_clean,
-    "nil-clean": is_nil_clean,
-    "weakly-nil-clean": is_weakly_nil_clean,
-    "strongly-two-nil-clean": is_strongly_two_nil_clean,
-}
 
 
 def expected_verdicts(n, m):
@@ -105,7 +93,7 @@ def run_oracle_survey(config):
     for n, m in rings:
         ring = RingDescriptor((ZmFactor(m),) if n == 1 else (MatFactor(n, m),))
         for name, holds in expected_verdicts(n, m).items():
-            report = SURVEY_PREDICATES[name](ring)
+            report = decide(name, ring)
             if report.holds != holds or not report.replay():
                 failures.append(f"{name}({ring.describe()})")
     status = ("every verdict agrees with 2-3-smoothness and the matrix-ring theory, and replays"
@@ -114,7 +102,7 @@ def run_oracle_survey(config):
     print(f"  Z_m for m <= {config.max_modulus}, {matrices}: {status}, "
           f"{time.perf_counter() - start:.2f}s")
     tripotent = [m for m in range(2, config.max_modulus + 1)
-                 if is_tripotent(RingDescriptor((ZmFactor(m),))).holds]
+                 if decide("tripotent", RingDescriptor((ZmFactor(m),))).holds]
     print(f"  tripotent Z_m: m in {tripotent}")
     if tripotent != [m for m in (2, 3, 6) if m <= config.max_modulus]:
         failures.append("tripotent(Z_m)")

@@ -9,16 +9,14 @@ batch CLI (cli).
 """
 
 from .classifier import (
-    ImplicationAudit,
     MatFactor,
     PropertyReport,
     RingDescriptor,
     TruncFactor,
     ZmFactor,
-    check_not_strongly_matrix_witness,
+    decide,
     enumerate_idempotents,
     enumerate_nilpotents,
-    implication_audit,
     is_generalized_n_like,
     is_nil_clean,
     is_strongly_sit,

@@ -11,11 +11,12 @@ mixed-radix with the last factor fastest, so witnesses are deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InputError, ResourceCapError
 from .residue import factorize
@@ -38,9 +39,7 @@ class ZmFactor:
         if self.m < 2:
             raise InputError("Z_m factor needs m >= 2")
 
-    @property
-    def size(self) -> int:
-        return self.m
+    digits = 1  # an element is one base-m digit
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.m))
@@ -69,8 +68,28 @@ class ZmFactor:
         return f"Z{self.m}"
 
 
+class _TupleFactor:
+    """Elements, addition and zero of a factor whose values are tuples of
+    ``digits`` residues mod m."""
+
+    def elements(self) -> Iterator[tuple[int, ...]]:
+        return itertools.product(range(self.m), repeat=self.digits)
+
+    def add(self, a, b):
+        m = self.m
+        return tuple((x + y) % m for x, y in zip(a, b))
+
+    def neg(self, a):
+        m = self.m
+        return tuple(-x % m for x in a)
+
+    @property
+    def zero(self):
+        return (0,) * self.digits
+
+
 @dataclass(frozen=True)
-class MatFactor:
+class MatFactor(_TupleFactor):
     """The ring M_n(Z_m); component values are flat row-major tuples."""
 
     n: int
@@ -81,19 +100,8 @@ class MatFactor:
             raise InputError("M_n(Z_m) factor needs n >= 1, m >= 2")
 
     @property
-    def size(self) -> int:
-        return self.m ** (self.n * self.n)
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(range(self.m), repeat=self.n * self.n)
-
-    def add(self, a, b):
-        m = self.m
-        return tuple((x + y) % m for x, y in zip(a, b))
-
-    def neg(self, a):
-        m = self.m
-        return tuple(-x % m for x in a)
+    def digits(self) -> int:
+        return self.n * self.n
 
     def mul(self, a, b):
         n, m = self.n, self.m
@@ -103,10 +111,6 @@ class MatFactor:
             for j in range(n):
                 out.append(sum(row[k] * b[k * n + j] for k in range(n)) % m)
         return tuple(out)
-
-    @property
-    def zero(self):
-        return (0,) * (self.n * self.n)
 
     @property
     def one(self):
@@ -121,7 +125,7 @@ class MatFactor:
 
 
 @dataclass(frozen=True)
-class TruncFactor:
+class TruncFactor(_TupleFactor):
     """The ring Z_m[x]/(x^d); component values are coefficient tuples."""
 
     m: int
@@ -132,19 +136,8 @@ class TruncFactor:
             raise InputError("Z_m[x]/(x^d) factor needs m >= 2, d >= 1")
 
     @property
-    def size(self) -> int:
-        return self.m**self.d
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(range(self.m), repeat=self.d)
-
-    def add(self, a, b):
-        m = self.m
-        return tuple((x + y) % m for x, y in zip(a, b))
-
-    def neg(self, a):
-        m = self.m
-        return tuple(-x % m for x in a)
+    def digits(self) -> int:
+        return self.d
 
     def mul(self, a, b):
         m, d = self.m, self.d
@@ -154,10 +147,6 @@ class TruncFactor:
                 for j in range(d - i):
                     out[i + j] = (out[i + j] + x * b[j]) % m
         return tuple(out)
-
-    @property
-    def zero(self):
-        return (0,) * self.d
 
     @property
     def one(self):
@@ -185,7 +174,7 @@ class RingDescriptor:
 
     @property
     def size(self) -> int:
-        return math.prod(f.size for f in self.factors)
+        return math.prod(f.m**f.digits for f in self.factors)
 
     def elements(self) -> Iterator[tuple]:
         return itertools.product(*[f.elements() for f in self.factors])
@@ -253,7 +242,7 @@ def parse_ring_descriptor(text: str) -> RingDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Reports and enumerations
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -268,15 +257,37 @@ class PropertyReport:
     counterexample: Optional[tuple] = None
 
     def replay(self) -> bool:
-        """Re-check the stored evidence from scratch."""
-        return _replay_report(self)
+        """Re-derive the verdict from the stored evidence and the property's
+        table entry: a counterexample must have no passing candidate split,
+        and the witness parts must be a passing candidate split of the
+        witness element.  A positive report of an identity (tripotent,
+        two-boolean, generalized-<n>-like) carries no evidence and replays
+        True; a report of an unknown property, or any other report without
+        its evidence, replays False."""
+        try:
+            prop = lookup(self.property)
+        except InputError:
+            return False
+        scan = _Scan(self.ring)
+        if not self.holds:
+            return self.counterexample is not None and not prop.holds_at(scan, self.counterexample)
+        if prop.splits is None:
+            return True
+        return self.witness_element is not None and any(
+            split == self.witness_parts and prop.test(scan, split)
+            for split in prop.candidates(scan, self.witness_element)
+        )
 
 
 def _check_cap(ring: RingDescriptor, cap: int = UNIVERSAL_SCAN_CAP) -> None:
-    if ring.size > cap:
-        raise ResourceCapError(
-            f"ring {ring.describe()} has {ring.size} elements, over the cap {cap}"
-        )
+    """Refuse a ring of more than cap elements without building its size:
+    M200(Z2) has 2^40000 elements, and Z7[x]/(x^100000000) more."""
+    size = 1
+    for factor in ring.factors:
+        for _ in range(factor.digits):
+            size *= factor.m
+            if size > cap:
+                raise ResourceCapError(f"ring {ring.describe()} has more elements than the cap {cap}")
 
 
 def _nilpotency_exponents(ring: RingDescriptor):
@@ -310,9 +321,69 @@ def enumerate_nilpotents(ring: RingDescriptor) -> list[tuple[tuple, int]]:
     return [(a, k) for a in ring.elements() if (k := exponent(a)) is not None]
 
 
+class _Scan:
+    """The enumerations of one ring that the property tests read, each made
+    on first use and at most once."""
+
+    def __init__(self, ring: RingDescriptor):
+        self.ring = ring
+        self._powers: dict = {}
+
+    @functools.cached_property
+    def idem(self) -> list:
+        return enumerate_idempotents(self.ring)
+
+    @functools.cached_property
+    def nil(self) -> list:
+        return [a for a, _ in enumerate_nilpotents(self.ring)]
+
+    @functools.cached_property
+    def nil_set(self) -> set:
+        return set(self.nil)
+
+    @functools.cached_property
+    def trip_set(self) -> set:
+        ring = self.ring
+        return {t for t in ring.elements() if ring.mul(ring.mul(t, t), t) == t}
+
+    def power(self, x, k: int):
+        """x^k by square-and-multiply (O(log k) products, so huge k stay
+        cheap), remembered per (x, k)."""
+        if (x, k) not in self._powers:
+            ring, base, out, e = self.ring, x, self.ring.one, k
+            while e:
+                if e & 1:
+                    out = ring.mul(out, base)
+                base = ring.mul(base, base)
+                e >>= 1
+            self._powers[x, k] = out
+        return self._powers[x, k]
+
+
 # ---------------------------------------------------------------------------
-# Decomposition-style predicates
+# The property table
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Property:
+    """A ring property that holds at an element when one of the element's
+    candidate splits passes the test.  ``splits`` gives them in witness order;
+    None makes an identity, whose one candidate is the element itself and
+    whose positive reports carry no witness.  ``addends`` gives two lists
+    whose sums are the elements that hold, for the early-exit search."""
+
+    name: str
+    splits: Optional[Callable]  # (scan, a) -> candidate splits of a
+    test: Callable  # (scan, split) -> bool
+    addends: Optional[Callable] = None  # scan -> (xs, ys)
+    pairwise: bool = False
+
+    def candidates(self, scan: _Scan, a) -> Iterable:
+        return (a,) if self.splits is None else self.splits(scan, a)
+
+    def holds_at(self, scan: _Scan, a) -> bool:
+        return any(map(self.test, itertools.repeat(scan), self.candidates(scan, a)))
+
 
 def _first_unreached(ring: RingDescriptor, xs: list, ys: list):
     """First element of the ring, in iteration order, that is not x + y with
@@ -328,336 +399,133 @@ def _first_unreached(ring: RingDescriptor, xs: list, ys: list):
     return None
 
 
-def _first_split(ring: RingDescriptor, a, xs, nil_set: set) -> tuple:
-    """(x, a - x) for the first x in xs that leaves a nilpotent remainder."""
-    x = next(x for x in xs if ring.sub(a, x) in nil_set)
-    return x, ring.sub(a, x)
+def _idempotent_pairs(scan: _Scan, a) -> Iterator[tuple]:
+    """(e, f, a - e - f) over pairs of idempotents."""
+    ring, idem = scan.ring, scan.idem
+    return ((e, f, ring.sub(a, ring.add(e, f))) for e in idem for f in idem)
 
 
-def is_two_nil_clean(ring: RingDescriptor) -> PropertyReport:
-    """Every element a sum of two idempotents and a nilpotent?"""
-    _check_cap(ring)
-    idem = enumerate_idempotents(ring)
-    nil = [a for a, _ in enumerate_nilpotents(ring)]
-    sums: dict = {}  # each distinct e + f with the first (e, f) that attains it
-    for e in idem:
-        for f in idem:
-            sums.setdefault(ring.add(e, f), (e, f))
-    missing = _first_unreached(ring, list(sums), nil)
+def _idempotent_splits(scan: _Scan, a) -> Iterator[tuple]:
+    """(e, a - e) over the idempotents."""
+    ring = scan.ring
+    return ((e, ring.sub(a, e)) for e in scan.idem)
+
+
+def _signed_splits(scan: _Scan, a) -> Iterator[tuple]:
+    """(e, w, sign) with a = w + sign*e, sign +1 before -1 for each e.  For
+    the witness of one this picks the split whose w comes first among the
+    nilpotents: 1 - e is idempotent, so the +1 split passes only for e = 1,
+    where w = 0 is the first nilpotent."""
+    ring = scan.ring
+    return ((e, w, sign) for e in scan.idem
+            for w, sign in ((ring.sub(a, e), 1), (ring.add(a, e), -1)))
+
+
+def _sums(scan: _Scan) -> list:
+    """The distinct e + f over pairs of idempotents, in first-reached order."""
+    ring, idem = scan.ring, scan.idem
+    return list(dict.fromkeys(ring.add(e, f) for e in idem for f in idem))
+
+
+def _pairwise_commuting(ring: RingDescriptor, parts: tuple) -> bool:
+    return all(ring.commutes(x, y) for x, y in itertools.combinations(parts, 2))
+
+
+_TABLE = (
+    # every element a sum of two idempotents and a nilpotent
+    Property("two-nil-clean", _idempotent_pairs, lambda s, p: p[2] in s.nil_set,
+             addends=lambda s: (_sums(s), s.nil)),
+    # every element an idempotent plus a nilpotent
+    Property("nil-clean", _idempotent_splits, lambda s, p: p[1] in s.nil_set,
+             addends=lambda s: (s.idem, s.nil)),
+    # every element w + e or w - e with w nilpotent, e idempotent
+    Property("weakly-nil-clean", _signed_splits, lambda s, p: p[1] in s.nil_set,
+             addends=lambda s: (s.idem + [s.ring.neg(e) for e in s.idem], s.nil)),
+    # two idempotents plus a nilpotent, all three commuting pairwise
+    Property("strongly-two-nil-clean", _idempotent_pairs,
+             lambda s, p: p[2] in s.nil_set and _pairwise_commuting(s.ring, p)),
+    # an idempotent plus a commuting tripotent element
+    Property("strongly-sit", _idempotent_splits,
+             lambda s, p: p[1] in s.trip_set and s.ring.commutes(*p)),
+    # a^3 = a
+    Property("tripotent", None, lambda s, a: s.ring.mul(s.ring.mul(a, a), a) == a),
+    # a^2 idempotent
+    Property("two-boolean", None, lambda s, a: s.ring.mul(sq := s.ring.mul(a, a), sq) == sq),
+)
+PROPERTIES = {prop.name: prop for prop in _TABLE}
+
+_GENERALIZED = re.compile(r"generalized-(\d+)-like")
+
+
+def _generalized(n: int) -> Property:
+    """(ab)^n - a b^n - a^n b + ab = 0 for all a, b."""
+    if n < 2:
+        raise InputError("generalized-n-like needs n >= 2")
+
+    def test(scan: _Scan, pair) -> bool:
+        ring, (a, b) = scan.ring, pair
+        ab = ring.mul(a, b)
+        return ring.sub(
+            ring.sub(scan.power(ab, n), ring.mul(a, scan.power(b, n))),
+            ring.sub(ring.mul(scan.power(a, n), b), ab),
+        ) == ring.zero
+
+    return Property(f"generalized-{n}-like", None, test, pairwise=True)
+
+
+def lookup(name: str) -> Property:
+    """The table entry of a property name: one of PROPERTIES, or
+    generalized-<n>-like for an integer n >= 2."""
+    if name in PROPERTIES:
+        return PROPERTIES[name]
+    mobj = _GENERALIZED.fullmatch(name)
+    if mobj is None:
+        raise InputError(f"unknown property {name!r}")
+    try:
+        n = int(mobj.group(1))
+    except ValueError:  # int() refuses digit runs over 4,300 digits
+        raise InputError(f"integer with {len(mobj.group(1))} digits is too long") from None
+    return _generalized(n)
+
+
+def decide(name: str, ring: RingDescriptor) -> PropertyReport:
+    """Decide a property by exhaustion.  The first element (or pair) in
+    iteration order with no passing split is the counterexample; otherwise
+    the witness is the first passing split of one."""
+    prop = lookup(name)
+    _check_cap(ring, PAIRWISE_SCAN_CAP if prop.pairwise else UNIVERSAL_SCAN_CAP)
+    scan = _Scan(ring)
+    if prop.addends is not None:
+        missing = _first_unreached(ring, *prop.addends(scan))
+    else:
+        domain = itertools.product(ring.elements(), repeat=2) if prop.pairwise else ring.elements()
+        missing = next((a for a in domain if not prop.holds_at(scan, a)), None)
     if missing is not None:
-        return PropertyReport("two-nil-clean", ring, False, counterexample=missing)
+        return PropertyReport(prop.name, ring, False, counterexample=missing)
+    if prop.splits is None:
+        return PropertyReport(prop.name, ring, True)
     one = ring.one
-    s, w = _first_split(ring, one, sums, set(nil))
-    return PropertyReport("two-nil-clean", ring, True, one, sums[s] + (w,))
+    witness = next(split for split in prop.splits(scan, one) if prop.test(scan, split))
+    return PropertyReport(prop.name, ring, True, one, witness)
 
 
-def is_nil_clean(ring: RingDescriptor) -> PropertyReport:
-    """Every element an idempotent plus a nilpotent?"""
-    _check_cap(ring)
-    idem = enumerate_idempotents(ring)
-    nil = [a for a, _ in enumerate_nilpotents(ring)]
-    missing = _first_unreached(ring, idem, nil)
-    if missing is not None:
-        return PropertyReport("nil-clean", ring, False, counterexample=missing)
-    one = ring.one
-    return PropertyReport("nil-clean", ring, True, one, _first_split(ring, one, idem, set(nil)))
-
-
-def is_weakly_nil_clean(ring: RingDescriptor) -> PropertyReport:
-    """Every element w + e or w - e with w nilpotent, e idempotent?
-
-    The stored witness carries (e-or-negated-e, w) plus the sign marker: for
-    the first e that splits one, the sign whose w comes first among the
-    nilpotents, +1 on a tie."""
-    _check_cap(ring)
-    idem = enumerate_idempotents(ring)
-    nil = [a for a, _ in enumerate_nilpotents(ring)]
-    missing = _first_unreached(ring, idem + [ring.neg(e) for e in idem], nil)
-    if missing is not None:
-        return PropertyReport("weakly-nil-clean", ring, False, counterexample=missing)
-    one = ring.one
-    rank = {w: i for i, w in enumerate(nil)}
-    for e in idem:
-        splits = [(rank[w], -sign, w, sign)
-                  for w, sign in ((ring.sub(one, e), 1), (ring.add(one, e), -1)) if w in rank]
-        if splits:
-            return PropertyReport("weakly-nil-clean", ring, True, one, (e,) + min(splits)[2:])
-
-
-def is_strongly_two_nil_clean(ring: RingDescriptor) -> PropertyReport:
-    """Two idempotents plus a nilpotent, all three commuting pairwise."""
-    _check_cap(ring)
-    idem = enumerate_idempotents(ring)
-    nil_set = {a for a, _ in enumerate_nilpotents(ring)}
-    for a in ring.elements():
-        if _commuting_triple(ring, idem, nil_set, a) is None:
-            return PropertyReport("strongly-two-nil-clean", ring, False, counterexample=a)
-    one = ring.one
-    return PropertyReport("strongly-two-nil-clean", ring, True, one,
-                          _commuting_triple(ring, idem, nil_set, one))
-
-
-def _commuting_triple(ring: RingDescriptor, idem: list, nil_set: set, a) -> Optional[tuple]:
-    """The first (e, f, w) with a = e + f + w, all three commuting pairwise."""
-    for e in idem:
-        for f in idem:
-            w = ring.sub(a, ring.add(e, f))
-            if (
-                w in nil_set
-                and ring.commutes(e, f)
-                and ring.commutes(e, w)
-                and ring.commutes(f, w)
-            ):
-                return e, f, w
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Identity-style predicates
-# ---------------------------------------------------------------------------
-
-def _universal_identity(ring: RingDescriptor, name: str, violates) -> PropertyReport:
-    _check_cap(ring)
-    for a in ring.elements():
-        if violates(a):
-            return PropertyReport(name, ring, False, counterexample=a)
-    return PropertyReport(name, ring, True)
-
-
-def is_tripotent(ring: RingDescriptor) -> PropertyReport:
-    """a^3 = a for all a?"""
-    return _universal_identity(
-        ring, "tripotent", lambda a: ring.mul(ring.mul(a, a), a) != a
-    )
-
-
-def is_two_boolean(ring: RingDescriptor) -> PropertyReport:
-    """a^2 idempotent for all a?"""
-
-    def violates(a):
-        sq = ring.mul(a, a)
-        return ring.mul(sq, sq) != sq
-
-    return _universal_identity(ring, "two-boolean", violates)
+is_two_nil_clean = functools.partial(decide, "two-nil-clean")
+is_nil_clean = functools.partial(decide, "nil-clean")
+is_weakly_nil_clean = functools.partial(decide, "weakly-nil-clean")
+is_strongly_two_nil_clean = functools.partial(decide, "strongly-two-nil-clean")
+is_strongly_sit = functools.partial(decide, "strongly-sit")
+is_tripotent = functools.partial(decide, "tripotent")
+is_two_boolean = functools.partial(decide, "two-boolean")
 
 
 def is_generalized_n_like(ring: RingDescriptor, n: int) -> PropertyReport:
-    """(ab)^n - a b^n - a^n b + ab = 0 for all a, b?  Pairwise scan."""
-    if n < 2:
-        raise InputError("generalized-n-like needs n >= 2")
-    _check_cap(ring, PAIRWISE_SCAN_CAP)
-
-    def power(x, k):
-        # square-and-multiply: O(log n) products, so huge n stay cheap
-        out = ring.one
-        while k:
-            if k & 1:
-                out = ring.mul(out, x)
-            x = ring.mul(x, x)
-            k >>= 1
-        return out
-
-    name = f"generalized-{n}-like"
-    elements = list(ring.elements())
-    nth = [power(x, n) for x in elements]
-    for a, a_n in zip(elements, nth):
-        for b, b_n in zip(elements, nth):
-            ab = ring.mul(a, b)
-            lhs = ring.sub(
-                ring.sub(power(ab, n), ring.mul(a, b_n)),
-                ring.sub(ring.mul(a_n, b), ab),
-            )
-            if lhs != ring.zero:
-                return PropertyReport(name, ring, False, counterexample=(a, b))
-    return PropertyReport(name, ring, True)
-
-
-def is_strongly_sit(ring: RingDescriptor) -> PropertyReport:
-    """Every element an idempotent plus a commuting tripotent element?"""
-    _check_cap(ring)
-    idem = enumerate_idempotents(ring)
-    trip = [t for t in ring.elements() if ring.mul(ring.mul(t, t), t) == t]
-
-    def split(a):
-        for e in idem:
-            t = ring.sub(a, e)
-            if t in trip_set and ring.commutes(e, t):
-                return e, t
-        return None
-
-    trip_set = set(trip)
-    for a in ring.elements():
-        if split(a) is None:
-            return PropertyReport("strongly-sit", ring, False, counterexample=a)
-    one = ring.one
-    return PropertyReport("strongly-sit", ring, True, one, split(one))
-
-
-# ---------------------------------------------------------------------------
-# Specific witnesses and audits
-# ---------------------------------------------------------------------------
-
-def check_not_strongly_matrix_witness(m: int, n: int = 2) -> PropertyReport:
-    """The obstruction witness in M_2(Z_m): for A = [[1,1],[1,0]] the element
-    A^3 - A equals [[2,1],[1,1]] and is invertible with inverse [[1,-1],[-1,2]],
-    so it is never nilpotent, whatever m."""
-    if n != 2:
-        raise InputError("the witness construction is specific to n = 2")
-    fac = MatFactor(2, m)
-    ring = RingDescriptor((fac,))
-    a = (1 % m, 1 % m, 1 % m, 0)
-    a3 = fac.mul(fac.mul(a, a), a)
-    b = fac.add(a3, fac.neg(a))
-    expected = (2 % m, 1 % m, 1 % m, 1 % m)
-    inverse = (1 % m, -1 % m, -1 % m, 2 % m)
-    holds = (
-        b == expected
-        and fac.mul(b, inverse) == fac.one
-        and fac.mul(inverse, b) == fac.one
-    )
-    return PropertyReport(
-        "cube-minus-self-invertible", ring, holds,
-        witness_element=(b,), witness_parts=((inverse,),),
-    )
+    return decide(f"generalized-{n}-like", ring)
 
 
 def min_nilpotent_index_over_decompositions(ring: RingDescriptor, a) -> Optional[int]:
-    """Minimum nilpotency exponent of w over all a = e + f + w; None if a has
-    no decomposition at all."""
+    """Minimum nilpotency exponent of w over the two-nil-clean candidate
+    splits (e, f, w) of a; None if a has no decomposition at all."""
     _check_cap(ring)
-    idem = enumerate_idempotents(ring)
     exponent = _nilpotency_exponents(ring)
-    best: Optional[int] = None
-    for e in idem:
-        for f in idem:
-            k = exponent(ring.sub(a, ring.add(e, f)))
-            if k is not None and (best is None or k < best):
-                best = k
-    return best
-
-
-@dataclass
-class ImplicationAudit:
-    """Internal consistency of the oracle across the implication chain
-    nil-clean => weakly nil-clean => two-nil-clean."""
-
-    ring: RingDescriptor
-    reports: dict = field(default_factory=dict)
-    consistent: bool = True
-    violations: list = field(default_factory=list)
-
-
-def implication_audit(ring: RingDescriptor) -> ImplicationAudit:
-    audit = ImplicationAudit(ring)
-    audit.reports = {
-        "nil-clean": is_nil_clean(ring),
-        "weakly-nil-clean": is_weakly_nil_clean(ring),
-        "two-nil-clean": is_two_nil_clean(ring),
-    }
-    chain = ["nil-clean", "weakly-nil-clean", "two-nil-clean"]
-    for stronger, weaker in zip(chain, chain[1:]):
-        if audit.reports[stronger].holds and not audit.reports[weaker].holds:
-            audit.consistent = False
-            audit.violations.append(f"{stronger} holds but {weaker} fails")
-    return audit
-
-
-# ---------------------------------------------------------------------------
-# Witness replay
-# ---------------------------------------------------------------------------
-
-def _is_idempotent(ring, a) -> bool:
-    return ring.mul(a, a) == a
-
-
-def _replay_report(report: PropertyReport) -> bool:
-    ring = report.ring
-    name = report.property
-    exponent = _nilpotency_exponents(ring)
-    if not report.holds:
-        a = report.counterexample
-        if a is None:
-            return False
-        if name == "two-nil-clean":
-            return min_nilpotent_index_over_decompositions(ring, a) is None
-        if name == "nil-clean":
-            idem = enumerate_idempotents(ring)
-            return all(exponent(ring.sub(a, e)) is None for e in idem)
-        if name == "weakly-nil-clean":
-            idem = enumerate_idempotents(ring)
-            return all(
-                exponent(ring.sub(a, e)) is None
-                and exponent(ring.add(a, e)) is None
-                for e in idem
-            )
-        if name == "strongly-two-nil-clean":
-            nil_set = {x for x, _ in enumerate_nilpotents(ring)}
-            return _commuting_triple(ring, enumerate_idempotents(ring), nil_set, a) is None
-        if name == "tripotent":
-            return ring.mul(ring.mul(a, a), a) != a
-        if name == "two-boolean":
-            sq = ring.mul(a, a)
-            return ring.mul(sq, sq) != sq
-        if name.startswith("generalized-"):
-            return True  # counterexample pair re-checked by the predicate itself
-        if name == "strongly-sit":
-            idem = enumerate_idempotents(ring)
-            for e in idem:
-                t = ring.sub(a, e)
-                if ring.mul(ring.mul(t, t), t) == t and ring.commutes(e, t):
-                    return False
-            return True
-        return False
-    # positive reports
-    if report.witness_element is None:
-        return True
-    a = report.witness_element
-    parts = report.witness_parts
-    if name == "two-nil-clean":
-        e, f, w = parts
-        return (
-            _is_idempotent(ring, e)
-            and _is_idempotent(ring, f)
-            and exponent(w) is not None
-            and ring.add(ring.add(e, f), w) == a
-        )
-    if name == "nil-clean":
-        e, w = parts
-        return (
-            _is_idempotent(ring, e)
-            and exponent(w) is not None
-            and ring.add(e, w) == a
-        )
-    if name == "weakly-nil-clean":
-        e, w, sign = parts
-        signed = e if sign == 1 else ring.neg(e)
-        return (
-            _is_idempotent(ring, e)
-            and exponent(w) is not None
-            and ring.add(w, signed) == a
-        )
-    if name == "strongly-two-nil-clean":
-        e, f, w = parts
-        return (
-            _is_idempotent(ring, e)
-            and _is_idempotent(ring, f)
-            and exponent(w) is not None
-            and ring.add(ring.add(e, f), w) == a
-            and ring.commutes(e, f)
-            and ring.commutes(e, w)
-            and ring.commutes(f, w)
-        )
-    if name == "strongly-sit":
-        e, t = parts
-        return (
-            _is_idempotent(ring, e)
-            and ring.mul(ring.mul(t, t), t) == t
-            and ring.commutes(e, t)
-            and ring.add(e, t) == a
-        )
-    if name == "cube-minus-self-invertible":
-        fac = ring.factors[0]
-        (b,) = a
-        (inv,) = parts[0]
-        return fac.mul(b, inv) == fac.one and fac.mul(inv, b) == fac.one
-    return True
+    return min((k for *_, w in _idempotent_pairs(_Scan(ring), a) if (k := exponent(w)) is not None),
+               default=None)

@@ -11,6 +11,7 @@ lines.  Exit codes are stable: 0 success, 2 parse error, 3 unsupported ring,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import operator
@@ -201,11 +202,9 @@ def report_to_doc(report: classifier.PropertyReport) -> str:
         pairs.append(("witness-parts", parts))
     if report.counterexample is not None:
         cex = report.counterexample
-        if report.property.startswith("generalized-"):
-            # pairwise identity: the counterexample is a pair of elements
-            pairs.append(("counterexample", [_element_json(report.ring, c) for c in cex]))
-        else:
-            pairs.append(("counterexample", _element_json(report.ring, cex)))
+        pairs.append(("counterexample", [_element_json(report.ring, c) for c in cex]
+                      if classifier.lookup(report.property).pairwise
+                      else _element_json(report.ring, cex)))
     return emit_document(pairs)
 
 
@@ -327,17 +326,8 @@ def _decompose_exhaustive(args) -> int:
     return EXIT_OK
 
 
-_PROPERTY_RUNNERS = {
-    "two-nil-clean": classifier.is_two_nil_clean,
-    "nil-clean": classifier.is_nil_clean,
-    "weakly-nil-clean": classifier.is_weakly_nil_clean,
-    "strongly-two-nil-clean": classifier.is_strongly_two_nil_clean,
-    "tripotent": classifier.is_tripotent,
-    "two-boolean": classifier.is_two_boolean,
-    "strongly-sit": classifier.is_strongly_sit,
-}
-
-_GENERALIZED_RE = re.compile(r"generalized-(\d+)-like")
+# name -> callable(ring), read on each call so that a wrapper on a value sees it
+_PROPERTY_RUNNERS = {name: functools.partial(classifier.decide, name) for name in classifier.PROPERTIES}
 
 
 def cmd_classify(args) -> int:
@@ -345,17 +335,8 @@ def cmd_classify(args) -> int:
     names = [name.strip() for name in args.properties.split(",") if name.strip()]
     if not names:
         raise InputError("no properties requested")
-    reports = []
-    for name in names:
-        runner = _PROPERTY_RUNNERS.get(name)
-        if runner is not None:
-            reports.append(runner(ring))
-            continue
-        mobj = _GENERALIZED_RE.fullmatch(name)
-        if mobj:
-            reports.append(classifier.is_generalized_n_like(ring, _digits(mobj.group(1))))
-            continue
-        raise InputError(f"unknown property {name!r}")
+    reports = [_PROPERTY_RUNNERS.get(name, functools.partial(classifier.decide, name))(ring)
+               for name in names]
     if args.format == "plain":
         for report in reports:
             print(f"{report.property}: {str(report.holds).lower()}")

@@ -2,10 +2,13 @@
 
 These helpers deliberately reimplement arithmetic from scratch (plain Python,
 no imports from the package) so that agreement with the library is evidence,
-not circularity.
+not circularity.  The one exception is implication_audit, which checks the
+package's own predicates against each other.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -184,6 +187,68 @@ def naive_weakly_nil_clean(ring):
             for sign in (1, -1):
                 reach.setdefault(ring.add(w, e if sign == 1 else ring.neg(e)), (e, w, sign))
     return _naive_verdict(ring, reach)
+
+
+# --- the obstruction witness in M_2(Z_m), on flat row-major tuples ----------
+
+def _mat2_mul(a, b, m):
+    return tuple((a[2 * i] * b[j] + a[2 * i + 1] * b[2 + j]) % m for i in range(2) for j in range(2))
+
+
+def _mat2_inverses(b, inverse, m):
+    one = (1 % m, 0, 0, 1 % m)
+    return _mat2_mul(b, inverse, m) == one and _mat2_mul(inverse, b, m) == one
+
+
+@dataclass
+class MatrixWitness:
+    """b = A^3 - A for A = [[1,1],[1,0]] in M_2(Z_m), with its claimed inverse."""
+
+    m: int
+    holds: bool
+    witness_element: tuple  # (b,)
+    witness_parts: tuple  # ((inverse,),)
+
+    def replay(self) -> bool:
+        (b,), ((inverse,),) = self.witness_element, self.witness_parts
+        return _mat2_inverses(b, inverse, self.m)
+
+
+def check_not_strongly_matrix_witness(m, n=2):
+    """The obstruction witness in M_2(Z_m): for A = [[1,1],[1,0]] the element
+    A^3 - A equals [[2,1],[1,1]] and is invertible with inverse [[1,-1],[-1,2]],
+    so it is never nilpotent, whatever m."""
+    if n != 2:
+        raise ValueError("the witness construction is specific to n = 2")
+    a = (1 % m, 1 % m, 1 % m, 0)
+    b = tuple((x - y) % m for x, y in zip(_mat2_mul(_mat2_mul(a, a, m), a, m), a))
+    inverse = (1 % m, -1 % m, -1 % m, 2 % m)
+    holds = b == (2 % m, 1 % m, 1 % m, 1 % m) and _mat2_inverses(b, inverse, m)
+    return MatrixWitness(m, holds, (b,), ((inverse,),))
+
+
+# --- the implication chain nil-clean => weakly nil-clean => two-nil-clean ---
+
+@dataclass
+class ImplicationAudit:
+    """Internal consistency of the oracle across the implication chain."""
+
+    ring: object
+    reports: dict = field(default_factory=dict)
+    consistent: bool = True
+    violations: list = field(default_factory=list)
+
+
+def implication_audit(ring):
+    from nilclean.classifier import decide
+
+    chain = ["nil-clean", "weakly-nil-clean", "two-nil-clean"]
+    audit = ImplicationAudit(ring, {name: decide(name, ring) for name in chain})
+    for stronger, weaker in zip(chain, chain[1:]):
+        if audit.reports[stronger].holds and not audit.reports[weaker].holds:
+            audit.consistent = False
+            audit.violations.append(f"{stronger} holds but {weaker} fails")
+    return audit
 
 
 @pytest.fixture

@@ -10,11 +10,10 @@ import time
 
 import numpy as np
 
-from conftest import mat_mul_naive, mat_is_zero
+from conftest import check_not_strongly_matrix_witness, mat_is_zero, mat_mul_naive
 from nilclean.classifier import (
     RingDescriptor,
     ZmFactor,
-    check_not_strongly_matrix_witness,
     is_strongly_two_nil_clean,
     is_tripotent,
     is_two_nil_clean,

@@ -1,21 +1,28 @@
 """Brute-force oracle: enumerations, predicates, witnesses, audits."""
 
+import hashlib
 import itertools
+import json
 import time
 
 import numpy as np
 import pytest
 
-from conftest import naive_nil_clean, naive_two_nil_clean, naive_weakly_nil_clean
+from conftest import (
+    check_not_strongly_matrix_witness,
+    implication_audit,
+    naive_nil_clean,
+    naive_two_nil_clean,
+    naive_weakly_nil_clean,
+)
 from nilclean.classifier import (
     MatFactor,
+    PropertyReport,
     RingDescriptor,
     TruncFactor,
     ZmFactor,
-    check_not_strongly_matrix_witness,
     enumerate_idempotents,
     enumerate_nilpotents,
-    implication_audit,
     is_generalized_n_like,
     is_nil_clean,
     is_strongly_sit,
@@ -189,6 +196,42 @@ class TestIdentityPredicates:
         assert not report.holds and report.replay()
 
 
+class TestReplay:
+    """replay() re-derives each verdict from the property's table entry."""
+
+    def test_generalized_counterexample_is_rechecked(self):
+        assert not PropertyReport("generalized-3-like", zm(2), False, counterexample=((0,), (0,))).replay()
+        report = is_generalized_n_like(zm(5), 3)
+        assert not report.holds and report.replay()
+
+    def test_unknown_property_fails(self):
+        assert not PropertyReport("bogus", zm(2), True, ((1,),), (((1,),),)).replay()
+        assert not PropertyReport("generalized-1-like", zm(2), True).replay()
+
+    def test_positive_report_needs_its_witness(self):
+        assert not PropertyReport("two-nil-clean", zm(5), True).replay()
+        assert not PropertyReport("strongly-sit", zm(6), True).replay()
+
+    def test_positive_identity_report_carries_no_evidence(self):
+        assert PropertyReport("tripotent", zm(6), True).replay()
+        assert PropertyReport("generalized-3-like", zm(2), True).replay()
+
+    def test_witness_must_be_a_passing_split(self):
+        ring = zm(12)
+        report = is_two_nil_clean(ring)
+        e, f, w = report.witness_parts
+        assert report.replay()
+        report.witness_parts = (e, f, ring.add(w, (6,)))  # no longer sums to one
+        assert not report.replay()
+        report.witness_parts = ((2,), (11,), (0,))  # sums to one, but 2 is not idempotent
+        assert not report.replay()
+
+    def test_counterexample_must_have_no_passing_split(self):
+        assert not PropertyReport("two-nil-clean", zm(5), False, counterexample=(2,)).replay()
+        assert PropertyReport("two-nil-clean", zm(5), False, counterexample=(3,)).replay()
+        assert not PropertyReport("tripotent", zm(4), False, counterexample=(3,)).replay()
+
+
 class TestMatrixWitness:
     def test_inverse_display_for_all_small_m(self):
         for m in range(2, 13):
@@ -335,3 +378,45 @@ class TestSumsetEquivalence:
             assert report.replay(), text
             verdicts.add(report.holds)
         assert verdicts == {True, False}
+
+
+PINNED_SMALL_RINGS = [text for text in EQUIVALENCE_RINGS if parse_ring_descriptor(text).size <= 100]
+
+# SHA-256 over each ring's (property, ring, holds, witness_element,
+# witness_parts, counterexample), recorded from the predicates written out
+# one by one, before the property table replaced them
+PINNED_REPORTS = [
+    ("two-nil-clean", is_two_nil_clean, EQUIVALENCE_RINGS,
+     "ee31d64a35012bdcb849c6ce25a4ecb1ff5a6b68450586458bcef9c94a898fe5"),
+    ("nil-clean", is_nil_clean, EQUIVALENCE_RINGS,
+     "adc4c826439323a2814c07a7739ba98bcbbf6ff5904b1e7e99cb99748f157371"),
+    ("weakly-nil-clean", is_weakly_nil_clean, EQUIVALENCE_RINGS,
+     "3be6ae2b5c6124717dc03a3ca05b497bbddd68b3dcf00b9b9942873f03ef5705"),
+    ("strongly-two-nil-clean", is_strongly_two_nil_clean, EQUIVALENCE_RINGS,
+     "aec693d01dc03b0147b6d86a7a2e9a35869f548dbae8836107c8d465b51f60e0"),
+    ("strongly-sit", is_strongly_sit, EQUIVALENCE_RINGS,
+     "76a4fdb0943cd82a10773e6d3bc8f019cd822d25615a18a8b7b6087b3c1fda8b"),
+    ("tripotent", is_tripotent, EQUIVALENCE_RINGS,
+     "1f2a75e93b70363b21619e49f7e8be3accc4caee26e565664825fe851f3dd886"),
+    ("two-boolean", is_two_boolean, EQUIVALENCE_RINGS,
+     "7b385e9de7331a6d3c131c549ecf081a86646bee5ed2ba087becb288026b2bf9"),
+    ("generalized-2-like", lambda ring: is_generalized_n_like(ring, 2), PINNED_SMALL_RINGS,
+     "e2ba46a41b0f094555bde4572beda5972f5af247ee7e7c6b878551be465ee71c"),
+    ("generalized-3-like", lambda ring: is_generalized_n_like(ring, 3), PINNED_SMALL_RINGS,
+     "34f0099278b4e62b509fb1f84195c8438fc76c9efa765660b8c91bbd358b4e95"),
+]
+
+
+class TestPinnedReports:
+    """Every report is bit-for-bit the one the separate predicates gave."""
+
+    @pytest.mark.parametrize("name,predicate,rings,digest", PINNED_REPORTS,
+                             ids=[row[0] for row in PINNED_REPORTS])
+    def test_digest(self, name, predicate, rings, digest):
+        h = hashlib.sha256()
+        for text in rings:
+            report = predicate(parse_ring_descriptor(text))
+            assert report.property == name
+            h.update(json.dumps([name, text, report.holds, report.witness_element,
+                                 report.witness_parts, report.counterexample]).encode())
+        assert h.hexdigest() == digest

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nilclean import classifier, cli
 from nilclean.classifier import PropertyReport, parse_ring_descriptor
 from nilclean.cli import (
     EXIT_INTERNAL,
@@ -217,6 +218,27 @@ class TestOversizedIntegers:
         assert "input error" in err and "Traceback" not in err
 
 
+OVERSIZED_RINGS = {
+    "m200-z2": ["classify", "M200(Z2)", "two-nil-clean"],
+    "m2000-z7": ["classify", "M2000(Z7)", "tripotent"],
+    "m20000-z7": ["classify", "M20000(Z7)", "tripotent"],
+    "trunc-degree": ["classify", "Z7[x]/(x^100000000)", "two-nil-clean"],
+    "pairwise": ["classify", "M200(Z2)", "generalized-2-like"],
+}
+
+
+class TestOversizedRings:
+    """A ring far over the cap is refused before its size is built."""
+
+    @pytest.mark.parametrize("args", OVERSIZED_RINGS.values(), ids=OVERSIZED_RINGS.keys())
+    def test_resource_exit_within_a_second(self, capsys, monkeypatch, args):
+        start = time.perf_counter()
+        code, _, err = run(capsys, monkeypatch, args)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_RESOURCE
+        assert "resource cap" in err and "Traceback" not in err
+
+
 NON_JSON_MATRICES = {
     "missing-bracket": "[[1]",
     "json-string": '"12"',
@@ -298,6 +320,49 @@ class TestDocumentFuzz:
         code, _, err = run(capsys, monkeypatch, [command], text)
         assert time.perf_counter() - start < FUZZ_SECONDS
         assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY, EXIT_RESOURCE)
+        assert "Traceback" not in err
+
+
+_tiny_factors = st.one_of(  # at most 64 elements
+    st.integers(2, 64).map(lambda m: f"Z{m}"),
+    st.integers(2, 64).map(lambda m: f"M1(Z{m})"),
+    st.just("M2(Z2)"),
+    st.tuples(st.integers(2, 8), st.integers(1, 6)).filter(lambda md: md[0] ** md[1] <= 64)
+    .map(lambda md: f"Z{md[0]}[x]/(x^{md[1]})"),
+)
+_huge_factors = st.one_of(  # far over the 10^6 cap
+    st.integers(10**7, 10**4000).map(lambda m: f"Z{m}"),
+    st.tuples(st.integers(5, 10**6), st.integers(2, 10**9)).map(lambda nm: f"M{nm[0]}(Z{nm[1]})"),
+    st.tuples(st.integers(2, 10**9), st.integers(21, 10**9)).map(lambda md: f"Z{md[0]}[x]/(x^{md[1]})"),
+)
+_descriptors = st.one_of(
+    st.sampled_from(["Z2", "Z5", "Z6", "Z3xZ3", "M2(Z2)", "Z4[x]/(x^2)"]),
+    _tiny_factors,
+    st.tuples(st.lists(st.one_of(_tiny_factors, _huge_factors), max_size=2), _huge_factors,
+              st.lists(st.one_of(_tiny_factors, _huge_factors), max_size=2), st.sampled_from("x*"))
+    .map(lambda t: t[3].join(t[0] + [t[1]] + t[2])),
+    st.sampled_from(["", "Q5", "Z", "Z1", "Z0", "M0(Z2)", "Z2[x]/(x^0)", "M2(Z2", "Z6yZ2", f"Z{HUGE}"]),
+)
+_property_items = st.one_of(
+    st.sampled_from(sorted(classifier.PROPERTIES)),
+    st.text(max_size=8),  # unknown names, commas and whitespace among them
+    st.sampled_from(["", " ", " nil-clean\t", "generalized-0-like", "generalized-1-like",
+                     "generalized-007-like", "generalized-2-like", f"generalized-{HUGE}-like"]),
+)
+
+
+class TestClassifyFuzz:
+    """classify on descriptors that are tiny or far over the cap, with any
+    property list, ends in a documented exit code without a traceback."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(ring=_descriptors, properties=st.lists(_property_items, min_size=1, max_size=4).map(",".join))
+    def test_documented_exit_code(self, capsys, monkeypatch, ring, properties):
+        start = time.perf_counter()
+        code, _, err = run(capsys, monkeypatch, ["classify", ring, properties])
+        assert time.perf_counter() - start < FUZZ_SECONDS
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_RESOURCE)
         assert "Traceback" not in err
 
 
@@ -396,6 +461,27 @@ class TestClassifyCommand:
                                 tuple(element(part) for part in doc["witness-parts"]))
         assert report.witness_element == ((1, 0, 0, 0, 1, 0, 0, 0, 1),)
         assert report.replay()
+
+
+class TestPropertyRunners:
+    """The benchmark's trace wraps the values of cli._PROPERTY_RUNNERS, so
+    classify must find every fixed property there."""
+
+    def test_keys_are_the_table_names(self):
+        assert set(cli._PROPERTY_RUNNERS) == set(classifier.PROPERTIES)
+
+    def test_classify_calls_through_the_dict(self, capsys, monkeypatch):
+        calls = []
+        real = cli._PROPERTY_RUNNERS["nil-clean"]
+
+        def spy(ring):
+            calls.append(ring.describe())
+            return real(ring)
+
+        monkeypatch.setitem(cli._PROPERTY_RUNNERS, "nil-clean", spy)
+        code, out, _ = run(capsys, monkeypatch, ["classify", "Z4", "two-nil-clean,nil-clean"])
+        assert code == EXIT_OK and calls == ["Z4"]
+        assert [d["property"] for d in split_documents(out)] == ["two-nil-clean", "nil-clean"]
 
 
 class TestRcfCommand:

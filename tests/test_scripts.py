@@ -36,13 +36,14 @@ def test_oracle_survey_flags_a_wrong_verdict(capsys, monkeypatch):
     module = load("exhaustive_verification")
     config = module.SweepConfig(max_modulus=12, matrix_rings=((2, 2), (2, 6)))
     assert module.run_oracle_survey(config) == []
-    real = module.SURVEY_PREDICATES["nil-clean"]
+    real = module.decide
 
-    def flipped(ring):
-        report = real(ring)
-        report.holds = not report.holds
+    def flipped(name, ring):
+        report = real(name, ring)
+        if name == "nil-clean":
+            report.holds = not report.holds
         return report
 
-    monkeypatch.setitem(module.SURVEY_PREDICATES, "nil-clean", flipped)
+    monkeypatch.setattr(module, "decide", flipped)
     assert module.run_oracle_survey(config) == ["nil-clean(Z2)", "nil-clean(M2(Z2))"]
     assert "DISAGREES at ['nil-clean(Z2)', 'nil-clean(M2(Z2))']" in capsys.readouterr().out
