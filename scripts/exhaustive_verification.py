@@ -24,7 +24,7 @@ from nilclean.classifier import (
     decide,
     min_nilpotent_index_over_decompositions,
 )
-from nilclean.decompose import decompose_field_matrix, decompose_zm
+from nilclean.decompose import decompose
 from nilclean.matrix import RingMatrix, zm_ring
 from nilclean.residue import factorize, is_two_three_smooth
 
@@ -64,7 +64,7 @@ def run_field_sweeps(config):
         count = 0
         worst = 0
         for mat in sweep_matrices(n, m):
-            cert = decompose_field_matrix(mat)
+            cert = decompose(mat)
             worst = max(worst, cert.nilpotency_exponent)
             count += 1
         print(f"  M_{n}(Z_{m}): {count} certificates, max W-exponent {worst}, "
@@ -77,7 +77,7 @@ def run_composite_sweeps(config):
         count = 0
         worst = 0
         for mat in sweep_matrices(n, m):
-            cert = decompose_zm(mat)
+            cert = decompose(mat)
             worst = max(worst, cert.nilpotency_exponent)
             count += 1
         print(f"  M_{n}(Z_{m}): {count} certificates, max W-exponent {worst}, "

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nilclean.decompose import decompose, decompose_trunc_poly_matrix
+from nilclean.decompose import decompose
 from nilclean.frobenius import rcf, verify_rcf
 from nilclean.matrix import RingMatrix, trunc_ring, zm_ring
 from nilclean.residue import two_three_smooth_moduli
@@ -48,7 +48,7 @@ def stress_truncated(config, rng):
         m = int(rng.choice([mm for mm in config.moduli if mm <= 12]))
         d = int(rng.integers(1, 4))
         n = int(rng.integers(1, 5))
-        decompose_trunc_poly_matrix(RingMatrix.random(n, trunc_ring(m, d), rng))
+        decompose(RingMatrix.random(n, trunc_ring(m, d), rng))
     print(f"  {config.count // 5} random truncated-polynomial decompositions verified, "
           f"{time.perf_counter() - start:.2f}s")
 

@@ -31,10 +31,7 @@ from .classifier import (
 from .decompose import (
     CaseTag,
     decompose,
-    decompose_field_matrix,
-    decompose_prime_power,
     decompose_triangular,
-    decompose_trunc_poly_matrix,
     decompose_zm,
     lift_idempotent_matrix,
 )
@@ -59,8 +56,6 @@ from .matrix import (
     MatrixRing,
     RingMatrix,
     check_certificate,
-    matrix_crt_recombine,
-    matrix_crt_split,
     trunc_ring,
     verify_certificate,
     zm_ring,

@@ -22,7 +22,6 @@ from .errors import InputError, ResourceCapError
 from .residue import factorize
 
 UNIVERSAL_SCAN_CAP = 10**6
-PAIRWISE_SCAN_CAP = 10**4
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +278,20 @@ class PropertyReport:
         )
 
 
-def _check_cap(ring: RingDescriptor, cap: int = UNIVERSAL_SCAN_CAP) -> None:
-    """Refuse a ring of more than cap elements without building its size:
-    M200(Z2) has 2^40000 elements, and Z7[x]/(x^100000000) more."""
-    size = 1
+def _check_cap(ring: RingDescriptor, pairwise: bool = False) -> None:
+    """Refuse a search over more than UNIVERSAL_SCAN_CAP candidates, the
+    elements or, for a pairwise identity, the pairs of elements, without
+    building the ring's size: M200(Z2) has 2^40000 elements, and
+    Z7[x]/(x^100000000) more."""
+    what = "pairs of elements" if pairwise else "elements"
+    count = 1
     for factor in ring.factors:
         for _ in range(factor.digits):
-            size *= factor.m
-            if size > cap:
-                raise ResourceCapError(f"ring {ring.describe()} has more elements than the cap {cap}")
+            count *= factor.m**2 if pairwise else factor.m
+            if count > UNIVERSAL_SCAN_CAP:
+                raise ResourceCapError(
+                    f"ring {ring.describe()} has more {what} than the cap {UNIVERSAL_SCAN_CAP}"
+                )
 
 
 def _nilpotency_exponents(ring: RingDescriptor):
@@ -493,7 +497,7 @@ def decide(name: str, ring: RingDescriptor) -> PropertyReport:
     iteration order with no passing split is the counterexample; otherwise
     the witness is the first passing split of one."""
     prop = lookup(name)
-    _check_cap(ring, PAIRWISE_SCAN_CAP if prop.pairwise else UNIVERSAL_SCAN_CAP)
+    _check_cap(ring, prop.pairwise)
     scan = _Scan(ring)
     if prop.addends is not None:
         missing = _first_unreached(ring, *prop.addends(scan))

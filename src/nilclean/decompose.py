@@ -1,21 +1,26 @@
 """Constructive idempotent + idempotent + nilpotent decompositions.
 
-Pipeline: companion blocks over GF(2)/GF(3) are decomposed by closed-form
-templates keyed on the block's bottom-right entry (the trace of a companion
-matrix); a whole field matrix is brought to the block-upper-triangular Krylov
-form, the templates split its diagonal companion blocks, and everything off
-the diagonal goes into W, which stays nilpotent because its diagonal blocks
-are (the Frobenius form is not needed, and serves only the rcf command);
-Z_{p^e} lifts the field solution through the nilpotent kernel by the cubic
-idempotent iteration; composite 2-3-smooth moduli recombine the prime-power
-solutions entrywise by the CRT.  Triangular and truncated polynomial variants
-reuse the same machinery on the diagonal and on the constant term
-respectively.
+One reduce-solve-lift path serves every coefficient ring Z_m[x]/(x^d) with
+2-3-smooth m, as in the paper's first theorem: modulo its nilradical the ring
+is a product of copies of GF(2) and GF(3).  For each prime power p^k || m the
+constant term of A is reduced to a GF(p) matrix and solved there; the
+solutions are recombined through the CRT idempotents c_q, so each start point
+is congruent to its GF(p) solution mod p^k; E and F are lifted once over the
+whole ring by the cubic idempotent iteration (only when m is not squarefree:
+a constant start point is already idempotent otherwise), and W = A - E - F,
+which is nilpotent because its image modulo the nilradical is.
 
-Nested layers compose unverified (E, F, W, tags) parts; every public
-certificate-producing function verifies its output once, before returning,
-and raises InternalCheckError on failure: a wrong certificate is a bug here,
-never a value.
+There are two GF(p) solvers.  The Krylov solver brings the matrix to its
+block-upper-triangular Krylov form, splits each diagonal companion block by a
+closed-form template keyed on the block's bottom-right entry (the trace of a
+companion matrix) and conjugates back; everything off the diagonal goes into
+W, which stays nilpotent because its diagonal blocks are (the Frobenius form
+is not needed, and serves only the rcf command).  The triangular solver takes
+the 0/1 diagonals, so E, F and W stay upper triangular.
+
+Every public certificate-producing function verifies its output once, before
+returning, and raises InternalCheckError on failure: a wrong certificate is a
+bug here, never a value.
 """
 
 from __future__ import annotations
@@ -24,19 +29,10 @@ import enum
 
 import numpy as np
 
-from .errors import DomainError, InputError, InternalCheckError, UnsupportedRingError
+from .errors import DomainError, InputError, InternalCheckError
 from .frobenius import krylov_form
-from .matrix import (
-    DecompositionCertificate,
-    MatrixRing,
-    RingMatrix,
-    _dtype_for,
-    matrix_crt_recombine,
-    matrix_crt_split,
-    verify_certificate,
-    zm_ring,
-)
-from .residue import factorize, lift_iteration_cap, require_two_three_smooth
+from .matrix import DecompositionCertificate, RingMatrix, verify_certificate, zm_ring
+from .residue import lift_iteration_cap, require_two_three_smooth
 
 
 class CaseTag(enum.Enum):
@@ -110,13 +106,9 @@ def _certify(a: RingMatrix, e: RingMatrix, f: RingMatrix, w: RingMatrix,
     return cert
 
 
-def _field_parts(a: RingMatrix):
-    """Unverified (E, F, W, tags) over GF(2) or GF(3): templates on the
-    diagonal blocks of the Krylov form, conjugated back, and W = A - E - F."""
-    if not a.ring.is_prime_field() or a.ring.m not in (2, 3):
-        raise UnsupportedRingError(
-            f"decompose_field_matrix supports GF(2) and GF(3), not {a.ring.describe()}"
-        )
+def _krylov_solve(a: RingMatrix):
+    """E, F (int64 arrays mod p) and case tags of a GF(2) or GF(3) matrix:
+    templates on the diagonal blocks of the Krylov form, conjugated back."""
     p = a.ring.m
     n = a.n
     pair = _companion_pair_gf3 if p == 3 else _companion_pair_gf2
@@ -130,22 +122,15 @@ def _field_parts(a: RingMatrix):
         tag = pair(col, e[at : at + d, at : at + d], f[at : at + d, at : at + d])
         tags.append(_tag_string(tag, d))
         at += d
-    e = q.dot(e).dot(q_inv) % p
-    f = q.dot(f).dot(q_inv) % p
-    w = (a.coeffs[0] - e - f) % p
-    return tuple(RingMatrix(a.ring, x[None]) for x in (e, f, w)) + (tuple(tags),)
+    return q.dot(e).dot(q_inv) % p, q.dot(f).dot(q_inv) % p, tuple(tags)
 
 
-def decompose_field_matrix(a: RingMatrix) -> DecompositionCertificate:
-    """Decompose any matrix over GF(2) or GF(3) through its Krylov form."""
-    return _certify(a, *_field_parts(a))
-
-
-def _embed(mat: RingMatrix, ring: MatrixRing) -> RingMatrix:
-    """Reinterpret canonical entries in a larger ring (same dimension)."""
-    out = np.zeros((ring.d, mat.n, mat.n), dtype=_dtype_for(ring, mat.n))
-    out[: mat.ring.d] = mat.coeffs % ring.m
-    return RingMatrix(ring, out)
+def _diagonal_solve(t: RingMatrix):
+    """The 0/1 diagonals e = [t_ii != 0] and f = [t_ii = 2] of an upper
+    triangular GF(2) or GF(3) matrix: idempotent as integers, and T - E - F
+    has a zero diagonal."""
+    diag = np.diagonal(t.coeffs[0])
+    return np.diag(diag != 0).astype(np.int64), np.diag(diag == 2).astype(np.int64), ()
 
 
 def lift_idempotent_matrix(x: RingMatrix) -> RingMatrix:
@@ -174,107 +159,60 @@ def lift_idempotent_matrix(x: RingMatrix) -> RingMatrix:
     raise InternalCheckError("idempotent lifting exceeded its iteration cap", x)
 
 
-def _prime_power_parts(a: RingMatrix):
-    """Unverified parts over Z_{p^e}, p in {2, 3}: solve over GF(p), lift both
-    idempotents, absorb the difference into W (nilpotent because the
-    reduction kernel is)."""
-    p, e = a.ring.modulus.factors[0]
-    if e == 1:
-        return _field_parts(a)
-    base_e, base_f, _, tags = _field_parts(a.reduce_mod_prime(p))
-    lifted_e = lift_idempotent_matrix(_embed(base_e, a.ring))
-    lifted_f = lift_idempotent_matrix(_embed(base_f, a.ring))
-    return lifted_e, lifted_f, a - lifted_e - lifted_f, tags
-
-
-def decompose_prime_power(a: RingMatrix) -> DecompositionCertificate:
-    """Decompose over Z_{p^e} (p in {2, 3}) by lifting the GF(p) solution."""
+def _parts(a: RingMatrix, solve):
+    """Unverified (E, F, W, tags) over a 2-3-smooth Z_m[x]/(x^d): solve the
+    constant term mod each prime p | m, recombine the solutions through the
+    CRT idempotents, lift E and F over the whole ring, and W = A - E - F.
+    The cubic iteration commutes with reduction mod each p^k, so this is the
+    per-prime-power lift followed by the CRT."""
     ring = a.ring
-    if ring.d != 1 or len(ring.modulus.factors) != 1:
-        raise InputError("decompose_prime_power expects a prime-power modulus")
-    p, e = ring.modulus.factors[0]
-    if p not in (2, 3):
-        raise UnsupportedRingError(f"unsupported prime {p}; only 2 and 3 work")
-    if e == 1:
-        return decompose_field_matrix(a)
-    return _certify(a, *_prime_power_parts(a))
+    if ring.is_prime_field():
+        e, f, tags = solve(a)
+        parts = [RingMatrix(ring, x[None]) for x in (e, f)]
+    else:
+        modulus = ring.modulus
+        e = f = 0
+        tags = ()
+        for p, c in zip(modulus.primes, modulus.crt_basis()):
+            e_p, f_p, tags_p = solve(RingMatrix(zm_ring(p), a.residue_field_image(p)[None]))
+            e, f, tags = e + c * e_p, f + c * f_p, tags + tags_p
+        parts = []
+        for x in (e, f):
+            stack = np.zeros_like(a.coeffs)
+            stack[0] = x % ring.m
+            parts.append(RingMatrix(ring, stack))
+        if modulus.max_exponent > 1:
+            parts = [lift_idempotent_matrix(x) for x in parts]
+    e, f = parts
+    return e, f, RingMatrix(ring, (a.coeffs - e.coeffs - f.coeffs) % ring.m), tags
 
 
-def _zm_parts(a: RingMatrix, prime_power_parts=_prime_power_parts):
-    """Unverified parts over a 2-3-smooth Z_m: one solution per prime power,
-    recombined entrywise by the CRT."""
-    factors = a.ring.modulus.factors
-    if len(factors) == 1:
-        return prime_power_parts(a)
-    (p1, e1), (p2, e2) = factors
-    a1, a2 = matrix_crt_split(a, factorize(p1**e1), factorize(p2**e2))
-    e_1, f_1, _, tags1 = prime_power_parts(a1)
-    e_2, f_2, _, tags2 = prime_power_parts(a2)
-    e = matrix_crt_recombine(e_1, e_2)
-    f = matrix_crt_recombine(f_1, f_2)
-    return e, f, a - e - f, tags1 + tags2
+def decompose(a: RingMatrix) -> DecompositionCertificate:
+    """Decompose over Z_m or Z_m[x]/(x^d) for any 2-3-smooth m."""
+    require_two_three_smooth(a.ring.modulus)
+    return _certify(a, *_parts(a, _krylov_solve))
 
 
 def decompose_zm(a: RingMatrix) -> DecompositionCertificate:
-    """Decompose over Z_m for any 2-3-smooth m, by CRT to the prime powers."""
-    ring = a.ring
-    if ring.d != 1:
+    """decompose, for plain Z_m matrices only."""
+    if a.ring.d != 1:
         raise InputError("decompose_zm expects a plain Z_m matrix")
-    require_two_three_smooth(ring.modulus)
-    if len(ring.modulus.factors) == 1:
-        return decompose_prime_power(a)
-    return _certify(a, *_zm_parts(a))
-
-
-def _diagonal_parts(t: RingMatrix):
-    """Unverified parts of an upper-triangular matrix over Z_{p^k}, p in
-    {2, 3}: the 0/1 diagonals e = [t_ii mod p != 0] and f = [t_ii mod p = 2]
-    are idempotent as integers, and W = T - E - F has a diagonal divisible
-    by p."""
-    p = t.ring.modulus.primes[0]
-    diag = np.diagonal(t.coeffs[0]) % p
-    idx = np.arange(t.n)
-    e, f = RingMatrix.zeros(t.n, t.ring), RingMatrix.zeros(t.n, t.ring)
-    for x, bits in ((e, diag != 0), (f, diag == 2)):
-        # through int64: a bool array cast to object would store True, not 1
-        x.coeffs[0, idx, idx] = bits.astype(np.int64).astype(x.coeffs.dtype)
-    return e, f, t - e - f, ()
+    return decompose(a)
 
 
 def decompose_triangular(t: RingMatrix) -> DecompositionCertificate:
     """Decompose an upper-triangular matrix over 2-3-smooth Z_m entirely inside
-    the triangular ring: the diagonal splits entrywise per prime power,
-    recombined by the CRT, and the strict upper part rides along in W (whose
-    diagonal is nilpotent, so W is)."""
+    the triangular ring: the diagonal splits into 0/1 diagonals mod each prime,
+    and the strict upper part rides along in W (whose diagonal is nilpotent,
+    so W is)."""
     ring = t.ring
     if ring.d != 1:
         raise InputError("decompose_triangular expects a plain Z_m matrix")
     if not t.is_upper_triangular():
         raise InputError("matrix is not upper triangular")
     require_two_three_smooth(ring.modulus)
-    e, f, w, _ = _zm_parts(t, _diagonal_parts)
-    cert = _certify(t, e, f, w, ())
+    e, f, w, tags = _parts(t, _diagonal_solve)
+    cert = _certify(t, e, f, w, tags)
     if not (e.is_upper_triangular() and f.is_upper_triangular() and w.is_upper_triangular()):
         raise InternalCheckError("triangular decomposition left the triangular ring", t)
     return cert
-
-
-def decompose_trunc_poly_matrix(a: RingMatrix) -> DecompositionCertificate:
-    """Decompose over Z_m[x]/(x^d): solve the constant term over Z_m, lift the
-    idempotents through the ideal (x) (constants are already fixed points of
-    the lifting iteration), and put every higher coefficient into W."""
-    ring = a.ring
-    require_two_three_smooth(ring.modulus)
-    if ring.d == 1:
-        return decompose_zm(a)
-    base_e, base_f, _, tags = _zm_parts(RingMatrix(zm_ring(ring.m), a.coeffs[:1].copy()))
-    e = lift_idempotent_matrix(_embed(base_e, ring))
-    f = lift_idempotent_matrix(_embed(base_f, ring))
-    return _certify(a, e, f, a - e - f, tags)
-
-
-def decompose(a: RingMatrix) -> DecompositionCertificate:
-    """Dispatch on the entry ring: Z_m or a truncated polynomial extension."""
-    if a.ring.d == 1:
-        return decompose_zm(a)
-    return decompose_trunc_poly_matrix(a)

@@ -9,7 +9,6 @@ to exact Python integers through object arrays.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -244,13 +243,14 @@ class RingMatrix:
 
     def inverse(self) -> "RingMatrix":
         """Explicit inverse over Z_m: invert mod each prime, Newton-lift to the
-        prime power, recombine by CRT.  Raises InputError when singular."""
+        prime power, recombine through the CRT idempotents.  Raises InputError
+        when singular."""
         if self.ring.d != 1:
             raise InputError("inverse expects a plain Z_m matrix")
         n = self.n
-        res: Optional[np.ndarray] = None
-        mod = 1
-        for p, e in self.ring.modulus.factors:
+        modulus = self.ring.modulus
+        res = 0
+        for (p, e), c in zip(modulus.factors, modulus.crt_basis()):
             q = p**e
             x = gfp.inverse(self.residue_field_image(p), p)
             if x is None:
@@ -260,10 +260,8 @@ class RingMatrix:
             ident = 2 * np.eye(n, dtype=object)
             for _ in range(max(1, (e - 1).bit_length() + 1)):
                 x = x.dot(ident - a.dot(x) % q) % q
-            # CRT: the unique lift of (res mod mod, x mod q) below mod * q
-            res = x if res is None else x + q * ((res - x) * pow(q, -1, mod) % mod)
-            mod *= q
-        out = RingMatrix.from_rows(res.tolist(), self.ring)
+            res = res + c * x
+        out = RingMatrix.from_rows((res % modulus.m).tolist(), self.ring)
         if not (out @ self == RingMatrix.identity(n, self.ring)):
             raise InternalCheckError("inverse failed verification")  # pragma: no cover
         return out
@@ -307,43 +305,6 @@ def _min_exponent(x: np.ndarray, m: int, bound: int) -> Optional[int]:
         if np.count_nonzero(cand):
             acc, e = cand, e + (1 << j)
     return e + 1 if e < bound else None
-
-
-# ---------------------------------------------------------------------------
-# Matrix-level CRT
-# ---------------------------------------------------------------------------
-
-def matrix_crt_split(a: RingMatrix, m1: Modulus, m2: Modulus) -> tuple[RingMatrix, RingMatrix]:
-    """Entrywise CRT split of a Z_m matrix along a coprime factorization of m."""
-    if a.ring.d != 1:
-        raise InputError("matrix CRT expects plain Z_m matrices")
-    if m1.m * m2.m != a.ring.m:
-        raise InputError(f"{m1.m} * {m2.m} != {a.ring.m}")
-    if math.gcd(m1.m, m2.m) != 1:
-        raise InputError(f"split moduli {m1.m}, {m2.m} are not coprime")
-    r1 = MatrixRing(m1)
-    r2 = MatrixRing(m2)
-    c1 = (a.coeffs % m1.m).astype(_dtype_for(r1, a.n))
-    c2 = (a.coeffs % m2.m).astype(_dtype_for(r2, a.n))
-    return RingMatrix(r1, c1), RingMatrix(r2, c2)
-
-
-def matrix_crt_recombine(a1: RingMatrix, a2: RingMatrix) -> RingMatrix:
-    """Inverse of matrix_crt_split."""
-    if a1.ring.d != 1 or a2.ring.d != 1:
-        raise InputError("matrix CRT expects plain Z_m matrices")
-    if a1.n != a2.n:
-        raise InputError("dimension mismatch in CRT recombination")
-    m1, m2 = a1.ring.m, a2.ring.m
-    m = m1 * m2
-    if math.gcd(m1, m2) != 1:
-        raise InputError(f"moduli {m1}, {m2} are not coprime")
-    u = pow(m2, -1, m1)
-    ring = zm_ring(m)
-    c1 = a1.coeffs.astype(object)
-    c2 = a2.coeffs.astype(object)
-    comb = (c2 + m2 * ((c1 - c2) * u % m1)) % m
-    return RingMatrix(ring, comb.astype(_dtype_for(ring, a1.n)))
 
 
 # ---------------------------------------------------------------------------

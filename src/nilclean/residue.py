@@ -52,6 +52,16 @@ class Modulus:
         """Nilpotency exponent of the nilradical of Z_m."""
         return max(e for _, e in self.factors)
 
+    def crt_basis(self) -> tuple[int, ...]:
+        """The CRT idempotents c_q = (m/q) * ((m/q)^-1 mod q), one per prime
+        power q = p^e of ``factors``: c_q is 1 mod q and 0 mod m/q, so every
+        x in Z_m is the sum of c_q * (x mod q), mod m."""
+        basis = []
+        for p, e in self.factors:
+            r = self.m // p**e
+            basis.append(r * pow(r, -1, p**e))
+        return tuple(basis)
+
     def is_prime(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
 

@@ -22,13 +22,7 @@ from nilclean.classifier import (
     parse_ring_descriptor,
 )
 from nilclean.cli import certificate_from_doc, certificate_to_doc, parse_document
-from nilclean.decompose import (
-    decompose_field_matrix,
-    decompose_triangular,
-    decompose_trunc_poly_matrix,
-    decompose_zm,
-    lift_idempotent_matrix,
-)
+from nilclean.decompose import decompose, decompose_triangular, lift_idempotent_matrix
 from nilclean.frobenius import rcf, verify_rcf
 from nilclean.matrix import RingMatrix, trunc_ring, zm_ring
 from nilclean.residue import factorize, is_two_three_smooth, lift_iteration_cap
@@ -52,7 +46,7 @@ def test_acceptance_01_exhaustive_gf3():
     count = 0
     for n in (2, 3):
         for a in all_matrices(n, 3):
-            cert = decompose_field_matrix(a)
+            cert = decompose(a)
             assert cert.verified
             count += 1
     elapsed = time.perf_counter() - start
@@ -67,7 +61,7 @@ def test_acceptance_02_exhaustive_gf2():
     count = 0
     for n in (2, 3, 4):
         for a in all_matrices(n, 2):
-            cert = decompose_field_matrix(a)
+            cert = decompose(a)
             assert cert.verified
             count += 1
     elapsed = time.perf_counter() - start
@@ -86,7 +80,7 @@ def test_acceptance_03_randomized_composite_moduli():
         bound = n * max(e for _, e in ring.modulus.factors)
         worst = 0
         for _ in range(1000):
-            cert = decompose_zm(RingMatrix.random(n, ring, rng))
+            cert = decompose(RingMatrix.random(n, ring, rng))
             assert cert.verified
             assert cert.nilpotency_exponent <= bound
             worst = max(worst, cert.nilpotency_exponent)
@@ -218,7 +212,7 @@ def test_acceptance_10_lifting():
         p = ring.modulus.primes[0]
         for _ in range(250):
             n = int(rng.integers(1, 5))
-            base = decompose_field_matrix(RingMatrix.random(n, zm_ring(p), rng)).e
+            base = decompose(RingMatrix.random(n, zm_ring(p), rng)).e
             noise = RingMatrix.random(n, ring, rng)
             x = RingMatrix.from_rows(
                 (np.array(base.to_rows()) + p * np.array(noise.to_rows())).tolist(), ring
@@ -243,7 +237,7 @@ def test_acceptance_11_triangular_and_truncated():
     for m, d in ((2, 3), (3, 2)):
         ring = trunc_ring(m, d)
         for coeffs in itertools.product(range(m), repeat=d):
-            cert = decompose_trunc_poly_matrix(RingMatrix.from_rows([[list(coeffs)]], ring))
+            cert = decompose(RingMatrix.from_rows([[list(coeffs)]], ring))
             assert cert.verified
             count_x += 1
     rng = np.random.default_rng(1011)
@@ -251,7 +245,7 @@ def test_acceptance_11_triangular_and_truncated():
     count_r = 0
     for _ in range(200):
         n = int(rng.integers(1, 5))
-        cert = decompose_trunc_poly_matrix(RingMatrix.random(n, ring, rng))
+        cert = decompose(RingMatrix.random(n, ring, rng))
         assert cert.verified
         count_r += 1
     print(f"\nACCEPTANCE 11 PASS: T_2(Z_6) exhaustive ({count_t}), 1x1 truncated rings "
@@ -296,7 +290,7 @@ def test_acceptance_12_mutation_rejection(tmp_path, capsys):
     for m in (3, 6, 12, 36):
         ring = zm_ring(m)
         for _ in range(7):
-            base_pool.append(decompose_zm(RingMatrix.random(int(rng.integers(1, 4)), ring, rng)))
+            base_pool.append(decompose(RingMatrix.random(int(rng.integers(1, 4)), ring, rng)))
     rejected = 0
     targets = ("E", "F", "W", "A", "k")
     for mutation in range(100):

@@ -294,7 +294,7 @@ class TestOracleConstructionAgreement:
 
     @pytest.mark.parametrize("m", (2, 3, 4, 6))
     def test_matrix_rings_two_nil_clean_and_constructive(self, m):
-        from nilclean.decompose import decompose_zm
+        from nilclean.decompose import decompose
         from nilclean.matrix import RingMatrix, zm_ring
 
         ring = parse_ring_descriptor(f"M2(Z{m})")
@@ -302,10 +302,10 @@ class TestOracleConstructionAgreement:
         mat_ring = zm_ring(m)
         for entries in itertools.product(range(m), repeat=4):
             mat = RingMatrix(mat_ring, np.array(entries, dtype=np.int64).reshape(1, 2, 2))
-            assert decompose_zm(mat).verified
+            assert decompose(mat).verified
 
     def test_non_smooth_rings_fail_both_ways(self):
-        from nilclean.decompose import decompose_zm
+        from nilclean.decompose import decompose
         from nilclean.errors import UnsupportedRingError
         from nilclean.matrix import RingMatrix, zm_ring
 
@@ -313,7 +313,7 @@ class TestOracleConstructionAgreement:
             report = is_two_nil_clean(zm(m))
             assert not report.holds
             with pytest.raises(UnsupportedRingError):
-                decompose_zm(RingMatrix.identity(1, zm_ring(m)))
+                decompose(RingMatrix.identity(1, zm_ring(m)))
 
     def test_element_decompositions_agree_with_oracle(self):
         from nilclean.decompose import decompose_triangular

@@ -26,7 +26,7 @@ from nilclean.cli import (
     parse_matrix_ring,
     split_documents,
 )
-from nilclean.decompose import decompose_zm
+from nilclean.decompose import decompose
 from nilclean.errors import InputError
 from nilclean.matrix import CHECK_SUM, RingMatrix, verify_certificate, zm_ring
 
@@ -43,7 +43,7 @@ def run(capsys, monkeypatch, args, stdin=""):
 class TestDocuments:
     def test_certificate_roundtrip(self, rng):
         for m in (6, 12, 36):
-            cert = decompose_zm(RingMatrix.random(3, zm_ring(m), rng))
+            cert = decompose(RingMatrix.random(3, zm_ring(m), rng))
             doc = parse_document(certificate_to_doc(cert))
             rebuilt = certificate_from_doc(doc)
             assert rebuilt.a == cert.a and rebuilt.e == cert.e
@@ -224,11 +224,13 @@ OVERSIZED_RINGS = {
     "m20000-z7": ["classify", "M20000(Z7)", "tripotent"],
     "trunc-degree": ["classify", "Z7[x]/(x^100000000)", "two-nil-clean"],
     "pairwise": ["classify", "M200(Z2)", "generalized-2-like"],
+    # 2,048 elements, under the element cap, but 4,194,304 pairs to test
+    "pairwise-z2-11": ["classify", "x".join(["Z2"] * 11), "generalized-3-like"],
 }
 
 
 class TestOversizedRings:
-    """A ring far over the cap is refused before its size is built."""
+    """A ring over the cap is refused before its size is built."""
 
     @pytest.mark.parametrize("args", OVERSIZED_RINGS.values(), ids=OVERSIZED_RINGS.keys())
     def test_resource_exit_within_a_second(self, capsys, monkeypatch, args):
@@ -512,7 +514,7 @@ class TestRcfCommand:
 
 class TestVerifyCommand:
     def _certificate_text(self, rng, m=6, n=2):
-        cert = decompose_zm(RingMatrix.random(n, zm_ring(m), rng))
+        cert = decompose(RingMatrix.random(n, zm_ring(m), rng))
         return certificate_to_doc(cert)
 
     def test_fresh_certificate_passes(self, capsys, monkeypatch, rng):

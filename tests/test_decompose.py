@@ -1,5 +1,6 @@
 """The constructive decomposition pipeline, bottom templates to full rings."""
 
+import hashlib
 import importlib
 import itertools
 
@@ -9,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mat_mul_naive, nilpotency_naive_exact
+from nilclean.cli import certificate_to_doc
 from nilclean.decompose import (
     CaseTag,
+    _krylov_solve,
     decompose,
-    decompose_field_matrix,
-    decompose_prime_power,
     decompose_triangular,
-    decompose_trunc_poly_matrix,
     decompose_zm,
     lift_idempotent_matrix,
 )
@@ -35,8 +35,8 @@ def block_of(p, last_col):
 def split_block(p, last_col):
     """E, F, W and the case tag of the companion block with this last column.
     The Krylov form of a companion matrix is the matrix itself (Q = I), so
-    decompose_field_matrix returns the template's parts and one tag."""
-    cert = decompose_field_matrix(companion(block_of(p, last_col).poly))
+    decompose returns the template's parts and one tag."""
+    cert = decompose(companion(block_of(p, last_col).poly))
     (tag,) = cert.case_tags
     assert tag.endswith(f":n{len(last_col)}")
     return cert.e, cert.f, cert.w, CaseTag(tag.rsplit(":", 1)[0])
@@ -160,13 +160,13 @@ class TestCompanionGf2:
 
 class TestFieldMatrix:
     def test_zero_matrix(self):
-        cert = decompose_field_matrix(RingMatrix.zeros(3, zm_ring(3)))
+        cert = decompose(RingMatrix.zeros(3, zm_ring(3)))
         assert cert.e.is_zero() and cert.f.is_zero() and cert.w.is_zero()
         assert cert.nilpotency_exponent == 1
 
     def test_already_companion(self):
         a = RingMatrix.from_rows([[0, 1], [1, 0]], zm_ring(3))
-        cert = decompose_field_matrix(a)
+        cert = decompose(a)
         assert cert.e == RingMatrix.identity(2, zm_ring(3))
         assert cert.f.to_rows() == [[2, 1], [1, 2]]
         assert cert.w.is_zero()
@@ -176,13 +176,13 @@ class TestFieldMatrix:
         ring = zm_ring(p)
         for entries in itertools.product(range(p), repeat=n * n):
             a = RingMatrix(ring, np.array(entries, dtype=np.int64).reshape(1, n, n))
-            cert = decompose_field_matrix(a)  # verifies internally
+            cert = decompose(a)  # verifies internally
             assert cert.verified
             assert cert.nilpotency_exponent <= n
 
     def test_unsupported_field(self):
         with pytest.raises(UnsupportedRingError):
-            decompose_field_matrix(RingMatrix.identity(2, zm_ring(5)))
+            decompose(RingMatrix.identity(2, zm_ring(5)))
 
 
 def repeated_blocks_conjugate(p, n, deg, gen):
@@ -208,7 +208,7 @@ class TestKrylovPath:
         gen = np.random.default_rng(1000 * p + n)
         for deg in (1, 2, 4):
             a = repeated_blocks_conjugate(p, n, deg, gen)
-            cert = decompose_field_matrix(a)
+            cert = decompose(a)
             rows_a, e, f, w = (x.to_rows() for x in (a, cert.e, cert.f, cert.w))
             assert mat_mul_naive(e, e, p) == e
             assert mat_mul_naive(f, f, p) == f
@@ -246,15 +246,19 @@ class TestSelfCheckCount:
         return calls
 
     @pytest.mark.parametrize("call,ring", [
-        (decompose_field_matrix, zm_ring(3)),
-        (decompose_prime_power, zm_ring(9)),
-        (decompose_zm, zm_ring(72)),
-        (decompose_zm, zm_ring(6)),
+        (decompose, zm_ring(3)),
+        (decompose, zm_ring(9)),
+        (decompose, zm_ring(72)),
+        (decompose, zm_ring(6)),
         (decompose, trunc_ring(6, 3)),
-        (decompose_trunc_poly_matrix, trunc_ring(72, 2)),
+        (decompose, trunc_ring(72, 2)),
+        (decompose_triangular, zm_ring(72)),
     ])
     def test_one_check_per_public_call(self, checks, powerings, call, ring, rng):
-        cert = call(RingMatrix.random(6, ring, rng))
+        a = RingMatrix.random(6, ring, rng)
+        if call is decompose_triangular:
+            a.coeffs[0][np.tril_indices(6, k=-1)] = 0
+        cert = call(a)
         assert cert.verified
         assert checks == [cert]
         # one powering pass both finds W's exponent and proves it
@@ -292,7 +296,7 @@ class TestLiftMatrix:
         gen = np.random.default_rng(seed)
         ring = zm_ring(q)
         p = ring.modulus.primes[0]
-        base = decompose_field_matrix(
+        base = decompose(
             RingMatrix.random(n, zm_ring(p), gen)
         ).e  # a random-ish idempotent over GF(p)
         noise = RingMatrix.random(n, ring, gen)
@@ -305,47 +309,52 @@ class TestLiftMatrix:
 
 
 class TestPrimePower:
-    def test_degenerates_to_field(self):
-        a = RingMatrix.from_rows([[0, 1], [1, 0]], zm_ring(3))
-        assert decompose_prime_power(a).e == decompose_field_matrix(a).e
+    def test_degenerates_to_field(self, rng, monkeypatch):
+        # E and F are lifted exactly when m is not squarefree: a constant
+        # start point over squarefree m is already idempotent
+        module = importlib.import_module("nilclean.decompose")
+        lifted = []
+        monkeypatch.setattr(module, "lift_idempotent_matrix",
+                            lambda x: lifted.append(x.ring) or lift_idempotent_matrix(x))
+        for ring in (zm_ring(3), zm_ring(6), trunc_ring(6, 2), zm_ring(9), trunc_ring(36, 2)):
+            decompose(RingMatrix.random(3, ring, rng))
+        assert lifted == [zm_ring(9)] * 2 + [trunc_ring(36, 2)] * 2
 
     def test_doubled_identity(self):
-        cert = decompose_prime_power(RingMatrix.from_rows([[2, 0], [0, 2]], zm_ring(4)))
+        cert = decompose(RingMatrix.from_rows([[2, 0], [0, 2]], zm_ring(4)))
         assert cert.e.is_zero() and cert.f.is_zero()
         assert cert.w.to_rows() == [[2, 0], [0, 2]]
         assert cert.nilpotency_exponent == 2
 
     def test_scalar_three_mod_nine(self):
-        cert = decompose_prime_power(RingMatrix.from_rows([[3]], zm_ring(9)))
+        cert = decompose(RingMatrix.from_rows([[3]], zm_ring(9)))
         assert cert.e.is_zero() and cert.f.is_zero()
         assert cert.w.to_rows() == [[3]] and cert.nilpotency_exponent == 2
-
-    def test_rejects_composite(self):
-        with pytest.raises(InputError):
-            decompose_prime_power(RingMatrix.identity(2, zm_ring(6)))
-        with pytest.raises(UnsupportedRingError):
-            decompose_prime_power(RingMatrix.identity(2, zm_ring(25)))
 
 
 class TestZm:
     def test_prime_moduli_match_field_path(self, rng):
+        # over GF(p) the solver's split is returned as it is
         for p in (2, 3):
             a = RingMatrix.random(3, zm_ring(p), rng)
-            assert decompose_zm(a).e == decompose_field_matrix(a).e
+            e, f, tags = _krylov_solve(a)
+            cert = decompose(a)
+            assert (cert.e.coeffs[0] == e).all() and (cert.f.coeffs[0] == f).all()
+            assert cert.case_tags == tags
 
     def test_idempotent_scalar(self):
-        cert = decompose_zm(RingMatrix.from_rows([[4]], zm_ring(6)))
+        cert = decompose(RingMatrix.from_rows([[4]], zm_ring(6)))
         assert cert.e.to_rows() == [[4]]
         assert cert.f.is_zero() and cert.w.is_zero()
 
     def test_zero_matrix_zero_certificate(self):
-        cert = decompose_zm(RingMatrix.zeros(2, zm_ring(6)))
+        cert = decompose(RingMatrix.zeros(2, zm_ring(6)))
         assert cert.e.is_zero() and cert.f.is_zero() and cert.w.is_zero()
 
     def test_unsupported_moduli(self):
         for m in (5, 10, 35, 77):
             with pytest.raises(UnsupportedRingError):
-                decompose_zm(RingMatrix.identity(1, zm_ring(m)))
+                decompose(RingMatrix.identity(1, zm_ring(m)))
 
     def test_trunc_entries_rejected(self):
         with pytest.raises(InputError):
@@ -357,20 +366,20 @@ class TestZm:
         bound = ring.nilpotency_bound(n)
         for entries in itertools.product(range(m), repeat=n * n):
             a = RingMatrix(ring, np.array(entries, dtype=np.int64).reshape(1, n, n))
-            cert = decompose_zm(a)
+            cert = decompose(a)
             assert cert.verified and cert.nilpotency_exponent <= bound
 
     @given(st.sampled_from(SMOOTH), st.integers(1, 4), st.integers(0, 2**32))
     @settings(max_examples=80, deadline=None)
     def test_random_verified(self, m, n, seed):
         gen = np.random.default_rng(seed)
-        cert = decompose_zm(RingMatrix.random(n, zm_ring(m), gen))
+        cert = decompose(RingMatrix.random(n, zm_ring(m), gen))
         assert cert.verified
         assert cert.nilpotency_exponent <= cert.a.ring.nilpotency_bound(n)
 
     def test_deterministic(self, rng):
         a = RingMatrix.random(4, zm_ring(36), rng)
-        c1, c2 = decompose_zm(a), decompose_zm(a.copy())
+        c1, c2 = decompose(a), decompose(a.copy())
         assert c1.e == c2.e and c1.f == c2.f and c1.w == c2.w
         assert c1.case_tags == c2.case_tags
 
@@ -425,16 +434,16 @@ class TestTruncPolyMatrix:
     def test_degree_one_equals_zm(self, rng):
         a = RingMatrix.random(3, zm_ring(6), rng)
         lifted = RingMatrix(trunc_ring(6, 1), a.coeffs.copy())
-        assert decompose_trunc_poly_matrix(lifted).e == decompose_zm(a).e
+        assert decompose(lifted).e == decompose_zm(a).e
 
     def test_nilpotent_generator_stays_in_w(self):
-        cert = decompose_trunc_poly_matrix(RingMatrix.from_rows([[[0, 1, 0]]], trunc_ring(2, 3)))
+        cert = decompose(RingMatrix.from_rows([[[0, 1, 0]]], trunc_ring(2, 3)))
         assert cert.e.is_zero() and cert.f.is_zero()
         assert cert.w.to_rows() == [[[0, 1, 0]]]
         assert cert.nilpotency_exponent == 3
 
     def test_unit_plus_x(self):
-        cert = decompose_trunc_poly_matrix(RingMatrix.from_rows([[[1, 1]]], trunc_ring(3, 2)))
+        cert = decompose(RingMatrix.from_rows([[[1, 1]]], trunc_ring(3, 2)))
         assert cert.e.to_rows() == [[[1, 0]]]
         assert cert.f.is_zero()
         assert cert.w.to_rows() == [[[0, 1]]]
@@ -445,19 +454,19 @@ class TestTruncPolyMatrix:
             ring = trunc_ring(m, d)
             for coeffs in itertools.product(range(m), repeat=d):
                 a = RingMatrix.from_rows([[list(coeffs)]], ring)
-                cert = decompose_trunc_poly_matrix(a)
+                cert = decompose(a)
                 assert cert.verified
 
     @given(st.integers(1, 4), st.integers(0, 2**32))
     @settings(max_examples=40, deadline=None)
     def test_random_z6x2(self, n, seed):
         gen = np.random.default_rng(seed)
-        cert = decompose_trunc_poly_matrix(RingMatrix.random(n, trunc_ring(6, 2), gen))
+        cert = decompose(RingMatrix.random(n, trunc_ring(6, 2), gen))
         assert cert.verified
 
     def test_unsupported_base(self):
         with pytest.raises(UnsupportedRingError):
-            decompose_trunc_poly_matrix(RingMatrix.zeros(1, trunc_ring(5, 2)))
+            decompose(RingMatrix.zeros(1, trunc_ring(5, 2)))
 
 
 class TestDispatch:
@@ -466,3 +475,90 @@ class TestDispatch:
         assert decompose(a).verified
         b = RingMatrix.random(2, trunc_ring(6, 2), rng)
         assert decompose(b).verified
+
+
+# SHA-256 digests of certificate_to_doc over seeded matrices, recorded while
+# each prime power was solved and lifted on its own before the CRT: (m, d,
+# digest) per ring Z_m[x]/(x^d), over decompose(A) for each n in PINNED_SIZES
+# and, over plain Z_m, decompose_triangular of A's upper triangle.  Start
+# points congruent to the GF(p) solutions only mod p, not mod p^k (recombined
+# modulo the product of the primes), lift to other idempotents and change the
+# certificates wherever m has two primes and an exponent above 1.
+PINNED_SIZES = (1, 2, 3, 5, 8, 13, 21, 33)
+PINNED_CERTIFICATES = [
+    (2, 1, "9ee044b3d7cc027098c40f0ff9e4693c5b9cb74d11b34259f74c365a7fb6018c"),
+    (3, 1, "f0440bd5c0f2939945f72f4099403933d4c7e4242206f61c78ab3a529b8e6f63"),
+    (4, 1, "73712c1e5937226868c8e4cedeb0ac7c2b78d05c5cac7fcf185327717a02ffa4"),
+    (6, 1, "856a5cf087e3381ea6e6e0686c7731f9a138a7ad3c6a991fbf03753ded178573"),
+    (8, 1, "7569ad1b97a51d6a25f862de2dbdc0009e056ea1264a5eb16ea05ecef16a3d2d"),
+    (9, 1, "e379b59d922d521575419bd72bf12ca6bdcf17c99ec8a70b96fbf7e5aefaa5ef"),
+    (12, 1, "8755cc978242a75cd7eaacb621c95716011de4c245b2e9ac6f991d25dd265abf"),
+    (16, 1, "dff6dbf1a623e455b6234ebc1c65cc2c8611e0eed7321096d8c256ba90d27e95"),
+    (18, 1, "d4b9066df769cb89a24d028ffc351f3807d842575d0cc51327356ebfaad3290c"),
+    (24, 1, "ef9ec271e9d95e528ffd33401c98a7ed29c5b961e4191aa09dd4178474b9de2f"),
+    (27, 1, "c3d4b38175185ec5002b1da628b8169e4588ab744d9e89c7618a589d87ffc45d"),
+    (32, 1, "c4e2a8a8ef3cf65a92774c8213961425b8cb63221ef27e16a16927ac8fc68242"),
+    (36, 1, "b518c8bddc6d73a8cb2731d76457ecdf3580450fd38ee2a7ec1f007cee869ceb"),
+    (48, 1, "23824823b81e2e97b5751d5347ad6b6a78351f25b61aa79fa1f7b5e32bccbeb4"),
+    (54, 1, "45c8bfec10bff58aa6bd24cc3619b1c7f8afdcb064e20d58a572c2895548f846"),
+    (64, 1, "2e163de926ed702b0c519766d44c7021ea07074f058f81d1c17f0615068ad078"),
+    (72, 1, "6465368ef0553b479a9b7b8d26ff0516e4c9eda48cd3bd167aa0cca99eddaf10"),
+    (81, 1, "a6dd2890b3d2540e7c353010d62969fa489bf4c800ad2a77d53944d7618f8bdb"),
+    (96, 1, "77954975ef855a949274d88e8a5cee678ae7941c20152875303d7a57d38c0236"),
+    (108, 1, "d6f4ea6949bc460bdeafca53761d13f759e0cf7b57146418da8dd7da74924f8a"),
+    (128, 1, "ffc254d5feea2c38d6002a6f2fd2c7e354e9ea8edc6284f66e6545ff1f1599da"),
+    (144, 1, "ef26d1d626bbb936dc9033b5ab9c4981b1135c98006a17774f95ee4ae0ae806d"),
+    (162, 1, "f0794430c03bdc490e2b87ac6b209a8bcc7dcd19b8ef3b908c8e17e32440b193"),
+    (192, 1, "4de6c390968f3dcfac848b2bf12898e7073ea460082c5afbf4ac46343efff3b1"),
+    (2**31, 1, "299bff0ce288478929317279d6aaface2dcada9ee711c5f2258cba9afe3f941e"),
+    (3**19, 1, "76b1bd47e3754aa6b33d7d3e1d7b1b8b8b006c46c3759eabf96143fed64cf918"),
+    (2**17 * 3**8, 1, "e87e718bf5299094734fcf10f3efbd7878184b34b7b0b1f576c255db33ce0921"),
+    (2, 2, "1da9b9b9786b3c6776ef632d20b6787a80353d01f4d6b85e8ed168ca6dbaccfb"),
+    (2, 3, "cc229e83e60ed0ecfc10bdc0a55e2c4db99fe387a68bec493c484a547afb100e"),
+    (2, 5, "b4dd05c2282927583c6e4e6a1c844bf59c48a616db80aae73ba3b3dd40f88b52"),
+    (3, 2, "7ad4eb83f983f5eb22aa420a62372c9f4d9f5f5f120d56cabfcd6fe46e6c185a"),
+    (3, 3, "10ee3734bfdccefe72a417cb96ed1957d64c5fdd635b6f6955d77a938b699dd4"),
+    (3, 5, "5fbd18e0a2621e1874f8131680a220addd3ebeebe6e9b1598333598e28051f81"),
+    (4, 2, "6e9a78af2354810c967389f22ee295115bbfbdaf44fe9672a87a7fe2f9bd2132"),
+    (4, 3, "1d4444d5d6a9dfe8dcce6bc9275caa4d21839c03cc5fe1baa9feb0f1e0d16e39"),
+    (4, 5, "1959f12fc1dc6e33759852cc130c2d230961049d399eaf7c55192402d24c70b5"),
+    (6, 2, "d2d7998c39eb410b23555bd31e82b4cd0eadfd0ad93b48aa6391d608b062b8cc"),
+    (6, 3, "6fb9ba253a6d77e186180f9f3291a87c0aaf8111aaef8146c30b61780c52d754"),
+    (6, 5, "ede9164b748794f29361c4ead0d9a92e56ed3364a77868a7d4cc4b6ebb9bd92c"),
+    (8, 2, "df59915bae3c813afbbc3ba5bc1ca2826dded830e93b3cf0379bb96a00a26c8a"),
+    (8, 3, "7720c0a5db20db980822423bbdeebfbe74c72c32d6d41ccc0ceac096b06de8ce"),
+    (8, 5, "00d2e7658ebbe4f0d0b672d034e35262c6a3ffc466420a881d7a32d0a2bdb673"),
+    (9, 2, "70a748bf1d6415c5c49aec0241bc2a658b620e675db24c100d65036ebf22c633"),
+    (9, 3, "37c80789dae2fe2d6126db81731b582a9cc6eeef1a5bd154a3c5511088d1a5d4"),
+    (9, 5, "0fc14858cde8c8baca633aa4cbbe673eafa0b58c7cae71379a4c7f8d6ecd5e83"),
+    (12, 2, "b195d3a4cd1fd11274f1d58c3923757ac395f0f06f16a9b8e77478a2d3f39ef5"),
+    (12, 3, "72528372e0015837a88479ef7c86aa28c26264f27f195d905f1237eb5da1b31b"),
+    (12, 5, "7244a7ba7c2b535ac3b2fce2f453e7f9cb3f5597ded09866ea87c8555b4ec5cd"),
+    (36, 2, "092912894a20881703b3cd426e67eff20386b3645de2028ac66bd1d253f46802"),
+    (36, 3, "014948b74b25e70037ba7235519723469d86aaef829fa64144aa01ea1c768d93"),
+    (36, 5, "1c651b0e98c6bc41dd71bab9478a14abb39805c2ffc358916d6f71e8e6e0b188"),
+    (72, 2, "98a131f92f2fcf3b4770cb6c0f2d6d6d889ca531ba636dd1e3f29cb121cd214d"),
+    (72, 3, "5d14513a6f440023627fc60d7ab37630a33d3b2a8f8bf2d2c5a5e8505eb60a2b"),
+    (72, 5, "1415d804a90e2d0aebf01b43ed30c698b7c7ec9efc77ae312b528f0cac4543a2"),
+]
+
+
+class TestPinnedCertificates:
+    """decompose and decompose_triangular are bit-for-bit the pinned ones on
+    every 2-3-smooth m <= 200, three object-dtype moduli and nine
+    coefficient rings Z_m[x]/(x^d)."""
+
+    @pytest.mark.parametrize("m,d,digest", PINNED_CERTIFICATES,
+                             ids=[f"m{m}-d{d}" for m, d, _ in PINNED_CERTIFICATES])
+    def test_digests(self, m, d, digest):
+        ring = trunc_ring(m, d)
+        rng = np.random.default_rng([m, d])
+        h = hashlib.sha256()
+        for n in PINNED_SIZES:
+            a = RingMatrix.random(n, ring, rng)
+            h.update(certificate_to_doc(decompose(a)).encode())
+            if d == 1:
+                t = a.copy()
+                t.coeffs[0][np.tril_indices(n, k=-1)] = 0
+                h.update(certificate_to_doc(decompose_triangular(t)).encode())
+        assert h.hexdigest() == digest

@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 
 from nilclean.decompose import decompose_triangular, lift_idempotent_matrix
 from nilclean.errors import DomainError, InputError, UnsupportedRingError
-from nilclean.matrix import (
-    RingMatrix,
-    matrix_crt_recombine,
-    matrix_crt_split,
-    trunc_ring,
-    zm_ring,
-)
+from nilclean.matrix import RingMatrix, trunc_ring, zm_ring
 from nilclean.residue import (
     Modulus,
     factorize,
@@ -84,40 +78,37 @@ class TestSmoothness:
         assert listed == [m for m in range(2, 201) if is_two_three_smooth(factorize(m))]
 
 
+def crt_roundtrip(a, m):
+    """a mod each prime power of m, recombined through the CRT idempotents."""
+    modulus = factorize(m)
+    return sum(c * (a % p**e) for (p, e), c in zip(modulus.factors, modulus.crt_basis())) % m
+
+
 class TestCrt:
     def test_examples(self):
-        a, b = matrix_crt_split(elem(7, 12), factorize(4), factorize(3))
-        assert (value(a), value(b)) == (3, 1)
-        z = matrix_crt_split(elem(0, 6), factorize(2), factorize(3))
-        assert (value(z[0]), value(z[1])) == (0, 0)
-        back = matrix_crt_recombine(elem(3, 4), elem(1, 3))
-        assert value(back) == 7 and back.ring.m == 12
+        assert factorize(12).crt_basis() == (9, 4)
+        assert factorize(72).crt_basis() == (9, 64)
+        assert factorize(8).crt_basis() == (1,)
+        assert crt_roundtrip(7, 12) == 7 and crt_roundtrip(0, 6) == 0
 
-    def test_non_coprime_rejected(self):
-        with pytest.raises(InputError):
-            matrix_crt_split(elem(1, 12), factorize(6), factorize(2))
-        with pytest.raises(InputError):
-            matrix_crt_recombine(elem(1, 6), elem(1, 4))
+    def test_orthogonal_idempotents(self):
+        # c_q c_r = 0 for q != r, c_q^2 = c_q, and the c_q sum to 1, mod m
+        for m in range(2, 201):
+            basis = factorize(m).crt_basis()
+            assert sum(basis) % m == 1 % m
+            for i, x in enumerate(basis):
+                for j, y in enumerate(basis):
+                    assert x * y % m == (x if i == j else 0)
 
     def test_roundtrip_exhaustive_small(self):
-        # all coprime splits of all m <= 200, all residues
-        for m in range(4, 201):
-            for d in range(2, m):
-                if m % d or math.gcd(d, m // d) != 1:
-                    continue
-                m1, m2 = factorize(d), factorize(m // d)
-                for a in range(m):
-                    x, y = matrix_crt_split(elem(a, m), m1, m2)
-                    assert value(matrix_crt_recombine(x, y)) == a
+        # every residue of every m <= 200
+        for m in range(2, 201):
+            for a in range(m):
+                assert crt_roundtrip(a, m) == a
 
-    @given(st.integers(min_value=2, max_value=2**15), st.integers(min_value=2, max_value=2**15),
-           st.integers(min_value=0, max_value=2**30))
-    def test_roundtrip_random(self, m1, m2, a):
-        if math.gcd(m1, m2) != 1:
-            return
-        m = m1 * m2
-        x, y = matrix_crt_split(elem(a, m), factorize(m1), factorize(m2))
-        assert value(matrix_crt_recombine(x, y)) == a % m
+    @given(st.integers(min_value=2, max_value=2**31), st.integers(min_value=0, max_value=2**31))
+    def test_roundtrip_random(self, m, a):
+        assert crt_roundtrip(a, m) == a % m
 
 
 class TestClassify:
