@@ -8,6 +8,7 @@ package's own predicates against each other.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,22 +133,100 @@ def rank_naive(rows, p):
     return rank
 
 
+# --- naive reference arithmetic of the classifier's rings, on tuples --------
+# An element is a tuple with one value per factor: a residue for Z_m, a flat
+# row-major tuple for M_n(Z_m) (a factor with ``n``), a coefficient tuple for
+# Z_m[x]/(x^d) (a factor with ``d``).  Elements are listed mixed-radix with
+# the last factor fastest, one element at a time, with no batching.
+
+class NaiveRing:
+    """Per-element tuple arithmetic over a ring descriptor's factors."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    @staticmethod
+    def _digits(f):
+        return f.n * f.n if hasattr(f, "n") else f.d if hasattr(f, "d") else None
+
+    def elements(self):
+        return itertools.product(*[
+            range(f.m) if self._digits(f) is None
+            else itertools.product(range(f.m), repeat=self._digits(f))
+            for f in self.ring.factors])
+
+    def _map(self, op, *xs):
+        out = []
+        for f, *vals in zip(self.ring.factors, *xs):
+            if self._digits(f) is None:
+                out.append(op(*vals) % f.m)
+            else:
+                out.append(tuple(op(*v) % f.m for v in zip(*vals)))
+        return tuple(out)
+
+    def add(self, a, b):
+        return self._map(lambda x, y: x + y, a, b)
+
+    def neg(self, a):
+        return self._map(lambda x: -x, a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        out = []
+        for f, x, y in zip(self.ring.factors, a, b):
+            m = f.m
+            if hasattr(f, "n"):
+                n = f.n
+                out.append(tuple(sum(x[i * n + k] * y[k * n + j] for k in range(n)) % m
+                                 for i in range(n) for j in range(n)))
+            elif hasattr(f, "d"):
+                out.append(tuple(sum(x[i] * y[k - i] for i in range(k + 1)) % m
+                                 for k in range(f.d)))
+            else:
+                out.append(x * y % m)
+        return tuple(out)
+
+    def commutes(self, a, b):
+        return self.mul(a, b) == self.mul(b, a)
+
+    @property
+    def zero(self):
+        return self._map(lambda x: 0, self.one)
+
+    @property
+    def one(self):
+        out = []
+        for f in self.ring.factors:
+            if hasattr(f, "n"):
+                out.append(tuple(1 % f.m if i == j else 0 for i in range(f.n) for j in range(f.n)))
+            elif hasattr(f, "d"):
+                out.append((1 % f.m,) + (0,) * (f.d - 1))
+            else:
+                out.append(1 % f.m)
+        return tuple(out)
+
+    def nilpotency_exponent(self, a, bound):
+        """Minimal k <= bound with a^k = 0, else None."""
+        power = a
+        for k in range(1, bound + 1):
+            if power == self.zero:
+                return k
+            power = self.mul(power, a)
+        return None
+
+
 # --- full-sumset references for the classifier's sum predicates ----------
 # The oracle's earlier algorithm: materialise every sum, then scan the ring
 # for a missing element.  Each returns (holds, witness_element,
 # witness_parts, counterexample) for a ring descriptor, using only the
-# ring's own add/neg/mul and element order.
+# naive arithmetic above and its element order.
 
 def _naive_idempotents_nilpotents(ring):
     idem = [a for a in ring.elements() if ring.mul(a, a) == a]
-    nil = []
-    for a in ring.elements():
-        power = a
-        for _ in range(ring.nilpotency_bound()):
-            if power == ring.zero:
-                nil.append(a)
-                break
-            power = ring.mul(power, a)
+    bound = ring.ring.nilpotency_bound()
+    nil = [a for a in ring.elements() if ring.nilpotency_exponent(a, bound) is not None]
     return idem, nil
 
 
@@ -168,18 +247,21 @@ def _naive_verdict(ring, reach):
     return True, ring.one, reach[ring.one], None
 
 
-def naive_two_nil_clean(ring):
+def naive_two_nil_clean(descriptor):
+    ring = NaiveRing(descriptor)
     idem, nil = _naive_idempotents_nilpotents(ring)
     sums = _naive_sum_reach(ring, [(e, f) for e in idem for f in idem])
     return _naive_verdict(ring, _naive_sum_reach(ring, [s + (w,) for s in sums.values() for w in nil]))
 
 
-def naive_nil_clean(ring):
+def naive_nil_clean(descriptor):
+    ring = NaiveRing(descriptor)
     idem, nil = _naive_idempotents_nilpotents(ring)
     return _naive_verdict(ring, _naive_sum_reach(ring, [(e, w) for e in idem for w in nil]))
 
 
-def naive_weakly_nil_clean(ring):
+def naive_weakly_nil_clean(descriptor):
+    ring = NaiveRing(descriptor)
     idem, nil = _naive_idempotents_nilpotents(ring)
     reach = {}
     for e in idem:

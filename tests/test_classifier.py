@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    NaiveRing,
     check_not_strongly_matrix_witness,
     implication_audit,
     naive_nil_clean,
@@ -21,6 +22,7 @@ from nilclean.classifier import (
     RingDescriptor,
     TruncFactor,
     ZmFactor,
+    decide,
     enumerate_idempotents,
     enumerate_nilpotents,
     is_generalized_n_like,
@@ -420,3 +422,42 @@ class TestPinnedReports:
             h.update(json.dumps([name, text, report.holds, report.witness_element,
                                  report.witness_parts, report.counterexample]).encode())
         assert h.hexdigest() == digest
+
+
+# Survey-sized rings over the 3,000 elements of the rows above, recorded the
+# same way from the per-element tuple arithmetic before index batches
+# replaced it
+PINNED_SURVEY_REPORTS = [
+    ("two-nil-clean", ("M2(Z8)", "M2(Z9)", "M3(Z3)"),
+     "0dd16226f32c4a41be2e9c82acec08f0dad64f023c0ecf045697f170ba9350d7"),
+    ("strongly-two-nil-clean", ("M2(Z6)",),
+     "164465b5eaa1a4169f0c4d81bc0e3727a4615bf039aadf2a9999f196772717f7"),
+    ("generalized-3-like", ("Z3xZ3xZ3xZ3xZ3xZ3",),
+     "37b679a1fd1c8a135a55128a746cc52b4bd05cf43f92618d138badae9c6ea006"),
+]
+
+# SHA-256 over (k, element, index) for every element of Z2xZ4x...xZ2^k
+PINNED_MIN_INDEX = "aa417f91c716ab407f7792d19d902cf425c8eef19110ab113ff16b32c82d7534"
+
+
+class TestPinnedSurveyReports:
+    """The survey-sized reports, and the minimal nilpotency indices that
+    demo-obstruction prints, are bit-for-bit those of the tuple arithmetic."""
+
+    @pytest.mark.parametrize("name,rings,digest", PINNED_SURVEY_REPORTS,
+                             ids=[row[0] for row in PINNED_SURVEY_REPORTS])
+    def test_digest(self, name, rings, digest):
+        h = hashlib.sha256()
+        for text in rings:
+            report = decide(name, parse_ring_descriptor(text))
+            h.update(json.dumps([name, text, report.holds, report.witness_element,
+                                 report.witness_parts, report.counterexample]).encode())
+        assert h.hexdigest() == digest
+
+    def test_min_index_on_every_chain_element(self):
+        h = hashlib.sha256()
+        for k in range(1, 5):
+            ring = chain_ring(k)
+            for a in NaiveRing(ring).elements():
+                h.update(json.dumps([k, a, min_nilpotent_index_over_decompositions(ring, a)]).encode())
+        assert h.hexdigest() == PINNED_MIN_INDEX
