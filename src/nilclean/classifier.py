@@ -1,27 +1,32 @@
 """Brute-force oracle for ring properties of small finite rings.
 
-Everything here decides properties by exhaustive enumeration over explicit
-element tuples, with its own tiny arithmetic, independent of the constructive
-decomposition modules: agreement between the two paths is evidence, not
-circularity.  Rings are finite products of Z_m, M_n(Z_m) and Z_m[x]/(x^d)
-factors; elements are tuples with one component value per factor (residue,
-flat row-major matrix tuple, coefficient tuple).  Iteration order is
-mixed-radix with the last factor fastest, so witnesses are deterministic.
+Everything here decides properties by exhaustive enumeration, with its own
+tiny arithmetic, independent of the constructive decomposition modules:
+agreement between the two paths is evidence, not circularity.  Rings are
+finite products of Z_m, M_n(Z_m) and Z_m[x]/(x^d) factors.  An element is its
+index in mixed-radix order over the factors' digits (residue, flat row-major
+matrix, coefficients), last digit fastest, so witnesses are deterministic;
+reports decode it to a tuple with one value (a residue or a flat tuple) per
+factor.  The arithmetic works on numpy batches of digit columns, and every
+search meets its candidates about BATCH rows at a time, stopping at the first
+batch that settles it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
+import numpy as np
+
 from .errors import InputError, ResourceCapError
 from .residue import factorize
 
 UNIVERSAL_SCAN_CAP = 10**6
+BATCH = 2**14  # candidate rows per batch
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +35,7 @@ UNIVERSAL_SCAN_CAP = 10**6
 
 @dataclass(frozen=True)
 class ZmFactor:
-    """The ring Z_m; component values are canonical residues."""
+    """The ring Z_m; a component value is a canonical residue."""
 
     m: int
 
@@ -39,22 +44,7 @@ class ZmFactor:
             raise InputError("Z_m factor needs m >= 2")
 
     digits = 1  # an element is one base-m digit
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.m))
-
-    def add(self, a, b):
-        return (a + b) % self.m
-
-    def neg(self, a):
-        return -a % self.m
-
-    def mul(self, a, b):
-        return (a * b) % self.m
-
-    @property
-    def zero(self):
-        return 0
+    mul = None  # multiplied columnwise by the ring
 
     @property
     def one(self):
@@ -67,28 +57,8 @@ class ZmFactor:
         return f"Z{self.m}"
 
 
-class _TupleFactor:
-    """Elements, addition and zero of a factor whose values are tuples of
-    ``digits`` residues mod m."""
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(range(self.m), repeat=self.digits)
-
-    def add(self, a, b):
-        m = self.m
-        return tuple((x + y) % m for x, y in zip(a, b))
-
-    def neg(self, a):
-        m = self.m
-        return tuple(-x % m for x in a)
-
-    @property
-    def zero(self):
-        return (0,) * self.digits
-
-
 @dataclass(frozen=True)
-class MatFactor(_TupleFactor):
+class MatFactor:
     """The ring M_n(Z_m); component values are flat row-major tuples."""
 
     n: int
@@ -102,14 +72,11 @@ class MatFactor(_TupleFactor):
     def digits(self) -> int:
         return self.n * self.n
 
-    def mul(self, a, b):
-        n, m = self.n, self.m
-        out = []
-        for i in range(n):
-            row = a[i * n : (i + 1) * n]
-            for j in range(n):
-                out.append(sum(row[k] * b[k * n + j] for k in range(n)) % m)
-        return tuple(out)
+    def mul(self, x, y):
+        """Unreduced products of broadcast batches of flat matrices."""
+        square = (self.n, self.n)
+        product = np.matmul(x.reshape(x.shape[:-1] + square), y.reshape(y.shape[:-1] + square))
+        return product.reshape(product.shape[:-2] + (-1,))
 
     @property
     def one(self):
@@ -124,7 +91,7 @@ class MatFactor(_TupleFactor):
 
 
 @dataclass(frozen=True)
-class TruncFactor(_TupleFactor):
+class TruncFactor:
     """The ring Z_m[x]/(x^d); component values are coefficient tuples."""
 
     m: int
@@ -138,14 +105,12 @@ class TruncFactor(_TupleFactor):
     def digits(self) -> int:
         return self.d
 
-    def mul(self, a, b):
-        m, d = self.m, self.d
-        out = [0] * d
-        for i, x in enumerate(a):
-            if x:
-                for j in range(d - i):
-                    out[i + j] = (out[i + j] + x * b[j]) % m
-        return tuple(out)
+    def mul(self, x, y):
+        """Unreduced truncated convolutions of broadcast batches of coefficients."""
+        out = x[..., :1] * y
+        for i in range(1, self.d):
+            out[..., i:] += x[..., i:i + 1] * y[..., :self.d - i]
+        return out
 
     @property
     def one(self):
@@ -163,7 +128,9 @@ Factor = ZmFactor | MatFactor | TruncFactor
 
 @dataclass(frozen=True)
 class RingDescriptor:
-    """A finite product of supported factors."""
+    """A finite product of supported factors, with arithmetic on digit arrays
+    of shape (..., D) under numpy broadcasting: sums digitwise mod m, products
+    per factor (the Z_m product, a batched matmul, a truncated convolution)."""
 
     factors: tuple[Factor, ...]
 
@@ -171,35 +138,71 @@ class RingDescriptor:
         if not self.factors:
             raise InputError("ring descriptor needs at least one factor")
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return math.prod(f.m**f.digits for f in self.factors)
 
-    def elements(self) -> Iterator[tuple]:
-        return itertools.product(*[f.elements() for f in self.factors])
+    @functools.cached_property
+    def _layout(self):
+        """Each digit column's modulus, in the narrowest dtype holding every
+        unreduced product, and the columns of factors with their own product."""
+        _check_cap(self)
+        dtype = np.min_scalar_type(-max(f.digits * (f.m - 1) ** 2 for f in self.factors) - 1)
+        moduli = [f.m for f in self.factors for _ in range(f.digits)]
+        starts = [sum(f.digits for f in self.factors[:i]) for i in range(len(self.factors))]
+        return np.array(moduli, dtype), moduli, [
+            (slice(s, s + f.digits), f.mul) for f, s in zip(self.factors, starts) if f.mul]
 
-    def add(self, a, b):
-        return tuple(f.add(x, y) for f, x, y in zip(self.factors, a, b))
+    def digits(self, indices) -> np.ndarray:
+        radix, moduli, _ = self._layout
+        q, out = np.asarray(indices, np.int64), np.empty(np.shape(indices) + radix.shape, radix.dtype)
+        for j in range(len(moduli) - 1, -1, -1):
+            q, out[..., j] = np.divmod(q, moduli[j])
+        return out
 
-    def sub(self, a, b):
-        return tuple(f.add(x, f.neg(y)) for f, x, y in zip(self.factors, a, b))
+    def indices(self, digits) -> np.ndarray:
+        out = digits[..., 0].astype(np.int64)
+        for j, m in enumerate(self._layout[1][1:], 1):
+            out *= m
+            out += digits[..., j]
+        return out
 
-    def neg(self, a):
-        return tuple(f.neg(x) for f, x in zip(self.factors, a))
+    def add(self, x, y):
+        return (x + y) % self._layout[0]
 
-    def mul(self, a, b):
-        return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
+    def sub(self, x, y):
+        return (x - y) % self._layout[0]
+
+    def mul(self, x, y):
+        radix, _, blocks = self._layout
+        out = x * y
+        for columns, mul in blocks:
+            out[..., columns] = mul(x[..., columns], y[..., columns])
+        out %= radix
+        return out
+
+    def element(self, index: int) -> tuple:
+        """The element tuple at an index."""
+        digits, out = self.digits(index).tolist(), []
+        for f in self.factors:
+            part, digits = digits[:f.digits], digits[f.digits:]
+            out.append(part[0] if isinstance(f, ZmFactor) else tuple(part))
+        return tuple(out)
+
+    def index(self, element) -> Optional[int]:
+        """The index of a canonical element tuple (Python ints in range, a
+        flat tuple for each matrix or polynomial factor), else None."""
+        flat = [d for part in element for d in (part if type(part) is tuple else (part,))] \
+            if type(element) is tuple else []
+        radix = self._layout[1]
+        if len(flat) != len(radix) or any(type(d) is not int or not 0 <= d < m for d, m in zip(flat, radix)):
+            return None
+        index = int(self.indices(np.array(flat)))
+        return index if self.element(index) == element else None
 
     @property
-    def zero(self):
-        return tuple(f.zero for f in self.factors)
-
-    @property
-    def one(self):
+    def one(self) -> tuple:
         return tuple(f.one for f in self.factors)
-
-    def commutes(self, a, b) -> bool:
-        return self.mul(a, b) == self.mul(b, a)
 
     def nilpotency_bound(self) -> int:
         return max(f.nilpotency_bound() for f in self.factors)
@@ -259,23 +262,27 @@ class PropertyReport:
         """Re-derive the verdict from the stored evidence and the property's
         table entry: a counterexample must have no passing candidate split,
         and the witness parts must be a passing candidate split of the
-        witness element.  A positive report of an identity (tripotent,
-        two-boolean, generalized-<n>-like) carries no evidence and replays
-        True; a report of an unknown property, or any other report without
-        its evidence, replays False."""
+        witness element.  A positive report of an identity carries no
+        evidence and replays True; any other report replays False unless its
+        property is known and its evidence made of canonical elements."""
         try:
             prop = lookup(self.property)
-        except InputError:
+            _check_cap(self.ring, prop.pairwise)
+        except (InputError, ResourceCapError):
             return False
-        scan = _Scan(self.ring)
-        if not self.holds:
-            return self.counterexample is not None and not prop.holds_at(scan, self.counterexample)
+        ring, scan = self.ring, _Scan(self.ring)
+        if not self.holds:  # an element, or a pair (a, b) of elements at index a|R| + b
+            parts = self.counterexample if prop.pairwise else (self.counterexample,)
+            q = [ring.index(x) for x in parts] if type(parts) is tuple else []
+            return len(q) == 1 + prop.pairwise and None not in q and _walk(
+                [np.array([functools.reduce(lambda i, j: i * ring.size + j, q)])],
+                prop.count(scan), functools.partial(prop.meets, scan)) is not None
         if prop.splits is None:
             return True
-        return self.witness_element is not None and any(
-            split == self.witness_parts and prop.test(scan, split)
-            for split in prop.candidates(scan, self.witness_element)
-        )
+        a, given = ring.index(self.witness_element), self.witness_parts
+        return a is not None and type(given) is tuple and all(
+            type(x) is int if type(x) is not tuple else ring.index(x) is not None for x in given
+        ) and given in _passing_splits(scan, prop, a)
 
 
 def _check_cap(ring: RingDescriptor, pairwise: bool = False) -> None:
@@ -294,74 +301,75 @@ def _check_cap(ring: RingDescriptor, pairwise: bool = False) -> None:
                 )
 
 
-def _nilpotency_exponents(ring: RingDescriptor):
-    """The map a -> minimal k with a^k = 0 (by direct powering) or None, with
-    the ring's zero and nilpotency bound computed once, not per element."""
-    zero, bound, mul = ring.zero, ring.nilpotency_bound(), ring.mul
-
-    def exponent(a) -> Optional[int]:
-        if a == zero:
-            return 1
-        power = a
-        for k in range(2, bound + 1):
-            power = mul(power, a)
-            if power == zero:
-                return k
-        return None
-
-    return exponent
+def _blocks(count: int, first: int = BATCH) -> Iterator[np.ndarray]:
+    """range(count) in consecutive arrays, of length ``first`` doubling up to BATCH."""
+    start, step = 0, first
+    while start < count:
+        yield np.arange(start, min(count, start + step))
+        start, step = start + step, min(BATCH, 2 * step)
 
 
-def enumerate_idempotents(ring: RingDescriptor) -> list[tuple]:
-    """All e with e*e = e, in iteration order."""
+def _exponents(ring: RingDescriptor, x) -> np.ndarray:
+    """For each element of the digit array x, the minimal k with x^k = 0: one
+    more than its nonzero powers up to the nilpotency bound; 0 if all are nonzero."""
+    nonzero, power, bound = np.zeros(x.shape[:-1], np.int64), x, ring.nilpotency_bound()
+    for k in range(bound):
+        nonzero += power.any(axis=-1)
+        power = ring.mul(power, x) if k + 1 < bound else power
+    return np.where(nonzero < bound, nonzero + 1, 0)
+
+
+def _select(ring: RingDescriptor, holds: Callable) -> np.ndarray:
+    """The indices, in iteration order, of the elements whose digits x have holds(x)."""
     _check_cap(ring)
-    return [a for a in ring.elements() if ring.mul(a, a) == a]
+    return np.concatenate([q[holds(ring.digits(q))] for q in _blocks(ring.size)])
 
 
-def enumerate_nilpotents(ring: RingDescriptor) -> list[tuple[tuple, int]]:
-    """All nilpotent elements with their minimal exponents, in iteration order."""
-    _check_cap(ring)
-    exponent = _nilpotency_exponents(ring)
-    return [(a, k) for a in ring.elements() if (k := exponent(a)) is not None]
+def enumerate_idempotents(ring: RingDescriptor) -> np.ndarray:
+    """The indices of all e with e*e = e, in iteration order."""
+    return _select(ring, lambda x: (ring.mul(x, x) == x).all(axis=-1))
 
 
+def enumerate_nilpotents(ring: RingDescriptor) -> np.ndarray:
+    """The indices of all nilpotent elements, in iteration order."""
+    return _select(ring, lambda x: _exponents(ring, x) > 0)
+
+
+def _tripotent(ring: RingDescriptor, t) -> np.ndarray:
+    return (ring.mul(ring.mul(t, t), t) == t).all(axis=-1)
+
+
+def _commutes(ring: RingDescriptor, x, y) -> np.ndarray:
+    return (ring.mul(x, y) == ring.mul(y, x)).all(axis=-1)
+
+
+@dataclass
 class _Scan:
     """The enumerations of one ring that the property tests read, each made
     on first use and at most once."""
 
-    def __init__(self, ring: RingDescriptor):
-        self.ring = ring
-        self._powers: dict = {}
+    ring: RingDescriptor
 
     @functools.cached_property
-    def idem(self) -> list:
-        return enumerate_idempotents(self.ring)
+    def idem(self) -> np.ndarray:
+        return self.ring.digits(enumerate_idempotents(self.ring))
 
     @functools.cached_property
-    def nil(self) -> list:
-        return [a for a, _ in enumerate_nilpotents(self.ring)]
+    def nil(self) -> np.ndarray:
+        return self.ring.digits(enumerate_nilpotents(self.ring))
 
     @functools.cached_property
-    def nil_set(self) -> set:
-        return set(self.nil)
+    def commuting(self) -> np.ndarray:
+        """The numbers i|I| + j of the pairs of idempotents I[i], I[j] that commute."""
+        e, n = self.idem, len(self.idem)
+        return np.concatenate([k[_commutes(self.ring, e[k // n], e[k % n])] for k in _blocks(n * n)])
 
     @functools.cached_property
-    def trip_set(self) -> set:
-        ring = self.ring
-        return {t for t in ring.elements() if ring.mul(ring.mul(t, t), t) == t}
-
-    def power(self, x, k: int):
-        """x^k by square-and-multiply (O(log k) products, so huge k stay
-        cheap), remembered per (x, k)."""
-        if (x, k) not in self._powers:
-            ring, base, out, e = self.ring, x, self.ring.one, k
-            while e:
-                if e & 1:
-                    out = ring.mul(out, base)
-                base = ring.mul(base, base)
-                e >>= 1
-            self._powers[x, k] = out
-        return self._powers[x, k]
+    def nilpotent(self) -> Callable:
+        """Which of the elements with digits x are nilpotent, by lookup in a mask."""
+        mask = np.zeros(self.ring.size, bool)
+        mask[self.ring.indices(self.nil)] = True
+        return lambda x: mask[self.ring.indices(x)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,90 +379,95 @@ class _Scan:
 @dataclass(frozen=True)
 class Property:
     """A ring property that holds at an element when one of the element's
-    candidate splits passes the test.  ``splits`` gives them in witness order;
-    None makes an identity, whose one candidate is the element itself and
-    whose positive reports carry no witness.  ``addends`` gives two lists
-    whose sums are the elements that hold, for the early-exit search."""
+    candidate splits passes the test.  ``splits(scan, a, k)`` gives splits
+    number k (in witness order, ``count`` in all) of elements with digits a
+    of shape (p, 1, D), as digit arrays broadcasting to (p, len(k), D) and an
+    int array for a sign.  None makes an identity: its one candidate is the
+    element (or pair) itself, and positive reports carry no witness."""
 
     name: str
-    splits: Optional[Callable]  # (scan, a) -> candidate splits of a
-    test: Callable  # (scan, split) -> bool
-    addends: Optional[Callable] = None  # scan -> (xs, ys)
+    splits: Optional[Callable]  # (scan, a, k) -> parts
+    test: Callable  # (scan, parts) -> bool array
+    count: Callable = lambda scan: 1
+    addends: Optional[Callable] = None  # scan -> digits xs, ys: the elements that hold are x + y
     pairwise: bool = False
 
-    def candidates(self, scan: _Scan, a) -> Iterable:
-        return (a,) if self.splits is None else self.splits(scan, a)
+    def meets(self, scan: _Scan, q: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Whether candidate k passes at domain index q, shape (len(q), len(k))."""
+        ring = scan.ring
+        if self.splits is not None:
+            return self.test(scan, self.splits(scan, ring.digits(q)[:, None], k))
+        domain = np.divmod(q, ring.size) if self.pairwise else (q,)
+        return self.test(scan, tuple(ring.digits(x)[:, None] for x in domain))
 
-    def holds_at(self, scan: _Scan, a) -> bool:
-        return any(map(self.test, itertools.repeat(scan), self.candidates(scan, a)))
 
-
-def _first_unreached(ring: RingDescriptor, xs: list, ys: list):
-    """First element of the ring, in iteration order, that is not x + y with
-    x in xs and y in ys, or None.  Walks the shorter list and looks a - x up
-    in a set of the longer one, so each element stops at its first split."""
-    if len(xs) > len(ys):
-        xs, ys = ys, xs
-    negated = [ring.neg(x) for x in xs]
-    targets = set(ys)
-    for a in ring.elements():
-        if not any(ring.add(a, nx) in targets for nx in negated):
-            return a
+def _walk(chunks: Iterable[np.ndarray], count: int, meets: Callable) -> Optional[int]:
+    """The first index, over chunks in iteration order, that meets none of
+    the ``count`` candidates, or None.  Pending indices meet the candidates
+    about BATCH rows at a time and leave at the first they meet."""
+    for pending in chunks:
+        start = 0
+        while pending.size and start < count:
+            k = np.arange(start, min(count, start + max(1, BATCH // pending.size)))
+            pending, start = pending[~meets(pending, k).any(axis=1)], int(k[-1]) + 1
+        if pending.size:
+            return int(pending[0])
     return None
 
 
-def _idempotent_pairs(scan: _Scan, a) -> Iterator[tuple]:
-    """(e, f, a - e - f) over pairs of idempotents."""
-    ring, idem = scan.ring, scan.idem
-    return ((e, f, ring.sub(a, ring.add(e, f))) for e in idem for f in idem)
+def _sums(ring: RingDescriptor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The distinct x + y over the digit arrays x and y, in index order."""
+    reached = np.zeros(ring.size, bool)
+    for k in _blocks(len(x) * len(y)):
+        reached[ring.indices(ring.add(x[k // len(y)], y[k % len(y)]))] = True
+    return ring.digits(np.flatnonzero(reached))
 
 
-def _idempotent_splits(scan: _Scan, a) -> Iterator[tuple]:
-    """(e, a - e) over the idempotents."""
-    ring = scan.ring
-    return ((e, ring.sub(a, e)) for e in scan.idem)
+def _idempotent_pairs(scan: _Scan, a, k) -> tuple:
+    """(e, f, a - e - f) for split k = i|I| + j, e = I[i] and f = I[j]."""
+    e, f = scan.idem[k // len(scan.idem)], scan.idem[k % len(scan.idem)]
+    return e, f, scan.ring.sub(a, scan.ring.add(e, f))
 
 
-def _signed_splits(scan: _Scan, a) -> Iterator[tuple]:
-    """(e, w, sign) with a = w + sign*e, sign +1 before -1 for each e.  For
-    the witness of one this picks the split whose w comes first among the
+def _idempotent_splits(scan: _Scan, a, k) -> tuple:
+    """(e, a - e) for split k, e = I[k]."""
+    return scan.idem[k], scan.ring.sub(a, scan.idem[k])
+
+
+def _signed_splits(scan: _Scan, a, k) -> tuple:
+    """(e, w, sign) with a = w + sign*e, e = I[k // 2], sign +1 before -1.
+    For the witness of one this picks the split whose w comes first among the
     nilpotents: 1 - e is idempotent, so the +1 split passes only for e = 1,
     where w = 0 is the first nilpotent."""
-    ring = scan.ring
-    return ((e, w, sign) for e in scan.idem
-            for w, sign in ((ring.sub(a, e), 1), (ring.add(a, e), -1)))
-
-
-def _sums(scan: _Scan) -> list:
-    """The distinct e + f over pairs of idempotents, in first-reached order."""
-    ring, idem = scan.ring, scan.idem
-    return list(dict.fromkeys(ring.add(e, f) for e in idem for f in idem))
-
-
-def _pairwise_commuting(ring: RingDescriptor, parts: tuple) -> bool:
-    return all(ring.commutes(x, y) for x, y in itertools.combinations(parts, 2))
+    e, sign = scan.idem[k // 2], 1 - 2 * (k % 2)
+    return e, scan.ring.sub(a, np.where(sign[:, None] > 0, e, scan.ring.sub(0, e))), sign
 
 
 _TABLE = (
-    # every element a sum of two idempotents and a nilpotent
-    Property("two-nil-clean", _idempotent_pairs, lambda s, p: p[2] in s.nil_set,
-             addends=lambda s: (_sums(s), s.nil)),
+    # every element a sum of two idempotents and a nilpotent; the addends are the
+    # cheaper sums to build, e + f (|I|^2) with the nilpotents or e + w (|I||N|) with I
+    Property("two-nil-clean", _idempotent_pairs, lambda s, p: s.nilpotent(p[2]), lambda s: len(s.idem) ** 2,
+             addends=lambda s: (_sums(s.ring, s.idem, s.idem), s.nil) if len(s.idem) <= len(s.nil)
+             else (_sums(s.ring, s.idem, s.nil), s.idem)),
     # every element an idempotent plus a nilpotent
-    Property("nil-clean", _idempotent_splits, lambda s, p: p[1] in s.nil_set,
+    Property("nil-clean", _idempotent_splits, lambda s, p: s.nilpotent(p[1]), lambda s: len(s.idem),
              addends=lambda s: (s.idem, s.nil)),
     # every element w + e or w - e with w nilpotent, e idempotent
-    Property("weakly-nil-clean", _signed_splits, lambda s, p: p[1] in s.nil_set,
-             addends=lambda s: (s.idem + [s.ring.neg(e) for e in s.idem], s.nil)),
-    # two idempotents plus a nilpotent, all three commuting pairwise
-    Property("strongly-two-nil-clean", _idempotent_pairs,
-             lambda s, p: p[2] in s.nil_set and _pairwise_commuting(s.ring, p)),
+    Property("weakly-nil-clean", _signed_splits, lambda s, p: s.nilpotent(p[1]), lambda s: 2 * len(s.idem),
+             addends=lambda s: (np.concatenate([s.idem, s.ring.sub(0, s.idem)]), s.nil)),
+    # two idempotents plus a nilpotent, all three commuting pairwise: the
+    # splits of commuting e, f whose w commutes with both
+    Property("strongly-two-nil-clean", lambda s, a, k: _idempotent_pairs(s, a, s.commuting[k]),
+             lambda s, p: s.nilpotent(p[2]) & _commutes(s.ring, p[0], p[2]) & _commutes(s.ring, p[1], p[2]),
+             lambda s: len(s.commuting)),
     # an idempotent plus a commuting tripotent element
     Property("strongly-sit", _idempotent_splits,
-             lambda s, p: p[1] in s.trip_set and s.ring.commutes(*p)),
+             lambda s, p: _tripotent(s.ring, p[1]) & _commutes(s.ring, *p), lambda s: len(s.idem)),
     # a^3 = a
-    Property("tripotent", None, lambda s, a: s.ring.mul(s.ring.mul(a, a), a) == a),
+    Property("tripotent", None, lambda s, p: _tripotent(s.ring, p[0])),
     # a^2 idempotent
-    Property("two-boolean", None, lambda s, a: s.ring.mul(sq := s.ring.mul(a, a), sq) == sq),
+    Property("two-boolean", None,
+             lambda s, p: (s.ring.mul(sq := s.ring.mul(p[0], p[0]), sq) == sq).all(axis=-1)),
 )
 PROPERTIES = {prop.name: prop for prop in _TABLE}
 
@@ -466,13 +479,21 @@ def _generalized(n: int) -> Property:
     if n < 2:
         raise InputError("generalized-n-like needs n >= 2")
 
-    def test(scan: _Scan, pair) -> bool:
+    def test(scan: _Scan, pair) -> np.ndarray:
         ring, (a, b) = scan.ring, pair
+
+        def power(x):
+            """x^n by square-and-multiply: O(log n) batched products, so huge n stay cheap."""
+            out, k = x, n - 1
+            while k:
+                out = ring.mul(out, x) if k & 1 else out
+                k >>= 1
+                x = ring.mul(x, x) if k else x
+            return out
+
         ab = ring.mul(a, b)
-        return ring.sub(
-            ring.sub(scan.power(ab, n), ring.mul(a, scan.power(b, n))),
-            ring.sub(ring.mul(scan.power(a, n), b), ab),
-        ) == ring.zero
+        return ~ring.sub(ring.sub(power(ab), ring.mul(a, power(b))),
+                         ring.sub(ring.mul(power(a), b), ab)).any(axis=-1)
 
     return Property(f"generalized-{n}-like", None, test, pairwise=True)
 
@@ -492,6 +513,17 @@ def lookup(name: str) -> Property:
     return _generalized(n)
 
 
+def _passing_splits(scan: _Scan, prop: Property, a: int) -> Iterator[tuple]:
+    """The passing candidate splits of the element at index a, in witness
+    order, as a report holds them: element tuples, and an int for a sign."""
+    ring, digits = scan.ring, scan.ring.digits([a])[:, None]
+    for k in _blocks(prop.count(scan)):
+        parts = prop.splits(scan, digits, k)
+        for h in np.flatnonzero(prop.test(scan, parts)):
+            yield tuple(ring.element(int(ring.indices(p[..., h, :]).flat[0])) if p.ndim > 1 else int(p[h])
+                        for p in parts)
+
+
 def decide(name: str, ring: RingDescriptor) -> PropertyReport:
     """Decide a property by exhaustion.  The first element (or pair) in
     iteration order with no passing split is the counterexample; otherwise
@@ -499,18 +531,22 @@ def decide(name: str, ring: RingDescriptor) -> PropertyReport:
     prop = lookup(name)
     _check_cap(ring, prop.pairwise)
     scan = _Scan(ring)
-    if prop.addends is not None:
-        missing = _first_unreached(ring, *prop.addends(scan))
+    if prop.addends is not None:  # walk the shorter list xs, looking a - x up in a mask of the longer
+        xs, ys = sorted(prop.addends(scan), key=len)
+        targets = np.zeros(ring.size, bool)
+        targets[ring.indices(ys)] = True
+        count, meets = len(xs), lambda q, k: targets[ring.indices(ring.sub(ring.digits(q)[:, None], xs[k]))]
     else:
-        domain = itertools.product(ring.elements(), repeat=2) if prop.pairwise else ring.elements()
-        missing = next((a for a in domain if not prop.holds_at(scan, a)), None)
+        count, meets = prop.count(scan), functools.partial(prop.meets, scan)
+    missing = _walk(_blocks(ring.size**2 if prop.pairwise else ring.size, 64), count, meets)
     if missing is not None:
-        return PropertyReport(prop.name, ring, False, counterexample=missing)
+        counterexample = tuple(map(ring.element, divmod(missing, ring.size))) if prop.pairwise \
+            else ring.element(missing)
+        return PropertyReport(prop.name, ring, False, counterexample=counterexample)
     if prop.splits is None:
         return PropertyReport(prop.name, ring, True)
-    one = ring.one
-    witness = next(split for split in prop.splits(scan, one) if prop.test(scan, split))
-    return PropertyReport(prop.name, ring, True, one, witness)
+    return PropertyReport(prop.name, ring, True, ring.one,
+                          next(_passing_splits(scan, prop, ring.index(ring.one))))
 
 
 is_two_nil_clean = functools.partial(decide, "two-nil-clean")
@@ -528,8 +564,12 @@ def is_generalized_n_like(ring: RingDescriptor, n: int) -> PropertyReport:
 
 def min_nilpotent_index_over_decompositions(ring: RingDescriptor, a) -> Optional[int]:
     """Minimum nilpotency exponent of w over the two-nil-clean candidate
-    splits (e, f, w) of a; None if a has no decomposition at all."""
+    splits (e, f, w) of the element a; None if a has no decomposition at all."""
     _check_cap(ring)
-    exponent = _nilpotency_exponents(ring)
-    return min((k for *_, w in _idempotent_pairs(_Scan(ring), a) if (k := exponent(w)) is not None),
-               default=None)
+    index = ring.index(a)
+    if index is None:
+        raise InputError(f"{a!r} is not an element of {ring.describe()}")
+    scan, a = _Scan(ring), ring.digits([index])[:, None]
+    found = [k[k > 0].min() for j in _blocks(len(scan.idem) ** 2)
+             if (k := _exponents(ring, _idempotent_pairs(scan, a, j)[2])).any()]
+    return int(min(found)) if found else None

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,35 +69,83 @@ class TestParsing:
             assert parse_ring_descriptor(ring.describe()) == ring
 
 
+def elements_at(ring, indices):
+    return [ring.element(int(i)) for i in indices]
+
+
 class TestEnumerations:
     def test_idempotents_z6(self):
-        assert [a[0] for a in enumerate_idempotents(zm(6))] == [0, 1, 3, 4]
+        assert [a[0] for a in elements_at(zm(6), enumerate_idempotents(zm(6)))] == [0, 1, 3, 4]
 
     def test_idempotents_z9(self):
-        assert [a[0] for a in enumerate_idempotents(zm(9))] == [0, 1]
+        assert [a[0] for a in elements_at(zm(9), enumerate_idempotents(zm(9)))] == [0, 1]
 
     def test_idempotents_z3xz3(self):
-        found = enumerate_idempotents(parse_ring_descriptor("Z3xZ3"))
-        assert found == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        ring = parse_ring_descriptor("Z3xZ3")
+        assert elements_at(ring, enumerate_idempotents(ring)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_nilpotents_z8(self):
-        assert enumerate_nilpotents(zm(8)) == [((0,), 1), ((2,), 3), ((4,), 2), ((6,), 3)]
+        assert elements_at(zm(8), enumerate_nilpotents(zm(8))) == [(0,), (2,), (4,), (6,)]
 
     def test_nilpotents_z6(self):
-        assert enumerate_nilpotents(zm(6)) == [((0,), 1)]
+        assert elements_at(zm(6), enumerate_nilpotents(zm(6))) == [(0,)]
 
     def test_nilpotents_m2z2(self):
         # direct squaring of all 16 matrices gives exactly four nilpotents
-        found = enumerate_nilpotents(parse_ring_descriptor("M2(Z2)"))
-        assert len(found) == 4
-        assert (((0, 0, 0, 0),), 1) in found
-        assert (((0, 1, 0, 0),), 2) in found
-        assert (((0, 0, 1, 0),), 2) in found
-        assert (((1, 1, 1, 1),), 2) in found
+        ring = parse_ring_descriptor("M2(Z2)")
+        assert elements_at(ring, enumerate_nilpotents(ring)) == [
+            ((0, 0, 0, 0),), ((0, 0, 1, 0),), ((0, 1, 0, 0),), ((1, 1, 1, 1),)]
+
+    @pytest.mark.parametrize("text", ["Z72", "M2(Z4)", "M3(Z2)", "Z2xM2(Z3)", "Z4[x]/(x^3)xZ3",
+                                      "Z8[x]/(x^2)"])
+    def test_enumerations_match_the_naive_arithmetic(self, text):
+        ring = parse_ring_descriptor(text)
+        naive, bound = NaiveRing(ring), ring.nilpotency_bound()
+        assert elements_at(ring, enumerate_idempotents(ring)) == [
+            a for a in naive.elements() if naive.mul(a, a) == a]
+        assert elements_at(ring, enumerate_nilpotents(ring)) == [
+            a for a in naive.elements() if naive.nilpotency_exponent(a, bound) is not None]
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceCapError):
             enumerate_idempotents(parse_ring_descriptor("M2(Z36)"))
+
+
+class TestBatchedArithmetic:
+    """Sums, differences and products of index batches, decoded, are those of
+    the naive tuple arithmetic, for every pair of elements of small rings."""
+
+    @pytest.mark.parametrize("text", ["Z6", "M2(Z2)", "M2(Z3)", "Z4[x]/(x^3)", "Z2xM2(Z2)",
+                                      "Z3[x]/(x^2)xZ4xZ2"])
+    def test_every_pair(self, text):
+        ring = parse_ring_descriptor(text)
+        naive, q = NaiveRing(ring), np.arange(ring.size)
+        a, b = ring.digits(q)[:, None], ring.digits(q)[None, :]
+        elements = list(naive.elements())
+        for batched, reference in ((ring.add, naive.add), (ring.sub, naive.sub), (ring.mul, naive.mul)):
+            got = ring.indices(batched(a, b))
+            assert [[ring.element(int(i)) for i in row] for row in got] == [
+                [reference(x, y) for y in elements] for x in elements]
+
+    @pytest.mark.parametrize("text", ["M2(Z9)", "Z9[x]/(x^3)", "M2(Z12)", "Z5xM2(Z12)"])
+    def test_sampled_pairs_with_the_widest_products(self, text, rng):
+        # the element with every digit m - 1 makes the largest unreduced products
+        ring = parse_ring_descriptor(text)
+        naive = NaiveRing(ring)
+        q = np.concatenate([[ring.size - 1, ring.size - 1], rng.integers(0, ring.size, 400)])
+        x, y = ring.digits(q), ring.digits(np.roll(q, 1))
+        for batched, reference in ((ring.add, naive.add), (ring.sub, naive.sub), (ring.mul, naive.mul)):
+            got = [ring.element(int(i)) for i in ring.indices(batched(x, y))]
+            assert got == [reference(ring.element(int(a)), ring.element(int(b)))
+                           for a, b in zip(q, np.roll(q, 1))]
+
+    def test_index_round_trip(self):
+        ring = parse_ring_descriptor("Z3xM2(Z2)xZ2[x]/(x^2)")
+        for i in range(ring.size):
+            assert ring.index(ring.element(i)) == i
+        for bad in [(0, (0, 0, 0, 0), (0,)), (0, (0, 0, 0), (0, 0)), (3, (0, 0, 0, 0), (0, 0)),
+                    (0, [0, 0, 0, 0], (0, 0)), ((0,), (0, 0, 0, 0), (0, 0)), (0, (0, 0, 0, 0), (0, 0), 0)]:
+            assert ring.index(bad) is None
 
 
 class TestTwoNilClean:
@@ -163,7 +212,9 @@ class TestIdentityPredicates:
         assert not report.holds and report.counterexample is not None
 
     def test_generalized_against_naive_powers(self):
-        def naive_holds(ring, n):
+        def naive_holds(descriptor, n):
+            ring = NaiveRing(descriptor)
+
             def power(x, k):
                 out = x
                 for _ in range(k - 1):
@@ -223,7 +274,7 @@ class TestReplay:
         report = is_two_nil_clean(ring)
         e, f, w = report.witness_parts
         assert report.replay()
-        report.witness_parts = (e, f, ring.add(w, (6,)))  # no longer sums to one
+        report.witness_parts = (e, f, NaiveRing(ring).add(w, (6,)))  # no longer sums to one
         assert not report.replay()
         report.witness_parts = ((2,), (11,), (0,))  # sums to one, but 2 is not idempotent
         assert not report.replay()
@@ -232,6 +283,46 @@ class TestReplay:
         assert not PropertyReport("two-nil-clean", zm(5), False, counterexample=(2,)).replay()
         assert PropertyReport("two-nil-clean", zm(5), False, counterexample=(3,)).replay()
         assert not PropertyReport("tripotent", zm(4), False, counterexample=(3,)).replay()
+
+    @pytest.mark.parametrize("evidence", [(), (4, 99), (9,), (-1,), ("a",), (True,), (3.0,), [3], 3, None,
+                                          (10**30,)],
+                             ids=repr)
+    def test_forged_counterexample_replays_false(self, evidence):
+        assert not PropertyReport("two-nil-clean", zm(5), False, counterexample=evidence).replay()
+        assert not PropertyReport("tripotent", zm(4), False, counterexample=evidence).replay()
+
+    @pytest.mark.parametrize("evidence", [((0,),), ((0,), (0,), (0,)), ((0,), (2,)), ((0,), 0), [(0,), (2,)],
+                                          ((0,), (-3,))], ids=repr)
+    def test_forged_pair_counterexample_replays_false(self, evidence):
+        assert is_generalized_n_like(zm(5), 3).replay()
+        assert not PropertyReport("generalized-3-like", zm(5), False, counterexample=evidence).replay()
+
+    def test_forged_witness_replays_false(self):
+        ring = parse_ring_descriptor("M2(Z2)")
+        report = is_weakly_nil_clean(ring)
+        assert report.replay()
+        e, w, sign = report.witness_parts
+        for element, parts in [(((1, 0, 0, 1),), (e, w, 2)), (((1, 0, 0, 1),), (e, w, True)),
+                               (((1, 0, 0, 1),), (e, w)), (((1, 0, 0, 1),), (e, w, sign, sign)),
+                               (((1, 0, 0, 1),), (e, ((0, 0, 0, 2),), sign)), (((1, 0, 0, 1),), (e, 0, sign)),
+                               (((1, 0, 0, 1),), [e, w, sign]), (((1, 0, 0, 1),), None), (((1, 0, 0, 1),), 5),
+                               ((1, 0, 0, 1), (e, w, sign)), (((1, 0, 0, 3),), (e, w, sign)),
+                               (None, (e, w, sign))]:
+            assert not PropertyReport("weakly-nil-clean", ring, True, element, parts).replay()
+
+    def test_strongly_witness_needs_commuting_idempotents(self):
+        # e f = f and f e = e, so the idempotents e, f do not commute, though
+        # w = 0 commutes with both and a = e + f + w
+        e, f = ((1, 0, 0, 0),), ((1, 1, 0, 0),)
+        ring = parse_ring_descriptor("M2(Z2)")
+        assert not PropertyReport("strongly-two-nil-clean", ring, True, ((0, 1, 0, 0),),
+                                  (e, f, ((0, 0, 0, 0),))).replay()
+        assert PropertyReport("two-nil-clean", ring, True, ((0, 1, 0, 0),), (e, f, ((0, 0, 0, 0),))).replay()
+
+    def test_report_over_the_cap_replays_false(self):
+        ring = parse_ring_descriptor("M200(Z2)")
+        assert not PropertyReport("tripotent", ring, False, counterexample=((0,) * 40000,)).replay()
+        assert not PropertyReport("generalized-2-like", zm(2001), False, counterexample=((0,), (0,))).replay()
 
 
 class TestMatrixWitness:
@@ -325,8 +416,8 @@ class TestOracleConstructionAgreement:
             ring = zm(m)
             report = is_two_nil_clean(ring)
             assert report.holds
-            idem = set(enumerate_idempotents(ring))
-            nil = {x for x, _ in enumerate_nilpotents(ring)}
+            idem = set(elements_at(ring, enumerate_idempotents(ring)))
+            nil = set(elements_at(ring, enumerate_nilpotents(ring)))
             for a in range(m):
                 cert = decompose_triangular(RingMatrix.from_rows([[a]], zm_ring(m)))
                 e, f, w = (x.to_rows()[0][0] for x in (cert.e, cert.f, cert.w))
@@ -345,7 +436,7 @@ class TestDeterminism:
 
     def test_iteration_order_is_mixed_radix(self):
         ring = parse_ring_descriptor("Z2xZ3")
-        assert list(ring.elements()) == [
+        assert elements_at(ring, range(ring.size)) == list(NaiveRing(ring).elements()) == [
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)
         ]
 
@@ -461,3 +552,30 @@ class TestPinnedSurveyReports:
             for a in NaiveRing(ring).elements():
                 h.update(json.dumps([k, a, min_nilpotent_index_over_decompositions(ring, a)]).encode())
         assert h.hexdigest() == PINNED_MIN_INDEX
+
+
+# The matrix rings of the oracle survey, with the properties it asks of each
+SURVEY_MATRIX_RINGS = [
+    ("M3(Z2)", ("nil-clean", "weakly-nil-clean", "two-nil-clean")),
+    ("M2(Z5)", ("two-nil-clean",)),
+    ("M2(Z6)", ("two-nil-clean", "strongly-two-nil-clean")),
+    ("M2(Z8)", ("two-nil-clean",)),
+    ("M2(Z9)", ("two-nil-clean",)),
+]
+
+
+class TestMemoryBound:
+    """The batches keep the survey's matrix rings within 2 MB of traced
+    allocations, whatever the number of candidate rows."""
+
+    @pytest.mark.parametrize("text,names", SURVEY_MATRIX_RINGS, ids=[row[0] for row in SURVEY_MATRIX_RINGS])
+    def test_peak_within_two_megabytes(self, text, names):
+        ring = parse_ring_descriptor(text)
+        for name in names:
+            tracemalloc.start()
+            try:
+                decide(name, ring)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 1024 * 1024, (name, peak)

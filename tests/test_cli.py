@@ -464,6 +464,32 @@ class TestClassifyCommand:
         assert report.witness_element == ((1, 0, 0, 0, 1, 0, 0, 0, 1),)
         assert report.replay()
 
+    def test_z2_power_14_two_nil_clean_within_five_seconds(self, capsys, monkeypatch):
+        # 16,384 elements, all idempotent: the sums e + w over |I||N| pairs
+        # cost 16,384 additions where e + f over |I|^2 pairs would cost 2.7e8
+        ring = "x".join(["Z2"] * 14)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, monkeypatch, ["classify", ring, "two-nil-clean"])
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_OK
+        doc = parse_document(out)
+        report = PropertyReport("two-nil-clean", parse_ring_descriptor(ring), doc["holds"],
+                                tuple(doc["witness-element"]),
+                                tuple(tuple(part) for part in doc["witness-parts"]))
+        assert report.holds and report.witness_element == (1,) * 14
+        assert report.replay()
+
+    def test_pairwise_identity_near_the_cap_within_a_second(self, capsys, monkeypatch):
+        # 729 elements, 531,441 pairs, and the identity holds, so every pair is tried
+        ring = "x".join(["Z3"] * 6)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, monkeypatch, ["classify", ring, "generalized-3-like"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        doc = parse_document(out)
+        assert doc["holds"] is True
+        assert PropertyReport(doc["property"], parse_ring_descriptor(doc["ring"]), doc["holds"]).replay()
+
 
 class TestPropertyRunners:
     """The benchmark's trace wraps the values of cli._PROPERTY_RUNNERS, so

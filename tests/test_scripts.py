@@ -47,3 +47,10 @@ def test_oracle_survey_flags_a_wrong_verdict(capsys, monkeypatch):
     monkeypatch.setattr(module, "decide", flipped)
     assert module.run_oracle_survey(config) == ["nil-clean(Z2)", "nil-clean(M2(Z2))"]
     assert "DISAGREES at ['nil-clean(Z2)', 'nil-clean(M2(Z2))']" in capsys.readouterr().out
+
+
+def test_oracle_survey_at_its_defaults(capsys):
+    # Z_m for m <= 200, M2(Z2..Z9), M3(Z2) and M3(Z3), every report replayed
+    module = load("exhaustive_verification")
+    assert module.run_oracle_survey(module.SweepConfig()) == []
+    assert "every verdict agrees" in capsys.readouterr().out
