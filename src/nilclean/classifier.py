@@ -26,6 +26,7 @@ from .errors import InputError, ResourceCapError
 from .residue import factorize
 
 UNIVERSAL_SCAN_CAP = 10**6
+WORK_BUDGET = 2**24  # candidates a search may meet, estimated before it builds them
 BATCH = 2**14  # candidate rows per batch
 
 
@@ -264,13 +265,15 @@ class PropertyReport:
         and the witness parts must be a passing candidate split of the
         witness element.  A positive report of an identity carries no
         evidence and replays True; any other report replays False unless its
-        property is known and its evidence made of canonical elements."""
+        property is known, its search within the size cap and the work
+        budget, and its evidence made of canonical elements."""
+        ring, scan = self.ring, _Scan(self.ring)
         try:
             prop = lookup(self.property)
-            _check_cap(self.ring, prop.pairwise)
+            _check_cap(ring, prop.pairwise)
+            prop.check_work(scan)
         except (InputError, ResourceCapError):
             return False
-        ring, scan = self.ring, _Scan(self.ring)
         if not self.holds:  # an element, or a pair (a, b) of elements at index a|R| + b
             parts = self.counterexample if prop.pairwise else (self.counterexample,)
             q = [ring.index(x) for x in parts] if type(parts) is tuple else []
@@ -391,6 +394,16 @@ class Property:
     count: Callable = lambda scan: 1
     addends: Optional[Callable] = None  # scan -> digits xs, ys: the elements that hold are x + y
     pairwise: bool = False
+    work: Callable = lambda scan: 0  # an estimate of the candidates, from sizes known before the search
+
+    def check_work(self, scan: _Scan) -> None:
+        """Refuse a search whose estimated candidates are over WORK_BUDGET
+        before it builds them: the size cap alone lets Z2^14 (16,384
+        elements) pair its 16,384 idempotents 268 million ways."""
+        work = self.work(scan)
+        if work > WORK_BUDGET:
+            raise ResourceCapError(f"{self.name} on {scan.ring.describe()} would meet about "
+                                   f"{work:,} candidates, over the work budget {WORK_BUDGET:,}")
 
     def meets(self, scan: _Scan, q: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Whether candidate k passes at domain index q, shape (len(q), len(k))."""
@@ -456,13 +469,14 @@ _TABLE = (
     Property("weakly-nil-clean", _signed_splits, lambda s, p: s.nilpotent(p[1]), lambda s: 2 * len(s.idem),
              addends=lambda s: (np.concatenate([s.idem, s.ring.sub(0, s.idem)]), s.nil)),
     # two idempotents plus a nilpotent, all three commuting pairwise: the
-    # splits of commuting e, f whose w commutes with both
+    # splits of commuting e, f whose w commutes with both, found among all |I|^2 pairs
     Property("strongly-two-nil-clean", lambda s, a, k: _idempotent_pairs(s, a, s.commuting[k]),
              lambda s, p: s.nilpotent(p[2]) & _commutes(s.ring, p[0], p[2]) & _commutes(s.ring, p[1], p[2]),
-             lambda s: len(s.commuting)),
-    # an idempotent plus a commuting tripotent element
+             lambda s: len(s.commuting), work=lambda s: len(s.idem) ** 2),
+    # an idempotent plus a commuting tripotent element: up to |R||I| splits
     Property("strongly-sit", _idempotent_splits,
-             lambda s, p: _tripotent(s.ring, p[1]) & _commutes(s.ring, *p), lambda s: len(s.idem)),
+             lambda s, p: _tripotent(s.ring, p[1]) & _commutes(s.ring, *p), lambda s: len(s.idem),
+             work=lambda s: s.ring.size * len(s.idem)),
     # a^3 = a
     Property("tripotent", None, lambda s, p: _tripotent(s.ring, p[0])),
     # a^2 idempotent
@@ -531,6 +545,7 @@ def decide(name: str, ring: RingDescriptor) -> PropertyReport:
     prop = lookup(name)
     _check_cap(ring, prop.pairwise)
     scan = _Scan(ring)
+    prop.check_work(scan)
     if prop.addends is not None:  # walk the shorter list xs, looking a - x up in a mask of the longer
         xs, ys = sorted(prop.addends(scan), key=len)
         targets = np.zeros(ring.size, bool)

@@ -11,13 +11,15 @@ lines.  Exit codes are stable: 0 success, 2 parse error, 3 unsupported ring,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import itertools
 import json
 import operator
 import re
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +73,12 @@ def emit_document(pairs: Sequence[tuple[str, object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the first characters of JSON arrays, objects, strings and numbers, and the
+# words json.loads accepts whole; it refuses every other value
+_JSON_FIRST = frozenset('[{"-0123456789')
+_JSON_WORDS = frozenset(("true", "false", "null", "NaN", "Infinity"))
+
+
 def parse_document(text: str) -> dict:
     doc: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -81,19 +89,31 @@ def parse_document(text: str) -> dict:
             raise InputError(f"line {lineno} is not 'key: value': {line!r}")
         key, _, value = line.partition(":")
         key = key.strip()
-        value = value.strip()
-        try:
-            doc[key] = json.loads(value)
-        except (ValueError, RecursionError):  # also over 4,300 digits, or nested too deep
-            doc[key] = value
+        doc[key] = value = value.strip()
+        if value[:1] in _JSON_FIRST or value in _JSON_WORDS:
+            try:
+                doc[key] = json.loads(value)
+            except (ValueError, RecursionError):  # also over 4,300 digits, or nested too deep
+                pass
     if not doc:
         raise InputError("empty document")
     return doc
 
 
+def iter_documents(lines: Iterable[str]) -> Iterator[dict]:
+    """The documents in a stream of lines, each parsed as soon as the blank
+    or whitespace-only line after it, or the end of the stream, is read."""
+    chunk: list[str] = []
+    for line in itertools.chain(lines, [""]):
+        if line.strip():
+            chunk.append(line)
+        elif chunk:
+            yield parse_document("".join(chunk))
+            chunk = []
+
+
 def split_documents(text: str) -> list[dict]:
-    chunks = re.split(r"\n\s*\n", text.strip())
-    return [parse_document(c) for c in chunks if c.strip()]
+    return list(iter_documents(io.StringIO(text)))
 
 
 def parse_matrix_ring(text: str) -> MatrixRing:
@@ -212,11 +232,17 @@ def report_to_doc(report: classifier.PropertyReport) -> str:
 # Input handling
 # ---------------------------------------------------------------------------
 
+def _input_lines(args) -> Iterator[str]:
+    """The lines of --input FILE, or of stdin, read as they are needed."""
+    with open(args.input, encoding="utf-8") if args.input else contextlib.nullcontext(sys.stdin) as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError as err:
+            raise InputError(f"{args.input or 'stdin'} is not UTF-8 text: {err.reason}") from None
+
+
 def _read_input(args) -> str:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            return handle.read()
-    return sys.stdin.read()
+    return "".join(_input_lines(args))
 
 
 def _doc_int(doc: dict, key: str, default: Optional[int] = None) -> int:
@@ -365,18 +391,22 @@ def cmd_rcf(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    docs = split_documents(_read_input(args))
-    certs = [d for d in docs if d.get("kind", "certificate") == "certificate"]
-    if not certs:
-        raise InputError("no certificate documents in input")
-    status = EXIT_OK
-    for index, doc in enumerate(certs):
+    """Check the certificate documents one at a time, printing each verdict
+    before the next document is read: memory stays flat in their number, and
+    a malformed document stops the stream after the verdicts before it."""
+    status, index = EXIT_OK, 0
+    for doc in iter_documents(_input_lines(args)):
+        if doc.get("kind", "certificate") != "certificate":
+            continue
         cert = certificate_from_doc(doc)
         if verify_certificate(cert):
             print(f"certificate {index}: ok")
         else:
             print(f"certificate {index}: FAILED check: {cert.failure}")
             status = EXIT_VERIFY
+        index += 1
+    if not index:
+        raise InputError("no certificate documents in input")
     return status
 
 
@@ -425,6 +455,7 @@ def cmd_demo_obstruction(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nilclean",

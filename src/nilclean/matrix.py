@@ -94,15 +94,30 @@ class RingMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], ring: MatrixRing) -> "RingMatrix":
         """Build from row-major nested lists; entries are ints for d = 1 and
-        coefficient lists (ascending, length <= d) otherwise."""
+        coefficient lists (ascending, length <= d) otherwise.  Rows that numpy
+        reads as one exact integer array of shape (n, n), or (n, n, k) with
+        k <= d, are converted at once; anything else (ragged coefficient
+        lists, ints past int64, every input to reject) goes entry by entry."""
         n = len(rows)
         if not (1 <= n <= MAX_DIMENSION):
             raise InputError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
-        if any(len(r) != n for r in rows):
-            raise InputError("matrix must be square")
         d = ring.d
         dtype = _dtype_for(ring, n)
         coeffs = np.zeros((d, n, n), dtype=dtype)
+        try:
+            block = np.array(rows)
+        except ValueError:  # ragged, or nested past numpy's 64 dimensions
+            block = None
+        if block is not None and block.dtype.kind in "iub" and block.shape[:2] == (n, n) \
+                and (block.ndim == 2 or block.ndim == 3 and block.shape[2] <= d):
+            block = block % ring.m  # m <= 2^31: exact, and stored as Python ints when dtype is object
+            if block.ndim == 2:
+                coeffs[0] = block
+            else:
+                coeffs[:block.shape[2]] = block.transpose(2, 0, 1)
+            return cls(ring, coeffs)
+        if any(len(r) != n for r in rows):
+            raise InputError("matrix must be square")
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
                 if isinstance(entry, (int, np.integer)):

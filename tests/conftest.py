@@ -271,6 +271,34 @@ def naive_weakly_nil_clean(descriptor):
     return _naive_verdict(ring, reach)
 
 
+# --- matrix rows read entry by entry ----------------------------------------
+
+def from_rows_reference(rows, m, d):
+    """The coefficient stack [t][i][j] of a square matrix over Z_m[x]/(x^d)
+    given as row lists, read one entry at a time: an int (or numpy integer)
+    is the constant term, a list of at most d ints (one, when d = 1) the
+    ascending coefficients.  Raises ValueError for a shape the matrix ring
+    refuses and TypeError for an entry that is not an integer."""
+    n = len(rows)
+    if not 1 <= n <= 64:
+        raise ValueError(f"dimension {n}")
+    if any(len(row) != n for row in rows):
+        raise ValueError("not square")
+    out = [[[0] * n for _ in range(n)] for _ in range(d)]
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if isinstance(entry, (int, np.integer)):
+                out[0][i][j] = int(entry) % m
+                continue
+            if len(entry) > d or d == 1 and len(entry) > 1:
+                raise ValueError("too many coefficients")
+            for t, c in enumerate(entry):
+                if not isinstance(c, (int, np.integer)):
+                    raise TypeError(f"coefficient {c!r}")
+                out[t][i][j] = int(c) % m
+    return out
+
+
 # --- the obstruction witness in M_2(Z_m), on flat row-major tuples ----------
 
 def _mat2_mul(a, b, m):

@@ -17,6 +17,7 @@ from conftest import (
     naive_two_nil_clean,
     naive_weakly_nil_clean,
 )
+from nilclean import classifier
 from nilclean.classifier import (
     MatFactor,
     PropertyReport,
@@ -189,6 +190,32 @@ class TestStrongly:
 
     def test_z3(self):
         assert is_strongly_two_nil_clean(zm(3)).holds
+
+
+class TestWorkBudget:
+    """The strongly properties estimate their candidates from the sizes of
+    the ring and of its idempotents, and refuse an estimate over the budget
+    before they build anything: Z6 has 6 elements and 4 idempotents."""
+
+    @pytest.mark.parametrize("name,estimate", [("strongly-two-nil-clean", 16), ("strongly-sit", 24)])
+    def test_estimate_against_the_budget(self, monkeypatch, name, estimate):
+        monkeypatch.setattr(classifier, "WORK_BUDGET", estimate)
+        report = decide(name, zm(6))
+        assert report.holds and report.replay()
+        monkeypatch.setattr(classifier, "WORK_BUDGET", estimate - 1)
+        with pytest.raises(ResourceCapError, match=f"about {estimate} candidates"):
+            decide(name, zm(6))
+        assert not report.replay()
+
+    def test_other_properties_unbounded_by_it(self, monkeypatch):
+        monkeypatch.setattr(classifier, "WORK_BUDGET", 0)
+        assert decide("two-nil-clean", zm(6)).holds and decide("tripotent", zm(6)).holds
+
+    def test_commuting_pairs_not_built_over_the_budget(self, monkeypatch):
+        ring = parse_ring_descriptor("x".join(["Z2"] * 14))
+        monkeypatch.setattr(classifier._Scan, "commuting", property(lambda scan: pytest.fail("built")))
+        with pytest.raises(ResourceCapError):
+            is_strongly_two_nil_clean(ring)
 
 
 class TestIdentityPredicates:

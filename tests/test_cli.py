@@ -3,9 +3,13 @@
 import importlib
 import io
 import json
+import os
 import pathlib
+import re
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,7 +32,7 @@ from nilclean.cli import (
 )
 from nilclean.decompose import decompose
 from nilclean.errors import InputError
-from nilclean.matrix import CHECK_SUM, RingMatrix, verify_certificate, zm_ring
+from nilclean.matrix import CHECK_SUM, RingMatrix, trunc_ring, verify_certificate, zm_ring
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "m2_z3_sweep.txt"
 
@@ -196,6 +200,52 @@ class TestNonIntegerDocuments:
         assert code == EXIT_OK and "ok" in out
 
 
+# entries that from_rows reads entry by entry and refuses: floats (integral
+# ones too), strings, and coefficient lists longer than the ring's degree
+NON_INTEGER_ENTRIES = {
+    "float": {"A": "[[1.0]]"},
+    "float-beside-ints": {"A": "[[1, 2.0], [3, 4]]"},
+    "string": {"A": '[["1"]]'},
+    "float-coefficient": {"trunc-degree": "2", "A": "[[[1, 0.5]]]"},
+    "polynomial-over-zm": {"A": "[[[1, 2]]]"},
+    "overlong-coefficients": {"trunc-degree": "2", "A": "[[[1, 2, 3]]]"},
+}
+
+
+class TestNonIntegerEntries:
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("fields", NON_INTEGER_ENTRIES.values(), ids=NON_INTEGER_ENTRIES.keys())
+    def test_parse_exit_without_traceback(self, capsys, monkeypatch, command, fields):
+        code, _, err = run(capsys, monkeypatch, [command], _document(**fields))
+        assert code == EXIT_PARSE
+        assert "input error" in err and "Traceback" not in err
+
+
+class TestInvalidUtf8:
+    """Bytes that are not UTF-8 in --input end in exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["decompose", "rcf", "verify"])
+    def test_parse_exit_without_traceback(self, capsys, monkeypatch, tmp_path, command):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"A: [[1]]\nmodulus: 3\xff\n")
+        code, out, err = run(capsys, monkeypatch, [command, "--input", str(path)])
+        assert code == EXIT_PARSE and out == ""
+        assert "input error" in err and "not UTF-8" in err and "Traceback" not in err
+
+    def test_verify_stops_mid_stream(self, capsys, monkeypatch, tmp_path):
+        # far past the first buffer the file is decoded in, so the
+        # certificates before the bad byte are checked and printed first
+        good = _document().encode()
+        path = tmp_path / "stream.txt"
+        path.write_bytes(b"\n".join([good] * 300) + b"\nA: \xff\n\n" + good)
+        code, out, err = run(capsys, monkeypatch, ["verify", "--input", str(path)])
+        assert code == EXIT_PARSE
+        assert "not UTF-8" in err and "Traceback" not in err
+        lines = out.splitlines()
+        assert 0 < len(lines) < 300
+        assert lines == [f"certificate {i}: ok" for i in range(len(lines))]
+
+
 HUGE = "9" * 5000  # int() refuses strings of more than 4,300 digits
 
 OVERSIZED_INTEGER_INPUTS = {
@@ -323,6 +373,63 @@ class TestDocumentFuzz:
         assert time.perf_counter() - start < FUZZ_SECONDS
         assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY, EXIT_RESOURCE)
         assert "Traceback" not in err
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(docs=st.lists(_documents(), min_size=2, max_size=4),
+           seps=st.lists(st.sampled_from(["\n", " \n", "\n\n", "\t\n \n"]), min_size=3, max_size=3))
+    def test_verify_stream(self, capsys, monkeypatch, docs, seps):
+        """A stream of such documents prints one verdict per certificate,
+        numbered from 0 in order, up to the first that fails to parse."""
+        text = "".join(doc + sep for doc, sep in zip(docs, seps * 2))
+        start = time.perf_counter()
+        code, out, err = run(capsys, monkeypatch, ["verify"], text)
+        assert time.perf_counter() - start < FUZZ_SECONDS * len(docs)
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY, EXIT_RESOURCE)
+        assert "Traceback" not in err
+        verdicts = out.splitlines()
+        assert all(re.fullmatch(rf"certificate {i}: (ok|FAILED check: .+)", line)
+                   for i, line in enumerate(verdicts))
+        if code in (EXIT_OK, EXIT_VERIFY):
+            assert verdicts and any("FAILED" in line for line in verdicts) == (code == EXIT_VERIFY)
+
+
+def _parse_every_value(text):
+    """parse_document as it was before it skipped values that cannot start
+    JSON: json.loads on every value, the raw text where that fails."""
+    doc = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ": " not in line and not line.endswith(":"):
+            raise InputError(f"line {lineno}")
+        key, _, value = line.partition(":")
+        try:
+            doc[key.strip()] = json.loads(value.strip())
+        except (ValueError, RecursionError):
+            doc[key.strip()] = value.strip()
+    if not doc:
+        raise InputError("empty")
+    return doc
+
+
+class TestParseDocument:
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(_keys, st.one_of(_values, st.sampled_from(
+        ["true", "false", "null", "NaN", "Infinity", "-Infinity", "nullx", "True", "tru", "1e5",
+         "+1", ".5", "\ufeff1", "\u0661", "Z2", "nilclean-cert/1", "certificate", "", "[1] x"]))),
+        min_size=1, max_size=5))
+    def test_same_as_json_on_every_value(self, fields):
+        text = "".join(f"{key}: {value}\n" for key, value in fields)
+
+        def outcome(parse):
+            try:
+                return repr(parse(text))
+            except InputError:
+                return InputError
+
+        assert outcome(parse_document) == outcome(_parse_every_value)
 
 
 _tiny_factors = st.one_of(  # at most 64 elements
@@ -479,6 +586,25 @@ class TestClassifyCommand:
         assert report.holds and report.witness_element == (1,) * 14
         assert report.replay()
 
+    def test_z4_power_8_strongly_two_nil_clean_within_five_seconds(self, capsys, monkeypatch):
+        # 65,536 elements, 256 idempotents: 65,536 idempotent pairs, under the work budget
+        start = time.perf_counter()
+        code, out, _ = run(capsys, monkeypatch,
+                           ["classify", "x".join(["Z4"] * 8), "strongly-two-nil-clean", "--format", "plain"])
+        assert time.perf_counter() - start < 5.0
+        assert code == EXIT_OK and out == "strongly-two-nil-clean: true\n"
+
+    @pytest.mark.parametrize("ring,name,estimate", [
+        ("x".join(["Z2"] * 14), "strongly-two-nil-clean", "268,435,456"),  # |I|^2 = 2^28
+        ("M2(Z2)x" + "x".join(["Z2"] * 12), "strongly-sit", "2,147,483,648"),  # |R||I| = 2^31
+    ])
+    def test_over_the_work_budget_within_a_second(self, capsys, monkeypatch, ring, name, estimate):
+        start = time.perf_counter()
+        code, out, err = run(capsys, monkeypatch, ["classify", ring, name])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_RESOURCE and out == ""
+        assert f"about {estimate} candidates" in err and "work budget 16,777,216" in err
+
     def test_pairwise_identity_near_the_cap_within_a_second(self, capsys, monkeypatch):
         # 729 elements, 531,441 pairs, and the identity holds, so every pair is tried
         ring = "x".join(["Z3"] * 6)
@@ -585,6 +711,147 @@ class TestVerifyCommand:
         code, out, err = run(capsys, monkeypatch, ["verify"], doc)
         assert code == EXIT_RESOURCE and "cap" in err
         assert time.perf_counter() - start < 1.0
+
+
+def _stream_pool():
+    """Certificates over Z6 and Z3[x]/(x^2), some tampered, and a document
+    that is not a certificate."""
+    gen = np.random.default_rng(7)
+    docs = []
+    for ring in (zm_ring(6), trunc_ring(3, 2)):
+        for n in (1, 2, 3):
+            cert = decompose(RingMatrix.random(n, ring, gen))
+            docs.append(certificate_to_doc(cert))
+            docs.append(certificate_to_doc(cert).replace("nilpotency-exponent: ",
+                                                         "nilpotency-exponent: 1"))
+    return docs + ["schema: nilclean-cert/1\nkind: report\nholds: true\n"]
+
+
+STREAM_POOL = _stream_pool()
+SEPARATORS = ["\n", "  \n", "\n\n\n", "\t\n \n", " \x0c\n"]
+
+
+def reference_verify(text):
+    """The verdicts and exit code of verify on a whole stream, split by the
+    regular expression verify used before it streamed."""
+    docs = [parse_document(c) for c in re.split(r"\n\s*\n", text.strip()) if c.strip()]
+    certs = [certificate_from_doc(d) for d in docs if d.get("kind", "certificate") == "certificate"]
+    out = "".join(f"certificate {i}: ok\n" if verify_certificate(c)
+                  else f"certificate {i}: FAILED check: {c.failure}\n" for i, c in enumerate(certs))
+    return out, EXIT_PARSE if not certs else EXIT_VERIFY if "FAILED" in out else EXIT_OK
+
+
+class TestVerifyStream:
+    """verify reads, checks and prints one document at a time."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(picks=st.lists(st.integers(0, len(STREAM_POOL) - 1), min_size=1, max_size=6),
+           seps=st.lists(st.sampled_from(SEPARATORS), min_size=7, max_size=7),
+           crlf=st.booleans(), from_file=st.booleans())
+    def test_separators_match_the_whole_stream_split(self, capsys, monkeypatch, tmp_path,
+                                                     picks, seps, crlf, from_file):
+        text = seps[0] + "".join(STREAM_POOL[i] + sep for i, sep in zip(picks, seps[1:]))
+        text = text.replace("\n", "\r\n") if crlf else text
+        args = ["verify"]
+        if from_file:
+            path = tmp_path / "stream.txt"
+            path.write_bytes(text.encode())
+            args += ["--input", str(path)]
+        code, out, err = run(capsys, monkeypatch, args, "" if from_file else text)
+        assert (out, code) == reference_verify(text), err
+
+    def test_golden_separators(self, capsys, monkeypatch):
+        docs = GOLDEN.read_text().split("\n\n")
+        for sep in SEPARATORS:
+            text = ("\n" + sep).join(docs)
+            code, out, _ = run(capsys, monkeypatch, ["verify"], text)
+            assert code == EXIT_OK and out == "".join(f"certificate {i}: ok\n" for i in range(81))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.text(alphabet="ab: 1#[]\n\r\t\x0c", max_size=40))
+    def test_split_documents_matches_the_regular_expression(self, text):
+        def outcome(split):
+            try:
+                return split()
+            except InputError:
+                return InputError
+
+        assert outcome(lambda: split_documents(text)) == outcome(
+            lambda: [parse_document(c) for c in re.split(r"\n\s*\n", text.strip()) if c.strip()])
+
+    def test_malformed_document_mid_stream(self, capsys, monkeypatch):
+        good = STREAM_POOL[0]
+        text = "\n".join([good, good, "this line is not a field\n", good])
+        code, out, err = run(capsys, monkeypatch, ["verify"], text)
+        assert code == EXIT_PARSE
+        assert out == "certificate 0: ok\ncertificate 1: ok\n"
+        assert "input error" in err and "not 'key: value'" in err
+
+    def test_certificate_missing_a_field_mid_stream(self, capsys, monkeypatch):
+        text = "\n".join([STREAM_POOL[0], "kind: certificate\nmodulus: 6\n", STREAM_POOL[0]])
+        code, out, err = run(capsys, monkeypatch, ["verify"], text)
+        assert code == EXIT_PARSE and out == "certificate 0: ok\n"
+        assert "lacks field" in err
+
+    def test_only_other_documents(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["verify"], STREAM_POOL[-1] + "\n" + STREAM_POOL[-1])
+        assert code == EXIT_PARSE and out == "" and "no certificate documents" in err
+
+    def test_peak_memory_flat_in_the_number_of_documents(self, monkeypatch, tmp_path):
+        def peak(count):
+            path = tmp_path / f"stream-{count}.txt"
+            path.write_text("\n".join([_document()] * count))
+            with open(os.devnull, "w") as sink:
+                monkeypatch.setattr("sys.stdout", sink)
+                tracemalloc.start()
+                try:
+                    assert main(["verify", "--input", str(path)]) == EXIT_OK
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(10)  # the caches a first call fills
+        small, large = peak(1_000), peak(20_000)
+        assert large - small <= 1024 * 1024, (small, large)
+
+
+class TestParserReuse:
+    """The parser is built once per process; a call leaves nothing behind
+    that changes the next."""
+
+    SEQUENCES = {
+        "triangular-then-plain": ((["decompose", "--triangular", "--modulus", "6"], "5 1\n0 2\n"),
+                                  (["decompose", "--modulus", "6"], "5 1\n0 2\n")),
+        "plain-format-then-default": ((["decompose", "--format", "plain", "--modulus", "3"], "0 1\n1 0\n"),
+                                      (["decompose", "--modulus", "3"], "0 1\n1 0\n")),
+        "argparse-error-then-valid": ((["decompose", "--modulus", "x"], "1\n"),
+                                      (["decompose", "--modulus", "6"], "4\n")),
+    }
+
+    @staticmethod
+    def call(capsys, monkeypatch, args, stdin):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            code = main(args)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("first,second", SEQUENCES.values(), ids=SEQUENCES.keys())
+    def test_second_call_as_if_fresh(self, capsys, monkeypatch, first, second):
+        cli.build_parser.cache_clear()
+        fresh = self.call(capsys, monkeypatch, *second)
+        cli.build_parser.cache_clear()
+        self.call(capsys, monkeypatch, *first)
+        parser = cli.build_parser()
+        assert self.call(capsys, monkeypatch, *second) == fresh
+        assert cli.build_parser() is parser
+
+    def test_first_calls_differ(self, capsys, monkeypatch):
+        for first, second in self.SEQUENCES.values():
+            assert self.call(capsys, monkeypatch, *first) != self.call(capsys, monkeypatch, *second)
 
 
 class TestDemoObstruction:

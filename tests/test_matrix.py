@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_cofactor, mat_mul_naive, nilpotency_naive_exact
+from conftest import det_cofactor, from_rows_reference, mat_mul_naive, nilpotency_naive_exact
 from nilclean.errors import InputError, ResourceCapError
 from nilclean.matrix import (
     MAX_TRUNC_DEGREE,
@@ -290,3 +290,65 @@ class TestCertificates:
         w = RingMatrix.from_rows([[[0, 1]]], ring)
         cert = DecompositionCertificate(a, e, zero, w, 2)
         assert verify_certificate(cert)
+
+
+_ints = st.one_of(
+    st.integers(-100, 100),
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(2**63, 2**64),  # numpy reads these alone as uint64, beside negatives as float64
+    st.integers(-(2**70), 2**70),
+)
+_bad = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=2))
+
+
+@st.composite
+def _rows(draw):
+    """Square rows of one kind of entry: ints, coefficient lists of one
+    length (full, short or [x]), lists of mixed lengths, ints beside lists,
+    or an odd entry that is not an integer; or rows of ints of any length."""
+    n, d = draw(st.integers(1, 4)), draw(st.sampled_from([1, 3]))
+    kind = draw(st.sampled_from(["int", "list", "ragged", "mixed", "bad", "rows"]))
+    if kind == "rows":
+        return draw(st.lists(st.lists(_ints, max_size=5), min_size=n, max_size=n)), d
+    k = draw(st.integers(0, d + 1))
+    entry = {
+        "int": _ints,
+        "list": st.lists(_ints, min_size=k, max_size=k),
+        "ragged": st.lists(_ints, max_size=d + 1),
+        "mixed": st.one_of(_ints, st.lists(_ints, max_size=d)),
+        "bad": st.one_of(_ints, _bad, st.lists(st.one_of(_ints, _bad), max_size=d)),
+    }[kind]
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return rows, d
+
+
+class TestFromRows:
+    """The one-conversion path of from_rows gives what reading the rows entry
+    by entry gives, and refuses what that refuses."""
+
+    @given(_rows(), st.sampled_from([2, 72, 2**31]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_entry_by_entry(self, rows_d, m):
+        rows, d = rows_d
+        ring = MatrixRing(factorize(m), d)
+        try:
+            expected = from_rows_reference(rows, m, d)
+        except (ValueError, TypeError) as err:
+            with pytest.raises(InputError if isinstance(err, ValueError) else TypeError):
+                RingMatrix.from_rows(rows, ring)
+            return
+        got = RingMatrix.from_rows(rows, ring)
+        assert got.coeffs.tolist() == expected
+        assert got.coeffs.dtype == RingMatrix.zeros(len(rows), ring).coeffs.dtype
+        assert all(type(v) is int for v in got.coeffs.ravel().tolist())
+
+    @pytest.mark.parametrize("rows,d", [
+        ([[2**63, -1], [0, 1]], 1),  # float64 to numpy
+        ([[[1, 2], [3]], [[4, 5, 6], []]], 3),  # ragged coefficient lists
+        ([[[-1], [2**64]], [[True], [np.int64(-5)]]], 1),  # [x] entries over Z_m
+    ])
+    def test_examples(self, rows, d):
+        for m in (2, 72, 2**31):
+            ring = MatrixRing(factorize(m), d)
+            assert RingMatrix.from_rows(rows, ring).coeffs.tolist() == from_rows_reference(rows, m, d)
