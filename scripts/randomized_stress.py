@@ -57,7 +57,7 @@ def stress_rcf(config, rng):
     start = time.perf_counter()
     bad = 0
     for _ in range(config.count):
-        p = int(rng.choice([2, 3]))
+        p = int(rng.choice([2, 3, 5, 2147483647]))  # the list field and object dtype too
         n = int(rng.integers(1, config.max_dim + 1))
         a = RingMatrix.random(n, zm_ring(p), rng)
         result = rcf(a)

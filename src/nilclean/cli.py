@@ -35,7 +35,6 @@ from .errors import (
     DomainError,
     InputError,
     InternalCheckError,
-    NilcleanError,
     ResourceCapError,
     UnsupportedRingError,
 )
@@ -135,19 +134,22 @@ def _digits(text: str) -> int:
 
 
 def certificate_to_doc(cert: DecompositionCertificate) -> str:
+    """The certificate document.  Ints and nested lists of Python ints are
+    rendered by str(), which gives json.dumps's bytes for them at half the
+    cost; the remaining values go through json.dumps."""
     ring = cert.a.ring
     return emit_document(
         [
             ("schema", SCHEMA),
             ("kind", "certificate"),
             ("ring", ring.describe()),
-            ("modulus", ring.m),
-            ("trunc-degree", ring.d),
-            ("n", cert.a.n),
-            ("A", cert.a.to_rows()),
-            ("E", cert.e.to_rows()),
-            ("F", cert.f.to_rows()),
-            ("W", cert.w.to_rows()),
+            ("modulus", str(ring.m)),
+            ("trunc-degree", str(ring.d)),
+            ("n", str(cert.a.n)),
+            ("A", str(cert.a.to_rows())),
+            ("E", str(cert.e.to_rows())),
+            ("F", str(cert.f.to_rows())),
+            ("W", str(cert.w.to_rows())),
             ("nilpotency-exponent", cert.nilpotency_exponent),
             ("case-tags", list(cert.case_tags)),
             ("verified", cert.verified),
@@ -379,7 +381,7 @@ def cmd_rcf(args) -> int:
         )
     result = rcf(a)
     if not verify_rcf(a, result):
-        raise NilcleanError("canonical form failed verification")  # pragma: no cover
+        raise InternalCheckError("canonical form failed verification", a)  # pragma: no cover
     if args.format == "plain":
         print(f"modulus: {a.ring.m}  n: {a.n}")
         print(f"blocks: {[list(b.poly.coeffs) for b in result.blocks]}")

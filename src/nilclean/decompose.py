@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import DomainError, InputError, InternalCheckError
 from .frobenius import krylov_form
-from .matrix import DecompositionCertificate, RingMatrix, verify_certificate, zm_ring
+from .matrix import (DecompositionCertificate, MatrixRing, RingMatrix, _stack_mul,
+                     verify_certificate, zm_ring)
 from .residue import lift_iteration_cap, require_two_three_smooth
 
 
@@ -133,42 +134,50 @@ def _diagonal_solve(t: RingMatrix):
     return np.diag(diag != 0).astype(np.int64), np.diag(diag == 2).astype(np.int64), ()
 
 
-def lift_idempotent_matrix(x: RingMatrix) -> RingMatrix:
-    """Lift a residually idempotent matrix to an exact idempotent.
+def _lift_idempotents(ring: MatrixRing, stack: np.ndarray, a: RingMatrix) -> np.ndarray:
+    """Lift a (k, d, n, n) stack of residually idempotent coefficient stacks
+    over ring to exact idempotents, one batched product per step.
 
-    Requires the image of x in M_n(GF(p)) to be idempotent for every prime
-    p | m (all iterates then stay congruent to x there); iterates
+    Requires the image of each in M_n(GF(p)) to be idempotent for every prime
+    p | m (all iterates then stay congruent to it there); iterates
     x <- 3x^2 - 2x^3, whose idempotency defect lies in the square of the ideal
     generated by the previous defect, so convergence is doubly exponential.
+    An idempotent is a fixed point, so each matrix of the stack ends where it
+    would alone.  a is the input reported if the cap is exceeded.
     """
-    ring = x.ring
+    m = ring.m
     for p in ring.modulus.primes:
-        img = x.residue_field_image(p)
-        if ((img.dot(img) - img) % p).any():
+        img = stack[:, 0] % p
+        if ((np.matmul(img, img) - img) % p).any():
             raise DomainError(
                 f"matrix is not idempotent modulo {p}; the cubic iteration "
                 f"would not converge to a lift of it"
             )
-    cap = lift_iteration_cap(ring.radical_exponent())
-    y = x
-    for _ in range(cap + 1):
-        y2 = y @ y
-        if y2 == y:
+    y = stack
+    for _ in range(lift_iteration_cap(ring.radical_exponent()) + 1):
+        y2 = _stack_mul(y, y, m)
+        if np.array_equal(y2, y):
             return y
-        y = 3 * y2 - 2 * (y2 @ y)
-    raise InternalCheckError("idempotent lifting exceeded its iteration cap", x)
+        y = (3 * y2 - 2 * _stack_mul(y2, y, m)) % m
+    raise InternalCheckError("idempotent lifting exceeded its iteration cap", a)
+
+
+def lift_idempotent_matrix(x: RingMatrix) -> RingMatrix:
+    """Lift a residually idempotent matrix to an exact idempotent: the
+    one-matrix case of the stacked lift."""
+    return RingMatrix(x.ring, _lift_idempotents(x.ring, x.coeffs[None], x)[0])
 
 
 def _parts(a: RingMatrix, solve):
     """Unverified (E, F, W, tags) over a 2-3-smooth Z_m[x]/(x^d): solve the
     constant term mod each prime p | m, recombine the solutions through the
-    CRT idempotents, lift E and F over the whole ring, and W = A - E - F.
-    The cubic iteration commutes with reduction mod each p^k, so this is the
-    per-prime-power lift followed by the CRT."""
+    CRT idempotents, lift E and F together over the whole ring, and
+    W = A - E - F.  The cubic iteration commutes with reduction mod each p^k,
+    so this is the per-prime-power lift followed by the CRT."""
     ring = a.ring
     if ring.is_prime_field():
         e, f, tags = solve(a)
-        parts = [RingMatrix(ring, x[None]) for x in (e, f)]
+        e, f = (RingMatrix(ring, x[None]) for x in (e, f))
     else:
         modulus = ring.modulus
         e = f = 0
@@ -176,14 +185,11 @@ def _parts(a: RingMatrix, solve):
         for p, c in zip(modulus.primes, modulus.crt_basis()):
             e_p, f_p, tags_p = solve(RingMatrix(zm_ring(p), a.residue_field_image(p)[None]))
             e, f, tags = e + c * e_p, f + c * f_p, tags + tags_p
-        parts = []
-        for x in (e, f):
-            stack = np.zeros_like(a.coeffs)
-            stack[0] = x % ring.m
-            parts.append(RingMatrix(ring, stack))
+        stack = np.zeros((2,) + a.coeffs.shape, dtype=a.coeffs.dtype)
+        stack[:, 0] = e % ring.m, f % ring.m
         if modulus.max_exponent > 1:
-            parts = [lift_idempotent_matrix(x) for x in parts]
-    e, f = parts
+            stack = _lift_idempotents(ring, stack, a)
+        e, f = (RingMatrix(ring, x) for x in stack)
     return e, f, RingMatrix(ring, (a.coeffs - e.coeffs - f.coeffs) % ring.m), tags
 
 

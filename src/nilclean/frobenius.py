@@ -5,8 +5,8 @@ Krylov form that decompositions use.
 Both forms rest on conductor polynomials: the Krylov iterates of a vector are
 reduced against the ``gfp`` elimination kernel, whose histories write each
 row over the chain vectors, and the first iterate that vanishes reads off the
-polynomial.  ``gfp.field`` packs vectors by p: one int over GF(2), two
-bit-planes over GF(3), int lists for p >= 5 (of the commands, only rcf meets
+polynomial.  ``gfp.field`` packs vectors by p: one int of byte lanes over
+GF(2) and GF(3), int lists for p >= 5 (of the commands, only rcf meets
 them).  The canonical form repeatedly picks a vector of maximal order modulo
 the invariant subspace spanned so far (coprime splitting of lcms, no
 factoring), corrects it to an exact annihilator representative, and appends
@@ -232,8 +232,8 @@ def _conductor(cols, w, span: Echelon):
 
     Returns (coefficient tuple of g, [w, Aw, ..., A^{deg g - 1} w]) and
     extends the span by that chain in place.  The Krylov iterate A^t w goes in
-    with history unit(span.dim + t), after the span's own rows, so the
-    vanishing reduction reads off g directly (monic by design: row t never
+    with history span.dim + t, after the span's own rows, so the history of
+    the vanishing reduction reads off g directly (monic by design: row t never
     touches iterates beyond t).
     """
     f = span.f
@@ -241,9 +241,9 @@ def _conductor(cols, w, span: Echelon):
     krylov: list = []
     u = w
     for t in range(len(cols) + 1):
-        h = span.insert(u, f.unit(base + t))
+        h = span.insert(u, base + t)
         if h is not None:
-            return _ptrim(f.get(h, base + j) for j in range(t + 1)), krylov
+            return _ptrim(f.get(h, f.n + base + j) for j in range(t + 1)), krylov
         krylov.append(u)
         u = f.matvec(cols, u)
     raise InternalCheckError("conductor search exceeded the dimension bound")
@@ -332,9 +332,10 @@ def krylov_form(a: RingMatrix) -> tuple[list[tuple[int, ...]], np.ndarray, np.nd
         if chain:
             last_columns.append(tuple(-c % p for c in g[:-1]))
             basis.extend(chain)
-    # the chain vectors went in with unit histories, in basis order
-    q_and_inv_t = f.unpack(basis + span.inverse(), n)
-    return last_columns, q_and_inv_t[:n].T, q_and_inv_t[n:].T
+    # the chain vectors went in with unit histories, in basis order: unpacked
+    # as [vector | history], they are [Q^T | 0] over [I | Q^-T]
+    both = f.unpack(basis + span.inverse(), 2 * n)
+    return last_columns, both[:n, :n].T, both[n:, n:].T
 
 
 def rcf(a: RingMatrix) -> RcfResult:
@@ -361,7 +362,7 @@ def rcf(a: RingMatrix) -> RcfResult:
                 at = 0
                 for chain in chains:
                     d_i = len(chain)
-                    q = _ptrim(f.get(x, j) for j in range(at, at + d_i))
+                    q = _ptrim(f.get(x, n + j) for j in range(at, at + d_i))
                     at += d_i
                     if not q:
                         continue
@@ -375,7 +376,7 @@ def rcf(a: RingMatrix) -> RcfResult:
         polys.append(h)
         chains.append(krylov)
         for u in krylov:
-            if span.insert(u, f.unit(span.dim)) is not None:
+            if span.insert(u, span.dim) is not None:
                 raise InternalCheckError("chain vector already inside the span")
     polys.reverse()
     chains.reverse()
@@ -387,7 +388,10 @@ def rcf(a: RingMatrix) -> RcfResult:
     if q_inv is None:
         raise InternalCheckError("chain basis is singular")
     blocks = tuple(CompanionBlock(FieldPoly(p, g)) for g in polys)
-    return RcfResult(blocks, RingMatrix(a.ring, q_inv[None]), RingMatrix(a.ring, q[None]))
+    transform, transform_inv = RingMatrix.zeros(n, a.ring), RingMatrix.zeros(n, a.ring)
+    # in the ring's dtype: over p near 2^31, int64 products of the transforms would wrap
+    transform.coeffs[0], transform_inv.coeffs[0] = q_inv, q
+    return RcfResult(blocks, transform, transform_inv)
 
 
 def verify_rcf(a: RingMatrix, result: RcfResult) -> bool:

@@ -4,30 +4,31 @@ A field fixes how a vector over GF(p) is stored and supplies the primitives
 the elimination is written in: ``get`` reads a coordinate, ``lead`` finds the
 lowest nonzero index (-1 for the zero vector), ``scale`` multiplies by a unit,
 ``axpy(v, c, r)`` is v - c*r, and ``matvec`` applies a matrix given by its
-packed columns, one column per nonzero coordinate of the vector.  p alone
+packed columns, one column per nonzero coordinate of the vector.  A field for
+n-vectors stores 2n + 1 coordinates: an elimination row is [vector | history]
+as in Gauss-Jordan on [A | I], so one row operation updates both.  p alone
 picks the representation:
 
-* GF(2): a vector is one int, coordinate j at bit 8j, and a row operation is
-  an XOR (as in M4RI, Albrecht-Bard-Hart, ACM TOMS 2010);
-* GF(3): a vector is a pair of such bit-planes (ones, twos); a sum takes
-  seven word operations and negation swaps the planes (Boothby-Bradshaw,
-  "Bitslicing and the Method of Four Russians over larger finite fields",
-  arXiv:0901.1413);
-* p >= 5: a list of n + 1 ints, room for a history coordinate per vector;
-  of the commands, only rcf meets it (decompositions need p in {2, 3}).
+* GF(2) and GF(3): a vector is one int, coordinate j in byte j.  Over GF(2) a
+  row operation is an XOR (as in M4RI, Albrecht-Bard-Hart, ACM TOMS 2010);
+  over GF(3) it adds lanewise and takes 3 off every lane that reached it, six
+  word operations;
+* p >= 5: a list of 2n + 1 ints; of the commands, only rcf meets it
+  (decompositions need p in {2, 3}).
 
-One coordinate per byte: packing a numpy row is one int.from_bytes, and
-unpacking one to_bytes, so n = 3 stays as fast as plain lists.
+Packing a numpy row is one int.from_bytes, and unpacking one to_bytes, so
+n = 3 stays as fast as plain lists.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from typing import Optional
 
 import numpy as np
 
-Field = namedtuple("Field", "p zero unit get lead scale axpy matvec pack unpack")
+Field = namedtuple("Field", "p n zero unit get lead scale axpy matvec pack unpack")
 
 
 def _pack_bytes(mat: np.ndarray) -> list[int]:
@@ -44,59 +45,54 @@ def _unpack_bytes(vecs: list[int], n: int) -> np.ndarray:
     return np.frombuffer(text, dtype=np.uint8).astype(np.int64).reshape(len(vecs), n)
 
 
-def _gf2_matvec(cols: list[int], u: int) -> int:
+def _gather(cols: list[int], plane: int) -> int:
+    """The lanewise sum of the columns at the set bits of a plane (bit 0 of
+    each lane): at most 2n <= 128 per lane, so no carry."""
     acc = 0
-    while u:
-        low = u & -u
-        acc ^= cols[low.bit_length() - 1 >> 3]
-        u ^= low
+    while plane:
+        low = plane & -plane
+        acc += cols[low.bit_length() - 1 >> 3]
+        plane ^= low
     return acc
 
 
-def _gf3_axpy(v, c, r):
-    """v - c*r: negating r swaps its planes, then seven word operations add."""
-    a1, a2 = v
-    b2, b1 = r if c == 1 else (r[1], r[0])
-    t = (a1 | b2) ^ (a2 | b1)
-    return (a2 | b2) ^ t, (a1 | b1) ^ t
+_MOD3 = bytes(i % 3 for i in range(256))
 
 
-def _gf3_matvec(cols, u):
-    """A coordinate 1 adds its column (v - 2r = v + r), a 2 subtracts it."""
-    acc = (0, 0)
-    for plane, c in ((u[0], 2), (u[1], 1)):
-        while plane:
-            low = plane & -plane
-            acc = _gf3_axpy(acc, c, cols[low.bit_length() - 1 >> 3])
-            plane ^= low
-    return acc
+@functools.cache
+def _byte_lanes(p: int, n: int) -> Field:
+    """GF(2) or GF(3) on ints of 2n + 1 byte lanes."""
+    width = 2 * n + 1
+    ones = int.from_bytes(b"\x01" * width, "little")
+    fours, threes = ones << 2, 3 * ones
 
+    def axpy(v, c, r):
+        """v - c*r over GF(3): add r (c = 2) or 3 - r (c = 1), then take 3 off
+        each lane that reached it."""
+        s = v + r if c == 2 else v + threes - r
+        t = (s + ones) & fours
+        return s - t + (t >> 2)
 
-_LOW = int.from_bytes(b"\x01" * 64, "little")  # bit 0 of each byte of a row
+    def matvec(cols, u):
+        """Over GF(3): the columns at coordinates 1 less those at coordinates
+        2, plus 3 per 2 to keep each lane in [0, 3n], reduced bytewise."""
+        twos = u >> 1 & ones
+        acc = _gather(cols, u & ones) - _gather(cols, twos) + 3 * twos.bit_count() * ones
+        return int.from_bytes(acc.to_bytes(width, "little").translate(_MOD3), "little")
 
-GF2 = Field(
-    p=2, zero=0, unit=lambda j: 1 << (j << 3), get=lambda v, j: v >> (j << 3) & 1,
-    lead=lambda v: (v & -v).bit_length() - 1 >> 3, scale=lambda v, c: v,
-    axpy=lambda v, c, r: v ^ r, matvec=_gf2_matvec, pack=_pack_bytes, unpack=_unpack_bytes,
-)
-
-GF3 = Field(
-    p=3, zero=(0, 0), unit=lambda j: (1 << (j << 3), 0),
-    get=lambda v, j: (v[0] | v[1] << 1) >> (j << 3) & 3,
-    lead=lambda v: ((x := v[0] | v[1]) & -x).bit_length() - 1 >> 3,
-    scale=lambda v, c: v if c == 1 else (v[1], v[0]), axpy=_gf3_axpy, matvec=_gf3_matvec,
-    pack=lambda mat: [(x & _LOW, x >> 1 & _LOW) for x in _pack_bytes(mat)],
-    unpack=lambda vecs, n: _unpack_bytes([a | b << 1 for a, b in vecs], n),
-)
+    if p == 2:
+        axpy, matvec = (lambda v, c, r: v ^ r), (lambda cols, u: _gather(cols, u) & ones)
+    return Field(p, n, 0, lambda j: 1 << (j << 3), lambda v, j: v >> (j << 3) & 3,
+                 lambda v: (v & -v).bit_length() - 1 >> 3,
+                 lambda v, c: v if c == 1 else axpy(0, 1, v), axpy, matvec,
+                 _pack_bytes, _unpack_bytes)
 
 
 def field(p: int, n: int) -> Field:
-    """GF(p), p prime, for vectors of n coordinates (and histories of n + 1)."""
-    if p == 2:
-        return GF2
-    if p == 3:
-        return GF3
-    width = n + 1
+    """GF(p), p prime, for rows of n-vectors and their histories."""
+    if p <= 3:
+        return _byte_lanes(p, n)
+    width = 2 * n + 1
 
     def axpy(v, c, r):
         return [(a - c * b) % p for a, b in zip(v, r)]
@@ -109,7 +105,7 @@ def field(p: int, n: int) -> Field:
         return acc
 
     return Field(
-        p=p, zero=[0] * width, get=lambda v, j: v[j],
+        p=p, n=n, zero=[0] * width, get=lambda v, j: v[j],
         unit=lambda j: [0] * j + [1] + [0] * (width - 1 - j),
         lead=lambda v: next((j for j, c in enumerate(v) if c), -1),
         scale=lambda v, c: [a * c % p for a in v], axpy=axpy, matvec=matvec,
@@ -119,69 +115,65 @@ def field(p: int, n: int) -> Field:
 
 
 class Echelon:
-    """Fully reduced row-echelon basis: every row has a unit pivot (its lead
-    at insertion) and zeros in all other pivot columns, so one pass reduces a
-    vector.  Each row carries a history, the same combination of the
-    histories its vectors were inserted with; inserting the j-th vector with
-    ``unit(j)`` makes the histories coordinates over the inserted vectors.
-    Rows are replaced, never changed in place, so copies may share them."""
+    """Fully reduced row-echelon basis of rows [vector | history]: every row
+    has a unit pivot among the n vector coordinates (its lead at insertion)
+    and zeros in all other pivot columns, so one pass reduces a vector.  The
+    history, coordinates n..2n, is the same combination of the unit histories
+    the vectors were inserted with; inserting the j-th vector with history j
+    makes it coordinates over the inserted vectors.  History n is left for a
+    vector known to be dependent.  Rows are replaced, never changed in place,
+    so copies may share them."""
 
-    __slots__ = ("f", "rows", "pivs", "hists")
+    __slots__ = ("f", "rows", "pivs")
 
-    def __init__(self, f: Field, rows=(), pivs=(), hists=()):
+    def __init__(self, f: Field, rows=(), pivs=()):
         self.f = f
-        self.rows, self.pivs, self.hists = list(rows), list(pivs), list(hists)
+        self.rows, self.pivs = list(rows), list(pivs)
 
     def copy(self) -> "Echelon":
-        return Echelon(self.f, self.rows, self.pivs, self.hists)
+        return Echelon(self.f, self.rows, self.pivs)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v, h):
-        """(v - sum c_i row_i, h - sum c_i hist_i), zero in every pivot column."""
-        get, axpy = self.f.get, self.f.axpy
-        for row, piv, rh in zip(self.rows, self.pivs, self.hists):
+    def insert(self, v, k: int):
+        """Reduce v, with history unit(k), and insert it, pivot at its lead.
+        When v is already in the span, insert nothing and return the reduced
+        row: its history is a relation that the inserted vectors and v
+        satisfy."""
+        f = self.f
+        get, axpy, n = f.get, f.axpy, f.n
+        v = axpy(v, f.p - 1, f.unit(n + k))
+        for row, piv in zip(self.rows, self.pivs):
             c = get(v, piv)
             if c:
                 v = axpy(v, c, row)
-                h = axpy(h, c, rh)
-        return v, h
-
-    def insert(self, v, h):
-        """Reduce v, with history h, and insert it, pivot at its lead.  When v
-        is already in the span, insert nothing and return the reduced history:
-        a relation that the inserted vectors and v satisfy."""
-        v, h = self.reduce(v, h)
-        f = self.f
         piv = f.lead(v)
-        if piv < 0:
-            return h
-        c = f.get(v, piv)
+        if not 0 <= piv < n:
+            return v
+        c = get(v, piv)
         if c != 1:
-            inv = pow(c, -1, f.p)
-            v, h = f.scale(v, inv), f.scale(h, inv)
-        rows, hists = self.rows, self.hists
+            v = f.scale(v, pow(c, -1, f.p))
+        rows = self.rows
         for i, row in enumerate(rows):
-            c = f.get(row, piv)
+            c = get(row, piv)
             if c:
-                rows[i] = f.axpy(row, c, v)
-                hists[i] = f.axpy(hists[i], c, h)
+                rows[i] = axpy(row, c, v)
         rows.append(v)
         self.pivs.append(piv)
-        hists.append(h)
         return None
 
     def solve(self, y):
-        """Coordinates of y over the inserted vectors, or None outside the span."""
-        v, h = self.reduce(y, self.f.zero)
-        return self.f.scale(h, self.f.p - 1) if self.f.lead(v) < 0 else None
+        """A row whose history holds the coordinates of y over the inserted
+        vectors (and -1 at index n), or None when y is outside the span."""
+        relation = self.copy().insert(y, self.f.n)
+        return None if relation is None else self.f.scale(relation, self.f.p - 1)
 
     def inverse(self) -> list:
-        """With the span full, each row is its e_piv, so the histories sorted by
-        pivot are the rows of the inverse of the matrix of inserted vectors."""
-        return [h for _, h in sorted(zip(self.pivs, self.hists))]
+        """With the span full, each row is [e_piv | h], so the rows sorted by
+        pivot are [I | X], X the inverse of the matrix of inserted vectors."""
+        return [row for _, row in sorted(zip(self.pivs, self.rows))]
 
 
 def _row_span(mat: np.ndarray, p: int) -> Echelon:
@@ -189,7 +181,7 @@ def _row_span(mat: np.ndarray, p: int) -> Echelon:
     f = field(p, mat.shape[1])
     span = Echelon(f)
     for i, row in enumerate(f.pack(mat)):
-        span.insert(row, f.unit(i))
+        span.insert(row, i)
     return span
 
 
@@ -203,4 +195,4 @@ def inverse(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
     when it is singular."""
     span = _row_span(mat, p)
     n = mat.shape[0]
-    return span.f.unpack(span.inverse(), n) if span.dim == n else None
+    return span.f.unpack(span.inverse(), 2 * n)[:, n:] if span.dim == n else None

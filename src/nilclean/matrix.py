@@ -287,10 +287,13 @@ class RingMatrix:
 # ---------------------------------------------------------------------------
 
 def _stack_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Product of two (d, n, n) coefficient stacks, truncated at x^d, mod m."""
-    d = a.shape[0]
+    """Product of two (d, n, n) coefficient stacks, truncated at x^d, mod m;
+    of two (k, d, n, n) stacks, the k products."""
+    d = a.shape[-3]
     if d == 1:
         return np.matmul(a, b) % m
+    if a.ndim == 4:
+        return np.stack([_stack_mul(x, y, m) for x, y in zip(a, b)])
     out = np.zeros_like(a)
     for i in range(d):
         for j in range(d - i):

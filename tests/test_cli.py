@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import mat_mul_naive
 from nilclean import classifier, cli
 from nilclean.classifier import PropertyReport, parse_ring_descriptor
 from nilclean.cli import (
@@ -32,7 +33,14 @@ from nilclean.cli import (
 )
 from nilclean.decompose import decompose
 from nilclean.errors import InputError
-from nilclean.matrix import CHECK_SUM, RingMatrix, trunc_ring, verify_certificate, zm_ring
+from nilclean.matrix import (
+    CHECK_SUM,
+    DecompositionCertificate,
+    RingMatrix,
+    trunc_ring,
+    verify_certificate,
+    zm_ring,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "m2_z3_sweep.txt"
 
@@ -314,6 +322,7 @@ class TestNonJsonMatrixFields:
         assert code == EXIT_PARSE and f"field {key!r} is not a JSON matrix" in err
 
 
+NEAR_2_31 = (2147483647, 2147483629)  # primes: int64 products of such entries wrap
 DOC_KEYS = ("schema", "kind", "ring", "modulus", "trunc-degree", "n", "A", "E", "F", "W",
             "nilpotency-exponent", "case-tags", "verified")
 FUZZ_SECONDS = 2.0  # per example; a well-formed document of this size takes milliseconds
@@ -338,7 +347,8 @@ _values = st.one_of(
     _json_text.flatmap(lambda t: st.integers(0, len(t)).map(lambda cut: t[:cut])),  # truncated
     st.sampled_from([HUGE, f"[[{HUGE}]]", "[" * 5000 + "]" * 5000, "NaN", "1e400", "-0"]),
     st.integers(-3, 2**32).map(str),  # moduli and degrees, in and out of range
-    st.sampled_from(["Z6", "Z5", "Z12", "Z6[x]/(x^2)", "Z0", "GF(4)", f"Z{HUGE}"]),
+    st.sampled_from(["Z6", "Z5", "Z12", "Z6[x]/(x^2)", "Z0", "GF(4)", f"Z{HUGE}",
+                     *(f"Z{p}" for p in NEAR_2_31)]),
     st.text(max_size=12),
 )
 _keys = st.one_of(st.sampled_from(DOC_KEYS), st.text(max_size=6))
@@ -350,26 +360,40 @@ def _documents(draw):
     fields = {}
     if draw(st.booleans()):
         n = draw(st.integers(1, 3))
-        square = st.lists(st.lists(st.integers(0, 12), min_size=n, max_size=n),
-                          min_size=n, max_size=n)
+        entry = st.integers(0, 12) | st.integers(2**30, 2**31)
+        square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
         fields = {key: json.dumps(draw(square)) for key in ("A", "E", "F", "W")}
-        fields.update({"modulus": str(draw(st.sampled_from([2, 3, 4, 5, 6, 12]))),
+        fields.update({"modulus": str(draw(st.sampled_from([2, 3, 4, 5, 6, 12, *NEAR_2_31]))),
                        "trunc-degree": str(draw(st.integers(1, 3))),
                        "nilpotency-exponent": str(draw(st.integers(1, 4)))})
     fields.update(draw(st.dictionaries(_keys, _values, max_size=6)))
     return "".join(f"{key}: {value}\n" for key, value in fields.items())
 
 
-class TestDocumentFuzz:
-    """Arbitrary decompose and verify documents end in a documented exit code,
-    without a traceback, in bounded time."""
+# the flags each command reads, with rings over primes near 2^31 among them
+_FLAGS = {
+    "decompose": [("--format", "plain"), ("--triangular",), ("--ring", "Z6"),
+                  ("--ring", "Z6[x]/(x^2)"), ("--ring", "Z2147483647"), ("--modulus", "2147483629")],
+    "rcf": [("--format", "plain"), ("--ring", "Z3"), ("--ring", "Z2147483647"),
+            ("--ring", "Z2147483629"), ("--modulus", "5")],
+    "verify": [("--format", "plain")],
+}
+_argv = st.sampled_from(sorted(_FLAGS)).flatmap(lambda command: st.lists(
+    st.sampled_from(_FLAGS[command]), max_size=2, unique=True).map(
+    lambda flags: [command] + [token for flag in flags for token in flag]))
 
-    @settings(max_examples=300, derandomize=True, deadline=None,
+
+class TestDocumentFuzz:
+    """Arbitrary decompose, rcf and verify documents, under any of the flags
+    these commands read, end in a documented exit code, without a traceback,
+    in bounded time."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
-    @given(command=st.sampled_from(["decompose", "verify"]), text=_documents())
-    def test_documented_exit_code(self, capsys, monkeypatch, command, text):
+    @given(argv=_argv, text=_documents())
+    def test_documented_exit_code(self, capsys, monkeypatch, argv, text):
         start = time.perf_counter()
-        code, _, err = run(capsys, monkeypatch, [command], text)
+        code, _, err = run(capsys, monkeypatch, argv, text)
         assert time.perf_counter() - start < FUZZ_SECONDS
         assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY, EXIT_RESOURCE)
         assert "Traceback" not in err
@@ -412,6 +436,44 @@ def _parse_every_value(text):
     if not doc:
         raise InputError("empty")
     return doc
+
+
+def _reference_certificate_doc(cert):
+    """certificate_to_doc as json.dumps renders every non-string value."""
+    ring = cert.a.ring
+    pairs = [("schema", "nilclean-cert/1"), ("kind", "certificate"), ("ring", ring.describe()),
+             ("modulus", ring.m), ("trunc-degree", ring.d), ("n", cert.a.n),
+             *((key, x.to_rows()) for key, x in zip("AEFW", (cert.a, cert.e, cert.f, cert.w))),
+             ("nilpotency-exponent", cert.nilpotency_exponent),
+             ("case-tags", list(cert.case_tags)), ("verified", cert.verified)]
+    return "".join(f"{key}: {value if isinstance(value, str) else json.dumps(value)}\n"
+                   for key, value in pairs)
+
+
+class TestCertificateEmit:
+    """str() renders the ints and int matrices of a certificate byte for byte
+    as json.dumps does, for int64 and object-dtype rings, d = 1 and d > 1."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_bytes_as_json(self, data):
+        m = data.draw(st.sampled_from([2, 3, 6, 72, 2**31 - 1, 2**31]))
+        d, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        value = st.integers(0, m - 1) | st.sampled_from([0, m - 1])
+        entry = value if d == 1 else st.lists(value, min_size=1, max_size=d)
+        square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+        mats = [RingMatrix.from_rows(data.draw(square), trunc_ring(m, d)) for _ in "AEFW"]
+        cert = DecompositionCertificate(
+            *mats, data.draw(st.none() | st.integers(1, 2**31)),
+            tuple(data.draw(st.lists(st.sampled_from(["gf3:trace-one:n2", "gf2:trace-zero:n1"]),
+                                     max_size=3))),
+            data.draw(st.booleans()))
+        assert certificate_to_doc(cert) == _reference_certificate_doc(cert)
+
+    def test_decompositions(self, rng):
+        for ring in (zm_ring(72), zm_ring(2**31), trunc_ring(6, 3)):
+            cert = decompose(RingMatrix.random(4, ring, rng))
+            assert certificate_to_doc(cert) == _reference_certificate_doc(cert)
 
 
 class TestParseDocument:
@@ -655,6 +717,23 @@ class TestRcfCommand:
         code, _, err = run(capsys, monkeypatch, ["rcf", "--modulus", "6"], "1 0\n0 1\n")
         assert code == EXIT_PARSE
         assert "prime" in err
+
+    @pytest.mark.parametrize("n", (8, 64))
+    def test_prime_near_two_to_the_31(self, capsys, monkeypatch, n):
+        p = 2147483647
+        a = RingMatrix.random(n, zm_ring(p), np.random.default_rng(n))
+        rows = "\n".join(" ".join(str(v) for v in row) for row in a.to_rows())
+        code, out, err = run(capsys, monkeypatch, ["rcf", "--modulus", str(p)], rows)
+        assert code == EXIT_OK and "Traceback" not in err
+        doc = parse_document(out)
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert mat_mul_naive(doc["P"], doc["P-inv"], p) == ident
+
+    def test_failed_check_has_internal_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_rcf", lambda a, result: False)
+        code, out, err = run(capsys, monkeypatch, ["rcf", "--modulus", "3"], "0 1\n1 1\n")
+        assert code == EXIT_INTERNAL and out == ""
+        assert "canonical form failed verification" in err and "Traceback" not in err
 
     def test_random_document_verifies(self, capsys, monkeypatch, rng):
         a = RingMatrix.random(6, zm_ring(2), rng)

@@ -310,15 +310,17 @@ class TestLiftMatrix:
 
 class TestPrimePower:
     def test_degenerates_to_field(self, rng, monkeypatch):
-        # E and F are lifted exactly when m is not squarefree: a constant
-        # start point over squarefree m is already idempotent
+        # E and F are lifted, together as one stack, exactly when m is not
+        # squarefree: a constant start point over squarefree m is already
+        # idempotent
         module = importlib.import_module("nilclean.decompose")
+        lift = module._lift_idempotents
         lifted = []
-        monkeypatch.setattr(module, "lift_idempotent_matrix",
-                            lambda x: lifted.append(x.ring) or lift_idempotent_matrix(x))
+        monkeypatch.setattr(module, "_lift_idempotents", lambda ring, stack, a:
+                            lifted.append((ring, stack.shape[0])) or lift(ring, stack, a))
         for ring in (zm_ring(3), zm_ring(6), trunc_ring(6, 2), zm_ring(9), trunc_ring(36, 2)):
             decompose(RingMatrix.random(3, ring, rng))
-        assert lifted == [zm_ring(9)] * 2 + [trunc_ring(36, 2)] * 2
+        assert lifted == [(zm_ring(9), 2), (trunc_ring(36, 2), 2)]
 
     def test_doubled_identity(self):
         cert = decompose(RingMatrix.from_rows([[2, 0], [0, 2]], zm_ring(4)))

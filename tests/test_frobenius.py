@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import charpoly_cofactor, mat_mul_naive, poly_add, poly_mul, poly_trim
-from nilclean.cli import certificate_to_doc
+from nilclean.cli import certificate_to_doc, rcf_to_doc
 from nilclean.decompose import decompose_triangular
 from nilclean.errors import InputError
 from nilclean.frobenius import (
@@ -124,6 +124,17 @@ class TestRcf:
         result = rcf(a)
         assert [b.poly.coeffs for b in result.blocks] == [(1, 1), (1, 1)]
         assert result.blocks[0].poly.divides(result.blocks[1].poly)
+
+    @pytest.mark.parametrize("p", (2147483647, 2147483629))
+    @pytest.mark.parametrize("n", (8, 16, 64))
+    def test_primes_near_two_to_the_31(self, p, n):
+        # the transforms are held in the ring's dtype: int64 products of
+        # entries near 2^31 would wrap
+        a = RingMatrix.random(n, zm_ring(p), np.random.default_rng([p, n]))
+        result = rcf(a)
+        assert verify_rcf(a, result)
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert mat_mul_naive(result.transform.to_rows(), result.transform_inv.to_rows(), p) == ident
 
     def test_non_prime_field_rejected(self):
         with pytest.raises(InputError):
@@ -353,3 +364,36 @@ class TestPinnedTriangular:
             cert = decompose_triangular(RingMatrix.from_rows(rows, zm_ring(m)))
             h.update(certificate_to_doc(cert).encode())
         assert h.hexdigest() == digest
+
+
+def rcf_inputs(p):
+    """Per size, one seeded matrix and one conjugate of a repeated block
+    (derogatory, so the maximal-order search combines vectors)."""
+    rng = np.random.default_rng([p, 11])
+    ring = zm_ring(p)
+    for n in (1, 2, 3, 4, 5, 8, 16, 33, 64):
+        yield RingMatrix.random(n, ring, rng)
+        k = max(1, n // 4)
+        diag = np.kron(np.eye(n // k, dtype=np.int64), rng.integers(0, p, (k, k)))
+        a = np.zeros((n, n), dtype=np.int64)
+        a[: diag.shape[0], : diag.shape[0]] = diag
+        while not (g := RingMatrix.random(n, ring, rng)).is_invertible():
+            pass
+        yield g @ RingMatrix.from_rows(a.tolist(), ring) @ g.inverse()
+
+
+# SHA-256 over the rcf documents of rcf_inputs(p), recorded with the kernel
+# that kept vectors and histories apart
+PINNED_RCF_DOCUMENTS = [
+    (2, "84d23bf2c8fb6c1a245d70f2c82426470af208ed2e474dc5f6008a66b7418dad"),
+    (3, "db5569d941fe054218a85a794c48af5e412027028e058bb77a8038628db6e6c2"),
+    (5, "6b9697227bd3a2c2cba946a03acfe23e76be7b512c1090ae98a2d1c447a5d074"),
+]
+
+
+@pytest.mark.parametrize("p,digest", PINNED_RCF_DOCUMENTS, ids=[f"gf{p}" for p, _ in PINNED_RCF_DOCUMENTS])
+def test_pinned_rcf_documents(p, digest):
+    h = hashlib.sha256()
+    for a in rcf_inputs(p):
+        h.update(rcf_to_doc(a, rcf(a)).encode())
+    assert h.hexdigest() == digest

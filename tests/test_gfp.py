@@ -1,5 +1,6 @@
 """The GF(p) elimination kernel against naive list arithmetic, in every packed
-representation: GF(2) ints, GF(3) bit-planes, and int lists for p >= 5."""
+representation: byte lanes in one int for GF(2) and GF(3), int lists for
+p >= 5.  Elimination rows are [vector | history], 2n + 1 coordinates."""
 
 import numpy as np
 import pytest
@@ -27,22 +28,22 @@ def combination(coeffs, vecs, p):
 
 
 def insert_all(f, vecs):
-    """Offer vecs[j] with history unit(j), in order; the span and the indices
-    it took."""
+    """Offer vecs[j] with history j, in order; the span and the indices it
+    took."""
     span = gfp.Echelon(f)
-    return span, [j for j, v in enumerate(vecs) if span.insert(v, f.unit(j)) is None]
+    return span, [j for j, v in enumerate(vecs) if span.insert(v, j) is None]
 
 
 def check_invariants(f, span, vecs, n, p):
-    """Unit pivots that are each row's lead, zeros in the other pivot columns,
-    and every row equal to its history's combination of the offered vectors."""
-    rows = lists(f, span.rows, n)
-    hists = lists(f, span.hists, n + 1)
-    for row, piv, hist in zip(rows, span.pivs, hists):
-        assert row[piv] == 1 and not any(row[:piv])
-        assert all(row[q] == 0 for q in span.pivs if q != piv)
+    """Unit pivots among the vector coordinates that are each row's lead,
+    zeros in the other pivot columns, and every row's vector equal to its
+    history's combination of the offered vectors."""
+    for row, piv in zip(lists(f, span.rows, 2 * n + 1), span.pivs):
+        vector, hist = row[:n], row[n:]
+        assert piv < n and vector[piv] == 1 and not any(vector[:piv])
+        assert all(vector[q] == 0 for q in span.pivs if q != piv)
         assert not any(hist[len(vecs):])
-        assert combination(hist, vecs, p) == row
+        assert combination(hist, vecs, p) == vector
 
 
 @st.composite
@@ -65,17 +66,20 @@ class TestPrimitives:
     @given(square(), st.data())
     @settings(max_examples=120)
     def test_get_lead_scale_axpy(self, case, data):
+        """On full rows [vector | history] of 2n + 1 coordinates."""
         p, rows = case
         n = len(rows)
         f = gfp.field(p, n)
-        x, y = rows[0], rows[-1]
+        width = 2 * n + 1
+        row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+        x, y = data.draw(row), data.draw(row)
         v, r = f.pack(np.array([x, y]))
         c = data.draw(st.integers(1, p - 1))
-        assert [f.get(v, j) for j in range(n)] == x
+        assert [f.get(v, j) for j in range(width)] == x
         assert f.lead(v) == next((j for j, e in enumerate(x) if e), -1)
-        assert lists(f, [f.scale(v, c)], n) == [[e * c % p for e in x]]
-        assert lists(f, [f.axpy(v, c, r)], n) == [[(a - c * b) % p for a, b in zip(x, y)]]
-        assert lists(f, [f.zero, f.unit(n - 1)], n) == [[0] * n, [0] * (n - 1) + [1]]
+        assert lists(f, [f.scale(v, c)], width) == [[e * c % p for e in x]]
+        assert lists(f, [f.axpy(v, c, r)], width) == [[(a - c * b) % p for a, b in zip(x, y)]]
+        assert lists(f, [f.zero, f.unit(width - 1)], width) == [[0] * width, [0] * (width - 1) + [1]]
 
     @given(square(), st.data())
     @settings(max_examples=120)
@@ -86,7 +90,50 @@ class TestPrimitives:
         f = gfp.field(p, n)
         a = np.array(rows)
         got = f.matvec(f.pack(a.T), f.pack(np.array([u]))[0])
-        assert lists(f, [got], n) == [[sum(e * c for e, c in zip(row, u)) % p for row in rows]]
+        assert lists(f, [got], 2 * n + 1) == [[sum(e * c for e, c in zip(row, u)) % p
+                                               for row in rows] + [0] * (n + 1)]
+
+
+def gf3_lanes(width):
+    """Vectors of GF(3) coordinates, all-2 and all-0 ones among them."""
+    return st.one_of(st.lists(st.integers(0, 2), min_size=width, max_size=width),
+                     st.sampled_from([[2] * width, [0] * width, [1] * width]))
+
+
+class TestGf3Lanes:
+    """The byte-lane GF(3) primitives at every width up to n = 64, where a
+    row has 2n + 1 = 129 lanes, against naive mod-3 lists."""
+
+    @given(st.integers(1, 64).flatmap(lambda n: st.tuples(
+        st.just(n), gf3_lanes(2 * n + 1), gf3_lanes(2 * n + 1), st.sampled_from([1, 2]))))
+    @settings(max_examples=300)
+    def test_axpy_scale_get_lead(self, case):
+        n, x, y, c = case
+        f = gfp.field(3, n)
+        width = 2 * n + 1
+        v, r = f.pack(np.array([x, y]))
+        assert lists(f, [f.axpy(v, c, r)], width) == [[(a - c * b) % 3 for a, b in zip(x, y)]]
+        assert lists(f, [f.scale(v, c)], width) == [[a * c % 3 for a in x]]
+        assert [f.get(v, j) for j in range(width)] == x
+        assert f.lead(v) == next((j for j, e in enumerate(x) if e), -1)
+
+    @given(st.integers(1, 64).flatmap(lambda n: st.tuples(
+        st.lists(gf3_lanes(n), min_size=n, max_size=n), gf3_lanes(n))))
+    @settings(max_examples=150)
+    def test_matvec(self, case):
+        rows, u = case
+        n = len(u)
+        f = gfp.field(3, n)
+        got = f.matvec(f.pack(np.array(rows).T), f.pack(np.array([u]))[0])
+        assert lists(f, [got], n) == [[sum(e * c for e, c in zip(row, u)) % 3 for row in rows]]
+
+    def test_all_twos_at_full_width(self):
+        # every lane of the matvec accumulator at its bound 3n = 192
+        n = 64
+        f = gfp.field(3, n)
+        twos = np.full((n, n), 2)
+        got = f.matvec(f.pack(twos), f.pack(twos[:1])[0])
+        assert lists(f, [got], n) == [[2 * 2 * n % 3] * n]
 
 
 class TestElimination:
@@ -101,8 +148,7 @@ class TestElimination:
         assert span.dim == len(taken) == rank_naive(rows, p)
         assert gfp.rank(np.array(rows), p) == rank_naive(rows, p)
         for j, row in enumerate(rows):
-            reduced, _ = span.reduce(f.pack(np.array([row]))[0], f.zero)
-            assert f.lead(reduced) == -1
+            assert span.solve(f.pack(np.array([row]))[0]) is not None
             assert (j in taken) == (rank_naive(rows[: j + 1], p) > rank_naive(rows[:j], p))
 
     @given(square())
@@ -129,8 +175,8 @@ class TestElimination:
         y = combination(coeffs, rows, p)
         x = span.solve(f.pack(np.array([y]))[0])
         assert x is not None
-        x = lists(f, [x], n + 1)[0]
-        assert combination(x, rows, p) == y
+        x = lists(f, [x], 2 * n + 1)[0][n:]
+        assert combination(x[:n], rows, p) == y
         assert all(x[j] == 0 for j in range(n) if j not in taken)
         if len(taken) == n:
             assert x[:n] == coeffs
@@ -154,7 +200,7 @@ def structured(p, n, kind, rng):
 @pytest.mark.parametrize("n", (63, 64))
 @pytest.mark.parametrize("kind", ("invertible", "low-rank"))
 def test_full_width(p, n, kind):
-    """n + 1 offered vectors, so histories use all n + 1 coordinates (65 at
+    """n + 1 offered vectors, so rows use all 2n + 1 coordinates (129 at
     n = 64); the last one is always dependent on a full-rank set."""
     rng = np.random.default_rng(1000 * p + n)
     rows = structured(p, n, kind, rng)

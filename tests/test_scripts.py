@@ -14,7 +14,8 @@ def load(name):
 
 
 def test_randomized_stress_up_to_n64():
-    # rcf, is_invertible, inverse and conjugation invariance at n <= 64
+    # rcf, is_invertible, inverse and conjugation invariance at n <= 64, over
+    # p in {2, 3, 5, 2^31 - 1}: both byte-lane fields, the list field and object dtype
     assert load("randomized_stress").main(["--seed", "1", "--count", "30", "--max-dim", "64"]) == 0
 
 
