@@ -17,14 +17,6 @@ from .classifier import (
     decide,
     enumerate_idempotents,
     enumerate_nilpotents,
-    is_generalized_n_like,
-    is_nil_clean,
-    is_strongly_sit,
-    is_strongly_two_nil_clean,
-    is_tripotent,
-    is_two_boolean,
-    is_two_nil_clean,
-    is_weakly_nil_clean,
     min_nilpotent_index_over_decompositions,
     parse_ring_descriptor,
 )
@@ -47,7 +39,6 @@ from .frobenius import (
     CompanionBlock,
     FieldPoly,
     RcfResult,
-    companion,
     rcf,
     verify_rcf,
 )

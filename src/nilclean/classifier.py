@@ -564,19 +564,6 @@ def decide(name: str, ring: RingDescriptor) -> PropertyReport:
                           next(_passing_splits(scan, prop, ring.index(ring.one))))
 
 
-is_two_nil_clean = functools.partial(decide, "two-nil-clean")
-is_nil_clean = functools.partial(decide, "nil-clean")
-is_weakly_nil_clean = functools.partial(decide, "weakly-nil-clean")
-is_strongly_two_nil_clean = functools.partial(decide, "strongly-two-nil-clean")
-is_strongly_sit = functools.partial(decide, "strongly-sit")
-is_tripotent = functools.partial(decide, "tripotent")
-is_two_boolean = functools.partial(decide, "two-boolean")
-
-
-def is_generalized_n_like(ring: RingDescriptor, n: int) -> PropertyReport:
-    return decide(f"generalized-{n}-like", ring)
-
-
 def min_nilpotent_index_over_decompositions(ring: RingDescriptor, a) -> Optional[int]:
     """Minimum nilpotency exponent of w over the two-nil-clean candidate
     splits (e, f, w) of the element a; None if a has no decomposition at all."""

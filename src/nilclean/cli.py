@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import itertools
 import json
 import operator
@@ -109,10 +108,6 @@ def iter_documents(lines: Iterable[str]) -> Iterator[dict]:
         elif chunk:
             yield parse_document("".join(chunk))
             chunk = []
-
-
-def split_documents(text: str) -> list[dict]:
-    return list(iter_documents(io.StringIO(text)))
 
 
 def parse_matrix_ring(text: str) -> MatrixRing:
@@ -247,6 +242,11 @@ def _read_input(args) -> str:
     return "".join(_input_lines(args))
 
 
+def _write(doc: str, args) -> None:
+    """A document, or under --format plain its lines after schema and kind."""
+    sys.stdout.write(doc.split("\n", 2)[2] if args.format == "plain" else doc)
+
+
 def _doc_int(doc: dict, key: str, default: Optional[int] = None) -> int:
     """An integer field of a document; KeyError when it is missing and has
     no default, InputError when it is not an integer."""
@@ -302,9 +302,9 @@ def _parse_matrix_input(text: str, args) -> RingMatrix:
 
 
 def _ring_from_flags(args) -> MatrixRing:
-    if getattr(args, "ring", None):
+    if args.ring:
         return parse_matrix_ring(args.ring)
-    if getattr(args, "modulus", None):
+    if args.modulus:
         return MatrixRing(factorize(args.modulus))
     raise InputError("no ring given: pass --modulus or --ring (or a matrix document)")
 
@@ -318,19 +318,18 @@ def cmd_decompose(args) -> int:
         return _decompose_exhaustive(args)
     a = _parse_matrix_input(_read_input(args), args)
     cert = decompose_triangular(a) if args.triangular else decompose(a)
-    if args.format == "plain":
-        print(f"ring: {a.ring.describe()}  n: {a.n}")
-        for name, mat in (("A", cert.a), ("E", cert.e), ("F", cert.f), ("W", cert.w)):
-            print(f"{name}: {mat.to_rows()}")
-        print(f"nilpotency-exponent: {cert.nilpotency_exponent}")
-        print(f"case-tags: {list(cert.case_tags)}")
-        print(f"verified: {str(cert.verified).lower()}")
-    else:
-        sys.stdout.write(certificate_to_doc(cert))
+    _write(certificate_to_doc(cert), args)
     return EXIT_OK
 
 
 def _decompose_exhaustive(args) -> int:
+    unused = [flag for flag, given in (("--input", args.input is not None),
+                                       ("--modulus", args.modulus is not None),
+                                       ("--ring", args.ring is not None),
+                                       ("--triangular", args.triangular),
+                                       ("--format plain", args.format == "plain")) if given]
+    if unused:
+        raise InputError(f"--exhaustive cannot be combined with {', '.join(unused)}")
     n, m = args.exhaustive
     if n < 1:
         raise InputError(f"exhaustive sweep needs a dimension N >= 1, got {n}")
@@ -382,13 +381,7 @@ def cmd_rcf(args) -> int:
     result = rcf(a)
     if not verify_rcf(a, result):
         raise InternalCheckError("canonical form failed verification", a)  # pragma: no cover
-    if args.format == "plain":
-        print(f"modulus: {a.ring.m}  n: {a.n}")
-        print(f"blocks: {[list(b.poly.coeffs) for b in result.blocks]}")
-        print(f"P: {result.transform.to_rows()}")
-        print(f"P-inv: {result.transform_inv.to_rows()}")
-    else:
-        sys.stdout.write(rcf_to_doc(a, result))
+    _write(rcf_to_doc(a, result), args)
     return EXIT_OK
 
 
@@ -467,13 +460,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add_input(p):
         p.add_argument("--input", metavar="FILE", help="read input from FILE instead of stdin")
+
+    def add_format(p):
         p.add_argument("--format", choices=("plain", "doc"), default="doc",
                        help="output format (default: doc)")
 
     p = sub.add_parser("decompose", help="decompose a matrix as E + F + W")
-    common(p)
+    add_input(p)
+    add_format(p)
     p.add_argument("--modulus", type=int, help="entry ring modulus m for plain input")
     p.add_argument("--ring", help='entry ring, e.g. "Z12" or "Z6[x]/(x^2)"')
     p.add_argument("--triangular", action="store_true",
@@ -483,24 +479,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("classify", help="decide ring properties by brute force")
-    common(p)
+    add_format(p)
     p.add_argument("ring_descriptor", help='e.g. "Z6", "Z3xZ3", "M2(Z2)", "Z2[x]/(x^3)"')
     p.add_argument("properties", help="comma-separated property names")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("rcf", help="Frobenius form with explicit transform over GF(p)")
-    common(p)
+    add_input(p)
+    add_format(p)
     p.add_argument("--modulus", type=int, help="prime modulus for plain input")
     p.add_argument("--ring", help='prime field, e.g. "Z3"')
     p.set_defaults(func=cmd_rcf)
 
     p = sub.add_parser("verify", help="re-verify certificate documents")
-    common(p)
+    add_input(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("demo-obstruction", help="minimal nilpotency indices over "
                        "decompositions in chains Z_2 x Z_4 x ... x Z_{2^k}")
-    common(p)
+    add_format(p)
     p.add_argument("k", type=int, help="chain length (2..5)")
     p.set_defaults(func=cmd_demo_obstruction)
     return parser

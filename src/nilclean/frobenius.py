@@ -178,11 +178,6 @@ class CompanionBlock:
         return out
 
 
-def companion(poly: FieldPoly) -> RingMatrix:
-    """Companion matrix of a monic polynomial of degree >= 1."""
-    return CompanionBlock(poly).matrix()
-
-
 @dataclass
 class RcfResult:
     """Frobenius form data: transform @ A @ transform_inv = diag(blocks),

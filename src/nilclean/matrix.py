@@ -151,9 +151,6 @@ class RingMatrix:
         data = rng.integers(0, ring.m, size=(ring.d, n, n))
         return cls(ring, data.astype(_dtype_for(ring, n), copy=False))
 
-    def copy(self) -> "RingMatrix":
-        return RingMatrix(self.ring, self.coeffs.copy())
-
     # -- ring plumbing ------------------------------------------------------
 
     def _match(self, other: "RingMatrix") -> None:
@@ -183,18 +180,6 @@ class RingMatrix:
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         self._match(other)
         return RingMatrix(self.ring, _stack_mul(self.coeffs, other.coeffs, self.ring.m))
-
-    def __pow__(self, k: int) -> "RingMatrix":
-        if k < 0:
-            raise InputError("negative matrix powers are not supported")
-        result = RingMatrix.identity(self.n, self.ring)
-        base = self
-        while k > 0:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingMatrix):
@@ -228,14 +213,6 @@ class RingMatrix:
         n = self.n
         tril = np.tril_indices(n, k=-1)
         return not self.coeffs[:, tril[0], tril[1]].any()
-
-    def reduce_mod_prime(self, p: int) -> "RingMatrix":
-        """Entrywise reduction Z_m -> Z_p for a prime factor p of m."""
-        if self.ring.d != 1:
-            raise InputError("reduce_mod_prime expects a plain Z_m matrix")
-        if p not in self.ring.modulus.primes:
-            raise InputError(f"{p} does not divide {self.ring.m}")
-        return RingMatrix(zm_ring(p), (self.coeffs % p).astype(np.int64))
 
     def residue_field_image(self, p: int) -> np.ndarray:
         """Image in M_n(GF(p)) killing the nilradical: x -> 0, entries mod p."""

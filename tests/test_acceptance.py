@@ -14,10 +14,7 @@ from conftest import check_not_strongly_matrix_witness, mat_is_zero, mat_mul_nai
 from nilclean.classifier import (
     RingDescriptor,
     ZmFactor,
-    is_strongly_two_nil_clean,
-    is_tripotent,
-    is_two_nil_clean,
-    is_weakly_nil_clean,
+    decide,
     min_nilpotent_index_over_decompositions,
     parse_ring_descriptor,
 )
@@ -93,11 +90,11 @@ def test_acceptance_03_randomized_composite_moduli():
 
 
 def test_acceptance_04_oracle_agreement():
-    assert is_two_nil_clean(parse_ring_descriptor("M2(Z3)")).holds
+    assert decide("two-nil-clean", parse_ring_descriptor("M2(Z3)")).holds
     disagreements = []
     replays = 0
     for m in range(2, 201):
-        report = is_two_nil_clean(RingDescriptor((ZmFactor(m),)))
+        report = decide("two-nil-clean", RingDescriptor((ZmFactor(m),)))
         smooth = is_two_three_smooth(factorize(m))
         if report.holds != smooth:
             disagreements.append(m)
@@ -113,8 +110,8 @@ def test_acceptance_04_oracle_agreement():
 
 def test_acceptance_05_product_ring_separation():
     ring = parse_ring_descriptor("Z3xZ3")
-    two = is_two_nil_clean(ring)
-    weak = is_weakly_nil_clean(ring)
+    two = decide("two-nil-clean", ring)
+    weak = decide("weakly-nil-clean", ring)
     assert two.holds
     assert not weak.holds
     assert weak.counterexample is not None
@@ -124,7 +121,7 @@ def test_acceptance_05_product_ring_separation():
 
 
 def test_acceptance_06_tripotent_moduli():
-    found = [m for m in range(2, 201) if is_tripotent(RingDescriptor((ZmFactor(m),))).holds]
+    found = [m for m in range(2, 201) if decide("tripotent", RingDescriptor((ZmFactor(m),))).holds]
     assert found == [2, 3, 6]
     print(f"\nACCEPTANCE 6 PASS: Z_m tripotent exactly for m in {found} over m <= 200")
 
@@ -134,7 +131,7 @@ def test_acceptance_07_strongly_obstruction():
         report = check_not_strongly_matrix_witness(m)
         assert report.holds and report.replay()
     for text in ("M2(Z2)", "M2(Z3)"):
-        report = is_strongly_two_nil_clean(parse_ring_descriptor(text))
+        report = decide("strongly-two-nil-clean", parse_ring_descriptor(text))
         assert not report.holds and report.replay()
     print("\nACCEPTANCE 7 PASS: cube-minus-self witness invertible with the fixed "
           "inverse for all m in 2..12; M_2(Z_2) and M_2(Z_3) not strongly "
@@ -219,7 +216,7 @@ def test_acceptance_10_lifting():
             )
             out = lift_idempotent_matrix(x)
             assert out.is_idempotent()
-            assert out.reduce_mod_prime(p) == base
+            assert out.residue_field_image(p).tolist() == base.to_rows()
             lifted += 1
     assert lifted == 1000
     print("\nACCEPTANCE 10 PASS: elementwise lifting exhaustive over Z_64 (64 eligible) "

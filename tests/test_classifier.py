@@ -27,14 +27,6 @@ from nilclean.classifier import (
     decide,
     enumerate_idempotents,
     enumerate_nilpotents,
-    is_generalized_n_like,
-    is_nil_clean,
-    is_strongly_sit,
-    is_strongly_two_nil_clean,
-    is_tripotent,
-    is_two_boolean,
-    is_two_nil_clean,
-    is_weakly_nil_clean,
     min_nilpotent_index_over_decompositions,
     parse_ring_descriptor,
 )
@@ -152,44 +144,44 @@ class TestBatchedArithmetic:
 class TestTwoNilClean:
     def test_z3xz3_and_weakly(self):
         ring = parse_ring_descriptor("Z3xZ3")
-        two = is_two_nil_clean(ring)
-        weak = is_weakly_nil_clean(ring)
+        two = decide("two-nil-clean", ring)
+        weak = decide("weakly-nil-clean", ring)
         assert two.holds and two.replay()
         assert not weak.holds
         assert weak.counterexample is not None
         assert weak.replay()
 
     def test_z5_counterexample(self):
-        report = is_two_nil_clean(zm(5))
+        report = decide("two-nil-clean", zm(5))
         assert not report.holds
         assert report.counterexample == (3,)
         assert report.replay()
 
     def test_m2z3_holds(self):
-        assert is_two_nil_clean(parse_ring_descriptor("M2(Z3)")).holds
+        assert decide("two-nil-clean", parse_ring_descriptor("M2(Z3)")).holds
 
     def test_matches_smoothness_for_zm(self):
         for m in range(2, 73):
-            assert is_two_nil_clean(zm(m)).holds == is_two_three_smooth(factorize(m))
+            assert decide("two-nil-clean", zm(m)).holds == is_two_three_smooth(factorize(m))
 
     def test_witness_replays(self):
         for text in ("Z12", "Z3xZ3", "M2(Z2)", "Z2[x]/(x^2)"):
-            report = is_two_nil_clean(parse_ring_descriptor(text))
+            report = decide("two-nil-clean", parse_ring_descriptor(text))
             assert report.holds and report.replay()
 
 
 class TestStrongly:
     def test_commutative_ring_is_strong(self):
-        assert is_strongly_two_nil_clean(zm(12)).holds
+        assert decide("strongly-two-nil-clean", zm(12)).holds
 
     def test_matrix_rings_fail(self):
         for text in ("M2(Z2)", "M2(Z3)"):
-            report = is_strongly_two_nil_clean(parse_ring_descriptor(text))
+            report = decide("strongly-two-nil-clean", parse_ring_descriptor(text))
             assert not report.holds
             assert report.replay()
 
     def test_z3(self):
-        assert is_strongly_two_nil_clean(zm(3)).holds
+        assert decide("strongly-two-nil-clean", zm(3)).holds
 
 
 class TestWorkBudget:
@@ -215,27 +207,27 @@ class TestWorkBudget:
         ring = parse_ring_descriptor("x".join(["Z2"] * 14))
         monkeypatch.setattr(classifier._Scan, "commuting", property(lambda scan: pytest.fail("built")))
         with pytest.raises(ResourceCapError):
-            is_strongly_two_nil_clean(ring)
+            decide("strongly-two-nil-clean", ring)
 
 
 class TestIdentityPredicates:
     def test_tripotent(self):
-        assert is_tripotent(zm(6)).holds
-        bad = is_tripotent(zm(4))
+        assert decide("tripotent", zm(6)).holds
+        bad = decide("tripotent", zm(4))
         assert not bad.holds and bad.counterexample == (2,) and bad.replay()
 
     def test_tripotent_zm_only_2_3_6(self):
-        found = [m for m in range(2, 201) if is_tripotent(zm(m)).holds]
+        found = [m for m in range(2, 201) if decide("tripotent", zm(m)).holds]
         assert found == [2, 3, 6]
 
     def test_two_boolean(self):
-        assert is_two_boolean(zm(4)).holds
-        assert not is_two_boolean(zm(5)).holds
+        assert decide("two-boolean", zm(4)).holds
+        assert not decide("two-boolean", zm(5)).holds
 
     def test_generalized_3_like(self):
-        assert is_generalized_n_like(zm(2), 3).holds
-        assert is_generalized_n_like(parse_ring_descriptor("Z2xZ2"), 3).holds
-        report = is_generalized_n_like(zm(5), 3)
+        assert decide("generalized-3-like", zm(2)).holds
+        assert decide("generalized-3-like", parse_ring_descriptor("Z2xZ2")).holds
+        report = decide("generalized-3-like", zm(5))
         assert not report.holds and report.counterexample is not None
 
     def test_generalized_against_naive_powers(self):
@@ -257,22 +249,22 @@ class TestIdentityPredicates:
         for text in ("Z4", "Z5", "Z6", "Z8", "M2(Z2)", "Z2[x]/(x^2)"):
             ring = parse_ring_descriptor(text)
             for n in range(2, 8):
-                assert is_generalized_n_like(ring, n).holds == naive_holds(ring, n)
+                assert decide(f"generalized-{n}-like", ring).holds == naive_holds(ring, n)
 
     def test_generalized_huge_n(self):
         # square-and-multiply: n = 10^12 costs about 40 squarings per power
         start = time.perf_counter()
-        assert is_generalized_n_like(zm(2), 10**12).holds
+        assert decide(f"generalized-{10**12}-like", zm(2)).holds
         assert time.perf_counter() - start < 1.0
 
     def test_generalized_requires_n_at_least_2(self):
         with pytest.raises(InputError):
-            is_generalized_n_like(zm(2), 1)
+            decide("generalized-1-like", zm(2))
 
     def test_strongly_sit(self):
-        assert is_strongly_sit(zm(12)).holds
-        assert is_strongly_sit(zm(6)).holds
-        report = is_strongly_sit(zm(5))
+        assert decide("strongly-sit", zm(12)).holds
+        assert decide("strongly-sit", zm(6)).holds
+        report = decide("strongly-sit", zm(5))
         assert not report.holds and report.replay()
 
 
@@ -281,7 +273,7 @@ class TestReplay:
 
     def test_generalized_counterexample_is_rechecked(self):
         assert not PropertyReport("generalized-3-like", zm(2), False, counterexample=((0,), (0,))).replay()
-        report = is_generalized_n_like(zm(5), 3)
+        report = decide("generalized-3-like", zm(5))
         assert not report.holds and report.replay()
 
     def test_unknown_property_fails(self):
@@ -298,7 +290,7 @@ class TestReplay:
 
     def test_witness_must_be_a_passing_split(self):
         ring = zm(12)
-        report = is_two_nil_clean(ring)
+        report = decide("two-nil-clean", ring)
         e, f, w = report.witness_parts
         assert report.replay()
         report.witness_parts = (e, f, NaiveRing(ring).add(w, (6,)))  # no longer sums to one
@@ -321,12 +313,12 @@ class TestReplay:
     @pytest.mark.parametrize("evidence", [((0,),), ((0,), (0,), (0,)), ((0,), (2,)), ((0,), 0), [(0,), (2,)],
                                           ((0,), (-3,))], ids=repr)
     def test_forged_pair_counterexample_replays_false(self, evidence):
-        assert is_generalized_n_like(zm(5), 3).replay()
+        assert decide("generalized-3-like", zm(5)).replay()
         assert not PropertyReport("generalized-3-like", zm(5), False, counterexample=evidence).replay()
 
     def test_forged_witness_replays_false(self):
         ring = parse_ring_descriptor("M2(Z2)")
-        report = is_weakly_nil_clean(ring)
+        report = decide("weakly-nil-clean", ring)
         assert report.replay()
         e, w, sign = report.witness_parts
         for element, parts in [(((1, 0, 0, 1),), (e, w, 2)), (((1, 0, 0, 1),), (e, w, True)),
@@ -418,7 +410,7 @@ class TestOracleConstructionAgreement:
         from nilclean.matrix import RingMatrix, zm_ring
 
         ring = parse_ring_descriptor(f"M2(Z{m})")
-        assert is_two_nil_clean(ring).holds
+        assert decide("two-nil-clean", ring).holds
         mat_ring = zm_ring(m)
         for entries in itertools.product(range(m), repeat=4):
             mat = RingMatrix(mat_ring, np.array(entries, dtype=np.int64).reshape(1, 2, 2))
@@ -430,7 +422,7 @@ class TestOracleConstructionAgreement:
         from nilclean.matrix import RingMatrix, zm_ring
 
         for m in (5, 7, 10):
-            report = is_two_nil_clean(zm(m))
+            report = decide("two-nil-clean", zm(m))
             assert not report.holds
             with pytest.raises(UnsupportedRingError):
                 decompose(RingMatrix.identity(1, zm_ring(m)))
@@ -441,7 +433,7 @@ class TestOracleConstructionAgreement:
 
         for m in two_three_smooth_moduli(36):
             ring = zm(m)
-            report = is_two_nil_clean(ring)
+            report = decide("two-nil-clean", ring)
             assert report.holds
             idem = set(elements_at(ring, enumerate_idempotents(ring)))
             nil = set(elements_at(ring, enumerate_nilpotents(ring)))
@@ -455,10 +447,10 @@ class TestOracleConstructionAgreement:
 class TestDeterminism:
     def test_witnesses_stable(self):
         ring = parse_ring_descriptor("Z3xZ3")
-        r1, r2 = is_two_nil_clean(ring), is_two_nil_clean(ring)
+        r1, r2 = decide("two-nil-clean", ring), decide("two-nil-clean", ring)
         assert r1.witness_element == r2.witness_element
         assert r1.witness_parts == r2.witness_parts
-        w1, w2 = is_weakly_nil_clean(ring), is_weakly_nil_clean(ring)
+        w1, w2 = decide("weakly-nil-clean", ring), decide("weakly-nil-clean", ring)
         assert w1.counterexample == w2.counterexample
 
     def test_iteration_order_is_mixed_radix(self):
@@ -482,16 +474,16 @@ EQUIVALENCE_RINGS = (
 class TestSumsetEquivalence:
     """The early-exit search returns the full-sumset algorithm's reports."""
 
-    @pytest.mark.parametrize("predicate,naive", [
-        (is_two_nil_clean, naive_two_nil_clean),
-        (is_nil_clean, naive_nil_clean),
-        (is_weakly_nil_clean, naive_weakly_nil_clean),
+    @pytest.mark.parametrize("name,naive", [
+        ("two-nil-clean", naive_two_nil_clean),
+        ("nil-clean", naive_nil_clean),
+        ("weakly-nil-clean", naive_weakly_nil_clean),
     ], ids=["two-nil-clean", "nil-clean", "weakly-nil-clean"])
-    def test_reports_identical(self, predicate, naive):
+    def test_reports_identical(self, name, naive):
         verdicts = set()
         for text in EQUIVALENCE_RINGS:
             ring = parse_ring_descriptor(text)
-            report = predicate(ring)
+            report = decide(name, ring)
             got = (report.holds, report.witness_element, report.witness_parts,
                    report.counterexample)
             assert got == naive(ring), text
@@ -506,23 +498,23 @@ PINNED_SMALL_RINGS = [text for text in EQUIVALENCE_RINGS if parse_ring_descripto
 # witness_parts, counterexample), recorded from the predicates written out
 # one by one, before the property table replaced them
 PINNED_REPORTS = [
-    ("two-nil-clean", is_two_nil_clean, EQUIVALENCE_RINGS,
+    ("two-nil-clean", EQUIVALENCE_RINGS,
      "ee31d64a35012bdcb849c6ce25a4ecb1ff5a6b68450586458bcef9c94a898fe5"),
-    ("nil-clean", is_nil_clean, EQUIVALENCE_RINGS,
+    ("nil-clean", EQUIVALENCE_RINGS,
      "adc4c826439323a2814c07a7739ba98bcbbf6ff5904b1e7e99cb99748f157371"),
-    ("weakly-nil-clean", is_weakly_nil_clean, EQUIVALENCE_RINGS,
+    ("weakly-nil-clean", EQUIVALENCE_RINGS,
      "3be6ae2b5c6124717dc03a3ca05b497bbddd68b3dcf00b9b9942873f03ef5705"),
-    ("strongly-two-nil-clean", is_strongly_two_nil_clean, EQUIVALENCE_RINGS,
+    ("strongly-two-nil-clean", EQUIVALENCE_RINGS,
      "aec693d01dc03b0147b6d86a7a2e9a35869f548dbae8836107c8d465b51f60e0"),
-    ("strongly-sit", is_strongly_sit, EQUIVALENCE_RINGS,
+    ("strongly-sit", EQUIVALENCE_RINGS,
      "76a4fdb0943cd82a10773e6d3bc8f019cd822d25615a18a8b7b6087b3c1fda8b"),
-    ("tripotent", is_tripotent, EQUIVALENCE_RINGS,
+    ("tripotent", EQUIVALENCE_RINGS,
      "1f2a75e93b70363b21619e49f7e8be3accc4caee26e565664825fe851f3dd886"),
-    ("two-boolean", is_two_boolean, EQUIVALENCE_RINGS,
+    ("two-boolean", EQUIVALENCE_RINGS,
      "7b385e9de7331a6d3c131c549ecf081a86646bee5ed2ba087becb288026b2bf9"),
-    ("generalized-2-like", lambda ring: is_generalized_n_like(ring, 2), PINNED_SMALL_RINGS,
+    ("generalized-2-like", PINNED_SMALL_RINGS,
      "e2ba46a41b0f094555bde4572beda5972f5af247ee7e7c6b878551be465ee71c"),
-    ("generalized-3-like", lambda ring: is_generalized_n_like(ring, 3), PINNED_SMALL_RINGS,
+    ("generalized-3-like", PINNED_SMALL_RINGS,
      "34f0099278b4e62b509fb1f84195c8438fc76c9efa765660b8c91bbd358b4e95"),
 ]
 
@@ -530,12 +522,12 @@ PINNED_REPORTS = [
 class TestPinnedReports:
     """Every report is bit-for-bit the one the separate predicates gave."""
 
-    @pytest.mark.parametrize("name,predicate,rings,digest", PINNED_REPORTS,
+    @pytest.mark.parametrize("name,rings,digest", PINNED_REPORTS,
                              ids=[row[0] for row in PINNED_REPORTS])
-    def test_digest(self, name, predicate, rings, digest):
+    def test_digest(self, name, rings, digest):
         h = hashlib.sha256()
         for text in rings:
-            report = predicate(parse_ring_descriptor(text))
+            report = decide(name, parse_ring_descriptor(text))
             assert report.property == name
             h.update(json.dumps([name, text, report.holds, report.witness_element,
                                  report.witness_parts, report.counterexample]).encode())

@@ -1,5 +1,6 @@
 """CLI: document round-trips, exit codes, golden sweep, negative controls."""
 
+import argparse
 import importlib
 import io
 import json
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import mat_mul_naive
+import nilclean
 from nilclean import classifier, cli
 from nilclean.classifier import PropertyReport, parse_ring_descriptor
 from nilclean.cli import (
@@ -26,10 +28,10 @@ from nilclean.cli import (
     EXIT_VERIFY,
     certificate_from_doc,
     certificate_to_doc,
+    iter_documents,
     main,
     parse_document,
     parse_matrix_ring,
-    split_documents,
 )
 from nilclean.decompose import decompose
 from nilclean.errors import InputError
@@ -52,6 +54,10 @@ def run(capsys, monkeypatch, args, stdin=""):
     return code, captured.out, captured.err
 
 
+def documents(text):
+    return list(iter_documents(io.StringIO(text)))
+
+
 class TestDocuments:
     def test_certificate_roundtrip(self, rng):
         for m in (6, 12, 36):
@@ -67,8 +73,7 @@ class TestDocuments:
 
     def test_split_documents(self):
         text = "a: 1\nb: 2\n\n\nc: 3\n"
-        docs = split_documents(text)
-        assert docs == [{"a": 1, "b": 2}, {"c": 3}]
+        assert documents(text) == [{"a": 1, "b": 2}, {"c": 3}]
 
     def test_malformed_document(self):
         with pytest.raises(InputError):
@@ -133,12 +138,30 @@ class TestDecomposeCommand:
         assert doc["case-tags"] == []
 
     def test_plain_format(self, capsys, monkeypatch):
-        code, out, _ = run(
-            capsys, monkeypatch,
-            ["decompose", "--modulus", "6", "--format", "plain"], "4\n",
-        )
+        """Plain output is the certificate document without its schema and
+        kind lines."""
+        code, out, _ = run(capsys, monkeypatch,
+                           ["decompose", "--modulus", "6", "--format", "plain"], "5 1\n0 2\n")
         assert code == EXIT_OK
-        assert "E: [[4]]" in out and "verified: true" in out
+        assert out == (
+            "ring: Z6\nmodulus: 6\ntrunc-degree: 1\nn: 2\n"
+            "A: [[5, 1], [0, 2]]\nE: [[1, 0], [0, 4]]\nF: [[4, 0], [0, 4]]\nW: [[0, 1], [0, 0]]\n"
+            "nilpotency-exponent: 2\n"
+            'case-tags: ["gf2:trace-one:n1", "gf2:trace-zero:n1", '
+            '"gf3:trace-minus-one:n1", "gf3:trace-minus-one:n1"]\n'
+            "verified: true\n")
+        code, out, _ = run(capsys, monkeypatch, ["decompose", "--format", "plain"],
+                           "ring: Z3[x]/(x^2)\nA: [[[1, 1], [0, 2]], [[0, 1], [2]]]\n")
+        assert code == EXIT_OK
+        assert out == (
+            "ring: Z3[x]/(x^2)\nmodulus: 3\ntrunc-degree: 2\nn: 2\n"
+            "A: [[[1, 1], [0, 2]], [[0, 1], [2, 0]]]\n"
+            "E: [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]\n"
+            "F: [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]\n"
+            "W: [[[0, 1], [0, 2]], [[0, 1], [0, 0]]]\n"
+            "nilpotency-exponent: 2\n"
+            'case-tags: ["gf3:trace-one:n1", "gf3:trace-minus-one:n1"]\n'
+            "verified: true\n")
 
     def test_input_file(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "mat.txt"
@@ -163,6 +186,18 @@ class TestDecomposeCommand:
         code, out, err = run(capsys, monkeypatch, ["decompose", "--exhaustive", n, "3"])
         assert code == EXIT_PARSE
         assert out == "" and "N >= 1" in err
+
+    @pytest.mark.parametrize("extra,named", [
+        (["--input", "/no/such/file"], "--input"),
+        (["--modulus", "5"], "--modulus"),
+        (["--ring", "Z6"], "--ring"),
+        (["--triangular"], "--triangular"),
+        (["--format", "plain"], "--format plain"),
+    ], ids=["input", "modulus", "ring", "triangular", "format-plain"])
+    def test_exhaustive_refuses_flags_it_cannot_use(self, capsys, monkeypatch, extra, named):
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--exhaustive", "1", "2", *extra])
+        assert code == EXIT_PARSE and out == ""
+        assert f"--exhaustive cannot be combined with {named}" in err
 
     def test_exhaustive_huge_dimension_is_capped(self, capsys, monkeypatch):
         code, _, _ = run(capsys, monkeypatch, ["decompose", "--exhaustive", "10000000", "2"])
@@ -376,7 +411,7 @@ _FLAGS = {
                   ("--ring", "Z6[x]/(x^2)"), ("--ring", "Z2147483647"), ("--modulus", "2147483629")],
     "rcf": [("--format", "plain"), ("--ring", "Z3"), ("--ring", "Z2147483647"),
             ("--ring", "Z2147483629"), ("--modulus", "5")],
-    "verify": [("--format", "plain")],
+    "verify": [()],  # no flag: verify reads only --input, and the fuzz feeds stdin
 }
 _argv = st.sampled_from(sorted(_FLAGS)).flatmap(lambda command: st.lists(
     st.sampled_from(_FLAGS[command]), max_size=2, unique=True).map(
@@ -546,6 +581,47 @@ class TestFlags:
         assert exit_info.value.code == EXIT_PARSE
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
+    # the options each command reads, besides --help
+    READ = {
+        "decompose": {"--input", "--format", "--modulus", "--ring", "--triangular", "--exhaustive"},
+        "classify": {"--format"},
+        "rcf": {"--input", "--format", "--modulus", "--ring"},
+        "verify": {"--input"},
+        "demo-obstruction": {"--format"},
+    }
+
+    def test_each_command_takes_the_flags_it_reads(self):
+        (commands,) = [action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        taken = {name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+                 for name, sub in commands.items()}
+        assert taken == self.READ
+
+    @pytest.mark.parametrize("args", [["verify", "--format", "plain"],
+                                      ["classify", "Z6", "tripotent", "--input", "F"],
+                                      ["demo-obstruction", "2", "--input", "F"]])
+    def test_unread_flag_refused(self, capsys, args):
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(args[-2:])}" in err and "Traceback" not in err
+
+
+class TestPublicNames:
+    def test_all(self):
+        assert sorted(nilclean.__all__) == [
+            "CaseTag", "CompanionBlock", "DecompositionCertificate", "DomainError", "FieldPoly",
+            "InputError", "InternalCheckError", "MatFactor", "MatrixRing", "Modulus",
+            "NilcleanError", "PropertyReport", "RcfResult", "ResourceCapError", "RingDescriptor",
+            "RingMatrix", "TruncFactor", "UnsupportedRingError", "ZmFactor", "check_certificate",
+            "classifier", "decide", "decompose", "decompose_triangular", "decompose_zm",
+            "enumerate_idempotents", "enumerate_nilpotents", "errors", "factorize", "frobenius",
+            "gfp", "is_two_three_smooth", "lift_idempotent_matrix", "matrix",
+            "min_nilpotent_index_over_decompositions", "parse_ring_descriptor", "rcf", "residue",
+            "trunc_ring", "two_three_smooth_moduli", "verify_certificate", "verify_rcf", "zm_ring",
+        ]
+
 
 class TestInternalCheck:
     def test_failed_self_check_has_own_exit_code(self, capsys, monkeypatch):
@@ -581,7 +657,7 @@ class TestClassifyCommand:
             capsys, monkeypatch, ["classify", "Z3xZ3", "two-nil-clean,weakly-nil-clean"]
         )
         assert code == EXIT_OK
-        docs = split_documents(out)
+        docs = documents(out)
         by_name = {d["property"]: d for d in docs}
         assert by_name["two-nil-clean"]["holds"] is True
         assert by_name["weakly-nil-clean"]["holds"] is False
@@ -593,12 +669,18 @@ class TestClassifyCommand:
         )
         assert code == EXIT_OK and out.strip() == "tripotent: true"
 
+    def test_plain_format(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch,
+                           ["classify", "Z3xZ3", "two-nil-clean,weakly-nil-clean", "--format", "plain"])
+        assert code == EXIT_OK
+        assert out == "two-nil-clean: true\nweakly-nil-clean: false\n"
+
     def test_m2z2_strongly(self, capsys, monkeypatch):
         code, out, _ = run(
             capsys, monkeypatch, ["classify", "M2(Z2)", "strongly-two-nil-clean"]
         )
         assert code == EXIT_OK
-        assert split_documents(out)[0]["holds"] is False
+        assert documents(out)[0]["holds"] is False
 
     def test_generalized_name(self, capsys, monkeypatch):
         code, out, _ = run(
@@ -697,7 +779,7 @@ class TestPropertyRunners:
         monkeypatch.setitem(cli._PROPERTY_RUNNERS, "nil-clean", spy)
         code, out, _ = run(capsys, monkeypatch, ["classify", "Z4", "two-nil-clean,nil-clean"])
         assert code == EXIT_OK and calls == ["Z4"]
-        assert [d["property"] for d in split_documents(out)] == ["two-nil-clean", "nil-clean"]
+        assert [d["property"] for d in documents(out)] == ["two-nil-clean", "nil-clean"]
 
 
 class TestRcfCommand:
@@ -712,6 +794,12 @@ class TestRcfCommand:
         code, out, _ = run(capsys, monkeypatch, ["rcf", "--modulus", "3"], "1 0\n0 2\n")
         assert code == EXIT_OK
         assert parse_document(out)["blocks"] == [[2, 0, 1]]
+
+    def test_plain_format(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["rcf", "--modulus", "3", "--format", "plain"], "1 0\n0 2\n")
+        assert code == EXIT_OK
+        assert out == ("modulus: 3\nn: 2\nA: [[1, 0], [0, 2]]\nblocks: [[2, 0, 1]]\n"
+                       "P: [[2, 2], [2, 1]]\nP-inv: [[1, 1], [1, 2]]\nverified: true\n")
 
     def test_composite_modulus_rejected(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["rcf", "--modulus", "6"], "1 0\n0 1\n")
@@ -856,7 +944,7 @@ class TestVerifyStream:
             except InputError:
                 return InputError
 
-        assert outcome(lambda: split_documents(text)) == outcome(
+        assert outcome(lambda: documents(text)) == outcome(
             lambda: [parse_document(c) for c in re.split(r"\n\s*\n", text.strip()) if c.strip()])
 
     def test_malformed_document_mid_stream(self, capsys, monkeypatch):
@@ -942,9 +1030,14 @@ class TestDemoObstruction:
         assert [(r[0], r[3], r[5]) for r in rows] == [(2, 1, 2), (3, 1, 3), (4, 1, 4)]
 
     def test_plain_table(self, capsys, monkeypatch):
-        code, out, _ = run(capsys, monkeypatch, ["demo-obstruction", "2", "--format", "plain"])
+        code, out, _ = run(capsys, monkeypatch, ["demo-obstruction", "3", "--format", "plain"])
         assert code == EXIT_OK
-        assert "Z2xZ4" in out
+        assert out == (
+            "chain  ring                 2*1 element        min-exp  3*1 element        min-exp\n"
+            "2      Z2xZ4                (0, 2)             1        (1, 3)             2\n"
+            "3      Z2xZ4xZ8             (0, 2, 2)          1        (1, 3, 3)          3\n"
+            "the doubled identity always splits as 1 + 1 + 0; the tripled identity\n"
+            "forces w = 2 in every Z_{2^i} factor, so its index grows with the chain\n")
 
     def test_out_of_range(self, capsys, monkeypatch):
         for bad in ("1", "6"):

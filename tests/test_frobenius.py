@@ -20,7 +20,6 @@ from nilclean.frobenius import (
     _pdivmod,
     _pgcd,
     _pmul,
-    companion,
     krylov_form,
     rcf,
     verify_rcf,
@@ -79,18 +78,18 @@ class TestFieldPoly:
 class TestCompanion:
     def test_sign_convention(self):
         # x^2 - x - 1 over GF(3)
-        c = companion(poly(3, -1, -1, 1))
+        c = CompanionBlock(poly(3, -1, -1, 1)).matrix()
         assert c.to_rows() == [[0, 1], [1, 1]]
 
     def test_degree_one(self):
-        assert companion(poly(2, 0, 1)).to_rows() == [[0]]
+        assert CompanionBlock(poly(2, 0, 1)).matrix().to_rows() == [[0]]
 
     def test_nilpotent_shift(self):
-        assert companion(poly(3, 0, 0, 1)).to_rows() == [[0, 0], [1, 0]]
+        assert CompanionBlock(poly(3, 0, 0, 1)).matrix().to_rows() == [[0, 0], [1, 0]]
 
     def test_degree_zero_rejected(self):
         with pytest.raises(InputError):
-            companion(poly(3, 1))
+            CompanionBlock(poly(3, 1))
         with pytest.raises(InputError):
             CompanionBlock(poly(3, 1, 2))  # not monic
 
@@ -100,13 +99,13 @@ class TestCompanion:
         deg = data.draw(st.integers(1, 5))
         coeffs = tuple(data.draw(st.integers(0, p - 1)) for _ in range(deg)) + (1,)
         f = FieldPoly(p, coeffs)
-        c = companion(f)
+        c = CompanionBlock(f).matrix()
         assert charpoly_cofactor(c.to_rows(), p) == f.coeffs
 
 
 class TestRcf:
     def test_companion_is_fixed_point(self):
-        block = companion(poly(3, 1, 2, 0, 1))
+        block = CompanionBlock(poly(3, 1, 2, 0, 1)).matrix()
         result = rcf(block)
         assert len(result.blocks) == 1
         assert result.blocks[0].poly.coeffs == (1, 2, 0, 1)
@@ -227,7 +226,7 @@ class TestKrylovForm:
         charpoly = (1,)
         for col in cols:
             d = len(col)
-            block = companion(FieldPoly(p, tuple(-c % p for c in col) + (1,))).to_rows()
+            block = CompanionBlock(FieldPoly(p, tuple(-c % p for c in col) + (1,))).matrix().to_rows()
             assert [row[at : at + d] for row in t[at : at + d]] == block
             assert all(v == 0 for row in t[at + d :] for v in row[at : at + d])
             charpoly = poly_mul(charpoly, tuple(-c % p for c in col) + (1,), p)
@@ -253,7 +252,7 @@ class TestKrylovForm:
         assert cols == [(1,), (1,), (1,)]
 
     def test_companion_is_one_block(self):
-        cols = self.check_form(companion(poly(3, 1, 2, 0, 1)), 3)
+        cols = self.check_form(CompanionBlock(poly(3, 1, 2, 0, 1)).matrix(), 3)
         assert cols == [(2, 1, 0)]
 
     def test_non_prime_field_rejected(self):

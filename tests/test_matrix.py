@@ -60,10 +60,10 @@ class TestArithmetic:
         ring = zm_ring(6)
         a = RingMatrix.random(3, ring, rng)
         rows = a.to_rows()
-        acc = rows
-        for k in range(2, 7):
-            acc = mat_mul_naive(acc, rows, 6)
-            assert (a ** k).to_rows() == acc
+        acc, power = rows, a
+        for _ in range(2, 7):
+            acc, power = mat_mul_naive(acc, rows, 6), power @ a
+            assert power.to_rows() == acc
 
     def test_dimension_mismatch(self):
         a = RingMatrix.identity(2, zm_ring(4))
@@ -127,7 +127,7 @@ class TestPredicates:
             if k is None:
                 continue
             hits += 1
-            assert (a ** ring.nilpotency_bound(2)).is_zero()
+            assert nilpotency_naive_exact(a.to_rows(), 12, ring.nilpotency_bound(2)) == k
 
     def test_invertibility_examples(self):
         for m in (2, 3, 5, 12, 36):
@@ -173,14 +173,16 @@ class TestPredicates:
                     with pytest.raises(InputError):
                         a.inverse()
 
-    def test_reduce_mod_prime_examples(self):
+    def test_residue_field_image_examples(self):
         a = RingMatrix.from_rows([[4, 6], [3, 9]], zm_ring(12))
-        assert a.reduce_mod_prime(3).to_rows() == [[1, 0], [0, 0]]
+        assert a.residue_field_image(3).tolist() == [[1, 0], [0, 0]]
         b = RingMatrix.from_rows([[2, 4], [1, 6]], zm_ring(7))
-        assert b.reduce_mod_prime(7) == b
-        assert RingMatrix.from_rows([[7]], zm_ring(12)).reduce_mod_prime(2).to_rows() == [[1]]
+        assert b.residue_field_image(7).tolist() == b.to_rows()
+        assert RingMatrix.from_rows([[7]], zm_ring(12)).residue_field_image(2).tolist() == [[1]]
+        c = RingMatrix.from_rows([[[4, 1], [0, 5]], [[1], [2, 2]]], trunc_ring(6, 2))
+        assert c.residue_field_image(3).tolist() == [[1, 0], [1, 2]]  # x -> 0
         with pytest.raises(InputError):
-            a.reduce_mod_prime(5)
+            a.residue_field_image(5)
 
     def test_upper_triangular_flag(self):
         ring = zm_ring(6)
