@@ -58,21 +58,8 @@ def sweep_matrices(n, m):
         yield RingMatrix(ring, np.array(entries, dtype=np.int64).reshape(1, n, n))
 
 
-def run_field_sweeps(config):
-    for n, m in config.field_shapes:
-        start = time.perf_counter()
-        count = 0
-        worst = 0
-        for mat in sweep_matrices(n, m):
-            cert = decompose(mat)
-            worst = max(worst, cert.nilpotency_exponent)
-            count += 1
-        print(f"  M_{n}(Z_{m}): {count} certificates, max W-exponent {worst}, "
-              f"{time.perf_counter() - start:.2f}s")
-
-
-def run_composite_sweeps(config):
-    for n, m in config.composite_shapes:
+def run_sweeps(shapes):
+    for n, m in shapes:
         start = time.perf_counter()
         count = 0
         worst = 0
@@ -126,9 +113,9 @@ def main(argv=None):
     config = SweepConfig(max_modulus=args.max_modulus, chain_max=args.chain_max)
 
     print("exhaustive field sweeps (every certificate re-verified):")
-    run_field_sweeps(config)
+    run_sweeps(config.field_shapes)
     print("exhaustive composite-modulus sweeps:")
-    run_composite_sweeps(config)
+    run_sweeps(config.composite_shapes)
     print("classifier oracle survey:")
     failures = run_oracle_survey(config)
     print("obstruction growth:")

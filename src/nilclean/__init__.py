@@ -8,6 +8,8 @@ independent brute-force oracle over small finite rings (classifier), and a
 batch CLI (cli).
 """
 
+from types import ModuleType as _ModuleType
+
 from .classifier import (
     MatFactor,
     PropertyReport,
@@ -58,5 +60,6 @@ from .residue import (
     two_three_smooth_moduli,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()  # not the submodules
+                 if not (name.startswith("_") or isinstance(value, _ModuleType)))
 __version__ = "0.1.0"

@@ -10,13 +10,15 @@ whole ring by the cubic idempotent iteration (only when m is not squarefree:
 a constant start point is already idempotent otherwise), and W = A - E - F,
 which is nilpotent because its image modulo the nilradical is.
 
-There are two GF(p) solvers.  The Krylov solver brings the matrix to its
-block-upper-triangular Krylov form, splits each diagonal companion block by a
-closed-form template keyed on the block's bottom-right entry (the trace of a
-companion matrix) and conjugates back; everything off the diagonal goes into
-W, which stays nilpotent because its diagonal blocks are (the Frobenius form
-is not needed, and serves only the rcf command).  The triangular solver takes
-the 0/1 diagonals, so E, F and W stay upper triangular.
+There is one GF(p) solver.  It brings the matrix to its block-upper-triangular
+Krylov form, splits each diagonal companion block by a closed-form template
+keyed on the block's bottom-right entry (the trace of a companion matrix) and
+conjugates back; everything off the diagonal goes into W, which stays
+nilpotent because its diagonal blocks are (the Frobenius form is not needed,
+and serves only the rcf command).  An upper-triangular matrix has 1 x 1 blocks
+and Q = I, so its E and F are the 0/1 diagonals [t_ii != 0] and [t_ii = 2]
+and E, F and W stay upper triangular; its certificate carries the case tags
+of those blocks.
 
 Every public certificate-producing function verifies its output once, before
 returning, and raises InternalCheckError on failure: a wrong certificate is a
@@ -126,33 +128,19 @@ def _krylov_solve(a: RingMatrix):
     return q.dot(e).dot(q_inv) % p, q.dot(f).dot(q_inv) % p, tuple(tags)
 
 
-def _diagonal_solve(t: RingMatrix):
-    """The 0/1 diagonals e = [t_ii != 0] and f = [t_ii = 2] of an upper
-    triangular GF(2) or GF(3) matrix: idempotent as integers, and T - E - F
-    has a zero diagonal."""
-    diag = np.diagonal(t.coeffs[0])
-    return np.diag(diag != 0).astype(np.int64), np.diag(diag == 2).astype(np.int64), ()
-
-
 def _lift_idempotents(ring: MatrixRing, stack: np.ndarray, a: RingMatrix) -> np.ndarray:
     """Lift a (k, d, n, n) stack of residually idempotent coefficient stacks
     over ring to exact idempotents, one batched product per step.
 
     Requires the image of each in M_n(GF(p)) to be idempotent for every prime
-    p | m (all iterates then stay congruent to it there); iterates
-    x <- 3x^2 - 2x^3, whose idempotency defect lies in the square of the ideal
-    generated by the previous defect, so convergence is doubly exponential.
+    p | m (all iterates then stay congruent to it there), as the GF(p)
+    solutions are; iterates x <- 3x^2 - 2x^3, whose idempotency defect lies
+    in the square of the ideal generated by the previous defect, so
+    convergence is doubly exponential.
     An idempotent is a fixed point, so each matrix of the stack ends where it
     would alone.  a is the input reported if the cap is exceeded.
     """
     m = ring.m
-    for p in ring.modulus.primes:
-        img = stack[:, 0] % p
-        if ((np.matmul(img, img) - img) % p).any():
-            raise DomainError(
-                f"matrix is not idempotent modulo {p}; the cubic iteration "
-                f"would not converge to a lift of it"
-            )
     y = stack
     for _ in range(lift_iteration_cap(ring.radical_exponent()) + 1):
         y2 = _stack_mul(y, y, m)
@@ -164,11 +152,18 @@ def _lift_idempotents(ring: MatrixRing, stack: np.ndarray, a: RingMatrix) -> np.
 
 def lift_idempotent_matrix(x: RingMatrix) -> RingMatrix:
     """Lift a residually idempotent matrix to an exact idempotent: the
-    one-matrix case of the stacked lift."""
+    one-matrix case of the stacked lift, after checking its precondition."""
+    for p in x.ring.modulus.primes:
+        img = x.coeffs[0] % p
+        if ((img.dot(img) - img) % p).any():
+            raise DomainError(
+                f"matrix is not idempotent modulo {p}; the cubic iteration "
+                f"would not converge to a lift of it"
+            )
     return RingMatrix(x.ring, _lift_idempotents(x.ring, x.coeffs[None], x)[0])
 
 
-def _parts(a: RingMatrix, solve):
+def _parts(a: RingMatrix):
     """Unverified (E, F, W, tags) over a 2-3-smooth Z_m[x]/(x^d): solve the
     constant term mod each prime p | m, recombine the solutions through the
     CRT idempotents, lift E and F together over the whole ring, and
@@ -176,14 +171,14 @@ def _parts(a: RingMatrix, solve):
     so this is the per-prime-power lift followed by the CRT."""
     ring = a.ring
     if ring.is_prime_field():
-        e, f, tags = solve(a)
+        e, f, tags = _krylov_solve(a)
         e, f = (RingMatrix(ring, x[None]) for x in (e, f))
     else:
         modulus = ring.modulus
         e = f = 0
         tags = ()
         for p, c in zip(modulus.primes, modulus.crt_basis()):
-            e_p, f_p, tags_p = solve(RingMatrix(zm_ring(p), a.residue_field_image(p)[None]))
+            e_p, f_p, tags_p = _krylov_solve(RingMatrix(zm_ring(p), a.residue_field_image(p)[None]))
             e, f, tags = e + c * e_p, f + c * f_p, tags + tags_p
         stack = np.zeros((2,) + a.coeffs.shape, dtype=a.coeffs.dtype)
         stack[:, 0] = e % ring.m, f % ring.m
@@ -196,7 +191,7 @@ def _parts(a: RingMatrix, solve):
 def decompose(a: RingMatrix) -> DecompositionCertificate:
     """Decompose over Z_m or Z_m[x]/(x^d) for any 2-3-smooth m."""
     require_two_three_smooth(a.ring.modulus)
-    return _certify(a, *_parts(a, _krylov_solve))
+    return _certify(a, *_parts(a))
 
 
 def decompose_zm(a: RingMatrix) -> DecompositionCertificate:
@@ -207,18 +202,14 @@ def decompose_zm(a: RingMatrix) -> DecompositionCertificate:
 
 
 def decompose_triangular(t: RingMatrix) -> DecompositionCertificate:
-    """Decompose an upper-triangular matrix over 2-3-smooth Z_m entirely inside
-    the triangular ring: the diagonal splits into 0/1 diagonals mod each prime,
-    and the strict upper part rides along in W (whose diagonal is nilpotent,
-    so W is)."""
-    ring = t.ring
-    if ring.d != 1:
+    """decompose, for upper-triangular Z_m matrices, checking that E, F and W
+    stay inside the triangular ring (they do: the Krylov form of such a
+    matrix is the matrix itself, with 1 x 1 blocks)."""
+    if t.ring.d != 1:
         raise InputError("decompose_triangular expects a plain Z_m matrix")
     if not t.is_upper_triangular():
         raise InputError("matrix is not upper triangular")
-    require_two_three_smooth(ring.modulus)
-    e, f, w, tags = _parts(t, _diagonal_solve)
-    cert = _certify(t, e, f, w, tags)
-    if not (e.is_upper_triangular() and f.is_upper_triangular() and w.is_upper_triangular()):
+    cert = decompose(t)
+    if not all(x.is_upper_triangular() for x in (cert.e, cert.f, cert.w)):
         raise InternalCheckError("triangular decomposition left the triangular ring", t)
     return cert

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .gfp import Echelon, field, inverse
+from .gfp import Echelon, field
 from .matrix import RingMatrix, zm_ring
 from .residue import factorize
 
@@ -296,7 +296,8 @@ def _apply_order(f, cols, h: tuple[int, ...], krylov: list):
 def _packed(a: RingMatrix, what: str):
     """The field and the packed columns of a matrix over GF(p)."""
     if not a.ring.is_prime_field():
-        raise InputError(f"{what} requires a matrix over a prime field GF(p)")
+        raise InputError(f"{what} requires a matrix over a prime field GF(p), "
+                         f"not over {a.ring.describe()}")
     return (f := field(a.ring.m, a.n)), f.pack(a.coeffs[0].T)
 
 
@@ -334,9 +335,9 @@ def krylov_form(a: RingMatrix) -> tuple[list[tuple[int, ...]], np.ndarray, np.nd
 
 
 def rcf(a: RingMatrix) -> RcfResult:
-    """Frobenius normal form with explicit transform over a prime field.
-
-    Deterministic: candidate vectors are scanned in standard-basis order.
+    """Frobenius normal form with explicit transform over a prime field,
+    checked by verify_rcf.  Deterministic: candidate vectors are scanned in
+    standard-basis order.
     """
     f, cols = _packed(a, "rcf")
     p, n = a.ring.m, a.n
@@ -374,19 +375,21 @@ def rcf(a: RingMatrix) -> RcfResult:
             if span.insert(u, span.dim) is not None:
                 raise InternalCheckError("chain vector already inside the span")
     polys.reverse()
-    chains.reverse()
     for fa, fb in zip(polys, polys[1:]):
         if not _pdivides(fa, fb, p):
             raise InternalCheckError("invariant factors do not form a chain")
-    q = f.unpack([u for chain in chains for u in chain], n).T
-    q_inv = inverse(q, p)
-    if q_inv is None:
-        raise InternalCheckError("chain basis is singular")
+    # as in krylov_form, the histories give Q^-1 for the chains in the order
+    # found; reversing the blocks permutes Q's columns and Q^-1's rows alike
+    both = f.unpack([u for chain in chains for u in chain] + span.inverse(), 2 * n)
+    order = np.concatenate(np.split(np.arange(n), np.cumsum([len(c) for c in chains])[:-1])[::-1])
     blocks = tuple(CompanionBlock(FieldPoly(p, g)) for g in polys)
     transform, transform_inv = RingMatrix.zeros(n, a.ring), RingMatrix.zeros(n, a.ring)
     # in the ring's dtype: over p near 2^31, int64 products of the transforms would wrap
-    transform.coeffs[0], transform_inv.coeffs[0] = q_inv, q
-    return RcfResult(blocks, transform, transform_inv)
+    transform.coeffs[0], transform_inv.coeffs[0] = both[n:, n:].T[order], both[:n, :n].T[:, order]
+    result = RcfResult(blocks, transform, transform_inv)
+    if not verify_rcf(a, result):
+        raise InternalCheckError("canonical form failed verification", a)
+    return result
 
 
 def verify_rcf(a: RingMatrix, result: RcfResult) -> bool:

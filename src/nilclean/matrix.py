@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gfp
 from .errors import InputError, InternalCheckError, ResourceCapError
-from .residue import Modulus, factorize
+from .residue import Modulus, factorize, lift_iteration_cap
 
 MAX_DIMENSION = 64
 MAX_TRUNC_DEGREE = 64
@@ -234,29 +234,26 @@ class RingMatrix:
                    for p in self.ring.modulus.primes)
 
     def inverse(self) -> "RingMatrix":
-        """Explicit inverse over Z_m: invert mod each prime, Newton-lift to the
-        prime power, recombine through the CRT idempotents.  Raises InputError
-        when singular."""
+        """Explicit inverse over Z_m: invert mod each prime, recombine through
+        the CRT idempotents, and Newton-lift x <- x(2 - ax), which squares the
+        defect 1 - ax, until ax = 1.  Raises InputError when singular."""
         if self.ring.d != 1:
             raise InputError("inverse expects a plain Z_m matrix")
-        n = self.n
         modulus = self.ring.modulus
-        res = 0
-        for (p, e), c in zip(modulus.factors, modulus.crt_basis()):
-            q = p**e
-            x = gfp.inverse(self.residue_field_image(p), p)
-            if x is None:
+        m = modulus.m
+        x = np.zeros_like(self.coeffs)
+        for p, c in zip(modulus.primes, modulus.crt_basis()):
+            x_p = gfp.inverse(self.residue_field_image(p), p)
+            if x_p is None:
                 raise InputError("matrix is not invertible (singular mod %d)" % p)
-            a = np.array([[int(v) % q for v in row] for row in self.coeffs[0]], dtype=object)
-            x = x.astype(object)
-            ident = 2 * np.eye(n, dtype=object)
-            for _ in range(max(1, (e - 1).bit_length() + 1)):
-                x = x.dot(ident - a.dot(x) % q) % q
-            res = res + c * x
-        out = RingMatrix.from_rows((res % modulus.m).tolist(), self.ring)
-        if not (out @ self == RingMatrix.identity(n, self.ring)):
-            raise InternalCheckError("inverse failed verification")  # pragma: no cover
-        return out
+            x[0] = (x[0] + c * x_p % m) % m  # each term below m: nothing wraps
+        ident = RingMatrix.identity(self.n, self.ring).coeffs
+        for _ in range(lift_iteration_cap(modulus.max_exponent) + 1):
+            ax = _stack_mul(self.coeffs, x, m)
+            if np.array_equal(ax, ident):
+                return RingMatrix(self.ring, x)
+            x = _stack_mul(x, (2 * ident - ax) % m, m)
+        raise InternalCheckError("inverse failed verification", self)  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -97,6 +99,31 @@ class TestDecomposeCommand:
         assert doc["W"] == [[0, 0], [0, 0]]
         assert doc["verified"] is True
 
+    @pytest.mark.parametrize("command", ("decompose", "rcf"))
+    def test_modulus_zero_is_named(self, capsys, monkeypatch, command):
+        code, _, err = run(capsys, monkeypatch, [command, "--modulus", "0"], "1\n")
+        assert code == EXIT_PARSE
+        assert "modulus must be an integer in [2, 2^31], got 0" in err
+
+    def test_closed_stdout_ends_quietly(self):
+        # as `| head -1` does: the sweep writes far past the pipe's buffer
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nilclean.cli", "decompose", "--exhaustive", "2", "6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline() == b"schema: nilclean-cert/1\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == EXIT_OK
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+
     def test_unsupported_modulus_exit_code(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["decompose", "--modulus", "5"], "3\n")
         assert code == EXIT_UNSUPPORTED
@@ -135,7 +162,10 @@ class TestDecomposeCommand:
         assert code == EXIT_OK
         doc = parse_document(out)
         assert doc["E"] == [[1, 0], [0, 4]]
-        assert doc["case-tags"] == []
+        # one 1 x 1 block per diagonal entry and prime, as decompose tags them
+        assert doc["case-tags"] == ["gf2:trace-one:n1", "gf2:trace-zero:n1",
+                                    "gf3:trace-minus-one:n1", "gf3:trace-minus-one:n1"]
+        assert run(capsys, monkeypatch, ["decompose", "--modulus", "6"], "5 1\n0 2\n")[1] == out
 
     def test_plain_format(self, capsys, monkeypatch):
         """Plain output is the certificate document without its schema and
@@ -615,10 +645,10 @@ class TestPublicNames:
             "InputError", "InternalCheckError", "MatFactor", "MatrixRing", "Modulus",
             "NilcleanError", "PropertyReport", "RcfResult", "ResourceCapError", "RingDescriptor",
             "RingMatrix", "TruncFactor", "UnsupportedRingError", "ZmFactor", "check_certificate",
-            "classifier", "decide", "decompose", "decompose_triangular", "decompose_zm",
-            "enumerate_idempotents", "enumerate_nilpotents", "errors", "factorize", "frobenius",
-            "gfp", "is_two_three_smooth", "lift_idempotent_matrix", "matrix",
-            "min_nilpotent_index_over_decompositions", "parse_ring_descriptor", "rcf", "residue",
+            "decide", "decompose", "decompose_triangular", "decompose_zm",
+            "enumerate_idempotents", "enumerate_nilpotents", "factorize",
+            "is_two_three_smooth", "lift_idempotent_matrix",
+            "min_nilpotent_index_over_decompositions", "parse_ring_descriptor", "rcf",
             "trunc_ring", "two_three_smooth_moduli", "verify_certificate", "verify_rcf", "zm_ring",
         ]
 
@@ -818,7 +848,7 @@ class TestRcfCommand:
         assert mat_mul_naive(doc["P"], doc["P-inv"], p) == ident
 
     def test_failed_check_has_internal_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "verify_rcf", lambda a, result: False)
+        monkeypatch.setattr("nilclean.frobenius.verify_rcf", lambda a, result: False)
         code, out, err = run(capsys, monkeypatch, ["rcf", "--modulus", "3"], "0 1\n1 1\n")
         assert code == EXIT_INTERNAL and out == ""
         assert "canonical form failed verification" in err and "Traceback" not in err
@@ -988,8 +1018,10 @@ class TestParserReuse:
     that changes the next."""
 
     SEQUENCES = {
+        # decompose prints the same document for a triangular matrix with or
+        # without --triangular; on this one, a leaked flag would exit 2
         "triangular-then-plain": ((["decompose", "--triangular", "--modulus", "6"], "5 1\n0 2\n"),
-                                  (["decompose", "--modulus", "6"], "5 1\n0 2\n")),
+                                  (["decompose", "--modulus", "6"], "5 1\n1 2\n")),
         "plain-format-then-default": ((["decompose", "--format", "plain", "--modulus", "3"], "0 1\n1 0\n"),
                                       (["decompose", "--modulus", "3"], "0 1\n1 0\n")),
         "argparse-error-then-valid": ((["decompose", "--modulus", "x"], "1\n"),

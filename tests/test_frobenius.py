@@ -338,15 +338,16 @@ class TestPinnedOutputs:
         assert sha256([blocks, result.transform.to_rows(), result.transform_inv.to_rows()]) == rcf_digest
 
 
-# SHA-256 digests of certificate_to_doc(decompose_triangular(T)), recorded
-# while the diagonal still went through the element-level decomposition: one
-# seeded upper-triangular T per 2-3-smooth m <= 2^31 (object-dtype rings
-# included), for each n
+# SHA-256 digests of certificate_to_doc(decompose_triangular(T)): one seeded
+# upper-triangular T per 2-3-smooth m <= 2^31 (object-dtype rings included),
+# for each n.  Re-pinned when the documents gained the case tags of their
+# 1 x 1 blocks; without that line they hash as when the diagonal still went
+# through the element-level decomposition.
 PINNED_TRIANGULAR = [
-    (1, "3c0f309893b9296d35cb664ce9dc2eaca9ad7fe5d6358c29637501685058bbda"),
-    (2, "f87ed469e2f6054a3a4ef7dbaa56ff089810b41e159f048789ec31b9f02990e4"),
-    (5, "1b0c746c30bdad7a5c3b5df92e88fe2a80dea5ae54875931b822b88bfc287960"),
-    (12, "99b2dfbfc25fc64cef2dd64aa1e7065b4cec5ba6c048a2a3aa881316ca6c90fd"),
+    (1, "bad34b7be53e40eb27930676a4b33940a7aacf97bf854105a5b2060097a16ba6"),
+    (2, "8cd121485e4d87ebb665d84e2ed6aefb0a704ef1ad6cc5dd2243e26fdc0298d7"),
+    (5, "ba78d369b879ae7af1275f80a682aad535d4b3b526a76adf9f7ccac4ba2b83c4"),
+    (12, "96fbbe95255187931b8830d580206d8dd697706747e0e4c0277d5097af92a91c"),
 ]
 
 

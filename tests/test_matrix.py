@@ -152,6 +152,19 @@ class TestPredicates:
                         with pytest.raises(InputError):
                             a.inverse()
 
+    @pytest.mark.parametrize("m", (2**31, 3**19, 2**17 * 3**8, 2 * 1073741789))
+    @pytest.mark.parametrize("n", (33, 64))
+    def test_inverse_at_object_dtype(self, m, n):
+        # products past int64: the Newton steps run on exact Python ints
+        ring = zm_ring(m)
+        gen = np.random.default_rng([m, n])
+        while not (a := RingMatrix.random(n, ring, gen)).is_invertible():
+            pass
+        assert a.coeffs.dtype == object
+        inv = a.inverse()
+        ident = RingMatrix.identity(n, ring)
+        assert a @ inv == ident and inv @ a == ident
+
     def test_det_against_cofactor(self, rng):
         # invertible over Z_m exactly when the determinant is a unit
         for m in (5, 12, 36, 97):

@@ -23,9 +23,10 @@ def test_exhaustive_verification_small_sweep(capsys):
     module = load("exhaustive_verification")
     config = module.SweepConfig(field_shapes=((2, 2), (2, 3)), composite_shapes=((2, 4), (2, 6)),
                                 max_modulus=36, chain_max=3, matrix_rings=((2, 2), (2, 5), (2, 6)))
-    for run in (module.run_field_sweeps, module.run_composite_sweeps,
-                module.run_oracle_survey, module.run_growth_demo):
-        run(config)
+    module.run_sweeps(config.field_shapes)
+    module.run_sweeps(config.composite_shapes)
+    module.run_oracle_survey(config)
+    module.run_growth_demo(config)
     out = capsys.readouterr().out
     assert "M_2(Z_3): 81 certificates" in out and "M_2(Z_6): 1296 certificates" in out
     assert "agrees with 2-3-smoothness" in out
