@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import DomainError, InputError, InternalCheckError
 from .frobenius import krylov_form
-from .matrix import (DecompositionCertificate, MatrixRing, RingMatrix, _stack_mul,
-                     verify_certificate, zm_ring)
+from .matrix import (BLAS_MIN_DIMENSION, DecompositionCertificate, MatrixRing, RingMatrix,
+                     _stack_mul, verify_certificate, zm_ring)
 from .residue import lift_iteration_cap, require_two_three_smooth
 
 
@@ -125,7 +125,10 @@ def _krylov_solve(a: RingMatrix):
         tag = pair(col, e[at : at + d, at : at + d], f[at : at + d, at : at + d])
         tags.append(_tag_string(tag, d))
         at += d
-    return q.dot(e).dot(q_inv) % p, q.dot(f).dot(q_inv) % p, tuple(tags)
+    if n < BLAS_MIN_DIMENSION:
+        return q.dot(e).dot(q_inv) % p, q.dot(f).dot(q_inv) % p, tuple(tags)
+    e, f = _stack_mul(_stack_mul(q[None], np.stack((e, f))[:, None], p), q_inv[None], p)[:, 0]
+    return e, f, tuple(tags)
 
 
 def _lift_idempotents(ring: MatrixRing, stack: np.ndarray, a: RingMatrix) -> np.ndarray:

@@ -2,9 +2,12 @@
 
 A matrix is stored as a coefficient stack ``coeffs`` of shape (d, n, n): slice
 t holds the matrix coefficient of x^t, so d = 1 is the plain Z_m case.  All
-slices are kept reduced into [0, m).  int64 arithmetic is used whenever the
-worst-case accumulation d*n*(m-1)^2 fits below 2^63; bigger moduli fall back
-to exact Python integers through object arrays.
+slices are kept reduced into [0, m).  Entries are int64 whenever the
+worst-case accumulation d*n*(m-1)^2 fits below 2^63, else exact Python ints
+in object arrays.  Products take one of three routes: float64 through BLAS
+for plain int64 stacks with n >= BLAS_MIN_DIMENSION (a crossover measured,
+not derived) and n*(m-1)^2 < 2^53, so every partial sum is exact; int64
+matmul for the other int64 stacks; Python ints for object arrays.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .residue import Modulus, factorize, lift_iteration_cap
 
 MAX_DIMENSION = 64
 MAX_TRUNC_DEGREE = 64
+BLAS_MIN_DIMENSION = 32  # measured: below it int64 matmul beats the float64 round trip
 
 
 @dataclass(frozen=True)
@@ -262,9 +266,12 @@ class RingMatrix:
 
 def _stack_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Product of two (d, n, n) coefficient stacks, truncated at x^d, mod m;
-    of two (k, d, n, n) stacks, the k products."""
-    d = a.shape[-3]
+    of two (k, d, n, n) stacks, the k products, on the module docstring's
+    three routes (float64 only where every partial sum is an exact integer)."""
+    d, n = a.shape[-3], a.shape[-1]
     if d == 1:
+        if n >= BLAS_MIN_DIMENSION and n * (m - 1) ** 2 < 2**53 and a.dtype == np.int64:
+            return (np.matmul(a.astype(np.float64), b.astype(np.float64)) % m).astype(np.int64)
         return np.matmul(a, b) % m
     if a.ndim == 4:
         return np.stack([_stack_mul(x, y, m) for x, y in zip(a, b)])

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -651,6 +652,17 @@ class TestPublicNames:
             "min_nilpotent_index_over_decompositions", "parse_ring_descriptor", "rcf",
             "trunc_ring", "two_three_smooth_moduli", "verify_certificate", "verify_rcf", "zm_ring",
         ]
+
+    def test_decompose_is_the_function(self):
+        # the package attribute, and so `import nilclean.decompose as d`, is
+        # the function; importlib.import_module reaches the submodule, as the
+        # benchmark imports it
+        import nilclean.decompose as via_import
+
+        module = importlib.import_module("nilclean.decompose")
+        assert isinstance(module, types.ModuleType) and module.__name__ == "nilclean.decompose"
+        assert nilclean.decompose is via_import is module.decompose
+        assert not isinstance(nilclean.decompose, types.ModuleType)
 
 
 class TestInternalCheck:

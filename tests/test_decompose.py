@@ -586,3 +586,35 @@ class TestPinnedCertificates:
                 t.coeffs[0][np.tril_indices(n, k=-1)] = 0
                 h.update(certificate_to_doc(decompose_triangular(t)).encode())
         assert h.hexdigest() == digest
+
+
+def derogatory_conjugate(n, ring, gen):
+    """L D L^-1 with D one random 4 x 4 block repeated down the diagonal (every
+    invariant factor the same) and L random unit lower triangular."""
+    block = gen.integers(0, ring.m, (4, 4))
+    d = RingMatrix.from_rows(np.kron(np.eye(n // 4, dtype=np.int64), block).tolist(), ring)
+    low = np.tril(gen.integers(0, ring.m, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    p = RingMatrix.from_rows(low.tolist(), ring)
+    return p @ d @ p.inverse()
+
+
+# SHA-256 of certificate_to_doc over decompose of a seeded random matrix and
+# a derogatory conjugate, at n = 32 and then 64, recorded while every product
+# ran in int64: the float64 products from BLAS_MIN_DIMENSION up must not move
+# a byte.
+PINNED_LARGE = [
+    (72, "0ac2bb0cfde5ae12a78833a015d2d304da38768b0844944eee889f7e6e0ca390"),
+    (6, "422f7331d86fdea1f4a4698f9c2f665ce069faae2bc3cc916a8c2bdd28395c5a"),
+]
+
+
+class TestPinnedLarge:
+    @pytest.mark.parametrize("m,digest", PINNED_LARGE, ids=[f"m{m}" for m, _ in PINNED_LARGE])
+    def test_digests(self, m, digest):
+        ring = zm_ring(m)
+        gen = np.random.default_rng([m, 64])
+        h = hashlib.sha256()
+        for n in (32, 64):
+            for make in (RingMatrix.random, derogatory_conjugate):
+                h.update(certificate_to_doc(decompose(make(n, ring, gen))).encode())
+        assert h.hexdigest() == digest

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from conftest import det_cofactor, from_rows_reference, mat_mul_naive, nilpotency_naive_exact
 from nilclean.errors import InputError, ResourceCapError
 from nilclean.matrix import (
+    BLAS_MIN_DIMENSION,
     MAX_TRUNC_DEGREE,
     DecompositionCertificate,
     MatrixRing,
     RingMatrix,
+    _stack_mul,
     check_certificate,
     trunc_ring,
     verify_certificate,
@@ -94,6 +96,63 @@ class TestArithmetic:
         sq = a @ a
         assert sq.to_rows() == [[(m - 1) ** 2 % m, 2 * (m - 1) % m], [0, (m - 1) ** 2 % m]]
         assert (a - a).is_zero()
+
+
+def exact_product(a, b, m):
+    """The product of two stacks in Python ints, reduced mod m."""
+    return np.matmul(a.astype(object), b.astype(object)) % m
+
+
+# (m, n, route of a plain product): float64 runs from BLAS_MIN_DIMENSION up
+# while n (m-1)^2 < 2^53, every partial sum then being an exact float64 integer
+PRODUCT_ROUTES = [
+    (2**24, 32, "float64"),     # 32 (2^24 - 1)^2 = 2^53 - 2^30 + 32
+    (2**24, 64, "int64"),       # 64 (2^24 - 1)^2 > 2^53
+    (2**26 + 2, 32, "int64"),   # (m-1)^2 < 2^53 < 32 (m-1)^2: catches a bound without n
+    (72, 64, "float64"),
+    (3, BLAS_MIN_DIMENSION, "float64"),
+    (72, BLAS_MIN_DIMENSION - 1, "int64"),
+    (2**31, 32, "object"),      # 32 (m-1)^2 > 2^63
+]
+
+
+class TestProductRoutes:
+    """_stack_mul equals the exact Python-int product on every route, on
+    (1, n, n) and (2, 1, n, n) stacks and on both sides of the 2^53 bound.
+    Entries all m - 1, or within 3 of it, are where float64 would round."""
+
+    @pytest.mark.parametrize("m,n,route", PRODUCT_ROUTES,
+                             ids=[f"m{m}-n{n}-{route}" for m, n, route in PRODUCT_ROUTES])
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), fill=st.sampled_from(("uniform", "top", "near-top")))
+    def test_matches_python_ints(self, m, n, route, seed, fill):
+        gen = np.random.default_rng(seed)
+        if fill == "uniform":
+            a, b = gen.integers(0, m, (2, 2, 1, n, n))
+        elif fill == "top":
+            a = b = np.full((2, 1, n, n), m - 1)
+        else:
+            a, b = m - 1 - gen.integers(0, 4, (2, 2, 1, n, n))
+        dtype = RingMatrix.zeros(n, zm_ring(m)).coeffs.dtype
+        assert dtype == (object if route == "object" else np.int64)
+        assert (n >= BLAS_MIN_DIMENSION and n * (m - 1) ** 2 < 2**53) == (route == "float64")
+        a, b = a.astype(dtype), b.astype(dtype)
+        for x, y in ((a[0], b[0]), (a, b)):
+            out = _stack_mul(x, y, m)
+            assert out.dtype == dtype and out.shape == x.shape
+            assert out.tolist() == exact_product(x, y, m).tolist()
+
+    @pytest.mark.parametrize("n", (32, 64))
+    def test_inverse_is_two_sided(self, n):
+        # Z_{2^24}: the float64 route at n = 32, the int64 one at n = 64
+        ring = zm_ring(2**24)
+        gen = np.random.default_rng(n)
+        while not (a := RingMatrix.random(n, ring, gen)).is_invertible():
+            pass
+        inv = a.inverse().coeffs
+        ident = RingMatrix.identity(n, ring).coeffs.tolist()
+        assert exact_product(a.coeffs, inv, ring.m).tolist() == ident
+        assert exact_product(inv, a.coeffs, ring.m).tolist() == ident
 
 
 class TestPredicates:
