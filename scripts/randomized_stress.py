@@ -45,7 +45,8 @@ def stress_decompose(config, rng):
 def stress_truncated(config, rng):
     start = time.perf_counter()
     for _ in range(config.count // 5):
-        m = int(rng.choice([mm for mm in config.moduli if mm <= 12]))
+        # two moduli past the 2^53 bound: the split route under d > 1
+        m = int(rng.choice([mm for mm in config.moduli if mm <= 12] + [3**19, 2**17 * 3**8]))
         d = int(rng.integers(1, 4))
         n = int(rng.integers(1, 5))
         decompose(RingMatrix.random(n, trunc_ring(m, d), rng))
@@ -57,7 +58,7 @@ def stress_rcf(config, rng):
     start = time.perf_counter()
     bad = 0
     for _ in range(config.count):
-        p = int(rng.choice([2, 3, 5, 2147483647]))  # the list field and object dtype too
+        p = int(rng.choice([2, 3, 5, 2147483647]))  # the list field and split products too
         n = int(rng.integers(1, config.max_dim + 1))
         a = RingMatrix.random(n, zm_ring(p), rng)
         result = rcf(a)

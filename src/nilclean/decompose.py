@@ -157,8 +157,8 @@ def lift_idempotent_matrix(x: RingMatrix) -> RingMatrix:
     """Lift a residually idempotent matrix to an exact idempotent: the
     one-matrix case of the stacked lift, after checking its precondition."""
     for p in x.ring.modulus.primes:
-        img = x.coeffs[0] % p
-        if ((img.dot(img) - img) % p).any():
+        img = x.residue_field_image(p)[None]
+        if not np.array_equal(_stack_mul(img, img, p), img):
             raise DomainError(
                 f"matrix is not idempotent modulo {p}; the cubic iteration "
                 f"would not converge to a lift of it"
@@ -183,7 +183,7 @@ def _parts(a: RingMatrix):
         for p, c in zip(modulus.primes, modulus.crt_basis()):
             e_p, f_p, tags_p = _krylov_solve(RingMatrix(zm_ring(p), a.residue_field_image(p)[None]))
             e, f, tags = e + c * e_p, f + c * f_p, tags + tags_p
-        stack = np.zeros((2,) + a.coeffs.shape, dtype=a.coeffs.dtype)
+        stack = np.zeros((2,) + a.coeffs.shape, dtype=np.int64)
         stack[:, 0] = e % ring.m, f % ring.m
         if modulus.max_exponent > 1:
             stack = _lift_idempotents(ring, stack, a)

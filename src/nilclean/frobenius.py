@@ -383,10 +383,8 @@ def rcf(a: RingMatrix) -> RcfResult:
     both = f.unpack([u for chain in chains for u in chain] + span.inverse(), 2 * n)
     order = np.concatenate(np.split(np.arange(n), np.cumsum([len(c) for c in chains])[:-1])[::-1])
     blocks = tuple(CompanionBlock(FieldPoly(p, g)) for g in polys)
-    transform, transform_inv = RingMatrix.zeros(n, a.ring), RingMatrix.zeros(n, a.ring)
-    # in the ring's dtype: over p near 2^31, int64 products of the transforms would wrap
-    transform.coeffs[0], transform_inv.coeffs[0] = both[n:, n:].T[order], both[:n, :n].T[:, order]
-    result = RcfResult(blocks, transform, transform_inv)
+    result = RcfResult(blocks, RingMatrix(a.ring, both[n:, n:].T[order][None]),
+                       RingMatrix(a.ring, both[:n, :n].T[:, order][None]))
     if not verify_rcf(a, result):
         raise InternalCheckError("canonical form failed verification", a)
     return result

@@ -2,12 +2,12 @@
 
 A matrix is stored as a coefficient stack ``coeffs`` of shape (d, n, n): slice
 t holds the matrix coefficient of x^t, so d = 1 is the plain Z_m case.  All
-slices are kept reduced into [0, m).  Entries are int64 whenever the
-worst-case accumulation d*n*(m-1)^2 fits below 2^63, else exact Python ints
-in object arrays.  Products take one of three routes: float64 through BLAS
-for plain int64 stacks with n >= BLAS_MIN_DIMENSION (a crossover measured,
-not derived) and n*(m-1)^2 < 2^53, so every partial sum is exact; int64
-matmul for the other int64 stacks; Python ints for object arrays.
+slices are kept reduced into [0, m), and entries are int64 for every
+supported m <= 2^31.  _stack_mul is the one exact product.  When
+n*(m-1)^2 >= 2^53 it splits the right factor into 16-bit halves, so that every
+partial sum of every product it runs is an integer below 2^53.  Plain stacks
+then go through float64 BLAS from BLAS_MIN_DIMENSION (a crossover measured,
+not derived) and through int64 matmul below it.
 """
 
 from __future__ import annotations
@@ -77,11 +77,6 @@ def trunc_ring(m: int, d: int) -> MatrixRing:
     return MatrixRing(factorize(m), d)
 
 
-def _dtype_for(ring: MatrixRing, n: int):
-    worst = ring.d * n * (ring.m - 1) ** 2
-    return np.int64 if worst < 2**63 else object
-
-
 class RingMatrix:
     """Square matrix over a MatrixRing, canonical entries, value semantics."""
 
@@ -106,15 +101,14 @@ class RingMatrix:
         if not (1 <= n <= MAX_DIMENSION):
             raise InputError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
         d = ring.d
-        dtype = _dtype_for(ring, n)
-        coeffs = np.zeros((d, n, n), dtype=dtype)
+        coeffs = np.zeros((d, n, n), dtype=np.int64)
         try:
             block = np.array(rows)
         except ValueError:  # ragged, or nested past numpy's 64 dimensions
             block = None
         if block is not None and block.dtype.kind in "iub" and block.shape[:2] == (n, n) \
                 and (block.ndim == 2 or block.ndim == 3 and block.shape[2] <= d):
-            block = block % ring.m  # m <= 2^31: exact, and stored as Python ints when dtype is object
+            block = block % ring.m
             if block.ndim == 2:
                 coeffs[0] = block
             else:
@@ -139,7 +133,7 @@ class RingMatrix:
     def zeros(cls, n: int, ring: MatrixRing) -> "RingMatrix":
         if not (1 <= n <= MAX_DIMENSION):
             raise InputError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
-        return cls(ring, np.zeros((ring.d, n, n), dtype=_dtype_for(ring, n)))
+        return cls(ring, np.zeros((ring.d, n, n), dtype=np.int64))
 
     @classmethod
     def identity(cls, n: int, ring: MatrixRing) -> "RingMatrix":
@@ -152,8 +146,7 @@ class RingMatrix:
     def random(cls, n: int, ring: MatrixRing, rng: np.random.Generator) -> "RingMatrix":
         if not (1 <= n <= MAX_DIMENSION):
             raise InputError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
-        data = rng.integers(0, ring.m, size=(ring.d, n, n))
-        return cls(ring, data.astype(_dtype_for(ring, n), copy=False))
+        return cls(ring, rng.integers(0, ring.m, size=(ring.d, n, n), dtype=np.int64))
 
     # -- ring plumbing ------------------------------------------------------
 
@@ -200,7 +193,6 @@ class RingMatrix:
         return not self.coeffs.any()
 
     def to_rows(self) -> list:
-        # tolist() yields Python ints from int64 and object arrays alike
         if self.ring.d == 1:
             return self.coeffs[0].tolist()
         return self.coeffs.transpose(1, 2, 0).tolist()
@@ -222,8 +214,7 @@ class RingMatrix:
         """Image in M_n(GF(p)) killing the nilradical: x -> 0, entries mod p."""
         if p not in self.ring.modulus.primes:
             raise InputError(f"{p} does not divide {self.ring.m}")
-        img = self.coeffs[0] % p
-        return img if img.dtype == np.int64 else img.astype(np.int64)
+        return self.coeffs[0] % p
 
     def nilpotency_exponent(self) -> Optional[int]:
         """Minimal k with self^k = 0, or None if not nilpotent: a nilpotent
@@ -266,15 +257,24 @@ class RingMatrix:
 
 def _stack_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Product of two (d, n, n) coefficient stacks, truncated at x^d, mod m;
-    of two (k, d, n, n) stacks, the k products, on the module docstring's
-    three routes (float64 only where every partial sum is an exact integer)."""
+    of two (k, d, n, n) stacks, the k products.  The product is bilinear, so
+    past the bound a (b_hi 2^16 + b_lo) runs as two products whose partial
+    sums stay below n (m-1) 2^16 < 2^53 for n <= 64 and m <= 2^31."""
+    # m first: n <= 64 reaches the bound only from m > 2^23
+    if m > 2**23 and a.shape[-1] * (m - 1) ** 2 >= 2**53:
+        return (_routed_mul(a, b >> 16, m) * 2**16 + _routed_mul(a, b & 0xFFFF, m)) % m
+    return _routed_mul(a, b, m)
+
+
+def _routed_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """_stack_mul for operands whose partial sums stay below 2^53."""
     d, n = a.shape[-3], a.shape[-1]
     if d == 1:
-        if n >= BLAS_MIN_DIMENSION and n * (m - 1) ** 2 < 2**53 and a.dtype == np.int64:
+        if n >= BLAS_MIN_DIMENSION:
             return (np.matmul(a.astype(np.float64), b.astype(np.float64)) % m).astype(np.int64)
         return np.matmul(a, b) % m
     if a.ndim == 4:
-        return np.stack([_stack_mul(x, y, m) for x, y in zip(a, b)])
+        return np.stack([_routed_mul(x, y, m) for x, y in zip(a, b)])
     out = np.zeros_like(a)
     for i in range(d):
         for j in range(d - i):

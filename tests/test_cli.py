@@ -518,7 +518,7 @@ def _reference_certificate_doc(cert):
 
 class TestCertificateEmit:
     """str() renders the ints and int matrices of a certificate byte for byte
-    as json.dumps does, for int64 and object-dtype rings, d = 1 and d > 1."""
+    as json.dumps does, for moduli up to 2^31, d = 1 and d > 1."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -290,6 +290,22 @@ class TestLiftMatrix:
         with pytest.raises(DomainError):
             lift_idempotent_matrix(RingMatrix.from_rows([[0, 1], [0, 0]], zm_ring(4)))
 
+    def test_precondition_exact_at_large_prime(self):
+        # g diag(1, 1, 0, ...) g^-1 over Z_{2^31 - 1}: the precondition's
+        # square has partial sums past 2^63, so a raw int64 product would
+        # wrap and call this idempotent not idempotent
+        m, n = 2**31 - 1, 8
+        ring = zm_ring(m)
+        gen = np.random.default_rng(n)
+        while not (g := RingMatrix.random(n, ring, gen)).is_invertible():
+            pass
+        diag = np.diag([1, 1] + [0] * (n - 2)).astype(object)
+        x = np.matmul(np.matmul(g.coeffs[0].astype(object), diag),
+                      g.inverse().coeffs[0].astype(object)) % m
+        assert (np.matmul(x, x) % m).tolist() == x.tolist()
+        x = RingMatrix.from_rows(x.tolist(), ring)
+        assert lift_idempotent_matrix(x) == x
+
     @given(st.sampled_from((4, 8, 9, 27)), st.integers(1, 4), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_random_eligible_lifts(self, q, n, seed):
@@ -569,7 +585,7 @@ PINNED_CERTIFICATES = [
 
 class TestPinnedCertificates:
     """decompose and decompose_triangular are bit-for-bit the pinned ones on
-    every 2-3-smooth m <= 200, three object-dtype moduli and nine
+    every 2-3-smooth m <= 200, three moduli past 2^23 and nine
     coefficient rings Z_m[x]/(x^d)."""
 
     @pytest.mark.parametrize("m,d,digest", PINNED_CERTIFICATES,

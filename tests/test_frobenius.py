@@ -339,7 +339,7 @@ class TestPinnedOutputs:
 
 
 # SHA-256 digests of certificate_to_doc(decompose_triangular(T)): one seeded
-# upper-triangular T per 2-3-smooth m <= 2^31 (object-dtype rings included),
+# upper-triangular T per 2-3-smooth m <= 2^31 (split products included),
 # for each n.  Re-pinned when the documents gained the case tags of their
 # 1 x 1 blocks; without that line they hash as when the diagonal still went
 # through the element-level decomposition.

@@ -84,13 +84,29 @@ class TestArithmetic:
         assert (a * 2**40).to_rows() == expected
         assert (2**40 * a).to_rows() == expected
 
+    @pytest.mark.parametrize("m", (2, 72, 2**24, 3**19, 2**31))
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_entries_are_int64(self, m, d, rng):
+        # one representation for every supported modulus, at any n
+        ring = trunc_ring(m, d)
+        for n in (1, 64):
+            a = RingMatrix.random(n, ring, rng)
+            rows = a.to_rows()
+            # entry by entry: ints past int64 for d = 1, ragged coefficient lists else
+            slow = [[x + m * 2**64 for x in row] if d == 1 else [row[0][:1]] + row[1:]
+                    for row in rows]
+            for x in (RingMatrix.zeros(n, ring), a, RingMatrix.from_rows(rows, ring),
+                      RingMatrix.from_rows(slow, ring)):
+                assert x.coeffs.dtype == np.int64 and x.coeffs.shape == (d, n, n)
+            assert RingMatrix.from_rows(rows, ring) == a
+
     def test_trunc_degree_cap(self):
         assert MatrixRing(factorize(6), MAX_TRUNC_DEGREE).d == MAX_TRUNC_DEGREE
         with pytest.raises(ResourceCapError):
             MatrixRing(factorize(6), MAX_TRUNC_DEGREE + 1)
 
     def test_huge_modulus_object_path(self):
-        m = 2**31  # forces exact Python-integer entries
+        m = 2**31  # int64 entries, products on the split route
         ring = zm_ring(m)
         a = RingMatrix.from_rows([[m - 1, 1], [0, m - 1]], ring)
         sq = a @ a
@@ -103,16 +119,29 @@ def exact_product(a, b, m):
     return np.matmul(a.astype(object), b.astype(object)) % m
 
 
-# (m, n, route of a plain product): float64 runs from BLAS_MIN_DIMENSION up
-# while n (m-1)^2 < 2^53, every partial sum then being an exact float64 integer
+def exact_truncated_product(a, b, m):
+    """The product of two (d, n, n) coefficient stacks, or of two (k, d, n, n)
+    stacks, in Python ints, truncated at x^d, reduced mod m."""
+    a, b = a.astype(object), b.astype(object)
+    return np.stack([sum(np.matmul(a[..., i, :, :], b[..., t - i, :, :]) for i in range(t + 1)) % m
+                     for t in range(a.shape[-3])], axis=-3)
+
+
+# (m, n, route of a plain product): the split when n (m-1)^2 >= 2^53, which
+# halves the right factor into 16-bit pieces; otherwise float64 from
+# BLAS_MIN_DIMENSION up, every partial sum then being an exact float64
+# integer, and int64 below it.  Wraps modulo 2^64 are caught only by moduli
+# that are not powers of two.
 PRODUCT_ROUTES = [
     (2**24, 32, "float64"),     # 32 (2^24 - 1)^2 = 2^53 - 2^30 + 32
-    (2**24, 64, "int64"),       # 64 (2^24 - 1)^2 > 2^53
-    (2**26 + 2, 32, "int64"),   # (m-1)^2 < 2^53 < 32 (m-1)^2: catches a bound without n
+    (2**24, 64, "split"),       # 64 (2^24 - 1)^2 > 2^53
+    (2**26 + 2, 32, "split"),   # (m-1)^2 < 2^53 < 32 (m-1)^2: catches a bound without n
     (72, 64, "float64"),
     (3, BLAS_MIN_DIMENSION, "float64"),
     (72, BLAS_MIN_DIMENSION - 1, "int64"),
-    (2**31, 32, "object"),      # 32 (m-1)^2 > 2^63
+    (2**31, 32, "split"),
+    (3**19, 32, "split"),       # 32 (m-1)^2 > 2^63: a raw int64 product wraps
+    (2 * 1073741789, 64, "split"),
 ]
 
 
@@ -133,18 +162,29 @@ class TestProductRoutes:
             a = b = np.full((2, 1, n, n), m - 1)
         else:
             a, b = m - 1 - gen.integers(0, 4, (2, 2, 1, n, n))
-        dtype = RingMatrix.zeros(n, zm_ring(m)).coeffs.dtype
-        assert dtype == (object if route == "object" else np.int64)
-        assert (n >= BLAS_MIN_DIMENSION and n * (m - 1) ** 2 < 2**53) == (route == "float64")
-        a, b = a.astype(dtype), b.astype(dtype)
+        assert (n * (m - 1) ** 2 >= 2**53) == (route == "split")
+        assert (n >= BLAS_MIN_DIMENSION and route != "split") == (route == "float64")
         for x, y in ((a[0], b[0]), (a, b)):
             out = _stack_mul(x, y, m)
-            assert out.dtype == dtype and out.shape == x.shape
+            assert out.dtype == np.int64 and out.shape == x.shape
             assert out.tolist() == exact_product(x, y, m).tolist()
+
+    @pytest.mark.parametrize("m,d,n", [(3**19, 2, 33), (2 * 1073741789, 3, 64)])
+    def test_truncated_matches_python_ints(self, m, d, n):
+        # the truncated convolution past the bound, one (d, n, n) product and
+        # a (2, d, n, n) stack of them
+        ring = trunc_ring(m, d)
+        gen = np.random.default_rng([m, d, n])
+        a, b = (np.stack([RingMatrix.random(n, ring, gen).coeffs for _ in range(2)])
+                for _ in range(2))
+        for x, y in ((a[0], b[0]), (a, b)):
+            out = _stack_mul(x, y, m)
+            assert out.shape == x.shape
+            assert out.tolist() == exact_truncated_product(x, y, m).tolist()
 
     @pytest.mark.parametrize("n", (32, 64))
     def test_inverse_is_two_sided(self, n):
-        # Z_{2^24}: the float64 route at n = 32, the int64 one at n = 64
+        # Z_{2^24}: the float64 route at n = 32, the split at n = 64
         ring = zm_ring(2**24)
         gen = np.random.default_rng(n)
         while not (a := RingMatrix.random(n, ring, gen)).is_invertible():
@@ -213,16 +253,19 @@ class TestPredicates:
 
     @pytest.mark.parametrize("m", (2**31, 3**19, 2**17 * 3**8, 2 * 1073741789))
     @pytest.mark.parametrize("n", (33, 64))
-    def test_inverse_at_object_dtype(self, m, n):
-        # products past int64: the Newton steps run on exact Python ints
+    def test_inverse_at_large_moduli(self, m, n):
+        # n (m-1)^2 >= 2^53: the Newton steps run on split products of int64
+        # entries; the check multiplies in Python ints
         ring = zm_ring(m)
         gen = np.random.default_rng([m, n])
         while not (a := RingMatrix.random(n, ring, gen)).is_invertible():
             pass
-        assert a.coeffs.dtype == object
-        inv = a.inverse()
-        ident = RingMatrix.identity(n, ring)
-        assert a @ inv == ident and inv @ a == ident
+        assert a.coeffs.dtype == np.int64
+        inv = a.inverse().coeffs
+        assert inv.dtype == np.int64
+        ident = RingMatrix.identity(n, ring).coeffs.tolist()
+        assert exact_product(a.coeffs, inv, m).tolist() == ident
+        assert exact_product(inv, a.coeffs, m).tolist() == ident
 
     def test_det_against_cofactor(self, rng):
         # invertible over Z_m exactly when the determinant is a unit
@@ -265,7 +308,7 @@ class TestPredicates:
 class TestMatrixCrt:
     def test_split_recombine_roundtrip(self, rng):
         # entrywise reduction mod each prime power, then recombination through
-        # the CRT idempotents, is the identity, on object-dtype entries too
+        # the CRT idempotents, is the identity, at a modulus past 2^23 too
         for m in (6, 72, 2**17 * 3**8):
             ring = zm_ring(m)
             modulus = ring.modulus
