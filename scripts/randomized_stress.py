@@ -44,11 +44,15 @@ def stress_decompose(config, rng):
 
 def stress_truncated(config, rng):
     start = time.perf_counter()
-    for _ in range(config.count // 5):
-        # two moduli past the 2^53 bound: the split route under d > 1
-        m = int(rng.choice([mm for mm in config.moduli if mm <= 12] + [3**19, 2**17 * 3**8]))
-        d = int(rng.integers(1, 4))
-        n = int(rng.integers(1, 5))
+    # each modulus in turn, first the two whose products pass 2^53, at d > 1:
+    # 3^19 at n >= 7 splits, since 7 (3^19 - 1)^2 > 2^63; 2^17 3^8 at n <= 4
+    # stays below 2^63 and runs on int64 unsplit
+    wide = [3**19, 2**17 * 3**8]
+    moduli = wide + [mm for mm in config.moduli if mm <= 12]
+    for i in range(config.count // 5):
+        m = moduli[i % len(moduli)]
+        d = int(rng.integers(2 if m in wide else 1, 4))
+        n = int(rng.integers(7, 9) if m == 3**19 else rng.integers(1, 5))
         decompose(RingMatrix.random(n, trunc_ring(m, d), rng))
     print(f"  {config.count // 5} random truncated-polynomial decompositions verified, "
           f"{time.perf_counter() - start:.2f}s")

@@ -7,9 +7,10 @@ finite products of Z_m, M_n(Z_m) and Z_m[x]/(x^d) factors.  An element is its
 index in mixed-radix order over the factors' digits (residue, flat row-major
 matrix, coefficients), last digit fastest, so witnesses are deterministic;
 reports decode it to a tuple with one value (a residue or a flat tuple) per
-factor.  The arithmetic works on numpy batches of digit columns, and every
-search meets its candidates about BATCH rows at a time, stopping at the first
-batch that settles it.
+factor.  The arithmetic works on numpy batches stored digit-major, shape
+(D, ...) for D digits per element, so each numpy loop runs over a whole batch
+rather than over one element's few digits; every search meets its candidates
+about BATCH rows at a time, stopping at the first batch that settles it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class ZmFactor:
             raise InputError("Z_m factor needs m >= 2")
 
     digits = 1  # an element is one base-m digit
-    mul = None  # multiplied columnwise by the ring
+    mul = np.multiply  # (x, y, out): runs of Z_m factors multiply digitwise
 
     @property
     def one(self):
@@ -73,11 +74,16 @@ class MatFactor:
     def digits(self) -> int:
         return self.n * self.n
 
-    def mul(self, x, y):
-        """Unreduced products of broadcast batches of flat matrices."""
-        square = (self.n, self.n)
-        product = np.matmul(x.reshape(x.shape[:-1] + square), y.reshape(y.shape[:-1] + square))
-        return product.reshape(product.shape[:-2] + (-1,))
+    def mul(self, x, y, out):
+        """Write into out the unreduced products of digit-major batches of flat
+        matrices, shape (n*n, ...): a sum of n^3 row products, n at a time,
+        since row i of x y is the sum over l of x[i, l] times row l of y."""
+        n = self.n
+        for i in range(0, n * n, n):
+            row = out[i:i + n]
+            np.multiply(x[i], y[:n], out=row)
+            for l in range(1, n):
+                row += x[i + l] * y[l * n:l * n + n]
 
     @property
     def one(self):
@@ -106,12 +112,12 @@ class TruncFactor:
     def digits(self) -> int:
         return self.d
 
-    def mul(self, x, y):
-        """Unreduced truncated convolutions of broadcast batches of coefficients."""
-        out = x[..., :1] * y
+    def mul(self, x, y, out):
+        """Write into out the unreduced truncated convolutions of digit-major
+        batches of coefficients, shape (d, ...)."""
+        np.multiply(x[0], y, out=out)
         for i in range(1, self.d):
-            out[..., i:] += x[..., i:i + 1] * y[..., :self.d - i]
-        return out
+            out[i:] += x[i] * y[:self.d - i]
 
     @property
     def one(self):
@@ -129,9 +135,10 @@ Factor = ZmFactor | MatFactor | TruncFactor
 
 @dataclass(frozen=True)
 class RingDescriptor:
-    """A finite product of supported factors, with arithmetic on digit arrays
-    of shape (..., D) under numpy broadcasting: sums digitwise mod m, products
-    per factor (the Z_m product, a batched matmul, a truncated convolution)."""
+    """A finite product of supported factors, with arithmetic on digit-major
+    arrays of reduced digits, shape (D,), (D, k) or (D, p, k) under numpy
+    broadcasting: sums and differences digitwise mod m, products per factor
+    (the Z_m product, a matrix product, a truncated convolution)."""
 
     factors: tuple[Factor, ...]
 
@@ -145,41 +152,56 @@ class RingDescriptor:
 
     @functools.cached_property
     def _layout(self):
-        """Each digit column's modulus, in the narrowest dtype holding every
-        unreduced product, and the columns of factors with their own product."""
+        """Each digit's modulus, shaped to broadcast over digit arrays of rank
+        1, 2 and 3, in the narrowest unsigned dtype holding every unreduced
+        product and every sum of two digits; the moduli as ints; and the rows
+        of each factor with its own product, runs of Z_m factors joined."""
         _check_cap(self)
-        dtype = np.min_scalar_type(-max(f.digits * (f.m - 1) ** 2 for f in self.factors) - 1)
+        dtype = np.min_scalar_type(max(max(f.digits * (f.m - 1) ** 2, 2 * f.m) for f in self.factors))
         moduli = [f.m for f in self.factors for _ in range(f.digits)]
-        starts = [sum(f.digits for f in self.factors[:i]) for i in range(len(self.factors))]
-        return np.array(moduli, dtype), moduli, [
-            (slice(s, s + f.digits), f.mul) for f, s in zip(self.factors, starts) if f.mul]
+        radix, blocks, start = np.array(moduli, dtype), [], 0
+        for f in self.factors:
+            rows = slice(start, start + f.digits)
+            if f.mul is np.multiply and blocks and blocks[-1][1] is np.multiply:
+                rows = slice(blocks.pop()[0].start, rows.stop)
+            blocks.append((rows, f.mul))
+            start = rows.stop
+        return tuple(radix.reshape((-1,) + (1,) * r) for r in range(3)), moduli, blocks
 
     def digits(self, indices) -> np.ndarray:
         radix, moduli, _ = self._layout
-        q, out = np.asarray(indices, np.int64), np.empty(np.shape(indices) + radix.shape, radix.dtype)
-        for j in range(len(moduli) - 1, -1, -1):
-            q, out[..., j] = np.divmod(q, moduli[j])
+        q = np.asarray(indices, np.int64)
+        out = np.empty((len(moduli),) + q.shape, radix[0].dtype)
+        for j in range(len(moduli) - 1, 0, -1):
+            q, out[j] = np.divmod(q, moduli[j])
+        out[0] = q
         return out
 
     def indices(self, digits) -> np.ndarray:
-        out = digits[..., 0].astype(np.int64)
+        out = np.array(digits[0], np.int64)
         for j, m in enumerate(self._layout[1][1:], 1):
             out *= m
-            out += digits[..., j]
+            np.add(out, digits[j], out=out, casting="unsafe")  # uint64 digits are below 2^63
         return out
 
+    # Digits are unsigned and reduced.  Of s = x + y and s - m (of d = x - y and
+    # d + m) one lies in [0, m) and the other is at least m or has wrapped past
+    # every digit, so the minimum of the two is the sum (the difference) mod m.
+
     def add(self, x, y):
-        return (x + y) % self._layout[0]
+        out = np.add(x, y)
+        return np.minimum(out, out - self._layout[0][out.ndim - 1], out=out)
 
     def sub(self, x, y):
-        return (x - y) % self._layout[0]
+        out = np.subtract(x, y)
+        return np.minimum(out, out + self._layout[0][out.ndim - 1], out=out)
 
     def mul(self, x, y):
         radix, _, blocks = self._layout
-        out = x * y
-        for columns, mul in blocks:
-            out[..., columns] = mul(x[..., columns], y[..., columns])
-        out %= radix
+        out = np.empty(np.broadcast(x, y).shape, radix[0].dtype)
+        for rows, mul in blocks:
+            mul(x[rows], y[rows], out[rows])
+        out %= radix[out.ndim - 1]
         return out
 
     def element(self, index: int) -> tuple:
@@ -315,9 +337,9 @@ def _blocks(count: int, first: int = BATCH) -> Iterator[np.ndarray]:
 def _exponents(ring: RingDescriptor, x) -> np.ndarray:
     """For each element of the digit array x, the minimal k with x^k = 0: one
     more than its nonzero powers up to the nilpotency bound; 0 if all are nonzero."""
-    nonzero, power, bound = np.zeros(x.shape[:-1], np.int64), x, ring.nilpotency_bound()
+    nonzero, power, bound = np.zeros(x.shape[1:], np.int64), x, ring.nilpotency_bound()
     for k in range(bound):
-        nonzero += power.any(axis=-1)
+        nonzero += power.any(axis=0)
         power = ring.mul(power, x) if k + 1 < bound else power
     return np.where(nonzero < bound, nonzero + 1, 0)
 
@@ -330,7 +352,7 @@ def _select(ring: RingDescriptor, holds: Callable) -> np.ndarray:
 
 def enumerate_idempotents(ring: RingDescriptor) -> np.ndarray:
     """The indices of all e with e*e = e, in iteration order."""
-    return _select(ring, lambda x: (ring.mul(x, x) == x).all(axis=-1))
+    return _select(ring, lambda x: (ring.mul(x, x) == x).all(axis=0))
 
 
 def enumerate_nilpotents(ring: RingDescriptor) -> np.ndarray:
@@ -339,11 +361,11 @@ def enumerate_nilpotents(ring: RingDescriptor) -> np.ndarray:
 
 
 def _tripotent(ring: RingDescriptor, t) -> np.ndarray:
-    return (ring.mul(ring.mul(t, t), t) == t).all(axis=-1)
+    return (ring.mul(ring.mul(t, t), t) == t).all(axis=0)
 
 
 def _commutes(ring: RingDescriptor, x, y) -> np.ndarray:
-    return (ring.mul(x, y) == ring.mul(y, x)).all(axis=-1)
+    return (ring.mul(x, y) == ring.mul(y, x)).all(axis=0)
 
 
 @dataclass
@@ -364,8 +386,8 @@ class _Scan:
     @functools.cached_property
     def commuting(self) -> np.ndarray:
         """The numbers i|I| + j of the pairs of idempotents I[i], I[j] that commute."""
-        e, n = self.idem, len(self.idem)
-        return np.concatenate([k[_commutes(self.ring, e[k // n], e[k % n])] for k in _blocks(n * n)])
+        e, n = self.idem, self.idem.shape[1]
+        return np.concatenate([k[_commutes(self.ring, e[:, k // n], e[:, k % n])] for k in _blocks(n * n)])
 
     @functools.cached_property
     def nilpotent(self) -> Callable:
@@ -384,7 +406,7 @@ class Property:
     """A ring property that holds at an element when one of the element's
     candidate splits passes the test.  ``splits(scan, a, k)`` gives splits
     number k (in witness order, ``count`` in all) of elements with digits a
-    of shape (p, 1, D), as digit arrays broadcasting to (p, len(k), D) and an
+    of shape (D, p, 1), as digit arrays broadcasting to (D, p, len(k)) and an
     int array for a sign.  None makes an identity: its one candidate is the
     element (or pair) itself, and positive reports carry no witness."""
 
@@ -409,9 +431,9 @@ class Property:
         """Whether candidate k passes at domain index q, shape (len(q), len(k))."""
         ring = scan.ring
         if self.splits is not None:
-            return self.test(scan, self.splits(scan, ring.digits(q)[:, None], k))
+            return self.test(scan, self.splits(scan, ring.digits(q)[:, :, None], k))
         domain = np.divmod(q, ring.size) if self.pairwise else (q,)
-        return self.test(scan, tuple(ring.digits(x)[:, None] for x in domain))
+        return self.test(scan, tuple(ring.digits(x)[:, :, None] for x in domain))
 
 
 def _walk(chunks: Iterable[np.ndarray], count: int, meets: Callable) -> Optional[int]:
@@ -430,21 +452,23 @@ def _walk(chunks: Iterable[np.ndarray], count: int, meets: Callable) -> Optional
 
 def _sums(ring: RingDescriptor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The distinct x + y over the digit arrays x and y, in index order."""
-    reached = np.zeros(ring.size, bool)
-    for k in _blocks(len(x) * len(y)):
-        reached[ring.indices(ring.add(x[k // len(y)], y[k % len(y)]))] = True
+    reached, n = np.zeros(ring.size, bool), y.shape[1]
+    for k in _blocks(x.shape[1] * n):
+        reached[ring.indices(ring.add(x[:, k // n], y[:, k % n]))] = True
     return ring.digits(np.flatnonzero(reached))
 
 
 def _idempotent_pairs(scan: _Scan, a, k) -> tuple:
     """(e, f, a - e - f) for split k = i|I| + j, e = I[i] and f = I[j]."""
-    e, f = scan.idem[k // len(scan.idem)], scan.idem[k % len(scan.idem)]
+    n = scan.idem.shape[1]
+    e, f = scan.idem[:, None, k // n], scan.idem[:, None, k % n]
     return e, f, scan.ring.sub(a, scan.ring.add(e, f))
 
 
 def _idempotent_splits(scan: _Scan, a, k) -> tuple:
     """(e, a - e) for split k, e = I[k]."""
-    return scan.idem[k], scan.ring.sub(a, scan.idem[k])
+    e = scan.idem[:, None, k]
+    return e, scan.ring.sub(a, e)
 
 
 def _signed_splits(scan: _Scan, a, k) -> tuple:
@@ -452,36 +476,38 @@ def _signed_splits(scan: _Scan, a, k) -> tuple:
     For the witness of one this picks the split whose w comes first among the
     nilpotents: 1 - e is idempotent, so the +1 split passes only for e = 1,
     where w = 0 is the first nilpotent."""
-    e, sign = scan.idem[k // 2], 1 - 2 * (k % 2)
-    return e, scan.ring.sub(a, np.where(sign[:, None] > 0, e, scan.ring.sub(0, e))), sign
+    e, sign = scan.idem[:, None, k // 2], 1 - 2 * (k % 2)
+    return e, scan.ring.sub(a, np.where(sign > 0, e, scan.ring.sub(0, e))), sign
 
 
 _TABLE = (
     # every element a sum of two idempotents and a nilpotent; the addends are the
     # cheaper sums to build, e + f (|I|^2) with the nilpotents or e + w (|I||N|) with I
-    Property("two-nil-clean", _idempotent_pairs, lambda s, p: s.nilpotent(p[2]), lambda s: len(s.idem) ** 2,
-             addends=lambda s: (_sums(s.ring, s.idem, s.idem), s.nil) if len(s.idem) <= len(s.nil)
+    Property("two-nil-clean", _idempotent_pairs, lambda s, p: s.nilpotent(p[2]),
+             lambda s: s.idem.shape[1] ** 2,
+             addends=lambda s: (_sums(s.ring, s.idem, s.idem), s.nil) if s.idem.shape[1] <= s.nil.shape[1]
              else (_sums(s.ring, s.idem, s.nil), s.idem)),
     # every element an idempotent plus a nilpotent
-    Property("nil-clean", _idempotent_splits, lambda s, p: s.nilpotent(p[1]), lambda s: len(s.idem),
+    Property("nil-clean", _idempotent_splits, lambda s, p: s.nilpotent(p[1]), lambda s: s.idem.shape[1],
              addends=lambda s: (s.idem, s.nil)),
     # every element w + e or w - e with w nilpotent, e idempotent
-    Property("weakly-nil-clean", _signed_splits, lambda s, p: s.nilpotent(p[1]), lambda s: 2 * len(s.idem),
-             addends=lambda s: (np.concatenate([s.idem, s.ring.sub(0, s.idem)]), s.nil)),
+    Property("weakly-nil-clean", _signed_splits, lambda s, p: s.nilpotent(p[1]),
+             lambda s: 2 * s.idem.shape[1],
+             addends=lambda s: (np.concatenate([s.idem, s.ring.sub(0, s.idem)], axis=1), s.nil)),
     # two idempotents plus a nilpotent, all three commuting pairwise: the
     # splits of commuting e, f whose w commutes with both, found among all |I|^2 pairs
     Property("strongly-two-nil-clean", lambda s, a, k: _idempotent_pairs(s, a, s.commuting[k]),
              lambda s, p: s.nilpotent(p[2]) & _commutes(s.ring, p[0], p[2]) & _commutes(s.ring, p[1], p[2]),
-             lambda s: len(s.commuting), work=lambda s: len(s.idem) ** 2),
+             lambda s: len(s.commuting), work=lambda s: s.idem.shape[1] ** 2),
     # an idempotent plus a commuting tripotent element: up to |R||I| splits
     Property("strongly-sit", _idempotent_splits,
-             lambda s, p: _tripotent(s.ring, p[1]) & _commutes(s.ring, *p), lambda s: len(s.idem),
-             work=lambda s: s.ring.size * len(s.idem)),
+             lambda s, p: _tripotent(s.ring, p[1]) & _commutes(s.ring, *p), lambda s: s.idem.shape[1],
+             work=lambda s: s.ring.size * s.idem.shape[1]),
     # a^3 = a
     Property("tripotent", None, lambda s, p: _tripotent(s.ring, p[0])),
     # a^2 idempotent
     Property("two-boolean", None,
-             lambda s, p: (s.ring.mul(sq := s.ring.mul(p[0], p[0]), sq) == sq).all(axis=-1)),
+             lambda s, p: (s.ring.mul(sq := s.ring.mul(p[0], p[0]), sq) == sq).all(axis=0)),
 )
 PROPERTIES = {prop.name: prop for prop in _TABLE}
 
@@ -507,7 +533,7 @@ def _generalized(n: int) -> Property:
 
         ab = ring.mul(a, b)
         return ~ring.sub(ring.sub(power(ab), ring.mul(a, power(b))),
-                         ring.sub(ring.mul(power(a), b), ab)).any(axis=-1)
+                         ring.sub(ring.mul(power(a), b), ab)).any(axis=0)
 
     return Property(f"generalized-{n}-like", None, test, pairwise=True)
 
@@ -530,11 +556,11 @@ def lookup(name: str) -> Property:
 def _passing_splits(scan: _Scan, prop: Property, a: int) -> Iterator[tuple]:
     """The passing candidate splits of the element at index a, in witness
     order, as a report holds them: element tuples, and an int for a sign."""
-    ring, digits = scan.ring, scan.ring.digits([a])[:, None]
+    ring, digits = scan.ring, scan.ring.digits([a])[:, :, None]
     for k in _blocks(prop.count(scan)):
         parts = prop.splits(scan, digits, k)
         for h in np.flatnonzero(prop.test(scan, parts)):
-            yield tuple(ring.element(int(ring.indices(p[..., h, :]).flat[0])) if p.ndim > 1 else int(p[h])
+            yield tuple(ring.element(int(ring.indices(p[:, 0, h]))) if p.ndim > 1 else int(p[h])
                         for p in parts)
 
 
@@ -547,10 +573,11 @@ def decide(name: str, ring: RingDescriptor) -> PropertyReport:
     scan = _Scan(ring)
     prop.check_work(scan)
     if prop.addends is not None:  # walk the shorter list xs, looking a - x up in a mask of the longer
-        xs, ys = sorted(prop.addends(scan), key=len)
+        xs, ys = sorted(prop.addends(scan), key=lambda x: x.shape[1])
         targets = np.zeros(ring.size, bool)
         targets[ring.indices(ys)] = True
-        count, meets = len(xs), lambda q, k: targets[ring.indices(ring.sub(ring.digits(q)[:, None], xs[k]))]
+        count, meets = xs.shape[1], lambda q, k: targets[
+            ring.indices(ring.sub(ring.digits(q)[:, :, None], xs[:, None, k]))]
     else:
         count, meets = prop.count(scan), functools.partial(prop.meets, scan)
     missing = _walk(_blocks(ring.size**2 if prop.pairwise else ring.size, 64), count, meets)
@@ -571,7 +598,7 @@ def min_nilpotent_index_over_decompositions(ring: RingDescriptor, a) -> Optional
     index = ring.index(a)
     if index is None:
         raise InputError(f"{a!r} is not an element of {ring.describe()}")
-    scan, a = _Scan(ring), ring.digits([index])[:, None]
-    found = [k[k > 0].min() for j in _blocks(len(scan.idem) ** 2)
+    scan, a = _Scan(ring), ring.digits([index])[:, :, None]
+    found = [k[k > 0].min() for j in _blocks(scan.idem.shape[1] ** 2)
              if (k := _exponents(ring, _idempotent_pairs(scan, a, j)[2])).any()]
     return int(min(found)) if found else None

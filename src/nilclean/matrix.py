@@ -3,11 +3,12 @@
 A matrix is stored as a coefficient stack ``coeffs`` of shape (d, n, n): slice
 t holds the matrix coefficient of x^t, so d = 1 is the plain Z_m case.  All
 slices are kept reduced into [0, m), and entries are int64 for every
-supported m <= 2^31.  _stack_mul is the one exact product.  When
-n*(m-1)^2 >= 2^53 it splits the right factor into 16-bit halves, so that every
-partial sum of every product it runs is an integer below 2^53.  Plain stacks
-then go through float64 BLAS from BLAS_MIN_DIMENSION (a crossover measured,
-not derived) and through int64 matmul below it.
+supported m <= 2^31.  _stack_mul is the one exact product.  Plain stacks go
+through float64 BLAS from BLAS_MIN_DIMENSION (a crossover measured, not
+derived), exact while every partial sum stays below 2^53, and through int64
+matmul below it; truncated stacks through int64 products, exact below 2^63.
+When n*(m-1)^2 reaches the bound of the route a product would take, it splits
+the right factor into 16-bit halves, whose partial sums stay below 2^53.
 """
 
 from __future__ import annotations
@@ -258,16 +259,19 @@ class RingMatrix:
 def _stack_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Product of two (d, n, n) coefficient stacks, truncated at x^d, mod m;
     of two (k, d, n, n) stacks, the k products.  The product is bilinear, so
-    past the bound a (b_hi 2^16 + b_lo) runs as two products whose partial
-    sums stay below n (m-1) 2^16 < 2^53 for n <= 64 and m <= 2^31."""
-    # m first: n <= 64 reaches the bound only from m > 2^23
-    if m > 2**23 and a.shape[-1] * (m - 1) ** 2 >= 2**53:
-        return (_routed_mul(a, b >> 16, m) * 2**16 + _routed_mul(a, b & 0xFFFF, m)) % m
+    past the bound of its route (2^53 on float64 BLAS, 2^63 on int64) a
+    (b_hi 2^16 + b_lo) runs as two products whose partial sums stay below
+    n (m-1) 2^16 < 2^53 for n <= 64 and m <= 2^31."""
+    # m first: n <= 64 reaches either bound only from m > 2^23
+    if m > 2**23:
+        n = a.shape[-1]
+        if n * (m - 1) ** 2 >= (2**53 if a.shape[-3] == 1 and n >= BLAS_MIN_DIMENSION else 2**63):
+            return (_routed_mul(a, b >> 16, m) * 2**16 + _routed_mul(a, b & 0xFFFF, m)) % m
     return _routed_mul(a, b, m)
 
 
 def _routed_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """_stack_mul for operands whose partial sums stay below 2^53."""
+    """_stack_mul for operands whose partial sums stay below the bound of their route."""
     d, n = a.shape[-3], a.shape[-1]
     if d == 1:
         if n >= BLAS_MIN_DIMENSION:

@@ -105,15 +105,16 @@ class TestEnumerations:
 
 
 class TestBatchedArithmetic:
-    """Sums, differences and products of index batches, decoded, are those of
-    the naive tuple arithmetic, for every pair of elements of small rings."""
+    """Sums, differences and products of digit-major batches, shape (D, ...),
+    decoded, are those of the naive tuple arithmetic, for every pair of
+    elements of small rings."""
 
     @pytest.mark.parametrize("text", ["Z6", "M2(Z2)", "M2(Z3)", "Z4[x]/(x^3)", "Z2xM2(Z2)",
                                       "Z3[x]/(x^2)xZ4xZ2"])
     def test_every_pair(self, text):
         ring = parse_ring_descriptor(text)
         naive, q = NaiveRing(ring), np.arange(ring.size)
-        a, b = ring.digits(q)[:, None], ring.digits(q)[None, :]
+        a, b = ring.digits(q)[:, :, None], ring.digits(q)[:, None, :]
         elements = list(naive.elements())
         for batched, reference in ((ring.add, naive.add), (ring.sub, naive.sub), (ring.mul, naive.mul)):
             got = ring.indices(batched(a, b))
@@ -131,6 +132,26 @@ class TestBatchedArithmetic:
             got = [ring.element(int(i)) for i in ring.indices(batched(x, y))]
             assert got == [reference(ring.element(int(a)), ring.element(int(b)))
                            for a, b in zip(q, np.roll(q, 1))]
+
+    def test_every_rank_the_searches_use(self, rng):
+        # one element (D,), a batch (D, k) and a pending x candidate grid
+        # (D, p, k), on a ring with every kind of factor; the element with
+        # every digit m - 1 leads each operand
+        ring = parse_ring_descriptor("Z4xM2(Z3)xZ2[x]/(x^3)")
+        naive = NaiveRing(ring)
+        p = np.concatenate([[ring.size - 1], rng.integers(0, ring.size, 5)])
+        k = np.concatenate([[ring.size - 1], rng.integers(0, ring.size, 7)])
+        x, y = ring.digits(p), ring.digits(k)
+        operands = [(x[:, 0], y[:, 0], p[0], k[0]), (x, y[:, :6], p, k[:6]),
+                    (x[:, :, None], y[:, None], p[:, None], k)]
+        for a, b, i, j in operands:
+            i, j = np.broadcast_arrays(i, j)
+            for batched, reference in ((ring.add, naive.add), (ring.sub, naive.sub), (ring.mul, naive.mul)):
+                out = batched(a, b)
+                assert out.shape == a.shape[:1] + i.shape
+                assert [ring.element(int(h)) for h in ring.indices(out).ravel()] == [
+                    reference(ring.element(int(u)), ring.element(int(v)))
+                    for u, v in zip(i.ravel(), j.ravel())]
 
     def test_index_round_trip(self):
         ring = parse_ring_descriptor("Z3xM2(Z2)xZ2[x]/(x^2)")

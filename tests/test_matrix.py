@@ -127,11 +127,11 @@ def exact_truncated_product(a, b, m):
                      for t in range(a.shape[-3])], axis=-3)
 
 
-# (m, n, route of a plain product): the split when n (m-1)^2 >= 2^53, which
-# halves the right factor into 16-bit pieces; otherwise float64 from
-# BLAS_MIN_DIMENSION up, every partial sum then being an exact float64
-# integer, and int64 below it.  Wraps modulo 2^64 are caught only by moduli
-# that are not powers of two.
+# (m, n, route of a plain product): float64 from BLAS_MIN_DIMENSION up and
+# int64 below it, unless n (m-1)^2 reaches that route's bound (2^53 for
+# float64, past which a partial sum may round, and 2^63 for int64, past which
+# it may wrap); then the split, which halves the right factor into 16-bit
+# pieces.  Wraps modulo 2^64 are caught only by moduli that are not powers of two.
 PRODUCT_ROUTES = [
     (2**24, 32, "float64"),     # 32 (2^24 - 1)^2 = 2^53 - 2^30 + 32
     (2**24, 64, "split"),       # 64 (2^24 - 1)^2 > 2^53
@@ -142,12 +142,16 @@ PRODUCT_ROUTES = [
     (2**31, 32, "split"),
     (3**19, 32, "split"),       # 32 (m-1)^2 > 2^63: a raw int64 product wraps
     (2 * 1073741789, 64, "split"),
+    (2**17 * 3**8, 8, "int64"),   # 8 (m-1)^2 is between 2^59 and 2^63
+    (2**31 - 1, 2, "int64"),      # 2 (m-1)^2 = 2^63 - 2^34 + 8
+    (2**31 - 1, 3, "split"),      # 3 (m-1)^2 > 2^63
+    (3**19, 8, "split"),          # 7 (m-1)^2 > 2^63 > 6 (m-1)^2
 ]
 
 
 class TestProductRoutes:
     """_stack_mul equals the exact Python-int product on every route, on
-    (1, n, n) and (2, 1, n, n) stacks and on both sides of the 2^53 bound.
+    (1, n, n) and (2, 1, n, n) stacks and on both sides of the 2^53 and 2^63 bounds.
     Entries all m - 1, or within 3 of it, are where float64 would round."""
 
     @pytest.mark.parametrize("m,n,route", PRODUCT_ROUTES,
@@ -162,7 +166,7 @@ class TestProductRoutes:
             a = b = np.full((2, 1, n, n), m - 1)
         else:
             a, b = m - 1 - gen.integers(0, 4, (2, 2, 1, n, n))
-        assert (n * (m - 1) ** 2 >= 2**53) == (route == "split")
+        assert (n * (m - 1) ** 2 >= (2**53 if n >= BLAS_MIN_DIMENSION else 2**63)) == (route == "split")
         assert (n >= BLAS_MIN_DIMENSION and route != "split") == (route == "float64")
         for x, y in ((a[0], b[0]), (a, b)):
             out = _stack_mul(x, y, m)

@@ -16,7 +16,8 @@ def load(name):
 def test_randomized_stress_up_to_n64():
     # rcf, is_invertible, inverse and conjugation invariance at n <= 64, over
     # p in {2, 3, 5, 2^31 - 1}: both byte-lane fields, the list field and split
-    # products; truncated rings over 3^19 and 2^17 3^8 put the split under d > 1
+    # products; truncated rings over 3^19 at n >= 7 put the split under d > 1,
+    # and over 2^17 3^8 run unsplit int64 products past 2^53
     assert load("randomized_stress").main(["--seed", "1", "--count", "30", "--max-dim", "64"]) == 0
 
 
