@@ -157,7 +157,8 @@ class RingDescriptor:
         product and every sum of two digits; the moduli as ints; and the rows
         of each factor with its own product, runs of Z_m factors joined."""
         _check_cap(self)
-        dtype = np.min_scalar_type(max(max(f.digits * (f.m - 1) ** 2, 2 * f.m) for f in self.factors))
+        terms = lambda f: f.n if isinstance(f, MatFactor) else f.digits  # summed in a product entry
+        dtype = np.min_scalar_type(max(max(terms(f) * (f.m - 1) ** 2, 2 * f.m) for f in self.factors))
         moduli = [f.m for f in self.factors for _ in range(f.digits)]
         radix, blocks, start = np.array(moduli, dtype), [], 0
         for f in self.factors:
@@ -327,11 +328,12 @@ def _check_cap(ring: RingDescriptor, pairwise: bool = False) -> None:
 
 
 def _blocks(count: int, first: int = BATCH) -> Iterator[np.ndarray]:
-    """range(count) in consecutive arrays, of length ``first`` doubling up to BATCH."""
-    start, step = 0, first
+    """range(count) in consecutive arrays ending at first, 2*first, 4*first, ...
+    up to BATCH, then at each multiple of BATCH, which ``first`` divides."""
+    start, stop = 0, first
     while start < count:
-        yield np.arange(start, min(count, start + step))
-        start, step = start + step, min(BATCH, 2 * step)
+        yield np.arange(start, min(count, stop))
+        start, stop = stop, stop + min(BATCH, stop)
 
 
 def _exponents(ring: RingDescriptor, x) -> np.ndarray:
@@ -356,8 +358,13 @@ def enumerate_idempotents(ring: RingDescriptor) -> np.ndarray:
 
 
 def enumerate_nilpotents(ring: RingDescriptor) -> np.ndarray:
-    """The indices of all nilpotent elements, in iteration order."""
-    return _select(ring, lambda x: _exponents(ring, x) > 0)
+    """The indices of all nilpotent elements, in iteration order: the x with
+    x^(2^j) = 0 for the first 2^j at or over the nilpotency bound."""
+    def holds(x):
+        for _ in range((ring.nilpotency_bound() - 1).bit_length()):
+            x = ring.mul(x, x)
+        return ~x.any(axis=0)
+    return _select(ring, holds)
 
 
 def _tripotent(ring: RingDescriptor, t) -> np.ndarray:
@@ -471,6 +478,16 @@ def _idempotent_splits(scan: _Scan, a, k) -> tuple:
     return e, scan.ring.sub(a, e)
 
 
+def _commuting_nilpotent(scan: _Scan, parts) -> np.ndarray:
+    """Whether w is nilpotent and commutes with e and f, for parts (e, f, w):
+    the products run only on the candidates whose w is nilpotent."""
+    e, f, w = np.broadcast_arrays(*parts)
+    out = scan.nilpotent(w)
+    e, f, w = e[:, out], f[:, out], w[:, out]
+    out[out] = _commutes(scan.ring, e, w) & _commutes(scan.ring, f, w)
+    return out
+
+
 def _signed_splits(scan: _Scan, a, k) -> tuple:
     """(e, w, sign) with a = w + sign*e, e = I[k // 2], sign +1 before -1.
     For the witness of one this picks the split whose w comes first among the
@@ -497,8 +514,7 @@ _TABLE = (
     # two idempotents plus a nilpotent, all three commuting pairwise: the
     # splits of commuting e, f whose w commutes with both, found among all |I|^2 pairs
     Property("strongly-two-nil-clean", lambda s, a, k: _idempotent_pairs(s, a, s.commuting[k]),
-             lambda s, p: s.nilpotent(p[2]) & _commutes(s.ring, p[0], p[2]) & _commutes(s.ring, p[1], p[2]),
-             lambda s: len(s.commuting), work=lambda s: s.idem.shape[1] ** 2),
+             _commuting_nilpotent, lambda s: len(s.commuting), work=lambda s: s.idem.shape[1] ** 2),
     # an idempotent plus a commuting tripotent element: up to |R||I| splits
     Property("strongly-sit", _idempotent_splits,
              lambda s, p: _tripotent(s.ring, p[1]) & _commutes(s.ring, *p), lambda s: s.idem.shape[1],
@@ -557,7 +573,7 @@ def _passing_splits(scan: _Scan, prop: Property, a: int) -> Iterator[tuple]:
     """The passing candidate splits of the element at index a, in witness
     order, as a report holds them: element tuples, and an int for a sign."""
     ring, digits = scan.ring, scan.ring.digits([a])[:, :, None]
-    for k in _blocks(prop.count(scan)):
+    for k in _blocks(prop.count(scan), 64):
         parts = prop.splits(scan, digits, k)
         for h in np.flatnonzero(prop.test(scan, parts)):
             yield tuple(ring.element(int(ring.indices(p[:, 0, h]))) if p.ndim > 1 else int(p[h])

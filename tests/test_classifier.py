@@ -90,8 +90,10 @@ class TestEnumerations:
             ((0, 0, 0, 0),), ((0, 0, 1, 0),), ((0, 1, 0, 0),), ((1, 1, 1, 1),)]
 
     @pytest.mark.parametrize("text", ["Z72", "M2(Z4)", "M3(Z2)", "Z2xM2(Z3)", "Z4[x]/(x^3)xZ3",
-                                      "Z8[x]/(x^2)"])
+                                      "Z8[x]/(x^2)", "Z32", "Z2[x]/(x^5)xZ9", "M2(Z8)"])
     def test_enumerations_match_the_naive_arithmetic(self, text):
+        # the last three have nilpotency bounds 5, 5 and 6, past which the
+        # nilpotents' repeated squaring overshoots to 8
         ring = parse_ring_descriptor(text)
         naive, bound = NaiveRing(ring), ring.nilpotency_bound()
         assert elements_at(ring, enumerate_idempotents(ring)) == [
@@ -153,6 +155,11 @@ class TestBatchedArithmetic:
                     reference(ring.element(int(u)), ring.element(int(v)))
                     for u, v in zip(i.ravel(), j.ravel())]
 
+    @pytest.mark.parametrize("text,dtype", [("M2(Z9)", np.uint8), ("M2(Z12)", np.uint8), ("M2(Z13)", np.uint16)])
+    def test_matrix_dtype_holds_a_product_entry_of_n_terms(self, text, dtype):
+        # an entry of a 2x2 product sums two terms of at most (m - 1)^2
+        assert parse_ring_descriptor(text).digits([0]).dtype == dtype
+
     def test_index_round_trip(self):
         ring = parse_ring_descriptor("Z3xM2(Z2)xZ2[x]/(x^2)")
         for i in range(ring.size):
@@ -181,6 +188,18 @@ class TestTwoNilClean:
     def test_m2z3_holds(self):
         assert decide("two-nil-clean", parse_ring_descriptor("M2(Z3)")).holds
 
+    def test_witness_scan_meets_no_candidate_past_its_batch(self):
+        # Z2^14 has BATCH idempotents and 1 is the last, so the witness
+        # (0, 1, 0) of one is candidate BATCH - 1; the scan starts small
+        ring = parse_ring_descriptor("x".join(["Z2"] * 14))
+        scan, met = classifier._Scan(ring), []
+        nilpotent = scan.nilpotent
+        scan.nilpotent = lambda w: met.append(w[0].size) or nilpotent(w)
+        parts = next(classifier._passing_splits(scan, classifier.PROPERTIES["two-nil-clean"],
+                                                ring.index(ring.one)))
+        assert parts == (ring.element(0), ring.one, ring.element(0))
+        assert met[0] == 64 and sum(met) == classifier.BATCH == len(scan.idem[0])
+
     def test_matches_smoothness_for_zm(self):
         for m in range(2, 73):
             assert decide("two-nil-clean", zm(m)).holds == is_two_three_smooth(factorize(m))
@@ -203,6 +222,34 @@ class TestStrongly:
 
     def test_z3(self):
         assert decide("strongly-two-nil-clean", zm(3)).holds
+
+    @staticmethod
+    def grid(text):
+        """The scan of a ring, the test of every (element, commuting pair)
+        candidate, and its parts (e, f, w)."""
+        prop, scan = classifier.PROPERTIES["strongly-two-nil-clean"], classifier._Scan(parse_ring_descriptor(text))
+        q, k = np.arange(scan.ring.size), np.arange(prop.count(scan))
+        parts = prop.splits(scan, scan.ring.digits(q)[:, :, None], k)
+        return scan, lambda: prop.meets(scan, q, k), parts
+
+    @pytest.mark.parametrize("text", ["M2(Z2)", "Z2xM2(Z2)", "Z2[x]/(x^2)xZ3"])
+    def test_meets_the_eager_conjunction(self, text):
+        scan, meets, (e, f, w) = self.grid(text)
+        mul = scan.ring.mul
+        eager = scan.nilpotent(w) & (mul(e, w) == mul(w, e)).all(axis=0) & (mul(f, w) == mul(w, f)).all(axis=0)
+        assert eager.any() and not eager.all()
+        np.testing.assert_array_equal(meets(), eager)
+
+    @pytest.mark.parametrize("text", ["M2(Z2)", "Z2xM2(Z2)", "Z2[x]/(x^2)xZ3"])
+    def test_commutation_sees_only_nilpotent_remainders(self, text, monkeypatch):
+        scan, meets, (_, _, w) = self.grid(text)
+        scan.commuting  # built before counting: it commutes pairs of idempotents
+        columns, commutes = [], classifier._commutes
+        monkeypatch.setattr(classifier, "_commutes", lambda ring, x, y: columns.append(
+            np.broadcast(x, y).size // len(x)) or commutes(ring, x, y))
+        meets()
+        nilpotent = int(scan.nilpotent(w).sum())
+        assert 0 < nilpotent < w[0].size and sum(columns) == 2 * nilpotent
 
 
 class TestWorkBudget:
