@@ -44,15 +44,16 @@ def stress_decompose(config, rng):
 
 def stress_truncated(config, rng):
     start = time.perf_counter()
-    # each modulus in turn, first the two whose products pass 2^53, at d > 1:
-    # 3^19 at n >= 7 splits, since 7 (3^19 - 1)^2 > 2^63; 2^17 3^8 at n <= 4
-    # stays below 2^63 and runs on int64 unsplit
-    wide = [3**19, 2**17 * 3**8]
-    moduli = wide + [mm for mm in config.moduli if mm <= 12]
+    # each modulus in turn with its ranges of d and n, first the three whose
+    # products leave the small int64 case: 3^19 at n >= 7 splits, since
+    # 7 (3^19 - 1)^2 > 2^63; 2^17 3^8 at n <= 4 stays below 2^63 and runs on
+    # int64 unsplit; 72 at n >= 32 multiplies truncated stacks on float64 BLAS
+    cases = [(3**19, (2, 3), (7, 8)), (2**17 * 3**8, (2, 3), (1, 4)), (72, (2, 3), (32, 40))]
+    cases += [(mm, (1, 3), (1, 4)) for mm in config.moduli if mm <= 12]
     for i in range(config.count // 5):
-        m = moduli[i % len(moduli)]
-        d = int(rng.integers(2 if m in wide else 1, 4))
-        n = int(rng.integers(7, 9) if m == 3**19 else rng.integers(1, 5))
+        m, (d_lo, d_hi), (n_lo, n_hi) = cases[i % len(cases)]
+        d = int(rng.integers(d_lo, d_hi + 1))
+        n = int(rng.integers(n_lo, n_hi + 1))
         decompose(RingMatrix.random(n, trunc_ring(m, d), rng))
     print(f"  {config.count // 5} random truncated-polynomial decompositions verified, "
           f"{time.perf_counter() - start:.2f}s")

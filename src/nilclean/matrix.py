@@ -3,13 +3,12 @@
 A matrix is stored as a coefficient stack ``coeffs`` of shape (d, n, n): slice
 t holds the matrix coefficient of x^t, so d = 1 is the plain Z_m case.  All
 slices are kept reduced into [0, m), and entries are int64 for every
-supported m <= 2^31.  _stack_mul is the one exact product.  Plain stacks go
-through float64 BLAS from BLAS_MIN_DIMENSION (a crossover measured, not
-derived), exact while every partial sum stays below 2^53, and through int64
-matmul below it; truncated stacks through int64 products, exact below 2^63.
-When n*(m-1)^2 reaches the bound of the route a product would take, it splits
-the right factor into 16-bit halves, whose partial sums stay below 2^53.
-"""
+supported m <= 2^31.  _stack_mul is the one exact product; a truncated one
+runs as d plain ones, and the route of a plain one depends on n and m alone:
+float64 BLAS from BLAS_MIN_DIMENSION (a crossover measured, not derived),
+exact while every partial sum stays below 2^53 and reduced in int64, and
+int64 matmul below it, exact below 2^63.  When n*(m-1)^2 reaches the bound of
+its route, a product splits the right factor into 16-bit halves."""
 
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from .residue import Modulus, factorize, lift_iteration_cap
 
 MAX_DIMENSION = 64
 MAX_TRUNC_DEGREE = 64
-BLAS_MIN_DIMENSION = 32  # measured: below it int64 matmul beats the float64 round trip
+BLAS_MIN_DIMENSION = 32  # measured: below it float64 loses at n = 8 and wherever it must split
 
 
 @dataclass(frozen=True)
@@ -259,31 +258,31 @@ class RingMatrix:
 def _stack_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Product of two (d, n, n) coefficient stacks, truncated at x^d, mod m;
     of two (k, d, n, n) stacks, the k products.  The product is bilinear, so
-    past the bound of its route (2^53 on float64 BLAS, 2^63 on int64) a
-    (b_hi 2^16 + b_lo) runs as two products whose partial sums stay below
-    n (m-1) 2^16 < 2^53 for n <= 64 and m <= 2^31."""
+    past the bound of the route of n and m (2^53 on float64 BLAS, 2^63 on
+    int64) a (b_hi 2^16 + b_lo) runs as two products whose partial sums stay
+    below n (m-1) 2^16 < 2^53 for n <= 64 and m <= 2^31."""
     # m first: n <= 64 reaches either bound only from m > 2^23
     if m > 2**23:
         n = a.shape[-1]
-        if n * (m - 1) ** 2 >= (2**53 if a.shape[-3] == 1 and n >= BLAS_MIN_DIMENSION else 2**63):
+        if n * (m - 1) ** 2 >= (2**53 if n >= BLAS_MIN_DIMENSION else 2**63):
             return (_routed_mul(a, b >> 16, m) * 2**16 + _routed_mul(a, b & 0xFFFF, m)) % m
     return _routed_mul(a, b, m)
 
 
 def _routed_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """_stack_mul for operands whose partial sums stay below the bound of their route."""
-    d, n = a.shape[-3], a.shape[-1]
-    if d == 1:
-        if n >= BLAS_MIN_DIMENSION:
-            return (np.matmul(a.astype(np.float64), b.astype(np.float64)) % m).astype(np.int64)
-        return np.matmul(a, b) % m
-    if a.ndim == 4:
-        return np.stack([_routed_mul(x, y, m) for x, y in zip(a, b)])
-    out = np.zeros_like(a)
-    for i in range(d):
-        for j in range(d - i):
-            out[i + j] += a[i].dot(b[j]) % m
-    return out % m
+    """_stack_mul for operands whose partial sums stay below the bound of their
+    route.  Slice t of a truncated product is the sum of a_i b_(t-i): d plain
+    products, each reduced before it is added, so sums stay below d m < 2^37.
+    A float64 product holds exact integers and is reduced after a cast to int64."""
+    d = a.shape[-3]
+    if d > 1:
+        out = _routed_mul(a[..., :1, :, :], b, m)
+        for i in range(1, d):
+            out[..., i:, :, :] += _routed_mul(a[..., i:i + 1, :, :], b[..., :d - i, :, :], m)
+        return out % m
+    if a.shape[-1] >= BLAS_MIN_DIMENSION:
+        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % m
+    return np.matmul(a, b) % m
 
 
 def _min_exponent(x: np.ndarray, m: int, bound: int) -> Optional[int]:

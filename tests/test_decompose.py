@@ -605,29 +605,35 @@ class TestPinnedCertificates:
 
 
 def derogatory_conjugate(n, ring, gen):
-    """L D L^-1 with D one random 4 x 4 block repeated down the diagonal (every
-    invariant factor the same) and L random unit lower triangular."""
+    """L D L^-1 over Z_m with D one random 4 x 4 block repeated down the
+    diagonal (every invariant factor the same) and L random unit lower
+    triangular; over Z_m[x]/(x^d), the same matrix as a constant term."""
+    plain = zm_ring(ring.m)
     block = gen.integers(0, ring.m, (4, 4))
-    d = RingMatrix.from_rows(np.kron(np.eye(n // 4, dtype=np.int64), block).tolist(), ring)
+    d = RingMatrix.from_rows(np.kron(np.eye(n // 4, dtype=np.int64), block).tolist(), plain)
     low = np.tril(gen.integers(0, ring.m, (n, n)), -1) + np.eye(n, dtype=np.int64)
-    p = RingMatrix.from_rows(low.tolist(), ring)
-    return p @ d @ p.inverse()
+    p = RingMatrix.from_rows(low.tolist(), plain)
+    x = p @ d @ p.inverse()
+    return RingMatrix(ring, np.pad(x.coeffs, ((0, ring.d - 1), (0, 0), (0, 0))))
 
 
 # SHA-256 of certificate_to_doc over decompose of a seeded random matrix and
-# a derogatory conjugate, at n = 32 and then 64, recorded while every product
-# ran in int64: the float64 products from BLAS_MIN_DIMENSION up must not move
-# a byte.
+# a derogatory conjugate, at n = 32 and then 64.  The plain rows were recorded
+# while every product ran in int64, the Z72[x]/(x^2) row while truncated
+# products did: the float64 products from BLAS_MIN_DIMENSION up, plain or
+# truncated, must not move a byte.
 PINNED_LARGE = [
-    (72, "0ac2bb0cfde5ae12a78833a015d2d304da38768b0844944eee889f7e6e0ca390"),
-    (6, "422f7331d86fdea1f4a4698f9c2f665ce069faae2bc3cc916a8c2bdd28395c5a"),
+    (72, 1, "0ac2bb0cfde5ae12a78833a015d2d304da38768b0844944eee889f7e6e0ca390"),
+    (6, 1, "422f7331d86fdea1f4a4698f9c2f665ce069faae2bc3cc916a8c2bdd28395c5a"),
+    (72, 2, "d680068a1e7d013feb6b1a203d4285b85f19d056b4f3abe35f59c643c8e38bc3"),
 ]
 
 
 class TestPinnedLarge:
-    @pytest.mark.parametrize("m,digest", PINNED_LARGE, ids=[f"m{m}" for m, _ in PINNED_LARGE])
-    def test_digests(self, m, digest):
-        ring = zm_ring(m)
+    @pytest.mark.parametrize("m,d,digest", PINNED_LARGE,
+                             ids=[f"m{m}" if d == 1 else f"m{m}-d{d}" for m, d, _ in PINNED_LARGE])
+    def test_digests(self, m, d, digest):
+        ring = trunc_ring(m, d)
         gen = np.random.default_rng([m, 64])
         h = hashlib.sha256()
         for n in (32, 64):

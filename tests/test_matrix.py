@@ -127,64 +127,56 @@ def exact_truncated_product(a, b, m):
                      for t in range(a.shape[-3])], axis=-3)
 
 
-# (m, n, route of a plain product): float64 from BLAS_MIN_DIMENSION up and
-# int64 below it, unless n (m-1)^2 reaches that route's bound (2^53 for
+# (m, n, route of a plain product, d_max): float64 from BLAS_MIN_DIMENSION up
+# and int64 below it, unless n (m-1)^2 reaches that route's bound (2^53 for
 # float64, past which a partial sum may round, and 2^63 for int64, past which
 # it may wrap); then the split, which halves the right factor into 16-bit
-# pieces.  Wraps modulo 2^64 are caught only by moduli that are not powers of two.
+# pieces.  Wraps modulo 2^64 are caught only by moduli that are not powers of
+# two.  Truncated stacks, d = 2 up to d_max, take the route of their slices;
+# the Python-int reference is slow at n = 64, so one n = 64 row runs them.
 PRODUCT_ROUTES = [
-    (2**24, 32, "float64"),     # 32 (2^24 - 1)^2 = 2^53 - 2^30 + 32
-    (2**24, 64, "split"),       # 64 (2^24 - 1)^2 > 2^53
-    (2**26 + 2, 32, "split"),   # (m-1)^2 < 2^53 < 32 (m-1)^2: catches a bound without n
-    (72, 64, "float64"),
-    (3, BLAS_MIN_DIMENSION, "float64"),
-    (72, BLAS_MIN_DIMENSION - 1, "int64"),
-    (2**31, 32, "split"),
-    (3**19, 32, "split"),       # 32 (m-1)^2 > 2^63: a raw int64 product wraps
-    (2 * 1073741789, 64, "split"),
-    (2**17 * 3**8, 8, "int64"),   # 8 (m-1)^2 is between 2^59 and 2^63
-    (2**31 - 1, 2, "int64"),      # 2 (m-1)^2 = 2^63 - 2^34 + 8
-    (2**31 - 1, 3, "split"),      # 3 (m-1)^2 > 2^63
-    (3**19, 8, "split"),          # 7 (m-1)^2 > 2^63 > 6 (m-1)^2
+    (2**24, 32, "float64", 3),     # 32 (2^24 - 1)^2 = 2^53 - 2^30 + 32; twice that at d = 2
+    (2**24, 64, "split", 1),       # 64 (2^24 - 1)^2 > 2^53
+    (2**26 + 2, 32, "split", 3),   # (m-1)^2 < 2^53 < 32 (m-1)^2: catches a bound without n
+    (72, 64, "float64", 1),
+    (3, BLAS_MIN_DIMENSION, "float64", 3),
+    (72, BLAS_MIN_DIMENSION - 1, "int64", 3),
+    (2**31, 32, "split", 3),
+    (3**19, 32, "split", 3),       # 32 (m-1)^2 > 2^63: a raw int64 product wraps
+    (2 * 1073741789, 64, "split", 3),
+    (2**17 * 3**8, 8, "int64", 3),   # 8 (m-1)^2 is between 2^59 and 2^63
+    (2**31 - 1, 2, "int64", 3),      # 2 (m-1)^2 = 2^63 - 2^34 + 8
+    (2**31 - 1, 3, "split", 3),      # 3 (m-1)^2 > 2^63
+    (3**19, 8, "split", 3),          # 7 (m-1)^2 > 2^63 > 6 (m-1)^2
 ]
 
 
 class TestProductRoutes:
     """_stack_mul equals the exact Python-int product on every route, on
-    (1, n, n) and (2, 1, n, n) stacks and on both sides of the 2^53 and 2^63 bounds.
-    Entries all m - 1, or within 3 of it, are where float64 would round."""
+    (d, n, n) and (2, d, n, n) stacks and on both sides of the 2^53 and 2^63
+    bounds.  Entries all m - 1, or within 3 of it, are where float64 would
+    round; at d = 2 a sum of two slice products passes 2^53 where one does not."""
 
-    @pytest.mark.parametrize("m,n,route", PRODUCT_ROUTES,
-                             ids=[f"m{m}-n{n}-{route}" for m, n, route in PRODUCT_ROUTES])
+    @pytest.mark.parametrize("m,n,route,d_max", PRODUCT_ROUTES,
+                             ids=[f"m{m}-n{n}-{route}" for m, n, route, _ in PRODUCT_ROUTES])
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), fill=st.sampled_from(("uniform", "top", "near-top")))
-    def test_matches_python_ints(self, m, n, route, seed, fill):
-        gen = np.random.default_rng(seed)
-        if fill == "uniform":
-            a, b = gen.integers(0, m, (2, 2, 1, n, n))
-        elif fill == "top":
-            a = b = np.full((2, 1, n, n), m - 1)
-        else:
-            a, b = m - 1 - gen.integers(0, 4, (2, 2, 1, n, n))
+    def test_matches_python_ints(self, m, n, route, d_max, seed, fill):
         assert (n * (m - 1) ** 2 >= (2**53 if n >= BLAS_MIN_DIMENSION else 2**63)) == (route == "split")
         assert (n >= BLAS_MIN_DIMENSION and route != "split") == (route == "float64")
-        for x, y in ((a[0], b[0]), (a, b)):
-            out = _stack_mul(x, y, m)
-            assert out.dtype == np.int64 and out.shape == x.shape
-            assert out.tolist() == exact_product(x, y, m).tolist()
-
-    @pytest.mark.parametrize("m,d,n", [(3**19, 2, 33), (2 * 1073741789, 3, 64)])
-    def test_truncated_matches_python_ints(self, m, d, n):
-        # the truncated convolution past the bound, one (d, n, n) product and
-        # a (2, d, n, n) stack of them
-        ring = trunc_ring(m, d)
-        gen = np.random.default_rng([m, d, n])
-        a, b = (np.stack([RingMatrix.random(n, ring, gen).coeffs for _ in range(2)])
-                for _ in range(2))
-        for x, y in ((a[0], b[0]), (a, b)):
-            out = _stack_mul(x, y, m)
-            assert out.shape == x.shape
-            assert out.tolist() == exact_truncated_product(x, y, m).tolist()
+        gen = np.random.default_rng(seed)
+        for d in range(1, d_max + 1):
+            if fill == "uniform":
+                a, b = gen.integers(0, m, (2, 2, d, n, n))
+            elif fill == "top":
+                a = b = np.full((2, d, n, n), m - 1)
+            else:
+                a, b = m - 1 - gen.integers(0, 4, (2, 2, d, n, n))
+            exact = exact_truncated_product(a, b, m)
+            for x, y, want in ((a[0], b[0], exact[0]), (a, b, exact)):
+                out = _stack_mul(x, y, m)
+                assert out.dtype == np.int64 and out.shape == x.shape
+                assert out.tolist() == want.tolist()
 
     @pytest.mark.parametrize("n", (32, 64))
     def test_inverse_is_two_sided(self, n):
