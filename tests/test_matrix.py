@@ -178,6 +178,19 @@ class TestProductRoutes:
                 assert out.dtype == np.int64 and out.shape == x.shape
                 assert out.tolist() == want.tolist()
 
+    @pytest.mark.parametrize("m,d,n", [(3**19, 2, 33), (2 * 1073741789, 3, 64)])
+    def test_truncated_matches_python_ints(self, m, d, n):
+        # the truncated convolution past the bound on ring elements drawn by
+        # RingMatrix.random, one (d, n, n) product and a (2, d, n, n) stack
+        ring = trunc_ring(m, d)
+        gen = np.random.default_rng([m, d, n])
+        a, b = (np.stack([RingMatrix.random(n, ring, gen).coeffs for _ in range(2)])
+                for _ in range(2))
+        for x, y in ((a[0], b[0]), (a, b)):
+            out = _stack_mul(x, y, m)
+            assert out.shape == x.shape
+            assert out.tolist() == exact_truncated_product(x, y, m).tolist()
+
     @pytest.mark.parametrize("n", (32, 64))
     def test_inverse_is_two_sided(self, n):
         # Z_{2^24}: the float64 route at n = 32, the split at n = 64
