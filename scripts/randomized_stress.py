@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Randomized stress runs: decompositions and canonical forms at scale.
 
-Samples uniform random matrices over a grid of dimensions and 2-3-smooth
+Samples uniform random matrices and derogatory conjugates (one companion
+block repeated down the diagonal) over a grid of dimensions and 2-3-smooth
 moduli, decomposes each (certificates verified on every call), and stresses
 the canonical form with verification plus conjugation invariance.  Seeded and
 reproducible.
@@ -28,16 +29,45 @@ class StressConfig:
     moduli: list = field(default_factory=lambda: two_three_smooth_moduli(72))
 
 
+def companion(coeffs):
+    """The companion matrix with last column coeffs."""
+    k = len(coeffs)
+    out = np.zeros((k, k), dtype=np.int64)
+    out[np.arange(1, k), np.arange(k - 1)] = 1
+    out[:, k - 1] = coeffs
+    return out
+
+
+def derogatory(n, m, rng):
+    """g D g^-1 over Z_m, g a product of unit triangular factors and D one
+    random companion block of degree k <= 4 repeated down the diagonal (a
+    block of degree n mod k closes it): modulo each prime, the Krylov form
+    then scans several chains with the same polynomial."""
+    k = int(rng.integers(1, min(n, 4) + 1))
+    block = companion(rng.integers(0, m, k))
+    d = np.zeros((n, n), dtype=np.int64)
+    for at in range(0, n - k + 1, k):
+        d[at : at + k, at : at + k] = block
+    if n % k:
+        d[n - n % k :, n - n % k :] = companion(rng.integers(0, m, n % k))
+    low = np.tril(rng.integers(0, m, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    up = np.triu(rng.integers(0, m, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    ring = zm_ring(m)
+    g = RingMatrix.from_rows((low.dot(up) % m).tolist(), ring)
+    return g @ RingMatrix.from_rows(d.tolist(), ring) @ g.inverse()
+
+
 def stress_decompose(config, rng):
     start = time.perf_counter()
     worst = (0, None)
-    for _ in range(config.count):
+    for i in range(config.count):
         m = int(rng.choice(config.moduli))
         n = int(rng.integers(1, config.max_dim + 1))
-        cert = decompose(RingMatrix.random(n, zm_ring(m), rng))
+        a = derogatory(n, m, rng) if i % 2 else RingMatrix.random(n, zm_ring(m), rng)
+        cert = decompose(a)
         if cert.nilpotency_exponent > worst[0]:
             worst = (cert.nilpotency_exponent, (n, m))
-    print(f"  {config.count} random Z_m decompositions verified, "
+    print(f"  {config.count} Z_m decompositions (uniform and derogatory) verified, "
           f"max W-exponent {worst[0]} at (n, m) = {worst[1]}, "
           f"{time.perf_counter() - start:.2f}s")
 

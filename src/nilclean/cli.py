@@ -251,12 +251,15 @@ def _write(doc: str, args) -> None:
 
 def _doc_int(doc: dict, key: str, default: Optional[int] = None) -> int:
     """An integer field of a document; KeyError when it is missing and has
-    no default, InputError when it is not an integer."""
+    no default, InputError when it is not an integer.  JSON true and false
+    are refused: Python reads them as the ints 1 and 0."""
     value = doc[key] if default is None else doc.get(key, default)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"field {key!r} must be an integer, got {value!r:.40}") from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"field {key!r} must be an integer, got {value!r:.40}")
 
 
 def _doc_matrix(doc: dict, key: str, ring: MatrixRing) -> RingMatrix:
@@ -285,9 +288,12 @@ def _parse_matrix_input(text: str, args) -> RingMatrix:
         else:
             ring = _ring_from_flags(args)
         try:
-            return _doc_matrix(doc, "A", ring)
+            a = _doc_matrix(doc, "A", ring)
         except (TypeError, ValueError) as bad:
             raise InputError(f"field 'A' is not a matrix of integers: {bad}") from None
+        if "n" in doc and _doc_int(doc, "n") != a.n:
+            raise InputError("declared dimension does not match the matrix")
+        return a
     ring = _ring_from_flags(args)
     if ring.d != 1:
         raise InputError("plain whitespace matrices support only Z_m entries")

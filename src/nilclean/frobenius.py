@@ -238,7 +238,8 @@ def _conductor(cols, w, span: Echelon):
     for t in range(len(cols) + 1):
         h = span.insert(u, base + t)
         if h is not None:
-            return _ptrim(f.get(h, f.n + base + j) for j in range(t + 1)), krylov
+            lo = f.n + base
+            return _ptrim(f.coords(h)[lo : lo + t + 1]), krylov
         krylov.append(u)
         u = f.matvec(cols, u)
     raise InternalCheckError("conductor search exceeded the dimension bound")
@@ -355,10 +356,10 @@ def rcf(a: RingMatrix) -> RcfResult:
                 x = span.solve(y)
                 if x is None:
                     raise InternalCheckError("inconsistent chain-coordinate system")
-                at = 0
+                at, x = n, f.coords(x)
                 for chain in chains:
                     d_i = len(chain)
-                    q = _ptrim(f.get(x, n + j) for j in range(at, at + d_i))
+                    q = _ptrim(x[at : at + d_i])
                     at += d_i
                     if not q:
                         continue

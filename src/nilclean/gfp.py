@@ -1,13 +1,14 @@
 """The one GF(p) elimination kernel, on packed vectors.
 
 A field fixes how a vector over GF(p) is stored and supplies the primitives
-the elimination is written in: ``get`` reads a coordinate, ``lead`` finds the
-lowest nonzero index (-1 for the zero vector), ``scale`` multiplies by a unit,
-``axpy(v, c, r)`` is v - c*r, and ``matvec`` applies a matrix given by its
-packed columns, one column per nonzero coordinate of the vector.  A field for
-n-vectors stores 2n + 1 coordinates: an elimination row is [vector | history]
-as in Gauss-Jordan on [A | I], so one row operation updates both.  p alone
-picks the representation:
+the elimination is written in: ``coords`` reads the coordinates as a sequence
+of ints, ``lead`` finds the lowest nonzero index (-1 for the zero vector),
+``scale`` multiplies by a unit, ``axpy(v, c, r)`` is v - c*r, ``matvec``
+applies a matrix given by its packed columns, ``reduce`` and ``clear`` are
+the two halves of an insertion into an ``Echelon``.  A field for n-vectors
+stores 2n + 1 coordinates: an elimination row is [vector | history] as in
+Gauss-Jordan on [A | I], so one row operation updates both.  p alone picks
+the representation:
 
 * GF(2) and GF(3): a vector is one int, coordinate j in byte j.  Over GF(2) a
   row operation is an XOR (as in M4RI, Albrecht-Bard-Hart, ACM TOMS 2010);
@@ -15,6 +16,15 @@ picks the representation:
   word operations;
 * p >= 5: a list of 2n + 1 ints; of the commands, only rcf meets it
   (decompositions need p in {2, 3}).
+
+Every lanewise sum of rows is one gather (``_gather``), in C: the matvec of a
+Krylov step, and the reduction of a vector against an echelon basis, whose
+rows are each zero in the other pivot columns, so v - sum_j v_j row_j over
+the pivot lanes j is the whole reduction.  Over GF(3) that is
+v - G1 + G2 + 3 #1, with G1 and G2 the gathers at the pivot coordinates
+equal to 1 and to 2 and #1 the number of 1s, reduced bytewise: every lane
+stays in [0, 3n + 2] (194 at n = 64), so byte lanes are exact to n = 84.
+The back-elimination that keeps the rows so still visits them one by one.
 
 Packing a numpy row is one int.from_bytes, and unpacking one to_bytes, so
 n = 3 stays as fast as plain lists.
@@ -24,11 +34,12 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
+from itertools import compress
 from typing import Optional
 
 import numpy as np
 
-Field = namedtuple("Field", "p n zero unit get lead scale axpy matvec pack unpack")
+Field = namedtuple("Field", "p n zero unit coords lead scale axpy matvec reduce clear pack unpack")
 
 
 def _pack_bytes(mat: np.ndarray) -> list[int]:
@@ -47,13 +58,11 @@ def _unpack_bytes(vecs: list[int], n: int) -> np.ndarray:
 
 def _gather(cols: list[int], plane: int) -> int:
     """The lanewise sum of the columns at the set bits of a plane (bit 0 of
-    each lane): at most 2n <= 128 per lane, so no carry."""
-    acc = 0
-    while plane:
-        low = plane & -plane
-        acc += cols[low.bit_length() - 1 >> 3]
-        plane ^= low
-    return acc
+    each of its len(cols) lanes), summed in C.  Each lane of a column is at
+    most 2, so no lane carries (2n <= 128), and what the callers build from
+    gathers stays below 256 too: 3n for a GF(3) mat-vec, 3n + 2 for a GF(3)
+    echelon reduction (194 at n = 64; exact up to n = 84)."""
+    return sum(compress(cols, plane.to_bytes(len(cols), "little")), 0)
 
 
 _MOD3 = bytes(i % 3 for i in range(256))
@@ -65,6 +74,11 @@ def _byte_lanes(p: int, n: int) -> Field:
     width = 2 * n + 1
     ones = int.from_bytes(b"\x01" * width, "little")
     fours, threes = ones << 2, 3 * ones
+    lanes = range(n)
+
+    def mod3(acc):
+        """Each byte lane of acc mod 3."""
+        return int.from_bytes(acc.to_bytes(width, "little").translate(_MOD3), "little")
 
     def axpy(v, c, r):
         """v - c*r over GF(3): add r (c = 2) or 3 - r (c = 1), then take 3 off
@@ -77,14 +91,49 @@ def _byte_lanes(p: int, n: int) -> Field:
         """Over GF(3): the columns at coordinates 1 less those at coordinates
         2, plus 3 per 2 to keep each lane in [0, 3n], reduced bytewise."""
         twos = u >> 1 & ones
-        acc = _gather(cols, u & ones) - _gather(cols, twos) + 3 * twos.bit_count() * ones
-        return int.from_bytes(acc.to_bytes(width, "little").translate(_MOD3), "little")
+        return mod3(_gather(cols, u & ones) - _gather(cols, twos) + 3 * twos.bit_count() * ones)
+
+    def reduce(v, h, rows, mask):
+        """Over GF(3): v with history unit h, less v_j rows[j] at each pivot
+        lane j of the mask, that is v - G1 + G2 + 3 #1, every lane in
+        [0, 3n + 2]."""
+        v |= 1 << (h << 3)
+        plane, twos = v & mask, v >> 1 & mask
+        if not plane | twos:
+            return v
+        return mod3(v - _gather(rows, plane) + _gather(rows, twos) + 3 * plane.bit_count() * ones)
+
+    def clear(rows, mask, piv, v):
+        """Over GF(3): take c v off each row of the mask, c its coordinate at
+        piv, adding v (c = 2) or 3 - v (c = 1) as axpy does."""
+        shift, neg = piv << 3, threes - v
+        for j in compress(lanes, mask.to_bytes(n, "little")):
+            row = rows[j]
+            c = row >> shift & 3
+            if c:
+                s = row + (v if c == 2 else neg)
+                t = (s + ones) & fours
+                rows[j] = s - t + (t >> 2)
 
     if p == 2:
         axpy, matvec = (lambda v, c, r: v ^ r), (lambda cols, u: _gather(cols, u) & ones)
-    return Field(p, n, 0, lambda j: 1 << (j << 3), lambda v, j: v >> (j << 3) & 3,
+
+        def reduce(v, h, rows, mask):
+            """Over GF(2): the parity of v plus the rows at its pivot lanes,
+            every lane at most n + 1."""
+            v |= 1 << (h << 3)
+            plane = v & mask
+            return (v + _gather(rows, plane)) & ones if plane else v
+
+        def clear(rows, mask, piv, v):
+            shift = piv << 3
+            for j in compress(lanes, mask.to_bytes(n, "little")):
+                if rows[j] >> shift & 1:
+                    rows[j] ^= v
+
+    return Field(p, n, 0, lambda j: 1 << (j << 3), lambda v: v.to_bytes(width, "little"),
                  lambda v: (v & -v).bit_length() - 1 >> 3,
-                 lambda v, c: v if c == 1 else axpy(0, 1, v), axpy, matvec,
+                 lambda v, c: v if c == 1 else axpy(0, 1, v), axpy, matvec, reduce, clear,
                  _pack_bytes, _unpack_bytes)
 
 
@@ -93,6 +142,7 @@ def field(p: int, n: int) -> Field:
     if p <= 3:
         return _byte_lanes(p, n)
     width = 2 * n + 1
+    lanes = range(n)
 
     def axpy(v, c, r):
         return [(a - c * b) % p for a, b in zip(v, r)]
@@ -104,64 +154,71 @@ def field(p: int, n: int) -> Field:
                 acc = axpy(acc, p - c, col)
         return acc
 
+    def reduce(v, h, rows, mask):
+        v = v[:h] + [1] + v[h + 1 :]
+        for j in compress(lanes, mask.to_bytes(n, "little")):
+            if v[j]:
+                v = axpy(v, v[j], rows[j])
+        return v
+
+    def clear(rows, mask, piv, v):
+        for j in compress(lanes, mask.to_bytes(n, "little")):
+            if rows[j][piv]:
+                rows[j] = axpy(rows[j], rows[j][piv], v)
+
     return Field(
-        p=p, n=n, zero=[0] * width, get=lambda v, j: v[j],
+        p=p, n=n, zero=[0] * width, coords=lambda v: v,
         unit=lambda j: [0] * j + [1] + [0] * (width - 1 - j),
         lead=lambda v: next((j for j, c in enumerate(v) if c), -1),
         scale=lambda v, c: [a * c % p for a in v], axpy=axpy, matvec=matvec,
+        reduce=reduce, clear=clear,
         pack=lambda mat: [row + [0] * (width - len(row)) for row in mat.tolist()],
         unpack=lambda vecs, k: np.array([v[:k] for v in vecs], np.int64).reshape(len(vecs), k),
     )
 
 
 class Echelon:
-    """Fully reduced row-echelon basis of rows [vector | history]: every row
-    has a unit pivot among the n vector coordinates (its lead at insertion)
-    and zeros in all other pivot columns, so one pass reduces a vector.  The
-    history, coordinates n..2n, is the same combination of the unit histories
-    the vectors were inserted with; inserting the j-th vector with history j
-    makes it coordinates over the inserted vectors.  History n is left for a
-    vector known to be dependent.  Rows are replaced, never changed in place,
-    so copies may share them."""
+    """Fully reduced row-echelon basis of rows [vector | history], kept by
+    pivot lane: rows[j] is the row whose unit pivot is coordinate j (its lead
+    at insertion), or zero, and byte j of the mask is 1 exactly when it is a
+    row.  Every row is zero in the other pivot columns, so reducing a vector
+    is one gather over its pivot coordinates.  The history, coordinates
+    n..2n, is the same combination of the unit histories the vectors were
+    inserted with; inserting the j-th vector with history j makes it
+    coordinates over the inserted vectors.  History n is left for a vector
+    known to be dependent.  Rows are replaced, never changed in place, so
+    copies may share them, though not the list that holds them."""
 
-    __slots__ = ("f", "rows", "pivs")
+    __slots__ = ("f", "rows", "mask")
 
-    def __init__(self, f: Field, rows=(), pivs=()):
+    def __init__(self, f: Field, rows=None, mask: int = 0):
         self.f = f
-        self.rows, self.pivs = list(rows), list(pivs)
+        self.rows = [f.zero] * f.n if rows is None else list(rows)
+        self.mask = mask
 
     def copy(self) -> "Echelon":
-        return Echelon(self.f, self.rows, self.pivs)
+        return Echelon(self.f, self.rows, self.mask)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return self.mask.bit_count()
 
     def insert(self, v, k: int):
         """Reduce v, with history unit(k), and insert it, pivot at its lead.
-        When v is already in the span, insert nothing and return the reduced
-        row: its history is a relation that the inserted vectors and v
-        satisfy."""
-        f = self.f
-        get, axpy, n = f.get, f.axpy, f.n
-        v = axpy(v, f.p - 1, f.unit(n + k))
-        for row, piv in zip(self.rows, self.pivs):
-            c = get(v, piv)
-            if c:
-                v = axpy(v, c, row)
+        v must be zero in the history coordinates.  When v is already in the
+        span, insert nothing and return the reduced row: its history is a
+        relation that the inserted vectors and v satisfy."""
+        f, rows = self.f, self.rows
+        v = f.reduce(v, f.n + k, rows, self.mask)
         piv = f.lead(v)
-        if not 0 <= piv < n:
+        if not 0 <= piv < f.n:
             return v
-        c = get(v, piv)
+        c = f.coords(v)[piv]
         if c != 1:
             v = f.scale(v, pow(c, -1, f.p))
-        rows = self.rows
-        for i, row in enumerate(rows):
-            c = get(row, piv)
-            if c:
-                rows[i] = axpy(row, c, v)
-        rows.append(v)
-        self.pivs.append(piv)
+        f.clear(rows, self.mask, piv, v)
+        rows[piv] = v
+        self.mask |= 1 << (piv << 3)
         return None
 
     def solve(self, y):
@@ -171,9 +228,9 @@ class Echelon:
         return None if relation is None else self.f.scale(relation, self.f.p - 1)
 
     def inverse(self) -> list:
-        """With the span full, each row is [e_piv | h], so the rows sorted by
-        pivot are [I | X], X the inverse of the matrix of inserted vectors."""
-        return [row for _, row in sorted(zip(self.pivs, self.rows))]
+        """The rows in pivot order.  With the span full each is [e_piv | h],
+        so they are [I | X], X the inverse of the matrix of inserted vectors."""
+        return list(compress(self.rows, self.mask.to_bytes(self.f.n, "little")))
 
 
 def _row_span(mat: np.ndarray, p: int) -> Echelon:

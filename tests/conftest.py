@@ -78,10 +78,10 @@ def charpoly_cofactor(rows, p):
 # --- naive modular matrix arithmetic on nested lists ------------------------
 
 def mat_mul_naive(a, b, m):
-    n = len(a)
+    """a b mod m for a k x l and an l x w matrix."""
     return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) % m for j in range(n)]
-        for i in range(n)
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) % m for j in range(len(b[0]))]
+        for i in range(len(a))
     ]
 
 

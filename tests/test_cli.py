@@ -274,6 +274,27 @@ class TestNonIntegerDocuments:
         assert code == EXIT_OK and "ok" in out
 
 
+class TestBooleanFields:
+    """JSON true and false are not integers, though operator.index reads them
+    as 1 and 0: a certificate with true exponent and degree used to verify."""
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    @pytest.mark.parametrize("command,key", [
+        *(("verify", key) for key in ("modulus", "trunc-degree", "n", "nilpotency-exponent")),
+        *(("decompose", key) for key in ("modulus", "trunc-degree", "n"))])
+    def test_refused_naming_the_field(self, capsys, monkeypatch, command, key, value):
+        code, out, err = run(capsys, monkeypatch, [command], _document(**{key: value}))
+        assert code == EXIT_PARSE
+        assert f"field {key!r} must be an integer" in err and "Traceback" not in err
+        assert "ok" not in out
+
+    def test_declared_dimension_checked_on_decompose(self, capsys, monkeypatch):
+        code, _, err = run(capsys, monkeypatch, ["decompose"], _document(n="2"))
+        assert code == EXIT_PARSE and "declared dimension" in err
+        code, out, _ = run(capsys, monkeypatch, ["decompose"], _document(n="1"))
+        assert code == EXIT_OK and "kind: certificate" in out
+
+
 # entries that from_rows reads entry by entry and refuses: floats (integral
 # ones too), strings, and coefficient lists longer than the ring's degree
 NON_INTEGER_ENTRIES = {

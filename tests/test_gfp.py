@@ -34,14 +34,26 @@ def insert_all(f, vecs):
     return span, [j for j, v in enumerate(vecs) if span.insert(v, j) is None]
 
 
+def pivots(span, n):
+    """The pivot lanes, read off the byte mask."""
+    return [j for j in range(n) if span.mask >> 8 * j & 0xFF]
+
+
 def check_invariants(f, span, vecs, n, p):
-    """Unit pivots among the vector coordinates that are each row's lead,
-    zeros in the other pivot columns, and every row's vector equal to its
-    history's combination of the offered vectors."""
-    for row, piv in zip(lists(f, span.rows, 2 * n + 1), span.pivs):
+    """Rows kept by pivot lane: the row at lane piv has a unit there that is
+    its lead, zeros in the other pivot columns, and its vector equals its
+    history's combination of the offered vectors; every other lane holds the
+    zero row, and the mask's pivot bytes are 1."""
+    pivs = pivots(span, n)
+    assert len(span.rows) == n and span.dim == len(pivs)
+    assert span.mask == sum(1 << 8 * j for j in pivs)
+    for piv, row in enumerate(lists(f, span.rows, 2 * n + 1)):
         vector, hist = row[:n], row[n:]
-        assert piv < n and vector[piv] == 1 and not any(vector[:piv])
-        assert all(vector[q] == 0 for q in span.pivs if q != piv)
+        if piv not in pivs:
+            assert not any(row)
+            continue
+        assert vector[piv] == 1 and not any(vector[:piv])
+        assert all(vector[q] == 0 for q in pivs if q != piv)
         assert not any(hist[len(vecs):])
         assert combination(hist, vecs, p) == vector
 
@@ -75,7 +87,7 @@ class TestPrimitives:
         x, y = data.draw(row), data.draw(row)
         v, r = f.pack(np.array([x, y]))
         c = data.draw(st.integers(1, p - 1))
-        assert [f.get(v, j) for j in range(width)] == x
+        assert list(f.coords(v)) == x
         assert f.lead(v) == next((j for j, e in enumerate(x) if e), -1)
         assert lists(f, [f.scale(v, c)], width) == [[e * c % p for e in x]]
         assert lists(f, [f.axpy(v, c, r)], width) == [[(a - c * b) % p for a, b in zip(x, y)]]
@@ -114,7 +126,7 @@ class TestGf3Lanes:
         v, r = f.pack(np.array([x, y]))
         assert lists(f, [f.axpy(v, c, r)], width) == [[(a - c * b) % 3 for a, b in zip(x, y)]]
         assert lists(f, [f.scale(v, c)], width) == [[a * c % 3 for a in x]]
-        assert [f.get(v, j) for j in range(width)] == x
+        assert list(f.coords(v)) == x
         assert f.lead(v) == next((j for j, e in enumerate(x) if e), -1)
 
     @given(st.integers(1, 64).flatmap(lambda n: st.tuples(
@@ -134,6 +146,38 @@ class TestGf3Lanes:
         twos = np.full((n, n), 2)
         got = f.matvec(f.pack(twos), f.pack(twos[:1])[0])
         assert lists(f, [got], n) == [[2 * 2 * n % 3] * n]
+
+    @pytest.mark.parametrize("pattern", ("twos", "ones", "alternating"))
+    def test_reduce_at_the_lane_bound(self, pattern):
+        """Rows e_j plus 2 in every off-pivot lane, history lanes included,
+        all n = 64 vector lanes pivots: before the bytewise mod, a vector with
+        every pivot coordinate 2 puts 2n = 128 in each history lane, and one
+        with every pivot coordinate 1 puts the 3 #1 = 192 offset in each
+        pivot lane; checked against naive lists."""
+        n, width = 64, 129
+        f = gfp.field(3, n)
+        rows = [[int(j == lane) if lane < n else 2 for lane in range(width)] for j in range(n)]
+        coeffs = {"twos": [2] * n, "ones": [1] * n, "alternating": [1, 2] * (n // 2)}[pattern]
+        x = coeffs + [0] * (n + 1)
+        h = n + 1
+        want = [(a - b) % 3 for a, b in zip(x, mat_mul_naive([coeffs], rows, 3)[0])]
+        want[h] = (want[h] + 1) % 3
+        mask = sum(1 << 8 * j for j in range(n))
+        got = f.reduce(f.pack(np.array([x]))[0], h, f.pack(np.array(rows)), mask)
+        assert lists(f, [got], width) == [want]
+        # half the lanes pivots, inserted: vector lanes off the pivots hold 2
+        # in every row as well
+        half = n // 2
+        span = gfp.Echelon(f)
+        for j in range(half):
+            span.insert(f.pack(np.array([[int(j == lane) if lane < half else 2
+                                          for lane in range(n)]]))[0], j)
+        y = coeffs[:half] + [2] * half + [0] * (n + 1)
+        got = f.reduce(f.pack(np.array([y]))[0], 2 * n, span.rows, span.mask)
+        basis = lists(f, span.inverse(), width)
+        want = [(a - b) % 3 for a, b in zip(y, mat_mul_naive([coeffs[:half]], basis, 3)[0])]
+        want[2 * n] = 1
+        assert lists(f, [got], width) == [want]
 
 
 class TestElimination:
@@ -183,6 +227,29 @@ class TestElimination:
         outside = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
         in_span = rank_naive(rows + [outside], p) == rank_naive(rows, p)
         assert (span.solve(f.pack(np.array([outside]))[0]) is not None) == in_span
+
+    @given(square(), st.data())
+    @settings(max_examples=100)
+    def test_copy_leaves_the_original(self, case, data):
+        """Inserting into a copy (as rcf's conductor scans and solve do)
+        changes neither the original's rows nor its mask, and the original
+        still reduces against its own span only."""
+        p, rows = case
+        n = len(rows)
+        f = gfp.field(p, n)
+        span, _ = insert_all(f, f.pack(np.array(rows)))
+        before = (list(span.rows), span.mask)
+        vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+        more = data.draw(st.lists(vec, min_size=1, max_size=n))
+        other = span.copy()
+        for v in f.pack(np.array(more)):
+            other.insert(v, n)
+        assert other.dim == rank_naive(rows + more, p)
+        assert (span.rows, span.mask) == before
+        check_invariants(f, span, rows, n, p)
+        for v in more:
+            in_span = rank_naive(rows + [v], p) == rank_naive(rows, p)
+            assert (span.solve(f.pack(np.array([v]))[0]) is not None) == in_span
 
 
 def structured(p, n, kind, rng):

@@ -14,7 +14,10 @@ def load(name):
 
 
 def test_randomized_stress_up_to_n64():
-    # rcf, is_invertible, inverse and conjugation invariance at n <= 64, over
+    # decompositions at n <= 64 of uniform matrices and of derogatory
+    # conjugates, whose Krylov forms scan many chains through the echelon's
+    # one-gather reduction at n >= 32 (up to 46 chains with this seed); rcf,
+    # is_invertible, inverse and conjugation invariance over
     # p in {2, 3, 5, 2^31 - 1}: both byte-lane fields, the list field and split
     # products; truncated rings over 3^19 at n >= 7 put the split under d > 1,
     # over 2^17 3^8 run unsplit int64 products past 2^53, and over 72 at
