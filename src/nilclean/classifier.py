@@ -3,14 +3,15 @@
 Everything here decides properties by exhaustive enumeration, with its own
 tiny arithmetic, independent of the constructive decomposition modules:
 agreement between the two paths is evidence, not circularity.  Rings are
-finite products of Z_m, M_n(Z_m) and Z_m[x]/(x^d) factors.  An element is its
-index in mixed-radix order over the factors' digits (residue, flat row-major
-matrix, coefficients), last digit fastest, so witnesses are deterministic;
-reports decode it to a tuple with one value (a residue or a flat tuple) per
-factor.  The arithmetic works on numpy batches stored digit-major, shape
-(D, ...) for D digits per element, so each numpy loop runs over a whole batch
-rather than over one element's few digits; every search meets its candidates
-about BATCH rows at a time, stopping at the first batch that settles it.
+finite products of Z_m, M_n(Z_m) and Z_m[x]/(x^d) factors, each a value
+shape and a table of runs for its product (Factor).  An element is its index
+in mixed-radix order over the factors' digits, last digit fastest, so
+witnesses are deterministic; reports decode it to a tuple with one value (a
+residue or a flat tuple) per factor.  The arithmetic works on numpy batches
+stored digit-major, shape (D, ...) for D digits per element, so each numpy
+loop runs over a whole batch rather than over one element's few digits;
+every search meets its candidates about BATCH rows at a time, stopping at the
+first batch that settles it.
 """
 
 from __future__ import annotations
@@ -35,18 +36,37 @@ BATCH = 2**14  # candidate rows per batch
 # Ring factors
 # ---------------------------------------------------------------------------
 
+class Factor:
+    """A factor ring over Z_m.  A value is shape[0] * ... digits mod m: a
+    residue for shape (), coefficients for (d,), a flat row-major matrix for
+    (n, n).  The product is a table of runs (i, j, k, n, add): each writes
+    x[i] times y[j:j+n] into out[k:k+n], or adds it there when add is set.
+    Each output digit is written before any run adds to it and sums at most
+    shape[0] terms, or one for a residue."""
+
+    def __post_init__(self):
+        if self.m < 2 or self.shape and min(self.shape) < 1:
+            raise InputError("a ring factor needs m >= 2, n >= 1 and d >= 1")
+        object.__setattr__(self, "digits", math.prod(self.shape))  # read on every index and cap check
+
+    def mul(self, x, y, out):
+        """Write into out the unreduced products of digit-major batches."""
+        for i, j, k, n, add in self.runs:
+            dst = out[k:k + n]
+            if add:
+                dst += x[i] * y[j:j + n]
+            else:
+                np.multiply(x[i], y[j:j + n], out=dst)
+
+
 @dataclass(frozen=True)
-class ZmFactor:
-    """The ring Z_m; a component value is a canonical residue."""
+class ZmFactor(Factor):
+    """The ring Z_m; a value is a canonical residue."""
 
     m: int
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise InputError("Z_m factor needs m >= 2")
-
-    digits = 1  # an element is one base-m digit
-    mul = np.multiply  # (x, y, out): runs of Z_m factors multiply digitwise
+    shape = ()
+    runs = ((0, 0, 0, 1, False),)
 
     @property
     def one(self):
@@ -60,30 +80,18 @@ class ZmFactor:
 
 
 @dataclass(frozen=True)
-class MatFactor:
-    """The ring M_n(Z_m); component values are flat row-major tuples."""
+class MatFactor(Factor):
+    """The ring M_n(Z_m); a value is a flat row-major tuple."""
 
     n: int
     m: int
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 2:
-            raise InputError("M_n(Z_m) factor needs n >= 1, m >= 2")
+    shape = property(lambda self: (self.n, self.n))
 
-    @property
-    def digits(self) -> int:
-        return self.n * self.n
-
-    def mul(self, x, y, out):
-        """Write into out the unreduced products of digit-major batches of flat
-        matrices, shape (n*n, ...): a sum of n^3 row products, n at a time,
-        since row i of x y is the sum over l of x[i, l] times row l of y."""
+    @functools.cached_property
+    def runs(self) -> tuple:  # row i of x y sums x[i, l] times row l of y over l
         n = self.n
-        for i in range(0, n * n, n):
-            row = out[i:i + n]
-            np.multiply(x[i], y[:n], out=row)
-            for l in range(1, n):
-                row += x[i + l] * y[l * n:l * n + n]
+        return tuple((i + l, l * n, i, n, l > 0) for i in range(0, n * n, n) for l in range(n))
 
     @property
     def one(self):
@@ -98,26 +106,17 @@ class MatFactor:
 
 
 @dataclass(frozen=True)
-class TruncFactor:
-    """The ring Z_m[x]/(x^d); component values are coefficient tuples."""
+class TruncFactor(Factor):
+    """The ring Z_m[x]/(x^d); a value is a coefficient tuple."""
 
     m: int
     d: int
 
-    def __post_init__(self):
-        if self.m < 2 or self.d < 1:
-            raise InputError("Z_m[x]/(x^d) factor needs m >= 2, d >= 1")
+    shape = property(lambda self: (self.d,))
 
-    @property
-    def digits(self) -> int:
-        return self.d
-
-    def mul(self, x, y, out):
-        """Write into out the unreduced truncated convolutions of digit-major
-        batches of coefficients, shape (d, ...)."""
-        np.multiply(x[0], y, out=out)
-        for i in range(1, self.d):
-            out[i:] += x[i] * y[:self.d - i]
+    @functools.cached_property
+    def runs(self) -> tuple:  # coefficient i of x times the first d - i of y, into the last d - i
+        return tuple((i, 0, i, self.d - i, i > 0) for i in range(self.d))
 
     @property
     def one(self):
@@ -130,15 +129,12 @@ class TruncFactor:
         return f"Z{self.m}[x]/(x^{self.d})"
 
 
-Factor = ZmFactor | MatFactor | TruncFactor
-
-
 @dataclass(frozen=True)
 class RingDescriptor:
     """A finite product of supported factors, with arithmetic on digit-major
     arrays of reduced digits, shape (D,), (D, k) or (D, p, k) under numpy
     broadcasting: sums and differences digitwise mod m, products per factor
-    (the Z_m product, a matrix product, a truncated convolution)."""
+    (each factor's table of runs)."""
 
     factors: tuple[Factor, ...]
 
@@ -155,17 +151,17 @@ class RingDescriptor:
         """Each digit's modulus, shaped to broadcast over digit arrays of rank
         1, 2 and 3, in the narrowest unsigned dtype holding every unreduced
         product and every sum of two digits; the moduli as ints; and the rows
-        of each factor with its own product, runs of Z_m factors joined."""
+        of each factor with its product, adjacent residues in one np.multiply."""
         _check_cap(self)
-        terms = lambda f: f.n if isinstance(f, MatFactor) else f.digits  # summed in a product entry
-        dtype = np.min_scalar_type(max(max(terms(f) * (f.m - 1) ** 2, 2 * f.m) for f in self.factors))
+        dtype = np.min_scalar_type(max(max((f.shape or (1,))[0] * (f.m - 1) ** 2, 2 * f.m)
+                                       for f in self.factors))
         moduli = [f.m for f in self.factors for _ in range(f.digits)]
         radix, blocks, start = np.array(moduli, dtype), [], 0
         for f in self.factors:
-            rows = slice(start, start + f.digits)
-            if f.mul is np.multiply and blocks and blocks[-1][1] is np.multiply:
+            rows, mul = slice(start, start + f.digits), f.mul if f.shape else np.multiply
+            if mul is np.multiply and blocks and blocks[-1][1] is np.multiply:
                 rows = slice(blocks.pop()[0].start, rows.stop)
-            blocks.append((rows, f.mul))
+            blocks.append((rows, mul))
             start = rows.stop
         return tuple(radix.reshape((-1,) + (1,) * r) for r in range(3)), moduli, blocks
 
@@ -210,7 +206,7 @@ class RingDescriptor:
         digits, out = self.digits(index).tolist(), []
         for f in self.factors:
             part, digits = digits[:f.digits], digits[f.digits:]
-            out.append(part[0] if isinstance(f, ZmFactor) else tuple(part))
+            out.append(tuple(part) if f.shape else part[0])
         return tuple(out)
 
     def index(self, element) -> Optional[int]:

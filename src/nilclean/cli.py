@@ -191,15 +191,15 @@ def rcf_to_doc(a: RingMatrix, result: RcfResult) -> str:
 
 
 def _element_json(ring: RingDescriptor, element: tuple) -> list:
+    """Each value by its factor's shape: an int, a list, or a matrix's rows."""
     out = []
     for fac, value in zip(ring.factors, element):
-        if isinstance(fac, classifier.MatFactor):
-            n = fac.n
-            out.append([list(value[i * n : (i + 1) * n]) for i in range(n)])
-        elif isinstance(fac, classifier.TruncFactor):
-            out.append(list(value))
-        else:
-            out.append(value)
+        if len(fac.shape) == 2:
+            n = fac.shape[1]
+            value = [list(value[i:i + n]) for i in range(0, n * n, n)]
+        elif fac.shape:
+            value = list(value)
+        out.append(value)
     return out
 
 

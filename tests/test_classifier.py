@@ -169,6 +169,65 @@ class TestBatchedArithmetic:
             assert ring.index(bad) is None
 
 
+def _run_terms(factor):
+    """The (x digit, y digit) pairs each output digit sums under the factor's
+    run table, failing at a run that adds to an unwritten digit or writes one
+    a second time."""
+    out = [None] * factor.digits
+    for i, j, k, n, add in factor.runs:
+        for t in range(k, k + n):
+            assert (out[t] is not None) == add, f"run {(i, j, k, n, add)} at output digit {t}"
+            out[t] = (out[t] if add else []) + [(i, j + t - k)]
+    return out
+
+
+def _product_terms(factor):
+    """The pairs each output digit sums by the definition of the product."""
+    if not factor.shape:
+        return [[(0, 0)]]
+    if len(factor.shape) == 1:  # truncated convolution
+        return [[(i, k - i) for i in range(k + 1)] for k in range(factor.d)]
+    n = factor.n
+    return [[(r * n + l, l * n + c) for l in range(n)] for r in range(n) for c in range(n)]
+
+
+class TestRunTables:
+    """Each factor's product is its table of runs.  Every output digit is
+    written once before any run adds to it, and sums the terms of the
+    product's definition; the widest sums shape[0] terms, or one for Z_m, the
+    bound the ring's dtype is sized by."""
+
+    @pytest.mark.parametrize("factor", [ZmFactor(17), MatFactor(1, 16), MatFactor(2, 12), MatFactor(3, 3),
+                                        MatFactor(4, 2), TruncFactor(16, 1), TruncFactor(12, 2),
+                                        TruncFactor(9, 3), TruncFactor(5, 4), TruncFactor(3, 5)],
+                             ids=lambda f: f.describe())
+    def test_each_digit_written_once_then_summed(self, factor):
+        terms = _run_terms(factor)
+        assert [sorted(t) for t in terms] == _product_terms(factor)
+        widest = max(map(len, terms))
+        assert widest == (factor.shape or (1,))[0]
+        dtype = RingDescriptor((factor,)).digits([0]).dtype
+        assert widest * (factor.m - 1) ** 2 <= np.iinfo(dtype).max
+
+
+class TestSingleRunTables:
+    """M1(Z_m) and Z_m[x]/(x^1) multiply by one run; they must decide every
+    table property as Z_m does, with the same evidence, and replay."""
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 9, 12])
+    @pytest.mark.parametrize("name", list(classifier.PROPERTIES))
+    def test_same_verdict_as_zm(self, m, name):
+        def evidence(report):
+            key = lambda x: report.ring.index(x) if type(x) is tuple else x
+            return (report.holds, None if report.witness_element is None else key(report.witness_element),
+                    tuple(map(key, report.witness_parts or ())),
+                    None if report.counterexample is None else key(report.counterexample))
+
+        reports = [decide(name, parse_ring_descriptor(text)) for text in (f"Z{m}", f"M1(Z{m})", f"Z{m}[x]/(x^1)")]
+        assert all(report.replay() for report in reports)
+        assert evidence(reports[1]) == evidence(reports[2]) == evidence(reports[0])
+
+
 class TestTwoNilClean:
     def test_z3xz3_and_weakly(self):
         ring = parse_ring_descriptor("Z3xZ3")

@@ -824,6 +824,23 @@ class TestClassifyCommand:
         assert PropertyReport(doc["property"], parse_ring_descriptor(doc["ring"]), doc["holds"]).replay()
 
 
+class TestBenchGateContract:
+    """The benchmark's gate rebuilds reports from documents by the factor
+    classes: a residue is an int, an M_n factor nested rows, and a
+    Z_m[x]/(x^d) factor a flat list."""
+
+    def test_factor_classes_and_rendered_values(self):
+        ring = parse_ring_descriptor("Z4xM2(Z3)xZ2[x]/(x^3)")
+        assert [type(f) for f in ring.factors] == [classifier.ZmFactor, classifier.MatFactor,
+                                                  classifier.TruncFactor]
+        doc = parse_document(cli.report_to_doc(classifier.decide("two-nil-clean", ring)))
+        assert doc["witness-element"] == [1, [[1, 0], [0, 1]], [1, 0, 0]]
+        for value in [doc["witness-element"], *doc["witness-parts"]]:
+            assert type(value[0]) is int
+            assert len(value[1]) == 2 and all(type(row) is list and len(row) == 2 for row in value[1])
+            assert len(value[2]) == 3 and all(type(x) is int for x in value[2])
+
+
 class TestPropertyRunners:
     """The benchmark's trace wraps the values of cli._PROPERTY_RUNNERS, so
     classify must find every fixed property there."""
