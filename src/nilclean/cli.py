@@ -16,6 +16,7 @@ import contextlib
 import functools
 import itertools
 import json
+import json.scanner
 import operator
 import os
 import re
@@ -77,6 +78,8 @@ def emit_document(pairs: Sequence[tuple[str, object]]) -> str:
 # words json.loads accepts whole; it refuses every other value
 _JSON_FIRST = frozenset('[{"-0123456789')
 _JSON_WORDS = frozenset(("true", "false", "null", "NaN", "Infinity"))
+# the C scanner json.loads runs under its decode and raw_decode layers
+_scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def parse_document(text: str) -> dict:
@@ -91,10 +94,14 @@ def parse_document(text: str) -> dict:
         key = key.strip()
         doc[key] = value = value.strip()
         if value[:1] in _JSON_FIRST or value in _JSON_WORDS:
+            # json.loads keeps a scan followed by JSON whitespace alone, and a
+            # stripped value ends in no whitespace: the scan must reach its end
             try:
-                doc[key] = json.loads(value)
-            except (ValueError, RecursionError):  # also over 4,300 digits, or nested too deep
-                pass
+                obj, end = _scan_json(value, 0)
+            except (StopIteration, ValueError, RecursionError):  # also over 4,300 digits, or nested too deep
+                continue
+            if end == len(value):
+                doc[key] = obj
     if not doc:
         raise InputError("empty document")
     return doc
@@ -157,21 +164,19 @@ def certificate_to_doc(cert: DecompositionCertificate) -> str:
 def certificate_from_doc(doc: dict) -> DecompositionCertificate:
     try:
         ring = MatrixRing(factorize(_doc_int(doc, "modulus")), _doc_int(doc, "trunc-degree", 1))
-        mats = {key: _doc_matrix(doc, key, ring) for key in ("A", "E", "F", "W")}
+        mats = _doc_matrices(doc, ("A", "E", "F", "W"), ring)
         exponent = _doc_int(doc, "nilpotency-exponent")
         tags = tuple(doc.get("case-tags", []))
     except KeyError as missing:
         raise InputError(f"certificate document lacks field {missing}")
     except (TypeError, ValueError) as bad:
         raise InputError(f"malformed certificate document: {bad}")
-    n = mats["A"].n
-    if any(mat.n != n for mat in mats.values()):
+    n = mats[0].n
+    if any(mat.n != n for mat in mats):
         raise InputError("certificate matrices disagree in dimension")
     if "n" in doc and _doc_int(doc, "n") != n:
         raise InputError("declared dimension does not match the matrices")
-    return DecompositionCertificate(
-        mats["A"], mats["E"], mats["F"], mats["W"], exponent, tags
-    )
+    return DecompositionCertificate(*mats, exponent, tags)
 
 
 def rcf_to_doc(a: RingMatrix, result: RcfResult) -> str:
@@ -270,6 +275,15 @@ def _doc_matrix(doc: dict, key: str, ring: MatrixRing) -> RingMatrix:
     if not isinstance(value, list):
         raise InputError(f"field {key!r} is not a JSON matrix: {value!r:.40}")
     return RingMatrix.from_rows(value, ring)
+
+
+def _doc_matrices(doc: dict, keys: Sequence[str], ring: MatrixRing) -> list:
+    """_doc_matrix of each key, in one conversion when every field is a JSON
+    list; otherwise one at a time, so that each error comes where it did."""
+    values = [doc.get(key) for key in keys]
+    if all(isinstance(value, list) for value in values):
+        return RingMatrix.stack_from_rows(values, ring)
+    return [_doc_matrix(doc, key, ring) for key in keys]
 
 
 def _parse_matrix_input(text: str, args) -> RingMatrix:

@@ -23,7 +23,8 @@ rows are each zero in the other pivot columns, so v - sum_j v_j row_j over
 the pivot lanes j is the whole reduction.  Over GF(3) that is
 v - G1 + G2 + 3 #1, with G1 and G2 the gathers at the pivot coordinates
 equal to 1 and to 2 and #1 the number of 1s, reduced bytewise: every lane
-stays in [0, 3n + 2] (194 at n = 64), so byte lanes are exact to n = 84.
+stays in [0, 3n + 2] (194 at n = 64), so byte lanes are exact to n = 84 (to
+n = 254 over GF(2), where a lane reaches n + 1), and field refuses a larger n.
 The back-elimination that keeps the rows so still visits them one by one.
 
 Packing a numpy row is one int.from_bytes, and unpacking one to_bytes, so
@@ -66,11 +67,16 @@ def _gather(cols: list[int], plane: int) -> int:
 
 
 _MOD3 = bytes(i % 3 for i in range(256))
+# the largest n whose lanes stay below 256: 3n + 2 over GF(3), n + 1 over GF(2)
+_LANE_BOUND = {2: 254, 3: 84}
 
 
 @functools.cache
 def _byte_lanes(p: int, n: int) -> Field:
-    """GF(2) or GF(3) on ints of 2n + 1 byte lanes."""
+    """GF(2) or GF(3) on ints of 2n + 1 byte lanes, for n up to the lanes'
+    bound; past it a lane would carry into the next."""
+    if n > _LANE_BOUND[p]:
+        raise ValueError(f"GF({p}) byte lanes are exact only up to n = {_LANE_BOUND[p]}, got n = {n}")
     width = 2 * n + 1
     ones = int.from_bytes(b"\x01" * width, "little")
     fours, threes = ones << 2, 3 * ones

@@ -93,40 +93,45 @@ class RingMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], ring: MatrixRing) -> "RingMatrix":
         """Build from row-major nested lists; entries are ints for d = 1 and
-        coefficient lists (ascending, length <= d) otherwise.  Rows that numpy
-        reads as one exact integer array of shape (n, n), or (n, n, k) with
-        k <= d, are converted at once; anything else (ragged coefficient
-        lists, ints past int64, every input to reject) goes entry by entry."""
+        coefficient lists (ascending, length <= d) otherwise."""
+        coeffs = _exact_coeffs(rows, (len(rows),) * 2, ring)
+        return cls._from_entries(rows, ring) if coeffs is None else cls(ring, coeffs)
+
+    @classmethod
+    def stack_from_rows(cls, mats: Sequence[Sequence[Sequence]], ring: MatrixRing) -> list["RingMatrix"]:
+        """from_rows of each of several matrices: when they convert at once,
+        views of one (k, d, n, n) stack; otherwise each entry by entry, one
+        matrix after another in order."""
+        coeffs = _exact_coeffs(mats, (len(mats),) + (len(mats[0]),) * 2, ring)
+        if coeffs is None:
+            return [cls._from_entries(rows, ring) for rows in mats]
+        return [cls(ring, c) for c in coeffs]
+
+    @classmethod
+    def _from_entries(cls, rows: Sequence[Sequence], ring: MatrixRing) -> "RingMatrix":
+        """from_rows one entry at a time: the one place that refuses rows.
+        An entry is an int or a list (or tuple) of ints; anything else, an
+        empty string or object among them, is a TypeError."""
         n = len(rows)
         if not (1 <= n <= MAX_DIMENSION):
             raise InputError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
-        d = ring.d
-        coeffs = np.zeros((d, n, n), dtype=np.int64)
-        try:
-            block = np.array(rows)
-        except ValueError:  # ragged, or nested past numpy's 64 dimensions
-            block = None
-        if block is not None and block.dtype.kind in "iub" and block.shape[:2] == (n, n) \
-                and (block.ndim == 2 or block.ndim == 3 and block.shape[2] <= d):
-            block = block % ring.m
-            if block.ndim == 2:
-                coeffs[0] = block
-            else:
-                coeffs[:block.shape[2]] = block.transpose(2, 0, 1)
-            return cls(ring, coeffs)
         if any(len(r) != n for r in rows):
             raise InputError("matrix must be square")
+        d = ring.d
+        coeffs = np.zeros((d, n, n), dtype=np.int64)
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
                 if isinstance(entry, (int, np.integer)):
                     coeffs[0, i, j] = int(entry) % ring.m
-                else:
-                    if d == 1 and len(entry) > 1:
-                        raise InputError("polynomial entry in a plain Z_m matrix")
-                    if len(entry) > d:
-                        raise InputError("entry has more coefficients than the ring degree")
-                    for t, c in enumerate(entry):
-                        coeffs[t, i, j] = operator.index(c) % ring.m  # no float or str
+                    continue
+                if not isinstance(entry, (list, tuple)):
+                    raise TypeError(f"entry {entry!r:.40} is neither an integer nor a list of integers")
+                if d == 1 and len(entry) > 1:
+                    raise InputError("polynomial entry in a plain Z_m matrix")
+                if len(entry) > d:
+                    raise InputError("entry has more coefficients than the ring degree")
+                for t, c in enumerate(entry):
+                    coeffs[t, i, j] = operator.index(c) % ring.m  # no float or str
         return cls(ring, coeffs)
 
     @classmethod
@@ -254,6 +259,31 @@ class RingMatrix:
 # ---------------------------------------------------------------------------
 # Coefficient-stack kernels
 # ---------------------------------------------------------------------------
+
+def _exact_coeffs(rows: Sequence, shape: tuple, ring: MatrixRing) -> Optional[np.ndarray]:
+    """The coefficient stack, shape (..., d, n, n), of nested lists that numpy
+    reads as one exact integer array of the given shape (..., n, n), or of
+    that shape and a last axis of at most d coefficients, in one np.array
+    call; None for anything else (mixed dimensions, ragged coefficient
+    lists, ints past int64, every input to reject), to be read entry by
+    entry."""
+    n, k = shape[-1], len(shape)
+    if not 1 <= n <= MAX_DIMENSION:
+        return None
+    try:
+        block = np.array(rows)
+    except ValueError:  # ragged, or nested past numpy's 64 dimensions
+        return None
+    if block.dtype.kind not in "iub" or block.shape[:k] != shape \
+            or not (block.ndim == k or block.ndim == k + 1 and block.shape[k] <= ring.d):
+        return None
+    coeffs = np.zeros(shape[:-2] + (ring.d, n, n), dtype=np.int64)
+    if block.ndim == k:
+        np.remainder(block, ring.m, out=coeffs[..., 0, :, :])
+    else:  # the coefficient axis, last in the rows, goes in front of them
+        coeffs[..., :block.shape[k], :, :] = (block % ring.m).swapaxes(-1, -2).swapaxes(-2, -3)
+    return coeffs
+
 
 def _stack_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Product of two (d, n, n) coefficient stacks, truncated at x^d, mod m;

@@ -9,6 +9,7 @@ package's own predicates against each other.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,8 +147,17 @@ class NaiveRing:
         self.ring = ring
 
     @staticmethod
-    def _digits(f):
-        return f.n * f.n if hasattr(f, "n") else f.d if hasattr(f, "d") else None
+    def _kind(f):
+        """A factor's kind read off its shape: () a residue, (d,) polynomial
+        coefficients, (n, n) a row-major matrix of n * n digits.  Any other
+        layout is refused rather than read as one of these."""
+        kind = {0: "residue", 1: "poly", 2: "matrix"}.get(len(f.shape))
+        if kind is None or f.digits != math.prod(f.shape):
+            raise NotImplementedError(f"no naive arithmetic for a factor of shape {f.shape}")
+        return kind
+
+    def _digits(self, f):
+        return None if self._kind(f) == "residue" else math.prod(f.shape)
 
     def elements(self):
         return itertools.product(*[
@@ -177,13 +187,14 @@ class NaiveRing:
         out = []
         for f, x, y in zip(self.ring.factors, a, b):
             m = f.m
-            if hasattr(f, "n"):
-                n = f.n
+            kind = self._kind(f)
+            if kind == "matrix":
+                n = f.shape[0]
                 out.append(tuple(sum(x[i * n + k] * y[k * n + j] for k in range(n)) % m
                                  for i in range(n) for j in range(n)))
-            elif hasattr(f, "d"):
+            elif kind == "poly":
                 out.append(tuple(sum(x[i] * y[k - i] for i in range(k + 1)) % m
-                                 for k in range(f.d)))
+                                 for k in range(f.shape[0])))
             else:
                 out.append(x * y % m)
         return tuple(out)
@@ -199,10 +210,11 @@ class NaiveRing:
     def one(self):
         out = []
         for f in self.ring.factors:
-            if hasattr(f, "n"):
-                out.append(tuple(1 % f.m if i == j else 0 for i in range(f.n) for j in range(f.n)))
-            elif hasattr(f, "d"):
-                out.append((1 % f.m,) + (0,) * (f.d - 1))
+            kind, shape = self._kind(f), f.shape
+            if kind == "matrix":
+                out.append(tuple(1 % f.m if i == j else 0 for i in range(shape[0]) for j in range(shape[1])))
+            elif kind == "poly":
+                out.append((1 % f.m,) + (0,) * (shape[0] - 1))
             else:
                 out.append(1 % f.m)
         return tuple(out)
@@ -278,7 +290,9 @@ def from_rows_reference(rows, m, d):
     given as row lists, read one entry at a time: an int (or numpy integer)
     is the constant term, a list of at most d ints (one, when d = 1) the
     ascending coefficients.  Raises ValueError for a shape the matrix ring
-    refuses and TypeError for an entry that is not an integer."""
+    refuses and TypeError for an entry that is neither an integer nor a list
+    (or tuple) of integers: an empty string or object too, though it has no
+    coefficient."""
     n = len(rows)
     if not 1 <= n <= 64:
         raise ValueError(f"dimension {n}")
@@ -290,6 +304,8 @@ def from_rows_reference(rows, m, d):
             if isinstance(entry, (int, np.integer)):
                 out[0][i][j] = int(entry) % m
                 continue
+            if not isinstance(entry, (list, tuple)):
+                raise TypeError(f"entry {entry!r}")
             if len(entry) > d or d == 1 and len(entry) > 1:
                 raise ValueError("too many coefficients")
             for t, c in enumerate(entry):

@@ -5,6 +5,7 @@ import itertools
 import json
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -159,6 +160,15 @@ class TestBatchedArithmetic:
     def test_matrix_dtype_holds_a_product_entry_of_n_terms(self, text, dtype):
         # an entry of a 2x2 product sums two terms of at most (m - 1)^2
         assert parse_ring_descriptor(text).digits([0]).dtype == dtype
+
+    def test_naive_reference_reads_factors_by_shape(self):
+        # a factor whose digits do not fill its shape, as those of an upper
+        # triangular T_2(Z_2) would not (3 digits, shape (2, 2)), is refused
+        # rather than multiplied as a 2 x 2 matrix; so is a shape of rank 3
+        for shape, digits in (((2, 2), 3), ((2, 2, 2), 8)):
+            factor = types.SimpleNamespace(m=2, shape=shape, digits=digits, n=2, d=2)
+            with pytest.raises(NotImplementedError, match="no naive arithmetic"):
+                NaiveRing(types.SimpleNamespace(factors=(factor,))).one
 
     def test_index_round_trip(self):
         ring = parse_ring_descriptor("Z3xM2(Z2)xZ2[x]/(x^2)")

@@ -41,11 +41,13 @@ from nilclean.errors import InputError
 from nilclean.matrix import (
     CHECK_SUM,
     DecompositionCertificate,
+    MatrixRing,
     RingMatrix,
     trunc_ring,
     verify_certificate,
     zm_ring,
 )
+from nilclean.residue import factorize
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "m2_z3_sweep.txt"
 
@@ -296,7 +298,8 @@ class TestBooleanFields:
 
 
 # entries that from_rows reads entry by entry and refuses: floats (integral
-# ones too), strings, and coefficient lists longer than the ring's degree
+# ones too), strings and objects (empty ones too), and coefficient lists
+# longer than the ring's degree
 NON_INTEGER_ENTRIES = {
     "float": {"A": "[[1.0]]"},
     "float-beside-ints": {"A": "[[1, 2.0], [3, 4]]"},
@@ -304,6 +307,9 @@ NON_INTEGER_ENTRIES = {
     "float-coefficient": {"trunc-degree": "2", "A": "[[[1, 0.5]]]"},
     "polynomial-over-zm": {"A": "[[[1, 2]]]"},
     "overlong-coefficients": {"trunc-degree": "2", "A": "[[[1, 2, 3]]]"},
+    "empty-object": {"A": "[[{}]]"},  # these three used to read as 0
+    "empty-string": {"A": '[[""]]'},
+    "empty-string-beside-a-list": {"trunc-degree": "2", "A": '[["", [1, 2]]]'},
 }
 
 
@@ -314,6 +320,15 @@ class TestNonIntegerEntries:
         code, _, err = run(capsys, monkeypatch, [command], _document(**fields))
         assert code == EXIT_PARSE
         assert "input error" in err and "Traceback" not in err
+
+
+def test_verify_refuses_empty_entries(capsys, monkeypatch):
+    """An empty string or object entry has no coefficient to refuse, and
+    used to read as 0, so this certificate verified."""
+    text = _document(modulus="6", A="[[0]]", E="[[{}]]", F='[[""]]', W="[[0]]")
+    code, out, err = run(capsys, monkeypatch, ["verify"], text)
+    assert code == EXIT_PARSE and out == ""
+    assert "neither an integer nor a list of integers" in err and "Traceback" not in err
 
 
 class TestInvalidUtf8:
@@ -525,6 +540,26 @@ def _parse_every_value(text):
     return doc
 
 
+def _certificate_from_doc_per_field(doc):
+    """certificate_from_doc as it was before it converted the four matrices
+    in one stack: one from_rows per field, in the order A, E, F, W."""
+    try:
+        ring = MatrixRing(factorize(cli._doc_int(doc, "modulus")), cli._doc_int(doc, "trunc-degree", 1))
+        mats = {key: cli._doc_matrix(doc, key, ring) for key in ("A", "E", "F", "W")}
+        exponent = cli._doc_int(doc, "nilpotency-exponent")
+        tags = tuple(doc.get("case-tags", []))
+    except KeyError as missing:
+        raise InputError(f"certificate document lacks field {missing}")
+    except (TypeError, ValueError) as bad:
+        raise InputError(f"malformed certificate document: {bad}")
+    n = mats["A"].n
+    if any(mat.n != n for mat in mats.values()):
+        raise InputError("certificate matrices disagree in dimension")
+    if "n" in doc and cli._doc_int(doc, "n") != n:
+        raise InputError("declared dimension does not match the matrices")
+    return DecompositionCertificate(mats["A"], mats["E"], mats["F"], mats["W"], exponent, tags)
+
+
 def _reference_certificate_doc(cert):
     """certificate_to_doc as json.dumps renders every non-string value."""
     ring = cert.a.ring
@@ -567,7 +602,9 @@ class TestParseDocument:
     @settings(max_examples=500, derandomize=True, deadline=None)
     @given(st.lists(st.tuples(_keys, st.one_of(_values, st.sampled_from(
         ["true", "false", "null", "NaN", "Infinity", "-Infinity", "nullx", "True", "tru", "1e5",
-         "+1", ".5", "\ufeff1", "\u0661", "Z2", "nilclean-cert/1", "certificate", "", "[1] x"]))),
+         "+1", ".5", "\ufeff1", "\u0661", "Z2", "nilclean-cert/1", "certificate", "", "[1] x",
+         "1 2", "[1]]", "{}x", HUGE, f"-{HUGE}", f"[{HUGE}]", f"[1, {HUGE}]",
+         "[" * 5000 + "]" * 5000, "[" * 5000, '{"a": ' * 2000 + "1" + "}" * 2000]))),
         min_size=1, max_size=5))
     def test_same_as_json_on_every_value(self, fields):
         text = "".join(f"{key}: {value}\n" for key, value in fields)
@@ -579,6 +616,69 @@ class TestParseDocument:
                 return InputError
 
         assert outcome(parse_document) == outcome(_parse_every_value)
+
+
+_MISSING = object()
+
+
+def _square(n, entry):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def _certificate_fields(draw):
+    """A certificate document's fields, each matrix well formed for its ring
+    or, at times, replaced: ragged rows, polynomial entries of mixed length,
+    ints past int64, entries of no integer kind, another dimension (0
+    included), a value that is not a list, or no field at all.  The
+    dimension may be declared, rightly or not, and the exponent be missing."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coefficient = st.integers(0, 12)
+    entry = coefficient if d == 1 else st.lists(coefficient, min_size=d, max_size=d)
+    odd = st.one_of(
+        _square(n, st.lists(coefficient, max_size=d + 1)),
+        _square(n, st.one_of(coefficient, st.integers(2**63, 2**70), st.integers(-(2**70), -1))),
+        _square(n, st.one_of(coefficient, st.sampled_from([1.5, "1", "", {}, None, [2**64], [1.5]]))),
+        st.integers(1, 4).flatmap(lambda k: _square(k, entry)),
+        st.lists(st.lists(entry, max_size=4), max_size=4),
+        st.sampled_from([[], 5, "[[1]", "Z6", {}, None, _MISSING]),
+    )
+    doc = {"modulus": draw(st.sampled_from([2, 3, 6, 72])), "trunc-degree": d}
+    for key in ("A", "E", "F", "W"):
+        doc[key] = draw(odd if draw(st.integers(0, 3)) == 0 else _square(n, entry))
+    if draw(st.booleans()):
+        doc["n"] = draw(st.sampled_from([n, n + 1]))
+    if draw(st.integers(0, 5)) < 5:
+        doc["nilpotency-exponent"] = draw(st.integers(1, 4))
+    doc["case-tags"] = draw(st.lists(st.sampled_from(["gf3:trace-one:n2"]), max_size=1))
+    return {key: value for key, value in doc.items() if value is not _MISSING}
+
+
+class TestCertificateFromDoc:
+    """One stacked conversion of A, E, F and W reads every document as one
+    from_rows per field did: the same certificate, or the same error."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(_certificate_fields())
+    def test_same_as_one_matrix_at_a_time(self, doc):
+        def outcome(read):
+            try:
+                cert = read(json.loads(json.dumps(doc)))
+            except Exception as err:
+                return type(err), str(err)
+            return repr(cert), [x.coeffs.dtype for x in (cert.a, cert.e, cert.f, cert.w)]
+
+        assert outcome(certificate_from_doc) == outcome(_certificate_from_doc_per_field)
+
+    def test_matrices_are_views_of_one_stack(self):
+        doc = parse_document("modulus: 6\ntrunc-degree: 2\nA: [[[1, 1]]]\nE: [[[1, 0]]]\n"
+                             "F: [[[0, 0]]]\nW: [[[0, 7]]]\nnilpotency-exponent: 2\n")
+        cert = certificate_from_doc(doc)
+        mats = (cert.a, cert.e, cert.f, cert.w)
+        stack = cert.a.coeffs.base
+        assert stack.shape == (4, 2, 1, 1) and all(x.coeffs.base is stack for x in mats)
+        assert all(x.ring is cert.a.ring for x in mats)
+        assert cert.w.to_rows() == [[[0, 1]]] and verify_certificate(cert)
 
 
 _tiny_factors = st.one_of(  # at most 64 elements

@@ -252,6 +252,27 @@ class TestElimination:
             assert (span.solve(f.pack(np.array([v]))[0]) is not None) == in_span
 
 
+@pytest.mark.parametrize("p,bound", [(3, 84), (2, 254)])
+def test_byte_lanes_up_to_their_bound(p, bound):
+    """At the largest n the byte lanes hold, a matvec and a reduction with
+    every coordinate p - 1 off the pivots match naive lists; one n past it
+    is refused, naming the bound, before a lane can carry."""
+    n, width = bound, 2 * bound + 1
+    f = gfp.field(p, n)
+    full = np.full((n, n), p - 1)
+    got = f.matvec(f.pack(full), f.pack(full[:1])[0])
+    assert lists(f, [got], n) == [[(p - 1) ** 2 * n % p] * n]
+    rows = [[int(j == lane) if lane < n else p - 1 for lane in range(width)] for j in range(n)]
+    x = [p - 1] * n + [0] * (n + 1)
+    want = [(a - b) % p for a, b in zip(x, mat_mul_naive([x[:n]], rows, p)[0])]
+    want[n] = 1
+    mask = sum(1 << 8 * j for j in range(n))
+    got = f.reduce(f.pack(np.array([x]))[0], n, f.pack(np.array(rows)), mask)
+    assert lists(f, [got], width) == [want]
+    with pytest.raises(ValueError, match=rf"GF\({p}\) byte lanes are exact only up to n = {bound}, got n = {bound + 1}"):
+        gfp.field(p, bound + 1)
+
+
 def structured(p, n, kind, rng):
     """An invertible product of unit triangular factors, or a rank <= n/4
     product, as rows of ints in [0, p)."""

@@ -425,16 +425,20 @@ _ints = st.one_of(
     st.integers(2**63, 2**64),  # numpy reads these alone as uint64, beside negatives as float64
     st.integers(-(2**70), 2**70),
 )
-_bad = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=2))
+_bad = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=2),
+                st.sampled_from([{}, None]))
+_KINDS = ["int", "list", "ragged", "mixed", "bad", "rows"]
 
 
 @st.composite
-def _rows(draw):
+def _rows(draw, n=None, d=None, kind=None):
     """Square rows of one kind of entry: ints, coefficient lists of one
     length (full, short or [x]), lists of mixed lengths, ints beside lists,
-    or an odd entry that is not an integer; or rows of ints of any length."""
-    n, d = draw(st.integers(1, 4)), draw(st.sampled_from([1, 3]))
-    kind = draw(st.sampled_from(["int", "list", "ragged", "mixed", "bad", "rows"]))
+    or an odd entry that is neither an integer nor a list of them; or rows
+    of ints of any length.  n, d and the kind are drawn unless given."""
+    n = draw(st.integers(1, 4)) if n is None else n
+    d = draw(st.sampled_from([1, 3])) if d is None else d
+    kind = draw(st.sampled_from(_KINDS)) if kind is None else kind
     if kind == "rows":
         return draw(st.lists(st.lists(_ints, max_size=5), min_size=n, max_size=n)), d
     k = draw(st.integers(0, d + 1))
@@ -478,3 +482,45 @@ class TestFromRows:
         for m in (2, 72, 2**31):
             ring = MatrixRing(factorize(m), d)
             assert RingMatrix.from_rows(rows, ring).coeffs.tolist() == from_rows_reference(rows, m, d)
+
+    @given(st.data(), st.sampled_from([2, 72, 2**31]))
+    @settings(max_examples=300, deadline=None)
+    def test_stack_is_each_matrix_in_order(self, data, m):
+        """One to four matrices of one shape and kind, so that they often
+        convert at once, with at times one of another shape or kind among
+        them: the same matrices as from_rows of each, or the error of the
+        first one it refuses."""
+        n, d = data.draw(st.integers(1, 4)), data.draw(st.sampled_from([1, 3]))
+        kind = data.draw(st.sampled_from(_KINDS))
+        mats = [data.draw(_rows(n, d, kind))[0] for _ in range(data.draw(st.integers(1, 4)))]
+        if data.draw(st.booleans()):
+            mats.insert(data.draw(st.integers(0, len(mats))), data.draw(_rows(d=d))[0])
+        ring = MatrixRing(factorize(m), d)
+
+        def outcome(build):
+            try:
+                return [x.coeffs.tolist() for x in build()]
+            except (InputError, TypeError) as err:
+                return type(err), str(err)
+
+        assert outcome(lambda: RingMatrix.stack_from_rows(mats, ring)) == \
+            outcome(lambda: [RingMatrix.from_rows(rows, ring) for rows in mats])
+
+    def test_stack_shares_one_array_and_ring(self):
+        ring = trunc_ring(6, 3)
+        a, b = RingMatrix.stack_from_rows([[[[1, 2]]], [[[7, 8]]]], ring)
+        assert a.coeffs.base is b.coeffs.base and a.coeffs.base.shape == (2, 3, 1, 1)
+        assert a.ring is b.ring is ring
+        assert a.to_rows() == b.to_rows() == [[[1, 2, 0]]]
+        # one matrix owns its array: a sweep that keeps many holds no stacks
+        assert RingMatrix.from_rows([[[1, 2]]], ring).coeffs.base is None
+
+    @pytest.mark.parametrize("entry", ["", {}, "12", None, 1.0])
+    def test_entry_neither_int_nor_list_refused(self, entry):
+        """An empty string or object used to read as 0, having no coefficient."""
+        for d in (1, 3):
+            with pytest.raises(TypeError, match="neither an integer nor a list of integers"):
+                RingMatrix.from_rows([[0, 1], [entry, 2**70]], trunc_ring(6, d))
+        # a tuple of ints reads as a list, in one conversion or entry by entry
+        for rows in ([[(1, 2), (0, 0)], [(3, 0), (4, 0)]], [[(1, 2), 2**70], [3, 4]]):
+            assert RingMatrix.from_rows(rows, trunc_ring(6, 3)).to_rows()[0][0] == [1, 2, 0]
