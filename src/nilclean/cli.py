@@ -138,27 +138,18 @@ def _digits(text: str) -> int:
 
 
 def certificate_to_doc(cert: DecompositionCertificate) -> str:
-    """The certificate document.  Ints and nested lists of Python ints are
-    rendered by str(), which gives json.dumps's bytes for them at half the
-    cost; the remaining values go through json.dumps."""
-    ring = cert.a.ring
-    return emit_document(
-        [
-            ("schema", SCHEMA),
-            ("kind", "certificate"),
-            ("ring", ring.describe()),
-            ("modulus", str(ring.m)),
-            ("trunc-degree", str(ring.d)),
-            ("n", str(cert.a.n)),
-            ("A", str(cert.a.to_rows())),
-            ("E", str(cert.e.to_rows())),
-            ("F", str(cert.f.to_rows())),
-            ("W", str(cert.w.to_rows())),
-            ("nilpotency-exponent", cert.nilpotency_exponent),
-            ("case-tags", list(cert.case_tags)),
-            ("verified", cert.verified),
-        ]
-    )
+    """The certificate document, in emit_document's bytes, as one f-string.
+    Ints and nested lists of Python ints are rendered by str(), which gives
+    json.dumps's bytes for them at a fraction of the cost; the exponent is
+    its int or null, verified true or false, and only the case tags go
+    through json.dumps."""
+    ring, k = cert.a.ring, cert.nilpotency_exponent
+    return (f"schema: {SCHEMA}\nkind: certificate\nring: {ring.describe()}\n"
+            f"modulus: {ring.m}\ntrunc-degree: {ring.d}\nn: {cert.a.n}\n"
+            f"A: {cert.a.to_rows()}\nE: {cert.e.to_rows()}\nF: {cert.f.to_rows()}\n"
+            f"W: {cert.w.to_rows()}\nnilpotency-exponent: {'null' if k is None else k}\n"
+            f"case-tags: {json.dumps(list(cert.case_tags))}\n"
+            f"verified: {'true' if cert.verified else 'false'}\n")
 
 
 def certificate_from_doc(doc: dict) -> DecompositionCertificate:

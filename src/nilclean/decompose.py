@@ -111,13 +111,16 @@ def _certify(a: RingMatrix, e: RingMatrix, f: RingMatrix, w: RingMatrix,
 
 def _krylov_solve(a: RingMatrix):
     """E, F (int64 arrays mod p) and case tags of a GF(2) or GF(3) matrix:
-    templates on the diagonal blocks of the Krylov form, conjugated back."""
+    templates on the diagonal blocks of the Krylov form, written into the two
+    slices of one (2, n, n) stack and conjugated back together: below
+    BLAS_MIN_DIMENSION as one int64 product Q ef Q^-1, whose partial sums
+    stay below n^2 (p-1)^3, and from it through _stack_mul's float64 route."""
     p = a.ring.m
     n = a.n
     pair = _companion_pair_gf3 if p == 3 else _companion_pair_gf2
     last_columns, q, q_inv = krylov_form(a)
-    e = np.zeros((n, n), dtype=np.int64)
-    f = np.zeros((n, n), dtype=np.int64)
+    ef = np.zeros((2, n, n), dtype=np.int64)
+    e, f = ef
     tags = []
     at = 0
     for col in last_columns:
@@ -126,8 +129,9 @@ def _krylov_solve(a: RingMatrix):
         tags.append(_tag_string(tag, d))
         at += d
     if n < BLAS_MIN_DIMENSION:
-        return q.dot(e).dot(q_inv) % p, q.dot(f).dot(q_inv) % p, tuple(tags)
-    e, f = _stack_mul(_stack_mul(q[None], np.stack((e, f))[:, None], p), q_inv[None], p)[:, 0]
+        e, f = q @ ef @ q_inv % p
+    else:
+        e, f = _stack_mul(_stack_mul(q[None], ef[:, None], p), q_inv[None], p)[:, 0]
     return e, f, tuple(tags)
 
 

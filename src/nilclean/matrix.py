@@ -367,12 +367,12 @@ def check_certificate(cert: DecompositionCertificate) -> Optional[str]:
     """Re-run all certificate conditions; return the first failed check name.
     A certificate under construction claims exponent None and gets W's minimal
     one filled in: one powering pass both finds the exponent and proves it."""
-    mats = (cert.a, cert.e, cert.f, cert.w)
-    ring = cert.a.ring
-    if any(x.ring != ring or x.n != cert.a.n for x in mats):
-        raise InputError("certificate matrices disagree in ring or dimension")
+    ring, n = cert.a.ring, cert.a.n
+    for x in (cert.e, cert.f, cert.w):
+        if not (x.ring is ring or x.ring == ring) or x.n != n:
+            raise InputError("certificate matrices disagree in ring or dimension")
     m = ring.m
-    a, e, f, w = (x.coeffs for x in mats)
+    a, e, f, w = cert.a.coeffs, cert.e.coeffs, cert.f.coeffs, cert.w.coeffs
     if np.count_nonzero((_stack_mul(e, e, m) - e) % m):
         return CHECK_E_IDEMPOTENT
     if np.count_nonzero((_stack_mul(f, f, m) - f) % m):
@@ -380,7 +380,7 @@ def check_certificate(cert: DecompositionCertificate) -> Optional[str]:
     if np.count_nonzero((e + f + w - a) % m):
         return CHECK_SUM
     k = cert.nilpotency_exponent
-    bound = ring.nilpotency_bound(cert.a.n)
+    bound = ring.nilpotency_bound(n)
     if k is not None and not 1 <= k <= bound:
         return CHECK_NILPOTENCY
     found = _min_exponent(w, m, bound)

@@ -1,6 +1,7 @@
 """CLI: document round-trips, exit codes, golden sweep, negative controls."""
 
 import argparse
+import hashlib
 import importlib
 import io
 import json
@@ -807,6 +808,19 @@ class TestGoldenSweep:
         assert code == EXIT_OK
         assert "81 verified certificates" in err
         assert out == GOLDEN.read_text()
+
+    # SHA-256 of the stdout of decompose --exhaustive N M, recorded before the
+    # conjugation and the document were rewritten for speed: every certificate
+    # of M3(Z3) and M3(Z2) must keep its bytes
+    @pytest.mark.parametrize("n,m,count,digest", [
+        (3, 3, 19683, "adc63cb26db0ad39c59dce5373545906e356ca87605395b57b21d7138cd39019"),
+        (3, 2, 512, "ffe5df1c41f7cd822e9fb742d5e743f0f89a7baa6aae3aa675f6ce4aabeb57ae"),
+    ], ids=["m3-z3", "m3-z2"])
+    def test_exhaustive_digests(self, capsys, monkeypatch, n, m, count, digest):
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--exhaustive", str(n), str(m)])
+        assert code == EXIT_OK
+        assert f"{count} verified certificates" in err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_golden_certificates_reverify(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["verify", "--input", str(GOLDEN)])

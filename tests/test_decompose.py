@@ -20,8 +20,8 @@ from nilclean.decompose import (
     lift_idempotent_matrix,
 )
 from nilclean.errors import DomainError, InputError, UnsupportedRingError
-from nilclean.frobenius import CompanionBlock, FieldPoly
-from nilclean.matrix import RingMatrix, trunc_ring, zm_ring
+from nilclean.frobenius import CompanionBlock, FieldPoly, krylov_form
+from nilclean.matrix import BLAS_MIN_DIMENSION, RingMatrix, trunc_ring, zm_ring
 from nilclean.residue import two_three_smooth_moduli
 
 SMOOTH = two_three_smooth_moduli(72)
@@ -187,14 +187,17 @@ class TestFieldMatrix:
 
 def repeated_blocks_conjugate(p, n, deg, gen):
     """A random conjugate of diag(C, ..., C) for one random GF(p) companion
-    block C of degree deg: derogatory, with n / deg equal invariant factors."""
+    block C of degree deg: derogatory, with n // deg copies of C, and when
+    deg does not divide n a last block of degree n mod deg whose last column
+    is C's cut short."""
     ring = zm_ring(p)
     col = gen.integers(0, p, deg)
     blocks = np.zeros((n, n), dtype=np.int64)
     for at in range(0, n, deg):
-        for i in range(1, deg):
+        size = min(deg, n - at)
+        for i in range(1, size):
             blocks[at + i, at + i - 1] = 1
-        blocks[at : at + deg, at + deg - 1] = col
+        blocks[at : at + size, at + size - 1] = col[:size]
     while True:
         t = RingMatrix.random(n, ring, gen)
         if t.is_invertible():
@@ -216,6 +219,38 @@ class TestKrylovPath:
             assert nilpotency_naive_exact(w, p, n) == cert.nilpotency_exponent
             assert sum(int(tag.rsplit(":n", 1)[1]) for tag in cert.case_tags) == n
             assert len(cert.case_tags) >= n // deg
+
+
+class TestJointConjugation:
+    """On both sides of BLAS_MIN_DIMENSION, where the conjugation of E and F
+    changes route, _krylov_solve returns Q e Q^-1 and Q f Q^-1 as Python ints
+    compute them, for e and f the block-diagonal templates of krylov_form's
+    blocks, with one case tag per block."""
+
+    @pytest.mark.parametrize("kind", ("random", "derogatory"))
+    @pytest.mark.parametrize("p", (2, 3))
+    @pytest.mark.parametrize("n", (BLAS_MIN_DIMENSION - 1, BLAS_MIN_DIMENSION))
+    def test_matches_python_ints(self, n, p, kind):
+        gen = np.random.default_rng([n, p])
+        a = (RingMatrix.random(n, zm_ring(p), gen) if kind == "random"
+             else repeated_blocks_conjugate(p, n, 3, gen))
+        last_columns, q, q_inv = krylov_form(a)
+        e0 = [[0] * n for _ in range(n)]
+        f0 = [[0] * n for _ in range(n)]
+        tags, at = [], 0
+        for col in last_columns:
+            e_b, f_b, _, tag = split_block(p, col)
+            for i, (row_e, row_f) in enumerate(zip(e_b.to_rows(), f_b.to_rows())):
+                e0[at + i][at : at + len(col)] = row_e
+                f0[at + i][at : at + len(col)] = row_f
+            tags.append(f"{tag.value}:n{len(col)}")
+            at += len(col)
+        assert at == n and (kind == "random" or len(tags) > 1)
+        q, q_inv = q.tolist(), q_inv.tolist()
+        e, f, got_tags = _krylov_solve(a)
+        assert e.tolist() == mat_mul_naive(mat_mul_naive(q, e0, p), q_inv, p)
+        assert f.tolist() == mat_mul_naive(mat_mul_naive(q, f0, p), q_inv, p)
+        assert got_tags == tuple(tags)
 
 
 class TestSelfCheckCount:
