@@ -4,11 +4,10 @@ A matrix is stored as a coefficient stack ``coeffs`` of shape (d, n, n): slice
 t holds the matrix coefficient of x^t, so d = 1 is the plain Z_m case.  All
 slices are kept reduced into [0, m), and entries are int64 for every
 supported m <= 2^31.  _stack_mul is the one exact product; a truncated one
-runs as d plain ones, and the route of a plain one depends on n and m alone:
-float64 BLAS from BLAS_MIN_DIMENSION (a crossover measured, not derived),
-exact while every partial sum stays below 2^53 and reduced in int64, and
-int64 matmul below it, exact below 2^63.  When n*(m-1)^2 reaches the bound of
-its route, a product splits the right factor into 16-bit halves."""
+sums d raw products and reduces once.  From BLAS_MIN_DIMENSION (a crossover
+measured, not derived) a product runs on float64 BLAS, exact while n*(m-1)^2
+< 2^53, and below it on int64 matmul, exact while d*n*(m-1)^2 < 2^63; past
+its route's bound, a product splits the right factor into 16-bit halves."""
 
 from __future__ import annotations
 
@@ -288,27 +287,30 @@ def _exact_coeffs(rows: Sequence, shape: tuple, ring: MatrixRing) -> Optional[np
 def _stack_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Product of two (d, n, n) coefficient stacks, truncated at x^d, mod m;
     of two (k, d, n, n) stacks, the k products.  The product is bilinear, so
-    past the bound of the route of n and m (2^53 on float64 BLAS, 2^63 on
-    int64) a (b_hi 2^16 + b_lo) runs as two products whose partial sums stay
-    below n (m-1) 2^16 < 2^53 for n <= 64 and m <= 2^31."""
-    # m first: n <= 64 reaches either bound only from m > 2^23
+    past the bound of its route (2^53 for n (m-1)^2 on float64 BLAS, 2^63 for
+    d n (m-1)^2 on int64, implied by the first from n = 32) a (b_hi 2^16 +
+    b_lo) runs as two products: partial sums below n (m-1) 2^16 < 2^53, sums
+    of d below 2^59, for n, d <= 64 and m <= 2^31."""
+    # m first: the float64 bound is reached only from m > 2^23, int64's from 2^26
     if m > 2**23:
         n = a.shape[-1]
-        if n * (m - 1) ** 2 >= (2**53 if n >= BLAS_MIN_DIMENSION else 2**63):
+        if n >= BLAS_MIN_DIMENSION and n * (m - 1) ** 2 >= 2**53 or a.shape[-3] * n * (m - 1) ** 2 >= 2**63:
             return (_routed_mul(a, b >> 16, m) * 2**16 + _routed_mul(a, b & 0xFFFF, m)) % m
     return _routed_mul(a, b, m)
 
 
 def _routed_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """_stack_mul for operands whose partial sums stay below the bound of their
-    route.  Slice t of a truncated product is the sum of a_i b_(t-i): d plain
-    products, each reduced before it is added, so sums stay below d m < 2^37.
-    A float64 product holds exact integers and is reduced after a cast to int64."""
+    """_stack_mul for operands whose sums stay below the bound of their route.
+    Slice t of a truncated product is the sum of a_i b_(t-i), d raw products
+    added unreduced and reduced once.  A float64 product holds exact integers
+    below 2^53, cast to int64 before any sum or reduction: sums stay < 2^59."""
     d = a.shape[-3]
     if d > 1:
-        out = _routed_mul(a[..., :1, :, :], b, m)
+        raw = np.matmul if a.shape[-1] < BLAS_MIN_DIMENSION else \
+            lambda x, y: np.matmul(x.astype(np.float64), y.astype(np.float64)).astype(np.int64)
+        out = raw(a[..., :1, :, :], b)
         for i in range(1, d):
-            out[..., i:, :, :] += _routed_mul(a[..., i:i + 1, :, :], b[..., :d - i, :, :], m)
+            out[..., i:, :, :] += raw(a[..., i:i + 1, :, :], b[..., :d - i, :, :])
         return out % m
     if a.shape[-1] >= BLAS_MIN_DIMENSION:
         return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % m
@@ -339,6 +341,22 @@ def _min_exponent(x: np.ndarray, m: int, bound: int) -> Optional[int]:
     return e + 1 if e < bound else None
 
 
+def _has_exponent(x: np.ndarray, m: int, k: int) -> bool:
+    """Whether x^(k-1) != 0 and x^k = 0, for k >= 1: x^(k-1) by square and
+    multiply over the bits of k - 1, false once a power on the way vanishes,
+    then one product more; at most floor(log2(k-1)) + popcount(k-1) products."""
+    if k == 1:
+        return not np.count_nonzero(x)
+    acc = x
+    for bit in bin(k - 1)[3:]:
+        if not np.count_nonzero(acc):
+            return False
+        acc = _stack_mul(acc, acc, m)
+        if bit == "1":
+            acc = _stack_mul(acc, x, m)
+    return bool(np.count_nonzero(acc)) and not np.count_nonzero(_stack_mul(acc, x, m))
+
+
 # ---------------------------------------------------------------------------
 # Decomposition certificates
 # ---------------------------------------------------------------------------
@@ -365,7 +383,8 @@ class DecompositionCertificate:
 
 def check_certificate(cert: DecompositionCertificate) -> Optional[str]:
     """Re-run all certificate conditions; return the first failed check name.
-    A certificate under construction claims exponent None and gets W's minimal
+    A stated exponent k <= bound is proved, W^(k-1) != 0 and W^k = 0.  A
+    certificate under construction claims exponent None and gets W's minimal
     one filled in: one powering pass both finds the exponent and proves it."""
     ring, n = cert.a.ring, cert.a.n
     for x in (cert.e, cert.f, cert.w):
@@ -381,14 +400,10 @@ def check_certificate(cert: DecompositionCertificate) -> Optional[str]:
         return CHECK_SUM
     k = cert.nilpotency_exponent
     bound = ring.nilpotency_bound(n)
-    if k is not None and not 1 <= k <= bound:
-        return CHECK_NILPOTENCY
-    found = _min_exponent(w, m, bound)
     if k is None:
-        cert.nilpotency_exponent = k = found
-    if found is None or found != k:
-        return CHECK_NILPOTENCY
-    return None
+        cert.nilpotency_exponent = k = _min_exponent(w, m, bound)
+        return None if k is not None else CHECK_NILPOTENCY
+    return None if 1 <= k <= bound and _has_exponent(w, m, k) else CHECK_NILPOTENCY
 
 
 def verify_certificate(cert: DecompositionCertificate) -> bool:

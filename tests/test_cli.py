@@ -1177,6 +1177,65 @@ class TestVerifyStream:
         assert large - small <= 1024 * 1024, (small, large)
 
 
+def _tampered(cert, kind):
+    """The certificate with one field changed: a claimed exponent k + 1,
+    k - 1, 1 or the ring's bound; one entry of E, F or A moved by 1; or W
+    replaced by the identity, with A moved to keep the sum, so that the
+    check of the exponent sees a W that is not nilpotent."""
+    a, e, f, w = (RingMatrix(x.ring, x.coeffs.copy()) for x in (cert.a, cert.e, cert.f, cert.w))
+    k, ring = cert.nilpotency_exponent, cert.a.ring
+    claims = {"k+1": k + 1, "k-1": k - 1, "k=1": 1, "k=bound": ring.nilpotency_bound(a.n)}
+    if kind in claims:
+        k = claims[kind]
+    elif kind == "W=I":
+        w = RingMatrix.identity(a.n, ring)
+        a = e + f + w
+    else:
+        target = {"E": e, "F": f, "A": a}[kind].coeffs
+        target[-1, 0, -1] = (target[-1, 0, -1] + 1) % ring.m
+    return DecompositionCertificate(a, e, f, w, k)
+
+
+TAMPERS = ("k+1", "k-1", "k=1", "k=bound", "E", "F", "A", "W=I")
+VERDICT_RINGS = (zm_ring(2), zm_ring(3), zm_ring(72), trunc_ring(6, 3), trunc_ring(72, 2))
+
+
+def _verdict_stream():
+    """Two decompose certificates per ring and n = 1..8, each followed by a
+    tampered copy, the tampering taken in turn from TAMPERS."""
+    gen = np.random.default_rng(2022)
+    docs = []
+    for ring in VERDICT_RINGS:
+        for n in range(1, 9):
+            for _ in range(2):
+                cert = decompose(RingMatrix.random(n, ring, gen))
+                docs.append(certificate_to_doc(cert))
+                docs.append(certificate_to_doc(_tampered(cert, TAMPERS[len(docs) // 2 % len(TAMPERS)])))
+    return "\n".join(docs)
+
+
+class TestPinnedVerdicts:
+    """verify's stdout and exit code on a fixed stream, pinned by SHA-256.
+    TestVerifyStream compares verify against verify_certificate itself, so
+    only a pin catches a change in the verdicts of the check."""
+
+    def test_verdict_digest(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["verify"], _verdict_stream())
+        assert code == EXIT_VERIFY
+        assert out.count(": ok\n") == 85 and out.count("FAILED check:") == 75
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "49ba90efd8171857c6c0e33fec4da2e0aab4d8b462b95b096574c179e9be32c0"
+
+    def test_verify_never_searches_for_the_exponent(self, capsys, monkeypatch):
+        # every document states its exponent, so verify proves it: the search
+        # that decompose's self-check runs is never entered
+        text = _verdict_stream()
+        searches = []
+        monkeypatch.setattr("nilclean.matrix._min_exponent", lambda *args: searches.append(args))
+        code, _, _ = run(capsys, monkeypatch, ["verify"], text)
+        assert code == EXIT_VERIFY and searches == []
+
+
 class TestParserReuse:
     """The parser is built once per process; a call leaves nothing behind
     that changes the next."""

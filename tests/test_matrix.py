@@ -9,13 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import det_cofactor, from_rows_reference, mat_mul_naive, nilpotency_naive_exact
+import nilclean.matrix as matrix_module
 from nilclean.errors import InputError, ResourceCapError
 from nilclean.matrix import (
     BLAS_MIN_DIMENSION,
+    CHECK_NILPOTENCY,
     MAX_TRUNC_DEGREE,
     DecompositionCertificate,
     MatrixRing,
     RingMatrix,
+    _min_exponent,
+    _routed_mul,
     _stack_mul,
     check_certificate,
     trunc_ring,
@@ -132,8 +136,11 @@ def exact_truncated_product(a, b, m):
 # float64, past which a partial sum may round, and 2^63 for int64, past which
 # it may wrap); then the split, which halves the right factor into 16-bit
 # pieces.  Wraps modulo 2^64 are caught only by moduli that are not powers of
-# two.  Truncated stacks, d = 2 up to d_max, take the route of their slices;
-# the Python-int reference is slow at n = 64, so one n = 64 row runs them.
+# two.  Truncated stacks, d = 2 up to d_max, sum d raw slice products before
+# they reduce: on float64 they take the route of their slices, but on int64
+# the bound is d n (m-1)^2 < 2^63, so the int64 rows of 2^17 3^8 and 2^31 - 1
+# split from d = 2 (ACCUMULATION_BOUND names such cases).  The Python-int
+# reference is slow at n = 64, so one n = 64 row runs truncated stacks.
 PRODUCT_ROUTES = [
     (2**24, 32, "float64", 3),     # 32 (2^24 - 1)^2 = 2^53 - 2^30 + 32; twice that at d = 2
     (2**24, 64, "split", 1),       # 64 (2^24 - 1)^2 > 2^53
@@ -148,6 +155,17 @@ PRODUCT_ROUTES = [
     (2**31 - 1, 2, "int64", 3),      # 2 (m-1)^2 = 2^63 - 2^34 + 8
     (2**31 - 1, 3, "split", 3),      # 3 (m-1)^2 > 2^63
     (3**19, 8, "split", 3),          # 7 (m-1)^2 > 2^63 > 6 (m-1)^2
+]
+
+
+# (m, n, d) with n < 32 and n (m-1)^2 < 2^63 <= d n (m-1)^2: one int64 slice
+# product is exact, but the unreduced sum of d of them would wrap, so
+# _stack_mul splits them although their plain products run on int64
+ACCUMULATION_BOUND = [
+    (3**19, 6, 2),
+    (2**31 - 1, 2, 2),
+    (2**17 * 3**8, 8, 2),
+    (2**17 * 3**8, 8, 3),
 ]
 
 
@@ -191,6 +209,19 @@ class TestProductRoutes:
             assert out.shape == x.shape
             assert out.tolist() == exact_truncated_product(x, y, m).tolist()
 
+    @pytest.mark.parametrize("m,n,d", ACCUMULATION_BOUND,
+                             ids=[f"m{m}-n{n}-d{d}" for m, n, d in ACCUMULATION_BOUND])
+    def test_sum_of_slices_past_int64(self, m, n, d):
+        assert n < BLAS_MIN_DIMENSION and n * (m - 1) ** 2 < 2**63 <= d * n * (m - 1) ** 2
+        gen = np.random.default_rng([m, n, d])
+        top = np.full((d, n, n), m - 1)
+        near = m - 1 - gen.integers(0, 4, (2, 2, d, n, n))
+        for a, b in ((top, top), (near[0, 0], near[1, 0]), (near[0], near[1])):
+            assert _stack_mul(a, b, m).tolist() == exact_truncated_product(a, b, m).tolist()
+        # unsplit, the top slice of the all-(m-1) square sums to d n (m-1)^2
+        # and wraps past 2^63, and m is not a power of two: the result differs
+        assert _routed_mul(top, top, m).tolist() != exact_truncated_product(top, top, m).tolist()
+
     @pytest.mark.parametrize("n", (32, 64))
     def test_inverse_is_two_sided(self, n):
         # Z_{2^24}: the float64 route at n = 32, the split at n = 64
@@ -202,6 +233,80 @@ class TestProductRoutes:
         ident = RingMatrix.identity(n, ring).coeffs.tolist()
         assert exact_product(a.coeffs, inv, ring.m).tolist() == ident
         assert exact_product(inv, a.coeffs, ring.m).tolist() == ident
+
+
+def _nilpotent(n, ring, gen, density):
+    """P (N + R) P^T: N strictly upper triangular with about the given share
+    of its entries drawn, R drawn from the ideal that the radical of m and x
+    generate, P a permutation.  N + R is nilpotent modulo that ideal, which
+    is nilpotent, so it is nilpotent."""
+    m, d = ring.m, ring.d
+    w = gen.integers(0, m, (d, n, n)) * (math.prod(ring.modulus.primes) % m)
+    w[1:] = gen.integers(0, m, (d - 1, n, n))
+    w[0] += np.triu(gen.integers(0, m, (n, n)) * (gen.random((n, n)) < density), 1)
+    perm = gen.permutation(n)
+    return RingMatrix(ring, w[:, perm][:, :, perm] % m)
+
+
+def _products(k):
+    """The products a stated exponent k >= 1 costs to prove at most:
+    floor(log2(k-1)) + popcount(k-1), and none for k = 1."""
+    return 0 if k == 1 else (k - 1).bit_length() - 1 + bin(k - 1).count("1")
+
+
+EXPONENT_RINGS = (zm_ring(72), trunc_ring(6, 3), zm_ring(2**31 - 1))
+
+
+class TestExponentProof:
+    """A stated exponent is proved, W^(k-1) != 0 and W^k = 0, with the
+    verdict of the rule it replaced: k in [1, bound] and the minimal
+    exponent, as _min_exponent finds it, equal to k."""
+
+    @pytest.mark.parametrize("ring", EXPONENT_RINGS, ids=lambda ring: ring.describe())
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8, 32, 33))
+    def test_verdict_is_the_minimal_exponent_rule(self, ring, n):
+        # n = 32 and 33 run on float64 over Z72 and Z6[x]/(x^3), on the
+        # split over Z_(2^31-1), which splits from n = 3 on int64 too
+        gen = np.random.default_rng([ring.m, ring.d, n])
+        bound = ring.nilpotency_bound(n)
+        zero = RingMatrix.zeros(n, ring)
+        ws = [_nilpotent(n, ring, gen, density) for density in (0.3, 0.7, 1.0)]
+        ws += [RingMatrix.random(n, ring, gen), RingMatrix.identity(n, ring)]
+        nilpotent = 0
+        for w in ws:
+            found = _min_exponent(w.coeffs, ring.m, bound)
+            nilpotent += found is not None
+            claims = {1, 2, n, bound} | ({found - 1, found, found + 1} if found else set())
+            for k in claims:
+                want = None if 1 <= k <= bound and found == k else CHECK_NILPOTENCY
+                assert check_certificate(DecompositionCertificate(w, zero, zero, w, k)) == want, (k, found)
+        assert nilpotent >= 3
+
+    @pytest.mark.parametrize("ring", (trunc_ring(6, 3), zm_ring(72), trunc_ring(72, 2)),
+                             ids=lambda ring: ring.describe())
+    def test_products_per_stated_exponent(self, ring, monkeypatch, rng):
+        from nilclean.decompose import decompose
+
+        certs = [decompose(RingMatrix.random(n, ring, rng)) for n in range(1, 9)]
+        products, searches, original = [], [], matrix_module._stack_mul
+
+        def counting(*args):
+            products.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(matrix_module, "_stack_mul", counting)
+        monkeypatch.setattr(matrix_module, "_min_exponent", lambda *args: searches.append(args))
+        for cert in certs:
+            k = cert.nilpotency_exponent
+            for claim in {1, max(k - 1, 1), k, k + 1}:
+                products.clear()
+                ok = verify_certificate(DecompositionCertificate(cert.a, cert.e, cert.f, cert.w, claim))
+                assert ok == (claim == k)
+                # E^2 and F^2, then the exponent's: all of them once it holds
+                steps = len(products) - 2
+                assert steps == _products(claim) if ok else steps <= _products(claim)
+        assert max(cert.nilpotency_exponent for cert in certs) >= 9
+        assert searches == []
 
 
 class TestPredicates:
