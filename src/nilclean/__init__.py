@@ -2,8 +2,8 @@
 
 The package splits into factored moduli (residue), exact matrices over Z_m and
 Z_m[x]/(x^d) with their certificates (matrix; an element is a 1 x 1 matrix),
-the GF(p) elimination kernel (gfp), the canonical-form machinery (frobenius),
-the constructive decompositions with verified certificates (decompose), an
+the GF(p) elimination kernel and the Krylov form that runs on it (gfp), the
+constructive decompositions with verified certificates (decompose), an
 independent brute-force oracle over small finite rings (classifier), and a
 batch CLI (cli).
 """
@@ -36,13 +36,6 @@ from .errors import (
     NilcleanError,
     ResourceCapError,
     UnsupportedRingError,
-)
-from .frobenius import (
-    CompanionBlock,
-    FieldPoly,
-    RcfResult,
-    rcf,
-    verify_rcf,
 )
 from .matrix import (
     DecompositionCertificate,

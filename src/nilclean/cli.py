@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-Commands: decompose, classify, rcf, verify, demo-obstruction.  Structured
+Commands: decompose, classify, verify, demo-obstruction.  Structured
 output is a line-oriented ``key: value`` document (values in JSON), schema
 "nilclean-cert/1"; multiple documents in one stream are separated by blank
 lines.  Exit codes are stable: 0 success, 2 parse error, 3 unsupported ring,
@@ -40,7 +40,6 @@ from .errors import (
     ResourceCapError,
     UnsupportedRingError,
 )
-from .frobenius import RcfResult, rcf
 from .matrix import (
     DecompositionCertificate,
     MAX_DIMENSION,
@@ -168,22 +167,6 @@ def certificate_from_doc(doc: dict) -> DecompositionCertificate:
     if "n" in doc and _doc_int(doc, "n") != n:
         raise InputError("declared dimension does not match the matrices")
     return DecompositionCertificate(*mats, exponent, tags)
-
-
-def rcf_to_doc(a: RingMatrix, result: RcfResult) -> str:
-    return emit_document(
-        [
-            ("schema", SCHEMA),
-            ("kind", "rcf"),
-            ("modulus", a.ring.m),
-            ("n", a.n),
-            ("A", a.to_rows()),
-            ("blocks", [list(b.poly.coeffs) for b in result.blocks]),
-            ("P", result.transform.to_rows()),
-            ("P-inv", result.transform_inv.to_rows()),
-            ("verified", True),
-        ]
-    )
 
 
 def _element_json(ring: RingDescriptor, element: tuple) -> list:
@@ -385,12 +368,6 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_rcf(args) -> int:
-    a = _parse_matrix_input(_read_input(args), args)
-    _write(rcf_to_doc(a, rcf(a)), args)
-    return EXIT_OK
-
-
 def cmd_verify(args) -> int:
     """Check the certificate documents one at a time, printing each verdict
     before the next document is read: memory stays flat in their number, and
@@ -489,13 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ring_descriptor", help='e.g. "Z6", "Z3xZ3", "M2(Z2)", "Z2[x]/(x^3)"')
     p.add_argument("properties", help="comma-separated property names")
     p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("rcf", help="Frobenius form with explicit transform over GF(p)")
-    add_input(p)
-    add_format(p)
-    p.add_argument("--modulus", type=int, help="prime modulus for plain input")
-    p.add_argument("--ring", help='prime field, e.g. "Z3"')
-    p.set_defaults(func=cmd_rcf)
 
     p = sub.add_parser("verify", help="re-verify certificate documents")
     add_input(p)

@@ -14,8 +14,8 @@ There is one GF(p) solver.  It brings the matrix to its block-upper-triangular
 Krylov form, splits each diagonal companion block by a closed-form template
 keyed on the block's bottom-right entry (the trace of a companion matrix) and
 conjugates back; everything off the diagonal goes into W, which stays
-nilpotent because its diagonal blocks are (the Frobenius form is not needed,
-and serves only the rcf command).  An upper-triangular matrix has 1 x 1 blocks
+nilpotent because its diagonal blocks are (the Frobenius form is not
+needed).  An upper-triangular matrix has 1 x 1 blocks
 and Q = I, so its E and F are the 0/1 diagonals [t_ii != 0] and [t_ii = 2]
 and E, F and W stay upper triangular; its certificate carries the case tags
 of those blocks.
@@ -32,7 +32,7 @@ import enum
 import numpy as np
 
 from .errors import DomainError, InputError, InternalCheckError
-from .frobenius import krylov_form
+from .gfp import krylov_form
 from .matrix import (BLAS_MIN_DIMENSION, DecompositionCertificate, MatrixRing, RingMatrix,
                      _stack_mul, verify_certificate, zm_ring)
 from .residue import lift_iteration_cap, require_two_three_smooth

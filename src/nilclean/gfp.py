@@ -1,21 +1,24 @@
-"""The one GF(p) elimination kernel, on packed vectors.
+"""The one GF(p) elimination kernel, on packed vectors, and the
+block-triangular Krylov form that decompositions run on it.
 
 A field fixes how a vector over GF(p) is stored and supplies the primitives
 the elimination is written in: ``coords`` reads the coordinates as a sequence
 of ints, ``lead`` finds the lowest nonzero index (-1 for the zero vector),
-``scale`` multiplies by a unit, ``axpy(v, c, r)`` is v - c*r, ``matvec``
-applies a matrix given by its packed columns, ``reduce`` and ``clear`` are
-the two halves of an insertion into an ``Echelon``.  A field for n-vectors
-stores 2n + 1 coordinates: an elimination row is [vector | history] as in
-Gauss-Jordan on [A | I], so one row operation updates both.  p alone picks
-the representation:
+``scale`` multiplies by a unit, ``matvec`` applies a matrix given by its
+packed columns, ``reduce`` and ``clear`` are the two halves of an insertion
+into an ``Echelon``.  A field for n-vectors stores 2n + 1 coordinates: an
+elimination row is [vector | history] as in Gauss-Jordan on [A | I], so one
+row operation updates both.  p alone picks the representation:
 
 * GF(2) and GF(3): a vector is one int, coordinate j in byte j.  Over GF(2) a
   row operation is an XOR (as in M4RI, Albrecht-Bard-Hart, ACM TOMS 2010);
   over GF(3) it adds lanewise and takes 3 off every lane that reached it, six
   word operations;
-* p >= 5: a list of 2n + 1 ints; of the commands, only rcf meets it
-  (decompositions need p in {2, 3}).
+* p >= 5: a list of 2n + 1 ints.  Decompositions need p in {2, 3}, but this
+  field stays: ``rank`` and ``inverse`` run on it for RingMatrix.inverse and
+  is_invertible, through which tests and the stress script build conjugated
+  inputs; the Krylov form's tests run over GF(5); and a Krylov form over
+  GF(p >= 5) is what decompositions over such moduli would need.
 
 Every lanewise sum of rows is one gather (``_gather``), in C: the matvec of a
 Krylov step, and the reduction of a vector against an echelon basis, whose
@@ -27,6 +30,11 @@ stays in [0, 3n + 2] (194 at n = 64), so byte lanes are exact to n = 84 (to
 n = 254 over GF(2), where a lane reaches n + 1), and field refuses a larger n.
 The back-elimination that keeps the rows so still visits them one by one.
 
+The Krylov form rests on conductor polynomials: the Krylov iterates of a
+vector are inserted into an echelon, whose histories write each row over the
+chain vectors, and the first iterate that is already in the span reads off
+the polynomial.
+
 Packing a numpy row is one int.from_bytes, and unpacking one to_bytes, so
 n = 3 stays as fast as plain lists.
 """
@@ -36,11 +44,16 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from itertools import compress
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-Field = namedtuple("Field", "p n zero unit coords lead scale axpy matvec reduce clear pack unpack")
+from .errors import InputError, InternalCheckError
+
+if TYPE_CHECKING:  # matrix imports this module
+    from .matrix import RingMatrix
+
+Field = namedtuple("Field", "p n zero unit coords lead scale matvec reduce clear pack unpack")
 
 
 def _pack_bytes(mat: np.ndarray) -> list[int]:
@@ -86,10 +99,12 @@ def _byte_lanes(p: int, n: int) -> Field:
         """Each byte lane of acc mod 3."""
         return int.from_bytes(acc.to_bytes(width, "little").translate(_MOD3), "little")
 
-    def axpy(v, c, r):
-        """v - c*r over GF(3): add r (c = 2) or 3 - r (c = 1), then take 3 off
-        each lane that reached it."""
-        s = v + r if c == 2 else v + threes - r
+    def scale(v, c):
+        """c v: v itself, or over GF(3) at c = 2, 3 - v with 3 taken off each
+        lane that reached it."""
+        if c == 1:
+            return v
+        s = threes - v
         t = (s + ones) & fours
         return s - t + (t >> 2)
 
@@ -111,7 +126,8 @@ def _byte_lanes(p: int, n: int) -> Field:
 
     def clear(rows, mask, piv, v):
         """Over GF(3): take c v off each row of the mask, c its coordinate at
-        piv, adding v (c = 2) or 3 - v (c = 1) as axpy does."""
+        piv, adding v (c = 2) or 3 - v (c = 1), then taking 3 off each lane
+        that reached it."""
         shift, neg = piv << 3, threes - v
         for j in compress(lanes, mask.to_bytes(n, "little")):
             row = rows[j]
@@ -122,7 +138,8 @@ def _byte_lanes(p: int, n: int) -> Field:
                 rows[j] = s - t + (t >> 2)
 
     if p == 2:
-        axpy, matvec = (lambda v, c, r: v ^ r), (lambda cols, u: _gather(cols, u) & ones)
+        def matvec(cols, u):
+            return _gather(cols, u) & ones
 
         def reduce(v, h, rows, mask):
             """Over GF(2): the parity of v plus the rows at its pivot lanes,
@@ -138,8 +155,7 @@ def _byte_lanes(p: int, n: int) -> Field:
                     rows[j] ^= v
 
     return Field(p, n, 0, lambda j: 1 << (j << 3), lambda v: v.to_bytes(width, "little"),
-                 lambda v: (v & -v).bit_length() - 1 >> 3,
-                 lambda v, c: v if c == 1 else axpy(0, 1, v), axpy, matvec, reduce, clear,
+                 lambda v: (v & -v).bit_length() - 1 >> 3, scale, matvec, reduce, clear,
                  _pack_bytes, _unpack_bytes)
 
 
@@ -176,7 +192,7 @@ def field(p: int, n: int) -> Field:
         p=p, n=n, zero=[0] * width, coords=lambda v: v,
         unit=lambda j: [0] * j + [1] + [0] * (width - 1 - j),
         lead=lambda v: next((j for j, c in enumerate(v) if c), -1),
-        scale=lambda v, c: [a * c % p for a in v], axpy=axpy, matvec=matvec,
+        scale=lambda v, c: [a * c % p for a in v], matvec=matvec,
         reduce=reduce, clear=clear,
         pack=lambda mat: [row + [0] * (width - len(row)) for row in mat.tolist()],
         unpack=lambda vecs, k: np.array([v[:k] for v in vecs], np.int64).reshape(len(vecs), k),
@@ -192,18 +208,14 @@ class Echelon:
     n..2n, is the same combination of the unit histories the vectors were
     inserted with; inserting the j-th vector with history j makes it
     coordinates over the inserted vectors.  History n is left for a vector
-    known to be dependent.  Rows are replaced, never changed in place, so
-    copies may share them, though not the list that holds them."""
+    known to be dependent."""
 
     __slots__ = ("f", "rows", "mask")
 
-    def __init__(self, f: Field, rows=None, mask: int = 0):
+    def __init__(self, f: Field):
         self.f = f
-        self.rows = [f.zero] * f.n if rows is None else list(rows)
-        self.mask = mask
-
-    def copy(self) -> "Echelon":
-        return Echelon(self.f, self.rows, self.mask)
+        self.rows = [f.zero] * f.n
+        self.mask = 0
 
     @property
     def dim(self) -> int:
@@ -226,12 +238,6 @@ class Echelon:
         rows[piv] = v
         self.mask |= 1 << (piv << 3)
         return None
-
-    def solve(self, y):
-        """A row whose history holds the coordinates of y over the inserted
-        vectors (and -1 at index n), or None when y is outside the span."""
-        relation = self.copy().insert(y, self.f.n)
-        return None if relation is None else self.f.scale(relation, self.f.p - 1)
 
     def inverse(self) -> list:
         """The rows in pivot order.  With the span full each is [e_piv | h],
@@ -259,3 +265,72 @@ def inverse(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
     span = _row_span(mat, p)
     n = mat.shape[0]
     return span.f.unpack(span.inverse(), 2 * n)[:, n:] if span.dim == n else None
+
+
+def _ptrim(c: Sequence[int]) -> tuple[int, ...]:
+    """A coefficient sequence, ascending, without its trailing zeros."""
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _conductor(cols, w, span: Echelon):
+    """Minimal monic g with g(A)w in the span (an A-invariant subspace).
+
+    Returns (coefficient tuple of g, [w, Aw, ..., A^{deg g - 1} w]) and
+    extends the span by that chain in place.  The Krylov iterate A^t w goes in
+    with history span.dim + t, after the span's own rows, so the history of
+    the vanishing reduction reads off g directly (monic by design: row t never
+    touches iterates beyond t).
+    """
+    f = span.f
+    base = span.dim
+    krylov: list = []
+    u = w
+    for t in range(len(cols) + 1):
+        h = span.insert(u, base + t)
+        if h is not None:
+            lo = f.n + base
+            return _ptrim(f.coords(h)[lo : lo + t + 1]), krylov
+        krylov.append(u)
+        u = f.matvec(cols, u)
+    raise InternalCheckError("conductor search exceeded the dimension bound")
+
+
+def krylov_form(a: RingMatrix) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Block-upper-triangular companion form over GF(p), with its transform.
+
+    Scans e_1, e_2, ...; each one outside the span so far contributes its
+    conductor chain w, Aw, ..., A^{d-1} w, where g of degree d is the minimal
+    monic polynomial with g(A) w in that span.  In the basis Q of the
+    concatenated chains, Q^-1 A Q is block upper triangular with the companion
+    matrix of each chain's g on the diagonal: A maps each chain vector to the
+    next, and the last one to -(g_0 w + ... + g_{d-1} A^{d-1} w) plus a vector
+    of the earlier chains.  Unlike the Frobenius form, blocks need not divide
+    one another, so each chain is eliminated once, and its elimination
+    histories give Q^-1.
+
+    Returns the last columns -g[:-1] of the diagonal blocks in basis order,
+    then Q and Q^-1 as int64 arrays reduced mod p.
+    """
+    if not a.ring.is_prime_field():
+        raise InputError("krylov_form requires a matrix over a prime field GF(p), "
+                         f"not over {a.ring.describe()}")
+    p, n = a.ring.m, a.n
+    f = field(p, n)
+    cols = f.pack(a.coeffs[0].T)
+    span = Echelon(f)
+    last_columns: list[tuple[int, ...]] = []
+    basis: list = []
+    for i in range(n):
+        if span.dim == n:
+            break
+        g, chain = _conductor(cols, f.unit(i), span)
+        if chain:
+            last_columns.append(tuple(-c % p for c in g[:-1]))
+            basis.extend(chain)
+    # the chain vectors went in with unit histories, in basis order: unpacked
+    # as [vector | history], they are [Q^T | 0] over [I | Q^-T]
+    both = f.unpack(basis + span.inverse(), 2 * n)
+    return last_columns, both[:n, :n].T, both[n:, n:].T

@@ -76,6 +76,13 @@ def charpoly_cofactor(rows, p):
     return det(mat)
 
 
+def companion(p, last_col):
+    """Rows of the companion matrix over GF(p) with this last column: ones on
+    the subdiagonal, so its polynomial is x^n - c_{n-1} x^{n-1} - ... - c_0."""
+    n = len(last_col)
+    return [[int(j == i - 1) for j in range(n - 1)] + [last_col[i] % p] for i in range(n)]
+
+
 # --- naive modular matrix arithmetic on nested lists ------------------------
 
 def mat_mul_naive(a, b, m):

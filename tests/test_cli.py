@@ -103,7 +103,7 @@ class TestDecomposeCommand:
         assert doc["W"] == [[0, 0], [0, 0]]
         assert doc["verified"] is True
 
-    @pytest.mark.parametrize("command", ("decompose", "rcf"))
+    @pytest.mark.parametrize("command", ("decompose",))
     def test_modulus_zero_is_named(self, capsys, monkeypatch, command):
         code, _, err = run(capsys, monkeypatch, [command, "--modulus", "0"], "1\n")
         assert code == EXIT_PARSE
@@ -127,6 +127,23 @@ class TestDecomposeCommand:
             proc.wait()
             proc.stdout.close()
             proc.stderr.close()
+
+    @pytest.mark.parametrize("n", (8, 64))
+    def test_modulus_near_two_to_the_31(self, capsys, monkeypatch, n):
+        """Plain rows with entries near 2^31 parse exactly under --ring and
+        --modulus: over Z_{2^31} the certificate holds, checked on Python
+        ints, and over the prime 2^31 - 1 the ring is refused."""
+        m = 2**31
+        rows = RingMatrix.random(n, zm_ring(m), np.random.default_rng(n)).to_rows()
+        text = "\n".join(" ".join(str(v) for v in row) for row in rows)
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--ring", f"Z{m}"], text)
+        assert code == EXIT_OK and "Traceback" not in err
+        doc = parse_document(out)
+        assert doc["A"] == rows and doc["verified"] is True
+        assert [[sum(x) % m for x in zip(*r)] for r in zip(doc["E"], doc["F"], doc["W"])] == rows
+        assert mat_mul_naive(doc["E"], doc["E"], m) == doc["E"]
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--modulus", str(m - 1)], text)
+        assert code == EXIT_UNSUPPORTED and out == "" and "Traceback" not in err
 
     def test_unsupported_modulus_exit_code(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["decompose", "--modulus", "5"], "3\n")
@@ -335,7 +352,7 @@ def test_verify_refuses_empty_entries(capsys, monkeypatch):
 class TestInvalidUtf8:
     """Bytes that are not UTF-8 in --input end in exit 2, not a traceback."""
 
-    @pytest.mark.parametrize("command", ["decompose", "rcf", "verify"])
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
     def test_parse_exit_without_traceback(self, capsys, monkeypatch, tmp_path, command):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"A: [[1]]\nmodulus: 3\xff\n")
@@ -475,10 +492,9 @@ def _documents(draw):
 
 # the flags each command reads, with rings over primes near 2^31 among them
 _FLAGS = {
-    "decompose": [("--format", "plain"), ("--triangular",), ("--ring", "Z6"),
-                  ("--ring", "Z6[x]/(x^2)"), ("--ring", "Z2147483647"), ("--modulus", "2147483629")],
-    "rcf": [("--format", "plain"), ("--ring", "Z3"), ("--ring", "Z2147483647"),
-            ("--ring", "Z2147483629"), ("--modulus", "5")],
+    "decompose": [("--format", "plain"), ("--triangular",), ("--ring", "Z3"), ("--ring", "Z6"),
+                  ("--ring", "Z6[x]/(x^2)"), ("--ring", "Z2147483647"), ("--ring", "Z2147483629"),
+                  ("--modulus", "5"), ("--modulus", "2147483629")],
     "verify": [()],  # no flag: verify reads only --input, and the fuzz feeds stdin
 }
 _argv = st.sampled_from(sorted(_FLAGS)).flatmap(lambda command: st.lists(
@@ -487,7 +503,7 @@ _argv = st.sampled_from(sorted(_FLAGS)).flatmap(lambda command: st.lists(
 
 
 class TestDocumentFuzz:
-    """Arbitrary decompose, rcf and verify documents, under any of the flags
+    """Arbitrary decompose and verify documents, under any of the flags
     these commands read, end in a documented exit code, without a traceback,
     in bounded time."""
 
@@ -726,7 +742,7 @@ class TestClassifyFuzz:
 
 
 class TestFlags:
-    @pytest.mark.parametrize("args", [["decompose"], ["classify", "Z2", "nil-clean"], ["rcf"],
+    @pytest.mark.parametrize("args", [["decompose"], ["classify", "Z2", "nil-clean"],
                                       ["verify"], ["demo-obstruction", "2"]])
     def test_no_seed_flag(self, capsys, args):
         with pytest.raises(SystemExit) as exit_info:
@@ -738,7 +754,6 @@ class TestFlags:
     READ = {
         "decompose": {"--input", "--format", "--modulus", "--ring", "--triangular", "--exhaustive"},
         "classify": {"--format"},
-        "rcf": {"--input", "--format", "--modulus", "--ring"},
         "verify": {"--input"},
         "demo-obstruction": {"--format"},
     }
@@ -749,6 +764,18 @@ class TestFlags:
         taken = {name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
                  for name, sub in commands.items()}
         assert taken == self.READ
+
+    def test_rcf_is_gone(self, capsys):
+        """The rational canonical form command was removed: naming it is an
+        argparse error, and --help lists the four commands left."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["rcf"])
+        assert exit_info.value.code == EXIT_PARSE
+        assert "invalid choice: 'rcf'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == EXIT_OK
+        assert "{decompose,classify,verify,demo-obstruction}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("args", [["verify", "--format", "plain"],
                                       ["classify", "Z6", "tripotent", "--input", "F"],
@@ -764,15 +791,15 @@ class TestFlags:
 class TestPublicNames:
     def test_all(self):
         assert sorted(nilclean.__all__) == [
-            "CaseTag", "CompanionBlock", "DecompositionCertificate", "DomainError", "FieldPoly",
+            "CaseTag", "DecompositionCertificate", "DomainError",
             "InputError", "InternalCheckError", "MatFactor", "MatrixRing", "Modulus",
-            "NilcleanError", "PropertyReport", "RcfResult", "ResourceCapError", "RingDescriptor",
+            "NilcleanError", "PropertyReport", "ResourceCapError", "RingDescriptor",
             "RingMatrix", "TruncFactor", "UnsupportedRingError", "ZmFactor", "check_certificate",
             "decide", "decompose", "decompose_triangular", "decompose_zm",
             "enumerate_idempotents", "enumerate_nilpotents", "factorize",
             "is_two_three_smooth", "lift_idempotent_matrix",
-            "min_nilpotent_index_over_decompositions", "parse_ring_descriptor", "rcf",
-            "trunc_ring", "two_three_smooth_moduli", "verify_certificate", "verify_rcf", "zm_ring",
+            "min_nilpotent_index_over_decompositions", "parse_ring_descriptor",
+            "trunc_ring", "two_three_smooth_moduli", "verify_certificate", "zm_ring",
         ]
 
     def test_decompose_is_the_function(self):
@@ -974,55 +1001,6 @@ class TestPropertyRunners:
         code, out, _ = run(capsys, monkeypatch, ["classify", "Z4", "two-nil-clean,nil-clean"])
         assert code == EXIT_OK and calls == ["Z4"]
         assert [d["property"] for d in documents(out)] == ["two-nil-clean", "nil-clean"]
-
-
-class TestRcfCommand:
-    def test_companion_fixed_point(self, capsys, monkeypatch):
-        code, out, _ = run(capsys, monkeypatch, ["rcf", "--modulus", "3"], "0 1\n1 1\n")
-        assert code == EXIT_OK
-        doc = parse_document(out)
-        assert doc["P"] == [[1, 0], [0, 1]]
-        assert doc["blocks"] == [[2, 2, 1]]
-
-    def test_diagonal_merge(self, capsys, monkeypatch):
-        code, out, _ = run(capsys, monkeypatch, ["rcf", "--modulus", "3"], "1 0\n0 2\n")
-        assert code == EXIT_OK
-        assert parse_document(out)["blocks"] == [[2, 0, 1]]
-
-    def test_plain_format(self, capsys, monkeypatch):
-        code, out, _ = run(capsys, monkeypatch, ["rcf", "--modulus", "3", "--format", "plain"], "1 0\n0 2\n")
-        assert code == EXIT_OK
-        assert out == ("modulus: 3\nn: 2\nA: [[1, 0], [0, 2]]\nblocks: [[2, 0, 1]]\n"
-                       "P: [[2, 2], [2, 1]]\nP-inv: [[1, 1], [1, 2]]\nverified: true\n")
-
-    def test_composite_modulus_rejected(self, capsys, monkeypatch):
-        code, _, err = run(capsys, monkeypatch, ["rcf", "--modulus", "6"], "1 0\n0 1\n")
-        assert code == EXIT_PARSE
-        assert "prime" in err
-
-    @pytest.mark.parametrize("n", (8, 64))
-    def test_prime_near_two_to_the_31(self, capsys, monkeypatch, n):
-        p = 2147483647
-        a = RingMatrix.random(n, zm_ring(p), np.random.default_rng(n))
-        rows = "\n".join(" ".join(str(v) for v in row) for row in a.to_rows())
-        code, out, err = run(capsys, monkeypatch, ["rcf", "--modulus", str(p)], rows)
-        assert code == EXIT_OK and "Traceback" not in err
-        doc = parse_document(out)
-        ident = [[int(i == j) for j in range(n)] for i in range(n)]
-        assert mat_mul_naive(doc["P"], doc["P-inv"], p) == ident
-
-    def test_failed_check_has_internal_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr("nilclean.frobenius.verify_rcf", lambda a, result: False)
-        code, out, err = run(capsys, monkeypatch, ["rcf", "--modulus", "3"], "0 1\n1 1\n")
-        assert code == EXIT_INTERNAL and out == ""
-        assert "canonical form failed verification" in err and "Traceback" not in err
-
-    def test_random_document_verifies(self, capsys, monkeypatch, rng):
-        a = RingMatrix.random(6, zm_ring(2), rng)
-        rows = "\n".join(" ".join(str(v) for v in row) for row in a.to_rows())
-        code, out, _ = run(capsys, monkeypatch, ["rcf", "--modulus", "2"], rows)
-        assert code == EXIT_OK
-        assert parse_document(out)["verified"] is True
 
 
 class TestVerifyCommand:

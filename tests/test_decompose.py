@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_mul_naive, nilpotency_naive_exact
+from conftest import companion, mat_mul_naive, nilpotency_naive_exact
 from nilclean.cli import certificate_to_doc
 from nilclean.decompose import (
     CaseTag,
@@ -20,7 +20,7 @@ from nilclean.decompose import (
     lift_idempotent_matrix,
 )
 from nilclean.errors import DomainError, InputError, UnsupportedRingError
-from nilclean.frobenius import CompanionBlock, FieldPoly, krylov_form
+from nilclean.gfp import krylov_form
 from nilclean.matrix import BLAS_MIN_DIMENSION, RingMatrix, trunc_ring, zm_ring
 from nilclean.residue import two_three_smooth_moduli
 
@@ -28,22 +28,21 @@ SMOOTH = two_three_smooth_moduli(72)
 
 
 def block_of(p, last_col):
-    coeffs = tuple(-c % p for c in last_col) + (1,)
-    return CompanionBlock(FieldPoly(p, coeffs))
+    return RingMatrix.from_rows(companion(p, last_col), zm_ring(p))
 
 
 def split_block(p, last_col):
     """E, F, W and the case tag of the companion block with this last column.
     The Krylov form of a companion matrix is the matrix itself (Q = I), so
     decompose returns the template's parts and one tag."""
-    cert = decompose(block_of(p, last_col).matrix())
+    cert = decompose(block_of(p, last_col))
     (tag,) = cert.case_tags
     assert tag.endswith(f":n{len(last_col)}")
     return cert.e, cert.f, cert.w, CaseTag(tag.rsplit(":", 1)[0])
 
 
 def check_block_triple(p, last_col, e, f, w, expect_tag=None):
-    a = block_of(p, last_col).matrix()
+    a = block_of(p, last_col)
     assert e.is_idempotent()
     assert f.is_idempotent()
     assert (e + f + w) == a

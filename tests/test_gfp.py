@@ -1,14 +1,26 @@
 """The GF(p) elimination kernel against naive list arithmetic, in every packed
 representation: byte lanes in one int for GF(2) and GF(3), int lists for
-p >= 5.  Elimination rows are [vector | history], 2n + 1 coordinates."""
+p >= 5.  Elimination rows are [vector | history], 2n + 1 coordinates.  Then
+the Krylov form the kernel runs, and the pinned outputs of the forms and of
+the triangular certificates."""
+
+import hashlib
+import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_mul_naive, rank_naive
+from conftest import charpoly_cofactor, companion, mat_mul_naive, poly_mul, rank_naive
 from nilclean import gfp
+from nilclean.cli import certificate_to_doc
+from nilclean.decompose import decompose_triangular
+from nilclean.errors import InputError
+from nilclean.gfp import krylov_form
+from nilclean.matrix import RingMatrix, zm_ring
+from nilclean.residue import two_three_smooth_moduli
 
 PRIMES = (2, 3, 5, 7)
 
@@ -25,6 +37,14 @@ def lists(f, vecs, width):
 def combination(coeffs, vecs, p):
     """sum_j coeffs[j] vecs[j] over GF(p)."""
     return [sum(c * v[i] for c, v in zip(coeffs, vecs)) % p for i in range(len(vecs[0]))]
+
+
+def cleared(f, row, piv, v, width):
+    """clear on a one-row echelon: row less c v, c the row's coordinate at
+    piv."""
+    rows = [row] + [f.zero] * (f.n - 1)
+    f.clear(rows, 1, piv, v)
+    return lists(f, rows[:1], width)[0]
 
 
 def insert_all(f, vecs):
@@ -77,7 +97,7 @@ class TestPrimitives:
 
     @given(square(), st.data())
     @settings(max_examples=120)
-    def test_get_lead_scale_axpy(self, case, data):
+    def test_get_lead_scale_clear(self, case, data):
         """On full rows [vector | history] of 2n + 1 coordinates."""
         p, rows = case
         n = len(rows)
@@ -90,8 +110,9 @@ class TestPrimitives:
         assert list(f.coords(v)) == x
         assert f.lead(v) == next((j for j, e in enumerate(x) if e), -1)
         assert lists(f, [f.scale(v, c)], width) == [[e * c % p for e in x]]
-        assert lists(f, [f.axpy(v, c, r)], width) == [[(a - c * b) % p for a, b in zip(x, y)]]
         assert lists(f, [f.zero, f.unit(width - 1)], width) == [[0] * width, [0] * (width - 1) + [1]]
+        piv = data.draw(st.integers(0, n - 1))
+        assert cleared(f, v, piv, r, width) == [(a - x[piv] * b) % p for a, b in zip(x, y)]
 
     @given(square(), st.data())
     @settings(max_examples=120)
@@ -119,12 +140,15 @@ class TestGf3Lanes:
     @given(st.integers(1, 64).flatmap(lambda n: st.tuples(
         st.just(n), gf3_lanes(2 * n + 1), gf3_lanes(2 * n + 1), st.sampled_from([1, 2]))))
     @settings(max_examples=300)
-    def test_axpy_scale_get_lead(self, case):
+    def test_clear_scale_get_lead(self, case):
+        """clear takes c y off a row x, c = x's coordinate at the pivot lane:
+        at some lane x holds c = 1 and at another c = 2, when it has them."""
         n, x, y, c = case
         f = gfp.field(3, n)
         width = 2 * n + 1
         v, r = f.pack(np.array([x, y]))
-        assert lists(f, [f.axpy(v, c, r)], width) == [[(a - c * b) % 3 for a, b in zip(x, y)]]
+        for piv in {x.index(e) for e in (1, 2) if e in x[:n]} or {0}:
+            assert cleared(f, v, piv, r, width) == [(a - x[piv] * b) % 3 for a, b in zip(x, y)]
         assert lists(f, [f.scale(v, c)], width) == [[a * c % 3 for a in x]]
         assert list(f.coords(v)) == x
         assert f.lead(v) == next((j for j, e in enumerate(x) if e), -1)
@@ -192,7 +216,7 @@ class TestElimination:
         assert span.dim == len(taken) == rank_naive(rows, p)
         assert gfp.rank(np.array(rows), p) == rank_naive(rows, p)
         for j, row in enumerate(rows):
-            assert span.solve(f.pack(np.array([row]))[0]) is not None
+            assert span.insert(f.pack(np.array([row]))[0], n) is not None
             assert (j in taken) == (rank_naive(rows[: j + 1], p) > rank_naive(rows[:j], p))
 
     @given(square())
@@ -210,46 +234,31 @@ class TestElimination:
 
     @given(square(), st.data())
     @settings(max_examples=150)
-    def test_solve_round_trips(self, case, data):
+    def test_dependent_insert_gives_coordinates(self, case, data):
+        """A vector in the span is not inserted: insert returns its relation,
+        whose history, negated, holds its coordinates over the inserted
+        vectors, and leaves the rows and the mask as they were."""
         p, rows = case
         n = len(rows)
         f = gfp.field(p, n)
         span, taken = insert_all(f, f.pack(np.array(rows)))
+        before = (list(span.rows), span.mask)
         coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
         y = combination(coeffs, rows, p)
-        x = span.solve(f.pack(np.array([y]))[0])
-        assert x is not None
-        x = lists(f, [x], 2 * n + 1)[0][n:]
-        assert combination(x[:n], rows, p) == y
+        relation = span.insert(f.pack(np.array([y]))[0], n)
+        assert relation is not None and (span.rows, span.mask) == before
+        (full,) = lists(f, [relation], 2 * n + 1)
+        vector, hist = full[:n], full[n:]
+        assert not any(vector) and hist[n] == 1
+        x = [-c % p for c in hist[:n]]
+        assert combination(x, rows, p) == y
         assert all(x[j] == 0 for j in range(n) if j not in taken)
         if len(taken) == n:
-            assert x[:n] == coeffs
+            assert x == coeffs
+        check_invariants(f, span, rows, n, p)
         outside = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
         in_span = rank_naive(rows + [outside], p) == rank_naive(rows, p)
-        assert (span.solve(f.pack(np.array([outside]))[0]) is not None) == in_span
-
-    @given(square(), st.data())
-    @settings(max_examples=100)
-    def test_copy_leaves_the_original(self, case, data):
-        """Inserting into a copy (as rcf's conductor scans and solve do)
-        changes neither the original's rows nor its mask, and the original
-        still reduces against its own span only."""
-        p, rows = case
-        n = len(rows)
-        f = gfp.field(p, n)
-        span, _ = insert_all(f, f.pack(np.array(rows)))
-        before = (list(span.rows), span.mask)
-        vec = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
-        more = data.draw(st.lists(vec, min_size=1, max_size=n))
-        other = span.copy()
-        for v in f.pack(np.array(more)):
-            other.insert(v, n)
-        assert other.dim == rank_naive(rows + more, p)
-        assert (span.rows, span.mask) == before
-        check_invariants(f, span, rows, n, p)
-        for v in more:
-            in_span = rank_naive(rows + [v], p) == rank_naive(rows, p)
-            assert (span.solve(f.pack(np.array([v]))[0]) is not None) == in_span
+        assert (span.insert(f.pack(np.array([outside]))[0], n) is not None) == in_span
 
 
 @pytest.mark.parametrize("p,bound", [(3, 84), (2, 254)])
@@ -306,3 +315,120 @@ def test_full_width(p, n, kind):
         assert mat_mul_naive(rows, inv.tolist(), p) == identity(n)
     else:
         assert inv is None
+
+
+class TestKrylovForm:
+    @staticmethod
+    def check_form(a, p):
+        """Q^-1 A Q is block upper triangular with companion diagonal blocks
+        whose polynomials multiply to the characteristic polynomial."""
+        n = a.n
+        cols, q, q_inv = krylov_form(a)
+        q, q_inv = q.tolist(), q_inv.tolist()
+        assert mat_mul_naive(q, q_inv, p) == identity(n)
+        t = mat_mul_naive(mat_mul_naive(q_inv, a.to_rows(), p), q, p)
+        at = 0
+        charpoly = (1,)
+        for col in cols:
+            d = len(col)
+            assert [row[at : at + d] for row in t[at : at + d]] == companion(p, col)
+            assert all(v == 0 for row in t[at + d :] for v in row[at : at + d])
+            charpoly = poly_mul(charpoly, tuple(-c % p for c in col) + (1,), p)
+            at += d
+        assert at == n
+        assert charpoly == charpoly_cofactor(a.to_rows(), p)
+        return cols
+
+    @pytest.mark.parametrize("p,n", [(3, 2), (2, 3)])
+    def test_exhaustive(self, p, n):
+        for entries in itertools.product(range(p), repeat=n * n):
+            rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
+            self.check_form(RingMatrix.from_rows(rows, zm_ring(p)), p)
+
+    def test_random_fields(self, rng):
+        for p in (2, 3, 5):
+            for n in (1, 4, 6):
+                for _ in range(5):
+                    self.check_form(RingMatrix.random(n, zm_ring(p), rng), p)
+
+    def test_identity_gives_unit_blocks(self):
+        cols = self.check_form(RingMatrix.identity(3, zm_ring(3)), 3)
+        assert cols == [(1,), (1,), (1,)]
+
+    def test_companion_is_one_block(self):
+        cols = self.check_form(RingMatrix.from_rows(companion(3, (2, 1, 0)), zm_ring(3)), 3)
+        assert cols == [(2, 1, 0)]
+
+    def test_non_prime_field_rejected(self):
+        with pytest.raises(InputError):
+            krylov_form(RingMatrix.identity(2, zm_ring(6)))
+
+
+def pinned_matrix(p, n, kind, seed):
+    """A seeded random matrix, or a low-rank one with many invariant factors."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        rows = rng.integers(0, p, size=(n, n))
+    else:
+        k = max(1, n // 4)
+        rows = rng.integers(0, p, size=(n, k)).dot(rng.integers(0, p, size=(k, n))) % p
+    return RingMatrix.from_rows(rows.tolist(), zm_ring(p))
+
+
+def sha256(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+# SHA-256 digests of krylov_form's outputs with the list-based elimination,
+# recorded before the packed kernel replaced it: (p, n, kind, digest)
+PINNED = [
+    (2, 8, "random", "63abbb05f7c0b026d5c2149c0f1b3de48bc1e67440c1711e78ff30d59929e510"),
+    (2, 8, "low-rank", "ddb43edf05d52832a08a50680ce4d38f1c2eea99a70eba9dffb44bb24b60dbb3"),
+    (2, 32, "random", "d316f7aa05ca16449eb30104d9c57c1495c5ef245ee06a615f2f3d55df6779bd"),
+    (2, 32, "low-rank", "fe48ad5c67abcd19b8f5bd3147ed59fe8962b39d9897c3b63708c0a809ffe7d5"),
+    (2, 64, "random", "3f622d31ba0fb0a832bd44508ae867aa11f936109dcca1fcd421bad0985f629e"),
+    (2, 64, "low-rank", "7ecd22f145bc381782708abe580b3f14b374d7452d075699faf9f3d3de09e7e8"),
+    (3, 8, "random", "1330f98c776bee4d1b315ff0d4e1d2c2d0429cf6c21fffa8036847d36089731b"),
+    (3, 8, "low-rank", "fb185c62f8052a3fb81ac38988cfae96a32ae5211757545f121771e25452a966"),
+    (3, 32, "random", "d6593b1a87354a6d465fc3cda22adbe8002820ee8954aae5fbdb5b9151d929a5"),
+    (3, 32, "low-rank", "40a84407782fcbf4c5a7f1e2cf3e1ff3fb762eae483e08f487afd2dc431da66d"),
+    (3, 64, "random", "af2a334f278b450db9f95e65eae9d92437c8020449492f1e523e4d1979856747"),
+    (3, 64, "low-rank", "17e938a38cf9b745b802555cc65c6b4ad84725fef8715d52bcd1f898d98081fd"),
+]
+
+
+class TestPinnedOutputs:
+    """krylov_form is bit-for-bit that of the list-based kernel."""
+
+    @pytest.mark.parametrize("p,n,kind,digest", PINNED, ids=[f"gf{c[0]}-n{c[1]}-{c[2]}" for c in PINNED])
+    def test_digests(self, p, n, kind, digest):
+        cols, q, q_inv = krylov_form(pinned_matrix(p, n, kind, 1000 * p + n))
+        assert sha256([[list(c) for c in cols], q.tolist(), q_inv.tolist()]) == digest
+
+
+# SHA-256 digests of certificate_to_doc(decompose_triangular(T)): one seeded
+# upper-triangular T per 2-3-smooth m <= 2^31 (split products included),
+# for each n.  Re-pinned when the documents gained the case tags of their
+# 1 x 1 blocks; without that line they hash as when the diagonal still went
+# through the element-level decomposition.
+PINNED_TRIANGULAR = [
+    (1, "bad34b7be53e40eb27930676a4b33940a7aacf97bf854105a5b2060097a16ba6"),
+    (2, "8cd121485e4d87ebb665d84e2ed6aefb0a704ef1ad6cc5dd2243e26fdc0298d7"),
+    (5, "ba78d369b879ae7af1275f80a682aad535d4b3b526a76adf9f7ccac4ba2b83c4"),
+    (12, "96fbbe95255187931b8830d580206d8dd697706747e0e4c0277d5097af92a91c"),
+]
+
+
+class TestPinnedTriangular:
+    """decompose_triangular's certificates are bit-for-bit the pinned ones."""
+
+    @pytest.mark.parametrize("n,digest", PINNED_TRIANGULAR,
+                             ids=[f"n{n}" for n, _ in PINNED_TRIANGULAR])
+    def test_digests(self, n, digest):
+        rng = np.random.default_rng(7000 + n)
+        h = hashlib.sha256()
+        for m in two_three_smooth_moduli(2**31):
+            rows = np.triu(rng.integers(0, m, size=(n, n))).tolist()
+            cert = decompose_triangular(RingMatrix.from_rows(rows, zm_ring(m)))
+            h.update(certificate_to_doc(cert).encode())
+        assert h.hexdigest() == digest

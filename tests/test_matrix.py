@@ -391,6 +391,23 @@ class TestPredicates:
                     unit = math.gcd(det_cofactor(a.to_rows(), m), m) == 1
                     assert a.is_invertible() == unit
 
+    def test_transport_preserves_structure(self, rng):
+        # conjugation preserves idempotency and nilpotency exponents
+        ring = zm_ring(3)
+        for _ in range(15):
+            n = int(rng.integers(2, 6))
+            g = random_invertible(n, ring, rng)
+            g_inv = g.inverse()
+            e = RingMatrix.zeros(n, ring)
+            for i in range(int(rng.integers(1, n + 1))):
+                e.coeffs[0, i % n, i % n] = 1
+            moved = g_inv @ e @ g
+            assert moved.is_idempotent()
+            w = RingMatrix.zeros(n, ring)
+            for i in range(1, n):
+                w.coeffs[0, i, i - 1] = int(rng.integers(0, 3))
+            assert (g_inv @ w @ g).nilpotency_exponent() == w.nilpotency_exponent()
+
     def test_det_unit_iff_invertible(self, rng):
         for m in (4, 6, 12, 18):
             ring = zm_ring(m)
