@@ -16,6 +16,7 @@ import contextlib
 import functools
 import itertools
 import json
+import json.encoder
 import json.scanner
 import operator
 import os
@@ -140,14 +141,15 @@ def certificate_to_doc(cert: DecompositionCertificate) -> str:
     """The certificate document, in emit_document's bytes, as one f-string.
     Ints and nested lists of Python ints are rendered by str(), which gives
     json.dumps's bytes for them at a fraction of the cost; the exponent is
-    its int or null, verified true or false, and only the case tags go
-    through json.dumps."""
+    its int or null, verified true or false, and each case tag, a str, goes
+    through the C encoder json.dumps applies to a str, joined by ", " as it
+    joins a list (a tag of another type raises TypeError)."""
     ring, k = cert.a.ring, cert.nilpotency_exponent
     return (f"schema: {SCHEMA}\nkind: certificate\nring: {ring.describe()}\n"
             f"modulus: {ring.m}\ntrunc-degree: {ring.d}\nn: {cert.a.n}\n"
             f"A: {cert.a.to_rows()}\nE: {cert.e.to_rows()}\nF: {cert.f.to_rows()}\n"
             f"W: {cert.w.to_rows()}\nnilpotency-exponent: {'null' if k is None else k}\n"
-            f"case-tags: {json.dumps(list(cert.case_tags))}\n"
+            f"case-tags: [{', '.join(map(json.encoder.encode_basestring_ascii, cert.case_tags))}]\n"
             f"verified: {'true' if cert.verified else 'false'}\n")
 
 

@@ -57,12 +57,12 @@ class CaseTag(enum.Enum):
 
 def _companion_pair_gf3(last_col: tuple[int, ...], e: np.ndarray, f: np.ndarray) -> CaseTag:
     """Template idempotents of the GF(3) companion matrix with the given last
-    column, written into the zero arrays e and f; W is the companion matrix
-    minus both.  Returns the case tag."""
+    column, reduced mod 3, written into the zero arrays e and f; W is the
+    companion matrix minus both.  Returns the case tag."""
     n = len(last_col)
-    trace = last_col[-1] % 3
+    trace = last_col[-1]
     if trace == 1:
-        e[:, -1] = [c % 3 for c in last_col]
+        e[:, -1] = last_col
         return CaseTag.GF3_TRACE_ONE
     if trace == 2:
         # M with last column (c_0..c_{n-2}, -1) satisfies M^2 = -M, so -M is
@@ -83,22 +83,18 @@ def _companion_pair_gf3(last_col: tuple[int, ...], e: np.ndarray, f: np.ndarray)
 
 
 def _companion_pair_gf2(last_col: tuple[int, ...], e: np.ndarray, f: np.ndarray) -> CaseTag:
-    """Template idempotents of the GF(2) companion matrix, written into the
-    zero arrays e and f: a column whose bottom entry is 1 is idempotent; a
-    trace-zero block sheds a corner unit idempotent, after which the
-    remainder has bottom entry 1 again."""
+    """Template idempotents of the GF(2) companion matrix with the given last
+    column, reduced mod 2, written into the zero arrays e and f: a column
+    whose bottom entry is 1 is idempotent; a trace-zero block sheds a corner
+    unit idempotent, after which the remainder has bottom entry 1 again."""
     n = len(last_col)
-    if last_col[-1] % 2 == 1:
-        e[:, -1] = [c % 2 for c in last_col]
+    if last_col[-1]:
+        e[:, -1] = last_col
         return CaseTag.GF2_TRACE_ONE
     if n > 1:
         e[n - 1, n - 1] = 1
-        f[:, -1] = [c % 2 for c in last_col[:-1]] + [1]
+        f[:, -1] = last_col[:-1] + (1,)
     return CaseTag.GF2_TRACE_ZERO
-
-
-def _tag_string(tag: CaseTag, degree: int) -> str:
-    return f"{tag.value}:n{degree}"
 
 
 def _certify(a: RingMatrix, e: RingMatrix, f: RingMatrix, w: RingMatrix,
@@ -126,7 +122,7 @@ def _krylov_solve(a: RingMatrix):
     for col in last_columns:
         d = len(col)
         tag = pair(col, e[at : at + d, at : at + d], f[at : at + d, at : at + d])
-        tags.append(_tag_string(tag, d))
+        tags.append(f"{tag._value_}:n{d}")
         at += d
     if n < BLAS_MIN_DIMENSION:
         e, f = q @ ef @ q_inv % p
@@ -179,19 +175,19 @@ def _parts(a: RingMatrix):
     ring = a.ring
     if ring.is_prime_field():
         e, f, tags = _krylov_solve(a)
-        e, f = (RingMatrix(ring, x[None]) for x in (e, f))
+        e, f = RingMatrix(ring, e[None]), RingMatrix(ring, f[None])
     else:
         modulus = ring.modulus
         e = f = 0
         tags = ()
-        for p, c in zip(modulus.primes, modulus.crt_basis()):
+        for p, c in zip(modulus.primes, modulus.crt_basis):
             e_p, f_p, tags_p = _krylov_solve(RingMatrix(zm_ring(p), a.residue_field_image(p)[None]))
             e, f, tags = e + c * e_p, f + c * f_p, tags + tags_p
         stack = np.zeros((2,) + a.coeffs.shape, dtype=np.int64)
         stack[:, 0] = e % ring.m, f % ring.m
         if modulus.max_exponent > 1:
             stack = _lift_idempotents(ring, stack, a)
-        e, f = (RingMatrix(ring, x) for x in stack)
+        e, f = RingMatrix(ring, stack[0]), RingMatrix(ring, stack[1])
     return e, f, RingMatrix(ring, (a.coeffs - e.coeffs - f.coeffs) % ring.m), tags
 
 

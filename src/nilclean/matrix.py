@@ -197,7 +197,7 @@ class RingMatrix:
         return not self.coeffs.any()
 
     def to_rows(self) -> list:
-        if self.ring.d == 1:
+        if self.ring.trunc_degree == 1:
             return self.coeffs[0].tolist()
         return self.coeffs.transpose(1, 2, 0).tolist()
 
@@ -241,7 +241,7 @@ class RingMatrix:
         modulus = self.ring.modulus
         m = modulus.m
         x = np.zeros_like(self.coeffs)
-        for p, c in zip(modulus.primes, modulus.crt_basis()):
+        for p, c in zip(modulus.primes, modulus.crt_basis):
             x_p = gfp.inverse(self.residue_field_image(p), p)
             if x_p is None:
                 raise InputError("matrix is not invertible (singular mod %d)" % p)

@@ -22,7 +22,9 @@ class Modulus:
     """A modulus m >= 2 together with its prime factorization.
 
     ``factors`` is a tuple of (prime, exponent) pairs with strictly ascending
-    primes and exponents >= 1; their product must equal m.
+    primes and exponents >= 1; their product must equal m.  The facts derived
+    from them are computed on first read and kept: factorize caches one
+    Modulus per m, so a certificate does not recompute them.
     """
 
     m: int
@@ -43,15 +45,16 @@ class Modulus:
         if prod != self.m:
             raise InputError(f"factors {self.factors} do not multiply to {self.m}")
 
-    @property
+    @functools.cached_property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    @property
+    @functools.cached_property
     def max_exponent(self) -> int:
         """Nilpotency exponent of the nilradical of Z_m."""
         return max(e for _, e in self.factors)
 
+    @functools.cached_property
     def crt_basis(self) -> tuple[int, ...]:
         """The CRT idempotents c_q = (m/q) * ((m/q)^-1 mod q), one per prime
         power q = p^e of ``factors``: c_q is 1 mod q and 0 mod m/q, so every
@@ -61,6 +64,11 @@ class Modulus:
             r = self.m // p**e
             basis.append(r * pow(r, -1, p**e))
         return tuple(basis)
+
+    @functools.cached_property
+    def two_three_smooth(self) -> bool:
+        """True iff every prime factor is 2 or 3."""
+        return all(p in (2, 3) for p in self.primes)
 
     def is_prime(self) -> bool:
         return len(self.factors) == 1 and self.factors[0][1] == 1
@@ -92,11 +100,11 @@ def factorize(m: int) -> Modulus:
 
 def is_two_three_smooth(mod: Modulus) -> bool:
     """True iff every prime factor of the modulus is 2 or 3."""
-    return all(p in (2, 3) for p in mod.primes)
+    return mod.two_three_smooth
 
 
 def require_two_three_smooth(mod: Modulus) -> None:
-    if not is_two_three_smooth(mod):
+    if not mod.two_three_smooth:
         bad = next(p for p in mod.primes if p not in (2, 3))
         raise UnsupportedRingError(
             f"modulus {mod.m} has prime factor {bad}; decompositions exist only "

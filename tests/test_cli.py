@@ -32,12 +32,13 @@ from nilclean.cli import (
     EXIT_VERIFY,
     certificate_from_doc,
     certificate_to_doc,
+    emit_document,
     iter_documents,
     main,
     parse_document,
     parse_matrix_ring,
 )
-from nilclean.decompose import decompose
+from nilclean.decompose import CaseTag, decompose
 from nilclean.errors import InputError
 from nilclean.matrix import (
     CHECK_SUM,
@@ -613,6 +614,27 @@ class TestCertificateEmit:
         for ring in (zm_ring(72), zm_ring(2**31), trunc_ring(6, 3)):
             cert = decompose(RingMatrix.random(4, ring, rng))
             assert certificate_to_doc(cert) == _reference_certificate_doc(cert)
+
+    @pytest.mark.parametrize("tags", [
+        (),
+        tuple(f"{tag.value}:n{d}" for tag in CaseTag for d in range(1, 65)),
+        ("é", "gf3:ü:n2", "\u2603", "\U0001f600", "\ud800"),
+        ('"',), ("\\",), ('a"b\\c',),
+        ("\x00", "\x01", "\x1f\x7f", "\n\t\r\b\f"), ("",),
+    ], ids=["empty", "every-tag", "non-ascii", "quote", "backslash", "both", "control", "empty-str"])
+    def test_case_tags_as_json_dumps(self, tags):
+        """The case-tags line is json.dumps of the tag list, as emit_document
+        renders it, for every tag decompose makes and for any str."""
+        one = RingMatrix.identity(1, zm_ring(2))
+        doc = certificate_to_doc(DecompositionCertificate(one, one, one, one, 1, tags))
+        assert f"\ncase-tags: {json.dumps(list(tags))}\n" in doc
+        assert doc == emit_document(list(parse_document(doc).items()))
+
+    def test_non_str_tag_is_refused(self):
+        one = RingMatrix.identity(1, zm_ring(2))
+        for tag in (1, None, ["gf2:trace-one:n1"], CaseTag.GF2_TRACE_ONE):
+            with pytest.raises(TypeError):
+                certificate_to_doc(DecompositionCertificate(one, one, one, one, 1, (tag,)))
 
 
 class TestParseDocument:

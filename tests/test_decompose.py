@@ -1,5 +1,6 @@
 """The constructive decomposition pipeline, bottom templates to full rings."""
 
+import collections
 import hashlib
 import importlib
 import itertools
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import companion, mat_mul_naive, nilpotency_naive_exact
+from nilclean.classifier import min_nilpotent_index_over_decompositions, parse_ring_descriptor
 from nilclean.cli import certificate_to_doc
 from nilclean.decompose import (
     CaseTag,
@@ -674,3 +676,51 @@ class TestPinnedLarge:
             for make in (RingMatrix.random, derogatory_conjugate):
                 h.update(certificate_to_doc(decompose(make(n, ring, gen))).encode())
         assert h.hexdigest() == digest
+
+
+def every_matrix(n, m):
+    for entries in itertools.product(range(m), repeat=n * n):
+        yield [list(entries[i * n : (i + 1) * n]) for i in range(n)]
+
+
+def every_companion(p, top):
+    for d in range(1, top + 1):
+        for col in itertools.product(range(p), repeat=d):
+            yield companion(p, col)
+
+
+# Per population: the histograms {exponent: matrices} of the certificate's W
+# and of the oracle's least index of W over every decomposition.
+INDEX_TABLE = [
+    ("m2-z2", 2, lambda: every_matrix(2, 2), {1: 4, 2: 12}, {1: 14, 2: 2}),
+    ("m2-z3", 3, lambda: every_matrix(2, 3), {1: 15, 2: 66}, {1: 53, 2: 28}),
+    ("m2-z4", 4, lambda: every_matrix(2, 4), {1: 4, 2: 108, 3: 48, 4: 96}, {1: 113, 2: 143}),
+    ("m3-z2", 2, lambda: every_matrix(3, 2), {1: 8, 2: 168, 3: 336}, {1: 352, 2: 160}),
+    ("companion-gf2-deg4", 2, lambda: every_companion(2, 4), {1: 2, 2: 4, 3: 8, 4: 16}, {1: 15, 2: 15}),
+    ("companion-gf3-deg3", 3, lambda: every_companion(3, 3), {1: 5, 2: 16, 3: 18}, {1: 17, 2: 22}),
+]
+
+
+class TestIndexAgainstOracle:
+    """The certificate's nilpotency exponent against the least one over all
+    decompositions, by the oracle, on small populations (ROADMAP item 8,
+    step 1).  The certificate is one decomposition, so the oracle's least
+    index is at most its exponent; the conjecture is that it is at most 2
+    over GF(2) and GF(3)."""
+
+    @pytest.mark.parametrize("m,matrices,cert_hist,oracle_hist",
+                             [row[1:] for row in INDEX_TABLE], ids=[row[0] for row in INDEX_TABLE])
+    def test_histograms(self, m, matrices, cert_hist, oracle_hist):
+        certified, least, over_two = collections.Counter(), collections.Counter(), []
+        for rows in matrices():
+            k = decompose(RingMatrix.from_rows(rows, zm_ring(m))).nilpotency_exponent
+            ring = parse_ring_descriptor(f"M{len(rows)}(Z{m})")
+            low = min_nilpotent_index_over_decompositions(ring, (tuple(itertools.chain(*rows)),))
+            assert low is not None and low <= k, rows
+            certified[k] += 1
+            least[low] += 1
+            if low > 2:
+                over_two.append(rows)
+        assert not over_two, f"the oracle's least index exceeds 2 on {over_two}"
+        assert dict(certified) == cert_hist
+        assert dict(least) == oracle_hist

@@ -446,7 +446,7 @@ class TestMatrixCrt:
             for _ in range(10):
                 a = RingMatrix.random(3, ring, rng)
                 back = sum(c * (a.coeffs % p**e)
-                           for (p, e), c in zip(modulus.factors, modulus.crt_basis())) % m
+                           for (p, e), c in zip(modulus.factors, modulus.crt_basis)) % m
                 assert back.tolist() == a.coeffs.tolist()
 
     def test_certificates_split_componentwise(self, rng):

@@ -59,6 +59,36 @@ class TestFactorize:
             Modulus(12, ((2, 1), (3, 1)))  # wrong product
 
 
+def _facts(mod):
+    return mod.primes, mod.max_exponent, mod.crt_basis, mod.two_three_smooth
+
+
+class TestCachedFacts:
+    def test_equal_a_fresh_computation(self):
+        """For every m <= 10^4, the facts of factorize's one Modulus per m are
+        kept (the same objects on every read) and equal those of a Modulus
+        built anew and what they mean: c_q is 1 mod q and 0 mod m/q, and the
+        c_q sum to 1 mod m."""
+        for m in range(2, 10**4 + 1):
+            mod = factorize(m)
+            facts = _facts(mod)
+            assert factorize(m) is mod
+            assert all(x is y for x, y in zip(_facts(mod), facts))
+            assert _facts(Modulus(m, mod.factors)) == facts
+            assert mod.primes == tuple(p for p, _ in mod.factors)
+            assert mod.max_exponent == max(e for _, e in mod.factors)
+            rest = m
+            for p in (2, 3):
+                while rest % p == 0:
+                    rest //= p
+            assert mod.two_three_smooth == (rest == 1)
+            assert len(mod.crt_basis) == len(mod.factors)
+            for (p, e), c in zip(mod.factors, mod.crt_basis):
+                q = p**e
+                assert 0 <= c < m and c % q == 1 and c % (m // q) == 0
+            assert sum(mod.crt_basis) % m == 1
+
+
 class TestSmoothness:
     def test_examples(self):
         assert is_two_three_smooth(factorize(36))
@@ -81,20 +111,20 @@ class TestSmoothness:
 def crt_roundtrip(a, m):
     """a mod each prime power of m, recombined through the CRT idempotents."""
     modulus = factorize(m)
-    return sum(c * (a % p**e) for (p, e), c in zip(modulus.factors, modulus.crt_basis())) % m
+    return sum(c * (a % p**e) for (p, e), c in zip(modulus.factors, modulus.crt_basis)) % m
 
 
 class TestCrt:
     def test_examples(self):
-        assert factorize(12).crt_basis() == (9, 4)
-        assert factorize(72).crt_basis() == (9, 64)
-        assert factorize(8).crt_basis() == (1,)
+        assert factorize(12).crt_basis == (9, 4)
+        assert factorize(72).crt_basis == (9, 64)
+        assert factorize(8).crt_basis == (1,)
         assert crt_roundtrip(7, 12) == 7 and crt_roundtrip(0, 6) == 0
 
     def test_orthogonal_idempotents(self):
         # c_q c_r = 0 for q != r, c_q^2 = c_q, and the c_q sum to 1, mod m
         for m in range(2, 201):
-            basis = factorize(m).crt_basis()
+            basis = factorize(m).crt_basis
             assert sum(basis) % m == 1 % m
             for i, x in enumerate(basis):
                 for j, y in enumerate(basis):
