@@ -605,12 +605,19 @@ def decide(name: str, ring: RingDescriptor) -> PropertyReport:
 
 def min_nilpotent_index_over_decompositions(ring: RingDescriptor, a) -> Optional[int]:
     """Minimum nilpotency exponent of w over the two-nil-clean candidate
-    splits (e, f, w) of the element a; None if a has no decomposition at all."""
+    splits (e, f, w) of the element a; None if a has no decomposition at all.
+    The scan stops at the first block that reaches 1, the least index."""
     _check_cap(ring)
     index = ring.index(a)
     if index is None:
         raise InputError(f"{a!r} is not an element of {ring.describe()}")
     scan, a = _Scan(ring), ring.digits([index])[:, :, None]
-    found = [k[k > 0].min() for j in _blocks(scan.idem.shape[1] ** 2)
-             if (k := _exponents(ring, _idempotent_pairs(scan, a, j)[2])).any()]
-    return int(min(found)) if found else None
+    least = None
+    for j in _blocks(scan.idem.shape[1] ** 2):
+        k = _exponents(ring, _idempotent_pairs(scan, a, j)[2])
+        if k.any():
+            low = int(k[k > 0].min())
+            least = low if least is None else min(least, low)
+            if least == 1:
+                break
+    return least

@@ -1,19 +1,20 @@
 """The one GF(p) elimination kernel, on packed vectors, and the
 block-triangular Krylov form that decompositions run on it.
 
-A field fixes how a vector over GF(p) is stored and supplies the primitives
-the elimination is written in: ``coords`` reads the coordinates as a sequence
-of ints, ``lead`` finds the lowest nonzero index (-1 for the zero vector),
-``scale`` multiplies by a unit, ``matvec`` applies a matrix given by its
-packed columns, ``reduce`` and ``clear`` are the two halves of an insertion
-into an ``Echelon``.  A field for n-vectors stores 2n + 1 coordinates: an
-elimination row is [vector | history] as in Gauss-Jordan on [A | I], so one
-row operation updates both.  p alone picks the representation:
+A field fixes how a vector over GF(p) is stored and supplies two kernels:
+``matvec`` applies a matrix given by its packed columns, and
+``insert(echelon, v, h)`` puts v into an ``Echelon`` in one call.  It sets
+v's history unit h, reduces v against the rows, finds its lead, makes the
+pivot a unit, clears the pivot column from the other rows and stores the row.
+A field for n-vectors stores 2n + 1 coordinates: an elimination row is
+[vector | history] as in Gauss-Jordan on [A | I], so one row operation
+updates both.  p alone picks the representation:
 
 * GF(2) and GF(3): a vector is one int, coordinate j in byte j.  Over GF(2) a
   row operation is an XOR (as in M4RI, Albrecht-Bard-Hart, ACM TOMS 2010);
   over GF(3) it adds lanewise and takes 3 off every lane that reached it, six
-  word operations;
+  word operations.  A pivot is read off its lane by one shift; over GF(3)
+  the only one that is not 1 is 2, made 1 by the same six operations;
 * p >= 5: a list of 2n + 1 ints.  Decompositions need p in {2, 3}, but this
   field stays: ``rank`` and ``inverse`` run on it for RingMatrix.inverse and
   is_invertible, through which tests and the stress script build conjugated
@@ -28,7 +29,7 @@ v - G1 + G2 + 3 #1, with G1 and G2 the gathers at the pivot coordinates
 equal to 1 and to 2 and #1 the number of 1s, reduced bytewise: every lane
 stays in [0, 3n + 2] (194 at n = 64), so byte lanes are exact to n = 84 (to
 n = 254 over GF(2), where a lane reaches n + 1), and field refuses a larger n.
-The back-elimination that keeps the rows so still visits them one by one.
+The back-elimination walks the echelon's list of pivot lanes.
 
 The Krylov form rests on conductor polynomials: the Krylov iterates of a
 vector are inserted into an echelon, whose histories write each row over the
@@ -44,7 +45,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from itertools import compress
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -53,7 +54,38 @@ from .errors import InputError, InternalCheckError
 if TYPE_CHECKING:  # matrix imports this module
     from .matrix import RingMatrix
 
-Field = namedtuple("Field", "p n zero unit coords lead scale matvec reduce clear pack unpack")
+Field = namedtuple("Field", "n insert matvec pack unpack")
+
+
+class Echelon:
+    """Fully reduced row-echelon basis of rows [vector | history], kept by
+    pivot lane: rows[j] is the row whose unit pivot is coordinate j (its lead
+    at insertion), or None; pivs lists those lanes in insertion order, and
+    byte j of the mask is 1 exactly when j is one of them.  Every row is zero
+    in the other pivot columns, so reducing a vector is one gather over its
+    pivot coordinates.  The history, coordinates n..2n, is the same
+    combination of the unit histories the vectors were inserted with;
+    inserting the j-th vector with history j makes it coordinates over the
+    inserted vectors.  History n is left for a vector known to be dependent.
+
+    A field's ``insert(echelon, v, h)`` reduces v, with history unit h
+    (coordinate n + h), and inserts it, pivot at its lead; v must be zero in
+    the history coordinates, and no row may have history h yet.
+    When v is already in the span it inserts nothing and returns the reduced
+    row's history coordinates, a relation that the inserted vectors and v
+    satisfy; otherwise it returns None."""
+
+    __slots__ = ("rows", "pivs", "mask")
+
+    def __init__(self, n: int):
+        self.rows: list = [None] * n
+        self.pivs: list[int] = []
+        self.mask = 0
+
+    def inverse(self) -> list:
+        """The rows in pivot order.  With the span full each is [e_piv | h],
+        so they are [I | X], X the inverse of the matrix of inserted vectors."""
+        return [self.rows[j] for j in sorted(self.pivs)]
 
 
 def _pack_bytes(mat: np.ndarray) -> list[int]:
@@ -90,23 +122,13 @@ def _byte_lanes(p: int, n: int) -> Field:
     bound; past it a lane would carry into the next."""
     if n > _LANE_BOUND[p]:
         raise ValueError(f"GF({p}) byte lanes are exact only up to n = {_LANE_BOUND[p]}, got n = {n}")
-    width = 2 * n + 1
+    width, top = 2 * n + 1, 8 * n
     ones = int.from_bytes(b"\x01" * width, "little")
     fours, threes = ones << 2, 3 * ones
-    lanes = range(n)
 
     def mod3(acc):
         """Each byte lane of acc mod 3."""
         return int.from_bytes(acc.to_bytes(width, "little").translate(_MOD3), "little")
-
-    def scale(v, c):
-        """c v: v itself, or over GF(3) at c = 2, 3 - v with 3 taken off each
-        lane that reached it."""
-        if c == 1:
-            return v
-        s = threes - v
-        t = (s + ones) & fours
-        return s - t + (t >> 2)
 
     def matvec(cols, u):
         """Over GF(3): the columns at coordinates 1 less those at coordinates
@@ -114,49 +136,60 @@ def _byte_lanes(p: int, n: int) -> Field:
         twos = u >> 1 & ones
         return mod3(_gather(cols, u & ones) - _gather(cols, twos) + 3 * twos.bit_count() * ones)
 
-    def reduce(v, h, rows, mask):
-        """Over GF(3): v with history unit h, less v_j rows[j] at each pivot
-        lane j of the mask, that is v - G1 + G2 + 3 #1, every lane in
-        [0, 3n + 2]."""
-        v |= 1 << (h << 3)
+    def insert(e, v, h):
+        """Over GF(3): the reduction is v - G1 + G2 + 3 #1, every lane in
+        [0, 3n + 2].  A pivot 2 makes v 3 - v; then each row with coordinate
+        c at the pivot gains v (c = 2) or 3 - v (c = 1).  Both take 3 off
+        each lane that reached it."""
+        rows, mask = e.rows, e.mask
+        v |= 1 << (n + h << 3)
         plane, twos = v & mask, v >> 1 & mask
-        if not plane | twos:
-            return v
-        return mod3(v - _gather(rows, plane) + _gather(rows, twos) + 3 * plane.bit_count() * ones)
-
-    def clear(rows, mask, piv, v):
-        """Over GF(3): take c v off each row of the mask, c its coordinate at
-        piv, adding v (c = 2) or 3 - v (c = 1), then taking 3 off each lane
-        that reached it."""
-        shift, neg = piv << 3, threes - v
-        for j in compress(lanes, mask.to_bytes(n, "little")):
+        if plane | twos:
+            v = mod3(v - _gather(rows, plane) + _gather(rows, twos) + 3 * plane.bit_count() * ones)
+        shift = (v & -v).bit_length() - 1 & -8
+        if shift >= top:
+            return v.to_bytes(width, "little")[n:]
+        if v >> shift & 2:
+            s = threes - v
+            t = (s + ones) & fours
+            v = s - t + (t >> 2)
+        neg = threes - v
+        for j in e.pivs:
             row = rows[j]
             c = row >> shift & 3
             if c:
                 s = row + (v if c == 2 else neg)
                 t = (s + ones) & fours
                 rows[j] = s - t + (t >> 2)
+        rows[shift >> 3] = v
+        e.pivs.append(shift >> 3)
+        e.mask = mask | 1 << shift
+        return None
 
     if p == 2:
         def matvec(cols, u):
             return _gather(cols, u) & ones
 
-        def reduce(v, h, rows, mask):
-            """Over GF(2): the parity of v plus the rows at its pivot lanes,
-            every lane at most n + 1."""
-            v |= 1 << (h << 3)
+        def insert(e, v, h):
+            """Over GF(2): the reduction is the parity of v plus the rows at
+            its pivot lanes, every lane at most n + 1."""
+            rows, mask = e.rows, e.mask
+            v |= 1 << (n + h << 3)
             plane = v & mask
-            return (v + _gather(rows, plane)) & ones if plane else v
-
-        def clear(rows, mask, piv, v):
-            shift = piv << 3
-            for j in compress(lanes, mask.to_bytes(n, "little")):
+            if plane:
+                v = (v + _gather(rows, plane)) & ones
+            shift = (v & -v).bit_length() - 1 & -8
+            if shift >= top:
+                return v.to_bytes(width, "little")[n:]
+            for j in e.pivs:
                 if rows[j] >> shift & 1:
                     rows[j] ^= v
+            rows[shift >> 3] = v
+            e.pivs.append(shift >> 3)
+            e.mask = mask | 1 << shift
+            return None
 
-    return Field(p, n, 0, lambda j: 1 << (j << 3), lambda v: v.to_bytes(width, "little"),
-                 lambda v: (v & -v).bit_length() - 1 >> 3, scale, matvec, reduce, clear,
-                 _pack_bytes, _unpack_bytes)
+    return Field(n, insert, matvec, _pack_bytes, _unpack_bytes)
 
 
 def field(p: int, n: int) -> Field:
@@ -164,7 +197,6 @@ def field(p: int, n: int) -> Field:
     if p <= 3:
         return _byte_lanes(p, n)
     width = 2 * n + 1
-    lanes = range(n)
 
     def axpy(v, c, r):
         return [(a - c * b) % p for a, b in zip(v, r)]
@@ -176,126 +208,59 @@ def field(p: int, n: int) -> Field:
                 acc = axpy(acc, p - c, col)
         return acc
 
-    def reduce(v, h, rows, mask):
-        v = v[:h] + [1] + v[h + 1 :]
-        for j in compress(lanes, mask.to_bytes(n, "little")):
+    def insert(e, v, h):
+        rows = e.rows
+        v = v[: n + h] + [1] + v[n + h + 1 :]
+        for j in e.pivs:
             if v[j]:
                 v = axpy(v, v[j], rows[j])
-        return v
-
-    def clear(rows, mask, piv, v):
-        for j in compress(lanes, mask.to_bytes(n, "little")):
+        piv = next((j for j in range(n) if v[j]), n)
+        if piv == n:
+            return v[n:]
+        if v[piv] != 1:
+            c = pow(v[piv], -1, p)
+            v = [a * c % p for a in v]
+        for j in e.pivs:
             if rows[j][piv]:
                 rows[j] = axpy(rows[j], rows[j][piv], v)
+        rows[piv] = v
+        e.pivs.append(piv)
+        e.mask |= 1 << (piv << 3)
+        return None
 
     return Field(
-        p=p, n=n, zero=[0] * width, coords=lambda v: v,
-        unit=lambda j: [0] * j + [1] + [0] * (width - 1 - j),
-        lead=lambda v: next((j for j, c in enumerate(v) if c), -1),
-        scale=lambda v, c: [a * c % p for a in v], matvec=matvec,
-        reduce=reduce, clear=clear,
+        n=n, insert=insert, matvec=matvec,
         pack=lambda mat: [row + [0] * (width - len(row)) for row in mat.tolist()],
         unpack=lambda vecs, k: np.array([v[:k] for v in vecs], np.int64).reshape(len(vecs), k),
     )
 
 
-class Echelon:
-    """Fully reduced row-echelon basis of rows [vector | history], kept by
-    pivot lane: rows[j] is the row whose unit pivot is coordinate j (its lead
-    at insertion), or zero, and byte j of the mask is 1 exactly when it is a
-    row.  Every row is zero in the other pivot columns, so reducing a vector
-    is one gather over its pivot coordinates.  The history, coordinates
-    n..2n, is the same combination of the unit histories the vectors were
-    inserted with; inserting the j-th vector with history j makes it
-    coordinates over the inserted vectors.  History n is left for a vector
-    known to be dependent."""
-
-    __slots__ = ("f", "rows", "mask")
-
-    def __init__(self, f: Field):
-        self.f = f
-        self.rows = [f.zero] * f.n
-        self.mask = 0
-
-    @property
-    def dim(self) -> int:
-        return self.mask.bit_count()
-
-    def insert(self, v, k: int):
-        """Reduce v, with history unit(k), and insert it, pivot at its lead.
-        v must be zero in the history coordinates.  When v is already in the
-        span, insert nothing and return the reduced row: its history is a
-        relation that the inserted vectors and v satisfy."""
-        f, rows = self.f, self.rows
-        v = f.reduce(v, f.n + k, rows, self.mask)
-        piv = f.lead(v)
-        if not 0 <= piv < f.n:
-            return v
-        c = f.coords(v)[piv]
-        if c != 1:
-            v = f.scale(v, pow(c, -1, f.p))
-        f.clear(rows, self.mask, piv, v)
-        rows[piv] = v
-        self.mask |= 1 << (piv << 3)
-        return None
-
-    def inverse(self) -> list:
-        """The rows in pivot order.  With the span full each is [e_piv | h],
-        so they are [I | X], X the inverse of the matrix of inserted vectors."""
-        return list(compress(self.rows, self.mask.to_bytes(self.f.n, "little")))
+@functools.cache
+def _units(p: int, n: int) -> tuple:
+    """e_0, ..., e_{n-1} in field(p, n), packed once."""
+    return tuple(field(p, n).pack(np.eye(n, dtype=np.int64)))
 
 
-def _row_span(mat: np.ndarray, p: int) -> Echelon:
+def _row_span(mat: np.ndarray, p: int) -> tuple[Field, Echelon]:
     """The rows of a matrix with entries in [0, p), inserted in order."""
     f = field(p, mat.shape[1])
-    span = Echelon(f)
+    span = Echelon(f.n)
     for i, row in enumerate(f.pack(mat)):
-        span.insert(row, i)
-    return span
+        f.insert(span, row, i)
+    return f, span
 
 
 def rank(mat: np.ndarray, p: int) -> int:
     """Rank over GF(p) of a square matrix with entries in [0, p)."""
-    return _row_span(mat, p).dim
+    return len(_row_span(mat, p)[1].pivs)
 
 
 def inverse(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
     """Inverse over GF(p) of a square matrix with entries in [0, p), or None
     when it is singular."""
-    span = _row_span(mat, p)
+    f, span = _row_span(mat, p)
     n = mat.shape[0]
-    return span.f.unpack(span.inverse(), 2 * n)[:, n:] if span.dim == n else None
-
-
-def _ptrim(c: Sequence[int]) -> tuple[int, ...]:
-    """A coefficient sequence, ascending, without its trailing zeros."""
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _conductor(cols, w, span: Echelon):
-    """Minimal monic g with g(A)w in the span (an A-invariant subspace).
-
-    Returns (coefficient tuple of g, [w, Aw, ..., A^{deg g - 1} w]) and
-    extends the span by that chain in place.  The Krylov iterate A^t w goes in
-    with history span.dim + t, after the span's own rows, so the history of
-    the vanishing reduction reads off g directly (monic by design: row t never
-    touches iterates beyond t).
-    """
-    f = span.f
-    base = span.dim
-    krylov: list = []
-    u = w
-    for t in range(len(cols) + 1):
-        h = span.insert(u, base + t)
-        if h is not None:
-            lo = f.n + base
-            return _ptrim(f.coords(h)[lo : lo + t + 1]), krylov
-        krylov.append(u)
-        u = f.matvec(cols, u)
-    raise InternalCheckError("conductor search exceeded the dimension bound")
+    return f.unpack(span.inverse(), 2 * n)[:, n:] if len(span.pivs) == n else None
 
 
 def krylov_form(a: RingMatrix) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
@@ -319,17 +284,28 @@ def krylov_form(a: RingMatrix) -> tuple[list[tuple[int, ...]], np.ndarray, np.nd
                          f"not over {a.ring.describe()}")
     p, n = a.ring.m, a.n
     f = field(p, n)
+    insert, matvec = f.insert, f.matvec
     cols = f.pack(a.coeffs[0].T)
-    span = Echelon(f)
+    span = Echelon(n)
     last_columns: list[tuple[int, ...]] = []
     basis: list = []
-    for i in range(n):
-        if span.dim == n:
+    for u in _units(p, n):
+        base = len(basis)
+        if base == n:
             break
-        g, chain = _conductor(cols, f.unit(i), span)
-        if chain:
-            last_columns.append(tuple(-c % p for c in g[:-1]))
-            basis.extend(chain)
+        # the iterate A^t u goes in with history base + t, after the chains
+        # before it, so the relation of the first one in the span holds g:
+        # monic, since no row inserted before it has history base + t
+        for t in range(n + 1):
+            g = insert(span, u, base + t)
+            if g is not None:
+                break
+            basis.append(u)
+            u = matvec(cols, u)
+        else:
+            raise InternalCheckError("conductor search exceeded the dimension bound", a)
+        if t:
+            last_columns.append(tuple(-c % p for c in g[base : base + t]))
     # the chain vectors went in with unit histories, in basis order: unpacked
     # as [vector | history], they are [Q^T | 0] over [I | Q^-T]
     both = f.unpack(basis + span.inverse(), 2 * n)

@@ -17,7 +17,7 @@ from conftest import charpoly_cofactor, companion, mat_mul_naive, poly_mul, rank
 from nilclean import gfp
 from nilclean.cli import certificate_to_doc
 from nilclean.decompose import decompose_triangular
-from nilclean.errors import InputError
+from nilclean.errors import InputError, InternalCheckError
 from nilclean.gfp import krylov_form
 from nilclean.matrix import RingMatrix, zm_ring
 from nilclean.residue import two_three_smooth_moduli
@@ -39,39 +39,81 @@ def combination(coeffs, vecs, p):
     return [sum(c * v[i] for c, v in zip(coeffs, vecs)) % p for i in range(len(vecs[0]))]
 
 
-def cleared(f, row, piv, v, width):
-    """clear on a one-row echelon: row less c v, c the row's coordinate at
-    piv."""
-    rows = [row] + [f.zero] * (f.n - 1)
-    f.clear(rows, 1, piv, v)
-    return lists(f, rows[:1], width)[0]
+def naive_insert(rows, x, h, n, p):
+    """The reference insert, on rows {pivot lane: row of 2n + 1 ints} in
+    place: x with history unit h, less x_j rows[j] at each pivot lane j.  If
+    its vector part is then zero, its history coordinates; else scale its
+    lead to 1, take it off the other rows at that lane, store it and return
+    None."""
+    v = list(x) + [0] * (n + 1)
+    v[n + h] = 1
+    v = [(a - sum(v[j] * r[i] for j, r in rows.items())) % p for i, a in enumerate(v)]
+    piv = next((j for j in range(n) if v[j]), None)
+    if piv is None:
+        return v[n:]
+    inv = pow(v[piv], -1, p)
+    v = [a * inv % p for a in v]
+    for j, r in rows.items():
+        rows[j] = [(a - r[piv] * b) % p for a, b in zip(r, v)]
+    rows[piv] = v
+    return None
+
+
+def check_insert(p, n, rows, x, h):
+    """Insert x with history h into an echelon that holds rows {pivot lane:
+    row}, packed and naive: the same result, and the same rows, pivots and
+    mask after it."""
+    f = gfp.field(p, n)
+    span = gfp.Echelon(n)
+    for j, row in zip(rows, f.pack(np.array(list(rows.values()), np.int64).reshape(len(rows), 2 * n + 1))):
+        span.rows[j] = row
+        span.pivs.append(j)
+        span.mask |= 1 << 8 * j
+    got = f.insert(span, f.pack(np.array([x]))[0], h)
+    want = naive_insert(rows, x, h, n, p)
+    assert (got if got is None else list(got)) == want
+    assert span.pivs == list(rows) and span.mask == sum(1 << 8 * j for j in rows)
+    assert dict(zip(span.pivs, lists(f, [span.rows[j] for j in span.pivs], 2 * n + 1))) == rows
+
+
+@st.composite
+def echelon_rows(draw, n, h, row, max_rows):
+    """Rows {pivot lane: row} that an echelon can hold before a vector goes
+    in with history h: up to max_rows drawn rows, each set to 1 at its own
+    pivot lane and 0 at the others and at history h; every other
+    coordinate, the rest of the history included, as drawn."""
+    lanes = draw(st.permutations(range(n)))
+    pivs = lanes[: draw(st.integers(0, min(n, max_rows)))]
+    rows = {}
+    for j in pivs:
+        rows[j] = list(draw(row))
+        for q in pivs:
+            rows[j][q] = int(q == j)
+        rows[j][n + h] = 0
+    return rows
 
 
 def insert_all(f, vecs):
     """Offer vecs[j] with history j, in order; the span and the indices it
     took."""
-    span = gfp.Echelon(f)
-    return span, [j for j, v in enumerate(vecs) if span.insert(v, j) is None]
-
-
-def pivots(span, n):
-    """The pivot lanes, read off the byte mask."""
-    return [j for j in range(n) if span.mask >> 8 * j & 0xFF]
+    span = gfp.Echelon(f.n)
+    return span, [j for j, v in enumerate(vecs) if f.insert(span, v, j) is None]
 
 
 def check_invariants(f, span, vecs, n, p):
     """Rows kept by pivot lane: the row at lane piv has a unit there that is
     its lead, zeros in the other pivot columns, and its vector equals its
-    history's combination of the offered vectors; every other lane holds the
-    zero row, and the mask's pivot bytes are 1."""
-    pivs = pivots(span, n)
-    assert len(span.rows) == n and span.dim == len(pivs)
+    history's combination of the offered vectors; every other lane holds no
+    row, the pivot list has no repeats, and the mask's pivot bytes are 1."""
+    pivs = span.pivs
+    assert len(span.rows) == n and len(set(pivs)) == len(pivs) == span.mask.bit_count()
     assert span.mask == sum(1 << 8 * j for j in pivs)
-    for piv, row in enumerate(lists(f, span.rows, 2 * n + 1)):
-        vector, hist = row[:n], row[n:]
+    for piv in range(n):
         if piv not in pivs:
-            assert not any(row)
+            assert span.rows[piv] is None
             continue
+        (row,) = lists(f, [span.rows[piv]], 2 * n + 1)
+        vector, hist = row[:n], row[n:]
         assert vector[piv] == 1 and not any(vector[:piv])
         assert all(vector[q] == 0 for q in pivs if q != piv)
         assert not any(hist[len(vecs):])
@@ -95,24 +137,17 @@ class TestPrimitives:
         f = gfp.field(p, len(rows))
         assert lists(f, f.pack(np.array(rows)), len(rows)) == rows
 
-    @given(square(), st.data())
+    @given(st.sampled_from(PRIMES), st.integers(1, 8), st.data())
     @settings(max_examples=120)
-    def test_get_lead_scale_clear(self, case, data):
-        """On full rows [vector | history] of 2n + 1 coordinates."""
-        p, rows = case
-        n = len(rows)
-        f = gfp.field(p, n)
-        width = 2 * n + 1
-        row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
-        x, y = data.draw(row), data.draw(row)
-        v, r = f.pack(np.array([x, y]))
-        c = data.draw(st.integers(1, p - 1))
-        assert list(f.coords(v)) == x
-        assert f.lead(v) == next((j for j, e in enumerate(x) if e), -1)
-        assert lists(f, [f.scale(v, c)], width) == [[e * c % p for e in x]]
-        assert lists(f, [f.zero, f.unit(width - 1)], width) == [[0] * width, [0] * (width - 1) + [1]]
-        piv = data.draw(st.integers(0, n - 1))
-        assert cleared(f, v, piv, r, width) == [(a - x[piv] * b) % p for a, b in zip(x, y)]
+    def test_get_lead_scale_clear(self, p, n, data):
+        """insert on full rows [vector | history] of 2n + 1 coordinates, any
+        values off the pivot lanes: the history unit, the reduction, the
+        lead, its scaling to 1 and the clearing of its lane from the other
+        rows, against naive lists."""
+        entry, h = st.integers(0, p - 1), data.draw(st.integers(0, n))
+        rows = data.draw(echelon_rows(n, h, st.lists(entry, min_size=2 * n + 1, max_size=2 * n + 1), n))
+        x = data.draw(st.lists(entry, min_size=n, max_size=n))
+        check_insert(p, n, rows, x, h)
 
     @given(square(), st.data())
     @settings(max_examples=120)
@@ -134,24 +169,18 @@ def gf3_lanes(width):
 
 
 class TestGf3Lanes:
-    """The byte-lane GF(3) primitives at every width up to n = 64, where a
-    row has 2n + 1 = 129 lanes, against naive mod-3 lists."""
+    """The byte-lane GF(3) kernels at every width up to n = 64, where a row
+    has 2n + 1 = 129 lanes, against naive mod-3 lists."""
 
-    @given(st.integers(1, 64).flatmap(lambda n: st.tuples(
-        st.just(n), gf3_lanes(2 * n + 1), gf3_lanes(2 * n + 1), st.sampled_from([1, 2]))))
+    @given(st.integers(1, 64).flatmap(lambda n: st.integers(0, n).flatmap(lambda h: st.tuples(
+        st.just(n), echelon_rows(n, h, gf3_lanes(2 * n + 1), 3), gf3_lanes(n), st.just(h)))))
     @settings(max_examples=300)
     def test_clear_scale_get_lead(self, case):
-        """clear takes c y off a row x, c = x's coordinate at the pivot lane:
-        at some lane x holds c = 1 and at another c = 2, when it has them."""
-        n, x, y, c = case
-        f = gfp.field(3, n)
-        width = 2 * n + 1
-        v, r = f.pack(np.array([x, y]))
-        for piv in {x.index(e) for e in (1, 2) if e in x[:n]} or {0}:
-            assert cleared(f, v, piv, r, width) == [(a - x[piv] * b) % 3 for a, b in zip(x, y)]
-        assert lists(f, [f.scale(v, c)], width) == [[a * c % 3 for a in x]]
-        assert list(f.coords(v)) == x
-        assert f.lead(v) == next((j for j, e in enumerate(x) if e), -1)
+        """insert into up to three rows with all-0, all-1 and all-2 lanes
+        among them: the new lead is 1 or 2, and so is the coordinate at it
+        that the back-elimination takes off each row."""
+        n, rows, x, h = case
+        check_insert(3, n, rows, x, h)
 
     @given(st.integers(1, 64).flatmap(lambda n: st.tuples(
         st.lists(gf3_lanes(n), min_size=n, max_size=n), gf3_lanes(n))))
@@ -177,31 +206,18 @@ class TestGf3Lanes:
         all n = 64 vector lanes pivots: before the bytewise mod, a vector with
         every pivot coordinate 2 puts 2n = 128 in each history lane, and one
         with every pivot coordinate 1 puts the 3 #1 = 192 offset in each
-        pivot lane; checked against naive lists."""
+        pivot lane; the insert finds it dependent and returns the history
+        naive lists give.  The rows hold 2 at the new vector's history too,
+        which no sequence of inserts leaves there, so that lane reaches the
+        bound as well.  Then half the lanes pivots, the vector lanes off
+        them 2 in every row as well: the vector is inserted."""
         n, width = 64, 129
-        f = gfp.field(3, n)
-        rows = [[int(j == lane) if lane < n else 2 for lane in range(width)] for j in range(n)]
         coeffs = {"twos": [2] * n, "ones": [1] * n, "alternating": [1, 2] * (n // 2)}[pattern]
-        x = coeffs + [0] * (n + 1)
-        h = n + 1
-        want = [(a - b) % 3 for a, b in zip(x, mat_mul_naive([coeffs], rows, 3)[0])]
-        want[h] = (want[h] + 1) % 3
-        mask = sum(1 << 8 * j for j in range(n))
-        got = f.reduce(f.pack(np.array([x]))[0], h, f.pack(np.array(rows)), mask)
-        assert lists(f, [got], width) == [want]
-        # half the lanes pivots, inserted: vector lanes off the pivots hold 2
-        # in every row as well
+        full = {j: [int(j == lane) if lane < n else 2 for lane in range(width)] for j in range(n)}
+        check_insert(3, n, full, coeffs, 1)
         half = n // 2
-        span = gfp.Echelon(f)
-        for j in range(half):
-            span.insert(f.pack(np.array([[int(j == lane) if lane < half else 2
-                                          for lane in range(n)]]))[0], j)
-        y = coeffs[:half] + [2] * half + [0] * (n + 1)
-        got = f.reduce(f.pack(np.array([y]))[0], 2 * n, span.rows, span.mask)
-        basis = lists(f, span.inverse(), width)
-        want = [(a - b) % 3 for a, b in zip(y, mat_mul_naive([coeffs[:half]], basis, 3)[0])]
-        want[2 * n] = 1
-        assert lists(f, [got], width) == [want]
+        rows = {j: [int(j == lane) if lane < half else 2 for lane in range(width)] for j in range(half)}
+        check_insert(3, n, rows, coeffs[:half] + [2] * half, n)
 
 
 class TestElimination:
@@ -213,11 +229,38 @@ class TestElimination:
         f = gfp.field(p, n)
         span, taken = insert_all(f, f.pack(np.array(rows)))
         check_invariants(f, span, rows, n, p)
-        assert span.dim == len(taken) == rank_naive(rows, p)
+        assert len(span.pivs) == len(taken) == rank_naive(rows, p)
         assert gfp.rank(np.array(rows), p) == rank_naive(rows, p)
         for j, row in enumerate(rows):
-            assert span.insert(f.pack(np.array([row]))[0], n) is not None
+            assert f.insert(span, f.pack(np.array([row]))[0], n) is not None
             assert (j in taken) == (rank_naive(rows[: j + 1], p) > rank_naive(rows[:j], p))
+
+    @given(st.sampled_from((2, 3, 5)), st.integers(1, 8), st.data())
+    @settings(max_examples=150)
+    def test_invariants_after_every_insert(self, p, n, data):
+        """n + 1 inserts with histories 0..n, each vector random or a
+        combination of the ones before it.  After every insert each row is 1
+        at its pivot and 0 at the other pivot lanes, there is one pivot per
+        mask bit, and a dependent insert returns the relation its history
+        states: weighted by it, the vectors offered so far sum to zero, its
+        own weight 1."""
+        f = gfp.field(p, n)
+        span, vecs = gfp.Echelon(n), []
+        entry = st.integers(0, p - 1)
+        for h in range(n + 1):
+            if vecs and data.draw(st.booleans()):
+                coeffs = data.draw(st.lists(entry, min_size=h, max_size=h))
+                vecs.append(combination(coeffs, vecs, p))
+            else:
+                vecs.append(data.draw(st.lists(entry, min_size=n, max_size=n)))
+            relation = f.insert(span, f.pack(np.array([vecs[h]]))[0], h)
+            assert span.mask.bit_count() == len(span.pivs)
+            for piv, row in zip(span.pivs, lists(f, [span.rows[j] for j in span.pivs], n)):
+                assert [row[q] for q in span.pivs] == [int(q == piv) for q in span.pivs]
+            if relation is not None:
+                relation = list(relation)
+                assert relation[h] == 1 and not any(relation[h + 1 :])
+                assert combination(relation, vecs, p) == [0] * n
 
     @given(square())
     @settings(max_examples=150)
@@ -236,20 +279,19 @@ class TestElimination:
     @settings(max_examples=150)
     def test_dependent_insert_gives_coordinates(self, case, data):
         """A vector in the span is not inserted: insert returns its relation,
-        whose history, negated, holds its coordinates over the inserted
-        vectors, and leaves the rows and the mask as they were."""
+        history coordinates whose negation over the inserted vectors gives
+        its coordinates, and leaves the rows, pivots and mask as they were."""
         p, rows = case
         n = len(rows)
         f = gfp.field(p, n)
         span, taken = insert_all(f, f.pack(np.array(rows)))
-        before = (list(span.rows), span.mask)
+        before = (list(span.rows), list(span.pivs), span.mask)
         coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
         y = combination(coeffs, rows, p)
-        relation = span.insert(f.pack(np.array([y]))[0], n)
-        assert relation is not None and (span.rows, span.mask) == before
-        (full,) = lists(f, [relation], 2 * n + 1)
-        vector, hist = full[:n], full[n:]
-        assert not any(vector) and hist[n] == 1
+        relation = f.insert(span, f.pack(np.array([y]))[0], n)
+        assert relation is not None and (span.rows, span.pivs, span.mask) == before
+        hist = list(relation)
+        assert len(hist) == n + 1 and hist[n] == 1
         x = [-c % p for c in hist[:n]]
         assert combination(x, rows, p) == y
         assert all(x[j] == 0 for j in range(n) if j not in taken)
@@ -258,12 +300,12 @@ class TestElimination:
         check_invariants(f, span, rows, n, p)
         outside = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
         in_span = rank_naive(rows + [outside], p) == rank_naive(rows, p)
-        assert (span.insert(f.pack(np.array([outside]))[0], n) is not None) == in_span
+        assert (f.insert(span, f.pack(np.array([outside]))[0], n) is not None) == in_span
 
 
 @pytest.mark.parametrize("p,bound", [(3, 84), (2, 254)])
 def test_byte_lanes_up_to_their_bound(p, bound):
-    """At the largest n the byte lanes hold, a matvec and a reduction with
+    """At the largest n the byte lanes hold, a matvec and an insert with
     every coordinate p - 1 off the pivots match naive lists; one n past it
     is refused, naming the bound, before a lane can carry."""
     n, width = bound, 2 * bound + 1
@@ -271,13 +313,8 @@ def test_byte_lanes_up_to_their_bound(p, bound):
     full = np.full((n, n), p - 1)
     got = f.matvec(f.pack(full), f.pack(full[:1])[0])
     assert lists(f, [got], n) == [[(p - 1) ** 2 * n % p] * n]
-    rows = [[int(j == lane) if lane < n else p - 1 for lane in range(width)] for j in range(n)]
-    x = [p - 1] * n + [0] * (n + 1)
-    want = [(a - b) % p for a, b in zip(x, mat_mul_naive([x[:n]], rows, p)[0])]
-    want[n] = 1
-    mask = sum(1 << 8 * j for j in range(n))
-    got = f.reduce(f.pack(np.array([x]))[0], n, f.pack(np.array(rows)), mask)
-    assert lists(f, [got], width) == [want]
+    rows = {j: [int(j == lane) if lane < n else p - 1 for lane in range(width)] for j in range(n)}
+    check_insert(p, n, rows, [p - 1] * n, 0)
     with pytest.raises(ValueError, match=rf"GF\({p}\) byte lanes are exact only up to n = {bound}, got n = {bound + 1}"):
         gfp.field(p, bound + 1)
 
@@ -307,7 +344,7 @@ def test_full_width(p, n, kind):
     check_invariants(f, span, vecs, n, p)
     rank = rank_naive(rows, p)
     assert rank == (n if kind == "invertible" else len([j for j in taken if j < n]))
-    assert span.dim == rank_naive(vecs, p)
+    assert len(span.pivs) == rank_naive(vecs, p)
     assert gfp.rank(np.array(rows), p) == rank
     inv = gfp.inverse(np.array(rows), p)
     if kind == "invertible":
@@ -362,6 +399,17 @@ class TestKrylovForm:
     def test_non_prime_field_rejected(self):
         with pytest.raises(InputError):
             krylov_form(RingMatrix.identity(2, zm_ring(6)))
+
+    def test_conductor_overrun_names_the_matrix(self, monkeypatch):
+        """A matvec whose iterates never fall in the span (2 in lane 0, a
+        value outside GF(2) that no reduction removes) runs the conductor
+        search past the dimension bound: the error names the input."""
+        real = gfp.field
+        monkeypatch.setattr(gfp, "field", lambda p, n: real(p, n)._replace(matvec=lambda cols, u: 2))
+        a = RingMatrix.identity(2, zm_ring(2))
+        with pytest.raises(InternalCheckError, match="conductor search exceeded the dimension bound; input") as err:
+            krylov_form(a)
+        assert err.value.matrix is a and repr(a) in str(err.value)
 
 
 def pinned_matrix(p, n, kind, seed):
