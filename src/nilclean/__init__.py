@@ -27,7 +27,6 @@ from .decompose import (
     decompose,
     decompose_triangular,
     decompose_zm,
-    lift_idempotent_matrix,
 )
 from .errors import (
     DomainError,

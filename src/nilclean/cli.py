@@ -83,6 +83,8 @@ _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def parse_document(text: str) -> dict:
+    """The fields of one document; a key given twice is refused, naming it
+    and the line, counted within the document, that repeats it."""
     doc: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -92,6 +94,8 @@ def parse_document(text: str) -> dict:
             raise InputError(f"line {lineno} is not 'key: value': {line!r}")
         key, _, value = line.partition(":")
         key = key.strip()
+        if key in doc:
+            raise InputError(f"line {lineno} repeats key {key!r}")
         doc[key] = value = value.strip()
         if value[:1] in _JSON_FIRST or value in _JSON_WORDS:
             # json.loads keeps a scan followed by JSON whitespace alone, and a
@@ -221,10 +225,6 @@ def _input_lines(args) -> Iterator[str]:
             raise InputError(f"{args.input or 'stdin'} is not UTF-8 text: {err.reason}") from None
 
 
-def _read_input(args) -> str:
-    return "".join(_input_lines(args))
-
-
 def _write(doc: str, args) -> None:
     """A document, or under --format plain its lines after schema and kind."""
     sys.stdout.write(doc.split("\n", 2)[2] if args.format == "plain" else doc)
@@ -262,33 +262,50 @@ def _doc_matrices(doc: dict, keys: Sequence[str], ring: MatrixRing) -> list:
     return [_doc_matrix(doc, key, ring) for key in keys]
 
 
-def _parse_matrix_input(text: str, args) -> RingMatrix:
-    """Accept either a key-value matrix document or plain whitespace rows."""
-    stripped = text.strip()
-    if not stripped:
+def _matrix_inputs(args) -> Iterator[RingMatrix]:
+    """The input matrices, each as soon as it is read: one per key-value
+    document of the stream or, when the first line that is not blank has no
+    ':', the whole input as one matrix of plain whitespace rows."""
+    lines = _input_lines(args)
+    for first in lines:
+        if first.strip():
+            break
+    else:
         raise InputError("empty matrix input")
-    if ":" in stripped.splitlines()[0]:
-        doc = parse_document(stripped)
-        if "A" not in doc:
-            raise InputError("matrix document lacks field 'A'")
-        if "ring" in doc:
-            ring = parse_matrix_ring(str(doc["ring"]))
-        elif "modulus" in doc:
-            ring = MatrixRing(factorize(_doc_int(doc, "modulus")), _doc_int(doc, "trunc-degree", 1))
-        else:
-            ring = _ring_from_flags(args)
-        try:
-            a = _doc_matrix(doc, "A", ring)
-        except (TypeError, ValueError) as bad:
-            raise InputError(f"field 'A' is not a matrix of integers: {bad}") from None
-        if "n" in doc and _doc_int(doc, "n") != a.n:
-            raise InputError("declared dimension does not match the matrix")
-        return a
+    lines = itertools.chain([first], lines)
+    if ":" in first:
+        for doc in iter_documents(lines):
+            yield _doc_input_matrix(doc, args)
+    else:
+        yield _plain_matrix("".join(lines), args)
+
+
+def _doc_input_matrix(doc: dict, args) -> RingMatrix:
+    """The matrix of a key-value matrix document."""
+    if "A" not in doc:
+        raise InputError("matrix document lacks field 'A'")
+    if "ring" in doc:
+        ring = parse_matrix_ring(str(doc["ring"]))
+    elif "modulus" in doc:
+        ring = MatrixRing(factorize(_doc_int(doc, "modulus")), _doc_int(doc, "trunc-degree", 1))
+    else:
+        ring = _ring_from_flags(args)
+    try:
+        a = _doc_matrix(doc, "A", ring)
+    except (TypeError, ValueError) as bad:
+        raise InputError(f"field 'A' is not a matrix of integers: {bad}") from None
+    if "n" in doc and _doc_int(doc, "n") != a.n:
+        raise InputError("declared dimension does not match the matrix")
+    return a
+
+
+def _plain_matrix(text: str, args) -> RingMatrix:
+    """A matrix of whitespace-separated integer rows; blank lines are skipped."""
     ring = _ring_from_flags(args)
     if ring.d != 1:
         raise InputError("plain whitespace matrices support only Z_m entries")
     rows = []
-    for line in stripped.splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
@@ -312,11 +329,17 @@ def _ring_from_flags(args) -> MatrixRing:
 # ---------------------------------------------------------------------------
 
 def cmd_decompose(args) -> int:
+    """Certify the input matrices one at a time, writing each certificate,
+    after a blank line from the one before, before the next matrix is read:
+    memory stays flat in their number, and a bad document stops the stream
+    after the certificates before it."""
     if args.exhaustive:
         return _decompose_exhaustive(args)
-    a = _parse_matrix_input(_read_input(args), args)
-    cert = decompose_triangular(a) if args.triangular else decompose(a)
-    _write(certificate_to_doc(cert), args)
+    solve = decompose_triangular if args.triangular else decompose
+    for index, a in enumerate(_matrix_inputs(args)):
+        if index:
+            sys.stdout.write("\n")
+        _write(certificate_to_doc(solve(a)), args)
     return EXIT_OK
 
 

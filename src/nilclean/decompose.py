@@ -4,11 +4,12 @@ One reduce-solve-lift path serves every coefficient ring Z_m[x]/(x^d) with
 2-3-smooth m, as in the paper's first theorem: modulo its nilradical the ring
 is a product of copies of GF(2) and GF(3).  For each prime power p^k || m the
 constant term of A is reduced to a GF(p) matrix and solved there; the
-solutions are recombined through the CRT idempotents c_q, so each start point
-is congruent to its GF(p) solution mod p^k; E and F are lifted once over the
-whole ring by the cubic idempotent iteration (only when m is not squarefree:
-a constant start point is already idempotent otherwise), and W = A - E - F,
-which is nilpotent because its image modulo the nilradical is.
+solutions are recombined through the CRT idempotents c_q into one E/F stack,
+congruent to the GF(p) solutions mod each p^k; the stack is lifted once over
+Z_m by the cubic idempotent iteration, for the round count that makes it
+exact (none when m is squarefree), and W = A - E - F, which is nilpotent
+because its image modulo the nilradical is.  E and F are proved idempotent
+only by the certificate check.
 
 There is one GF(p) solver.  It brings the matrix to its block-upper-triangular
 Krylov form, splits each diagonal companion block by a closed-form template
@@ -33,8 +34,7 @@ import numpy as np
 
 from .errors import DomainError, InputError, InternalCheckError
 from .gfp import krylov_form
-from .matrix import (BLAS_MIN_DIMENSION, DecompositionCertificate, MatrixRing, RingMatrix,
-                     _stack_mul, verify_certificate, zm_ring)
+from .matrix import BLAS_MIN_DIMENSION, DecompositionCertificate, RingMatrix, _stack_mul, verify_certificate
 from .residue import lift_iteration_cap, require_two_three_smooth
 
 
@@ -105,18 +105,18 @@ def _certify(a: RingMatrix, e: RingMatrix, f: RingMatrix, w: RingMatrix,
     return cert
 
 
-def _krylov_solve(a: RingMatrix):
-    """E, F (int64 arrays mod p) and case tags of a GF(2) or GF(3) matrix:
-    templates on the diagonal blocks of the Krylov form, written into the two
-    slices of one (2, n, n) stack and conjugated back together: below
-    BLAS_MIN_DIMENSION as one int64 product Q ef Q^-1, whose partial sums
-    stay below n^2 (p-1)^3, and from it through _stack_mul's float64 route."""
-    p = a.ring.m
-    n = a.n
+def _krylov_solve(mat: np.ndarray, p: int):
+    """E and F of a GF(2) or GF(3) matrix, as one (2, 1, n, n) stack mod p,
+    and its case tags: templates on the diagonal blocks of the Krylov form,
+    written into the two slices of one stack and conjugated back together:
+    below BLAS_MIN_DIMENSION as one int64 product Q ef Q^-1, whose partial
+    sums stay below n^2 (p-1)^3, and from it through _stack_mul's float64
+    route."""
+    n = mat.shape[0]
     pair = _companion_pair_gf3 if p == 3 else _companion_pair_gf2
-    last_columns, q, q_inv = krylov_form(a)
-    ef = np.zeros((2, n, n), dtype=np.int64)
-    e, f = ef
+    last_columns, q, q_inv = krylov_form(mat, p)
+    ef = np.zeros((2, 1, n, n), dtype=np.int64)
+    e, f = ef[:, 0]
     tags = []
     at = 0
     for col in last_columns:
@@ -125,70 +125,63 @@ def _krylov_solve(a: RingMatrix):
         tags.append(f"{tag._value_}:n{d}")
         at += d
     if n < BLAS_MIN_DIMENSION:
-        e, f = q @ ef @ q_inv % p
-    else:
-        e, f = _stack_mul(_stack_mul(q[None], ef[:, None], p), q_inv[None], p)[:, 0]
-    return e, f, tuple(tags)
+        return q @ ef @ q_inv % p, tuple(tags)
+    return _stack_mul(_stack_mul(q[None], ef, p), q_inv[None], p), tuple(tags)
 
 
-def _lift_idempotents(ring: MatrixRing, stack: np.ndarray, a: RingMatrix) -> np.ndarray:
-    """Lift a (k, d, n, n) stack of residually idempotent coefficient stacks
-    over ring to exact idempotents, one batched product per step.
-
-    Requires the image of each in M_n(GF(p)) to be idempotent for every prime
-    p | m (all iterates then stay congruent to it there), as the GF(p)
-    solutions are; iterates x <- 3x^2 - 2x^3, whose idempotency defect lies
-    in the square of the ideal generated by the previous defect, so
-    convergence is doubly exponential.
-    An idempotent is a fixed point, so each matrix of the stack ends where it
-    would alone.  a is the input reported if the cap is exceeded.
-    """
-    m = ring.m
-    y = stack
-    for _ in range(lift_iteration_cap(ring.radical_exponent()) + 1):
-        y2 = _stack_mul(y, y, m)
-        if np.array_equal(y2, y):
-            return y
-        y = (3 * y2 - 2 * _stack_mul(y2, y, m)) % m
-    raise InternalCheckError("idempotent lifting exceeded its iteration cap", a)
+def _lift_idempotents(stack: np.ndarray, m: int, rounds: int) -> np.ndarray:
+    """rounds steps of x <- 3x^2 - 2x^3, two batched products each, on a
+    (k, d, n, n) stack over Z_m[x]/(x^d) that is idempotent mod every p | m.
+    Each step squares the defect x^2 - x, so the stack is exact after
+    lift_iteration_cap of the exponent of the ideal the defect lies in; an
+    idempotent is a fixed point, so each matrix ends where it would alone."""
+    for _ in range(rounds):
+        y2 = _stack_mul(stack, stack, m)
+        stack = (3 * y2 - 2 * _stack_mul(y2, stack, m)) % m
+    return stack
 
 
-def lift_idempotent_matrix(x: RingMatrix) -> RingMatrix:
-    """Lift a residually idempotent matrix to an exact idempotent: the
-    one-matrix case of the stacked lift, after checking its precondition."""
-    for p in x.ring.modulus.primes:
+def _lift_idempotent_matrix(x: RingMatrix) -> RingMatrix:
+    """Lift a residually idempotent matrix to an exact idempotent, after
+    checking that precondition; its entries need not be constant, so the
+    radical of the entry ring sets the rounds.  The result is proved once."""
+    ring = x.ring
+    for p in ring.modulus.primes:
         img = x.residue_field_image(p)[None]
         if not np.array_equal(_stack_mul(img, img, p), img):
             raise DomainError(
                 f"matrix is not idempotent modulo {p}; the cubic iteration "
                 f"would not converge to a lift of it"
             )
-    return RingMatrix(x.ring, _lift_idempotents(x.ring, x.coeffs[None], x)[0])
+    out = RingMatrix(ring, _lift_idempotents(x.coeffs[None], ring.m,
+                                             lift_iteration_cap(ring.radical_exponent()))[0])
+    if not out.is_idempotent():
+        raise InternalCheckError("idempotent lifting ended on a non-idempotent", x)
+    return out
 
 
 def _parts(a: RingMatrix):
     """Unverified (E, F, W, tags) over a 2-3-smooth Z_m[x]/(x^d): solve the
-    constant term mod each prime p | m, recombine the solutions through the
-    CRT idempotents, lift E and F together over the whole ring, and
-    W = A - E - F.  The cubic iteration commutes with reduction mod each p^k,
-    so this is the per-prime-power lift followed by the CRT."""
+    constant term mod each prime p | m, sum c_q times each E/F stack mod m,
+    lift over Z_m, and W = A - E - F.  The start point is constant and
+    idempotent mod every p | m, so its defect lies in rad(m) M_n(Z_m) and
+    lift_iteration_cap of m's largest exponent is exact (0 if squarefree).
+    A constant stack stays constant: over Z_m[x]/(x^d) it is coefficient 0.
+    The lift commutes with reduction mod each p^k: it is the CRT of theirs."""
     ring = a.ring
+    modulus, m = ring.modulus, ring.m
     if ring.is_prime_field():
-        e, f, tags = _krylov_solve(a)
-        e, f = RingMatrix(ring, e[None]), RingMatrix(ring, f[None])
+        ef, tags = _krylov_solve(a.coeffs[0], m)
     else:
-        modulus = ring.modulus
-        e = f = 0
-        tags = ()
+        ef, tags = 0, ()
         for p, c in zip(modulus.primes, modulus.crt_basis):
-            e_p, f_p, tags_p = _krylov_solve(RingMatrix(zm_ring(p), a.residue_field_image(p)[None]))
-            e, f, tags = e + c * e_p, f + c * f_p, tags + tags_p
-        stack = np.zeros((2,) + a.coeffs.shape, dtype=np.int64)
-        stack[:, 0] = e % ring.m, f % ring.m
-        if modulus.max_exponent > 1:
-            stack = _lift_idempotents(ring, stack, a)
-        e, f = RingMatrix(ring, stack[0]), RingMatrix(ring, stack[1])
-    return e, f, RingMatrix(ring, (a.coeffs - e.coeffs - f.coeffs) % ring.m), tags
+            ef_p, tags_p = _krylov_solve(a.coeffs[0] % p, p)
+            ef, tags = ef + c * ef_p, tags + tags_p
+        ef = _lift_idempotents(ef % m, m, lift_iteration_cap(modulus.max_exponent))
+        if ring.d > 1:
+            ef = np.concatenate((ef, np.zeros((2, ring.d - 1, a.n, a.n), dtype=np.int64)), axis=1)
+    e, f = ef
+    return RingMatrix(ring, e), RingMatrix(ring, f), RingMatrix(ring, (a.coeffs - e - f) % m), tags
 
 
 def decompose(a: RingMatrix) -> DecompositionCertificate:

@@ -45,14 +45,12 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from itertools import compress
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-
-if TYPE_CHECKING:  # matrix imports this module
-    from .matrix import RingMatrix
+from .residue import factorize
 
 Field = namedtuple("Field", "n insert matvec pack unpack")
 
@@ -263,8 +261,9 @@ def inverse(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
     return f.unpack(span.inverse(), 2 * n)[:, n:] if len(span.pivs) == n else None
 
 
-def krylov_form(a: RingMatrix) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """Block-upper-triangular companion form over GF(p), with its transform.
+def krylov_form(mat: np.ndarray, p: int) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Block-upper-triangular companion form over GF(p), p prime, of a square
+    matrix with entries in [0, p), with its transform.
 
     Scans e_1, e_2, ...; each one outside the span so far contributes its
     conductor chain w, Aw, ..., A^{d-1} w, where g of degree d is the minimal
@@ -279,13 +278,12 @@ def krylov_form(a: RingMatrix) -> tuple[list[tuple[int, ...]], np.ndarray, np.nd
     Returns the last columns -g[:-1] of the diagonal blocks in basis order,
     then Q and Q^-1 as int64 arrays reduced mod p.
     """
-    if not a.ring.is_prime_field():
-        raise InputError("krylov_form requires a matrix over a prime field GF(p), "
-                         f"not over {a.ring.describe()}")
-    p, n = a.ring.m, a.n
+    if not factorize(p).is_prime():
+        raise InputError(f"krylov_form requires a prime field GF(p), not Z{p}")
+    n = mat.shape[0]
     f = field(p, n)
     insert, matvec = f.insert, f.matvec
-    cols = f.pack(a.coeffs[0].T)
+    cols = f.pack(mat.T)
     span = Echelon(n)
     last_columns: list[tuple[int, ...]] = []
     basis: list = []
@@ -303,7 +301,7 @@ def krylov_form(a: RingMatrix) -> tuple[list[tuple[int, ...]], np.ndarray, np.nd
             basis.append(u)
             u = matvec(cols, u)
         else:
-            raise InternalCheckError("conductor search exceeded the dimension bound", a)
+            raise InternalCheckError("conductor search exceeded the dimension bound", mat)
         if t:
             last_columns.append(tuple(-c % p for c in g[base : base + t]))
     # the chain vectors went in with unit histories, in basis order: unpacked

@@ -235,7 +235,8 @@ class RingMatrix:
     def inverse(self) -> "RingMatrix":
         """Explicit inverse over Z_m: invert mod each prime, recombine through
         the CRT idempotents, and Newton-lift x <- x(2 - ax), which squares the
-        defect 1 - ax, until ax = 1.  Raises InputError when singular."""
+        defect 1 - ax, for lift_iteration_cap's rounds; then ax = 1, checked
+        once.  Raises InputError when singular."""
         if self.ring.d != 1:
             raise InputError("inverse expects a plain Z_m matrix")
         modulus = self.ring.modulus
@@ -247,12 +248,11 @@ class RingMatrix:
                 raise InputError("matrix is not invertible (singular mod %d)" % p)
             x[0] = (x[0] + c * x_p % m) % m  # each term below m: nothing wraps
         ident = RingMatrix.identity(self.n, self.ring).coeffs
-        for _ in range(lift_iteration_cap(modulus.max_exponent) + 1):
-            ax = _stack_mul(self.coeffs, x, m)
-            if np.array_equal(ax, ident):
-                return RingMatrix(self.ring, x)
-            x = _stack_mul(x, (2 * ident - ax) % m, m)
-        raise InternalCheckError("inverse failed verification", self)  # pragma: no cover
+        for _ in range(lift_iteration_cap(modulus.max_exponent)):
+            x = _stack_mul(x, (2 * ident - _stack_mul(self.coeffs, x, m)) % m, m)
+        if not np.array_equal(_stack_mul(self.coeffs, x, m), ident):
+            raise InternalCheckError("inverse failed verification", self)
+        return RingMatrix(self.ring, x)
 
 
 # ---------------------------------------------------------------------------

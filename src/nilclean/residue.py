@@ -114,15 +114,15 @@ def require_two_three_smooth(mod: Modulus) -> None:
 
 
 def lift_iteration_cap(radical_exponent: int) -> int:
-    """Iterations after which the cubic lifting must have converged.
+    """The rounds after which a quadratically converging lift is exact, when
+    its defect starts in a nilpotent ideal N with N^radical_exponent = 0: the
+    least r with 2^r >= radical_exponent, 0 when N = 0.
 
-    The idempotency defect of x -> 3x^2 - 2x^3 lies in the square of the ideal
-    generated by the previous defect, so its order along the nilradical at
-    least doubles per round.
+    Each round squares the defect, x^2 - x of the cubic idempotent iteration
+    x -> 3x^2 - 2x^3 and 1 - ax of the Newton inverse x -> x(2 - ax), so after
+    r rounds it lies in N^(2^r).  Further rounds leave the exact result fixed.
     """
-    if radical_exponent <= 1:
-        return 1
-    return (radical_exponent - 1).bit_length() + 1
+    return (radical_exponent - 1).bit_length()
 
 
 def two_three_smooth_moduli(limit: int) -> list[int]:

@@ -19,7 +19,7 @@ from nilclean.classifier import (
     parse_ring_descriptor,
 )
 from nilclean.cli import certificate_from_doc, certificate_to_doc, parse_document
-from nilclean.decompose import decompose, decompose_triangular, lift_idempotent_matrix
+from nilclean.decompose import _lift_idempotent_matrix, decompose, decompose_triangular
 from nilclean.gfp import krylov_form
 from nilclean.matrix import RingMatrix, trunc_ring, zm_ring
 from nilclean.residue import factorize, is_two_three_smooth, lift_iteration_cap
@@ -157,7 +157,7 @@ def block_polynomial_product(a, p):
     the form: Q Q^-1 = I, and Q^-1 A Q is block upper triangular with the
     companion matrices of the returned last columns on its diagonal."""
     n = a.n
-    cols, q, q_inv = krylov_form(a)
+    cols, q, q_inv = krylov_form(a.coeffs[0], p)
     assert np.array_equal(q @ q_inv % p, np.eye(n, dtype=np.int64))
     t = q_inv @ a.coeffs[0] @ q % p
     product, at = (1,), 0
@@ -212,7 +212,7 @@ def test_acceptance_10_lifting():
                 steps += 1
                 assert steps <= cap
             assert value % p == x % p
-            lifted = lift_idempotent_matrix(RingMatrix.from_rows([[x]], zm_ring(q)))
+            lifted = _lift_idempotent_matrix(RingMatrix.from_rows([[x]], zm_ring(q)))
             assert lifted.to_rows() == [[value]]
         assert eligible == (64 if q == 64 else 54)
     # matrix level: 1000 random eligible matrices across Z_4, Z_8, Z_9, Z_27
@@ -228,7 +228,7 @@ def test_acceptance_10_lifting():
             x = RingMatrix.from_rows(
                 (np.array(base.to_rows()) + p * np.array(noise.to_rows())).tolist(), ring
             )
-            out = lift_idempotent_matrix(x)
+            out = _lift_idempotent_matrix(x)
             assert out.is_idempotent()
             assert out.residue_field_image(p).tolist() == base.to_rows()
             lifted += 1

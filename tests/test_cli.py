@@ -540,7 +540,8 @@ class TestDocumentFuzz:
 
 def _parse_every_value(text):
     """parse_document as it was before it skipped values that cannot start
-    JSON: json.loads on every value, the raw text where that fails."""
+    JSON: json.loads on every value, the raw text where that fails; a key
+    given twice is refused."""
     doc = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -549,6 +550,8 @@ def _parse_every_value(text):
         if ": " not in line and not line.endswith(":"):
             raise InputError(f"line {lineno}")
         key, _, value = line.partition(":")
+        if key.strip() in doc:
+            raise InputError(f"line {lineno}")
         try:
             doc[key.strip()] = json.loads(value.strip())
         except (ValueError, RecursionError):
@@ -819,9 +822,8 @@ class TestPublicNames:
             "RingMatrix", "TruncFactor", "UnsupportedRingError", "ZmFactor", "check_certificate",
             "decide", "decompose", "decompose_triangular", "decompose_zm",
             "enumerate_idempotents", "enumerate_nilpotents", "factorize",
-            "is_two_three_smooth", "lift_idempotent_matrix",
-            "min_nilpotent_index_over_decompositions", "parse_ring_descriptor",
-            "trunc_ring", "two_three_smooth_moduli", "verify_certificate", "zm_ring",
+            "is_two_three_smooth", "min_nilpotent_index_over_decompositions",
+            "parse_ring_descriptor", "trunc_ring", "two_three_smooth_moduli", "verify_certificate", "zm_ring",
         ]
 
     def test_decompose_is_the_function(self):
@@ -1175,6 +1177,98 @@ class TestVerifyStream:
         peak(10)  # the caches a first call fills
         small, large = peak(1_000), peak(20_000)
         assert large - small <= 1024 * 1024, (small, large)
+
+
+def _matrix_document(a):
+    return f"ring: {a.ring.describe()}\nA: {json.dumps(a.to_rows())}\n"
+
+
+class TestDecomposeStream:
+    """decompose reads a stream of matrix documents and writes one
+    certificate per document, in order, each before the next is read."""
+
+    @pytest.mark.parametrize("k", (1, 2, 7))
+    def test_k_documents_give_k_certificates(self, capsys, monkeypatch, rng, k):
+        rings = (zm_ring(6), zm_ring(72), trunc_ring(6, 2), zm_ring(3))
+        mats = [RingMatrix.random(1 + i % 4, rings[i % len(rings)], rng) for i in range(k)]
+        text = "\n".join(_matrix_document(a) for a in mats)
+        code, out, err = run(capsys, monkeypatch, ["decompose"], text)
+        assert code == EXIT_OK, err
+        # each certificate is the one decompose gives its matrix alone
+        assert out == "\n".join(certificate_to_doc(decompose(a)) for a in mats)
+        code, verdicts, _ = run(capsys, monkeypatch, ["verify"], out)
+        assert code == EXIT_OK
+        assert verdicts == "".join(f"certificate {i}: ok\n" for i in range(k))
+
+    def test_single_document_unchanged(self, capsys, monkeypatch):
+        a = RingMatrix.from_rows([[1, 2], [3, 4]], zm_ring(6))
+        for sep in SEPARATORS:
+            code, out, _ = run(capsys, monkeypatch, ["decompose"], sep + _matrix_document(a) + sep)
+            assert code == EXIT_OK and out == certificate_to_doc(decompose(a))
+
+    def test_plain_format_stream(self, capsys, monkeypatch):
+        mats = [RingMatrix.identity(2, zm_ring(6)), RingMatrix.zeros(3, zm_ring(4))]
+        code, out, _ = run(capsys, monkeypatch, ["decompose", "--format", "plain"],
+                           "\n\n".join(_matrix_document(a) for a in mats))
+        assert code == EXIT_OK
+        assert out == "\n".join(certificate_to_doc(decompose(a)).split("\n", 2)[2] for a in mats)
+
+    def test_plain_rows_with_blank_lines_are_one_matrix(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, monkeypatch, ["decompose", "--modulus", "6"], "\n1 2\n\n3 4\n\n")
+        assert code == EXIT_OK
+        assert out == certificate_to_doc(decompose(RingMatrix.from_rows([[1, 2], [3, 4]], zm_ring(6))))
+
+    def test_bad_document_stops_the_stream_in_order(self, capsys, monkeypatch):
+        a = RingMatrix.from_rows([[1, 2], [3, 4]], zm_ring(6))
+        text = "\n".join([_matrix_document(a), _matrix_document(a), "ring: Z6\n", _matrix_document(a)])
+        code, out, err = run(capsys, monkeypatch, ["decompose"], text)
+        assert code == EXIT_PARSE and "lacks field 'A'" in err
+        assert out == "\n".join([certificate_to_doc(decompose(a))] * 2)
+        code, out, err = run(capsys, monkeypatch, ["decompose"], "ring: Z5\nA: [[1]]\n\n" + text)
+        assert code == EXIT_UNSUPPORTED and out == ""
+
+    def test_peak_memory_flat_in_the_number_of_documents(self, monkeypatch, tmp_path):
+        # a 2 KB comment per document: keeping the input text, or a
+        # certificate per document, would grow the peak by 1 MB or more
+        doc = "ring: Z6\n# " + "x" * 2000 + "\nA: [[1, 2], [3, 4]]\n"
+
+        def peak(count):
+            path = tmp_path / f"stream-{count}.txt"
+            path.write_text("\n".join([doc] * count))
+            with open(os.devnull, "w") as sink:
+                monkeypatch.setattr("sys.stdout", sink)
+                tracemalloc.start()
+                try:
+                    assert main(["decompose", "--input", str(path)]) == EXIT_OK
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(10)  # the caches a first call fills
+        small, large = peak(100), peak(1_100)
+        assert large - small <= 512 * 1024, (small, large)
+
+
+class TestRepeatedKey:
+    """A document that gives a key twice is refused, naming the key and its
+    line, where a dict would keep the last value."""
+
+    def test_parse_document(self):
+        with pytest.raises(InputError, match="line 3 repeats key 'A'"):
+            parse_document("A: [[1, 2], [3, 4]]\n# comment\nA: [[0, 0], [0, 0]]\n")
+
+    def test_decompose(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--modulus", "6"],
+                             "A: [[1, 2], [3, 4]]\nA: [[0, 0], [0, 0]]\n")
+        assert code == EXIT_PARSE and out == ""
+        assert "line 2 repeats key 'A'" in err and "Traceback" not in err
+
+    def test_verify(self, capsys, monkeypatch):
+        cert = certificate_to_doc(decompose(RingMatrix.from_rows([[1, 2], [3, 4]], zm_ring(6))))
+        bogus = cert.replace("\nW: ", "\nW: [[0, 0], [0, 0]]\nW: ", 1)
+        code, out, err = run(capsys, monkeypatch, ["verify"], cert + "\n" + bogus)
+        assert code == EXIT_PARSE and out == "certificate 0: ok\n"
+        assert "line 11 repeats key 'W'" in err
 
 
 def _tampered(cert, kind):

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import importlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,15 +17,16 @@ from nilclean.cli import certificate_to_doc
 from nilclean.decompose import (
     CaseTag,
     _krylov_solve,
+    _lift_idempotent_matrix,
+    _lift_idempotents,
     decompose,
     decompose_triangular,
     decompose_zm,
-    lift_idempotent_matrix,
 )
-from nilclean.errors import DomainError, InputError, UnsupportedRingError
+from nilclean.errors import DomainError, InputError, InternalCheckError, UnsupportedRingError
 from nilclean.gfp import krylov_form
 from nilclean.matrix import BLAS_MIN_DIMENSION, RingMatrix, trunc_ring, zm_ring
-from nilclean.residue import two_three_smooth_moduli
+from nilclean.residue import factorize, lift_iteration_cap, two_three_smooth_moduli
 
 SMOOTH = two_three_smooth_moduli(72)
 
@@ -235,7 +237,7 @@ class TestJointConjugation:
         gen = np.random.default_rng([n, p])
         a = (RingMatrix.random(n, zm_ring(p), gen) if kind == "random"
              else repeated_blocks_conjugate(p, n, 3, gen))
-        last_columns, q, q_inv = krylov_form(a)
+        last_columns, q, q_inv = krylov_form(a.coeffs[0], p)
         e0 = [[0] * n for _ in range(n)]
         f0 = [[0] * n for _ in range(n)]
         tags, at = [], 0
@@ -248,7 +250,9 @@ class TestJointConjugation:
             at += len(col)
         assert at == n and (kind == "random" or len(tags) > 1)
         q, q_inv = q.tolist(), q_inv.tolist()
-        e, f, got_tags = _krylov_solve(a)
+        (e, f), got_tags = _krylov_solve(a.coeffs[0], p)
+        assert e.shape == f.shape == (1, n, n)
+        e, f = e[0], f[0]
         assert e.tolist() == mat_mul_naive(mat_mul_naive(q, e0, p), q_inv, p)
         assert f.tolist() == mat_mul_naive(mat_mul_naive(q, f0, p), q_inv, p)
         assert got_tags == tuple(tags)
@@ -300,31 +304,54 @@ class TestSelfCheckCount:
         # one powering pass both finds W's exponent and proves it
         assert len(powerings) == 1
 
+    @pytest.mark.parametrize("ring", [zm_ring(72), trunc_ring(72, 2), zm_ring(6), zm_ring(3)])
+    def test_lift_products(self, monkeypatch, ring, rng):
+        # the E/F stack is lifted on its constant (2, 1, n, n) slice, two
+        # products a round for (e - 1).bit_length() rounds, and checked only
+        # by the certificate check: no convergence product
+        module = importlib.import_module("nilclean.decompose")
+        real, shapes = module._stack_mul, []
+        monkeypatch.setattr(module, "_stack_mul", lambda a, b, m: shapes.append((a.shape, b.shape)) or real(a, b, m))
+        assert decompose(RingMatrix.random(6, ring, rng)).verified
+        products = 2 * (ring.modulus.max_exponent - 1).bit_length()
+        assert products == (4 if ring.m == 72 else 0)
+        assert shapes == [((2, 1, 6, 6), (2, 1, 6, 6))] * products
+
 
 class TestLiftMatrix:
     def test_identity_fixed(self):
         ident = RingMatrix.identity(2, zm_ring(4))
-        assert lift_idempotent_matrix(ident) == ident
+        assert _lift_idempotent_matrix(ident) == ident
 
     def test_scalar_matches_element_lift(self):
-        out = lift_idempotent_matrix(RingMatrix.from_rows([[3]], zm_ring(4)))
+        out = _lift_idempotent_matrix(RingMatrix.from_rows([[3]], zm_ring(4)))
         assert out.to_rows() == [[1]]
 
     def test_already_idempotent_stays(self):
         x = RingMatrix.from_rows([[1, 2], [0, 0]], zm_ring(4))
-        out = lift_idempotent_matrix(x)
+        out = _lift_idempotent_matrix(x)
         assert out == x
         assert out.residue_field_image(2).tolist() == [[1, 0], [0, 0]]
 
     def test_nontrivial_lift(self):
         x = RingMatrix.from_rows([[1, 1], [2, 2]], zm_ring(4))
-        out = lift_idempotent_matrix(x)
+        out = _lift_idempotent_matrix(x)
         assert out.is_idempotent()
         assert np.array_equal(out.residue_field_image(2), x.residue_field_image(2))
 
+    def test_result_proved_idempotent(self, monkeypatch):
+        # one round short of the radical's count leaves x unlifted, and the
+        # one proof of the result names the input
+        x = RingMatrix.from_rows([[1, 1], [2, 2]], zm_ring(4))
+        module = importlib.import_module("nilclean.decompose")
+        monkeypatch.setattr(module, "lift_iteration_cap", lambda e: lift_iteration_cap(e) - 1)
+        with pytest.raises(InternalCheckError, match="ended on a non-idempotent; input") as err:
+            _lift_idempotent_matrix(x)
+        assert err.value.matrix is x
+
     def test_precondition_enforced(self):
         with pytest.raises(DomainError):
-            lift_idempotent_matrix(RingMatrix.from_rows([[0, 1], [0, 0]], zm_ring(4)))
+            _lift_idempotent_matrix(RingMatrix.from_rows([[0, 1], [0, 0]], zm_ring(4)))
 
     def test_precondition_exact_at_large_prime(self):
         # g diag(1, 1, 0, ...) g^-1 over Z_{2^31 - 1}: the precondition's
@@ -340,7 +367,7 @@ class TestLiftMatrix:
                       g.inverse().coeffs[0].astype(object)) % m
         assert (np.matmul(x, x) % m).tolist() == x.tolist()
         x = RingMatrix.from_rows(x.tolist(), ring)
-        assert lift_idempotent_matrix(x) == x
+        assert _lift_idempotent_matrix(x) == x
 
     @given(st.sampled_from((4, 8, 9, 27)), st.integers(1, 4), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
@@ -355,24 +382,24 @@ class TestLiftMatrix:
         x = RingMatrix.from_rows(
             (np.array(base.to_rows()) + p * np.array(noise.to_rows())).tolist(), ring
         )
-        lifted = lift_idempotent_matrix(x)
+        lifted = _lift_idempotent_matrix(x)
         assert lifted.is_idempotent()
         assert lifted.residue_field_image(p).tolist() == base.to_rows()
 
 
 class TestPrimePower:
     def test_degenerates_to_field(self, rng, monkeypatch):
-        # E and F are lifted, together as one stack, exactly when m is not
-        # squarefree: a constant start point over squarefree m is already
-        # idempotent
+        # E and F are lifted, together as one constant stack over Z_m, exactly
+        # when m is not squarefree: a constant start point over squarefree m
+        # is already idempotent, and its round count is 0
         module = importlib.import_module("nilclean.decompose")
         lift = module._lift_idempotents
         lifted = []
-        monkeypatch.setattr(module, "_lift_idempotents", lambda ring, stack, a:
-                            lifted.append((ring, stack.shape[0])) or lift(ring, stack, a))
+        monkeypatch.setattr(module, "_lift_idempotents", lambda stack, m, rounds:
+                            lifted.append((m, stack.shape, rounds)) or lift(stack, m, rounds))
         for ring in (zm_ring(3), zm_ring(6), trunc_ring(6, 2), zm_ring(9), trunc_ring(36, 2)):
             decompose(RingMatrix.random(3, ring, rng))
-        assert lifted == [(zm_ring(9), 2), (trunc_ring(36, 2), 2)]
+        assert [(m, shape) for m, shape, rounds in lifted if rounds] == [(9, (2, 1, 3, 3)), (36, (2, 1, 3, 3))]
 
     def test_doubled_identity(self):
         cert = decompose(RingMatrix.from_rows([[2, 0], [0, 2]], zm_ring(4)))
@@ -386,14 +413,83 @@ class TestPrimePower:
         assert cert.w.to_rows() == [[3]] and cert.nilpotency_exponent == 2
 
 
+def residually_idempotent_stack(m, n, gen):
+    """A (2, 1, n, n) stack over Z_m, each matrix congruent mod every p | m
+    to g D g^-1, D a random 0/1 diagonal and g invertible over GF(p), plus a
+    random multiple of rad(m): the shape of decompose's start points."""
+    mod = factorize(m)
+    rad = math.prod(mod.primes)
+    stack = rad * gen.integers(0, m // rad, size=(2, 1, n, n))
+    for p, c in zip(mod.primes, mod.crt_basis):
+        for k in range(2):
+            while not (g := RingMatrix.random(n, zm_ring(p), gen)).is_invertible():
+                pass
+            proj = g.coeffs[0] @ np.diag(gen.integers(0, 2, n)) @ g.inverse().coeffs[0] % p
+            stack[k, 0] += c * proj
+    return stack % m
+
+
+def lift_until_fixed(stack, m):
+    """x <- 3x^2 - 2x^3 on Python ints until x^2 = x, on a (k, d, n, n) stack
+    of matrices over Z_m[x]/(x^d)."""
+    def mul(a, b):
+        out = np.zeros_like(a)
+        for t in range(a.shape[1]):
+            for i in range(t + 1):
+                out[:, t] += np.matmul(a[:, i], b[:, t - i])
+        return out % m
+
+    y = stack.astype(object)
+    while not ((y2 := mul(y, y)) == y).all():
+        y = (3 * y2 - 2 * mul(y2, y)) % m
+    return y.astype(np.int64)
+
+
+class TestLiftRounds:
+    """The lift runs exactly lift_iteration_cap(e) rounds, e the largest
+    exponent of m: the start point is constant and idempotent mod every
+    p | m, so its defect lies in rad(m) M_n(Z_m) and each round squares it."""
+
+    @pytest.mark.parametrize("d", (1, 2, 3, 4))
+    def test_fixed_rounds_equal_lift_until_fixed(self, d):
+        gen = np.random.default_rng(d)
+        moduli = two_three_smooth_moduli(10**4) + [2**30, 3**19]
+        needed = 0
+        for m in moduli * 3:
+            n = int(gen.integers(1, 5))
+            start = residually_idempotent_stack(m, n, gen)
+            rounds = lift_iteration_cap(factorize(m).max_exponent)
+            lifted = _lift_idempotents(start, m, rounds)
+            # over Z_m[x]/(x^d), the lift of the constant stack is constant
+            embedded = np.concatenate((start, np.zeros((2, d - 1, n, n), dtype=np.int64)), axis=1)
+            want = lift_until_fixed(embedded, m)
+            assert np.array_equal(lifted, want[:, :1]) and not want[:, 1:].any(), m
+            assert np.array_equal(_lift_idempotents(embedded, m, rounds), want), m
+            needed += not np.array_equal(want, embedded)
+        assert needed > len(moduli)
+
+    @pytest.mark.parametrize("k,seed", [(5, 4), (9, 3), (17, 0), (31, 30)])
+    def test_one_round_short_fails_the_check(self, monkeypatch, k, seed):
+        # a Z_{2^k} input whose E or F needs every round: one round fewer
+        # leaves it unlifted, and the certificate check names it and the input
+        a = RingMatrix.random(6, zm_ring(2**k), np.random.default_rng(seed))
+        assert decompose(a).verified
+        module = importlib.import_module("nilclean.decompose")
+        monkeypatch.setattr(module, "lift_iteration_cap", lambda e: lift_iteration_cap(e) - 1)
+        with pytest.raises(InternalCheckError, match=r"^certificate failed self-check: [EF] idempotency; "
+                                                     r"input RingMatrix\(Z") as err:
+            decompose(a)
+        assert err.value.matrix is a
+
+
 class TestZm:
     def test_prime_moduli_match_field_path(self, rng):
         # over GF(p) the solver's split is returned as it is
         for p in (2, 3):
             a = RingMatrix.random(3, zm_ring(p), rng)
-            e, f, tags = _krylov_solve(a)
+            (e, f), tags = _krylov_solve(a.coeffs[0], p)
             cert = decompose(a)
-            assert (cert.e.coeffs[0] == e).all() and (cert.f.coeffs[0] == f).all()
+            assert (cert.e.coeffs == e).all() and (cert.f.coeffs == f).all()
             assert cert.case_tags == tags
 
     def test_idempotent_scalar(self):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import det_cofactor, from_rows_reference, mat_mul_naive, nilpotency_naive_exact
 import nilclean.matrix as matrix_module
-from nilclean.errors import InputError, ResourceCapError
+from nilclean.errors import InputError, InternalCheckError, ResourceCapError
 from nilclean.matrix import (
     BLAS_MIN_DIMENSION,
     CHECK_NILPOTENCY,
@@ -26,7 +26,7 @@ from nilclean.matrix import (
     verify_certificate,
     zm_ring,
 )
-from nilclean.residue import factorize
+from nilclean.residue import factorize, lift_iteration_cap
 
 SMOOTH_SMALL = (2, 3, 4, 6, 8, 9, 12, 18, 36)
 
@@ -364,6 +364,27 @@ class TestPredicates:
                     else:
                         with pytest.raises(InputError):
                             a.inverse()
+
+    @pytest.mark.parametrize("m", (6, 72, 2**17, 3**19))
+    def test_inverse_runs_the_exact_round_count(self, monkeypatch, m):
+        # x <- x(2 - ax) squares the defect 1 - ax: lift_iteration_cap of
+        # m's largest exponent rounds, two products each, then one check
+        ring = zm_ring(m)
+        gen = np.random.default_rng(m)
+        while not (a := RingMatrix.random(4, ring, gen)).is_invertible():
+            pass
+        real, calls = matrix_module._stack_mul, []
+        monkeypatch.setattr(matrix_module, "_stack_mul", lambda *args: calls.append(1) or real(*args))
+        inv = a.inverse()
+        rounds = lift_iteration_cap(ring.modulus.max_exponent)
+        assert len(calls) == 2 * rounds + 1
+        monkeypatch.setattr(matrix_module, "_stack_mul", real)
+        assert a @ inv == RingMatrix.identity(4, ring)
+        if rounds:
+            # a defect of order 1 needs every round: one fewer fails the check
+            monkeypatch.setattr(matrix_module, "lift_iteration_cap", lambda e: lift_iteration_cap(e) - 1)
+            with pytest.raises(InternalCheckError, match="inverse failed verification"):
+                a.inverse()
 
     @pytest.mark.parametrize("m", (2**31, 3**19, 2**17 * 3**8, 2 * 1073741789))
     @pytest.mark.parametrize("n", (33, 64))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilclean.decompose import decompose_triangular, lift_idempotent_matrix
+from nilclean.decompose import _lift_idempotent_matrix, decompose_triangular
 from nilclean.errors import DomainError, InputError, UnsupportedRingError
 from nilclean.matrix import RingMatrix, trunc_ring, zm_ring
 from nilclean.residue import (
@@ -176,13 +176,13 @@ class TestClassify:
 
 class TestLiftIdempotent:
     def test_examples(self):
-        assert value(lift_idempotent_matrix(elem(3, 4))) == 1
-        assert value(lift_idempotent_matrix(elem(0, 9))) == 0
-        assert value(lift_idempotent_matrix(elem(4, 12))) == 4
+        assert value(_lift_idempotent_matrix(elem(3, 4))) == 1
+        assert value(_lift_idempotent_matrix(elem(0, 9))) == 0
+        assert value(_lift_idempotent_matrix(elem(4, 12))) == 4
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
-            lift_idempotent_matrix(elem(2, 12))  # 2 mod 3 = 2
+            _lift_idempotent_matrix(elem(2, 12))  # 2 mod 3 = 2
 
     def test_exhaustive_prime_powers(self):
         for m in (4, 8, 16, 27, 64, 81, 72, 36):
@@ -191,9 +191,9 @@ class TestLiftIdempotent:
                 eligible = elem(x * x - x, m).nilpotency_exponent() is not None
                 if not eligible:
                     with pytest.raises(DomainError):
-                        lift_idempotent_matrix(elem(x, m))
+                        _lift_idempotent_matrix(elem(x, m))
                     continue
-                e = value(lift_idempotent_matrix(elem(x, m)))
+                e = value(_lift_idempotent_matrix(elem(x, m)))
                 assert e * e % m == e
                 # fixed point of the iteration itself
                 assert (3 * e**2 - 2 * e**3) % m == e
