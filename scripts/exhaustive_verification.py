@@ -26,7 +26,7 @@ from nilclean.classifier import (
 )
 from nilclean.decompose import decompose
 from nilclean.matrix import RingMatrix, zm_ring
-from nilclean.residue import factorize, is_two_three_smooth
+from nilclean.residue import factorize
 
 
 @dataclass
@@ -44,7 +44,7 @@ def expected_verdicts(n, m):
     when m is 2-3-smooth; M_n(Z_2) nil-clean, hence weakly nil-clean; for
     n >= 2 over a reduced ring (m in 2, 3, 6) never strongly two-nil-clean,
     since that would make it tripotent while it has nonzero nilpotents."""
-    verdicts = {"two-nil-clean": is_two_three_smooth(factorize(m))}
+    verdicts = {"two-nil-clean": factorize(m).two_three_smooth}
     if m == 2:
         verdicts["nil-clean"] = verdicts["weakly-nil-clean"] = True
     if n >= 2 and m in (2, 3, 6):

@@ -6,6 +6,14 @@ the GF(p) elimination kernel and the Krylov form that runs on it (gfp), the
 constructive decompositions with verified certificates (decompose), an
 independent brute-force oracle over small finite rings (classifier), and a
 batch CLI (cli).
+
+The names exported here are what the CLI calls, what the library example of
+the README uses (RingMatrix, zm_ring, decompose), and the ring, factor,
+certificate, report and error types those take and return.  The rest stays
+in its submodule: nilclean.matrix.check_certificate, the oracle's
+enumerate_idempotents and enumerate_nilpotents in nilclean.classifier, and
+decompose_zm, reached as importlib.import_module("nilclean.decompose")
+because the function decompose shadows that package attribute.
 """
 
 from types import ModuleType as _ModuleType
@@ -17,8 +25,6 @@ from .classifier import (
     TruncFactor,
     ZmFactor,
     decide,
-    enumerate_idempotents,
-    enumerate_nilpotents,
     min_nilpotent_index_over_decompositions,
     parse_ring_descriptor,
 )
@@ -26,7 +32,6 @@ from .decompose import (
     CaseTag,
     decompose,
     decompose_triangular,
-    decompose_zm,
 )
 from .errors import (
     DomainError,
@@ -40,17 +45,10 @@ from .matrix import (
     DecompositionCertificate,
     MatrixRing,
     RingMatrix,
-    check_certificate,
-    trunc_ring,
     verify_certificate,
     zm_ring,
 )
-from .residue import (
-    Modulus,
-    factorize,
-    is_two_three_smooth,
-    two_three_smooth_moduli,
-)
+from .residue import Modulus, factorize
 
 __all__ = sorted(name for name, value in globals().items()  # not the submodules
                  if not (name.startswith("_") or isinstance(value, _ModuleType)))

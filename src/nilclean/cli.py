@@ -113,13 +113,20 @@ def parse_document(text: str) -> dict:
 
 def iter_documents(lines: Iterable[str]) -> Iterator[dict]:
     """The documents in a stream of lines, each parsed as soon as the blank
-    or whitespace-only line after it, or the end of the stream, is read."""
+    or whitespace-only line after it, or the end of the stream, is read.  A
+    block of '#' comment lines alone is no document and is skipped."""
     chunk: list[str] = []
     for line in itertools.chain(lines, [""]):
         if line.strip():
             chunk.append(line)
         elif chunk:
-            yield parse_document("".join(chunk))
+            text = "".join(chunk)
+            # a first line not opening with '#' holds a field or an error;
+            # else read the lines as parse_document does, since a '#' line of
+            # the stream may hold a field after a line break such as \r
+            if chunk[0].lstrip()[:1] != "#" or not all(
+                    part.strip()[:1] in ("", "#") for part in text.splitlines()):
+                yield parse_document(text)
             chunk = []
 
 
@@ -217,9 +224,13 @@ def report_to_doc(report: classifier.PropertyReport) -> str:
 # ---------------------------------------------------------------------------
 
 def _input_lines(args) -> Iterator[str]:
-    """The lines of --input FILE, or of stdin, read as they are needed."""
+    """The lines of --input FILE, or of stdin, read as they are needed, less
+    one byte-order mark (U+FEFF) at the start of the first."""
     with open(args.input, encoding="utf-8") if args.input else contextlib.nullcontext(sys.stdin) as handle:
         try:
+            for line in handle:
+                yield line.removeprefix("\ufeff")
+                break
             yield from handle
         except UnicodeDecodeError as err:
             raise InputError(f"{args.input or 'stdin'} is not UTF-8 text: {err.reason}") from None
@@ -264,15 +275,18 @@ def _doc_matrices(doc: dict, keys: Sequence[str], ring: MatrixRing) -> list:
 
 def _matrix_inputs(args) -> Iterator[RingMatrix]:
     """The input matrices, each as soon as it is read: one per key-value
-    document of the stream or, when the first line that is not blank has no
-    ':', the whole input as one matrix of plain whitespace rows."""
+    document of the stream or, when the first line that is neither blank nor
+    a '#' comment has no ':', the whole input as one matrix of plain
+    whitespace rows."""
     lines = _input_lines(args)
+    head = []  # the lines up to that first one, which are read again
     for first in lines:
-        if first.strip():
+        head.append(first)
+        if first.strip()[:1] not in ("", "#"):
             break
     else:
         raise InputError("empty matrix input")
-    lines = itertools.chain([first], lines)
+    lines = itertools.chain(head, lines)
     if ":" in first:
         for doc in iter_documents(lines):
             yield _doc_input_matrix(doc, args)
@@ -300,14 +314,15 @@ def _doc_input_matrix(doc: dict, args) -> RingMatrix:
 
 
 def _plain_matrix(text: str, args) -> RingMatrix:
-    """A matrix of whitespace-separated integer rows; blank lines are skipped."""
+    """A matrix of whitespace-separated integer rows; blank lines and '#'
+    comment lines are skipped."""
     ring = _ring_from_flags(args)
     if ring.d != 1:
         raise InputError("plain whitespace matrices support only Z_m entries")
     rows = []
     for line in text.splitlines():
         line = line.strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
         try:
             rows.append([int(tok) for tok in line.split()])

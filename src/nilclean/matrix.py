@@ -72,10 +72,6 @@ def zm_ring(m: int) -> MatrixRing:
     return MatrixRing(factorize(m))
 
 
-def trunc_ring(m: int, d: int) -> MatrixRing:
-    return MatrixRing(factorize(m), d)
-
-
 class RingMatrix:
     """Square matrix over a MatrixRing, canonical entries, value semantics."""
 

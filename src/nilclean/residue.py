@@ -98,11 +98,6 @@ def factorize(m: int) -> Modulus:
     return Modulus(m, tuple(factors))
 
 
-def is_two_three_smooth(mod: Modulus) -> bool:
-    """True iff every prime factor of the modulus is 2 or 3."""
-    return mod.two_three_smooth
-
-
 def require_two_three_smooth(mod: Modulus) -> None:
     if not mod.two_three_smooth:
         bad = next(p for p in mod.primes if p not in (2, 3))
@@ -123,17 +118,3 @@ def lift_iteration_cap(radical_exponent: int) -> int:
     r rounds it lies in N^(2^r).  Further rounds leave the exact result fixed.
     """
     return (radical_exponent - 1).bit_length()
-
-
-def two_three_smooth_moduli(limit: int) -> list[int]:
-    """All 2-3-smooth moduli 2 <= m <= limit, ascending."""
-    out = []
-    a = 1
-    while a <= limit:
-        b = a
-        while b <= limit:
-            if b >= 2:
-                out.append(b)
-            b *= 3
-        a *= 2
-    return sorted(out)

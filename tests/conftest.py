@@ -83,6 +83,12 @@ def companion(p, last_col):
     return [[int(j == i - 1) for j in range(n - 1)] + [last_col[i] % p] for i in range(n)]
 
 
+def smooth_moduli(limit):
+    """Every m = 2^a 3^b with 2 <= m <= limit, ascending."""
+    return sorted(2**a * 3**b for a in range(limit.bit_length()) for b in range(limit.bit_length())
+                  if 2 <= 2**a * 3**b <= limit)
+
+
 # --- naive modular matrix arithmetic on nested lists ------------------------
 
 def mat_mul_naive(a, b, m):

@@ -21,8 +21,8 @@ from nilclean.classifier import (
 from nilclean.cli import certificate_from_doc, certificate_to_doc, parse_document
 from nilclean.decompose import _lift_idempotent_matrix, decompose, decompose_triangular
 from nilclean.gfp import krylov_form
-from nilclean.matrix import RingMatrix, trunc_ring, zm_ring
-from nilclean.residue import factorize, is_two_three_smooth, lift_iteration_cap
+from nilclean.matrix import MatrixRing, RingMatrix, zm_ring
+from nilclean.residue import factorize, lift_iteration_cap
 
 
 def all_matrices(n, m):
@@ -95,7 +95,7 @@ def test_acceptance_04_oracle_agreement():
     replays = 0
     for m in range(2, 201):
         report = decide("two-nil-clean", RingDescriptor((ZmFactor(m),)))
-        smooth = is_two_three_smooth(factorize(m))
+        smooth = factorize(m).two_three_smooth
         if report.holds != smooth:
             disagreements.append(m)
         if not report.holds:
@@ -246,13 +246,13 @@ def test_acceptance_11_triangular_and_truncated():
         count_t += 1
     count_x = 0
     for m, d in ((2, 3), (3, 2)):
-        ring = trunc_ring(m, d)
+        ring = MatrixRing(factorize(m), d)
         for coeffs in itertools.product(range(m), repeat=d):
             cert = decompose(RingMatrix.from_rows([[list(coeffs)]], ring))
             assert cert.verified
             count_x += 1
     rng = np.random.default_rng(1011)
-    ring = trunc_ring(6, 2)
+    ring = MatrixRing(factorize(6), 2)
     count_r = 0
     for _ in range(200):
         n = int(rng.integers(1, 5))

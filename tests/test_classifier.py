@@ -17,6 +17,7 @@ from conftest import (
     naive_nil_clean,
     naive_two_nil_clean,
     naive_weakly_nil_clean,
+    smooth_moduli,
 )
 from nilclean import classifier
 from nilclean.classifier import (
@@ -32,7 +33,7 @@ from nilclean.classifier import (
     parse_ring_descriptor,
 )
 from nilclean.errors import InputError, ResourceCapError
-from nilclean.residue import factorize, is_two_three_smooth, two_three_smooth_moduli
+from nilclean.residue import factorize
 
 
 def zm(m):
@@ -271,7 +272,7 @@ class TestTwoNilClean:
 
     def test_matches_smoothness_for_zm(self):
         for m in range(2, 73):
-            assert decide("two-nil-clean", zm(m)).holds == is_two_three_smooth(factorize(m))
+            assert decide("two-nil-clean", zm(m)).holds == factorize(m).two_three_smooth
 
     def test_witness_replays(self):
         for text in ("Z12", "Z3xZ3", "M2(Z2)", "Z2[x]/(x^2)"):
@@ -568,7 +569,7 @@ class TestOracleConstructionAgreement:
         from nilclean.decompose import decompose_triangular
         from nilclean.matrix import RingMatrix, zm_ring
 
-        for m in two_three_smooth_moduli(36):
+        for m in smooth_moduli(36):
             ring = zm(m)
             report = decide("two-nil-clean", ring)
             assert report.holds

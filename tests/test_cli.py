@@ -45,7 +45,6 @@ from nilclean.matrix import (
     DecompositionCertificate,
     MatrixRing,
     RingMatrix,
-    trunc_ring,
     verify_certificate,
     zm_ring,
 )
@@ -605,7 +604,7 @@ class TestCertificateEmit:
         value = st.integers(0, m - 1) | st.sampled_from([0, m - 1])
         entry = value if d == 1 else st.lists(value, min_size=1, max_size=d)
         square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
-        mats = [RingMatrix.from_rows(data.draw(square), trunc_ring(m, d)) for _ in "AEFW"]
+        mats = [RingMatrix.from_rows(data.draw(square), MatrixRing(factorize(m), d)) for _ in "AEFW"]
         cert = DecompositionCertificate(
             *mats, data.draw(st.none() | st.integers(1, 2**31)),
             tuple(data.draw(st.lists(st.sampled_from(["gf3:trace-one:n2", "gf2:trace-zero:n1"]),
@@ -614,7 +613,7 @@ class TestCertificateEmit:
         assert certificate_to_doc(cert) == _reference_certificate_doc(cert)
 
     def test_decompositions(self, rng):
-        for ring in (zm_ring(72), zm_ring(2**31), trunc_ring(6, 3)):
+        for ring in (zm_ring(72), zm_ring(2**31), MatrixRing(factorize(6), 3)):
             cert = decompose(RingMatrix.random(4, ring, rng))
             assert certificate_to_doc(cert) == _reference_certificate_doc(cert)
 
@@ -819,11 +818,10 @@ class TestPublicNames:
             "CaseTag", "DecompositionCertificate", "DomainError",
             "InputError", "InternalCheckError", "MatFactor", "MatrixRing", "Modulus",
             "NilcleanError", "PropertyReport", "ResourceCapError", "RingDescriptor",
-            "RingMatrix", "TruncFactor", "UnsupportedRingError", "ZmFactor", "check_certificate",
-            "decide", "decompose", "decompose_triangular", "decompose_zm",
-            "enumerate_idempotents", "enumerate_nilpotents", "factorize",
-            "is_two_three_smooth", "min_nilpotent_index_over_decompositions",
-            "parse_ring_descriptor", "trunc_ring", "two_three_smooth_moduli", "verify_certificate", "zm_ring",
+            "RingMatrix", "TruncFactor", "UnsupportedRingError", "ZmFactor",
+            "decide", "decompose", "decompose_triangular", "factorize",
+            "min_nilpotent_index_over_decompositions", "parse_ring_descriptor",
+            "verify_certificate", "zm_ring",
         ]
 
     def test_decompose_is_the_function(self):
@@ -1081,7 +1079,7 @@ def _stream_pool():
     that is not a certificate."""
     gen = np.random.default_rng(7)
     docs = []
-    for ring in (zm_ring(6), trunc_ring(3, 2)):
+    for ring in (zm_ring(6), MatrixRing(factorize(3), 2)):
         for n in (1, 2, 3):
             cert = decompose(RingMatrix.random(n, ring, gen))
             docs.append(certificate_to_doc(cert))
@@ -1094,10 +1092,18 @@ STREAM_POOL = _stream_pool()
 SEPARATORS = ["\n", "  \n", "\n\n\n", "\t\n \n", " \x0c\n"]
 
 
+def reference_documents(text):
+    """The documents of a whole stream, split by the regular expression
+    verify used before it streamed, less each block whose lines are all
+    blank or '#' comments."""
+    return [parse_document(c) for c in re.split(r"\n\s*\n", text.strip())
+            if any(line.strip()[:1] not in ("", "#") for line in c.splitlines())]
+
+
 def reference_verify(text):
-    """The verdicts and exit code of verify on a whole stream, split by the
-    regular expression verify used before it streamed."""
-    docs = [parse_document(c) for c in re.split(r"\n\s*\n", text.strip()) if c.strip()]
+    """The verdicts and exit code of verify on a whole stream, as
+    reference_documents splits it."""
+    docs = reference_documents(text)
     certs = [certificate_from_doc(d) for d in docs if d.get("kind", "certificate") == "certificate"]
     out = "".join(f"certificate {i}: ok\n" if verify_certificate(c)
                   else f"certificate {i}: FAILED check: {c.failure}\n" for i, c in enumerate(certs))
@@ -1140,8 +1146,7 @@ class TestVerifyStream:
             except InputError:
                 return InputError
 
-        assert outcome(lambda: documents(text)) == outcome(
-            lambda: [parse_document(c) for c in re.split(r"\n\s*\n", text.strip()) if c.strip()])
+        assert outcome(lambda: documents(text)) == outcome(lambda: reference_documents(text))
 
     def test_malformed_document_mid_stream(self, capsys, monkeypatch):
         good = STREAM_POOL[0]
@@ -1189,7 +1194,7 @@ class TestDecomposeStream:
 
     @pytest.mark.parametrize("k", (1, 2, 7))
     def test_k_documents_give_k_certificates(self, capsys, monkeypatch, rng, k):
-        rings = (zm_ring(6), zm_ring(72), trunc_ring(6, 2), zm_ring(3))
+        rings = (zm_ring(6), zm_ring(72), MatrixRing(factorize(6), 2), zm_ring(3))
         mats = [RingMatrix.random(1 + i % 4, rings[i % len(rings)], rng) for i in range(k)]
         text = "\n".join(_matrix_document(a) for a in mats)
         code, out, err = run(capsys, monkeypatch, ["decompose"], text)
@@ -1249,6 +1254,79 @@ class TestDecomposeStream:
         assert large - small <= 512 * 1024, (small, large)
 
 
+class TestCommentsAndByteOrderMark:
+    """'#' comment lines are skipped wherever they stand: before the line
+    that decides the input format, in plain rows, and as whole blocks of a
+    stream.  One byte-order mark at the start of the input is dropped."""
+
+    A = RingMatrix.from_rows([[1, 2], [3, 4]], zm_ring(6))
+
+    def test_comment_before_a_matrix_document(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["decompose"], "# a note\n" + _matrix_document(self.A))
+        assert code == EXIT_OK, err
+        assert out == certificate_to_doc(decompose(self.A))
+
+    def test_comment_in_plain_rows(self, capsys, monkeypatch):
+        for text in ("# note\n1 2\n3 4\n", "1 2\n  # note: 5 5\n3 4\n# end\n", "\n# a\n\n# b\n1 2\n3 4"):
+            code, out, err = run(capsys, monkeypatch, ["decompose", "--modulus", "6"], text)
+            assert code == EXIT_OK, (text, err)
+            assert out == certificate_to_doc(decompose(self.A))
+
+    def test_comment_block_in_a_decompose_stream(self, capsys, monkeypatch):
+        b = RingMatrix.from_rows([[1]], zm_ring(6))
+        for text in (_matrix_document(b) + "\n# trailing comment\n",
+                     "# lead\n\n" + _matrix_document(b) + "\n# between\n# two lines\n\n"
+                     + _matrix_document(self.A) + "\n  # last\n"):
+            code, out, err = run(capsys, monkeypatch, ["decompose"], text)
+            assert code == EXIT_OK, err
+            mats = [b] if text.count("A:") == 1 else [b, self.A]
+            assert out == "\n".join(certificate_to_doc(decompose(a)) for a in mats)
+
+    def test_comment_block_in_a_verify_stream(self, capsys, monkeypatch):
+        cert = certificate_to_doc(decompose(self.A))
+        text = cert + "\n# between\n\n" + cert + "\n# trailing\n"
+        code, out, err = run(capsys, monkeypatch, ["verify"], text)
+        assert code == EXIT_OK, err
+        assert out == "certificate 0: ok\ncertificate 1: ok\n"
+
+    def test_comments_alone(self, capsys, monkeypatch):
+        text = "# only\n\n  # comments\n# here\n"
+        assert documents(text) == []
+        code, out, err = run(capsys, monkeypatch, ["verify"], text)
+        assert code == EXIT_PARSE and out == "" and "no certificate documents in input" in err
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--modulus", "6"], text)
+        assert code == EXIT_PARSE and out == "" and "empty matrix input" in err
+        with pytest.raises(InputError, match="empty document"):
+            parse_document("")
+        with pytest.raises(InputError, match="empty document"):
+            parse_document("# a comment\n")
+
+    def test_field_after_a_line_break_inside_a_comment_line(self):
+        # the stream splits lines at \n alone, parse_document at \r too
+        assert documents("# note\rA: [[1]]\n") == [{"A": [[1]]}]
+
+    @pytest.mark.parametrize("from_file", (False, True))
+    def test_byte_order_mark(self, capsys, monkeypatch, tmp_path, from_file):
+        def command(args, text):
+            if not from_file:
+                return run(capsys, monkeypatch, args, text)
+            path = tmp_path / "input.txt"
+            path.write_bytes(text.encode())
+            return run(capsys, monkeypatch, args + ["--input", str(path)])
+
+        b = RingMatrix.from_rows([[1]], zm_ring(6))
+        code, out, err = command(["decompose"], "\ufeffring: Z6\nA: [[1]]\n")
+        assert code == EXIT_OK, err
+        assert out == certificate_to_doc(decompose(b))
+        code, verdicts, err = command(["verify"], "\ufeff" + out)
+        assert code == EXIT_OK and verdicts == "certificate 0: ok\n", err
+        code, out, err = command(["decompose", "--modulus", "6"], "\ufeff1 2\n3 4\n")
+        assert code == EXIT_OK and out == certificate_to_doc(decompose(self.A)), err
+        # one mark only: a second one is part of the key
+        code, out, err = command(["decompose"], "\ufeff\ufeffring: Z6\nA: [[1]]\n")
+        assert code == EXIT_PARSE and "no ring given" in err
+
+
 class TestRepeatedKey:
     """A document that gives a key twice is refused, naming the key and its
     line, where a dict would keep the last value."""
@@ -1291,7 +1369,7 @@ def _tampered(cert, kind):
 
 
 TAMPERS = ("k+1", "k-1", "k=1", "k=bound", "E", "F", "A", "W=I")
-VERDICT_RINGS = (zm_ring(2), zm_ring(3), zm_ring(72), trunc_ring(6, 3), trunc_ring(72, 2))
+VERDICT_RINGS = (zm_ring(2), zm_ring(3), zm_ring(72), MatrixRing(factorize(6), 3), MatrixRing(factorize(72), 2))
 
 
 def _verdict_stream():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import companion, mat_mul_naive, nilpotency_naive_exact
+from conftest import companion, mat_mul_naive, nilpotency_naive_exact, smooth_moduli
 from nilclean.classifier import min_nilpotent_index_over_decompositions, parse_ring_descriptor
 from nilclean.cli import certificate_to_doc
 from nilclean.decompose import (
@@ -25,10 +25,10 @@ from nilclean.decompose import (
 )
 from nilclean.errors import DomainError, InputError, InternalCheckError, UnsupportedRingError
 from nilclean.gfp import krylov_form
-from nilclean.matrix import BLAS_MIN_DIMENSION, RingMatrix, trunc_ring, zm_ring
-from nilclean.residue import factorize, lift_iteration_cap, two_three_smooth_moduli
+from nilclean.matrix import BLAS_MIN_DIMENSION, MatrixRing, RingMatrix, zm_ring
+from nilclean.residue import factorize, lift_iteration_cap
 
-SMOOTH = two_three_smooth_moduli(72)
+SMOOTH = smooth_moduli(72)
 
 
 def block_of(p, last_col):
@@ -290,8 +290,8 @@ class TestSelfCheckCount:
         (decompose, zm_ring(9)),
         (decompose, zm_ring(72)),
         (decompose, zm_ring(6)),
-        (decompose, trunc_ring(6, 3)),
-        (decompose, trunc_ring(72, 2)),
+        (decompose, MatrixRing(factorize(6), 3)),
+        (decompose, MatrixRing(factorize(72), 2)),
         (decompose_triangular, zm_ring(72)),
     ])
     def test_one_check_per_public_call(self, checks, powerings, call, ring, rng):
@@ -304,7 +304,7 @@ class TestSelfCheckCount:
         # one powering pass both finds W's exponent and proves it
         assert len(powerings) == 1
 
-    @pytest.mark.parametrize("ring", [zm_ring(72), trunc_ring(72, 2), zm_ring(6), zm_ring(3)])
+    @pytest.mark.parametrize("ring", [zm_ring(72), MatrixRing(factorize(72), 2), zm_ring(6), zm_ring(3)])
     def test_lift_products(self, monkeypatch, ring, rng):
         # the E/F stack is lifted on its constant (2, 1, n, n) slice, two
         # products a round for (e - 1).bit_length() rounds, and checked only
@@ -397,7 +397,7 @@ class TestPrimePower:
         lifted = []
         monkeypatch.setattr(module, "_lift_idempotents", lambda stack, m, rounds:
                             lifted.append((m, stack.shape, rounds)) or lift(stack, m, rounds))
-        for ring in (zm_ring(3), zm_ring(6), trunc_ring(6, 2), zm_ring(9), trunc_ring(36, 2)):
+        for ring in (zm_ring(3), zm_ring(6), MatrixRing(factorize(6), 2), zm_ring(9), MatrixRing(factorize(36), 2)):
             decompose(RingMatrix.random(3, ring, rng))
         assert [(m, shape) for m, shape, rounds in lifted if rounds] == [(9, (2, 1, 3, 3)), (36, (2, 1, 3, 3))]
 
@@ -453,7 +453,7 @@ class TestLiftRounds:
     @pytest.mark.parametrize("d", (1, 2, 3, 4))
     def test_fixed_rounds_equal_lift_until_fixed(self, d):
         gen = np.random.default_rng(d)
-        moduli = two_three_smooth_moduli(10**4) + [2**30, 3**19]
+        moduli = smooth_moduli(10**4) + [2**30, 3**19]
         needed = 0
         for m in moduli * 3:
             n = int(gen.integers(1, 5))
@@ -508,7 +508,7 @@ class TestZm:
 
     def test_trunc_entries_rejected(self):
         with pytest.raises(InputError):
-            decompose_zm(RingMatrix.zeros(1, trunc_ring(6, 2)))
+            decompose_zm(RingMatrix.zeros(1, MatrixRing(factorize(6), 2)))
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2)])
     def test_exhaustive_small(self, n, m):
@@ -602,17 +602,17 @@ class TestTriangular:
 class TestTruncPolyMatrix:
     def test_degree_one_equals_zm(self, rng):
         a = RingMatrix.random(3, zm_ring(6), rng)
-        lifted = RingMatrix(trunc_ring(6, 1), a.coeffs.copy())
+        lifted = RingMatrix(MatrixRing(factorize(6), 1), a.coeffs.copy())
         assert decompose(lifted).e == decompose_zm(a).e
 
     def test_nilpotent_generator_stays_in_w(self):
-        cert = decompose(RingMatrix.from_rows([[[0, 1, 0]]], trunc_ring(2, 3)))
+        cert = decompose(RingMatrix.from_rows([[[0, 1, 0]]], MatrixRing(factorize(2), 3)))
         assert cert.e.is_zero() and cert.f.is_zero()
         assert cert.w.to_rows() == [[[0, 1, 0]]]
         assert cert.nilpotency_exponent == 3
 
     def test_unit_plus_x(self):
-        cert = decompose(RingMatrix.from_rows([[[1, 1]]], trunc_ring(3, 2)))
+        cert = decompose(RingMatrix.from_rows([[[1, 1]]], MatrixRing(factorize(3), 2)))
         assert cert.e.to_rows() == [[[1, 0]]]
         assert cert.f.is_zero()
         assert cert.w.to_rows() == [[[0, 1]]]
@@ -620,7 +620,7 @@ class TestTruncPolyMatrix:
 
     def test_exhaustive_one_by_one(self):
         for m, d in ((2, 3), (3, 2)):
-            ring = trunc_ring(m, d)
+            ring = MatrixRing(factorize(m), d)
             for coeffs in itertools.product(range(m), repeat=d):
                 a = RingMatrix.from_rows([[list(coeffs)]], ring)
                 cert = decompose(a)
@@ -630,19 +630,19 @@ class TestTruncPolyMatrix:
     @settings(max_examples=40, deadline=None)
     def test_random_z6x2(self, n, seed):
         gen = np.random.default_rng(seed)
-        cert = decompose(RingMatrix.random(n, trunc_ring(6, 2), gen))
+        cert = decompose(RingMatrix.random(n, MatrixRing(factorize(6), 2), gen))
         assert cert.verified
 
     def test_unsupported_base(self):
         with pytest.raises(UnsupportedRingError):
-            decompose(RingMatrix.zeros(1, trunc_ring(5, 2)))
+            decompose(RingMatrix.zeros(1, MatrixRing(factorize(5), 2)))
 
 
 class TestDispatch:
     def test_routes_by_ring(self, rng):
         a = RingMatrix.random(2, zm_ring(12), rng)
         assert decompose(a).verified
-        b = RingMatrix.random(2, trunc_ring(6, 2), rng)
+        b = RingMatrix.random(2, MatrixRing(factorize(6), 2), rng)
         assert decompose(b).verified
 
 
@@ -723,7 +723,7 @@ class TestPinnedCertificates:
     @pytest.mark.parametrize("m,d,digest", PINNED_CERTIFICATES,
                              ids=[f"m{m}-d{d}" for m, d, _ in PINNED_CERTIFICATES])
     def test_digests(self, m, d, digest):
-        ring = trunc_ring(m, d)
+        ring = MatrixRing(factorize(m), d)
         rng = np.random.default_rng([m, d])
         h = hashlib.sha256()
         for n in PINNED_SIZES:
@@ -765,7 +765,7 @@ class TestPinnedLarge:
     @pytest.mark.parametrize("m,d,digest", PINNED_LARGE,
                              ids=[f"m{m}" if d == 1 else f"m{m}-d{d}" for m, d, _ in PINNED_LARGE])
     def test_digests(self, m, d, digest):
-        ring = trunc_ring(m, d)
+        ring = MatrixRing(factorize(m), d)
         gen = np.random.default_rng([m, 64])
         h = hashlib.sha256()
         for n in (32, 64):

@@ -13,14 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import charpoly_cofactor, companion, mat_mul_naive, poly_mul, rank_naive
+from conftest import charpoly_cofactor, companion, mat_mul_naive, poly_mul, rank_naive, smooth_moduli
 from nilclean import gfp
 from nilclean.cli import certificate_to_doc
 from nilclean.decompose import decompose_triangular
 from nilclean.errors import InputError, InternalCheckError
 from nilclean.gfp import krylov_form
 from nilclean.matrix import RingMatrix, zm_ring
-from nilclean.residue import two_three_smooth_moduli
 
 PRIMES = (2, 3, 5, 7)
 
@@ -475,7 +474,7 @@ class TestPinnedTriangular:
     def test_digests(self, n, digest):
         rng = np.random.default_rng(7000 + n)
         h = hashlib.sha256()
-        for m in two_three_smooth_moduli(2**31):
+        for m in smooth_moduli(2**31):
             rows = np.triu(rng.integers(0, m, size=(n, n))).tolist()
             cert = decompose_triangular(RingMatrix.from_rows(rows, zm_ring(m)))
             h.update(certificate_to_doc(cert).encode())

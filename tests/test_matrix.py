@@ -22,7 +22,6 @@ from nilclean.matrix import (
     _routed_mul,
     _stack_mul,
     check_certificate,
-    trunc_ring,
     verify_certificate,
     zm_ring,
 )
@@ -92,7 +91,7 @@ class TestArithmetic:
     @pytest.mark.parametrize("d", (1, 3))
     def test_entries_are_int64(self, m, d, rng):
         # one representation for every supported modulus, at any n
-        ring = trunc_ring(m, d)
+        ring = MatrixRing(factorize(m), d)
         for n in (1, 64):
             a = RingMatrix.random(n, ring, rng)
             rows = a.to_rows()
@@ -200,7 +199,7 @@ class TestProductRoutes:
     def test_truncated_matches_python_ints(self, m, d, n):
         # the truncated convolution past the bound on ring elements drawn by
         # RingMatrix.random, one (d, n, n) product and a (2, d, n, n) stack
-        ring = trunc_ring(m, d)
+        ring = MatrixRing(factorize(m), d)
         gen = np.random.default_rng([m, d, n])
         a, b = (np.stack([RingMatrix.random(n, ring, gen).coeffs for _ in range(2)])
                 for _ in range(2))
@@ -254,7 +253,7 @@ def _products(k):
     return 0 if k == 1 else (k - 1).bit_length() - 1 + bin(k - 1).count("1")
 
 
-EXPONENT_RINGS = (zm_ring(72), trunc_ring(6, 3), zm_ring(2**31 - 1))
+EXPONENT_RINGS = (zm_ring(72), MatrixRing(factorize(6), 3), zm_ring(2**31 - 1))
 
 
 class TestExponentProof:
@@ -282,7 +281,7 @@ class TestExponentProof:
                 assert check_certificate(DecompositionCertificate(w, zero, zero, w, k)) == want, (k, found)
         assert nilpotent >= 3
 
-    @pytest.mark.parametrize("ring", (trunc_ring(6, 3), zm_ring(72), trunc_ring(72, 2)),
+    @pytest.mark.parametrize("ring", (MatrixRing(factorize(6), 3), zm_ring(72), MatrixRing(factorize(72), 2)),
                              ids=lambda ring: ring.describe())
     def test_products_per_stated_exponent(self, ring, monkeypatch, rng):
         from nilclean.decompose import decompose
@@ -446,7 +445,7 @@ class TestPredicates:
         b = RingMatrix.from_rows([[2, 4], [1, 6]], zm_ring(7))
         assert b.residue_field_image(7).tolist() == b.to_rows()
         assert RingMatrix.from_rows([[7]], zm_ring(12)).residue_field_image(2).tolist() == [[1]]
-        c = RingMatrix.from_rows([[[4, 1], [0, 5]], [[1], [2, 2]]], trunc_ring(6, 2))
+        c = RingMatrix.from_rows([[[4, 1], [0, 5]], [[1], [2, 2]]], MatrixRing(factorize(6), 2))
         assert c.residue_field_image(3).tolist() == [[1, 0], [1, 2]]  # x -> 0
         with pytest.raises(InputError):
             a.residue_field_image(5)
@@ -552,7 +551,7 @@ class TestCertificates:
             check_certificate(DecompositionCertificate(a, b, b, b, 1))
 
     def test_trunc_ring_certificates(self):
-        ring = trunc_ring(3, 2)
+        ring = MatrixRing(factorize(3), 2)
         a = RingMatrix.from_rows([[[1, 1]]], ring)
         e = RingMatrix.from_rows([[[1, 0]]], ring)
         zero = RingMatrix.zeros(1, ring)
@@ -650,7 +649,7 @@ class TestFromRows:
             outcome(lambda: [RingMatrix.from_rows(rows, ring) for rows in mats])
 
     def test_stack_shares_one_array_and_ring(self):
-        ring = trunc_ring(6, 3)
+        ring = MatrixRing(factorize(6), 3)
         a, b = RingMatrix.stack_from_rows([[[[1, 2]]], [[[7, 8]]]], ring)
         assert a.coeffs.base is b.coeffs.base and a.coeffs.base.shape == (2, 3, 1, 1)
         assert a.ring is b.ring is ring
@@ -663,7 +662,7 @@ class TestFromRows:
         """An empty string or object used to read as 0, having no coefficient."""
         for d in (1, 3):
             with pytest.raises(TypeError, match="neither an integer nor a list of integers"):
-                RingMatrix.from_rows([[0, 1], [entry, 2**70]], trunc_ring(6, d))
+                RingMatrix.from_rows([[0, 1], [entry, 2**70]], MatrixRing(factorize(6), d))
         # a tuple of ints reads as a list, in one conversion or entry by entry
         for rows in ([[(1, 2), (0, 0)], [(3, 0), (4, 0)]], [[(1, 2), 2**70], [3, 4]]):
-            assert RingMatrix.from_rows(rows, trunc_ring(6, 3)).to_rows()[0][0] == [1, 2, 0]
+            assert RingMatrix.from_rows(rows, MatrixRing(factorize(6), 3)).to_rows()[0][0] == [1, 2, 0]

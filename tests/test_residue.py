@@ -7,15 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import smooth_moduli
 from nilclean.decompose import _lift_idempotent_matrix, decompose_triangular
 from nilclean.errors import DomainError, InputError, UnsupportedRingError
-from nilclean.matrix import RingMatrix, trunc_ring, zm_ring
-from nilclean.residue import (
-    Modulus,
-    factorize,
-    is_two_three_smooth,
-    two_three_smooth_moduli,
-)
+from nilclean.matrix import MatrixRing, RingMatrix, zm_ring
+from nilclean.residue import Modulus, factorize
 
 
 def elem(a, m):
@@ -25,7 +21,7 @@ def elem(a, m):
 
 def poly(coeffs, m):
     """The truncated polynomial with these coefficients, x^len(coeffs) = 0."""
-    return RingMatrix.from_rows([[list(coeffs)]], trunc_ring(m, len(coeffs)))
+    return RingMatrix.from_rows([[list(coeffs)]], MatrixRing(factorize(m), len(coeffs)))
 
 
 def value(x):
@@ -91,9 +87,9 @@ class TestCachedFacts:
 
 class TestSmoothness:
     def test_examples(self):
-        assert is_two_three_smooth(factorize(36))
-        assert not is_two_three_smooth(factorize(5))
-        assert is_two_three_smooth(factorize(6))
+        assert factorize(36).two_three_smooth
+        assert not factorize(5).two_three_smooth
+        assert factorize(6).two_three_smooth
 
     def test_against_direct_division(self):
         for m in range(2, 500):
@@ -101,11 +97,10 @@ class TestSmoothness:
             for p in (2, 3):
                 while n % p == 0:
                     n //= p
-            assert is_two_three_smooth(factorize(m)) == (n == 1)
+            assert factorize(m).two_three_smooth == (n == 1)
 
     def test_enumerator(self):
-        listed = two_three_smooth_moduli(200)
-        assert listed == [m for m in range(2, 201) if is_two_three_smooth(factorize(m))]
+        assert smooth_moduli(200) == [m for m in range(2, 201) if factorize(m).two_three_smooth]
 
 
 def crt_roundtrip(a, m):
@@ -219,7 +214,7 @@ class TestStrongDecompose:
             decompose_triangular(elem(1, 10))
 
     def test_exhaustive_smooth_up_to_200(self):
-        for m in two_three_smooth_moduli(200):
+        for m in smooth_moduli(200):
             for a in range(m):
                 e, f, w = self.parts(a, m)
                 assert e * e % m == e
@@ -236,7 +231,7 @@ class TestStrongDecompose:
             all_decomposable = all(
                 any((a - e - f) % m in nil for e in idem for f in idem) for a in range(m)
             )
-            assert all_decomposable == is_two_three_smooth(mod)
+            assert all_decomposable == mod.two_three_smooth
 
 
 class TestTruncPoly:
@@ -276,7 +271,7 @@ class TestTruncPoly:
         assert (a + (-a)).is_zero()
 
     def test_classify_unit_iff_constant_unit(self):
-        ring = trunc_ring(6, 2)
+        ring = MatrixRing(factorize(6), 2)
         one = RingMatrix.identity(1, ring)
         elements = [poly((c0, c1), 6) for c0 in range(6) for c1 in range(6)]
         for f in elements:
