@@ -130,6 +130,7 @@ def iter_documents(lines: Iterable[str]) -> Iterator[dict]:
             chunk = []
 
 
+@functools.lru_cache(maxsize=256)  # a stream repeats a few ring names
 def parse_matrix_ring(text: str) -> MatrixRing:
     """Entry-ring descriptor for matrices: "Z12" or "Z6[x]/(x^2)"."""
     s = text.replace(" ", "")
@@ -166,7 +167,9 @@ def certificate_to_doc(cert: DecompositionCertificate) -> str:
 
 def certificate_from_doc(doc: dict) -> DecompositionCertificate:
     try:
-        ring = MatrixRing(factorize(_doc_int(doc, "modulus")), _doc_int(doc, "trunc-degree", 1))
+        ring = _doc_ring(doc)
+        if ring is None:
+            raise KeyError("modulus")
         mats = _doc_matrices(doc, ("A", "E", "F", "W"), ring)
         exponent = _doc_int(doc, "nilpotency-exponent")
         tags = tuple(doc.get("case-tags", []))
@@ -254,6 +257,25 @@ def _doc_int(doc: dict, key: str, default: Optional[int] = None) -> int:
     raise InputError(f"field {key!r} must be an integer, got {value!r:.40}")
 
 
+def _doc_ring(doc: dict) -> Optional[MatrixRing]:
+    """The ring a document names, or None when it names none: by its 'ring',
+    by 'modulus' and 'trunc-degree' (1 when not given), or by both, which
+    must then name one ring; a degree beside 'ring' alone must be its d.  A
+    'schema' other than SCHEMA is refused."""
+    if doc.get("schema", SCHEMA) != SCHEMA:
+        raise InputError(f"field 'schema' must be {SCHEMA}, got {doc['schema']!r:.40}")
+    named = parse_matrix_ring(str(doc["ring"])) if "ring" in doc else None
+    if "modulus" not in doc and not (named and "trunc-degree" in doc):
+        return named
+    if named is None:
+        return MatrixRing(factorize(_doc_int(doc, "modulus")), _doc_int(doc, "trunc-degree", 1))
+    m, d = _doc_int(doc, "modulus", named.m), _doc_int(doc, "trunc-degree", named.d)
+    if (m, d) != (named.m, named.d):
+        raise InputError(f"field 'ring' names {named.describe()}, but 'modulus' and "
+                         f"'trunc-degree' name {MatrixRing(factorize(m), d).describe()}")
+    return named
+
+
 def _doc_matrix(doc: dict, key: str, ring: MatrixRing) -> RingMatrix:
     """A matrix field of a document; KeyError when it is missing, InputError
     when it is not a JSON list: parse_document keeps a value that is not JSON
@@ -298,12 +320,7 @@ def _doc_input_matrix(doc: dict, args) -> RingMatrix:
     """The matrix of a key-value matrix document."""
     if "A" not in doc:
         raise InputError("matrix document lacks field 'A'")
-    if "ring" in doc:
-        ring = parse_matrix_ring(str(doc["ring"]))
-    elif "modulus" in doc:
-        ring = MatrixRing(factorize(_doc_int(doc, "modulus")), _doc_int(doc, "trunc-degree", 1))
-    else:
-        ring = _ring_from_flags(args)
+    ring = _doc_ring(doc) or _ring_from_flags(args)
     try:
         a = _doc_matrix(doc, "A", ring)
     except (TypeError, ValueError) as bad:
@@ -349,16 +366,23 @@ def cmd_decompose(args) -> int:
     memory stays flat in their number, and a bad document stops the stream
     after the certificates before it."""
     if args.exhaustive:
-        return _decompose_exhaustive(args)
-    solve = decompose_triangular if args.triangular else decompose
-    for index, a in enumerate(_matrix_inputs(args)):
-        if index:
+        matrices, solve = _exhaustive_matrices(args), decompose
+    else:
+        matrices, solve = _matrix_inputs(args), decompose_triangular if args.triangular else decompose
+    emitted = 0
+    for a in matrices:
+        if emitted:
             sys.stdout.write("\n")
         _write(certificate_to_doc(solve(a)), args)
+        emitted += 1
+    if args.exhaustive:
+        n, m = args.exhaustive
+        print(f"exhaustive sweep: {emitted} verified certificates over M_{n}(Z_{m})", file=sys.stderr)
     return EXIT_OK
 
 
-def _decompose_exhaustive(args) -> int:
+def _exhaustive_matrices(args) -> Iterator[RingMatrix]:
+    """Every matrix of M_N(Z_M) in order, after the checks of --exhaustive N M."""
     unused = [flag for flag, given in (("--input", args.input is not None),
                                        ("--modulus", args.modulus is not None),
                                        ("--ring", args.ring is not None),
@@ -374,19 +398,8 @@ def _decompose_exhaustive(args) -> int:
         raise ResourceCapError(
             f"exhaustive sweep of M_{n}(Z_{m}) has {m}^{n * n} matrices, over the cap"
         )
-    emitted = 0
-    first = True
-    for entries in itertools.product(range(m), repeat=n * n):
-        mat = RingMatrix(ring, np.array(entries, dtype=np.int64).reshape(1, n, n))
-        cert = decompose(mat)
-        if not first:
-            sys.stdout.write("\n")
-        sys.stdout.write(certificate_to_doc(cert))
-        first = False
-        emitted += 1
-    print(f"exhaustive sweep: {emitted} verified certificates over M_{n}(Z_{m})",
-          file=sys.stderr)
-    return EXIT_OK
+    return (RingMatrix(ring, np.array(entries, dtype=np.int64).reshape(1, n, n))
+            for entries in itertools.product(range(m), repeat=n * n))
 
 
 # name -> callable(ring), read on each call so that a wrapper on a value sees it

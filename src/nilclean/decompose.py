@@ -32,7 +32,7 @@ import enum
 
 import numpy as np
 
-from .errors import DomainError, InputError, InternalCheckError
+from .errors import InputError, InternalCheckError
 from .gfp import krylov_form
 from .matrix import BLAS_MIN_DIMENSION, DecompositionCertificate, RingMatrix, _stack_mul, verify_certificate
 from .residue import lift_iteration_cap, require_two_three_smooth
@@ -139,25 +139,6 @@ def _lift_idempotents(stack: np.ndarray, m: int, rounds: int) -> np.ndarray:
         y2 = _stack_mul(stack, stack, m)
         stack = (3 * y2 - 2 * _stack_mul(y2, stack, m)) % m
     return stack
-
-
-def _lift_idempotent_matrix(x: RingMatrix) -> RingMatrix:
-    """Lift a residually idempotent matrix to an exact idempotent, after
-    checking that precondition; its entries need not be constant, so the
-    radical of the entry ring sets the rounds.  The result is proved once."""
-    ring = x.ring
-    for p in ring.modulus.primes:
-        img = x.residue_field_image(p)[None]
-        if not np.array_equal(_stack_mul(img, img, p), img):
-            raise DomainError(
-                f"matrix is not idempotent modulo {p}; the cubic iteration "
-                f"would not converge to a lift of it"
-            )
-    out = RingMatrix(ring, _lift_idempotents(x.coeffs[None], ring.m,
-                                             lift_iteration_cap(ring.radical_exponent()))[0])
-    if not out.is_idempotent():
-        raise InternalCheckError("idempotent lifting ended on a non-idempotent", x)
-    return out
 
 
 def _parts(a: RingMatrix):

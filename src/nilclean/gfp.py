@@ -8,18 +8,12 @@ v's history unit h, reduces v against the rows, finds its lead, makes the
 pivot a unit, clears the pivot column from the other rows and stores the row.
 A field for n-vectors stores 2n + 1 coordinates: an elimination row is
 [vector | history] as in Gauss-Jordan on [A | I], so one row operation
-updates both.  p alone picks the representation:
-
-* GF(2) and GF(3): a vector is one int, coordinate j in byte j.  Over GF(2) a
-  row operation is an XOR (as in M4RI, Albrecht-Bard-Hart, ACM TOMS 2010);
-  over GF(3) it adds lanewise and takes 3 off every lane that reached it, six
-  word operations.  A pivot is read off its lane by one shift; over GF(3)
-  the only one that is not 1 is 2, made 1 by the same six operations;
-* p >= 5: a list of 2n + 1 ints.  Decompositions need p in {2, 3}, but this
-  field stays: ``rank`` and ``inverse`` run on it for RingMatrix.inverse and
-  is_invertible, through which tests and the stress script build conjugated
-  inputs; the Krylov form's tests run over GF(5); and a Krylov form over
-  GF(p >= 5) is what decompositions over such moduli would need.
+updates both.  Decompositions need only GF(2) and GF(3), and there a vector
+is one int, coordinate j in byte j.  Over GF(2) a row operation is an XOR (as
+in M4RI, Albrecht-Bard-Hart, ACM TOMS 2010); over GF(3) it adds lanewise and
+takes 3 off every lane that reached it, six word operations.  A pivot is read
+off its lane by one shift; over GF(3) the only one that is not 1 is 2, made 1
+by the same six operations.  krylov_form refuses any other p.
 
 Every lanewise sum of rows is one gather (``_gather``), in C: the matvec of a
 Krylov step, and the reduction of a vector against an echelon basis, whose
@@ -45,12 +39,10 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from itertools import compress
-from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, InternalCheckError
-from .residue import factorize
 
 Field = namedtuple("Field", "n insert matvec pack unpack")
 
@@ -115,9 +107,10 @@ _LANE_BOUND = {2: 254, 3: 84}
 
 
 @functools.cache
-def _byte_lanes(p: int, n: int) -> Field:
-    """GF(2) or GF(3) on ints of 2n + 1 byte lanes, for n up to the lanes'
-    bound; past it a lane would carry into the next."""
+def field(p: int, n: int) -> Field:
+    """GF(2) or GF(3), for rows of n-vectors and their histories, on ints of
+    2n + 1 byte lanes, for n up to the lanes' bound; past it a lane would
+    carry into the next."""
     if n > _LANE_BOUND[p]:
         raise ValueError(f"GF({p}) byte lanes are exact only up to n = {_LANE_BOUND[p]}, got n = {n}")
     width, top = 2 * n + 1, 8 * n
@@ -190,80 +183,15 @@ def _byte_lanes(p: int, n: int) -> Field:
     return Field(n, insert, matvec, _pack_bytes, _unpack_bytes)
 
 
-def field(p: int, n: int) -> Field:
-    """GF(p), p prime, for rows of n-vectors and their histories."""
-    if p <= 3:
-        return _byte_lanes(p, n)
-    width = 2 * n + 1
-
-    def axpy(v, c, r):
-        return [(a - c * b) % p for a, b in zip(v, r)]
-
-    def matvec(cols, u):
-        acc = [0] * width
-        for c, col in zip(u, cols):
-            if c:
-                acc = axpy(acc, p - c, col)
-        return acc
-
-    def insert(e, v, h):
-        rows = e.rows
-        v = v[: n + h] + [1] + v[n + h + 1 :]
-        for j in e.pivs:
-            if v[j]:
-                v = axpy(v, v[j], rows[j])
-        piv = next((j for j in range(n) if v[j]), n)
-        if piv == n:
-            return v[n:]
-        if v[piv] != 1:
-            c = pow(v[piv], -1, p)
-            v = [a * c % p for a in v]
-        for j in e.pivs:
-            if rows[j][piv]:
-                rows[j] = axpy(rows[j], rows[j][piv], v)
-        rows[piv] = v
-        e.pivs.append(piv)
-        e.mask |= 1 << (piv << 3)
-        return None
-
-    return Field(
-        n=n, insert=insert, matvec=matvec,
-        pack=lambda mat: [row + [0] * (width - len(row)) for row in mat.tolist()],
-        unpack=lambda vecs, k: np.array([v[:k] for v in vecs], np.int64).reshape(len(vecs), k),
-    )
-
-
 @functools.cache
 def _units(p: int, n: int) -> tuple:
     """e_0, ..., e_{n-1} in field(p, n), packed once."""
     return tuple(field(p, n).pack(np.eye(n, dtype=np.int64)))
 
 
-def _row_span(mat: np.ndarray, p: int) -> tuple[Field, Echelon]:
-    """The rows of a matrix with entries in [0, p), inserted in order."""
-    f = field(p, mat.shape[1])
-    span = Echelon(f.n)
-    for i, row in enumerate(f.pack(mat)):
-        f.insert(span, row, i)
-    return f, span
-
-
-def rank(mat: np.ndarray, p: int) -> int:
-    """Rank over GF(p) of a square matrix with entries in [0, p)."""
-    return len(_row_span(mat, p)[1].pivs)
-
-
-def inverse(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """Inverse over GF(p) of a square matrix with entries in [0, p), or None
-    when it is singular."""
-    f, span = _row_span(mat, p)
-    n = mat.shape[0]
-    return f.unpack(span.inverse(), 2 * n)[:, n:] if len(span.pivs) == n else None
-
-
 def krylov_form(mat: np.ndarray, p: int) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """Block-upper-triangular companion form over GF(p), p prime, of a square
-    matrix with entries in [0, p), with its transform.
+    """Block-upper-triangular companion form over GF(p), p = 2 or 3, of a
+    square matrix with entries in [0, p), with its transform.
 
     Scans e_1, e_2, ...; each one outside the span so far contributes its
     conductor chain w, Aw, ..., A^{d-1} w, where g of degree d is the minimal
@@ -278,8 +206,8 @@ def krylov_form(mat: np.ndarray, p: int) -> tuple[list[tuple[int, ...]], np.ndar
     Returns the last columns -g[:-1] of the diagonal blocks in basis order,
     then Q and Q^-1 as int64 arrays reduced mod p.
     """
-    if not factorize(p).is_prime():
-        raise InputError(f"krylov_form requires a prime field GF(p), not Z{p}")
+    if p not in _LANE_BOUND:
+        raise InputError(f"krylov_form runs over GF(2) and GF(3) only, not Z{p}")
     n = mat.shape[0]
     f = field(p, n)
     insert, matvec = f.insert, f.matvec

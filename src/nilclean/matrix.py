@@ -17,9 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import gfp
-from .errors import InputError, InternalCheckError, ResourceCapError
-from .residue import Modulus, factorize, lift_iteration_cap
+from .errors import InputError, ResourceCapError
+from .residue import Modulus, factorize
 
 MAX_DIMENSION = 64
 MAX_TRUNC_DEGREE = 64
@@ -56,11 +55,6 @@ class MatrixRing:
     def nilpotency_bound(self, n: int) -> int:
         """Certified upper bound for the exponent of any nilpotent n x n matrix."""
         return n * self.modulus.max_exponent * self.trunc_degree
-
-    def radical_exponent(self) -> int:
-        """Nilpotency exponent of the nilradical of the entry ring."""
-        e = self.modulus.max_exponent
-        return e if self.trunc_degree == 1 else e + self.trunc_degree - 1
 
     def describe(self) -> str:
         if self.trunc_degree == 1:
@@ -158,22 +152,6 @@ class RingMatrix:
         self._match(other)
         return RingMatrix(self.ring, (self.coeffs + other.coeffs) % self.ring.m)
 
-    def __sub__(self, other: "RingMatrix") -> "RingMatrix":
-        self._match(other)
-        return RingMatrix(self.ring, (self.coeffs - other.coeffs) % self.ring.m)
-
-    def __neg__(self) -> "RingMatrix":
-        return RingMatrix(self.ring, (-self.coeffs) % self.ring.m)
-
-    def __mul__(self, scalar: int) -> "RingMatrix":
-        if not isinstance(scalar, (int, np.integer)):
-            return NotImplemented
-        m = self.ring.m
-        # reduce first: an unreduced scalar could wrap the int64 product
-        return RingMatrix(self.ring, (self.coeffs * (int(scalar) % m)) % m)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         self._match(other)
         return RingMatrix(self.ring, _stack_mul(self.coeffs, other.coeffs, self.ring.m))
@@ -189,9 +167,6 @@ class RingMatrix:
 
     __hash__ = None
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
     def to_rows(self) -> list:
         if self.ring.trunc_degree == 1:
             return self.coeffs[0].tolist()
@@ -202,53 +177,10 @@ class RingMatrix:
 
     # -- structure ----------------------------------------------------------
 
-    def is_idempotent(self) -> bool:
-        return (self @ self) == self
-
     def is_upper_triangular(self) -> bool:
         n = self.n
         tril = np.tril_indices(n, k=-1)
         return not self.coeffs[:, tril[0], tril[1]].any()
-
-    def residue_field_image(self, p: int) -> np.ndarray:
-        """Image in M_n(GF(p)) killing the nilradical: x -> 0, entries mod p."""
-        if p not in self.ring.modulus.primes:
-            raise InputError(f"{p} does not divide {self.ring.m}")
-        return self.coeffs[0] % p
-
-    def nilpotency_exponent(self) -> Optional[int]:
-        """Minimal k with self^k = 0, or None if not nilpotent: a nilpotent
-        matrix has self^bound = 0 under the proven nilpotency bound."""
-        return _min_exponent(self.coeffs, self.ring.m, self.ring.nilpotency_bound(self.n))
-
-    def is_invertible(self) -> bool:
-        """True iff the reduction mod every prime factor is invertible."""
-        if self.ring.d != 1:
-            raise InputError("is_invertible expects a plain Z_m matrix")
-        return all(gfp.rank(self.residue_field_image(p), p) == self.n
-                   for p in self.ring.modulus.primes)
-
-    def inverse(self) -> "RingMatrix":
-        """Explicit inverse over Z_m: invert mod each prime, recombine through
-        the CRT idempotents, and Newton-lift x <- x(2 - ax), which squares the
-        defect 1 - ax, for lift_iteration_cap's rounds; then ax = 1, checked
-        once.  Raises InputError when singular."""
-        if self.ring.d != 1:
-            raise InputError("inverse expects a plain Z_m matrix")
-        modulus = self.ring.modulus
-        m = modulus.m
-        x = np.zeros_like(self.coeffs)
-        for p, c in zip(modulus.primes, modulus.crt_basis):
-            x_p = gfp.inverse(self.residue_field_image(p), p)
-            if x_p is None:
-                raise InputError("matrix is not invertible (singular mod %d)" % p)
-            x[0] = (x[0] + c * x_p % m) % m  # each term below m: nothing wraps
-        ident = RingMatrix.identity(self.n, self.ring).coeffs
-        for _ in range(lift_iteration_cap(modulus.max_exponent)):
-            x = _stack_mul(x, (2 * ident - _stack_mul(self.coeffs, x, m)) % m, m)
-        if not np.array_equal(_stack_mul(self.coeffs, x, m), ident):
-            raise InternalCheckError("inverse failed verification", self)
-        return RingMatrix(self.ring, x)
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,8 @@ def lift_iteration_cap(radical_exponent: int) -> int:
     its defect starts in a nilpotent ideal N with N^radical_exponent = 0: the
     least r with 2^r >= radical_exponent, 0 when N = 0.
 
-    Each round squares the defect, x^2 - x of the cubic idempotent iteration
-    x -> 3x^2 - 2x^3 and 1 - ax of the Newton inverse x -> x(2 - ax), so after
-    r rounds it lies in N^(2^r).  Further rounds leave the exact result fixed.
+    Each round of the cubic idempotent iteration x -> 3x^2 - 2x^3 squares the
+    defect x^2 - x, so after r rounds it lies in N^(2^r).  Further rounds
+    leave the exact idempotent fixed.
     """
     return (radical_exponent - 1).bit_length()

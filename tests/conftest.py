@@ -128,11 +128,12 @@ def det_cofactor(rows, m):
     return total
 
 
-def rank_naive(rows, p):
-    """Rank over GF(p) by plain Gaussian elimination on a copy of the rows."""
+def _gauss_jordan_naive(rows, p, cols):
+    """Plain Gauss-Jordan over GF(p) on a copy of the rows, pivots taken in
+    the first `cols` columns in order: the rank and the reduced rows."""
     a = [[v % p for v in row] for row in rows]
     rank = 0
-    for col in range(len(a[0]) if a else 0):
+    for col in range(cols):
         piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
         if piv is None:
             continue
@@ -144,7 +145,43 @@ def rank_naive(rows, p):
                 c = a[i][col]
                 a[i] = [(x - c * y) % p for x, y in zip(a[i], a[rank])]
         rank += 1
-    return rank
+    return rank, a
+
+
+def rank_naive(rows, p):
+    """Rank over GF(p) by plain Gaussian elimination on a copy of the rows."""
+    return _gauss_jordan_naive(rows, p, len(rows[0]) if rows else 0)[0]
+
+
+def inverse_naive(rows, p):
+    """Inverse over GF(p) of a square matrix by rank_naive's elimination on
+    [g | I], or None when it is singular."""
+    n = len(rows)
+    rank, a = _gauss_jordan_naive([list(row) + [int(i == j) for j in range(n)]
+                                   for i, row in enumerate(rows)], p, n)
+    return [row[n:] for row in a] if rank == n else None
+
+
+def unit_triangular_inverse(rows, m):
+    """(I + N)^-1 over Z_m for a unit triangular I + N: N^n = 0, so it is the
+    finite series sum_{k < n} (-N)^k, summed as the product of the
+    I + (-N)^(2^j) over 2^j < n, in Python ints."""
+    n = len(rows)
+    ident = np.eye(n, dtype=np.int64).astype(object)
+    power, total, k = (ident - np.array(rows, dtype=object)) % m, ident, 1
+    while k < n:
+        total, power, k = total.dot(ident + power) % m, power.dot(power) % m, 2 * k
+    return total.tolist()
+
+
+def unit_triangular_conjugator(n, m, gen):
+    """P = L U over Z_m with L and U random unit lower and upper triangular,
+    and its inverse U^-1 L^-1, as rows of Python ints."""
+    low = np.tril(gen.integers(0, m, (n, n)), -1) + np.eye(n, dtype=np.int64)
+    up = np.triu(gen.integers(0, m, (n, n)), 1) + np.eye(n, dtype=np.int64)
+    low, up = low.astype(object), up.astype(object)
+    low_inv, up_inv = (np.array(unit_triangular_inverse(x.tolist(), m), dtype=object) for x in (low, up))
+    return (low.dot(up) % m).tolist(), (up_inv.dot(low_inv) % m).tolist()
 
 
 # --- naive reference arithmetic of the classifier's rings, on tuples --------

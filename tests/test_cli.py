@@ -315,6 +315,54 @@ class TestBooleanFields:
         assert code == EXIT_OK and "kind: certificate" in out
 
 
+# a document's header fields that disagree, or that name no known ring or
+# schema: (fields over _document's, the error)
+BAD_HEADERS = {
+    "ring-vs-modulus": ({"ring": "Z6"}, "field 'ring' names Z6, but 'modulus' and 'trunc-degree' name Z3"),
+    "ring-vs-degree": ({"ring": "Z3", "trunc-degree": "2"},
+                       "field 'ring' names Z3, but 'modulus' and 'trunc-degree' name Z3[x]/(x^2)"),
+    "ring-unparsed": ({"ring": "nonsense"}, "cannot parse matrix ring 'nonsense'"),
+    "schema": ({"schema": "other"}, "field 'schema' must be nilclean-cert/1, got 'other'"),
+}
+
+
+class TestDocumentHeader:
+    """decompose and verify read a document's ring from one reader: 'ring',
+    'modulus' and 'trunc-degree' must name one ring, and a schema other than
+    nilclean-cert/1 is refused."""
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+    def test_refused(self, capsys, monkeypatch, command, case):
+        fields, message = BAD_HEADERS[case]
+        code, out, err = run(capsys, monkeypatch, [command], _document(**fields))
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"input error: {message}\n"
+
+    def test_examples(self, capsys, monkeypatch):
+        code, _, _ = run(capsys, monkeypatch, ["decompose"], "ring: Z6\nmodulus: 4\nA: [[1,2],[3,5]]\n")
+        assert code == EXIT_PARSE
+        code, cert, _ = run(capsys, monkeypatch, ["decompose", "--modulus", "6"], "1 2\n3 5\n")
+        assert code == EXIT_OK and "ring: Z6\n" in cert
+        for old, new in (("ring: Z6", "ring: Z12"), ("ring: Z6", "ring: nonsense"),
+                         ("schema: nilclean-cert/1", "schema: other")):
+            code, out, _ = run(capsys, monkeypatch, ["verify"], cert.replace(old, new))
+            assert code == EXIT_PARSE and out == ""
+
+    @pytest.mark.parametrize("command", ["decompose", "verify"])
+    def test_agreeing_fields_accepted(self, capsys, monkeypatch, command):
+        # a field left out agrees with the others: the degree of a ring given
+        # by name, and a ring given by 'ring' alone
+        for fields in ({"ring": "Z3", "schema": "nilclean-cert/1"}, {"ring": "Z3", "trunc-degree": "1"},
+                       {"ring": "Z3[x]/(x^2)", "A": "[[[1, 1]]]", "E": "[[[1]]]", "W": "[[[0, 1]]]",
+                        "nilpotency-exponent": "2"}):
+            code, _, err = run(capsys, monkeypatch, [command], _document(**fields))
+            assert (code, err) == (EXIT_OK, "")
+        text = _document().replace("modulus: 3\n", "ring: Z3\n")
+        assert "modulus" not in text
+        assert run(capsys, monkeypatch, [command], text)[0] == EXIT_OK
+
+
 # entries that from_rows reads entry by entry and refuses: floats (integral
 # ones too), strings and objects (empty ones too), and coefficient lists
 # longer than the ring's degree

@@ -17,8 +17,6 @@ def test_randomized_stress_up_to_n64():
     # decompositions at n <= 64 of uniform matrices and of derogatory
     # conjugates, whose Krylov forms scan many chains through the echelon's
     # one-gather reduction at n >= 32 (up to 46 chains with this seed);
-    # is_invertible and inverse over p in {2, 3, 5, 2^31 - 1}, g g^-1 = I or
-    # InputError: both byte-lane fields, the list field and split products;
     # truncated rings over 3^19 at n >= 7 put the split under d > 1,
     # over 2^17 3^8 run unsplit int64 products past 2^53, and over 72 at
     # n >= 32 run truncated products on float64 BLAS
