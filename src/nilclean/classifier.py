@@ -73,7 +73,7 @@ class ZmFactor(Factor):
         return 1 % self.m
 
     def nilpotency_bound(self) -> int:
-        return factorize(self.m).max_exponent
+        return max(e for _, e in factorize(self.m))
 
     def describe(self) -> str:
         return f"Z{self.m}"
@@ -99,7 +99,7 @@ class MatFactor(Factor):
         return tuple(1 % self.m if i == j else 0 for i in range(n) for j in range(n))
 
     def nilpotency_bound(self) -> int:
-        return self.n * factorize(self.m).max_exponent
+        return self.n * max(e for _, e in factorize(self.m))
 
     def describe(self) -> str:
         return f"M{self.n}(Z{self.m})"
@@ -123,7 +123,7 @@ class TruncFactor(Factor):
         return (1 % self.m,) + (0,) * (self.d - 1)
 
     def nilpotency_bound(self) -> int:
-        return factorize(self.m).max_exponent + self.d - 1
+        return max(e for _, e in factorize(self.m)) + self.d - 1
 
     def describe(self) -> str:
         return f"Z{self.m}[x]/(x^{self.d})"

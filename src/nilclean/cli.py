@@ -34,13 +34,7 @@ from .classifier import (
     parse_ring_descriptor,
 )
 from .decompose import decompose, decompose_triangular
-from .errors import (
-    DomainError,
-    InputError,
-    InternalCheckError,
-    ResourceCapError,
-    UnsupportedRingError,
-)
+from .errors import InputError, InternalCheckError, ResourceCapError, UnsupportedRingError
 from .matrix import (
     DecompositionCertificate,
     MAX_DIMENSION,
@@ -48,7 +42,6 @@ from .matrix import (
     RingMatrix,
     verify_certificate,
 )
-from .residue import factorize
 
 SCHEMA = "nilclean-cert/1"
 
@@ -130,6 +123,10 @@ def iter_documents(lines: Iterable[str]) -> Iterator[dict]:
             chunk = []
 
 
+# a stream repeats a few rings: one object each keeps its facts across documents
+_shared_ring = functools.lru_cache(maxsize=256)(MatrixRing)
+
+
 @functools.lru_cache(maxsize=256)  # a stream repeats a few ring names
 def parse_matrix_ring(text: str) -> MatrixRing:
     """Entry-ring descriptor for matrices: "Z12" or "Z6[x]/(x^2)"."""
@@ -138,7 +135,7 @@ def parse_matrix_ring(text: str) -> MatrixRing:
     if not mobj:
         raise InputError(f"cannot parse matrix ring {text!r}")
     m, d = (_digits(g) for g in mobj.groups(default="1"))
-    return MatrixRing(factorize(m), d)
+    return MatrixRing(m, d)
 
 
 def _digits(text: str) -> int:
@@ -268,11 +265,11 @@ def _doc_ring(doc: dict) -> Optional[MatrixRing]:
     if "modulus" not in doc and not (named and "trunc-degree" in doc):
         return named
     if named is None:
-        return MatrixRing(factorize(_doc_int(doc, "modulus")), _doc_int(doc, "trunc-degree", 1))
+        return _shared_ring(_doc_int(doc, "modulus"), _doc_int(doc, "trunc-degree", 1))
     m, d = _doc_int(doc, "modulus", named.m), _doc_int(doc, "trunc-degree", named.d)
     if (m, d) != (named.m, named.d):
         raise InputError(f"field 'ring' names {named.describe()}, but 'modulus' and "
-                         f"'trunc-degree' name {MatrixRing(factorize(m), d).describe()}")
+                         f"'trunc-degree' name {MatrixRing(m, d).describe()}")
     return named
 
 
@@ -309,18 +306,33 @@ def _matrix_inputs(args) -> Iterator[RingMatrix]:
     else:
         raise InputError("empty matrix input")
     lines = itertools.chain(head, lines)
+    flagged = parse_matrix_ring(args.ring) if args.ring else None
+    if args.m is not None:  # --modulus, which argparse keeps apart from --ring
+        flagged = MatrixRing(args.m)
     if ":" in first:
         for doc in iter_documents(lines):
-            yield _doc_input_matrix(doc, args)
+            yield _doc_input_matrix(doc, flagged)
     else:
-        yield _plain_matrix("".join(lines), args)
+        yield _plain_matrix("".join(lines), flagged)
 
 
-def _doc_input_matrix(doc: dict, args) -> RingMatrix:
+def _input_ring(named: Optional[MatrixRing], flagged: Optional[MatrixRing]) -> MatrixRing:
+    """The ring of an input matrix: the one its document names, else the one
+    of --ring or --modulus; a document and a flag that both name one must
+    name the same."""
+    if named and flagged and named != flagged:
+        raise InputError(f"the document names ring {named.describe()}, "
+                         f"but the flags name {flagged.describe()}")
+    if not (named or flagged):
+        raise InputError("no ring given: pass --modulus or --ring (or a matrix document)")
+    return named or flagged
+
+
+def _doc_input_matrix(doc: dict, flagged: Optional[MatrixRing]) -> RingMatrix:
     """The matrix of a key-value matrix document."""
     if "A" not in doc:
         raise InputError("matrix document lacks field 'A'")
-    ring = _doc_ring(doc) or _ring_from_flags(args)
+    ring = _input_ring(_doc_ring(doc), flagged)
     try:
         a = _doc_matrix(doc, "A", ring)
     except (TypeError, ValueError) as bad:
@@ -330,10 +342,10 @@ def _doc_input_matrix(doc: dict, args) -> RingMatrix:
     return a
 
 
-def _plain_matrix(text: str, args) -> RingMatrix:
+def _plain_matrix(text: str, flagged: Optional[MatrixRing]) -> RingMatrix:
     """A matrix of whitespace-separated integer rows; blank lines and '#'
     comment lines are skipped."""
-    ring = _ring_from_flags(args)
+    ring = _input_ring(None, flagged)
     if ring.d != 1:
         raise InputError("plain whitespace matrices support only Z_m entries")
     rows = []
@@ -346,14 +358,6 @@ def _plain_matrix(text: str, args) -> RingMatrix:
         except ValueError:
             raise InputError(f"bad matrix row: {line!r}")
     return RingMatrix.from_rows(rows, ring)
-
-
-def _ring_from_flags(args) -> MatrixRing:
-    if args.ring:
-        return parse_matrix_ring(args.ring)
-    if args.modulus is not None:
-        return MatrixRing(factorize(args.modulus))
-    raise InputError("no ring given: pass --modulus or --ring (or a matrix document)")
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +388,7 @@ def cmd_decompose(args) -> int:
 def _exhaustive_matrices(args) -> Iterator[RingMatrix]:
     """Every matrix of M_N(Z_M) in order, after the checks of --exhaustive N M."""
     unused = [flag for flag, given in (("--input", args.input is not None),
-                                       ("--modulus", args.modulus is not None),
+                                       ("--modulus", args.m is not None),
                                        ("--ring", args.ring is not None),
                                        ("--triangular", args.triangular),
                                        ("--format plain", args.format == "plain")) if given]
@@ -393,7 +397,7 @@ def _exhaustive_matrices(args) -> Iterator[RingMatrix]:
     n, m = args.exhaustive
     if n < 1:
         raise InputError(f"exhaustive sweep needs a dimension N >= 1, got {n}")
-    ring = MatrixRing(factorize(m))
+    ring = MatrixRing(m)
     if n > MAX_DIMENSION or m ** (n * n) > EXHAUSTIVE_CAP:
         raise ResourceCapError(
             f"exhaustive sweep of M_{n}(Z_{m}) has {m}^{n * n} matrices, over the cap"
@@ -506,8 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose a matrix as E + F + W")
     add_input(p)
     add_format(p)
-    p.add_argument("--modulus", type=int, help="entry ring modulus m for plain input")
-    p.add_argument("--ring", help='entry ring, e.g. "Z12" or "Z6[x]/(x^2)"')
+    ring = p.add_mutually_exclusive_group()
+    ring.add_argument("--modulus", dest="m", metavar="MODULUS", type=int,
+                      help="entry ring modulus m for plain input")
+    ring.add_argument("--ring", help='entry ring, e.g. "Z12" or "Z6[x]/(x^2)"')
     p.add_argument("--triangular", action="store_true",
                    help="use the triangular-ring construction (input must be upper triangular)")
     p.add_argument("--exhaustive", nargs=2, type=int, metavar=("N", "M"),
@@ -543,7 +549,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCapError as err:
         print(f"resource cap: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InputError, DomainError) as err:
+    except InputError as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except BrokenPipeError:  # the reader closed stdout: let the final flush go to devnull

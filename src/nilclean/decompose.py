@@ -32,10 +32,10 @@ import enum
 
 import numpy as np
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, UnsupportedRingError
 from .gfp import krylov_form
 from .matrix import BLAS_MIN_DIMENSION, DecompositionCertificate, RingMatrix, _stack_mul, verify_certificate
-from .residue import lift_iteration_cap, require_two_three_smooth
+from .residue import lift_iteration_cap
 
 
 class CaseTag(enum.Enum):
@@ -150,15 +150,15 @@ def _parts(a: RingMatrix):
     A constant stack stays constant: over Z_m[x]/(x^d) it is coefficient 0.
     The lift commutes with reduction mod each p^k: it is the CRT of theirs."""
     ring = a.ring
-    modulus, m = ring.modulus, ring.m
-    if ring.is_prime_field():
+    m = ring.m
+    if ring.is_prime_field:
         ef, tags = _krylov_solve(a.coeffs[0], m)
     else:
         ef, tags = 0, ()
-        for p, c in zip(modulus.primes, modulus.crt_basis):
+        for p, c in zip(ring.primes, ring.crt_basis):
             ef_p, tags_p = _krylov_solve(a.coeffs[0] % p, p)
             ef, tags = ef + c * ef_p, tags + tags_p
-        ef = _lift_idempotents(ef % m, m, lift_iteration_cap(modulus.max_exponent))
+        ef = _lift_idempotents(ef % m, m, lift_iteration_cap(ring.max_exponent))
         if ring.d > 1:
             ef = np.concatenate((ef, np.zeros((2, ring.d - 1, a.n, a.n), dtype=np.int64)), axis=1)
     e, f = ef
@@ -167,7 +167,14 @@ def _parts(a: RingMatrix):
 
 def decompose(a: RingMatrix) -> DecompositionCertificate:
     """Decompose over Z_m or Z_m[x]/(x^d) for any 2-3-smooth m."""
-    require_two_three_smooth(a.ring.modulus)
+    ring = a.ring
+    if not ring.two_three_smooth:
+        bad = next(p for p in ring.primes if p not in (2, 3))
+        raise UnsupportedRingError(
+            f"modulus {ring.m} has prime factor {bad}; decompositions exist only "
+            f"when every prime factor is 2 or 3 (e.g. 3 in Z5 is not a sum of "
+            f"two idempotents and a nilpotent)"
+        )
     return _certify(a, *_parts(a))
 
 

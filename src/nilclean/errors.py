@@ -13,10 +13,6 @@ class UnsupportedRingError(NilcleanError):
     """The requested ring is outside the family the construction supports."""
 
 
-class DomainError(NilcleanError):
-    """A documented precondition on the mathematical input is violated."""
-
-
 class ResourceCapError(NilcleanError):
     """An exhaustive scan would exceed the configured size cap."""
 

@@ -11,6 +11,7 @@ its route's bound, a product splits the right factor into 16-bit halves."""
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, ResourceCapError
-from .residue import Modulus, factorize
+from .residue import factorize
 
 MAX_DIMENSION = 64
 MAX_TRUNC_DEGREE = 64
@@ -27,43 +28,56 @@ BLAS_MIN_DIMENSION = 32  # measured: below it float64 loses at n = 8 and whereve
 
 @dataclass(frozen=True)
 class MatrixRing:
-    """Ring descriptor for matrix entries: Z_m when trunc_degree == 1,
-    otherwise Z_m[x]/(x^trunc_degree)."""
+    """The ring of matrix entries: Z_m when d == 1, otherwise Z_m[x]/(x^d).
+    It compares and hashes by (m, d); the facts derived from m's
+    factorization are computed on first read and kept with the ring, so a
+    certificate does not recompute them."""
 
-    modulus: Modulus
-    trunc_degree: int = 1
+    m: int
+    d: int = 1
 
     def __post_init__(self):
-        if self.trunc_degree < 1:
+        factorize(self.m)  # refuses m outside [2, 2^31]
+        if self.d < 1:
             raise InputError("truncation degree must be >= 1")
-        if self.trunc_degree > MAX_TRUNC_DEGREE:
-            raise ResourceCapError(
-                f"truncation degree {self.trunc_degree} is over the cap {MAX_TRUNC_DEGREE}"
-            )
+        if self.d > MAX_TRUNC_DEGREE:
+            raise ResourceCapError(f"truncation degree {self.d} is over the cap {MAX_TRUNC_DEGREE}")
 
-    @property
-    def m(self) -> int:
-        return self.modulus.m
+    @functools.cached_property
+    def primes(self) -> tuple[int, ...]:
+        return tuple(p for p, _ in factorize(self.m))
 
-    @property
-    def d(self) -> int:
-        return self.trunc_degree
+    @functools.cached_property
+    def max_exponent(self) -> int:
+        """Nilpotency exponent of the nilradical of Z_m."""
+        return max(e for _, e in factorize(self.m))
 
+    @functools.cached_property
+    def crt_basis(self) -> tuple[int, ...]:
+        """The CRT idempotents c_q = (m/q) * ((m/q)^-1 mod q), one per prime
+        power q = p^e of m: c_q is 1 mod q and 0 mod m/q, so every x in Z_m
+        is the sum of c_q * (x mod q), mod m."""
+        return tuple(self.m // p**e * pow(self.m // p**e, -1, p**e) for p, e in factorize(self.m))
+
+    @functools.cached_property
+    def two_three_smooth(self) -> bool:
+        """True iff every prime factor of m is 2 or 3."""
+        return all(p in (2, 3) for p in self.primes)
+
+    @functools.cached_property
     def is_prime_field(self) -> bool:
-        return self.trunc_degree == 1 and self.modulus.is_prime()
+        return self.d == 1 and factorize(self.m) == ((self.m, 1),)
 
     def nilpotency_bound(self, n: int) -> int:
         """Certified upper bound for the exponent of any nilpotent n x n matrix."""
-        return n * self.modulus.max_exponent * self.trunc_degree
+        return n * self.max_exponent * self.d
 
     def describe(self) -> str:
-        if self.trunc_degree == 1:
-            return f"Z{self.m}"
-        return f"Z{self.m}[x]/(x^{self.trunc_degree})"
+        return f"Z{self.m}" if self.d == 1 else f"Z{self.m}[x]/(x^{self.d})"
 
 
 def zm_ring(m: int) -> MatrixRing:
-    return MatrixRing(factorize(m))
+    return MatrixRing(m)
 
 
 class RingMatrix:
@@ -168,7 +182,7 @@ class RingMatrix:
     __hash__ = None
 
     def to_rows(self) -> list:
-        if self.ring.trunc_degree == 1:
+        if self.ring.d == 1:
             return self.coeffs[0].tolist()
         return self.coeffs.transpose(1, 2, 0).tolist()
 
@@ -309,34 +323,29 @@ class DecompositionCertificate:
     failure: Optional[str] = field(default=None, compare=False)
 
 
-def check_certificate(cert: DecompositionCertificate) -> Optional[str]:
-    """Re-run all certificate conditions; return the first failed check name.
-    A stated exponent k <= bound is proved, W^(k-1) != 0 and W^k = 0.  A
-    certificate under construction claims exponent None and gets W's minimal
-    one filled in: one powering pass both finds the exponent and proves it."""
+def verify_certificate(cert: DecompositionCertificate) -> bool:
+    """Re-run all certificate conditions, record the first failed check's
+    name (None when all hold) in cert.failure, and set and return the
+    verified flag.  A stated exponent k <= bound is proved, W^(k-1) != 0 and
+    W^k = 0.  A certificate under construction claims exponent None and gets
+    W's minimal one filled in: one powering pass both finds the exponent and
+    proves it."""
     ring, n = cert.a.ring, cert.a.n
     for x in (cert.e, cert.f, cert.w):
         if not (x.ring is ring or x.ring == ring) or x.n != n:
             raise InputError("certificate matrices disagree in ring or dimension")
-    m = ring.m
+    m, k, bound = ring.m, cert.nilpotency_exponent, ring.nilpotency_bound(n)
     a, e, f, w = cert.a.coeffs, cert.e.coeffs, cert.f.coeffs, cert.w.coeffs
     if np.count_nonzero((_stack_mul(e, e, m) - e) % m):
-        return CHECK_E_IDEMPOTENT
-    if np.count_nonzero((_stack_mul(f, f, m) - f) % m):
-        return CHECK_F_IDEMPOTENT
-    if np.count_nonzero((e + f + w - a) % m):
-        return CHECK_SUM
-    k = cert.nilpotency_exponent
-    bound = ring.nilpotency_bound(n)
-    if k is None:
+        cert.failure = CHECK_E_IDEMPOTENT
+    elif np.count_nonzero((_stack_mul(f, f, m) - f) % m):
+        cert.failure = CHECK_F_IDEMPOTENT
+    elif np.count_nonzero((e + f + w - a) % m):
+        cert.failure = CHECK_SUM
+    elif k is None:
         cert.nilpotency_exponent = k = _min_exponent(w, m, bound)
-        return None if k is not None else CHECK_NILPOTENCY
-    return None if 1 <= k <= bound and _has_exponent(w, m, k) else CHECK_NILPOTENCY
-
-
-def verify_certificate(cert: DecompositionCertificate) -> bool:
-    """Recompute the four certificate conditions and set the verified flag."""
-    failure = check_certificate(cert)
-    cert.failure = failure
-    cert.verified = failure is None
+        cert.failure = None if k is not None else CHECK_NILPOTENCY
+    else:
+        cert.failure = None if 1 <= k <= bound and _has_exponent(w, m, k) else CHECK_NILPOTENCY
+    cert.verified = cert.failure is None
     return cert.verified

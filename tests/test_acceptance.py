@@ -31,7 +31,7 @@ from nilclean.cli import certificate_from_doc, certificate_to_doc, parse_documen
 from nilclean.decompose import _lift_idempotents, decompose, decompose_triangular
 from nilclean.gfp import krylov_form
 from nilclean.matrix import MatrixRing, RingMatrix, zm_ring
-from nilclean.residue import factorize, lift_iteration_cap
+from nilclean.residue import lift_iteration_cap
 
 
 def all_matrices(n, m):
@@ -84,7 +84,7 @@ def test_acceptance_03_randomized_composite_moduli():
     observed_max = {}
     for n, m in ((4, 12), (5, 36), (8, 6), (6, 72)):
         ring = zm_ring(m)
-        bound = n * max(e for _, e in ring.modulus.factors)
+        bound = n * ring.max_exponent
         worst = 0
         for _ in range(1000):
             cert = decompose(RingMatrix.random(n, ring, rng))
@@ -105,7 +105,7 @@ def test_acceptance_04_oracle_agreement():
     replays = 0
     for m in range(2, 201):
         report = decide("two-nil-clean", RingDescriptor((ZmFactor(m),)))
-        smooth = factorize(m).two_three_smooth
+        smooth = zm_ring(m).two_three_smooth
         if report.holds != smooth:
             disagreements.append(m)
         if not report.holds:
@@ -206,8 +206,8 @@ def test_acceptance_09_canonical_form_stress():
 def test_acceptance_10_lifting():
     # element level: exhaustive over Z_{2^6} and Z_{3^4}
     for q in (2**6, 3**4):
-        mod = factorize(q)
-        p = mod.factors[0][0]
+        mod = zm_ring(q)
+        (p,) = mod.primes
         cap = lift_iteration_cap(mod.max_exponent)
         eligible = 0
         for x in range(q):
@@ -230,7 +230,7 @@ def test_acceptance_10_lifting():
     lifted = 0
     for q in (4, 8, 9, 27):
         ring = zm_ring(q)
-        p = ring.modulus.primes[0]
+        p = ring.primes[0]
         for _ in range(250):
             n = int(rng.integers(1, 5))
             base = decompose(RingMatrix.random(n, zm_ring(p), rng)).e
@@ -239,7 +239,7 @@ def test_acceptance_10_lifting():
                 (np.array(base.to_rows()) + p * np.array(noise.to_rows())).tolist(), ring
             )
             # the call _parts makes, on a stack of one
-            cap = lift_iteration_cap(ring.modulus.max_exponent)
+            cap = lift_iteration_cap(ring.max_exponent)
             rows = _lift_idempotents(x.coeffs[None], q, cap)[0, 0].tolist()
             assert mat_mul_naive(rows, rows, q) == rows
             assert [[v % p for v in row] for row in rows] == base.to_rows()
@@ -258,13 +258,13 @@ def test_acceptance_11_triangular_and_truncated():
         count_t += 1
     count_x = 0
     for m, d in ((2, 3), (3, 2)):
-        ring = MatrixRing(factorize(m), d)
+        ring = MatrixRing(m, d)
         for coeffs in itertools.product(range(m), repeat=d):
             cert = decompose(RingMatrix.from_rows([[list(coeffs)]], ring))
             assert cert.verified
             count_x += 1
     rng = np.random.default_rng(1011)
-    ring = MatrixRing(factorize(6), 2)
+    ring = MatrixRing(6, 2)
     count_r = 0
     for _ in range(200):
         n = int(rng.integers(1, 5))

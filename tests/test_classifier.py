@@ -33,7 +33,7 @@ from nilclean.classifier import (
     parse_ring_descriptor,
 )
 from nilclean.errors import InputError, ResourceCapError
-from nilclean.residue import factorize
+from nilclean.matrix import zm_ring
 
 
 def zm(m):
@@ -272,7 +272,7 @@ class TestTwoNilClean:
 
     def test_matches_smoothness_for_zm(self):
         for m in range(2, 73):
-            assert decide("two-nil-clean", zm(m)).holds == factorize(m).two_three_smooth
+            assert decide("two-nil-clean", zm(m)).holds == zm_ring(m).two_three_smooth
 
     def test_witness_replays(self):
         for text in ("Z12", "Z3xZ3", "M2(Z2)", "Z2[x]/(x^2)"):

@@ -48,7 +48,6 @@ from nilclean.matrix import (
     verify_certificate,
     zm_ring,
 )
-from nilclean.residue import factorize
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "m2_z3_sweep.txt"
 
@@ -363,6 +362,28 @@ class TestDocumentHeader:
         assert run(capsys, monkeypatch, [command], text)[0] == EXIT_OK
 
 
+class TestRingFlags:
+    """--modulus and --ring exclude each other, and a flag beside a document
+    that names its own ring must name the same ring."""
+
+    def test_modulus_beside_ring_refused(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decompose", "--modulus", "6", "--ring", "Z12"])
+        assert exit_info.value.code == EXIT_PARSE
+        assert "argument --ring: not allowed with argument --modulus" in capsys.readouterr().err
+
+    def test_flag_against_document_ring(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--modulus", "12"], "ring: Z6\nA: [[5]]\n")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "input error: the document names ring Z6, but the flags name Z12\n"
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--ring", "Z6[x]/(x^2)"], "modulus: 6\nA: [[5]]\n")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "input error: the document names ring Z6, but the flags name Z6[x]/(x^2)\n"
+        want = certificate_to_doc(decompose(RingMatrix.from_rows([[5]], zm_ring(6))))
+        for flag in (["--modulus", "6"], ["--ring", "Z6"], []):
+            assert run(capsys, monkeypatch, ["decompose", *flag], "ring: Z6\nA: [[5]]\n")[:2] == (EXIT_OK, want)
+
+
 # entries that from_rows reads entry by entry and refuses: floats (integral
 # ones too), strings and objects (empty ones too), and coefficient lists
 # longer than the ring's degree
@@ -560,7 +581,10 @@ class TestDocumentFuzz:
     @given(argv=_argv, text=_documents())
     def test_documented_exit_code(self, capsys, monkeypatch, argv, text):
         start = time.perf_counter()
-        code, _, err = run(capsys, monkeypatch, argv, text)
+        try:
+            code, _, err = run(capsys, monkeypatch, argv, text)
+        except SystemExit as exit_info:  # argparse refuses --ring beside --modulus
+            code, err = exit_info.code, capsys.readouterr().err
         assert time.perf_counter() - start < FUZZ_SECONDS
         assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY, EXIT_RESOURCE)
         assert "Traceback" not in err
@@ -612,7 +636,7 @@ def _certificate_from_doc_per_field(doc):
     """certificate_from_doc as it was before it converted the four matrices
     in one stack: one from_rows per field, in the order A, E, F, W."""
     try:
-        ring = MatrixRing(factorize(cli._doc_int(doc, "modulus")), cli._doc_int(doc, "trunc-degree", 1))
+        ring = MatrixRing(cli._doc_int(doc, "modulus"), cli._doc_int(doc, "trunc-degree", 1))
         mats = {key: cli._doc_matrix(doc, key, ring) for key in ("A", "E", "F", "W")}
         exponent = cli._doc_int(doc, "nilpotency-exponent")
         tags = tuple(doc.get("case-tags", []))
@@ -652,7 +676,7 @@ class TestCertificateEmit:
         value = st.integers(0, m - 1) | st.sampled_from([0, m - 1])
         entry = value if d == 1 else st.lists(value, min_size=1, max_size=d)
         square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
-        mats = [RingMatrix.from_rows(data.draw(square), MatrixRing(factorize(m), d)) for _ in "AEFW"]
+        mats = [RingMatrix.from_rows(data.draw(square), MatrixRing(m, d)) for _ in "AEFW"]
         cert = DecompositionCertificate(
             *mats, data.draw(st.none() | st.integers(1, 2**31)),
             tuple(data.draw(st.lists(st.sampled_from(["gf3:trace-one:n2", "gf2:trace-zero:n1"]),
@@ -661,7 +685,7 @@ class TestCertificateEmit:
         assert certificate_to_doc(cert) == _reference_certificate_doc(cert)
 
     def test_decompositions(self, rng):
-        for ring in (zm_ring(72), zm_ring(2**31), MatrixRing(factorize(6), 3)):
+        for ring in (zm_ring(72), zm_ring(2**31), MatrixRing(6, 3)):
             cert = decompose(RingMatrix.random(4, ring, rng))
             assert certificate_to_doc(cert) == _reference_certificate_doc(cert)
 
@@ -863,11 +887,11 @@ class TestFlags:
 class TestPublicNames:
     def test_all(self):
         assert sorted(nilclean.__all__) == [
-            "CaseTag", "DecompositionCertificate", "DomainError",
-            "InputError", "InternalCheckError", "MatFactor", "MatrixRing", "Modulus",
+            "CaseTag", "DecompositionCertificate",
+            "InputError", "InternalCheckError", "MatFactor", "MatrixRing",
             "NilcleanError", "PropertyReport", "ResourceCapError", "RingDescriptor",
             "RingMatrix", "TruncFactor", "UnsupportedRingError", "ZmFactor",
-            "decide", "decompose", "decompose_triangular", "factorize",
+            "decide", "decompose", "decompose_triangular",
             "min_nilpotent_index_over_decompositions", "parse_ring_descriptor",
             "verify_certificate", "zm_ring",
         ]
@@ -1127,7 +1151,7 @@ def _stream_pool():
     that is not a certificate."""
     gen = np.random.default_rng(7)
     docs = []
-    for ring in (zm_ring(6), MatrixRing(factorize(3), 2)):
+    for ring in (zm_ring(6), MatrixRing(3, 2)):
         for n in (1, 2, 3):
             cert = decompose(RingMatrix.random(n, ring, gen))
             docs.append(certificate_to_doc(cert))
@@ -1242,7 +1266,7 @@ class TestDecomposeStream:
 
     @pytest.mark.parametrize("k", (1, 2, 7))
     def test_k_documents_give_k_certificates(self, capsys, monkeypatch, rng, k):
-        rings = (zm_ring(6), zm_ring(72), MatrixRing(factorize(6), 2), zm_ring(3))
+        rings = (zm_ring(6), zm_ring(72), MatrixRing(6, 2), zm_ring(3))
         mats = [RingMatrix.random(1 + i % 4, rings[i % len(rings)], rng) for i in range(k)]
         text = "\n".join(_matrix_document(a) for a in mats)
         code, out, err = run(capsys, monkeypatch, ["decompose"], text)
@@ -1417,7 +1441,7 @@ def _tampered(cert, kind):
 
 
 TAMPERS = ("k+1", "k-1", "k=1", "k=bound", "E", "F", "A", "W=I")
-VERDICT_RINGS = (zm_ring(2), zm_ring(3), zm_ring(72), MatrixRing(factorize(6), 3), MatrixRing(factorize(72), 2))
+VERDICT_RINGS = (zm_ring(2), zm_ring(3), zm_ring(72), MatrixRing(6, 3), MatrixRing(72, 2))
 
 
 def _verdict_stream():

@@ -33,7 +33,7 @@ from nilclean.decompose import (
 from nilclean.errors import InputError, InternalCheckError, UnsupportedRingError
 from nilclean.gfp import krylov_form
 from nilclean.matrix import BLAS_MIN_DIMENSION, MatrixRing, RingMatrix, _min_exponent, zm_ring
-from nilclean.residue import factorize, lift_iteration_cap
+from nilclean.residue import lift_iteration_cap
 
 SMOOTH = smooth_moduli(72)
 
@@ -302,8 +302,8 @@ class TestSelfCheckCount:
         (decompose, zm_ring(9)),
         (decompose, zm_ring(72)),
         (decompose, zm_ring(6)),
-        (decompose, MatrixRing(factorize(6), 3)),
-        (decompose, MatrixRing(factorize(72), 2)),
+        (decompose, MatrixRing(6, 3)),
+        (decompose, MatrixRing(72, 2)),
         (decompose_triangular, zm_ring(72)),
     ])
     def test_one_check_per_public_call(self, checks, powerings, call, ring, rng):
@@ -316,7 +316,7 @@ class TestSelfCheckCount:
         # one powering pass both finds W's exponent and proves it
         assert len(powerings) == 1
 
-    @pytest.mark.parametrize("ring", [zm_ring(72), MatrixRing(factorize(72), 2), zm_ring(6), zm_ring(3)])
+    @pytest.mark.parametrize("ring", [zm_ring(72), MatrixRing(72, 2), zm_ring(6), zm_ring(3)])
     def test_lift_products(self, monkeypatch, ring, rng):
         # the E/F stack is lifted on its constant (2, 1, n, n) slice, two
         # products a round for (e - 1).bit_length() rounds, and checked only
@@ -325,7 +325,7 @@ class TestSelfCheckCount:
         real, shapes = module._stack_mul, []
         monkeypatch.setattr(module, "_stack_mul", lambda a, b, m: shapes.append((a.shape, b.shape)) or real(a, b, m))
         assert decompose(RingMatrix.random(6, ring, rng)).verified
-        products = 2 * (ring.modulus.max_exponent - 1).bit_length()
+        products = 2 * (ring.max_exponent - 1).bit_length()
         assert products == (4 if ring.m == 72 else 0)
         assert shapes == [((2, 1, 6, 6), (2, 1, 6, 6))] * products
 
@@ -335,7 +335,7 @@ def lift(x):
     of the largest exponent of m."""
     ring = x.ring
     return RingMatrix(ring, _lift_idempotents(x.coeffs[None], ring.m,
-                                              lift_iteration_cap(ring.modulus.max_exponent))[0])
+                                              lift_iteration_cap(ring.max_exponent))[0])
 
 
 def idempotent(x):
@@ -380,7 +380,7 @@ class TestLiftMatrix:
     def test_random_eligible_lifts(self, q, n, seed):
         gen = np.random.default_rng(seed)
         ring = zm_ring(q)
-        p = ring.modulus.primes[0]
+        p = ring.primes[0]
         base = decompose(
             RingMatrix.random(n, zm_ring(p), gen)
         ).e  # a random-ish idempotent over GF(p)
@@ -403,7 +403,7 @@ class TestPrimePower:
         lifted = []
         monkeypatch.setattr(module, "_lift_idempotents", lambda stack, m, rounds:
                             lifted.append((m, stack.shape, rounds)) or lift(stack, m, rounds))
-        for ring in (zm_ring(3), zm_ring(6), MatrixRing(factorize(6), 2), zm_ring(9), MatrixRing(factorize(36), 2)):
+        for ring in (zm_ring(3), zm_ring(6), MatrixRing(6, 2), zm_ring(9), MatrixRing(36, 2)):
             decompose(RingMatrix.random(3, ring, rng))
         assert [(m, shape) for m, shape, rounds in lifted if rounds] == [(9, (2, 1, 3, 3)), (36, (2, 1, 3, 3))]
 
@@ -423,7 +423,7 @@ def residually_idempotent_stack(m, n, gen):
     """A (2, 1, n, n) stack over Z_m, each matrix congruent mod every p | m
     to g D g^-1, D a random 0/1 diagonal and g invertible over GF(p), plus a
     random multiple of rad(m): the shape of decompose's start points."""
-    mod = factorize(m)
+    mod = zm_ring(m)
     rad = math.prod(mod.primes)
     stack = rad * gen.integers(0, m // rad, size=(2, 1, n, n))
     for p, c in zip(mod.primes, mod.crt_basis):
@@ -464,7 +464,7 @@ class TestLiftRounds:
         for m in moduli * 3:
             n = int(gen.integers(1, 5))
             start = residually_idempotent_stack(m, n, gen)
-            rounds = lift_iteration_cap(factorize(m).max_exponent)
+            rounds = lift_iteration_cap(zm_ring(m).max_exponent)
             lifted = _lift_idempotents(start, m, rounds)
             # over Z_m[x]/(x^d), the lift of the constant stack is constant
             embedded = np.concatenate((start, np.zeros((2, d - 1, n, n), dtype=np.int64)), axis=1)
@@ -514,7 +514,7 @@ class TestZm:
 
     def test_trunc_entries_rejected(self):
         with pytest.raises(InputError):
-            decompose_zm(RingMatrix.zeros(1, MatrixRing(factorize(6), 2)))
+            decompose_zm(RingMatrix.zeros(1, MatrixRing(6, 2)))
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2)])
     def test_exhaustive_small(self, n, m):
@@ -608,17 +608,17 @@ class TestTriangular:
 class TestTruncPolyMatrix:
     def test_degree_one_equals_zm(self, rng):
         a = RingMatrix.random(3, zm_ring(6), rng)
-        lifted = RingMatrix(MatrixRing(factorize(6), 1), a.coeffs.copy())
+        lifted = RingMatrix(MatrixRing(6, 1), a.coeffs.copy())
         assert decompose(lifted).e == decompose_zm(a).e
 
     def test_nilpotent_generator_stays_in_w(self):
-        cert = decompose(RingMatrix.from_rows([[[0, 1, 0]]], MatrixRing(factorize(2), 3)))
+        cert = decompose(RingMatrix.from_rows([[[0, 1, 0]]], MatrixRing(2, 3)))
         assert is_zero(cert.e) and is_zero(cert.f)
         assert cert.w.to_rows() == [[[0, 1, 0]]]
         assert cert.nilpotency_exponent == 3
 
     def test_unit_plus_x(self):
-        cert = decompose(RingMatrix.from_rows([[[1, 1]]], MatrixRing(factorize(3), 2)))
+        cert = decompose(RingMatrix.from_rows([[[1, 1]]], MatrixRing(3, 2)))
         assert cert.e.to_rows() == [[[1, 0]]]
         assert is_zero(cert.f)
         assert cert.w.to_rows() == [[[0, 1]]]
@@ -626,7 +626,7 @@ class TestTruncPolyMatrix:
 
     def test_exhaustive_one_by_one(self):
         for m, d in ((2, 3), (3, 2)):
-            ring = MatrixRing(factorize(m), d)
+            ring = MatrixRing(m, d)
             for coeffs in itertools.product(range(m), repeat=d):
                 a = RingMatrix.from_rows([[list(coeffs)]], ring)
                 cert = decompose(a)
@@ -636,19 +636,19 @@ class TestTruncPolyMatrix:
     @settings(max_examples=40, deadline=None)
     def test_random_z6x2(self, n, seed):
         gen = np.random.default_rng(seed)
-        cert = decompose(RingMatrix.random(n, MatrixRing(factorize(6), 2), gen))
+        cert = decompose(RingMatrix.random(n, MatrixRing(6, 2), gen))
         assert cert.verified
 
     def test_unsupported_base(self):
         with pytest.raises(UnsupportedRingError):
-            decompose(RingMatrix.zeros(1, MatrixRing(factorize(5), 2)))
+            decompose(RingMatrix.zeros(1, MatrixRing(5, 2)))
 
 
 class TestDispatch:
     def test_routes_by_ring(self, rng):
         a = RingMatrix.random(2, zm_ring(12), rng)
         assert decompose(a).verified
-        b = RingMatrix.random(2, MatrixRing(factorize(6), 2), rng)
+        b = RingMatrix.random(2, MatrixRing(6, 2), rng)
         assert decompose(b).verified
 
 
@@ -729,7 +729,7 @@ class TestPinnedCertificates:
     @pytest.mark.parametrize("m,d,digest", PINNED_CERTIFICATES,
                              ids=[f"m{m}-d{d}" for m, d, _ in PINNED_CERTIFICATES])
     def test_digests(self, m, d, digest):
-        ring = MatrixRing(factorize(m), d)
+        ring = MatrixRing(m, d)
         rng = np.random.default_rng([m, d])
         h = hashlib.sha256()
         for n in PINNED_SIZES:
@@ -771,7 +771,7 @@ class TestPinnedLarge:
     @pytest.mark.parametrize("m,d,digest", PINNED_LARGE,
                              ids=[f"m{m}" if d == 1 else f"m{m}-d{d}" for m, d, _ in PINNED_LARGE])
     def test_digests(self, m, d, digest):
-        ring = MatrixRing(factorize(m), d)
+        ring = MatrixRing(m, d)
         gen = np.random.default_rng([m, 64])
         h = hashlib.sha256()
         for n in (32, 64):

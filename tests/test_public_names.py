@@ -1,4 +1,4 @@
-"""Every public function and method of the package is named where the
+"""Every public class, function and method of the package is named where the
 program runs: in the package itself, the benchmark, the scripts,
 pyproject.toml or README's library example.  A name that only tests reach
 is API nobody runs, and is removed rather than kept for its tests."""
@@ -42,11 +42,12 @@ def _uses(tree):
 
 
 def public_defs():
-    """(path, name, first line, last line) of each public module-level
-    function of the package and each public method of its public classes."""
+    """(path, name, first line, last line) of each public module-level class
+    and function of the package and each public method of its public classes."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield path, node.name, node.lineno, node.end_lineno
                 defs = node.body
             else:
                 defs = [node]

@@ -1,5 +1,6 @@
-"""Factored moduli and smoothness, and the element-level facts of Z_m and
-Z_m[x]/(x^d) checked on 1 x 1 matrices: an element is a 1 x 1 RingMatrix."""
+"""Factored moduli, the facts a ring of entries derives from them, and the
+element-level facts of Z_m and Z_m[x]/(x^d) checked on 1 x 1 matrices: an
+element is a 1 x 1 RingMatrix."""
 
 import math
 
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import smooth_moduli
 from nilclean.decompose import _lift_idempotents, decompose_triangular
-from nilclean.errors import InputError, UnsupportedRingError
+from nilclean.errors import InputError, ResourceCapError, UnsupportedRingError
 from nilclean.matrix import MatrixRing, RingMatrix, _min_exponent, zm_ring
-from nilclean.residue import Modulus, factorize, lift_iteration_cap
+from nilclean.residue import factorize, lift_iteration_cap
 
 
 def elem(a, m):
@@ -21,7 +22,7 @@ def elem(a, m):
 
 def poly(coeffs, m):
     """The truncated polynomial with these coefficients, x^len(coeffs) = 0."""
-    return RingMatrix.from_rows([[list(coeffs)]], MatrixRing(factorize(m), len(coeffs)))
+    return RingMatrix.from_rows([[list(coeffs)]], MatrixRing(m, len(coeffs)))
 
 
 def value(x):
@@ -30,7 +31,7 @@ def value(x):
 
 
 def exponent(x):
-    """The minimal exponent of x, or None, as check_certificate finds it."""
+    """The minimal exponent of x, or None, as verify_certificate finds it."""
     return _min_exponent(x.coeffs, x.ring.m, x.ring.nilpotency_bound(x.n))
 
 
@@ -39,70 +40,103 @@ def lift(x):
     largest exponent of m."""
     ring = x.ring
     return RingMatrix(ring, _lift_idempotents(x.coeffs[None], ring.m,
-                                              lift_iteration_cap(ring.modulus.max_exponent))[0])
+                                              lift_iteration_cap(ring.max_exponent))[0])
 
 
 class TestFactorize:
     def test_examples(self):
-        assert factorize(12).factors == ((2, 2), (3, 1))
-        assert factorize(2).factors == ((2, 1),)
-        assert factorize(36).factors == ((2, 2), (3, 2))
+        assert factorize(12) == ((2, 2), (3, 1))
+        assert factorize(2) == ((2, 1),)
+        assert factorize(36) == ((2, 2), (3, 2))
 
     def test_out_of_range(self):
         for bad in (1, 0, -6, 2**31 + 1):
-            with pytest.raises(InputError):
+            with pytest.raises(InputError, match=r"modulus must be an integer in \[2, 2\^31\]"):
                 factorize(bad)
+            with pytest.raises(InputError, match=r"modulus must be an integer in \[2, 2\^31\]"):
+                MatrixRing(bad)
 
     @given(st.integers(min_value=2, max_value=10**6))
     def test_roundtrip_and_primality(self, m):
-        mod = factorize(m)
-        assert math.prod(p**e for p, e in mod.factors) == m
-        for p, _ in mod.factors:
+        factors = factorize(m)
+        assert math.prod(p**e for p, e in factors) == m
+        for p, _ in factors:
             assert p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
-        assert [p for p, _ in mod.factors] == sorted({p for p, _ in mod.factors})
-
-    def test_modulus_invariant_enforced(self):
-        with pytest.raises(InputError):
-            Modulus(12, ((3, 1), (2, 2)))  # wrong order
-        with pytest.raises(InputError):
-            Modulus(12, ((2, 1), (3, 1)))  # wrong product
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
 
 
-def _facts(mod):
-    return mod.primes, mod.max_exponent, mod.crt_basis, mod.two_three_smooth
+def naive_factors(m):
+    """The (prime, exponent) pairs of m, dividing by every k >= 2 in turn."""
+    factors, k = [], 2
+    while m > 1:
+        if k * k > m:
+            return factors + [(m, 1)]
+        e = 0
+        while m % k == 0:
+            m, e = m // k, e + 1
+        if e:
+            factors.append((k, e))
+        k += 1
+    return factors
+
+
+def _facts(ring):
+    return ring.primes, ring.max_exponent, ring.crt_basis, ring.two_three_smooth, ring.is_prime_field
 
 
 class TestCachedFacts:
     def test_equal_a_fresh_computation(self):
-        """For every m <= 10^4, the facts of factorize's one Modulus per m are
-        kept (the same objects on every read) and equal those of a Modulus
-        built anew and what they mean: c_q is 1 mod q and 0 mod m/q, and the
-        c_q sum to 1 mod m."""
-        for m in range(2, 10**4 + 1):
-            mod = factorize(m)
-            facts = _facts(mod)
-            assert factorize(m) is mod
-            assert all(x is y for x, y in zip(_facts(mod), facts))
-            assert _facts(Modulus(m, mod.factors)) == facts
-            assert mod.primes == tuple(p for p, _ in mod.factors)
-            assert mod.max_exponent == max(e for _, e in mod.factors)
+        """For every m <= 10^4, and at 2^31 - 1 and 2^31, the facts of
+        MatrixRing(m) and MatrixRing(m, 2) equal what a naive factorization
+        gives: c_q is 1 mod q and 0 mod m/q, and the c_q sum to 1 mod m."""
+        for m in [*range(2, 10**4 + 1), 2**31 - 1, 2**31]:
+            ring, factors = MatrixRing(m), naive_factors(m)
+            assert ring.primes == tuple(p for p, _ in factors)
+            assert ring.max_exponent == max(e for _, e in factors)
+            assert ring.is_prime_field == (factors == [(m, 1)])
             rest = m
             for p in (2, 3):
                 while rest % p == 0:
                     rest //= p
-            assert mod.two_three_smooth == (rest == 1)
-            assert len(mod.crt_basis) == len(mod.factors)
-            for (p, e), c in zip(mod.factors, mod.crt_basis):
+            assert ring.two_three_smooth == (rest == 1)
+            assert len(ring.crt_basis) == len(factors)
+            for (p, e), c in zip(factors, ring.crt_basis):
                 q = p**e
                 assert 0 <= c < m and c % q == 1 and c % (m // q) == 0
-            assert sum(mod.crt_basis) % m == 1
+            assert sum(ring.crt_basis) % m == 1
+            trunc = MatrixRing(m, 2)
+            assert _facts(trunc)[:-1] == _facts(ring)[:-1] and not trunc.is_prime_field
+
+    def test_kept_after_the_first_read(self):
+        for m, d in ((2, 1), (72, 2), (2**31 - 1, 1), (2**31, 64)):
+            ring = MatrixRing(m, d)
+            facts = _facts(ring)
+            assert all(x is y for x, y in zip(_facts(ring), facts))
+
+    def test_compares_and_hashes_by_m_and_d(self):
+        ring, twin = MatrixRing(72, 2), MatrixRing(72, 2)
+        _facts(ring)  # facts read on one of them only
+        assert ring == twin and hash(ring) == hash(twin) and ring is not twin
+        assert {ring: "x"}[twin] == "x"
+        assert MatrixRing(6) == MatrixRing(6, 1) == zm_ring(6)
+        rings = [MatrixRing(m, d) for m in (6, 12) for d in (1, 2) for _ in range(2)]
+        assert len(set(rings)) == 4
+        assert len({(r.m, r.d) for r in rings}) == 4
+        assert MatrixRing(6, 2) != MatrixRing(6) and MatrixRing(6) != MatrixRing(12)
+
+    def test_degree_refused_at_construction(self):
+        for d in (0, -1):
+            with pytest.raises(InputError, match="truncation degree must be >= 1"):
+                MatrixRing(6, d)
+        with pytest.raises(ResourceCapError, match="truncation degree 65 is over the cap 64"):
+            MatrixRing(6, 65)
 
 
 class TestSmoothness:
     def test_examples(self):
-        assert factorize(36).two_three_smooth
-        assert not factorize(5).two_three_smooth
-        assert factorize(6).two_three_smooth
+        assert MatrixRing(36).two_three_smooth
+        assert not MatrixRing(5).two_three_smooth
+        assert MatrixRing(6).two_three_smooth
 
     def test_against_direct_division(self):
         for m in range(2, 500):
@@ -110,29 +144,29 @@ class TestSmoothness:
             for p in (2, 3):
                 while n % p == 0:
                     n //= p
-            assert factorize(m).two_three_smooth == (n == 1)
+            assert MatrixRing(m).two_three_smooth == (n == 1)
 
     def test_enumerator(self):
-        assert smooth_moduli(200) == [m for m in range(2, 201) if factorize(m).two_three_smooth]
+        assert smooth_moduli(200) == [m for m in range(2, 201) if MatrixRing(m).two_three_smooth]
 
 
 def crt_roundtrip(a, m):
     """a mod each prime power of m, recombined through the CRT idempotents."""
-    modulus = factorize(m)
-    return sum(c * (a % p**e) for (p, e), c in zip(modulus.factors, modulus.crt_basis)) % m
+    basis = MatrixRing(m).crt_basis
+    return sum(c * (a % p**e) for (p, e), c in zip(factorize(m), basis)) % m
 
 
 class TestCrt:
     def test_examples(self):
-        assert factorize(12).crt_basis == (9, 4)
-        assert factorize(72).crt_basis == (9, 64)
-        assert factorize(8).crt_basis == (1,)
+        assert MatrixRing(12).crt_basis == (9, 4)
+        assert MatrixRing(72).crt_basis == (9, 64)
+        assert MatrixRing(8).crt_basis == (1,)
         assert crt_roundtrip(7, 12) == 7 and crt_roundtrip(0, 6) == 0
 
     def test_orthogonal_idempotents(self):
         # c_q c_r = 0 for q != r, c_q^2 = c_q, and the c_q sum to 1, mod m
         for m in range(2, 201):
-            basis = factorize(m).crt_basis
+            basis = MatrixRing(m).crt_basis
             assert sum(basis) % m == 1 % m
             for i, x in enumerate(basis):
                 for j, y in enumerate(basis):
@@ -188,7 +222,7 @@ class TestLiftIdempotent:
 
     def test_exhaustive_prime_powers(self):
         for m in (4, 8, 16, 27, 64, 81, 72, 36):
-            mod = factorize(m)
+            primes = MatrixRing(m).primes
             for x in range(m):
                 if exponent(elem(x * x - x, m)) is None:
                     continue  # not idempotent mod some p | m: no lift
@@ -196,7 +230,7 @@ class TestLiftIdempotent:
                 assert e * e % m == e
                 # fixed point of the iteration itself
                 assert (3 * e**2 - 2 * e**3) % m == e
-                for p, _ in mod.factors:
+                for p in primes:
                     assert e % p == x % p
 
 
@@ -229,13 +263,12 @@ class TestStrongDecompose:
     def test_matches_brute_force_feasibility(self):
         # decomposability of every element is equivalent to 2-3-smoothness
         for m in range(2, 60):
-            mod = factorize(m)
             idem = [x for x in range(m) if x * x % m == x]
             nil = {x for x in range(m) if pow(x, m, m) == 0}
             all_decomposable = all(
                 any((a - e - f) % m in nil for e in idem for f in idem) for a in range(m)
             )
-            assert all_decomposable == mod.two_three_smooth
+            assert all_decomposable == MatrixRing(m).two_three_smooth
 
 
 class TestTruncPoly:
@@ -275,7 +308,7 @@ class TestTruncPoly:
         assert a + RingMatrix(a.ring, -a.coeffs % m) == RingMatrix.zeros(1, a.ring)
 
     def test_classify_unit_iff_constant_unit(self):
-        ring = MatrixRing(factorize(6), 2)
+        ring = MatrixRing(6, 2)
         one = RingMatrix.identity(1, ring)
         elements = [poly((c0, c1), 6) for c0 in range(6) for c1 in range(6)]
         for f in elements:
