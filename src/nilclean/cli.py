@@ -343,8 +343,8 @@ def _doc_input_matrix(doc: dict, flagged: Optional[MatrixRing]) -> RingMatrix:
 
 
 def _plain_matrix(text: str, flagged: Optional[MatrixRing]) -> RingMatrix:
-    """A matrix of whitespace-separated integer rows; blank lines and '#'
-    comment lines are skipped."""
+    """A matrix of whitespace-separated rows of ASCII integers, [+-]?[0-9]+;
+    blank lines and '#' comment lines are skipped."""
     ring = _input_ring(None, flagged)
     if ring.d != 1:
         raise InputError("plain whitespace matrices support only Z_m entries")
@@ -353,10 +353,9 @@ def _plain_matrix(text: str, flagged: Optional[MatrixRing]) -> RingMatrix:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError:
+        if not re.fullmatch(r"[+-]?[0-9]+(\s+[+-]?[0-9]+)*", line):
             raise InputError(f"bad matrix row: {line!r}")
+        rows.append([int(tok) for tok in line.split()])
     return RingMatrix.from_rows(rows, ring)
 
 

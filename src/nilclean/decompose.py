@@ -11,15 +11,15 @@ exact (none when m is squarefree), and W = A - E - F, which is nilpotent
 because its image modulo the nilradical is.  E and F are proved idempotent
 only by the certificate check.
 
-There is one GF(p) solver.  It brings the matrix to its block-upper-triangular
-Krylov form, splits each diagonal companion block by a closed-form template
-keyed on the block's bottom-right entry (the trace of a companion matrix) and
-conjugates back; everything off the diagonal goes into W, which stays
-nilpotent because its diagonal blocks are (the Frobenius form is not
-needed).  An upper-triangular matrix has 1 x 1 blocks
-and Q = I, so its E and F are the 0/1 diagonals [t_ii != 0] and [t_ii = 2]
-and E, F and W stay upper triangular; its certificate carries the case tags
-of those blocks.
+There is one GF(p) solver, for the fields whose templates _TEMPLATES holds.
+It brings the matrix to its block-upper-triangular Krylov form, splits each
+diagonal companion block by a closed-form template keyed on the block's
+bottom-right entry (the trace of a companion matrix) and conjugates back;
+everything off the diagonal goes into W, which stays nilpotent because its
+diagonal blocks are (the Frobenius form is not needed).  An upper-triangular
+matrix has 1 x 1 blocks and Q = I, so its E and F are the 0/1 diagonals
+[t_ii != 0] and [t_ii = 2] and E, F and W stay upper triangular; its
+certificate carries the case tags of those blocks.
 
 Every public certificate-producing function verifies its output once, before
 returning, and raises InternalCheckError on failure: a wrong certificate is a
@@ -34,8 +34,7 @@ import numpy as np
 
 from .errors import InputError, InternalCheckError, UnsupportedRingError
 from .gfp import krylov_form
-from .matrix import BLAS_MIN_DIMENSION, DecompositionCertificate, RingMatrix, _stack_mul, verify_certificate
-from .residue import lift_iteration_cap
+from .matrix import DecompositionCertificate, RingMatrix, _conjugate, _stack_mul, verify_certificate
 
 
 class CaseTag(enum.Enum):
@@ -97,23 +96,17 @@ def _companion_pair_gf2(last_col: tuple[int, ...], e: np.ndarray, f: np.ndarray)
     return CaseTag.GF2_TRACE_ZERO
 
 
-def _certify(a: RingMatrix, e: RingMatrix, f: RingMatrix, w: RingMatrix,
-             tags: tuple[str, ...]) -> DecompositionCertificate:
-    cert = DecompositionCertificate(a, e, f, w, None, tags)
-    if not verify_certificate(cert):
-        raise InternalCheckError(f"certificate failed self-check: {cert.failure}", a)
-    return cert
+# the fields GF(p) that have a solver, each with its companion-block templates
+_TEMPLATES = {2: _companion_pair_gf2, 3: _companion_pair_gf3}
 
 
 def _krylov_solve(mat: np.ndarray, p: int):
-    """E and F of a GF(2) or GF(3) matrix, as one (2, 1, n, n) stack mod p,
-    and its case tags: templates on the diagonal blocks of the Krylov form,
-    written into the two slices of one stack and conjugated back together:
-    below BLAS_MIN_DIMENSION as one int64 product Q ef Q^-1, whose partial
-    sums stay below n^2 (p-1)^3, and from it through _stack_mul's float64
-    route."""
+    """E and F of a matrix over a field in _TEMPLATES, as one (2, 1, n, n)
+    stack mod p, and its case tags: the field's templates on the diagonal
+    blocks of the Krylov form, written into the two slices of one stack and
+    conjugated back together."""
     n = mat.shape[0]
-    pair = _companion_pair_gf3 if p == 3 else _companion_pair_gf2
+    pair = _TEMPLATES[p]
     last_columns, q, q_inv = krylov_form(mat, p)
     ef = np.zeros((2, 1, n, n), dtype=np.int64)
     e, f = ef[:, 0]
@@ -124,17 +117,15 @@ def _krylov_solve(mat: np.ndarray, p: int):
         tag = pair(col, e[at : at + d, at : at + d], f[at : at + d, at : at + d])
         tags.append(f"{tag._value_}:n{d}")
         at += d
-    if n < BLAS_MIN_DIMENSION:
-        return q @ ef @ q_inv % p, tuple(tags)
-    return _stack_mul(_stack_mul(q[None], ef, p), q_inv[None], p), tuple(tags)
+    return _conjugate(q, ef, q_inv, p), tuple(tags)
 
 
 def _lift_idempotents(stack: np.ndarray, m: int, rounds: int) -> np.ndarray:
     """rounds steps of x <- 3x^2 - 2x^3, two batched products each, on a
     (k, d, n, n) stack over Z_m[x]/(x^d) that is idempotent mod every p | m.
     Each step squares the defect x^2 - x, so the stack is exact after
-    lift_iteration_cap of the exponent of the ideal the defect lies in; an
-    idempotent is a fixed point, so each matrix ends where it would alone."""
+    MatrixRing.lift_rounds; an idempotent is a fixed point, so each matrix
+    ends where it would alone."""
     for _ in range(rounds):
         y2 = _stack_mul(stack, stack, m)
         stack = (3 * y2 - 2 * _stack_mul(y2, stack, m)) % m
@@ -142,11 +133,11 @@ def _lift_idempotents(stack: np.ndarray, m: int, rounds: int) -> np.ndarray:
 
 
 def _parts(a: RingMatrix):
-    """Unverified (E, F, W, tags) over a 2-3-smooth Z_m[x]/(x^d): solve the
-    constant term mod each prime p | m, sum c_q times each E/F stack mod m,
-    lift over Z_m, and W = A - E - F.  The start point is constant and
-    idempotent mod every p | m, so its defect lies in rad(m) M_n(Z_m) and
-    lift_iteration_cap of m's largest exponent is exact (0 if squarefree).
+    """Unverified (E, F, W, tags) over Z_m[x]/(x^d), every p | m in
+    _TEMPLATES: solve the constant term mod each prime p | m, sum c_q times
+    each E/F stack mod m, lift over Z_m, and W = A - E - F.  The start point
+    is constant and idempotent mod every p | m, so ring.lift_rounds rounds
+    make it exact.
     A constant stack stays constant: over Z_m[x]/(x^d) it is coefficient 0.
     The lift commutes with reduction mod each p^k: it is the CRT of theirs."""
     ring = a.ring
@@ -158,7 +149,7 @@ def _parts(a: RingMatrix):
         for p, c in zip(ring.primes, ring.crt_basis):
             ef_p, tags_p = _krylov_solve(a.coeffs[0] % p, p)
             ef, tags = ef + c * ef_p, tags + tags_p
-        ef = _lift_idempotents(ef % m, m, lift_iteration_cap(ring.max_exponent))
+        ef = _lift_idempotents(ef % m, m, ring.lift_rounds)
         if ring.d > 1:
             ef = np.concatenate((ef, np.zeros((2, ring.d - 1, a.n, a.n), dtype=np.int64)), axis=1)
     e, f = ef
@@ -168,14 +159,18 @@ def _parts(a: RingMatrix):
 def decompose(a: RingMatrix) -> DecompositionCertificate:
     """Decompose over Z_m or Z_m[x]/(x^d) for any 2-3-smooth m."""
     ring = a.ring
-    if not ring.two_three_smooth:
-        bad = next(p for p in ring.primes if p not in (2, 3))
+    bad = [p for p in ring.primes if p not in _TEMPLATES]
+    if bad:
         raise UnsupportedRingError(
-            f"modulus {ring.m} has prime factor {bad}; decompositions exist only "
+            f"modulus {ring.m} has prime factor {bad[0]}; decompositions exist only "
             f"when every prime factor is 2 or 3 (e.g. 3 in Z5 is not a sum of "
             f"two idempotents and a nilpotent)"
         )
-    return _certify(a, *_parts(a))
+    e, f, w, tags = _parts(a)
+    cert = DecompositionCertificate(a, e, f, w, None, tags)
+    if not verify_certificate(cert):
+        raise InternalCheckError(f"certificate failed self-check: {cert.failure}", a)
+    return cert
 
 
 def decompose_zm(a: RingMatrix) -> DecompositionCertificate:

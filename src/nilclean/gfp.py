@@ -1,11 +1,11 @@
 """The one GF(p) elimination kernel, on packed vectors, and the
 block-triangular Krylov form that decompositions run on it.
 
-A field fixes how a vector over GF(p) is stored and supplies two kernels:
-``matvec`` applies a matrix given by its packed columns, and
-``insert(echelon, v, h)`` puts v into an ``Echelon`` in one call.  It sets
-v's history unit h, reduces v against the rows, finds its lead, makes the
-pivot a unit, clears the pivot column from the other rows and stores the row.
+A field over GF(p) supplies two kernels on packed vectors: ``matvec``
+applies a matrix given by its packed columns, and ``insert(echelon, v, h)``
+puts v into an ``Echelon`` in one call.  It sets v's history unit h,
+reduces v against the rows, finds its lead, makes the pivot a unit, clears
+the pivot column from the other rows and stores the row.
 A field for n-vectors stores 2n + 1 coordinates: an elimination row is
 [vector | history] as in Gauss-Jordan on [A | I], so one row operation
 updates both.  Decompositions need only GF(2) and GF(3), and there a vector
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import InputError, InternalCheckError
 
-Field = namedtuple("Field", "n insert matvec pack unpack")
+Field = namedtuple("Field", "insert matvec")
 
 
 class Echelon:
@@ -180,13 +180,13 @@ def field(p: int, n: int) -> Field:
             e.mask = mask | 1 << shift
             return None
 
-    return Field(n, insert, matvec, _pack_bytes, _unpack_bytes)
+    return Field(insert, matvec)
 
 
 @functools.cache
-def _units(p: int, n: int) -> tuple:
-    """e_0, ..., e_{n-1} in field(p, n), packed once."""
-    return tuple(field(p, n).pack(np.eye(n, dtype=np.int64)))
+def _units(n: int) -> tuple:
+    """e_0, ..., e_{n-1}, packed once."""
+    return tuple(_pack_bytes(np.eye(n, dtype=np.int64)))
 
 
 def krylov_form(mat: np.ndarray, p: int) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
@@ -209,13 +209,12 @@ def krylov_form(mat: np.ndarray, p: int) -> tuple[list[tuple[int, ...]], np.ndar
     if p not in _LANE_BOUND:
         raise InputError(f"krylov_form runs over GF(2) and GF(3) only, not Z{p}")
     n = mat.shape[0]
-    f = field(p, n)
-    insert, matvec = f.insert, f.matvec
-    cols = f.pack(mat.T)
+    insert, matvec = field(p, n)
+    cols = _pack_bytes(mat.T)
     span = Echelon(n)
     last_columns: list[tuple[int, ...]] = []
     basis: list = []
-    for u in _units(p, n):
+    for u in _units(n):
         base = len(basis)
         if base == n:
             break
@@ -234,5 +233,5 @@ def krylov_form(mat: np.ndarray, p: int) -> tuple[list[tuple[int, ...]], np.ndar
             last_columns.append(tuple(-c % p for c in g[base : base + t]))
     # the chain vectors went in with unit histories, in basis order: unpacked
     # as [vector | history], they are [Q^T | 0] over [I | Q^-T]
-    both = f.unpack(basis + span.inverse(), 2 * n)
+    both = _unpack_bytes(basis + span.inverse(), 2 * n)
     return last_columns, both[:n, :n].T, both[n:, n:].T

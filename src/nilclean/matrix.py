@@ -7,7 +7,9 @@ supported m <= 2^31.  _stack_mul is the one exact product; a truncated one
 sums d raw products and reduces once.  From BLAS_MIN_DIMENSION (a crossover
 measured, not derived) a product runs on float64 BLAS, exact while n*(m-1)^2
 < 2^53, and below it on int64 matmul, exact while d*n*(m-1)^2 < 2^63; past
-its route's bound, a product splits the right factor into 16-bit halves."""
+its route's bound, a product splits the right factor into 16-bit halves.
+_conjugate multiplies a stack by a matrix and its inverse, reduced once where
+the sums allow."""
 
 from __future__ import annotations
 
@@ -51,6 +53,15 @@ class MatrixRing:
     def max_exponent(self) -> int:
         """Nilpotency exponent of the nilradical of Z_m."""
         return max(e for _, e in factorize(self.m))
+
+    @functools.cached_property
+    def lift_rounds(self) -> int:
+        """Rounds of x -> 3x^2 - 2x^3 that make exact a matrix idempotent mod
+        every p | m: its defect x^2 - x lies in N = rad(m) M_n(Z_m), with
+        N^max_exponent = 0, and each round squares it, so r rounds leave it in
+        N^(2^r).  The least r with 2^r >= max_exponent, 0 when m is
+        squarefree; further rounds leave the exact idempotent fixed."""
+        return (self.max_exponent - 1).bit_length()
 
     @functools.cached_property
     def crt_basis(self) -> tuple[int, ...]:
@@ -257,6 +268,16 @@ def _routed_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     if a.shape[-1] >= BLAS_MIN_DIMENSION:
         return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % m
     return np.matmul(a, b) % m
+
+
+def _conjugate(q: np.ndarray, x: np.ndarray, q_inv: np.ndarray, m: int) -> np.ndarray:
+    """q x q_inv mod m, for n x n q, q_inv and (..., 1, n, n) x reduced mod m:
+    below BLAS_MIN_DIMENSION one int64 product, reduced once, while its
+    partial sums, below n^2 (m-1)^3, stay below 2^63; else two _stack_mul."""
+    n = q.shape[-1]
+    if n < BLAS_MIN_DIMENSION and n * n * (m - 1) ** 3 < 2**63:
+        return q @ x @ q_inv % m
+    return _stack_mul(_stack_mul(q[None], x, m), q_inv[None], m)
 
 
 def _min_exponent(x: np.ndarray, m: int, bound: int) -> Optional[int]:

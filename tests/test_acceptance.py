@@ -31,7 +31,6 @@ from nilclean.cli import certificate_from_doc, certificate_to_doc, parse_documen
 from nilclean.decompose import _lift_idempotents, decompose, decompose_triangular
 from nilclean.gfp import krylov_form
 from nilclean.matrix import MatrixRing, RingMatrix, zm_ring
-from nilclean.residue import lift_iteration_cap
 
 
 def all_matrices(n, m):
@@ -208,7 +207,7 @@ def test_acceptance_10_lifting():
     for q in (2**6, 3**4):
         mod = zm_ring(q)
         (p,) = mod.primes
-        cap = lift_iteration_cap(mod.max_exponent)
+        cap = mod.lift_rounds
         eligible = 0
         for x in range(q):
             # x lifts when x^2 - x is nilpotent, as a 1 x 1 matrix
@@ -239,8 +238,7 @@ def test_acceptance_10_lifting():
                 (np.array(base.to_rows()) + p * np.array(noise.to_rows())).tolist(), ring
             )
             # the call _parts makes, on a stack of one
-            cap = lift_iteration_cap(ring.max_exponent)
-            rows = _lift_idempotents(x.coeffs[None], q, cap)[0, 0].tolist()
+            rows = _lift_idempotents(x.coeffs[None], q, ring.lift_rounds)[0, 0].tolist()
             assert mat_mul_naive(rows, rows, q) == rows
             assert [[v % p for v in row] for row in rows] == base.to_rows()
             lifted += 1

@@ -149,6 +149,27 @@ class TestDecomposeCommand:
         assert code == EXIT_UNSUPPORTED
         assert "Z5" in err and "prime factor" in err
 
+    @pytest.mark.parametrize("args,stdin,m", [
+        (["--modulus", "10"], "3\n", 10),
+        (["--ring", "Z10[x]/(x^2)"], "A: [[[1, 1]]]\n", 10),
+        ([], "ring: Z35\nA: [[1]]\n", 35),
+    ])
+    def test_unsupported_ring_message(self, capsys, monkeypatch, args, stdin, m):
+        code, out, err = run(capsys, monkeypatch, ["decompose", *args], stdin)
+        assert code == EXIT_UNSUPPORTED and out == ""
+        assert err == (f"unsupported ring: modulus {m} has prime factor 5; decompositions exist only "
+                       f"when every prime factor is 2 or 3 (e.g. 3 in Z5 is not a sum of two "
+                       f"idempotents and a nilpotent)\n")
+
+    @pytest.mark.parametrize("row", ("1_0 0", "0 \u0661"))
+    def test_plain_rows_take_only_ascii_integers(self, capsys, monkeypatch, row):
+        # int() alone reads "1_0" as 10 and the Arabic-Indic digit one as 1
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--modulus", "3"], f"1 0\n{row}\n")
+        assert code == EXIT_PARSE and out == ""
+        assert err == f"input error: bad matrix row: {row!r}\n"
+        code, out, _ = run(capsys, monkeypatch, ["decompose", "--modulus", "3"], "+1 -0\n-2 4\n")
+        assert code == EXIT_OK and parse_document(out)["A"] == [[1, 0], [1, 1]]
+
     def test_zero_matrix_zero_certificate(self, capsys, monkeypatch):
         code, out, _ = run(capsys, monkeypatch, ["decompose", "--modulus", "6"], "0 0\n0 0\n")
         assert code == EXIT_OK

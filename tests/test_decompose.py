@@ -26,14 +26,22 @@ from nilclean.decompose import (
     CaseTag,
     _krylov_solve,
     _lift_idempotents,
+    _parts,
     decompose,
     decompose_triangular,
     decompose_zm,
 )
 from nilclean.errors import InputError, InternalCheckError, UnsupportedRingError
 from nilclean.gfp import krylov_form
-from nilclean.matrix import BLAS_MIN_DIMENSION, MatrixRing, RingMatrix, _min_exponent, zm_ring
-from nilclean.residue import lift_iteration_cap
+from nilclean.matrix import (
+    BLAS_MIN_DIMENSION,
+    DecompositionCertificate,
+    MatrixRing,
+    RingMatrix,
+    _min_exponent,
+    verify_certificate,
+    zm_ring,
+)
 
 SMOOTH = smooth_moduli(72)
 
@@ -331,11 +339,10 @@ class TestSelfCheckCount:
 
 
 def lift(x):
-    """_lift_idempotents on one matrix, as _parts calls it: the round count
-    of the largest exponent of m."""
+    """_lift_idempotents on one matrix, as _parts calls it: the ring's lift
+    rounds."""
     ring = x.ring
-    return RingMatrix(ring, _lift_idempotents(x.coeffs[None], ring.m,
-                                              lift_iteration_cap(ring.max_exponent))[0])
+    return RingMatrix(ring, _lift_idempotents(x.coeffs[None], ring.m, ring.lift_rounds)[0])
 
 
 def idempotent(x):
@@ -369,7 +376,7 @@ class TestLiftMatrix:
         # round (TestLiftRounds checks that the certificate check then names
         # the input)
         x = RingMatrix.from_rows([[1, 1], [2, 2]], zm_ring(4))
-        rounds = lift_iteration_cap(2)
+        rounds = x.ring.lift_rounds
         assert rounds == 1
         short = RingMatrix(x.ring, _lift_idempotents(x.coeffs[None], 4, rounds - 1)[0])
         assert short == x and not idempotent(short)
@@ -452,9 +459,10 @@ def lift_until_fixed(stack, m):
 
 
 class TestLiftRounds:
-    """The lift runs exactly lift_iteration_cap(e) rounds, e the largest
-    exponent of m: the start point is constant and idempotent mod every
-    p | m, so its defect lies in rad(m) M_n(Z_m) and each round squares it."""
+    """The lift runs exactly MatrixRing.lift_rounds rounds, the least r with
+    2^r >= e for e the largest exponent of m: the start point is constant
+    and idempotent mod every p | m, so its defect lies in rad(m) M_n(Z_m)
+    and each round squares it."""
 
     @pytest.mark.parametrize("d", (1, 2, 3, 4))
     def test_fixed_rounds_equal_lift_until_fixed(self, d):
@@ -464,7 +472,7 @@ class TestLiftRounds:
         for m in moduli * 3:
             n = int(gen.integers(1, 5))
             start = residually_idempotent_stack(m, n, gen)
-            rounds = lift_iteration_cap(zm_ring(m).max_exponent)
+            rounds = zm_ring(m).lift_rounds
             lifted = _lift_idempotents(start, m, rounds)
             # over Z_m[x]/(x^d), the lift of the constant stack is constant
             embedded = np.concatenate((start, np.zeros((2, d - 1, n, n), dtype=np.int64)), axis=1)
@@ -480,12 +488,64 @@ class TestLiftRounds:
         # leaves it unlifted, and the certificate check names it and the input
         a = RingMatrix.random(6, zm_ring(2**k), np.random.default_rng(seed))
         assert decompose(a).verified
-        module = importlib.import_module("nilclean.decompose")
-        monkeypatch.setattr(module, "lift_iteration_cap", lambda e: lift_iteration_cap(e) - 1)
+        monkeypatch.setitem(a.ring.__dict__, "lift_rounds", a.ring.lift_rounds - 1)
         with pytest.raises(InternalCheckError, match=r"^certificate failed self-check: [EF] idempotency; "
                                                      r"input RingMatrix\(Z") as err:
             decompose(a)
         assert err.value.matrix is a
+
+
+class TestCrtAndLiftAtFive:
+    """_parts' CRT and lift do not depend on which primes have a solver: with
+    a brute-force GF(5) solver in place of _krylov_solve, every matrix of
+    M2(Z10) that decomposes mod 5 and a sample of M2(Z25), which needs one
+    lift round, get a certificate that verifies (about 1 s together)."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """{A mod 5 as a flat tuple: its first (E, F)} over M2(GF(5)), found by
+        trying every pair of idempotents and every nilpotent (W^2 = 0), and
+        _krylov_solve answering from it at p = 5."""
+        mats = np.array(list(itertools.product(range(5), repeat=4))).reshape(-1, 2, 2)
+        idempotents = [x for x in mats if not ((x @ x - x) % 5).any()]
+        nilpotents = [x for x in mats if not (x @ x % 5).any()]
+        table = {}
+        for e, f in itertools.product(idempotents, repeat=2):
+            for w in nilpotents:
+                table.setdefault(tuple(((e + f + w) % 5).ravel().tolist()), np.array([[e], [f]]))
+        module = importlib.import_module("nilclean.decompose")
+        real = module._krylov_solve
+        monkeypatch.setattr(module, "_krylov_solve", lambda mat, p: real(mat, p) if p != 5
+                            else (table[tuple(mat.ravel().tolist())], ("gf5:brute",)))
+        return table
+
+    @staticmethod
+    def certify(a):
+        e, f, w, tags = _parts(a)
+        cert = DecompositionCertificate(a, e, f, w, None, tags)
+        assert verify_certificate(cert), (a, cert.failure)
+        return cert
+
+    def test_every_decomposable_matrix_of_m2_z10(self, splits):
+        assert len(splits) == 423
+        ring, done = zm_ring(10), 0
+        for entries in itertools.product(range(10), repeat=4):
+            if tuple(x % 5 for x in entries) in splits:
+                self.certify(RingMatrix.from_rows([entries[:2], entries[2:]], ring))
+                done += 1
+        assert done == 6768
+
+    def test_sample_of_m2_z25(self, splits):
+        ring = zm_ring(25)
+        assert ring.lift_rounds == 1
+        gen = np.random.default_rng(25)
+        classes = np.array(sorted(splits)).reshape(-1, 2, 2)
+        lifted = 0
+        for c, noise in zip(gen.choice(classes, 2000), gen.integers(0, 5, (2000, 2, 2))):
+            cert = self.certify(RingMatrix.from_rows((c + 5 * noise).tolist(), ring))
+            # an E or F with an entry >= 5 is not the start point: the lift moved it
+            lifted += bool((cert.e.coeffs >= 5).any() or (cert.f.coeffs >= 5).any())
+        assert lifted > 0
 
 
 class TestZm:

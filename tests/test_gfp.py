@@ -17,7 +17,7 @@ from nilclean import gfp
 from nilclean.cli import certificate_to_doc
 from nilclean.decompose import decompose_triangular
 from nilclean.errors import InputError, InternalCheckError
-from nilclean.gfp import krylov_form
+from nilclean.gfp import _pack_bytes, _unpack_bytes, krylov_form
 from nilclean.matrix import RingMatrix, zm_ring
 
 PRIMES = (2, 3)
@@ -27,9 +27,9 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def lists(f, vecs, width):
+def lists(vecs, width):
     """Packed vectors back to lists of `width` coordinates."""
-    return f.unpack(list(vecs), width).tolist()
+    return _unpack_bytes(list(vecs), width).tolist()
 
 
 def combination(coeffs, vecs, p):
@@ -63,15 +63,15 @@ def check_insert(p, n, rows, x, h):
     mask after it."""
     f = gfp.field(p, n)
     span = gfp.Echelon(n)
-    for j, row in zip(rows, f.pack(np.array(list(rows.values()), np.int64).reshape(len(rows), 2 * n + 1))):
+    for j, row in zip(rows, _pack_bytes(np.array(list(rows.values()), np.int64).reshape(len(rows), 2 * n + 1))):
         span.rows[j] = row
         span.pivs.append(j)
         span.mask |= 1 << 8 * j
-    got = f.insert(span, f.pack(np.array([x]))[0], h)
+    got = f.insert(span, _pack_bytes(np.array([x]))[0], h)
     want = naive_insert(rows, x, h, n, p)
     assert (got if got is None else list(got)) == want
     assert span.pivs == list(rows) and span.mask == sum(1 << 8 * j for j in rows)
-    assert dict(zip(span.pivs, lists(f, [span.rows[j] for j in span.pivs], 2 * n + 1))) == rows
+    assert dict(zip(span.pivs, lists([span.rows[j] for j in span.pivs], 2 * n + 1))) == rows
 
 
 @st.composite
@@ -91,14 +91,14 @@ def echelon_rows(draw, n, h, row, max_rows):
     return rows
 
 
-def insert_all(f, vecs):
-    """Offer vecs[j] with history j, in order; the span and the indices it
-    took."""
-    span = gfp.Echelon(f.n)
-    return span, [j for j, v in enumerate(vecs) if f.insert(span, v, j) is None]
+def insert_all(f, rows):
+    """Offer row j, packed, with history j, in order; the span and the
+    indices it took."""
+    span = gfp.Echelon(len(rows[0]))
+    return span, [j for j, v in enumerate(_pack_bytes(np.array(rows))) if f.insert(span, v, j) is None]
 
 
-def check_invariants(f, span, vecs, n, p):
+def check_invariants(span, vecs, n, p):
     """Rows kept by pivot lane: the row at lane piv has a unit there that is
     its lead, zeros in the other pivot columns, and its vector equals its
     history's combination of the offered vectors; every other lane holds no
@@ -110,7 +110,7 @@ def check_invariants(f, span, vecs, n, p):
         if piv not in pivs:
             assert span.rows[piv] is None
             continue
-        (row,) = lists(f, [span.rows[piv]], 2 * n + 1)
+        (row,) = lists([span.rows[piv]], 2 * n + 1)
         vector, hist = row[:n], row[n:]
         assert vector[piv] == 1 and not any(vector[:piv])
         assert all(vector[q] == 0 for q in pivs if q != piv)
@@ -132,8 +132,7 @@ class TestPrimitives:
     @settings(max_examples=80)
     def test_pack_unpack_roundtrip(self, case):
         p, rows = case
-        f = gfp.field(p, len(rows))
-        assert lists(f, f.pack(np.array(rows)), len(rows)) == rows
+        assert lists(_pack_bytes(np.array(rows)), len(rows)) == rows
 
     @given(st.sampled_from(PRIMES), st.integers(1, 8), st.data())
     @settings(max_examples=120)
@@ -155,8 +154,8 @@ class TestPrimitives:
         u = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
         f = gfp.field(p, n)
         a = np.array(rows)
-        got = f.matvec(f.pack(a.T), f.pack(np.array([u]))[0])
-        assert lists(f, [got], 2 * n + 1) == [[sum(e * c for e, c in zip(row, u)) % p
+        got = f.matvec(_pack_bytes(a.T), _pack_bytes(np.array([u]))[0])
+        assert lists([got], 2 * n + 1) == [[sum(e * c for e, c in zip(row, u)) % p
                                                for row in rows] + [0] * (n + 1)]
 
 
@@ -187,16 +186,16 @@ class TestGf3Lanes:
         rows, u = case
         n = len(u)
         f = gfp.field(3, n)
-        got = f.matvec(f.pack(np.array(rows).T), f.pack(np.array([u]))[0])
-        assert lists(f, [got], n) == [[sum(e * c for e, c in zip(row, u)) % 3 for row in rows]]
+        got = f.matvec(_pack_bytes(np.array(rows).T), _pack_bytes(np.array([u]))[0])
+        assert lists([got], n) == [[sum(e * c for e, c in zip(row, u)) % 3 for row in rows]]
 
     def test_all_twos_at_full_width(self):
         # every lane of the matvec accumulator at its bound 3n = 192
         n = 64
         f = gfp.field(3, n)
         twos = np.full((n, n), 2)
-        got = f.matvec(f.pack(twos), f.pack(twos[:1])[0])
-        assert lists(f, [got], n) == [[2 * 2 * n % 3] * n]
+        got = f.matvec(_pack_bytes(twos), _pack_bytes(twos[:1])[0])
+        assert lists([got], n) == [[2 * 2 * n % 3] * n]
 
     @pytest.mark.parametrize("pattern", ("twos", "ones", "alternating"))
     def test_reduce_at_the_lane_bound(self, pattern):
@@ -225,11 +224,11 @@ class TestElimination:
         p, rows = case
         n = len(rows)
         f = gfp.field(p, n)
-        span, taken = insert_all(f, f.pack(np.array(rows)))
-        check_invariants(f, span, rows, n, p)
+        span, taken = insert_all(f, rows)
+        check_invariants(span, rows, n, p)
         assert len(span.pivs) == len(taken) == rank_naive(rows, p)
         for j, row in enumerate(rows):
-            assert f.insert(span, f.pack(np.array([row]))[0], n) is not None
+            assert f.insert(span, _pack_bytes(np.array([row]))[0], n) is not None
             assert (j in taken) == (rank_naive(rows[: j + 1], p) > rank_naive(rows[:j], p))
 
     @given(st.sampled_from(PRIMES), st.integers(1, 8), st.data())
@@ -250,9 +249,9 @@ class TestElimination:
                 vecs.append(combination(coeffs, vecs, p))
             else:
                 vecs.append(data.draw(st.lists(entry, min_size=n, max_size=n)))
-            relation = f.insert(span, f.pack(np.array([vecs[h]]))[0], h)
+            relation = f.insert(span, _pack_bytes(np.array([vecs[h]]))[0], h)
             assert span.mask.bit_count() == len(span.pivs)
-            for piv, row in zip(span.pivs, lists(f, [span.rows[j] for j in span.pivs], n)):
+            for piv, row in zip(span.pivs, lists([span.rows[j] for j in span.pivs], n)):
                 assert [row[q] for q in span.pivs] == [int(q == piv) for q in span.pivs]
             if relation is not None:
                 relation = list(relation)
@@ -267,10 +266,10 @@ class TestElimination:
         p, rows = case
         n = len(rows)
         f = gfp.field(p, n)
-        span, _ = insert_all(f, f.pack(np.array(rows)))
+        span, _ = insert_all(f, rows)
         assert (len(span.pivs) == n) == (rank_naive(rows, p) == n)
         if len(span.pivs) == n:
-            check_echelon_inverse(f, span, rows, p)
+            check_echelon_inverse(span, rows, p)
 
     @given(square(), st.data())
     @settings(max_examples=150)
@@ -281,11 +280,11 @@ class TestElimination:
         p, rows = case
         n = len(rows)
         f = gfp.field(p, n)
-        span, taken = insert_all(f, f.pack(np.array(rows)))
+        span, taken = insert_all(f, rows)
         before = (list(span.rows), list(span.pivs), span.mask)
         coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
         y = combination(coeffs, rows, p)
-        relation = f.insert(span, f.pack(np.array([y]))[0], n)
+        relation = f.insert(span, _pack_bytes(np.array([y]))[0], n)
         assert relation is not None and (span.rows, span.pivs, span.mask) == before
         hist = list(relation)
         assert len(hist) == n + 1 and hist[n] == 1
@@ -294,10 +293,10 @@ class TestElimination:
         assert all(x[j] == 0 for j in range(n) if j not in taken)
         if len(taken) == n:
             assert x == coeffs
-        check_invariants(f, span, rows, n, p)
+        check_invariants(span, rows, n, p)
         outside = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
         in_span = rank_naive(rows + [outside], p) == rank_naive(rows, p)
-        assert (f.insert(span, f.pack(np.array([outside]))[0], n) is not None) == in_span
+        assert (f.insert(span, _pack_bytes(np.array([outside]))[0], n) is not None) == in_span
 
 
 @pytest.mark.parametrize("p,bound", [(3, 84), (2, 254)])
@@ -308,19 +307,19 @@ def test_byte_lanes_up_to_their_bound(p, bound):
     n, width = bound, 2 * bound + 1
     f = gfp.field(p, n)
     full = np.full((n, n), p - 1)
-    got = f.matvec(f.pack(full), f.pack(full[:1])[0])
-    assert lists(f, [got], n) == [[(p - 1) ** 2 * n % p] * n]
+    got = f.matvec(_pack_bytes(full), _pack_bytes(full[:1])[0])
+    assert lists([got], n) == [[(p - 1) ** 2 * n % p] * n]
     rows = {j: [int(j == lane) if lane < n else p - 1 for lane in range(width)] for j in range(n)}
     check_insert(p, n, rows, [p - 1] * n, 0)
     with pytest.raises(ValueError, match=rf"GF\({p}\) byte lanes are exact only up to n = {bound}, got n = {bound + 1}"):
         gfp.field(p, bound + 1)
 
 
-def check_echelon_inverse(f, span, rows, p):
+def check_echelon_inverse(span, rows, p):
     """Echelon.inverse of a full span of the rows, offered with histories 0
     to n - 1, is [I | X] with X their two-sided inverse."""
     n = len(rows)
-    both = lists(f, span.inverse(), 2 * n + 1)
+    both = lists(span.inverse(), 2 * n + 1)
     assert [row[:n] for row in both] == identity(n) and not any(row[2 * n] for row in both)
     inv = [row[n : 2 * n] for row in both]
     assert mat_mul_naive(rows, inv, p) == mat_mul_naive(inv, rows, p) == identity(n)
@@ -347,14 +346,14 @@ def test_full_width(p, n, kind):
     rows = structured(p, n, kind, rng)
     vecs = rows + [rng.integers(0, p, n).tolist()]
     f = gfp.field(p, n)
-    span, taken = insert_all(f, f.pack(np.array(vecs)))
-    check_invariants(f, span, vecs, n, p)
+    span, taken = insert_all(f, vecs)
+    check_invariants(span, vecs, n, p)
     rank = rank_naive(rows, p)
     assert rank == (n if kind == "invertible" else len([j for j in taken if j < n]))
     assert len(span.pivs) == rank_naive(vecs, p)
     if kind == "invertible":
         assert n not in taken
-        check_echelon_inverse(f, span, rows, p)
+        check_echelon_inverse(span, rows, p)
 
 
 class TestKrylovForm:

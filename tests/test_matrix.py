@@ -25,6 +25,7 @@ from nilclean.matrix import (
     DecompositionCertificate,
     MatrixRing,
     RingMatrix,
+    _conjugate,
     _min_exponent,
     _routed_mul,
     _stack_mul,
@@ -209,6 +210,19 @@ class TestProductRoutes:
             out = _stack_mul(x, y, m)
             assert out.shape == x.shape
             assert out.tolist() == exact_truncated_product(x, y, m).tolist()
+
+    @pytest.mark.parametrize("m,n", [(3, 31), (3, 32), (1321123, 2), (1321124, 2), (2**31 - 1, 64)])
+    def test_conjugate_matches_python_ints(self, m, n):
+        # one int64 product Q X Q^-1 below n = 32 while n^2 (m-1)^3 < 2^63,
+        # which m = 1321123 meets at n = 2 and 1321124 does not: with every
+        # entry m - 1 the unsplit product of the latter wraps
+        gen = np.random.default_rng([m, n])
+        top = (np.full((n, n), m - 1), np.full((2, 1, n, n), m - 1), np.full((n, n), m - 1))
+        uniform = (gen.integers(0, m, (n, n)), gen.integers(0, m, (2, 1, n, n)), gen.integers(0, m, (n, n)))
+        for q, x, q_inv in (uniform, top):
+            exact = (q.astype(object) @ x.astype(object) @ q_inv.astype(object) % m).tolist()
+            assert _conjugate(q, x, q_inv, m).tolist() == exact
+        assert ((q @ x @ q_inv % m).tolist() == exact) == (n * n * (m - 1) ** 3 < 2**63)
 
     @pytest.mark.parametrize("m,n,d", ACCUMULATION_BOUND,
                              ids=[f"m{m}-n{n}-d{d}" for m, n, d in ACCUMULATION_BOUND])

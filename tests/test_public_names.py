@@ -1,7 +1,9 @@
 """Every public class, function and method of the package is named where the
 program runs: in the package itself, the benchmark, the scripts,
 pyproject.toml or README's library example.  A name that only tests reach
-is API nobody runs, and is removed rather than kept for its tests."""
+is API nobody runs, and is removed rather than kept for its tests.  An
+exception class must moreover be raised by the package, or be the base of
+one that is: one that is only caught or imported is never seen."""
 
 import ast
 import pathlib
@@ -78,3 +80,22 @@ def test_every_public_name_is_used_outside_tests():
               if all(where == path and first <= line <= last for where, line in uses.get(name, ()))}
     assert sorted(unused - ALLOWED.keys()) == []
     assert sorted(ALLOWED.keys() - unused) == []
+
+
+def test_every_error_class_is_raised_or_a_base_of_one():
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in errors.body if isinstance(node, ast.ClassDef) and not node.name.startswith("_")}
+    raised = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.append(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    seen = set()
+    while raised:
+        name = raised.pop()
+        if name in bases and name not in seen:
+            seen.add(name)
+            raised.extend(bases[name])
+    assert sorted(bases.keys() - seen) == []

@@ -12,7 +12,7 @@ from conftest import smooth_moduli
 from nilclean.decompose import _lift_idempotents, decompose_triangular
 from nilclean.errors import InputError, ResourceCapError, UnsupportedRingError
 from nilclean.matrix import MatrixRing, RingMatrix, _min_exponent, zm_ring
-from nilclean.residue import factorize, lift_iteration_cap
+from nilclean.residue import factorize
 
 
 def elem(a, m):
@@ -36,11 +36,9 @@ def exponent(x):
 
 
 def lift(x):
-    """_lift_idempotents on x, as _parts calls it: the round count of the
-    largest exponent of m."""
+    """_lift_idempotents on x, as _parts calls it: the ring's lift rounds."""
     ring = x.ring
-    return RingMatrix(ring, _lift_idempotents(x.coeffs[None], ring.m,
-                                              lift_iteration_cap(ring.max_exponent))[0])
+    return RingMatrix(ring, _lift_idempotents(x.coeffs[None], ring.m, ring.lift_rounds)[0])
 
 
 class TestFactorize:
@@ -81,18 +79,21 @@ def naive_factors(m):
 
 
 def _facts(ring):
-    return ring.primes, ring.max_exponent, ring.crt_basis, ring.two_three_smooth, ring.is_prime_field
+    return (ring.primes, ring.max_exponent, ring.lift_rounds, ring.crt_basis, ring.two_three_smooth,
+            ring.is_prime_field)
 
 
 class TestCachedFacts:
     def test_equal_a_fresh_computation(self):
         """For every m <= 10^4, and at 2^31 - 1 and 2^31, the facts of
         MatrixRing(m) and MatrixRing(m, 2) equal what a naive factorization
-        gives: c_q is 1 mod q and 0 mod m/q, and the c_q sum to 1 mod m."""
+        gives: the lift rounds are the least r with 2^r >= the largest
+        exponent, c_q is 1 mod q and 0 mod m/q, and the c_q sum to 1 mod m."""
         for m in [*range(2, 10**4 + 1), 2**31 - 1, 2**31]:
             ring, factors = MatrixRing(m), naive_factors(m)
             assert ring.primes == tuple(p for p, _ in factors)
             assert ring.max_exponent == max(e for _, e in factors)
+            assert ring.lift_rounds == next(r for r in range(32) if 2**r >= ring.max_exponent)
             assert ring.is_prime_field == (factors == [(m, 1)])
             rest = m
             for p in (2, 3):
