@@ -14,20 +14,14 @@ in its submodule: nilclean.residue.factorize, the oracle's
 enumerate_idempotents and enumerate_nilpotents in nilclean.classifier, and
 decompose_zm, reached as importlib.import_module("nilclean.decompose")
 because the function decompose shadows that package attribute.
+
+The oracle's names, _ORACLE, are served lazily (PEP 562): the oracle is the
+largest module and only classify and demo-obstruction run it, so it is
+imported on the first use of one of them, not at every start-up.
 """
 
 from types import ModuleType as _ModuleType
 
-from .classifier import (
-    MatFactor,
-    PropertyReport,
-    RingDescriptor,
-    TruncFactor,
-    ZmFactor,
-    decide,
-    min_nilpotent_index_over_decompositions,
-    parse_ring_descriptor,
-)
 from .decompose import (
     CaseTag,
     decompose,
@@ -48,6 +42,17 @@ from .matrix import (
     zm_ring,
 )
 
-__all__ = sorted(name for name, value in globals().items()  # not the submodules
-                 if not (name.startswith("_") or isinstance(value, _ModuleType)))
+_ORACLE = ("MatFactor", "PropertyReport", "RingDescriptor", "TruncFactor", "ZmFactor", "decide",
+           "min_nilpotent_index_over_decompositions", "parse_ring_descriptor")
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import classifier
+    return getattr(classifier, name)
+
+
+__all__ = sorted([*_ORACLE, *(name for name, value in globals().items()  # not the submodules
+                              if not (name.startswith("_") or isinstance(value, _ModuleType)))])
 __version__ = "0.1.0"

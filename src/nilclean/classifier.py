@@ -232,9 +232,9 @@ class RingDescriptor:
 
 
 _FACTOR_PATTERNS = (
-    (re.compile(r"M(\d+)\(Z(\d+)\)"), lambda g: MatFactor(int(g[0]), int(g[1]))),
-    (re.compile(r"Z(\d+)\[x\]/\(x\^(\d+)\)"), lambda g: TruncFactor(int(g[0]), int(g[1]))),
-    (re.compile(r"Z(\d+)"), lambda g: ZmFactor(int(g[0]))),
+    (re.compile(r"M([0-9]+)\(Z([0-9]+)\)"), lambda g: MatFactor(int(g[0]), int(g[1]))),
+    (re.compile(r"Z([0-9]+)\[x\]/\(x\^([0-9]+)\)"), lambda g: TruncFactor(int(g[0]), int(g[1]))),
+    (re.compile(r"Z([0-9]+)"), lambda g: ZmFactor(int(g[0]))),
 )
 
 
@@ -523,7 +523,7 @@ _TABLE = (
 )
 PROPERTIES = {prop.name: prop for prop in _TABLE}
 
-_GENERALIZED = re.compile(r"generalized-(\d+)-like")
+_GENERALIZED = re.compile(r"generalized-([0-9]+)-like")
 
 
 def _generalized(n: int) -> Property:

@@ -22,17 +22,10 @@ import operator
 import os
 import re
 import sys
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import classifier
-from .classifier import (
-    RingDescriptor,
-    ZmFactor,
-    min_nilpotent_index_over_decompositions,
-    parse_ring_descriptor,
-)
 from .decompose import decompose, decompose_triangular
 from .errors import InputError, InternalCheckError, ResourceCapError, UnsupportedRingError
 from .matrix import (
@@ -42,6 +35,9 @@ from .matrix import (
     RingMatrix,
     verify_certificate,
 )
+
+if TYPE_CHECKING:  # the commands that run the oracle import it when they run
+    from . import classifier
 
 SCHEMA = "nilclean-cert/1"
 
@@ -131,7 +127,7 @@ _shared_ring = functools.lru_cache(maxsize=256)(MatrixRing)
 def parse_matrix_ring(text: str) -> MatrixRing:
     """Entry-ring descriptor for matrices: "Z12" or "Z6[x]/(x^2)"."""
     s = text.replace(" ", "")
-    mobj = re.fullmatch(r"Z(\d+)(?:\[x\]/\(x\^(\d+)\))?", s)
+    mobj = re.fullmatch(r"Z([0-9]+)(?:\[x\]/\(x\^([0-9]+)\))?", s)
     if not mobj:
         raise InputError(f"cannot parse matrix ring {text!r}")
     m, d = (_digits(g) for g in mobj.groups(default="1"))
@@ -182,7 +178,7 @@ def certificate_from_doc(doc: dict) -> DecompositionCertificate:
     return DecompositionCertificate(*mats, exponent, tags)
 
 
-def _element_json(ring: RingDescriptor, element: tuple) -> list:
+def _element_json(ring: classifier.RingDescriptor, element: tuple) -> list:
     """Each value by its factor's shape: an int, a list, or a matrix's rows."""
     out = []
     for fac, value in zip(ring.factors, element):
@@ -196,6 +192,7 @@ def _element_json(ring: RingDescriptor, element: tuple) -> list:
 
 
 def report_to_doc(report: classifier.PropertyReport) -> str:
+    from . import classifier
     pairs: list[tuple[str, object]] = [
         ("schema", SCHEMA),
         ("kind", "report"),
@@ -405,17 +402,13 @@ def _exhaustive_matrices(args) -> Iterator[RingMatrix]:
             for entries in itertools.product(range(m), repeat=n * n))
 
 
-# name -> callable(ring), read on each call so that a wrapper on a value sees it
-_PROPERTY_RUNNERS = {name: functools.partial(classifier.decide, name) for name in classifier.PROPERTIES}
-
-
 def cmd_classify(args) -> int:
-    ring = parse_ring_descriptor(args.ring_descriptor)
+    from . import classifier
+    ring = classifier.parse_ring_descriptor(args.ring_descriptor)
     names = [name.strip() for name in args.properties.split(",") if name.strip()]
     if not names:
         raise InputError("no properties requested")
-    reports = [_PROPERTY_RUNNERS.get(name, functools.partial(classifier.decide, name))(ring)
-               for name in names]
+    reports = [classifier.decide(name, ring) for name in names]
     if args.format == "plain":
         for report in reports:
             print(f"{report.property}: {str(report.holds).lower()}")
@@ -445,12 +438,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_demo_obstruction(args) -> int:
+    from . import classifier
     k = args.k
     if not (2 <= k <= 5):
         raise InputError("chain length must be between 2 and 5")
     rows = []
     for j in range(2, k + 1):
-        ring = RingDescriptor(tuple(ZmFactor(2**i) for i in range(1, j + 1)))
+        ring = classifier.RingDescriptor(tuple(classifier.ZmFactor(2**i) for i in range(1, j + 1)))
         doubled = tuple(2 % (2**i) for i in range(1, j + 1))
         tripled = tuple(3 % (2**i) for i in range(1, j + 1))
         rows.append(
@@ -458,9 +452,9 @@ def cmd_demo_obstruction(args) -> int:
                 j,
                 ring.describe(),
                 list(doubled),
-                min_nilpotent_index_over_decompositions(ring, doubled),
+                classifier.min_nilpotent_index_over_decompositions(ring, doubled),
                 list(tripled),
-                min_nilpotent_index_over_decompositions(ring, tripled),
+                classifier.min_nilpotent_index_over_decompositions(ring, tripled),
             )
         )
     if args.format == "plain":
@@ -489,6 +483,14 @@ def cmd_demo_obstruction(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _ascii_int(text: str) -> int:
+    """int() of ASCII text alone: int() also reads the digits of other scripts."""
+    if text.isascii():
+        with contextlib.suppress(ValueError):
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @functools.cache  # built once per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -510,12 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     add_format(p)
     ring = p.add_mutually_exclusive_group()
-    ring.add_argument("--modulus", dest="m", metavar="MODULUS", type=int,
+    ring.add_argument("--modulus", dest="m", metavar="MODULUS", type=_ascii_int,
                       help="entry ring modulus m for plain input")
     ring.add_argument("--ring", help='entry ring, e.g. "Z12" or "Z6[x]/(x^2)"')
     p.add_argument("--triangular", action="store_true",
                    help="use the triangular-ring construction (input must be upper triangular)")
-    p.add_argument("--exhaustive", nargs=2, type=int, metavar=("N", "M"),
+    p.add_argument("--exhaustive", nargs=2, type=_ascii_int, metavar=("N", "M"),
                    help="emit certificates for every matrix in M_N(Z_M)")
     p.set_defaults(func=cmd_decompose)
 
@@ -532,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo-obstruction", help="minimal nilpotency indices over "
                        "decompositions in chains Z_2 x Z_4 x ... x Z_{2^k}")
     add_format(p)
-    p.add_argument("k", type=int, help="chain length (2..5)")
+    p.add_argument("k", type=_ascii_int, help="chain length (2..5)")
     p.set_defaults(func=cmd_demo_obstruction)
     return parser
 

@@ -405,6 +405,60 @@ class TestRingFlags:
             assert run(capsys, monkeypatch, ["decompose", *flag], "ring: Z6\nA: [[5]]\n")[:2] == (EXIT_OK, want)
 
 
+# ARABIC-INDIC DIGITS ONE, TWO and THREE, which int() and the regex class \d
+# read as 1, 2 and 3
+ONE, TWO, THREE = "\u0661", "\u0662", "\u0663"
+
+
+class TestAsciiDigits:
+    """Numbers in flags, ring names and property names are ASCII digits."""
+
+    @pytest.mark.parametrize("args,bad", [
+        (["decompose", "--modulus", THREE], THREE),
+        (["decompose", "--exhaustive", "1", TWO], TWO),
+        (["demo-obstruction", TWO], TWO),
+    ], ids=["modulus", "exhaustive", "demo-obstruction"])
+    def test_flag_refused(self, capsys, monkeypatch, args, bad):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1\n"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == "" and f"invalid int value: {bad!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args,same", [
+        (["decompose", "--modulus", " +0_3\t"], ["decompose", "--modulus", "3"]),
+        (["decompose", "--exhaustive", "01", "+2"], ["decompose", "--exhaustive", "1", "2"]),
+        (["demo-obstruction", " 0_2 "], ["demo-obstruction", "2"]),
+    ], ids=["modulus", "exhaustive", "demo-obstruction"])
+    def test_ascii_integers_as_int_reads_them(self, capsys, monkeypatch, args, same):
+        got = run(capsys, monkeypatch, args, "1\n")
+        assert got[0] == EXIT_OK and got == run(capsys, monkeypatch, same, "1\n")
+
+    def test_ascii_non_integer_message_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decompose", "--modulus", "3.0"])
+        assert exit_info.value.code == EXIT_PARSE
+        assert "argument --modulus: invalid int value: '3.0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,stdin", [
+        (["decompose", "--ring", f"Z{THREE}"], "1\n"),
+        (["decompose", "--ring", f"Z3[x]/(x^{TWO})"], "A: [[1]]\n"),
+        (["decompose"], f"ring: Z{THREE}\nA: [[1]]\n"),
+        (["decompose"], f"modulus: {THREE}\nA: [[1]]\n"),
+        (["classify", f"Z{THREE}", "two-nil-clean"], ""),
+        (["classify", f"M{TWO}(Z2)", "two-nil-clean"], ""),
+        (["classify", f"M2(Z{TWO})", "two-nil-clean"], ""),
+        (["classify", f"Z2[x]/(x^{TWO})", "two-nil-clean"], ""),
+        (["classify", "Z4", f"generalized-{TWO}-like"], ""),
+    ], ids=["ring-flag", "ring-flag-degree", "document-ring", "document-modulus", "zm",
+            "matrix-size", "matrix-modulus", "trunc-degree", "generalized"])
+    def test_name_refused(self, capsys, monkeypatch, args, stdin):
+        code, out, err = run(capsys, monkeypatch, args, stdin)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("input error: ") and "Traceback" not in err
+
+
 # entries that from_rows reads entry by entry and refuses: floats (integral
 # ones too), strings and objects (empty ones too), and coefficient lists
 # longer than the ring's degree
@@ -905,17 +959,20 @@ class TestFlags:
         assert f"unrecognized arguments: {' '.join(args[-2:])}" in err and "Traceback" not in err
 
 
+PUBLIC_NAMES = [
+    "CaseTag", "DecompositionCertificate",
+    "InputError", "InternalCheckError", "MatFactor", "MatrixRing",
+    "NilcleanError", "PropertyReport", "ResourceCapError", "RingDescriptor",
+    "RingMatrix", "TruncFactor", "UnsupportedRingError", "ZmFactor",
+    "decide", "decompose", "decompose_triangular",
+    "min_nilpotent_index_over_decompositions", "parse_ring_descriptor",
+    "verify_certificate", "zm_ring",
+]
+
+
 class TestPublicNames:
     def test_all(self):
-        assert sorted(nilclean.__all__) == [
-            "CaseTag", "DecompositionCertificate",
-            "InputError", "InternalCheckError", "MatFactor", "MatrixRing",
-            "NilcleanError", "PropertyReport", "ResourceCapError", "RingDescriptor",
-            "RingMatrix", "TruncFactor", "UnsupportedRingError", "ZmFactor",
-            "decide", "decompose", "decompose_triangular",
-            "min_nilpotent_index_over_decompositions", "parse_ring_descriptor",
-            "verify_certificate", "zm_ring",
-        ]
+        assert sorted(nilclean.__all__) == PUBLIC_NAMES
 
     def test_decompose_is_the_function(self):
         # the package attribute, and so `import nilclean.decompose as d`, is
@@ -1097,25 +1154,33 @@ class TestBenchGateContract:
             assert len(value[2]) == 3 and all(type(x) is int for x in value[2])
 
 
-class TestPropertyRunners:
-    """The benchmark's trace wraps the values of cli._PROPERTY_RUNNERS, so
-    classify must find every fixed property there."""
+class TestImportGraph:
+    """Start-up leaves the oracle out: the package serves its names on first
+    use, and only classify and demo-obstruction import it."""
 
-    def test_keys_are_the_table_names(self):
-        assert set(cli._PROPERTY_RUNNERS) == set(classifier.PROPERTIES)
+    @staticmethod
+    def _probe(code):
+        src = str(pathlib.Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True).stdout.split()
 
-    def test_classify_calls_through_the_dict(self, capsys, monkeypatch):
-        calls = []
-        real = cli._PROPERTY_RUNNERS["nil-clean"]
+    @pytest.mark.parametrize("module", ["nilclean", "nilclean.cli"])
+    def test_import_leaves_the_oracle_out(self, module):
+        assert self._probe(f"import sys, {module}; print('nilclean.classifier' in sys.modules)") \
+            == ["False"]
 
-        def spy(ring):
-            calls.append(ring.describe())
-            return real(ring)
-
-        monkeypatch.setitem(cli._PROPERTY_RUNNERS, "nil-clean", spy)
-        code, out, _ = run(capsys, monkeypatch, ["classify", "Z4", "two-nil-clean,nil-clean"])
-        assert code == EXIT_OK and calls == ["Z4"]
-        assert [d["property"] for d in documents(out)] == ["two-nil-clean", "nil-clean"]
+    def test_oracle_names_resolve_on_use(self):
+        out = self._probe(
+            "import sys, nilclean\n"
+            "names = {}\n"
+            "exec('from nilclean import *', names)\n"
+            "oracle = sys.modules['nilclean.classifier']\n"
+            "print(names['decide'] is nilclean.decide is oracle.decide,\n"
+            "      names['RingDescriptor'] is oracle.RingDescriptor, hasattr(nilclean, 'PROPERTIES'),\n"
+            "      *nilclean.__all__)\n")
+        assert out == ["True", "True", "False", *PUBLIC_NAMES]
 
 
 class TestVerifyCommand:
