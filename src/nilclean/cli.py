@@ -73,7 +73,9 @@ _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 def parse_document(text: str) -> dict:
     """The fields of one document; a key given twice is refused, naming it
-    and the line, counted within the document, that repeats it."""
+    and the line, counted within the document, that repeats it.  So is a
+    JSON true or false inside a list: no list of the schema holds one, and
+    Python, numpy included, would read it in a matrix as the int 1 or 0."""
     doc: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -94,10 +96,26 @@ def parse_document(text: str) -> dict:
             except (StopIteration, ValueError, RecursionError):  # also over 4,300 digits, or nested too deep
                 continue
             if end == len(value):
+                # both words hold an "e", which one memchr rules out in a list of integers
+                if value[0] == "[" and "e" in value and ("true" in value or "false" in value) \
+                        and _holds_bool(obj):
+                    raise InputError(f"field {key!r} holds JSON true or false inside a list: {value!r:.40}")
                 doc[key] = obj
     if not doc:
         raise InputError("empty document")
     return doc
+
+
+def _holds_bool(value) -> bool:
+    """Whether a bool is among the items of a list and of the lists in it."""
+    todo = [value]
+    while todo:
+        item = todo.pop()
+        if type(item) is list:
+            todo.extend(item)
+        elif type(item) is bool:
+            return True
+    return False
 
 
 def iter_documents(lines: Iterable[str]) -> Iterator[dict]:

@@ -109,7 +109,7 @@ def _krylov_solve(mat: np.ndarray, p: int):
     pair = _TEMPLATES[p]
     last_columns, q, q_inv = krylov_form(mat, p)
     ef = np.zeros((2, 1, n, n), dtype=np.int64)
-    e, f = ef[:, 0]
+    e, f = ef[0, 0], ef[1, 0]  # unpacking an array iterates it, 4x slower
     tags = []
     at = 0
     for col in last_columns:
@@ -132,41 +132,42 @@ def _lift_idempotents(stack: np.ndarray, m: int, rounds: int) -> np.ndarray:
     return stack
 
 
-def _parts(a: RingMatrix):
-    """Unverified (E, F, W, tags) over Z_m[x]/(x^d), every p | m in
-    _TEMPLATES: solve the constant term mod each prime p | m, sum c_q times
-    each E/F stack mod m, lift over Z_m, and W = A - E - F.  The start point
-    is constant and idempotent mod every p | m, so ring.lift_rounds rounds
-    make it exact.
-    A constant stack stays constant: over Z_m[x]/(x^d) it is coefficient 0.
-    The lift commutes with reduction mod each p^k: it is the CRT of theirs."""
+def _parts(a: RingMatrix, solve):
+    """Unverified (E, F, W, tags) over Z_m[x]/(x^d), by one loop for every
+    ring: for each prime p | m, solve(A_0 mod p, p) gives E and F over GF(p)
+    as a (2, 1, n, n) stack mod p, and its case tags; c_q times each is
+    summed mod m, lifted over Z_m for ring.lift_rounds rounds (none when m is
+    squarefree), and W = A - E - F.  A_0 is reduced mod p when p = m, c_q is
+    1 when m is a prime power, and a lone stack is reduced: those steps are
+    skipped.  The start point is idempotent mod every p | m, so the rounds
+    make it exact; the lift commutes with reduction mod each p^k: it is the
+    CRT of theirs.  A constant stack stays constant: over Z_m[x]/(x^d) it is
+    coefficient 0."""
     ring = a.ring
-    m = ring.m
-    if ring.is_prime_field:
-        ef, tags = _krylov_solve(a.coeffs[0], m)
-    else:
-        ef, tags = 0, ()
-        for p, c in zip(ring.primes, ring.crt_basis):
-            ef_p, tags_p = _krylov_solve(a.coeffs[0] % p, p)
-            ef, tags = ef + c * ef_p, tags + tags_p
-        ef = _lift_idempotents(ef % m, m, ring.lift_rounds)
-        if ring.d > 1:
-            ef = np.concatenate((ef, np.zeros((2, ring.d - 1, a.n, a.n), dtype=np.int64)), axis=1)
-    e, f = ef
+    m, a0 = ring.m, a.coeffs[0]
+    ef, tags = None, ()
+    for p, c in zip(ring.primes, ring.crt_basis):
+        ef_p, tags_p = solve(a0 if p == m else a0 % p, p)
+        ef_p = ef_p if c == 1 else c * ef_p
+        ef, tags = ef_p if ef is None else (ef + ef_p) % m, tags + tags_p
+    ef = _lift_idempotents(ef, m, ring.lift_rounds)
+    if ring.d > 1:
+        ef = np.concatenate((ef, np.zeros((2, ring.d - 1, a.n, a.n), dtype=np.int64)), axis=1)
+    e, f = ef[0], ef[1]
     return RingMatrix(ring, e), RingMatrix(ring, f), RingMatrix(ring, (a.coeffs - e - f) % m), tags
 
 
 def decompose(a: RingMatrix) -> DecompositionCertificate:
     """Decompose over Z_m or Z_m[x]/(x^d) for any 2-3-smooth m."""
     ring = a.ring
-    bad = [p for p in ring.primes if p not in _TEMPLATES]
-    if bad:
-        raise UnsupportedRingError(
-            f"modulus {ring.m} has prime factor {bad[0]}; decompositions exist only "
-            f"when every prime factor is 2 or 3 (e.g. 3 in Z5 is not a sum of "
-            f"two idempotents and a nilpotent)"
-        )
-    e, f, w, tags = _parts(a)
+    for p in ring.primes:  # ascending: the first refused is the least
+        if p not in _TEMPLATES:
+            raise UnsupportedRingError(
+                f"modulus {ring.m} has prime factor {p}; decompositions exist only "
+                f"when every prime factor is 2 or 3 (e.g. 3 in Z5 is not a sum of "
+                f"two idempotents and a nilpotent)"
+            )
+    e, f, w, tags = _parts(a, _krylov_solve)
     cert = DecompositionCertificate(a, e, f, w, None, tags)
     if not verify_certificate(cert):
         raise InternalCheckError(f"certificate failed self-check: {cert.failure}", a)

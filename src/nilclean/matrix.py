@@ -75,10 +75,6 @@ class MatrixRing:
         """True iff every prime factor of m is 2 or 3."""
         return all(p in (2, 3) for p in self.primes)
 
-    @functools.cached_property
-    def is_prime_field(self) -> bool:
-        return self.d == 1 and factorize(self.m) == ((self.m, 1),)
-
     def nilpotency_bound(self, n: int) -> int:
         """Certified upper bound for the exponent of any nilpotent n x n matrix."""
         return n * self.max_exponent * self.d

@@ -52,6 +52,12 @@ from nilclean.matrix import (
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "m2_z3_sweep.txt"
 
 
+def unsupported_message(m, p):
+    return (f"unsupported ring: modulus {m} has prime factor {p}; decompositions exist only "
+            f"when every prime factor is 2 or 3 (e.g. 3 in Z5 is not a sum of two "
+            f"idempotents and a nilpotent)\n")
+
+
 def run(capsys, monkeypatch, args, stdin=""):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code = main(args)
@@ -157,9 +163,18 @@ class TestDecomposeCommand:
     def test_unsupported_ring_message(self, capsys, monkeypatch, args, stdin, m):
         code, out, err = run(capsys, monkeypatch, ["decompose", *args], stdin)
         assert code == EXIT_UNSUPPORTED and out == ""
-        assert err == (f"unsupported ring: modulus {m} has prime factor 5; decompositions exist only "
-                       f"when every prime factor is 2 or 3 (e.g. 3 in Z5 is not a sum of two "
-                       f"idempotents and a nilpotent)\n")
+        assert err == unsupported_message(m, 5)
+
+    def test_every_modulus_to_200_with_a_prime_past_3(self, capsys, monkeypatch):
+        # refused before any output, naming the least prime factor >= 5
+        refused = 0
+        for m in range(2, 201):
+            p = next((q for q in range(5, m + 1) if m % q == 0 and all(q % r for r in range(2, q))), None)
+            if p is not None:
+                code, out, err = run(capsys, monkeypatch, ["decompose", "--modulus", str(m)], "1 2\n3 4\n")
+                assert (code, out, err) == (EXIT_UNSUPPORTED, "", unsupported_message(m, p))
+                refused += 1
+        assert refused == 175  # of the 199 moduli in [2, 200], 24 are 2-3-smooth
 
     @pytest.mark.parametrize("row", ("1_0 0", "0 \u0661"))
     def test_plain_rows_take_only_ascii_integers(self, capsys, monkeypatch, row):
@@ -327,6 +342,33 @@ class TestBooleanFields:
         assert code == EXIT_PARSE
         assert f"field {key!r} must be an integer" in err and "Traceback" not in err
         assert "ok" not in out
+
+    # numpy reads all-boolean rows as a bool array, and upcasts mixed ones to int64
+    BOOLEAN_MATRICES = {
+        "all-boolean": ("Z6", "[[true, false], [false, true]]"),
+        "mixed": ("Z6", "[[true, 2], [false, 1]]"),
+        "coefficient": ("Z6[x]/(x^2)", "[[[1, false], 2], [0, [true]]]"),
+    }
+
+    @pytest.mark.parametrize("ring,rows", BOOLEAN_MATRICES.values(), ids=BOOLEAN_MATRICES.keys())
+    def test_matrix_entries_refused_by_decompose(self, capsys, monkeypatch, ring, rows):
+        code, out, err = run(capsys, monkeypatch, ["decompose"], f"ring: {ring}\nA: {rows}\n")
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"input error: field 'A' holds JSON true or false inside a list: {rows!r:.40}\n"
+
+    @pytest.mark.parametrize("key", ["A", "E", "F", "W"])
+    @pytest.mark.parametrize("ring,rows", BOOLEAN_MATRICES.values(), ids=BOOLEAN_MATRICES.keys())
+    def test_matrix_entries_refused_by_verify(self, capsys, monkeypatch, ring, rows, key):
+        code, cert, _ = run(capsys, monkeypatch, ["decompose"], f"ring: {ring}\nA: [[1, 0], [0, 1]]\n")
+        assert code == EXIT_OK
+        edited = re.sub(f"^{key}: .*$", f"{key}: {rows}", cert, flags=re.M)
+        code, out, err = run(capsys, monkeypatch, ["verify"], cert + "\n" + edited)
+        assert (code, out) == (EXIT_PARSE, "certificate 0: ok\n")
+        assert err == f"input error: field {key!r} holds JSON true or false inside a list: {rows!r:.40}\n"
+
+    def test_words_in_strings_are_not_booleans(self, capsys, monkeypatch):
+        doc = _document(**{"case-tags": '["true", "false"]'})
+        assert run(capsys, monkeypatch, ["verify"], doc)[:2] == (EXIT_OK, "certificate 0: ok\n")
 
     def test_declared_dimension_checked_on_decompose(self, capsys, monkeypatch):
         code, _, err = run(capsys, monkeypatch, ["decompose"], _document(n="2"))
@@ -684,10 +726,15 @@ class TestDocumentFuzz:
             assert verdicts and any("FAILED" in line for line in verdicts) == (code == EXIT_VERIFY)
 
 
+def _bool_in_lists(x):
+    return isinstance(x, bool) or isinstance(x, list) and any(map(_bool_in_lists, x))
+
+
 def _parse_every_value(text):
     """parse_document as it was before it skipped values that cannot start
     JSON: json.loads on every value, the raw text where that fails; a key
-    given twice is refused."""
+    given twice is refused, and so is a list with true or false among its
+    items or those of the lists in it."""
     doc = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -702,6 +749,8 @@ def _parse_every_value(text):
             doc[key.strip()] = json.loads(value.strip())
         except (ValueError, RecursionError):
             doc[key.strip()] = value.strip()
+        if isinstance(doc[key.strip()], list) and _bool_in_lists(doc[key.strip()]):
+            raise InputError(f"line {lineno}")
     if not doc:
         raise InputError("empty")
     return doc

@@ -496,16 +496,16 @@ class TestLiftRounds:
 
 
 class TestCrtAndLiftAtFive:
-    """_parts' CRT and lift do not depend on which primes have a solver: with
-    a brute-force GF(5) solver in place of _krylov_solve, every matrix of
-    M2(Z10) that decomposes mod 5 and a sample of M2(Z25), which needs one
-    lift round, get a certificate that verifies (about 1 s together)."""
+    """_parts' loop does not depend on which primes have a solver: given a
+    brute-force GF(5) solver, every decomposable matrix of M2(Z5), a prime
+    field, every matrix of M2(Z10) that decomposes mod 5, and a sample of
+    M2(Z25), which needs one lift round, get a certificate that verifies
+    (about 1 s together)."""
 
-    @pytest.fixture
-    def splits(self, monkeypatch):
+    @pytest.fixture(scope="class")
+    def splits(self):
         """{A mod 5 as a flat tuple: its first (E, F)} over M2(GF(5)), found by
-        trying every pair of idempotents and every nilpotent (W^2 = 0), and
-        _krylov_solve answering from it at p = 5."""
+        trying every pair of idempotents and every nilpotent (W^2 = 0)."""
         mats = np.array(list(itertools.product(range(5), repeat=4))).reshape(-1, 2, 2)
         idempotents = [x for x in mats if not ((x @ x - x) % 5).any()]
         nilpotents = [x for x in mats if not (x @ x % 5).any()]
@@ -513,36 +513,46 @@ class TestCrtAndLiftAtFive:
         for e, f in itertools.product(idempotents, repeat=2):
             for w in nilpotents:
                 table.setdefault(tuple(((e + f + w) % 5).ravel().tolist()), np.array([[e], [f]]))
-        module = importlib.import_module("nilclean.decompose")
-        real = module._krylov_solve
-        monkeypatch.setattr(module, "_krylov_solve", lambda mat, p: real(mat, p) if p != 5
-                            else (table[tuple(mat.ravel().tolist())], ("gf5:brute",)))
         return table
 
+    @pytest.fixture(scope="class")
+    def solve(self, splits):
+        """_krylov_solve, answering from the table at p = 5."""
+        return lambda mat, p: (splits[tuple(mat.ravel().tolist())], ("gf5:brute",)) if p == 5 \
+            else _krylov_solve(mat, p)
+
     @staticmethod
-    def certify(a):
-        e, f, w, tags = _parts(a)
+    def certify(a, solve):
+        e, f, w, tags = _parts(a, solve)
         cert = DecompositionCertificate(a, e, f, w, None, tags)
         assert verify_certificate(cert), (a, cert.failure)
         return cert
 
-    def test_every_decomposable_matrix_of_m2_z10(self, splits):
+    def test_every_decomposable_matrix_of_m2_z5(self, splits, solve):
+        # over the field itself the solver's split is returned as it is
         assert len(splits) == 423
+        ring = zm_ring(5)
+        for entries, (e, f) in splits.items():
+            cert = self.certify(RingMatrix.from_rows([entries[:2], entries[2:]], ring), solve)
+            assert (cert.e.coeffs == e).all() and (cert.f.coeffs == f).all()
+            assert cert.case_tags == ("gf5:brute",)
+
+    def test_every_decomposable_matrix_of_m2_z10(self, splits, solve):
         ring, done = zm_ring(10), 0
         for entries in itertools.product(range(10), repeat=4):
             if tuple(x % 5 for x in entries) in splits:
-                self.certify(RingMatrix.from_rows([entries[:2], entries[2:]], ring))
+                self.certify(RingMatrix.from_rows([entries[:2], entries[2:]], ring), solve)
                 done += 1
         assert done == 6768
 
-    def test_sample_of_m2_z25(self, splits):
+    def test_sample_of_m2_z25(self, splits, solve):
         ring = zm_ring(25)
         assert ring.lift_rounds == 1
         gen = np.random.default_rng(25)
         classes = np.array(sorted(splits)).reshape(-1, 2, 2)
         lifted = 0
         for c, noise in zip(gen.choice(classes, 2000), gen.integers(0, 5, (2000, 2, 2))):
-            cert = self.certify(RingMatrix.from_rows((c + 5 * noise).tolist(), ring))
+            cert = self.certify(RingMatrix.from_rows((c + 5 * noise).tolist(), ring), solve)
             # an E or F with an entry >= 5 is not the start point: the lift moved it
             lifted += bool((cert.e.coeffs >= 5).any() or (cert.f.coeffs >= 5).any())
         assert lifted > 0

@@ -79,8 +79,7 @@ def naive_factors(m):
 
 
 def _facts(ring):
-    return (ring.primes, ring.max_exponent, ring.lift_rounds, ring.crt_basis, ring.two_three_smooth,
-            ring.is_prime_field)
+    return ring.primes, ring.max_exponent, ring.lift_rounds, ring.crt_basis, ring.two_three_smooth
 
 
 class TestCachedFacts:
@@ -94,7 +93,6 @@ class TestCachedFacts:
             assert ring.primes == tuple(p for p, _ in factors)
             assert ring.max_exponent == max(e for _, e in factors)
             assert ring.lift_rounds == next(r for r in range(32) if 2**r >= ring.max_exponent)
-            assert ring.is_prime_field == (factors == [(m, 1)])
             rest = m
             for p in (2, 3):
                 while rest % p == 0:
@@ -106,7 +104,7 @@ class TestCachedFacts:
                 assert 0 <= c < m and c % q == 1 and c % (m // q) == 0
             assert sum(ring.crt_basis) % m == 1
             trunc = MatrixRing(m, 2)
-            assert _facts(trunc)[:-1] == _facts(ring)[:-1] and not trunc.is_prime_field
+            assert _facts(trunc) == _facts(ring)
 
     def test_kept_after_the_first_read(self):
         for m, d in ((2, 1), (72, 2), (2**31 - 1, 1), (2**31, 64)):
