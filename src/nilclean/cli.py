@@ -183,17 +183,19 @@ def certificate_from_doc(doc: dict) -> DecompositionCertificate:
             raise KeyError("modulus")
         mats = _doc_matrices(doc, ("A", "E", "F", "W"), ring)
         exponent = _doc_int(doc, "nilpotency-exponent")
-        tags = tuple(doc.get("case-tags", []))
     except KeyError as missing:
         raise InputError(f"certificate document lacks field {missing}")
     except (TypeError, ValueError) as bad:
         raise InputError(f"malformed certificate document: {bad}")
+    tags = doc.get("case-tags", [])
+    if type(tags) is not list or not all(type(tag) is str for tag in tags):
+        raise InputError(f"field 'case-tags' must be a JSON list of strings, got {tags!r:.40}")
     n = mats[0].n
     if any(mat.n != n for mat in mats):
         raise InputError("certificate matrices disagree in dimension")
     if "n" in doc and _doc_int(doc, "n") != n:
         raise InputError("declared dimension does not match the matrices")
-    return DecompositionCertificate(*mats, exponent, tags)
+    return DecompositionCertificate(*mats, exponent, tuple(tags))
 
 
 def _element_json(ring: classifier.RingDescriptor, element: tuple) -> list:

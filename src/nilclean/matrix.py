@@ -8,8 +8,8 @@ sums d raw products and reduces once.  From BLAS_MIN_DIMENSION (a crossover
 measured, not derived) a product runs on float64 BLAS, exact while n*(m-1)^2
 < 2^53, and below it on int64 matmul, exact while d*n*(m-1)^2 < 2^63; past
 its route's bound, a product splits the right factor into 16-bit halves.
-_conjugate multiplies a stack by a matrix and its inverse, reduced once where
-the sums allow."""
+_conjugate multiplies a stack by a matrix and its inverse, one chain on
+either route reduced once where the sums allow."""
 
 from __future__ import annotations
 
@@ -251,28 +251,38 @@ def _stack_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
 def _routed_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """_stack_mul for operands whose sums stay below the bound of their route.
     Slice t of a truncated product is the sum of a_i b_(t-i), d raw products
-    added unreduced and reduced once.  A float64 product holds exact integers
-    below 2^53, cast to int64 before any sum or reduction: sums stay < 2^59."""
+    added unreduced and reduced once.  On float64 each operand is cast once, a
+    product is exact below 2^53 and cast to int64 before any sum (< 2^59), and
+    x -= x // m * m, which numpy runs by a multiply, beats % from 512 entries."""
     d = a.shape[-3]
-    if d > 1:
-        raw = np.matmul if a.shape[-1] < BLAS_MIN_DIMENSION else \
-            lambda x, y: np.matmul(x.astype(np.float64), y.astype(np.float64)).astype(np.int64)
-        out = raw(a[..., :1, :, :], b)
-        for i in range(1, d):
-            out[..., i:, :, :] += raw(a[..., i:i + 1, :, :], b[..., :d - i, :, :])
-        return out % m
     if a.shape[-1] >= BLAS_MIN_DIMENSION:
-        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % m
+        af = a.astype(np.float64)
+        bf = af if b is a else b.astype(np.float64)
+        out = np.matmul(af[..., :1, :, :], bf).astype(np.int64)
+        for i in range(1, d):
+            out[..., i:, :, :] += np.matmul(af[..., i:i + 1, :, :], bf[..., :d - i, :, :]).astype(np.int64)
+        out -= out // m * m
+        return out
+    if d > 1:
+        out = np.matmul(a[..., :1, :, :], b)
+        for i in range(1, d):
+            out[..., i:, :, :] += np.matmul(a[..., i:i + 1, :, :], b[..., :d - i, :, :])
+        return out % m
     return np.matmul(a, b) % m
 
 
 def _conjugate(q: np.ndarray, x: np.ndarray, q_inv: np.ndarray, m: int) -> np.ndarray:
     """q x q_inv mod m, for n x n q, q_inv and (..., 1, n, n) x reduced mod m:
-    below BLAS_MIN_DIMENSION one int64 product, reduced once, while its
-    partial sums, below n^2 (m-1)^3, stay below 2^63; else two _stack_mul."""
+    one chain reduced once while its partial sums, below n^2 (m-1)^3, stay
+    under 2^63 on int64 (n < BLAS_MIN_DIMENSION) or 2^53 on float64 (so for
+    every n <= 64 over GF(2) and GF(3)); else two _stack_mul."""
     n = q.shape[-1]
     if n < BLAS_MIN_DIMENSION and n * n * (m - 1) ** 3 < 2**63:
         return q @ x @ q_inv % m
+    if n >= BLAS_MIN_DIMENSION and n * n * (m - 1) ** 3 < 2**53:
+        out = (q.astype(np.float64) @ x.astype(np.float64) @ q_inv.astype(np.float64)).astype(np.int64)
+        out -= out // m * m
+        return out
     return _stack_mul(_stack_mul(q[None], x, m), q_inv[None], m)
 
 
@@ -353,9 +363,9 @@ def verify_certificate(cert: DecompositionCertificate) -> bool:
             raise InputError("certificate matrices disagree in ring or dimension")
     m, k, bound = ring.m, cert.nilpotency_exponent, ring.nilpotency_bound(n)
     a, e, f, w = cert.a.coeffs, cert.e.coeffs, cert.f.coeffs, cert.w.coeffs
-    if np.count_nonzero((_stack_mul(e, e, m) - e) % m):
+    if np.count_nonzero(_stack_mul(e, e, m) - e):  # both in [0, m): 0 exactly when equal
         cert.failure = CHECK_E_IDEMPOTENT
-    elif np.count_nonzero((_stack_mul(f, f, m) - f) % m):
+    elif np.count_nonzero(_stack_mul(f, f, m) - f):
         cert.failure = CHECK_F_IDEMPOTENT
     elif np.count_nonzero((e + f + w - a) % m):
         cert.failure = CHECK_SUM

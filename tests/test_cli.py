@@ -377,6 +377,28 @@ class TestBooleanFields:
         assert code == EXIT_OK and "kind: certificate" in out
 
 
+class TestCaseTags:
+    """verify reads 'case-tags' as a JSON list of strings or refuses it: a
+    string was kept as the tuple of its characters, and ints as they were."""
+
+    @pytest.mark.parametrize("tags", ['"not a list"', "[1, 2]", '[["gf3:trace-one:n1"]]', "gf3",
+                                      '["a", 1]', "{}", "null", "7"])
+    def test_refused_naming_the_field(self, capsys, monkeypatch, tags):
+        code, cert, _ = run(capsys, monkeypatch, ["decompose", "--modulus", "6"], "1 2\n3 5\n")
+        assert code == EXIT_OK
+        edited = re.sub("^case-tags: .*$", f"case-tags: {tags}", cert, flags=re.M)
+        code, out, err = run(capsys, monkeypatch, ["verify"], cert + "\n" + edited)
+        assert (code, out) == (EXIT_PARSE, "certificate 0: ok\n")
+        assert err.startswith("input error: field 'case-tags' must be a JSON list of strings, got ")
+
+    @pytest.mark.parametrize("tags", [None, "[]", '["true", "false"]', '["gf2:trace-one:n1"]'])
+    def test_accepted(self, capsys, monkeypatch, tags):
+        code, cert, _ = run(capsys, monkeypatch, ["decompose", "--modulus", "6"], "1 2\n3 5\n")
+        edited = re.sub("^case-tags: .*\n", "" if tags is None else f"case-tags: {tags}\n", cert, flags=re.M)
+        assert edited != cert or tags is not None
+        assert run(capsys, monkeypatch, ["verify"], edited)[:2] == (EXIT_OK, "certificate 0: ok\n")
+
+
 # a document's header fields that disagree, or that name no known ring or
 # schema: (fields over _document's, the error)
 BAD_HEADERS = {

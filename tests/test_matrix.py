@@ -171,6 +171,17 @@ ACCUMULATION_BOUND = [
 ]
 
 
+# (m, n) on both sides of BLAS_MIN_DIMENSION, for moduli whose products run
+# on float64 from n = 32 (2^23 + 1 at n = 64: n (m-1)^2 = 2^52) and one that
+# splits there (2^31 - 1)
+FLOAT64_EDGE = list(itertools.product((2, 3, 72, 2**23 + 1, 2**31 - 1), (31, 32, 33, 64)))
+
+
+# the least m with n^2 (m-1)^3 >= 2^53 at n = 64: from it, a float64 chain
+# Q X Q^-1 could round, and _conjugate runs two _stack_mul instead
+CONJUGATE_EDGE_64 = next(m for m in itertools.count(2) if 64**2 * (m - 1) ** 3 >= 2**53)
+
+
 class TestProductRoutes:
     """_stack_mul equals the exact Python-int product on every route, on
     (d, n, n) and (2, d, n, n) stacks and on both sides of the 2^53 and 2^63
@@ -211,17 +222,37 @@ class TestProductRoutes:
             assert out.shape == x.shape
             assert out.tolist() == exact_truncated_product(x, y, m).tolist()
 
-    @pytest.mark.parametrize("m,n", [(3, 31), (3, 32), (1321123, 2), (1321124, 2), (2**31 - 1, 64)])
-    def test_conjugate_matches_python_ints(self, m, n):
+    @pytest.mark.parametrize("m,n", FLOAT64_EDGE, ids=[f"m{m}-n{n}" for m, n in FLOAT64_EDGE])
+    def test_float64_edge_matches_python_ints(self, m, n):
+        # d = 1 and 3, uniform and all-(m-1) operands, and squares, whose one
+        # operand is cast once: the float64 route from n = 32 sums int64 slice
+        # products and reduces them by floor division
+        gen = np.random.default_rng([m, n])
+        for d in (1, 3):
+            a, b = gen.integers(0, m, (2, d, n, n))
+            top = np.full((d, n, n), m - 1)
+            for x, y in ((a, b), (a, a), (top, top)):
+                out = _stack_mul(x, y, m)
+                assert out.dtype == np.int64 and out.shape == x.shape
+                assert out.tolist() == exact_truncated_product(x, y, m).tolist()
+
+    @pytest.mark.parametrize("m,n", [(3, 31), (3, 32), (1321123, 2), (1321124, 2), (2**31 - 1, 64),
+                                     (2, 64), (CONJUGATE_EDGE_64 - 1, 64), (CONJUGATE_EDGE_64, 64)])
+    def test_conjugate_matches_python_ints(self, m, n, monkeypatch):
         # one int64 product Q X Q^-1 below n = 32 while n^2 (m-1)^3 < 2^63,
         # which m = 1321123 meets at n = 2 and 1321124 does not: with every
-        # entry m - 1 the unsplit product of the latter wraps
+        # entry m - 1 the unsplit product of the latter wraps.  From n = 32 one
+        # float64 chain while n^2 (m-1)^3 < 2^53, else two _stack_mul
+        chained = n * n * (m - 1) ** 3 < (2**63 if n < BLAS_MIN_DIMENSION else 2**53)
+        calls, real = [], matrix_module._stack_mul
+        monkeypatch.setattr(matrix_module, "_stack_mul", lambda *args: calls.append(1) or real(*args))
         gen = np.random.default_rng([m, n])
         top = (np.full((n, n), m - 1), np.full((2, 1, n, n), m - 1), np.full((n, n), m - 1))
         uniform = (gen.integers(0, m, (n, n)), gen.integers(0, m, (2, 1, n, n)), gen.integers(0, m, (n, n)))
         for q, x, q_inv in (uniform, top):
             exact = (q.astype(object) @ x.astype(object) @ q_inv.astype(object) % m).tolist()
             assert _conjugate(q, x, q_inv, m).tolist() == exact
+        assert len(calls) == (0 if chained else 4)
         assert ((q @ x @ q_inv % m).tolist() == exact) == (n * n * (m - 1) ** 3 < 2**63)
 
     @pytest.mark.parametrize("m,n,d", ACCUMULATION_BOUND,
@@ -467,6 +498,31 @@ class TestCertificates:
         conj = [p @ x @ p_inv for x in (cert.a, cert.e, cert.f, cert.w)]
         moved = DecompositionCertificate(*conj, nilpotency_exponent=cert.nilpotency_exponent)
         assert verify_certificate(moved)
+
+    @pytest.mark.parametrize("m", (3, 72))
+    @pytest.mark.parametrize("n", (2, 32, 64))
+    def test_tampered_idempotent_named(self, m, n):
+        # E^2 - E is compared unreduced: one entry of E or F moved by 1 fails
+        # its idempotency check exactly when Python ints say it is no longer
+        # idempotent, and the sum check otherwise
+        from nilclean.decompose import decompose
+
+        ring = zm_ring(m)
+        cert = decompose(RingMatrix.random(n, ring, np.random.default_rng([m, n])))
+        for slot, name in (("e", "E idempotency"), ("f", "F idempotency")):
+            failed = 0
+            for i in range(min(n, 4)):
+                coeffs = getattr(cert, slot).coeffs.copy()
+                coeffs[0, i, n - 1 - i] = (coeffs[0, i, n - 1 - i] + 1) % m
+                x = coeffs[0].astype(object)
+                idempotent = ((x @ x - x) % m == 0).all()
+                parts = {"e": cert.e, "f": cert.f, slot: RingMatrix(ring, coeffs)}
+                tampered = DecompositionCertificate(cert.a, parts["e"], parts["f"], cert.w,
+                                                    cert.nilpotency_exponent)
+                assert not verify_certificate(tampered)
+                assert tampered.failure == ("sum" if idempotent else name)
+                failed += not idempotent
+            assert failed
 
     def test_ring_mismatch_raises(self):
         a = RingMatrix.zeros(2, zm_ring(6))
