@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InputError, InternalCheckError, UnsupportedRingError
 from .gfp import krylov_form
-from .matrix import DecompositionCertificate, RingMatrix, _conjugate, _stack_mul, verify_certificate
+from .matrix import DecompositionCertificate, RingMatrix, _stack_mul, verify_certificate
 
 
 class CaseTag(enum.Enum):
@@ -117,7 +117,7 @@ def _krylov_solve(mat: np.ndarray, p: int):
         tag = pair(col, e[at : at + d, at : at + d], f[at : at + d, at : at + d])
         tags.append(f"{tag._value_}:n{d}")
         at += d
-    return _conjugate(q, ef, q_inv, p), tuple(tags)
+    return _stack_mul(q, ef, p, q_inv), tuple(tags)
 
 
 def _lift_idempotents(stack: np.ndarray, m: int, rounds: int) -> np.ndarray:

@@ -6,7 +6,7 @@ class NilcleanError(Exception):
 
 
 class InputError(NilcleanError):
-    """Malformed or inconsistent input (bad dimensions, bad parse, non-coprime split)."""
+    """Malformed or inconsistent input (bad dimensions, bad parse, disagreeing ring fields)."""
 
 
 class UnsupportedRingError(NilcleanError):
@@ -14,7 +14,9 @@ class UnsupportedRingError(NilcleanError):
 
 
 class ResourceCapError(NilcleanError):
-    """An exhaustive scan would exceed the configured size cap."""
+    """A request is over one of the package's caps: the truncation degree, the
+    size of an exhaustive sweep, the size of a ring the oracle scans, or the
+    oracle's work budget."""
 
 
 class InternalCheckError(NilcleanError):

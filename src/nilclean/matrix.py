@@ -3,13 +3,8 @@
 A matrix is stored as a coefficient stack ``coeffs`` of shape (d, n, n): slice
 t holds the matrix coefficient of x^t, so d = 1 is the plain Z_m case.  All
 slices are kept reduced into [0, m), and entries are int64 for every
-supported m <= 2^31.  _stack_mul is the one exact product; a truncated one
-sums d raw products and reduces once.  From BLAS_MIN_DIMENSION (a crossover
-measured, not derived) a product runs on float64 BLAS, exact while n*(m-1)^2
-< 2^53, and below it on int64 matmul, exact while d*n*(m-1)^2 < 2^63; past
-its route's bound, a product splits the right factor into 16-bit halves.
-_conjugate multiplies a stack by a matrix and its inverse, one chain on
-either route reduced once where the sums allow."""
+supported m <= 2^31.  _stack_mul is the one exact product: it alone knows
+the bound that keeps a product exact, and chooses the route by it."""
 
 from __future__ import annotations
 
@@ -233,57 +228,54 @@ def _exact_coeffs(rows: Sequence, shape: tuple, ring: MatrixRing) -> Optional[np
     return coeffs
 
 
-def _stack_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Product of two (d, n, n) coefficient stacks, truncated at x^d, mod m;
-    of two (k, d, n, n) stacks, the k products.  The product is bilinear, so
-    past the bound of its route (2^53 for n (m-1)^2 on float64 BLAS, 2^63 for
-    d n (m-1)^2 on int64, implied by the first from n = 32) a (b_hi 2^16 +
-    b_lo) runs as two products: partial sums below n (m-1) 2^16 < 2^53, sums
-    of d below 2^59, for n, d <= 64 and m <= 2^31."""
-    # m first: the float64 bound is reached only from m > 2^23, int64's from 2^26
-    if m > 2**23:
-        n = a.shape[-1]
-        if n >= BLAS_MIN_DIMENSION and n * (m - 1) ** 2 >= 2**53 or a.shape[-3] * n * (m - 1) ** 2 >= 2**63:
-            return (_routed_mul(a, b >> 16, m) * 2**16 + _routed_mul(a, b & 0xFFFF, m)) % m
-    return _routed_mul(a, b, m)
+def _stack_mul(a: np.ndarray, b: np.ndarray, m: int, c: Optional[np.ndarray] = None) -> np.ndarray:
+    """The product mod m of two (..., d, n, n) coefficient stacks, truncated
+    at x^d, or the chain a b c of n x n a and c around a (..., 1, n, n) b.
+    Slice t of a truncated product is the sum of the d raw products
+    a_i b_(t-i), reduced once.
 
-
-def _routed_mul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """_stack_mul for operands whose sums stay below the bound of their route.
-    Slice t of a truncated product is the sum of a_i b_(t-i), d raw products
-    added unreduced and reduced once.  On float64 each operand is cast once, a
-    product is exact below 2^53 and cast to int64 before any sum (< 2^59), and
-    x -= x // m * m, which numpy runs by a multiply, beats % from 512 entries."""
-    d = a.shape[-3]
-    if a.shape[-1] >= BLAS_MIN_DIMENSION:
-        af = a.astype(np.float64)
+    A chain of f factors has partial sums below n^(f-1) (m-1)^f: exact on
+    float64 BLAS, from BLAS_MIN_DIMENSION, while that is under 2^53, and on
+    int64, which adds d of them, while d times it is under 2^63.  Past its
+    bound a chain runs as two pairs, and a pair as a [b_hi | b_lo], b's
+    16-bit halves side by side: every partial sum is then below
+    n (m-1) 2^16 < 2^53, and (a b_hi mod m) 2^16 + a b_lo below 2^60, for
+    n, d <= 64 and m <= 2^31.  float64 casts each operand once and each raw
+    product to int64 before any sum; it reduces by x -= x // m * m, which
+    numpy runs by a multiply, and int64 by %."""
+    n = a.shape[-1]
+    blas = n >= BLAS_MIN_DIMENSION
+    split = False
+    if m > 2**13:  # else n <= 64 keeps every pair and chain below both bounds
+        f, d = (2, a.shape[-3]) if c is None else (3, 1)
+        if n ** (f - 1) * (m - 1) ** f * (1 if blas else d) >= (2**53 if blas else 2**63):
+            if c is not None:  # no caller's chain gets here: they run over GF(2) and GF(3)
+                return _stack_mul(_stack_mul(a[None], b, m), c[None], m)
+            b, split = np.concatenate((b >> 16, b & 0xFFFF), axis=-1), True  # a [b_hi | b_lo]
+    if not blas:
+        if c is not None:
+            return a @ b @ c % m
+        d = a.shape[-3]
+        if d == 1 and not split:
+            return np.matmul(a, b) % m
+        out = np.matmul(a[..., :1, :, :], b)
+        for i in range(1, d):
+            out[..., i:, :, :] += np.matmul(a[..., i:i + 1, :, :], b[..., :d - i, :, :])
+    elif c is not None:
+        out = (a.astype(np.float64) @ b.astype(np.float64) @ c.astype(np.float64)).astype(np.int64)
+    else:
+        d, af = a.shape[-3], a.astype(np.float64)
         bf = af if b is a else b.astype(np.float64)
         out = np.matmul(af[..., :1, :, :], bf).astype(np.int64)
         for i in range(1, d):
             out[..., i:, :, :] += np.matmul(af[..., i:i + 1, :, :], bf[..., :d - i, :, :]).astype(np.int64)
+    if split:
+        hi = out[..., :n]
+        out = out[..., n:] + ((hi - hi // m * m if blas else hi % m) << 16)
+    if blas:
         out -= out // m * m
         return out
-    if d > 1:
-        out = np.matmul(a[..., :1, :, :], b)
-        for i in range(1, d):
-            out[..., i:, :, :] += np.matmul(a[..., i:i + 1, :, :], b[..., :d - i, :, :])
-        return out % m
-    return np.matmul(a, b) % m
-
-
-def _conjugate(q: np.ndarray, x: np.ndarray, q_inv: np.ndarray, m: int) -> np.ndarray:
-    """q x q_inv mod m, for n x n q, q_inv and (..., 1, n, n) x reduced mod m:
-    one chain reduced once while its partial sums, below n^2 (m-1)^3, stay
-    under 2^63 on int64 (n < BLAS_MIN_DIMENSION) or 2^53 on float64 (so for
-    every n <= 64 over GF(2) and GF(3)); else two _stack_mul."""
-    n = q.shape[-1]
-    if n < BLAS_MIN_DIMENSION and n * n * (m - 1) ** 3 < 2**63:
-        return q @ x @ q_inv % m
-    if n >= BLAS_MIN_DIMENSION and n * n * (m - 1) ** 3 < 2**53:
-        out = (q.astype(np.float64) @ x.astype(np.float64) @ q_inv.astype(np.float64)).astype(np.int64)
-        out -= out // m * m
-        return out
-    return _stack_mul(_stack_mul(q[None], x, m), q_inv[None], m)
+    return out % m
 
 
 def _min_exponent(x: np.ndarray, m: int, bound: int) -> Optional[int]:

@@ -21,13 +21,12 @@ from nilclean.errors import InputError, ResourceCapError
 from nilclean.matrix import (
     BLAS_MIN_DIMENSION,
     CHECK_NILPOTENCY,
+    MAX_DIMENSION,
     MAX_TRUNC_DEGREE,
     DecompositionCertificate,
     MatrixRing,
     RingMatrix,
-    _conjugate,
     _min_exponent,
-    _routed_mul,
     _stack_mul,
     verify_certificate,
     zm_ring,
@@ -178,7 +177,7 @@ FLOAT64_EDGE = list(itertools.product((2, 3, 72, 2**23 + 1, 2**31 - 1), (31, 32,
 
 
 # the least m with n^2 (m-1)^3 >= 2^53 at n = 64: from it, a float64 chain
-# Q X Q^-1 could round, and _conjugate runs two _stack_mul instead
+# Q X Q^-1 could round, and _stack_mul runs it as two pair products instead
 CONJUGATE_EDGE_64 = next(m for m in itertools.count(2) if 64**2 * (m - 1) ** 3 >= 2**53)
 
 
@@ -242,18 +241,48 @@ class TestProductRoutes:
         # one int64 product Q X Q^-1 below n = 32 while n^2 (m-1)^3 < 2^63,
         # which m = 1321123 meets at n = 2 and 1321124 does not: with every
         # entry m - 1 the unsplit product of the latter wraps.  From n = 32 one
-        # float64 chain while n^2 (m-1)^3 < 2^53, else two _stack_mul
+        # float64 chain while n^2 (m-1)^3 < 2^53, else two pair products, the
+        # (2, 1, n, n) Q X and then (Q X) Q^-1, which recurse as pairs only
         chained = n * n * (m - 1) ** 3 < (2**63 if n < BLAS_MIN_DIMENSION else 2**53)
         calls, real = [], matrix_module._stack_mul
-        monkeypatch.setattr(matrix_module, "_stack_mul", lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(matrix_module, "_stack_mul",
+                            lambda a, b, m, c=None: calls.append((a.shape, b.shape, c)) or real(a, b, m, c))
         gen = np.random.default_rng([m, n])
         top = (np.full((n, n), m - 1), np.full((2, 1, n, n), m - 1), np.full((n, n), m - 1))
         uniform = (gen.integers(0, m, (n, n)), gen.integers(0, m, (2, 1, n, n)), gen.integers(0, m, (n, n)))
         for q, x, q_inv in (uniform, top):
             exact = (q.astype(object) @ x.astype(object) @ q_inv.astype(object) % m).tolist()
-            assert _conjugate(q, x, q_inv, m).tolist() == exact
-        assert len(calls) == (0 if chained else 4)
+            assert _stack_mul(q, x, m, q_inv).tolist() == exact
+        pairs = [((1, n, n), (2, 1, n, n), None), ((2, 1, n, n), (1, n, n), None)]
+        assert calls == ([] if chained else pairs * 2)
         assert ((q @ x @ q_inv % m).tolist() == exact) == (n * n * (m - 1) ** 3 < 2**63)
+
+    @pytest.mark.parametrize("m", (72, 2**23 + 1, 2**26 + 2, 2**31 - 1, 3**19))
+    @pytest.mark.parametrize("n", (BLAS_MIN_DIMENSION - 1, MAX_DIMENSION))
+    def test_all_top_at_the_caps(self, m, n):
+        # all-(m-1) stacks at d = MAX_TRUNC_DEGREE meet the largest partial
+        # sums either route can: slice t sums t + 1 products n (m-1)^2, so it
+        # is (t + 1) n mod m, since (m-1)^2 = 1 mod m.  Squares cast their one
+        # operand once on float64; the copy is cast on its own
+        d = MAX_TRUNC_DEGREE
+        top = np.full((d, n, n), m - 1)
+        want = np.broadcast_to(((np.arange(d) + 1) * n % m)[:, None, None], top.shape)
+        for b in (top, top.copy()):
+            out = _stack_mul(top, b, m)
+            assert out.dtype == np.int64 and np.array_equal(out, want)
+
+    def test_float64_sum_at_the_degree_cap(self):
+        # all-(m-1) products have few significant bits, so a float64 sum of
+        # them never rounds.  Uniform stacks at n = 64, d = MAX_TRUNC_DEGREE
+        # and m = 2^23 + 1, unsplit on float64 (n (m-1)^2 = 2^52), sum d
+        # slice products past 2^53 with every bit in use: exact only if each
+        # is cast to int64 before it is added.  The reference adds products
+        # of 12-bit limbs of b on int64, whose sums stay below 2^47
+        m, n, d = 2**23 + 1, MAX_DIMENSION, MAX_TRUNC_DEGREE
+        a, b = np.random.default_rng(m).integers(0, m, (2, d, n, n))
+        lo, hi = (np.stack([sum(np.matmul(a[i], limb[t - i]) for i in range(t + 1)) for t in range(d)])
+                  for limb in (b & 0xFFF, b >> 12))
+        assert np.array_equal(_stack_mul(a, b, m), (hi % m * 2**12 + lo) % m)
 
     @pytest.mark.parametrize("m,n,d", ACCUMULATION_BOUND,
                              ids=[f"m{m}-n{n}-d{d}" for m, n, d in ACCUMULATION_BOUND])
@@ -265,8 +294,10 @@ class TestProductRoutes:
         for a, b in ((top, top), (near[0, 0], near[1, 0]), (near[0], near[1])):
             assert _stack_mul(a, b, m).tolist() == exact_truncated_product(a, b, m).tolist()
         # unsplit, the top slice of the all-(m-1) square sums to d n (m-1)^2
-        # and wraps past 2^63, and m is not a power of two: the result differs
-        assert _routed_mul(top, top, m).tolist() != exact_truncated_product(top, top, m).tolist()
+        # in int64 and wraps past 2^63, and m is not a power of two: the
+        # result differs
+        raw = sum(np.matmul(top[i], top[d - 1 - i]) for i in range(d))
+        assert (raw % m).tolist() != exact_truncated_product(top, top, m)[-1].tolist()
 
     @pytest.mark.parametrize("n", (32, 64))
     def test_inverse_is_two_sided(self, n):

@@ -1,9 +1,12 @@
 """Every public class, function and method of the package is named where the
 program runs: in the package itself, the benchmark, the scripts,
 pyproject.toml or README's library example.  A name that only tests reach
-is API nobody runs, and is removed rather than kept for its tests.  An
-exception class must moreover be raised by the package, or be the base of
-one that is: one that is only caught or imported is never seen."""
+is API nobody runs, and is removed rather than kept for its tests.  Every
+private module-level class and function is likewise named by the package,
+the benchmark or the scripts: a private route that only tests reach is code
+the program never runs.  An exception class must moreover be raised by the
+package, or be the base of one that is: one that is only caught or imported
+is never seen."""
 
 import ast
 import pathlib
@@ -58,6 +61,17 @@ def public_defs():
                     yield path, item.name, item.lineno, item.end_lineno
 
 
+def private_defs():
+    """(path, name, first line, last line) of each private module-level class
+    and function of the package; a dunder such as a module's __getattr__ is
+    called by Python, not named, and is not private."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name.startswith("_") \
+                    and not node.name.startswith("__"):
+                yield path, node.name, node.lineno, node.end_lineno
+
+
 def program_uses():
     """{name: [(path, line), ...]} over every place the program runs from."""
     uses: dict = {}
@@ -80,6 +94,15 @@ def test_every_public_name_is_used_outside_tests():
               if all(where == path and first <= line <= last for where, line in uses.get(name, ()))}
     assert sorted(unused - ALLOWED.keys()) == []
     assert sorted(ALLOWED.keys() - unused) == []
+
+
+def test_every_private_name_is_used_by_the_program():
+    # only the Python sources of src/, perfbench/ and scripts/ count here
+    uses = program_uses()
+    unused = {name for path, name, first, last in private_defs()
+              if all(where.suffix != ".py" or where == path and first <= line <= last
+                     for where, line in uses.get(name, ()))}
+    assert sorted(unused) == []
 
 
 def test_every_error_class_is_raised_or_a_base_of_one():
