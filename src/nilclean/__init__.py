@@ -22,11 +22,7 @@ imported on the first use of one of them, not at every start-up.
 
 from types import ModuleType as _ModuleType
 
-from .decompose import (
-    CaseTag,
-    decompose,
-    decompose_triangular,
-)
+from .decompose import decompose, decompose_triangular
 from .errors import (
     InputError,
     InternalCheckError,

@@ -305,7 +305,7 @@ def _doc_matrices(doc: dict, keys: Sequence[str], ring: MatrixRing) -> list:
     list; otherwise one at a time, so that each error comes where it did."""
     values = [doc.get(key) for key in keys]
     if all(isinstance(value, list) for value in values):
-        return RingMatrix.stack_from_rows(values, ring)
+        return RingMatrix._stack_from_rows(values, ring)
     return [_doc_matrix(doc, key, ring) for key in keys]
 
 

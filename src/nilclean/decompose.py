@@ -11,10 +11,12 @@ exact (none when m is squarefree), and W = A - E - F, which is nilpotent
 because its image modulo the nilradical is.  E and F are proved idempotent
 only by the certificate check.
 
-There is one GF(p) solver, for the fields whose templates _TEMPLATES holds.
-It brings the matrix to its block-upper-triangular Krylov form, splits each
-diagonal companion block by a closed-form template keyed on the block's
-bottom-right entry (the trace of a companion matrix) and conjugates back;
+There is one GF(p) solver, over GF(2) and GF(3).  It brings the matrix to
+its block-upper-triangular Krylov form, splits each diagonal companion block
+by one closed-form family keyed on the field, the block's degree d and its
+trace t, and conjugates back.  The family takes j = t - 1 (mod p) in [0, d]
+nearest d/2, so that the split's rank rk E + rk F = j + 1 matches the trace,
+and leaves the block's nilpotent part of index max(j, d - j), about d/2;
 everything off the diagonal goes into W, which stays nilpotent because its
 diagonal blocks are (the Frobenius form is not needed).  An upper-triangular
 matrix has 1 x 1 blocks and Q = I, so its E and F are the 0/1 diagonals
@@ -28,7 +30,8 @@ bug here, never a value.
 
 from __future__ import annotations
 
-import enum
+import functools
+import math
 
 import numpy as np
 
@@ -37,76 +40,39 @@ from .gfp import krylov_form
 from .matrix import DecompositionCertificate, RingMatrix, _stack_mul, verify_certificate
 
 
-class CaseTag(enum.Enum):
-    """Which closed-form template handled a companion block.
+@functools.cache
+def _trace_split(p: int, d: int, trace: int) -> tuple[str, tuple[int, ...], np.ndarray]:
+    """The trace family's split of the degree-d companion blocks over GF(p)
+    with this trace: the case tag, the last column c_g of C_g, and S as int8,
+    computed once for each of the p traces of each degree d <= 64.
 
-    The split keys on the field and on the block's bottom-right entry c_{n-1}
-    (the trace of a companion matrix); the trace-zero templates additionally
-    depend on the block size.
-    """
-
-    GF3_TRACE_ONE = "gf3:trace-one"
-    GF3_TRACE_MINUS_ONE = "gf3:trace-minus-one"
-    GF3_TRACE_ZERO_DIM1 = "gf3:trace-zero-dim1"
-    GF3_TRACE_ZERO_DIM2 = "gf3:trace-zero-dim2"
-    GF3_TRACE_ZERO_BIG = "gf3:trace-zero-big"
-    GF2_TRACE_ONE = "gf2:trace-one"
-    GF2_TRACE_ZERO = "gf2:trace-zero"
-
-
-def _companion_pair_gf3(last_col: tuple[int, ...], e: np.ndarray, f: np.ndarray) -> CaseTag:
-    """Template idempotents of the GF(3) companion matrix with the given last
-    column, reduced mod 3, written into the zero arrays e and f; W is the
-    companion matrix minus both.  Returns the case tag."""
-    n = len(last_col)
-    trace = last_col[-1]
-    if trace == 1:
-        e[:, -1] = last_col
-        return CaseTag.GF3_TRACE_ONE
-    if trace == 2:
-        # M with last column (c_0..c_{n-2}, -1) satisfies M^2 = -M, so -M is
-        # idempotent and (-M) + (-M) = -2M = M restores the column.
-        e[:, -1] = f[:, -1] = [-c % 3 for c in last_col[:-1]] + [1]
-        return CaseTag.GF3_TRACE_MINUS_ONE
-    if n == 1:
-        return CaseTag.GF3_TRACE_ZERO_DIM1
-    if n == 2:
-        e[0, 0] = e[1, 1] = 1
-        f[:] = ((2, 1), (1, 2))
-        return CaseTag.GF3_TRACE_ZERO_DIM2
-    # n >= 3: two idempotents supported on the bottom-right 3x3 corner; W
-    # keeps the shortened shift and the adjusted last column.
-    e[n - 2, n - 2] = e[n - 1, n - 3] = e[n - 1, n - 1] = 1
-    f[n - 2 :, n - 3 :] = ((1, 2, 1), (2, 1, 2))
-    return CaseTag.GF3_TRACE_ZERO_BIG
-
-
-def _companion_pair_gf2(last_col: tuple[int, ...], e: np.ndarray, f: np.ndarray) -> CaseTag:
-    """Template idempotents of the GF(2) companion matrix with the given last
-    column, reduced mod 2, written into the zero arrays e and f: a column
-    whose bottom entry is 1 is idempotent; a trace-zero block sheds a corner
-    unit idempotent, after which the remainder has bottom entry 1 again."""
-    n = len(last_col)
-    if last_col[-1]:
-        e[:, -1] = last_col
-        return CaseTag.GF2_TRACE_ONE
-    if n > 1:
-        e[n - 1, n - 1] = 1
-        f[:, -1] = last_col[:-1] + (1,)
-    return CaseTag.GF2_TRACE_ZERO
-
-
-# the fields GF(p) that have a solver, each with its companion-block templates
-_TEMPLATES = {2: _companion_pair_gf2, 3: _companion_pair_gf3}
+    j is the one of [0, d] with j = trace - 1 (mod p) nearest d/2, the smaller
+    on a tie, and g = (x - 1)^j x^(d-j).  A block C_A with last column c_A is
+    E + S + W with E = (c_A - c_g) e_(d-1)^T, idempotent of rank 1 since its
+    corner is trace - tr g = 1; C_A - E = C_g, similar to J_j(1) + J_(d-j)(0);
+    S = C_g^(p^a) for p^a >= d, its spectral idempotent of rank j, since
+    (I + N)^(p^a) = I + N^(p^a) in characteristic p; and W = C_g - S,
+    nilpotent of index max(j, d - j).  The 1 x 1 block [0], which has no
+    such j over GF(3), takes j = 0 and E = 0 over both fields: 0 + 0 + 0."""
+    zero = d == 1 and not trace
+    j = 0 if zero else min(range((trace - 1) % p, d + 1, p), key=lambda j: abs(2 * j - d))
+    c_g = (0,) * (d - j) + tuple((-1) ** (j - i + 1) * math.comb(j, i) % p for i in range(j))
+    s = np.eye(d, k=-1, dtype=np.int64)
+    s[:, -1] = c_g
+    power = 1
+    while power < d:
+        s, power = np.linalg.matrix_power(s, p) % p, power * p
+    s = s.astype(np.int8)
+    s.flags.writeable = False  # one array for every caller of the cache
+    return f"gf{p}:zero:n1" if zero else f"gf{p}:j{j}:n{d}", c_g, s
 
 
 def _krylov_solve(mat: np.ndarray, p: int):
-    """E and F of a matrix over a field in _TEMPLATES, as one (2, 1, n, n)
-    stack mod p, and its case tags: the field's templates on the diagonal
-    blocks of the Krylov form, written into the two slices of one stack and
-    conjugated back together."""
+    """E and F of a matrix over GF(2) or GF(3), as one (2, 1, n, n) stack mod
+    p, and its case tags: the trace family's split of each diagonal block of
+    the Krylov form, E in the block's last column and F = S, written into the
+    two slices of one stack and conjugated back together."""
     n = mat.shape[0]
-    pair = _TEMPLATES[p]
     last_columns, q, q_inv = krylov_form(mat, p)
     ef = np.zeros((2, 1, n, n), dtype=np.int64)
     e, f = ef[0, 0], ef[1, 0]  # unpacking an array iterates it, 4x slower
@@ -114,8 +80,10 @@ def _krylov_solve(mat: np.ndarray, p: int):
     at = 0
     for col in last_columns:
         d = len(col)
-        tag = pair(col, e[at : at + d, at : at + d], f[at : at + d, at : at + d])
-        tags.append(f"{tag._value_}:n{d}")
+        tag, c_g, s = _trace_split(p, d, col[-1])
+        e[at : at + d, at + d - 1] = [(a - b) % p for a, b in zip(col, c_g)]
+        f[at : at + d, at : at + d] = s
+        tags.append(tag)
         at += d
     return _stack_mul(q, ef, p, q_inv), tuple(tags)
 
@@ -161,7 +129,7 @@ def decompose(a: RingMatrix) -> DecompositionCertificate:
     """Decompose over Z_m or Z_m[x]/(x^d) for any 2-3-smooth m."""
     ring = a.ring
     for p in ring.primes:  # ascending: the first refused is the least
-        if p not in _TEMPLATES:
+        if p > 3:
             raise UnsupportedRingError(
                 f"modulus {ring.m} has prime factor {p}; decompositions exist only "
                 f"when every prime factor is 2 or 3 (e.g. 3 in Z5 is not a sum of "

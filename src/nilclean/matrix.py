@@ -9,6 +9,7 @@ the bound that keeps a product exact, and chooses the route by it."""
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -98,15 +99,21 @@ class RingMatrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], ring: MatrixRing) -> "RingMatrix":
         """Build from row-major nested lists; entries are ints for d = 1 and
-        coefficient lists (ascending, length <= d) otherwise."""
+        coefficient lists (ascending, length <= d) otherwise.  Rows holding a
+        bool, which numpy reads beside ints as 0 or 1, go entry by entry,
+        which refuses it."""
         coeffs = _exact_coeffs(rows, (len(rows),) * 2, ring)
-        return cls._from_entries(rows, ring) if coeffs is None else cls(ring, coeffs)
+        if coeffs is None or _has_bool_entry(rows):
+            return cls._from_entries(rows, ring)
+        return cls(ring, coeffs)
 
     @classmethod
-    def stack_from_rows(cls, mats: Sequence[Sequence[Sequence]], ring: MatrixRing) -> list["RingMatrix"]:
-        """from_rows of each of several matrices: when they convert at once,
-        views of one (k, d, n, n) stack; otherwise each entry by entry, one
-        matrix after another in order."""
+    def _stack_from_rows(cls, mats: Sequence[Sequence[Sequence]], ring: MatrixRing) -> list["RingMatrix"]:
+        """from_rows of each of several matrices whose rows hold no bool, as
+        parse_document's lists do (it refuses JSON true and false), without
+        from_rows' search for one: when they convert at once, views of one
+        (k, d, n, n) stack; otherwise each entry by entry, one matrix after
+        another in order."""
         coeffs = _exact_coeffs(mats, (len(mats),) + (len(mats[0]),) * 2, ring)
         if coeffs is None:
             return [cls._from_entries(rows, ring) for rows in mats]
@@ -116,7 +123,7 @@ class RingMatrix:
     def _from_entries(cls, rows: Sequence[Sequence], ring: MatrixRing) -> "RingMatrix":
         """from_rows one entry at a time: the one place that refuses rows.
         An entry is an int or a list (or tuple) of ints; anything else, an
-        empty string or object among them, is a TypeError."""
+        empty string, object or bool among them, is a TypeError."""
         n = len(rows)
         if not (1 <= n <= MAX_DIMENSION):
             raise InputError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
@@ -126,7 +133,7 @@ class RingMatrix:
         coeffs = np.zeros((d, n, n), dtype=np.int64)
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
-                if isinstance(entry, (int, np.integer)):
+                if isinstance(entry, (int, np.integer)) and not isinstance(entry, bool):
                     coeffs[0, i, j] = int(entry) % ring.m
                     continue
                 if not isinstance(entry, (list, tuple)):
@@ -136,6 +143,8 @@ class RingMatrix:
                 if len(entry) > d:
                     raise InputError("entry has more coefficients than the ring degree")
                 for t, c in enumerate(entry):
+                    if isinstance(c, bool):
+                        raise TypeError(f"coefficient {c!r} is not an integer")
                     coeffs[t, i, j] = operator.index(c) % ring.m  # no float or str
         return cls(ring, coeffs)
 
@@ -203,6 +212,19 @@ class RingMatrix:
 # Coefficient-stack kernels
 # ---------------------------------------------------------------------------
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def _has_bool_entry(rows: Sequence) -> bool:
+    """Whether a bool is among the entries of rows that _exact_coeffs read as
+    one array, or among their coefficients: numpy reads one beside ints as 0
+    or 1.  Such rows hold only scalar entries or only coefficient lists."""
+    leaves = itertools.chain.from_iterable(rows)
+    if isinstance(rows[0][0], (list, tuple, np.ndarray)):
+        leaves = itertools.chain.from_iterable(leaves)
+    return not _BOOLS.isdisjoint(map(type, leaves))
+
+
 def _exact_coeffs(rows: Sequence, shape: tuple, ring: MatrixRing) -> Optional[np.ndarray]:
     """The coefficient stack, shape (..., d, n, n), of nested lists that numpy
     reads as one exact integer array of the given shape (..., n, n), or of
@@ -217,7 +239,7 @@ def _exact_coeffs(rows: Sequence, shape: tuple, ring: MatrixRing) -> Optional[np
         block = np.array(rows)
     except ValueError:  # ragged, or nested past numpy's 64 dimensions
         return None
-    if block.dtype.kind not in "iub" or block.shape[:k] != shape \
+    if block.dtype.kind not in "iu" or block.shape[:k] != shape \
             or not (block.ndim == k or block.ndim == k + 1 and block.shape[k] <= ring.d):
         return None
     coeffs = np.zeros(shape[:-2] + (ring.d, n, n), dtype=np.int64)

@@ -83,6 +83,40 @@ def companion(p, last_col):
     return [[int(j == i - 1) for j in range(n - 1)] + [last_col[i] % p] for i in range(n)]
 
 
+def trace_family(p, d, j):
+    """(c_g, S) of the trace family over GF(p), in plain Python ints: c_g is
+    the last column of the companion matrix C_g of g = (x - 1)^j x^(d - j),
+    and S = s(C_g) for the s of degree < d with s = 1 mod (x - 1)^j and
+    s = 0 mod x^(d - j), as rows.  With y = x - 1, s = x^(d-j) u for u the
+    series of x^-(d-j) = (1 + y)^-(d-j) mod y^j, whose y^i coefficient is
+    the binomial C(-(d - j), i).  C_g multiplies coefficient vectors by x
+    mod g, so column i of s(C_g) is x^i s mod g."""
+    g = (1,)
+    for _ in range(j):
+        g = poly_mul(g, (p - 1, 1), p)
+    c_g = [0] * (d - j) + [-c % p for c in g[:-1]]
+    k, u, y_i, binom = d - j, (), (1,), 1
+    for i in range(j):
+        u = poly_add(u, poly_mul(y_i, (binom % p,), p), p)
+        y_i, binom = poly_mul(y_i, (p - 1, 1), p), binom * (-k - i) // (i + 1)
+    s = poly_mul((0,) * k + (1,), u, p)
+    col = list(s) + [0] * (d - len(s))
+    cols = []
+    for _ in range(d):
+        cols.append(col)
+        col = [(low + col[-1] * c) % p for low, c in zip([0] + col[:-1], c_g)]
+    return c_g, [[cols[i][r] for i in range(d)] for r in range(d)]
+
+
+def trace_family_j(p, d, trace):
+    """The j the trace family takes for a degree-d block of this trace: the
+    one in [0, d] with j + 1 = trace (mod p) nearest d/2, the smaller on a
+    tie; None for the 1 x 1 block [0], which splits as 0 + 0 + 0."""
+    if d == 1 and trace % p == 0:
+        return None
+    return min((j for j in range(d + 1) if (j + 1 - trace) % p == 0), key=lambda j: (abs(2 * j - d), j))
+
+
 def smooth_moduli(limit):
     """Every m = 2^a 3^b with 2 <= m <= limit, ascending."""
     return sorted(2**a * 3**b for a in range(limit.bit_length()) for b in range(limit.bit_length())
@@ -342,7 +376,7 @@ def from_rows_reference(rows, m, d):
     ascending coefficients.  Raises ValueError for a shape the matrix ring
     refuses and TypeError for an entry that is neither an integer nor a list
     (or tuple) of integers: an empty string or object too, though it has no
-    coefficient."""
+    coefficient, and a bool, though Python counts it an int."""
     n = len(rows)
     if not 1 <= n <= 64:
         raise ValueError(f"dimension {n}")
@@ -351,7 +385,7 @@ def from_rows_reference(rows, m, d):
     out = [[[0] * n for _ in range(n)] for _ in range(d)]
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
-            if isinstance(entry, (int, np.integer)):
+            if isinstance(entry, (int, np.integer)) and type(entry) is not bool:
                 out[0][i][j] = int(entry) % m
                 continue
             if not isinstance(entry, (list, tuple)):
@@ -359,7 +393,7 @@ def from_rows_reference(rows, m, d):
             if len(entry) > d or d == 1 and len(entry) > 1:
                 raise ValueError("too many coefficients")
             for t, c in enumerate(entry):
-                if not isinstance(c, (int, np.integer)):
+                if not isinstance(c, (int, np.integer)) or type(c) is bool:
                     raise TypeError(f"coefficient {c!r}")
                 out[t][i][j] = int(c) % m
     return out

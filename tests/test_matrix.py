@@ -606,6 +606,13 @@ def _rows(draw, n=None, d=None, kind=None):
     return rows, d
 
 
+def _without_bools(value):
+    """The rows with each bool replaced by its int."""
+    if isinstance(value, (list, tuple)):
+        return [_without_bools(item) for item in value]
+    return int(value) if type(value) is bool else value
+
+
 class TestFromRows:
     """The one-conversion path of from_rows gives what reading the rows entry
     by entry gives, and refuses what that refuses."""
@@ -629,7 +636,7 @@ class TestFromRows:
     @pytest.mark.parametrize("rows,d", [
         ([[2**63, -1], [0, 1]], 1),  # float64 to numpy
         ([[[1, 2], [3]], [[4, 5, 6], []]], 3),  # ragged coefficient lists
-        ([[[-1], [2**64]], [[True], [np.int64(-5)]]], 1),  # [x] entries over Z_m
+        ([[[-1], [2**64]], [[1], [np.int64(-5)]]], 1),  # [x] entries over Z_m
     ])
     def test_examples(self, rows, d):
         for m in (2, 72, 2**31):
@@ -641,13 +648,15 @@ class TestFromRows:
     def test_stack_is_each_matrix_in_order(self, data, m):
         """One to four matrices of one shape and kind, so that they often
         convert at once, with at times one of another shape or kind among
-        them: the same matrices as from_rows of each, or the error of the
-        first one it refuses."""
+        them, each bool read as its int, as the stacked conversion takes
+        only rows without one: the same matrices as from_rows of each, or
+        the error of the first one it refuses."""
         n, d = data.draw(st.integers(1, 4)), data.draw(st.sampled_from([1, 3]))
         kind = data.draw(st.sampled_from(_KINDS))
         mats = [data.draw(_rows(n, d, kind))[0] for _ in range(data.draw(st.integers(1, 4)))]
         if data.draw(st.booleans()):
             mats.insert(data.draw(st.integers(0, len(mats))), data.draw(_rows(d=d))[0])
+        mats = _without_bools(mats)
         ring = MatrixRing(m, d)
 
         def outcome(build):
@@ -656,12 +665,12 @@ class TestFromRows:
             except (InputError, TypeError) as err:
                 return type(err), str(err)
 
-        assert outcome(lambda: RingMatrix.stack_from_rows(mats, ring)) == \
+        assert outcome(lambda: RingMatrix._stack_from_rows(mats, ring)) == \
             outcome(lambda: [RingMatrix.from_rows(rows, ring) for rows in mats])
 
     def test_stack_shares_one_array_and_ring(self):
         ring = MatrixRing(6, 3)
-        a, b = RingMatrix.stack_from_rows([[[[1, 2]]], [[[7, 8]]]], ring)
+        a, b = RingMatrix._stack_from_rows([[[[1, 2]]], [[[7, 8]]]], ring)
         assert a.coeffs.base is b.coeffs.base and a.coeffs.base.shape == (2, 3, 1, 1)
         assert a.ring is b.ring is ring
         assert a.to_rows() == b.to_rows() == [[[1, 2, 0]]]
@@ -677,3 +686,28 @@ class TestFromRows:
         # a tuple of ints reads as a list, in one conversion or entry by entry
         for rows in ([[(1, 2), (0, 0)], [(3, 0), (4, 0)]], [[(1, 2), 2**70], [3, 4]]):
             assert RingMatrix.from_rows(rows, MatrixRing(6, 3)).to_rows()[0][0] == [1, 2, 0]
+
+
+class TestBoolEntries:
+    """A bool is not an integer entry: Python and numpy read True and False
+    as 1 and 0, alone, beside ints, in a coefficient list or as a numpy
+    bool array, and from_rows refuses each as a TypeError."""
+
+    @pytest.mark.parametrize("rows,d", [
+        ([[True, 2], [False, 1]], 1),
+        ([[True, False], [False, True]], 1),
+        ([[True, [1]], [0, 1]], 1),
+        (((1, 2), (3, False)), 1),
+        ([[[1, True], 2], [0, [1, 2]]], 2),
+        ([[[1, 2], [0, 1]], [[0, 0], [False, 1]]], 2),
+        (np.eye(2, dtype=bool), 1),
+    ], ids=["mixed", "all-bool", "beside-a-list", "tuples", "coefficient", "stacked-coefficient", "numpy"])
+    def test_refused(self, rows, d):
+        with pytest.raises(TypeError, match=r"^(entry|coefficient) (np\.)?(True|False)_? is "):
+            RingMatrix.from_rows(rows, MatrixRing(6, d))
+        with pytest.raises(TypeError):
+            from_rows_reference(rows, 6, d)
+
+    def test_ints_one_and_zero_still_read(self):
+        for d in (1, 2):
+            assert RingMatrix.from_rows([[1, 2], [0, [1]]], MatrixRing(6, d)).to_rows()[0][0] == (1 if d == 1 else [1, 0])

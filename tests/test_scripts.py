@@ -33,6 +33,9 @@ def test_exhaustive_verification_small_sweep(capsys):
     module.run_growth_demo(config)
     out = capsys.readouterr().out
     assert "M_2(Z_3): 81 certificates" in out and "M_2(Z_6): 1296 certificates" in out
+    # the certificate-exponent histograms of TestIndexAgainstOracle's M2(Z2) and M2(Z3)
+    assert "M_2(Z_2): 16 certificates, max W-exponent 2, exponents {1: 8, 2: 8}, " in out
+    assert "M_2(Z_3): 81 certificates, max W-exponent 2, exponents {1: 27, 2: 54}, " in out
     assert "agrees with 2-3-smoothness" in out
     assert "tripotent Z_m: m in [2, 3, 6]" in out
     assert "k=2: 2" in out and "k=3: 3" in out
