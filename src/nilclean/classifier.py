@@ -353,18 +353,26 @@ def enumerate_idempotents(ring: RingDescriptor) -> np.ndarray:
     return _select(ring, lambda x: (ring.mul(x, x) == x).all(axis=0))
 
 
+def _power(ring: RingDescriptor, x, k: int):
+    """x^k for k >= 1, over the bits of k from the highest: a square for
+    each bit after it, then a product by x for each set one."""
+    out = x
+    for bit in bin(k)[3:]:
+        out = ring.mul(out, out)
+        if bit == "1":
+            out = ring.mul(out, x)
+    return out
+
+
 def enumerate_nilpotents(ring: RingDescriptor) -> np.ndarray:
     """The indices of all nilpotent elements, in iteration order: the x with
     x^(2^j) = 0 for the first 2^j at or over the nilpotency bound."""
-    def holds(x):
-        for _ in range((ring.nilpotency_bound() - 1).bit_length()):
-            x = ring.mul(x, x)
-        return ~x.any(axis=0)
-    return _select(ring, holds)
+    j = (ring.nilpotency_bound() - 1).bit_length()
+    return _select(ring, lambda x: ~_power(ring, x, 1 << j).any(axis=0))
 
 
 def _tripotent(ring: RingDescriptor, t) -> np.ndarray:
-    return (ring.mul(ring.mul(t, t), t) == t).all(axis=0)
+    return (_power(ring, t, 3) == t).all(axis=0)
 
 
 def _commutes(ring: RingDescriptor, x, y) -> np.ndarray:
@@ -533,19 +541,13 @@ def _generalized(n: int) -> Property:
 
     def test(scan: _Scan, pair) -> np.ndarray:
         ring, (a, b) = scan.ring, pair
-
-        def power(x):
-            """x^n by square-and-multiply: O(log n) batched products, so huge n stay cheap."""
-            out, k = x, n - 1
-            while k:
-                out = ring.mul(out, x) if k & 1 else out
-                k >>= 1
-                x = ring.mul(x, x) if k else x
-            return out
-
+        # in a factor of s elements two of x, ..., x^(s + 1) are equal: the powers
+        # of x repeat from x^s on, with a period of at most s, which divides lcm(1..s)
+        s = max(f.m**f.digits for f in ring.factors)
+        k = n if n <= s else s + (n - s) % math.lcm(*range(1, s + 1))
         ab = ring.mul(a, b)
-        return ~ring.sub(ring.sub(power(ab), ring.mul(a, power(b))),
-                         ring.sub(ring.mul(power(a), b), ab)).any(axis=0)
+        return ~ring.sub(ring.sub(_power(ring, ab, k), ring.mul(a, _power(ring, b, k))),
+                         ring.sub(ring.mul(_power(ring, a, k), b), ab)).any(axis=0)
 
     return Property(f"generalized-{n}-like", None, test, pairwise=True)
 

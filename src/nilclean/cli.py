@@ -72,10 +72,11 @@ _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def parse_document(text: str) -> dict:
-    """The fields of one document; a key given twice is refused, naming it
-    and the line, counted within the document, that repeats it.  So is a
-    JSON true or false inside a list: no list of the schema holds one, and
-    Python, numpy included, would read it in a matrix as the int 1 or 0."""
+    """The fields of one document, none for a text of blank and '#' comment
+    lines alone; a key given twice is refused, naming it and the line,
+    counted within the document, that repeats it.  So is a JSON true or
+    false inside a list: no list of the schema holds one, and Python, numpy
+    included, would read it in a matrix as the int 1 or 0."""
     doc: dict = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -101,8 +102,6 @@ def parse_document(text: str) -> dict:
                         and _holds_bool(obj):
                     raise InputError(f"field {key!r} holds JSON true or false inside a list: {value!r:.40}")
                 doc[key] = obj
-    if not doc:
-        raise InputError("empty document")
     return doc
 
 
@@ -127,18 +126,10 @@ def iter_documents(lines: Iterable[str]) -> Iterator[dict]:
         if line.strip():
             chunk.append(line)
         elif chunk:
-            text = "".join(chunk)
-            # a first line not opening with '#' holds a field or an error;
-            # else read the lines as parse_document does, since a '#' line of
-            # the stream may hold a field after a line break such as \r
-            if chunk[0].lstrip()[:1] != "#" or not all(
-                    part.strip()[:1] in ("", "#") for part in text.splitlines()):
-                yield parse_document(text)
+            doc = parse_document("".join(chunk))
+            if doc:
+                yield doc
             chunk = []
-
-
-# a stream repeats a few rings: one object each keeps its facts across documents
-_shared_ring = functools.lru_cache(maxsize=256)(MatrixRing)
 
 
 @functools.lru_cache(maxsize=256)  # a stream repeats a few ring names
@@ -282,7 +273,7 @@ def _doc_ring(doc: dict) -> Optional[MatrixRing]:
     if "modulus" not in doc and not (named and "trunc-degree" in doc):
         return named
     if named is None:
-        return _shared_ring(_doc_int(doc, "modulus"), _doc_int(doc, "trunc-degree", 1))
+        return MatrixRing(_doc_int(doc, "modulus"), _doc_int(doc, "trunc-degree", 1))
     m, d = _doc_int(doc, "modulus", named.m), _doc_int(doc, "trunc-degree", named.d)
     if (m, d) != (named.m, named.d):
         raise InputError(f"field 'ring' names {named.describe()}, but 'modulus' and "
@@ -290,23 +281,18 @@ def _doc_ring(doc: dict) -> Optional[MatrixRing]:
     return named
 
 
-def _doc_matrix(doc: dict, key: str, ring: MatrixRing) -> RingMatrix:
-    """A matrix field of a document; KeyError when it is missing, InputError
-    when it is not a JSON list: parse_document keeps a value that is not JSON
-    as its raw text, whose characters must not be read as rows."""
-    value = doc[key]
-    if not isinstance(value, list):
-        raise InputError(f"field {key!r} is not a JSON matrix: {value!r:.40}")
-    return RingMatrix.from_rows(value, ring)
-
-
 def _doc_matrices(doc: dict, keys: Sequence[str], ring: MatrixRing) -> list:
-    """_doc_matrix of each key, in one conversion when every field is a JSON
-    list; otherwise one at a time, so that each error comes where it did."""
-    values = [doc.get(key) for key in keys]
-    if all(isinstance(value, list) for value in values):
-        return RingMatrix._stack_from_rows(values, ring)
-    return [_doc_matrix(doc, key, ring) for key in keys]
+    """The matrix fields of a document, in one conversion; KeyError when one
+    is missing, InputError when one is not a JSON list: parse_document keeps
+    a value that is not JSON as its raw text, whose characters must not be
+    read as rows.  The fields before such a one are converted first, so that
+    each error comes in the order of the keys."""
+    values = list(itertools.takewhile(lambda value: isinstance(value, list), map(doc.get, keys)))
+    mats = RingMatrix._stack_from_rows(values, ring) if values else []
+    if len(mats) < len(keys):
+        key = keys[len(mats)]
+        raise InputError(f"field {key!r} is not a JSON matrix: {doc[key]!r:.40}")
+    return mats
 
 
 def _matrix_inputs(args) -> Iterator[RingMatrix]:
@@ -351,7 +337,7 @@ def _doc_input_matrix(doc: dict, flagged: Optional[MatrixRing]) -> RingMatrix:
         raise InputError("matrix document lacks field 'A'")
     ring = _input_ring(_doc_ring(doc), flagged)
     try:
-        a = _doc_matrix(doc, "A", ring)
+        [a] = _doc_matrices(doc, ("A",), ring)
     except (TypeError, ValueError) as bad:
         raise InputError(f"field 'A' is not a matrix of integers: {bad}") from None
     if "n" in doc and _doc_int(doc, "n") != a.n:
@@ -360,8 +346,9 @@ def _doc_input_matrix(doc: dict, flagged: Optional[MatrixRing]) -> RingMatrix:
 
 
 def _plain_matrix(text: str, flagged: Optional[MatrixRing]) -> RingMatrix:
-    """A matrix of whitespace-separated rows of ASCII integers, [+-]?[0-9]+;
-    blank lines and '#' comment lines are skipped."""
+    """A matrix of whitespace-separated rows of ASCII integers, [+-]?[0-9]+,
+    converted as document matrices are; blank lines and '#' comment lines
+    are skipped."""
     ring = _input_ring(None, flagged)
     if ring.d != 1:
         raise InputError("plain whitespace matrices support only Z_m entries")
@@ -372,8 +359,8 @@ def _plain_matrix(text: str, flagged: Optional[MatrixRing]) -> RingMatrix:
             continue
         if not re.fullmatch(r"[+-]?[0-9]+(\s+[+-]?[0-9]+)*", line):
             raise InputError(f"bad matrix row: {line!r}")
-        rows.append([int(tok) for tok in line.split()])
-    return RingMatrix.from_rows(rows, ring)
+        rows.append([_digits(tok) for tok in line.split()])
+    return RingMatrix._stack_from_rows([rows], ring)[0]
 
 
 # ---------------------------------------------------------------------------

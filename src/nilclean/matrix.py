@@ -110,10 +110,10 @@ class RingMatrix:
     @classmethod
     def _stack_from_rows(cls, mats: Sequence[Sequence[Sequence]], ring: MatrixRing) -> list["RingMatrix"]:
         """from_rows of each of several matrices whose rows hold no bool, as
-        parse_document's lists do (it refuses JSON true and false), without
-        from_rows' search for one: when they convert at once, views of one
-        (k, d, n, n) stack; otherwise each entry by entry, one matrix after
-        another in order."""
+        the CLI's do (parse_document refuses JSON true and false, and plain
+        rows are digit runs), without from_rows' search for one: when they
+        convert at once, views of one (k, d, n, n) stack; otherwise each
+        entry by entry, one matrix after another in order."""
         coeffs = _exact_coeffs(mats, (len(mats),) + (len(mats[0]),) * 2, ring)
         if coeffs is None:
             return [cls._from_entries(rows, ring) for rows in mats]

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import time
 import tracemalloc
 import types
@@ -394,6 +395,46 @@ class TestIdentityPredicates:
         start = time.perf_counter()
         assert decide(f"generalized-{10**12}-like", zm(2)).holds
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("text", ["Z2", "Z4", "Z6", "Z2xZ3", "Z2xZ4", "Z2xZ5", "Z2xZ8",
+                                      "Z2[x]/(x^2)", "M2(Z2)"])
+    def test_generalized_reduced_n(self, text):
+        """n past the largest factor's size s is reduced to s + (n - s) mod
+        lcm(1..s): the verdict and counterexample are those of x^n powered
+        naively by squares, for n around s and past lcm(1..s)."""
+        ring = parse_ring_descriptor(text)
+        naive = NaiveRing(ring)
+        s = max(f.m**f.digits for f in ring.factors)
+        lcm = math.lcm(*range(1, s + 1))
+
+        def power(x, k):  # by squares from the lowest bit of k, unreduced
+            out, square = None, x
+            while k:
+                if k & 1:
+                    out = square if out is None else naive.mul(out, square)
+                k >>= 1
+                square = naive.mul(square, square) if k else square
+            return out
+
+        def first_failure(n):
+            for a, b in itertools.product(naive.elements(), repeat=2):
+                ab = naive.mul(a, b)
+                if naive.sub(naive.sub(power(ab, n), naive.mul(a, power(b, n))),
+                             naive.sub(naive.mul(power(a, n), b), ab)) != naive.zero:
+                    return a, b
+            return None
+
+        for n in sorted({max(2, s - 1), s, s + 1, s + 2, lcm + s - 1, lcm + s, lcm + s + 1,
+                         3 * lcm + s + 5, 10**30 + 7}):
+            report = decide(f"generalized-{n}-like", ring)
+            assert report.counterexample == first_failure(n), n
+            assert report.holds == (report.counterexample is None)
+
+    def test_generalized_digits_of_n_cost_no_time(self):
+        start = time.perf_counter()
+        report = decide(f"generalized-{'7' * 4000}-like", parse_ring_descriptor("x".join(["Z2"] * 6)))
+        assert time.perf_counter() - start < 0.5
+        assert report.holds
 
     def test_generalized_requires_n_at_least_2(self):
         with pytest.raises(InputError):

@@ -590,6 +590,8 @@ OVERSIZED_INTEGER_INPUTS = {
     "ring-field": (["decompose"], f"ring: Z{HUGE}\nA: [[1]]\n"),
     "matrix-entry": (["decompose"], _document(A=f"[[{HUGE}]]")),
     "verify-modulus": (["verify"], _document(modulus=HUGE)),
+    "plain-row": (["decompose", "--modulus", "6"], f"1 {HUGE}\n2 3\n"),
+    "plain-row-zeros": (["decompose", "--ring", "Z6"], "0" * 5000 + "\n"),
 }
 
 
@@ -600,6 +602,10 @@ class TestOversizedIntegers:
         code, _, err = run(capsys, monkeypatch, args, stdin)
         assert code == EXIT_PARSE
         assert "input error" in err and "Traceback" not in err
+
+    def test_plain_row_names_the_length(self, capsys, monkeypatch):
+        code, out, err = run(capsys, monkeypatch, ["decompose", "--modulus", "6"], f"1 -{HUGE}\n2 3\n")
+        assert (code, out, err) == (EXIT_PARSE, "", "input error: integer with 5001 digits is too long\n")
 
 
 OVERSIZED_RINGS = {
@@ -708,6 +714,33 @@ _argv = st.sampled_from(sorted(_FLAGS)).flatmap(lambda command: st.lists(
     lambda flags: [command] + [token for flag in flags for token in flag]))
 
 
+_plain_tokens = st.one_of(
+    st.integers(-20, 20).map(str),
+    st.integers(-(2**80), 2**80).map(str),
+    st.sampled_from([HUGE, f"-{HUGE}", "0" * 5000, "9" * 4300, "+7", "-0", "1.5", "x", "\u0663"]),
+)
+
+
+@st.composite
+def _plain_rows(draw):
+    """Plain whitespace rows, square or not, at times with a token that is
+    no ASCII integer, between blank and '#' comment lines."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.one_of(_square(n, _plain_tokens),
+                          st.lists(st.lists(_plain_tokens, min_size=1, max_size=4), min_size=1, max_size=4)))
+    lines = [draw(st.sampled_from([" ", "\t"])).join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "  ", "# note"])))
+    return "\n".join(lines) + "\n"
+
+
+_plain_argv = st.tuples(
+    st.sampled_from([("--modulus", "6"), ("--modulus", "72"), ("--modulus", "2147483629"), ("--ring", "Z3"),
+                     ("--ring", "Z72"), ("--ring", "Z2147483647"), ("--ring", "Z6[x]/(x^2)")]),
+    st.sampled_from([(), ("--triangular",), ("--format", "plain")]),
+).map(lambda flags: ["decompose", *flags[0], *flags[1]])
+
+
 class TestDocumentFuzz:
     """Arbitrary decompose and verify documents, under any of the flags
     these commands read, end in a documented exit code, without a traceback,
@@ -724,6 +757,18 @@ class TestDocumentFuzz:
             code, err = exit_info.code, capsys.readouterr().err
         assert time.perf_counter() - start < FUZZ_SECONDS
         assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_VERIFY, EXIT_RESOURCE)
+        assert "Traceback" not in err
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(argv=_plain_argv, text=_plain_rows())
+    def test_plain_rows(self, capsys, monkeypatch, argv, text):
+        """Plain whitespace rows under --modulus or --ring, with integers of
+        any length, end in a documented exit code without a traceback."""
+        start = time.perf_counter()
+        code, _, err = run(capsys, monkeypatch, argv, text)
+        assert time.perf_counter() - start < FUZZ_SECONDS
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_UNSUPPORTED, EXIT_RESOURCE)
         assert "Traceback" not in err
 
     @settings(max_examples=100, derandomize=True, deadline=None,
@@ -754,7 +799,7 @@ def _parse_every_value(text):
     """parse_document as it was before it skipped values that cannot start
     JSON: json.loads on every value, the raw text where that fails; a key
     given twice is refused, and so is a list with true or false among its
-    items or those of the lists in it."""
+    items or those of the lists in it.  A text of comments alone has no field."""
     doc = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -771,17 +816,21 @@ def _parse_every_value(text):
             doc[key.strip()] = value.strip()
         if isinstance(doc[key.strip()], list) and _bool_in_lists(doc[key.strip()]):
             raise InputError(f"line {lineno}")
-    if not doc:
-        raise InputError("empty")
     return doc
 
 
 def _certificate_from_doc_per_field(doc):
     """certificate_from_doc as it was before it converted the four matrices
-    in one stack: one from_rows per field, in the order A, E, F, W."""
+    in one stack: one from_rows per field, in the order A, E, F, W, each
+    after its own check that the field is a JSON list."""
+    def matrix(key):
+        if not isinstance(doc[key], list):
+            raise InputError(f"field {key!r} is not a JSON matrix: {doc[key]!r:.40}")
+        return RingMatrix.from_rows(doc[key], ring)
+
     try:
         ring = MatrixRing(cli._doc_int(doc, "modulus"), cli._doc_int(doc, "trunc-degree", 1))
-        mats = {key: cli._doc_matrix(doc, key, ring) for key in ("A", "E", "F", "W")}
+        mats = {key: matrix(key) for key in ("A", "E", "F", "W")}
         exponent = cli._doc_int(doc, "nilpotency-exponent")
         tags = tuple(doc.get("case-tags", []))
     except KeyError as missing:
@@ -939,6 +988,28 @@ class TestCertificateFromDoc:
         assert cert.w.to_rows() == [[[0, 1]]] and verify_certificate(cert)
 
 
+class TestNoBoolScan:
+    """Every matrix the CLI reads takes the stacked conversion, which skips
+    from_rows' search for a bool: parse_document refuses JSON true and
+    false, and plain rows are digit runs."""
+
+    def test_cli_matrices_skip_the_scan(self, capsys, monkeypatch):
+        a = RingMatrix.from_rows([[5, 1], [1, 2]], zm_ring(6))
+        cert = certificate_to_doc(decompose(a))
+        tampered = certificate_to_doc(DecompositionCertificate(a, a, a, a, 1, ()))
+
+        def scan(rows):
+            raise AssertionError("the CLI ran the bool scan")
+
+        monkeypatch.setattr("nilclean.matrix._has_bool_entry", scan)
+        for args, stdin in ((["decompose"], _matrix_document(a)), (["decompose", "--modulus", "6"], "5 1\n1 2\n")):
+            assert run(capsys, monkeypatch, args, stdin) == (EXIT_OK, cert, "")
+        code, out, err = run(capsys, monkeypatch, ["verify"], "\n".join([cert, tampered, cert]))
+        assert (code, err) == (EXIT_VERIFY, "")
+        assert out.splitlines()[0::2] == ["certificate 0: ok", "certificate 2: ok"]
+        assert out.splitlines()[1].startswith("certificate 1: FAILED check: ")
+
+
 _tiny_factors = st.one_of(  # at most 64 elements
     st.integers(2, 64).map(lambda m: f"Z{m}"),
     st.integers(2, 64).map(lambda m: f"M1(Z{m})"),
@@ -963,7 +1034,8 @@ _property_items = st.one_of(
     st.sampled_from(sorted(classifier.PROPERTIES)),
     st.text(max_size=8),  # unknown names, commas and whitespace among them
     st.sampled_from(["", " ", " nil-clean\t", "generalized-0-like", "generalized-1-like",
-                     "generalized-007-like", "generalized-2-like", f"generalized-{HUGE}-like"]),
+                     "generalized-007-like", "generalized-2-like", f"generalized-{HUGE}-like",
+                     f"generalized-{'9' * 4000}-like"]),
 )
 
 
@@ -1525,10 +1597,7 @@ class TestCommentsAndByteOrderMark:
         assert code == EXIT_PARSE and out == "" and "no certificate documents in input" in err
         code, out, err = run(capsys, monkeypatch, ["decompose", "--modulus", "6"], text)
         assert code == EXIT_PARSE and out == "" and "empty matrix input" in err
-        with pytest.raises(InputError, match="empty document"):
-            parse_document("")
-        with pytest.raises(InputError, match="empty document"):
-            parse_document("# a comment\n")
+        assert parse_document("") == {} and parse_document("# a comment\n") == {}
 
     def test_field_after_a_line_break_inside_a_comment_line(self):
         # the stream splits lines at \n alone, parse_document at \r too
