@@ -147,6 +147,21 @@ class RingDescriptor:
         return math.prod(f.m**f.digits for f in self.factors)
 
     @functools.cached_property
+    def period(self) -> int:
+        """The least p >= 1 with x^(size + p) = x^size for every element x, so
+        that x^n = x^(size + (n - size) mod p) for n >= size.  Two of x, ...,
+        x^(size + 1) are equal, so the powers of x cycle from x^size on; p is
+        the lcm of the cycles' lengths, each found by multiplying x^size by x
+        until it comes back, in at most size batched products."""
+        x = self.digits(np.arange(self.size))
+        start = power = _power(self, x, self.size)
+        step, length = 0, np.zeros(self.size, np.int64)
+        while not length.all():
+            power, step = self.mul(power, x), step + 1
+            length[(length == 0) & (power == start).all(axis=0)] = step
+        return math.lcm(*length.tolist())
+
+    @functools.cached_property
     def _layout(self):
         """Each digit's modulus, shaped to broadcast over digit arrays of rank
         1, 2 and 3, in the narrowest unsigned dtype holding every unreduced
@@ -541,10 +556,7 @@ def _generalized(n: int) -> Property:
 
     def test(scan: _Scan, pair) -> np.ndarray:
         ring, (a, b) = scan.ring, pair
-        # in a factor of s elements two of x, ..., x^(s + 1) are equal: the powers
-        # of x repeat from x^s on, with a period of at most s, which divides lcm(1..s)
-        s = max(f.m**f.digits for f in ring.factors)
-        k = n if n <= s else s + (n - s) % math.lcm(*range(1, s + 1))
+        k = n if n <= ring.size else ring.size + (n - ring.size) % ring.period  # x^k = x^n
         ab = ring.mul(a, b)
         return ~ring.sub(ring.sub(_power(ring, ab, k), ring.mul(a, _power(ring, b, k))),
                          ring.sub(ring.mul(_power(ring, a, k), b), ab)).any(axis=0)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InputError, InternalCheckError, UnsupportedRingError
 from .gfp import krylov_form
-from .matrix import DecompositionCertificate, RingMatrix, _stack_mul, verify_certificate
+from .matrix import DecompositionCertificate, RingMatrix, _power, _stack_mul, verify_certificate
 
 
 @functools.cache
@@ -50,8 +50,8 @@ def _trace_split(p: int, d: int, trace: int) -> tuple[str, tuple[int, ...], np.n
     on a tie, and g = (x - 1)^j x^(d-j).  A block C_A with last column c_A is
     E + S + W with E = (c_A - c_g) e_(d-1)^T, idempotent of rank 1 since its
     corner is trace - tr g = 1; C_A - E = C_g, similar to J_j(1) + J_(d-j)(0);
-    S = C_g^(p^a) for p^a >= d, its spectral idempotent of rank j, since
-    (I + N)^(p^a) = I + N^(p^a) in characteristic p; and W = C_g - S,
+    S = C_g^(p^a) for a p^a >= d, by _power, its spectral idempotent of rank
+    j, since (I + N)^(p^a) = I + N^(p^a) in characteristic p; and W = C_g - S,
     nilpotent of index max(j, d - j).  The 1 x 1 block [0], which has no
     such j over GF(3), takes j = 0 and E = 0 over both fields: 0 + 0 + 0."""
     zero = d == 1 and not trace
@@ -59,10 +59,7 @@ def _trace_split(p: int, d: int, trace: int) -> tuple[str, tuple[int, ...], np.n
     c_g = (0,) * (d - j) + tuple((-1) ** (j - i + 1) * math.comb(j, i) % p for i in range(j))
     s = np.eye(d, k=-1, dtype=np.int64)
     s[:, -1] = c_g
-    power = 1
-    while power < d:
-        s, power = np.linalg.matrix_power(s, p) % p, power * p
-    s = s.astype(np.int8)
+    s = _power(s[None], p, p ** (d - 1).bit_length())[0].astype(np.int8)
     s.flags.writeable = False  # one array for every caller of the cache
     return f"gf{p}:zero:n1" if zero else f"gf{p}:j{j}:n{d}", c_g, s
 

@@ -262,35 +262,30 @@ def _stack_mul(a: np.ndarray, b: np.ndarray, m: int, c: Optional[np.ndarray] = N
     bound a chain runs as two pairs, and a pair as a [b_hi | b_lo], b's
     16-bit halves side by side: every partial sum is then below
     n (m-1) 2^16 < 2^53, and (a b_hi mod m) 2^16 + a b_lo below 2^60, for
-    n, d <= 64 and m <= 2^31.  float64 casts each operand once and each raw
-    product to int64 before any sum; it reduces by x -= x // m * m, which
-    numpy runs by a multiply, and int64 by %."""
-    n = a.shape[-1]
-    blas = n >= BLAS_MIN_DIMENSION
-    split = False
-    if m > 2**13:  # else n <= 64 keeps every pair and chain below both bounds
-        f, d = (2, a.shape[-3]) if c is None else (3, 1)
-        if n ** (f - 1) * (m - 1) ** f * (1 if blas else d) >= (2**53 if blas else 2**63):
-            if c is not None:  # no caller's chain gets here: they run over GF(2) and GF(3)
-                return _stack_mul(_stack_mul(a[None], b, m), c[None], m)
-            b, split = np.concatenate((b >> 16, b & 0xFFFF), axis=-1), True  # a [b_hi | b_lo]
-    if not blas:
-        if c is not None:
-            return a @ b @ c % m
-        d = a.shape[-3]
-        if d == 1 and not split:
-            return np.matmul(a, b) % m
-        out = np.matmul(a[..., :1, :, :], b)
-        for i in range(1, d):
-            out[..., i:, :, :] += np.matmul(a[..., i:i + 1, :, :], b[..., :d - i, :, :])
-    elif c is not None:
-        out = (a.astype(np.float64) @ b.astype(np.float64) @ c.astype(np.float64)).astype(np.int64)
+    n, d <= 64 and m <= 2^31; below m = 2^13 none passes its bound.  Both
+    routes run one chain expression and one truncated-product loop: float64
+    casts each operand once and each raw product to int64 before any sum,
+    and reduces by x -= x // m * m, which numpy runs by a multiply; int64
+    reduces by %, in one call for an unsplit pair at d = 1."""
+    n, d = a.shape[-1], b.shape[-3]
+    blas, f = n >= BLAS_MIN_DIMENSION, 2 if c is None else 3
+    split = m > 2**13 and n ** (f - 1) * (m - 1) ** f * (1 if blas else d) >= (2**53 if blas else 2**63)
+    if split and c is not None:  # no caller's chain gets here: they run over GF(2) and GF(3)
+        return _stack_mul(_stack_mul(a[None], b, m), c[None], m)
+    if split:
+        b = np.concatenate((b >> 16, b & 0xFFFF), axis=-1)  # a [b_hi | b_lo]
+    elif not blas and d == 1 and c is None:
+        return np.matmul(a, b) % m
+    if blas:  # each operand cast once, a square's one operand once
+        square, a = b is a, a.astype(np.float64)
+        b, c = a if square else b.astype(np.float64), c if c is None else c.astype(np.float64)
+    if c is not None:
+        out = (a @ b @ c).astype(np.int64, copy=False)
     else:
-        d, af = a.shape[-3], a.astype(np.float64)
-        bf = af if b is a else b.astype(np.float64)
-        out = np.matmul(af[..., :1, :, :], bf).astype(np.int64)
+        out = np.matmul(a[..., :1, :, :], b).astype(np.int64, copy=False)
         for i in range(1, d):
-            out[..., i:, :, :] += np.matmul(af[..., i:i + 1, :, :], bf[..., :d - i, :, :]).astype(np.int64)
+            raw = np.matmul(a[..., i:i + 1, :, :], b[..., :d - i, :, :])
+            out[..., i:, :, :] += raw.astype(np.int64, copy=False)
     if split:
         hi = out[..., :n]
         out = out[..., n:] + ((hi - hi // m * m if blas else hi % m) << 16)
@@ -324,19 +319,26 @@ def _min_exponent(x: np.ndarray, m: int, bound: int) -> Optional[int]:
     return e + 1 if e < bound else None
 
 
+def _power(x: np.ndarray, m: int, k: int) -> np.ndarray:
+    """x^k for a coefficient stack x and k >= 1, by square and multiply over
+    the bits of k from the highest, with no product once a power on the way
+    vanishes: floor(log2 k) + popcount(k) - 1 products at most."""
+    out = x
+    for bit in bin(k)[3:]:
+        if not np.count_nonzero(out):
+            break
+        out = _stack_mul(out, out, m)
+        if bit == "1" and np.count_nonzero(out):
+            out = _stack_mul(out, x, m)
+    return out
+
+
 def _has_exponent(x: np.ndarray, m: int, k: int) -> bool:
-    """Whether x^(k-1) != 0 and x^k = 0, for k >= 1: x^(k-1) by square and
-    multiply over the bits of k - 1, false once a power on the way vanishes,
-    then one product more; at most floor(log2(k-1)) + popcount(k-1) products."""
+    """Whether x^(k-1) != 0 and x^k = 0, for k >= 1: x^(k-1) by _power, then
+    one product more; at most floor(log2(k-1)) + popcount(k-1) products."""
     if k == 1:
         return not np.count_nonzero(x)
-    acc = x
-    for bit in bin(k - 1)[3:]:
-        if not np.count_nonzero(acc):
-            return False
-        acc = _stack_mul(acc, acc, m)
-        if bit == "1":
-            acc = _stack_mul(acc, x, m)
+    acc = _power(x, m, k - 1)
     return bool(np.count_nonzero(acc)) and not np.count_nonzero(_stack_mul(acc, x, m))
 
 

@@ -1,5 +1,6 @@
 """Brute-force oracle: enumerations, predicates, witnesses, audits."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -396,16 +397,16 @@ class TestIdentityPredicates:
         assert decide(f"generalized-{10**12}-like", zm(2)).holds
         assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("text", ["Z2", "Z4", "Z6", "Z2xZ3", "Z2xZ4", "Z2xZ5", "Z2xZ8",
-                                      "Z2[x]/(x^2)", "M2(Z2)"])
+    @pytest.mark.parametrize("text", ["Z2", "Z4", "Z6", "Z8", "Z9", "Z12", "Z2xZ3", "Z2xZ4", "Z2xZ5",
+                                      "Z2xZ8", "Z2[x]/(x^2)", "M2(Z2)"])
     def test_generalized_reduced_n(self, text):
-        """n past the largest factor's size s is reduced to s + (n - s) mod
-        lcm(1..s): the verdict and counterexample are those of x^n powered
-        naively by squares, for n around s and past lcm(1..s)."""
+        """For every n up to 2|R| + 2, and past lcm(1..s) for s the largest
+        factor's size and for s = |R| (the reductions of n earlier rules
+        made), the verdict and counterexample are those of x^n powered
+        naively by squares."""
         ring = parse_ring_descriptor(text)
         naive = NaiveRing(ring)
-        s = max(f.m**f.digits for f in ring.factors)
-        lcm = math.lcm(*range(1, s + 1))
+        elements = list(naive.elements())
 
         def power(x, k):  # by squares from the lowest bit of k, unreduced
             out, square = None, x
@@ -417,18 +418,39 @@ class TestIdentityPredicates:
             return out
 
         def first_failure(n):
-            for a, b in itertools.product(naive.elements(), repeat=2):
+            pw = {x: power(x, n) for x in elements}
+            for a, b in itertools.product(elements, repeat=2):
                 ab = naive.mul(a, b)
-                if naive.sub(naive.sub(power(ab, n), naive.mul(a, power(b, n))),
-                             naive.sub(naive.mul(power(a, n), b), ab)) != naive.zero:
+                if naive.sub(naive.sub(pw[ab], naive.mul(a, pw[b])), naive.sub(naive.mul(pw[a], b), ab)) \
+                        != naive.zero:
                     return a, b
             return None
 
-        for n in sorted({max(2, s - 1), s, s + 1, s + 2, lcm + s - 1, lcm + s, lcm + s + 1,
-                         3 * lcm + s + 5, 10**30 + 7}):
+        ns = {*range(2, 2 * ring.size + 3), 10**30 + 7}
+        for s in (max(f.m**f.digits for f in ring.factors), ring.size):
+            lcm = math.lcm(*range(1, s + 1))
+            ns |= {lcm + s - 1, lcm + s, lcm + s + 1, 3 * lcm + s + 5}
+        for n in sorted(ns):
             report = decide(f"generalized-{n}-like", ring)
             assert report.counterexample == first_failure(n), n
             assert report.holds == (report.counterexample is None)
+
+    @pytest.mark.parametrize("text,period", [("Z997", 996), ("M2(Z2)", 6), ("Z10xZ10xZ10", 4), ("Z9", 6),
+                                             ("Z2[x]/(x^3)", 4), ("Z2xZ3", 2), ("Z8", 2)])
+    def test_ring_period(self, text, period):
+        """RingDescriptor.period is the lcm of each element's cycle length from
+        x^|R| on, counted here one element at a time."""
+        ring = parse_ring_descriptor(text)
+        naive = NaiveRing(ring)
+        lengths = []
+        for x in naive.elements() if ring.size <= 100 else ():
+            start = functools.reduce(lambda y, _: naive.mul(y, x), range(ring.size - 1), x)
+            power, length = naive.mul(start, x), 1
+            while power != start:
+                power, length = naive.mul(power, x), length + 1
+            lengths.append(length)
+        assert ring.period == period
+        assert not lengths or math.lcm(*lengths) == period
 
     def test_generalized_digits_of_n_cost_no_time(self):
         start = time.perf_counter()

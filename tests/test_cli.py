@@ -1207,6 +1207,15 @@ class TestClassifyCommand:
         )
         assert code == EXIT_OK and "generalized-3-like: true" in out
 
+    def test_generalized_large_factor_within_two_seconds(self, capsys, monkeypatch):
+        # x^n = x on Z997 for n = 1 (mod 996), so all 994,009 pairs are
+        # scanned; a 1,000-digit n reduces by the ring's exact cycle
+        n = 10**999 + (1 - 10**999) % 996
+        start = time.perf_counter()
+        code, out, _ = run(capsys, monkeypatch, ["classify", "Z997", f"generalized-{n}-like"])
+        assert time.perf_counter() - start < 2.0
+        assert len(str(n)) == 1000 and code == EXIT_OK and documents(out)[0]["holds"] is True
+
     def test_unknown_property(self, capsys, monkeypatch):
         code, _, _ = run(capsys, monkeypatch, ["classify", "Z6", "left-perfect"])
         assert code == EXIT_PARSE

@@ -29,6 +29,7 @@ from nilclean.decompose import (
     _krylov_solve,
     _lift_idempotents,
     _parts,
+    _trace_split,
     decompose,
     decompose_triangular,
     decompose_zm,
@@ -37,6 +38,7 @@ from nilclean.errors import InputError, InternalCheckError, UnsupportedRingError
 from nilclean.gfp import krylov_form
 from nilclean.matrix import (
     BLAS_MIN_DIMENSION,
+    MAX_DIMENSION,
     DecompositionCertificate,
     MatrixRing,
     RingMatrix,
@@ -222,6 +224,24 @@ class TestTraceFamily:
                 e = np.zeros((d, d), dtype=np.int64)
                 e[:, -1] = (np.array(c_a) - c_g) % p
                 assert (e @ e % p == e).all() and ((e + s + w) % p == a).all(), (d, j)
+
+    @pytest.mark.parametrize("p", (2, 3))
+    def test_split_matches_matrix_power(self, p):
+        # _trace_split against its own c_g powered as the split once was, by
+        # np.linalg.matrix_power p at a time up to the least p^a >= d, at every
+        # degree and trace: the certificate digests reach only some degrees
+        for d in range(1, MAX_DIMENSION + 1):
+            for t in range(p):
+                _, c_g, s = _trace_split(p, d, t)
+                want = np.eye(d, k=-1, dtype=np.int64)
+                want[:, -1] = c_g
+                power = 1
+                while power < d:
+                    want, power = np.linalg.matrix_power(want, p) % p, power * p
+                assert s.dtype == np.int8 and not s.flags.writeable
+                assert s.tolist() == want.tolist(), (d, t)
+                j = trace_family_j(p, d, t)
+                assert list(c_g) == (trace_family(p, d, j)[0] if j is not None else [0]), (d, t)
 
     def test_choice_of_j(self):
         # j = t - 1 (mod p) nearest d/2, so rk E + rk F = j + 1 = t (mod p)

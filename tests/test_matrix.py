@@ -27,6 +27,7 @@ from nilclean.matrix import (
     MatrixRing,
     RingMatrix,
     _min_exponent,
+    _power,
     _stack_mul,
     verify_certificate,
     zm_ring,
@@ -382,6 +383,45 @@ class TestExponentProof:
                 assert steps == _products(claim) if ok else steps <= _products(claim)
         assert max(cert.nilpotency_exponent for cert in certs) >= 9
         assert searches == []
+
+
+class TestPower:
+    """_power(x, m, k) is x^k, as k - 1 chained _stack_mul products give it,
+    by at most floor(log2 k) + popcount(k) - 1 products, and none once a
+    power on the way vanishes."""
+
+    @pytest.mark.parametrize("ring", EXPONENT_RINGS, ids=lambda ring: ring.describe())
+    @pytest.mark.parametrize("n", (3, 32))
+    def test_equals_chained_products(self, ring, n):
+        gen = np.random.default_rng([ring.m, ring.d, n])
+        for x in (RingMatrix.random(n, ring, gen).coeffs, _nilpotent(n, ring, gen, 0.7).coeffs):
+            chained = [x]
+            for _ in range(1, 40):
+                chained.append(_stack_mul(chained[-1], x, ring.m))
+            for k in range(1, 41):
+                assert _power(x, ring.m, k).tolist() == chained[k - 1].tolist(), k
+
+    @pytest.mark.parametrize("ring", EXPONENT_RINGS, ids=lambda ring: ring.describe())
+    def test_no_product_after_a_power_vanishes(self, ring, monkeypatch):
+        gen = np.random.default_rng([ring.m, ring.d])
+        xs = [_nilpotent(n, ring, gen, density).coeffs for n in (2, 5, 8) for density in (0.3, 1.0)]
+        xs += [RingMatrix.zeros(4, ring).coeffs, RingMatrix.random(4, ring, gen).coeffs]
+        products, original = [], matrix_module._stack_mul
+
+        def counting(*args):
+            products.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(matrix_module, "_stack_mul", counting)
+        cut = 0
+        for x in xs:
+            for k in range(1, 41):
+                products.clear()
+                _power(x, ring.m, k)
+                full = k.bit_length() - 2 + bin(k).count("1")
+                assert len(products) <= full and all(np.count_nonzero(a) for a, *_ in products), k
+                cut += len(products) < full
+        assert cut
 
 
 class TestPredicates:
