@@ -128,9 +128,9 @@ def decompose(a: RingMatrix) -> DecompositionCertificate:
     for p in ring.primes:  # ascending: the first refused is the least
         if p > 3:
             raise UnsupportedRingError(
-                f"modulus {ring.m} has prime factor {p}; decompositions exist only "
-                f"when every prime factor is 2 or 3 (e.g. 3 in Z5 is not a sum of "
-                f"two idempotents and a nilpotent)"
+                f"modulus {ring.m} has prime factor {p}; the construction supports only "
+                f"moduli whose prime factors are 2 or 3 (over Z5 some elements have no "
+                f"decomposition: 3 is not a sum of two idempotents and a nilpotent)"
             )
     e, f, w, tags = _parts(a, _krylov_solve)
     cert = DecompositionCertificate(a, e, f, w, None, tags)

@@ -66,11 +66,6 @@ class MatrixRing:
         is the sum of c_q * (x mod q), mod m."""
         return tuple(self.m // p**e * pow(self.m // p**e, -1, p**e) for p, e in factorize(self.m))
 
-    @functools.cached_property
-    def two_three_smooth(self) -> bool:
-        """True iff every prime factor of m is 2 or 3."""
-        return all(p in (2, 3) for p in self.primes)
-
     def nilpotency_bound(self, n: int) -> int:
         """Certified upper bound for the exponent of any nilpotent n x n matrix."""
         return n * self.max_exponent * self.d

@@ -274,7 +274,7 @@ class TestTwoNilClean:
 
     def test_matches_smoothness_for_zm(self):
         for m in range(2, 73):
-            assert decide("two-nil-clean", zm(m)).holds == zm_ring(m).two_three_smooth
+            assert decide("two-nil-clean", zm(m)).holds == (set(zm_ring(m).primes) <= {2, 3})
 
     def test_witness_replays(self):
         for text in ("Z12", "Z3xZ3", "M2(Z2)", "Z2[x]/(x^2)"):
@@ -322,6 +322,35 @@ class TestStrongly:
         meets()
         nilpotent = int(scan.nilpotent(w).sum())
         assert 0 < nilpotent < w[0].size and sum(columns) == 2 * nilpotent
+
+
+# The matrix rings M_n(Z_m) of the theory table, as (n, m)
+THEORY_RINGS = [(2, m) for m in range(2, 10)] + [(3, 2), (3, 3)]
+
+
+def theory_verdicts(n, m):
+    """What theory says of M_n(Z_m), n >= 2: two-nil-clean exactly when m
+    is 2-3-smooth; M_n(Z_2) nil-clean, hence weakly nil-clean; over a
+    reduced ring (m in 2, 3, 6) never strongly two-nil-clean, since that
+    would make it tripotent while it has nonzero nilpotents."""
+    verdicts = {"two-nil-clean": set(zm_ring(m).primes) <= {2, 3}}
+    if m == 2:
+        verdicts["nil-clean"] = verdicts["weakly-nil-clean"] = True
+    if m in (2, 3, 6):
+        verdicts["strongly-two-nil-clean"] = False
+    return verdicts
+
+
+class TestTheoryTable:
+    """The oracle's verdicts on small matrix rings against theory, each
+    report replayed (under 1 s for the ten rings)."""
+
+    @pytest.mark.parametrize("n,m", THEORY_RINGS, ids=[f"M{n}(Z{m})" for n, m in THEORY_RINGS])
+    def test_verdicts(self, n, m):
+        ring = RingDescriptor((MatFactor(n, m),))
+        for name, holds in theory_verdicts(n, m).items():
+            report = decide(name, ring)
+            assert report.holds == holds and report.replay(), name
 
 
 class TestWorkBudget:

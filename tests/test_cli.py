@@ -53,9 +53,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "m2_z3_sweep.txt"
 
 
 def unsupported_message(m, p):
-    return (f"unsupported ring: modulus {m} has prime factor {p}; decompositions exist only "
-            f"when every prime factor is 2 or 3 (e.g. 3 in Z5 is not a sum of two "
-            f"idempotents and a nilpotent)\n")
+    return (f"unsupported ring: modulus {m} has prime factor {p}; the construction supports "
+            f"only moduli whose prime factors are 2 or 3 (over Z5 some elements have no "
+            f"decomposition: 3 is not a sum of two idempotents and a nilpotent)\n")
 
 
 def run(capsys, monkeypatch, args, stdin=""):

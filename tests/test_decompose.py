@@ -660,7 +660,7 @@ class TestZm:
         with pytest.raises(InputError):
             decompose_zm(RingMatrix.zeros(1, MatrixRing(6, 2)))
 
-    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2)])
+    @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (2, 4), (2, 6), (2, 9), (2, 12), (3, 2)])
     def test_exhaustive_small(self, n, m):
         ring = zm_ring(m)
         bound = ring.nilpotency_bound(n)
@@ -749,6 +749,21 @@ class TestTriangular:
             decompose_triangular(RingMatrix.identity(2, zm_ring(10)))
 
 
+def product_route(m, n, d):
+    """The route _stack_mul takes for a product of two (d, n, n) stacks mod m."""
+    blas = n >= BLAS_MIN_DIMENSION
+    if m > 2**13 and n * (m - 1) ** 2 * (1 if blas else d) >= (2**53 if blas else 2**63):
+        return "split"
+    return "float64" if blas else "int64"
+
+
+# (m, sizes, route): truncated rings at the n where the certificate check's
+# products take each route: over 3^19 from n = 7 they split, since
+# 7 (3^19 - 1)^2 > 2^63; over 2^17 3^8 up to n = 4 they run on int64
+# unsplit, past 2^53; over 72 from n = 32 they run on float64 BLAS
+TRUNCATED_ROUTES = [(3**19, (7, 8), "split"), (2**17 * 3**8, (1, 4), "int64"), (72, (32, 40), "float64")]
+
+
 class TestTruncPolyMatrix:
     def test_degree_one_equals_zm(self, rng):
         a = RingMatrix.random(3, zm_ring(6), rng)
@@ -786,6 +801,16 @@ class TestTruncPolyMatrix:
     def test_unsupported_base(self):
         with pytest.raises(UnsupportedRingError):
             decompose(RingMatrix.zeros(1, MatrixRing(5, 2)))
+
+    @pytest.mark.parametrize("m,sizes,route", TRUNCATED_ROUTES, ids=[row[2] for row in TRUNCATED_ROUTES])
+    def test_random_on_every_product_route(self, m, sizes, route):
+        gen = np.random.default_rng([m, 19])
+        for d in (2, 3):
+            for n in sizes:
+                assert product_route(m, n, d) == route
+                cert = decompose(RingMatrix.random(n, MatrixRing(m, d), gen))
+                assert cert.verified
+                assert cert.nilpotency_exponent <= cert.a.ring.nilpotency_bound(n)
 
 
 class TestDispatch:

@@ -1,12 +1,11 @@
 """Every public class, function and method of the package is named where the
-program runs: in the package itself, the benchmark, the scripts,
-pyproject.toml or README's library example.  A name that only tests reach
-is API nobody runs, and is removed rather than kept for its tests.  Every
-private module-level class and function is likewise named by the package,
-the benchmark or the scripts: a private route that only tests reach is code
-the program never runs.  An exception class must moreover be raised by the
-package, or be the base of one that is: one that is only caught or imported
-is never seen."""
+program runs: in the package itself, the benchmark, pyproject.toml or
+README's library example.  A name that only tests reach is API nobody runs,
+and is removed rather than kept for its tests.  Every private module-level
+class and function is likewise named by the package or the benchmark: a
+private route that only tests reach is code the program never runs.  An
+exception class must moreover be raised by the package, or be the base of
+one that is: one that is only caught or imported is never seen."""
 
 import ast
 import pathlib
@@ -75,7 +74,7 @@ def private_defs():
 def program_uses():
     """{name: [(path, line), ...]} over every place the program runs from."""
     uses: dict = {}
-    sources = [(path, path.read_text()) for folder in ("src", "perfbench", "scripts")
+    sources = [(path, path.read_text()) for folder in ("src", "perfbench")
                for path in sorted((ROOT / folder).rglob("*.py"))]
     readme = (ROOT / "README.md").read_text()
     sources.append((ROOT / "README.md", re.search(r"^## Library\n+```python\n(.*?)^```", readme, re.M | re.S).group(1)))
@@ -97,7 +96,7 @@ def test_every_public_name_is_used_outside_tests():
 
 
 def test_every_private_name_is_used_by_the_program():
-    # only the Python sources of src/, perfbench/ and scripts/ count here
+    # only the Python sources of src/ and perfbench/ count here
     uses = program_uses()
     unused = {name for path, name, first, last in private_defs()
               if all(where.suffix != ".py" or where == path and first <= line <= last

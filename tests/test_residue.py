@@ -35,6 +35,12 @@ def exponent(x):
     return _min_exponent(x.coeffs, x.ring.m, x.ring.nilpotency_bound(x.n))
 
 
+def smooth(ring):
+    """Whether every prime factor of the ring's modulus is 2 or 3, the
+    moduli decompose accepts."""
+    return set(ring.primes) <= {2, 3}
+
+
 def lift(x):
     """_lift_idempotents on x, as _parts calls it: the ring's lift rounds."""
     ring = x.ring
@@ -79,7 +85,7 @@ def naive_factors(m):
 
 
 def _facts(ring):
-    return ring.primes, ring.max_exponent, ring.lift_rounds, ring.crt_basis, ring.two_three_smooth
+    return ring.primes, ring.max_exponent, ring.lift_rounds, ring.crt_basis
 
 
 class TestCachedFacts:
@@ -97,7 +103,7 @@ class TestCachedFacts:
             for p in (2, 3):
                 while rest % p == 0:
                     rest //= p
-            assert ring.two_three_smooth == (rest == 1)
+            assert smooth(ring) == (rest == 1)
             assert len(ring.crt_basis) == len(factors)
             for (p, e), c in zip(factors, ring.crt_basis):
                 q = p**e
@@ -133,9 +139,9 @@ class TestCachedFacts:
 
 class TestSmoothness:
     def test_examples(self):
-        assert MatrixRing(36).two_three_smooth
-        assert not MatrixRing(5).two_three_smooth
-        assert MatrixRing(6).two_three_smooth
+        assert smooth(MatrixRing(36))
+        assert not smooth(MatrixRing(5))
+        assert smooth(MatrixRing(6))
 
     def test_against_direct_division(self):
         for m in range(2, 500):
@@ -143,10 +149,10 @@ class TestSmoothness:
             for p in (2, 3):
                 while n % p == 0:
                     n //= p
-            assert MatrixRing(m).two_three_smooth == (n == 1)
+            assert smooth(MatrixRing(m)) == (n == 1)
 
     def test_enumerator(self):
-        assert smooth_moduli(200) == [m for m in range(2, 201) if MatrixRing(m).two_three_smooth]
+        assert smooth_moduli(200) == [m for m in range(2, 201) if smooth(MatrixRing(m))]
 
 
 def crt_roundtrip(a, m):
@@ -267,7 +273,7 @@ class TestStrongDecompose:
             all_decomposable = all(
                 any((a - e - f) % m in nil for e in idem for f in idem) for a in range(m)
             )
-            assert all_decomposable == MatrixRing(m).two_three_smooth
+            assert all_decomposable == smooth(MatrixRing(m))
 
 
 class TestTruncPoly:
