@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .decompose import decompose, decompose_triangular
+from .decompose import decompose
 from .errors import InputError, InternalCheckError, ResourceCapError, UnsupportedRingError
 from .matrix import (
     DecompositionCertificate,
@@ -372,15 +372,12 @@ def cmd_decompose(args) -> int:
     after a blank line from the one before, before the next matrix is read:
     memory stays flat in their number, and a bad document stops the stream
     after the certificates before it."""
-    if args.exhaustive:
-        matrices, solve = _exhaustive_matrices(args), decompose
-    else:
-        matrices, solve = _matrix_inputs(args), decompose_triangular if args.triangular else decompose
+    matrices = _exhaustive_matrices(args) if args.exhaustive else _matrix_inputs(args)
     emitted = 0
     for a in matrices:
         if emitted:
             sys.stdout.write("\n")
-        _write(certificate_to_doc(solve(a)), args)
+        _write(certificate_to_doc(decompose(a)), args)
         emitted += 1
     if args.exhaustive:
         n, m = args.exhaustive
@@ -393,7 +390,6 @@ def _exhaustive_matrices(args) -> Iterator[RingMatrix]:
     unused = [flag for flag, given in (("--input", args.input is not None),
                                        ("--modulus", args.m is not None),
                                        ("--ring", args.ring is not None),
-                                       ("--triangular", args.triangular),
                                        ("--format plain", args.format == "plain")) if given]
     if unused:
         raise InputError(f"--exhaustive cannot be combined with {', '.join(unused)}")
@@ -522,8 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     ring.add_argument("--modulus", dest="m", metavar="MODULUS", type=_ascii_int,
                       help="entry ring modulus m for plain input")
     ring.add_argument("--ring", help='entry ring, e.g. "Z12" or "Z6[x]/(x^2)"')
-    p.add_argument("--triangular", action="store_true",
-                   help="use the triangular-ring construction (input must be upper triangular)")
     p.add_argument("--exhaustive", nargs=2, type=_ascii_int, metavar=("N", "M"),
                    help="emit certificates for every matrix in M_N(Z_M)")
     p.set_defaults(func=cmd_decompose)

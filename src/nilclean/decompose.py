@@ -145,16 +145,3 @@ def decompose_zm(a: RingMatrix) -> DecompositionCertificate:
         raise InputError("decompose_zm expects a plain Z_m matrix")
     return decompose(a)
 
-
-def decompose_triangular(t: RingMatrix) -> DecompositionCertificate:
-    """decompose, for upper-triangular Z_m matrices, checking that E, F and W
-    stay inside the triangular ring (they do: the Krylov form of such a
-    matrix is the matrix itself, with 1 x 1 blocks)."""
-    if t.ring.d != 1:
-        raise InputError("decompose_triangular expects a plain Z_m matrix")
-    if not t.is_upper_triangular():
-        raise InputError("matrix is not upper triangular")
-    cert = decompose(t)
-    if not all(x.is_upper_triangular() for x in (cert.e, cert.f, cert.w)):
-        raise InternalCheckError("triangular decomposition left the triangular ring", t)
-    return cert

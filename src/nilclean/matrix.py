@@ -144,23 +144,12 @@ class RingMatrix:
         return cls(ring, coeffs)
 
     @classmethod
-    def zeros(cls, n: int, ring: MatrixRing) -> "RingMatrix":
-        if not (1 <= n <= MAX_DIMENSION):
-            raise InputError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
-        return cls(ring, np.zeros((ring.d, n, n), dtype=np.int64))
-
-    @classmethod
     def identity(cls, n: int, ring: MatrixRing) -> "RingMatrix":
-        out = cls.zeros(n, ring)
-        idx = np.arange(n)
-        out.coeffs[0, idx, idx] = 1 % ring.m
-        return out
-
-    @classmethod
-    def random(cls, n: int, ring: MatrixRing, rng: np.random.Generator) -> "RingMatrix":
         if not (1 <= n <= MAX_DIMENSION):
             raise InputError(f"dimension must be in [1, {MAX_DIMENSION}], got {n}")
-        return cls(ring, rng.integers(0, ring.m, size=(ring.d, n, n), dtype=np.int64))
+        coeffs = np.zeros((ring.d, n, n), dtype=np.int64)
+        coeffs[0] = np.eye(n, dtype=np.int64)
+        return cls(ring, coeffs)
 
     # -- ring plumbing ------------------------------------------------------
 
@@ -194,13 +183,6 @@ class RingMatrix:
 
     def __repr__(self) -> str:
         return f"RingMatrix({self.ring.describe()}, {self.to_rows()})"
-
-    # -- structure ----------------------------------------------------------
-
-    def is_upper_triangular(self) -> bool:
-        n = self.n
-        tril = np.tril_indices(n, k=-1)
-        return not self.coeffs[:, tril[0], tril[1]].any()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 These helpers deliberately reimplement arithmetic from scratch (plain Python,
 no imports from the package) so that agreement with the library is evidence,
-not circularity.  The one exception is implication_audit, which checks the
-package's own predicates against each other.
+not circularity.  The exceptions are implication_audit, which checks the
+package's own predicates against each other, and random_matrix, which draws
+the suite's seeded RingMatrix inputs.
 """
 
 from __future__ import annotations
@@ -135,6 +136,12 @@ def mat_mul_naive(a, b, m):
 
 def mat_is_zero(a):
     return all(v == 0 for row in a for v in row)
+
+
+def upper_triangular(*matrices):
+    """Whether every coefficient slice of each matrix (anything with a
+    (d, n, n) coeffs array) is zero below the diagonal."""
+    return not any(np.tril(x.coeffs, -1).any() for x in matrices)
 
 
 def nilpotency_naive_exact(rows, m, cap):
@@ -459,6 +466,17 @@ def implication_audit(ring):
             audit.consistent = False
             audit.violations.append(f"{stronger} holds but {weaker} fails")
     return audit
+
+
+# --- seeded inputs -----------------------------------------------------------
+
+def random_matrix(n, ring, rng):
+    """A RingMatrix of size n over ring with every coefficient drawn
+    uniformly from [0, m) by one rng.integers call, coefficient slice first:
+    the draw every seeded digest of the suite was pinned with."""
+    from nilclean.matrix import RingMatrix
+
+    return RingMatrix(ring, rng.integers(0, ring.m, size=(ring.d, n, n), dtype=np.int64))
 
 
 @pytest.fixture

@@ -18,7 +18,9 @@ from conftest import (
     mat_mul_naive,
     nilpotency_naive_exact,
     poly_mul,
+    random_matrix,
     rank_naive,
+    upper_triangular,
 )
 from nilclean.classifier import (
     RingDescriptor,
@@ -28,7 +30,7 @@ from nilclean.classifier import (
     parse_ring_descriptor,
 )
 from nilclean.cli import certificate_from_doc, certificate_to_doc, parse_document
-from nilclean.decompose import _lift_idempotents, decompose, decompose_triangular
+from nilclean.decompose import _lift_idempotents, decompose
 from nilclean.gfp import krylov_form
 from nilclean.matrix import MatrixRing, RingMatrix, zm_ring
 
@@ -42,7 +44,7 @@ def all_matrices(n, m):
 def random_invertible(n, ring, rng):
     """A random matrix over GF(p), redrawn until it is invertible."""
     while True:
-        cand = RingMatrix.random(n, ring, rng)
+        cand = random_matrix(n, ring, rng)
         if rank_naive(cand.to_rows(), ring.m) == n:
             return cand
 
@@ -86,7 +88,7 @@ def test_acceptance_03_randomized_composite_moduli():
         bound = n * ring.max_exponent
         worst = 0
         for _ in range(1000):
-            cert = decompose(RingMatrix.random(n, ring, rng))
+            cert = decompose(random_matrix(n, ring, rng))
             assert cert.verified
             assert cert.nilpotency_exponent <= bound
             worst = max(worst, cert.nilpotency_exponent)
@@ -187,7 +189,7 @@ def test_acceptance_09_canonical_form_stress():
         ring = zm_ring(p)
         for _ in range(5000):
             n = int(rng.integers(1, 9))
-            a = RingMatrix.random(n, ring, rng)
+            a = random_matrix(n, ring, rng)
             g = random_invertible(n, ring, rng)
             conj = g @ a @ RingMatrix.from_rows(inverse_naive(g.to_rows(), p), ring)
             assert block_polynomial_product(conj, p) == block_polynomial_product(a, p)
@@ -231,8 +233,8 @@ def test_acceptance_10_lifting():
         p = ring.primes[0]
         for _ in range(250):
             n = int(rng.integers(1, 5))
-            base = decompose(RingMatrix.random(n, zm_ring(p), rng)).e
-            noise = RingMatrix.random(n, ring, rng)
+            base = decompose(random_matrix(n, zm_ring(p), rng)).e
+            noise = random_matrix(n, ring, rng)
             x = RingMatrix.from_rows(
                 (np.array(base.to_rows()) + p * np.array(noise.to_rows())).tolist(), ring
             )
@@ -250,8 +252,8 @@ def test_acceptance_10_lifting():
 def test_acceptance_11_triangular_and_truncated():
     count_t = 0
     for a, b, d in itertools.product(range(6), repeat=3):
-        cert = decompose_triangular(RingMatrix.from_rows([[a, b], [0, d]], zm_ring(6)))
-        assert cert.verified
+        cert = decompose(RingMatrix.from_rows([[a, b], [0, d]], zm_ring(6)))
+        assert cert.verified and upper_triangular(cert.e, cert.f, cert.w)
         count_t += 1
     count_x = 0
     for m, d in ((2, 3), (3, 2)):
@@ -265,7 +267,7 @@ def test_acceptance_11_triangular_and_truncated():
     count_r = 0
     for _ in range(200):
         n = int(rng.integers(1, 5))
-        cert = decompose(RingMatrix.random(n, ring, rng))
+        cert = decompose(random_matrix(n, ring, rng))
         assert cert.verified
         count_r += 1
     print(f"\nACCEPTANCE 11 PASS: T_2(Z_6) exhaustive ({count_t}), 1x1 truncated rings "
@@ -310,7 +312,7 @@ def test_acceptance_12_mutation_rejection(tmp_path, capsys):
     for m in (3, 6, 12, 36):
         ring = zm_ring(m)
         for _ in range(7):
-            base_pool.append(decompose(RingMatrix.random(int(rng.integers(1, 4)), ring, rng)))
+            base_pool.append(decompose(random_matrix(int(rng.integers(1, 4)), ring, rng)))
     rejected = 0
     targets = ("E", "F", "W", "A", "k")
     for mutation in range(100):

@@ -658,7 +658,7 @@ class TestOracleConstructionAgreement:
                 decompose(RingMatrix.identity(1, zm_ring(m)))
 
     def test_element_decompositions_agree_with_oracle(self):
-        from nilclean.decompose import decompose_triangular
+        from nilclean.decompose import decompose
         from nilclean.matrix import RingMatrix, zm_ring
 
         for m in smooth_moduli(36):
@@ -668,7 +668,7 @@ class TestOracleConstructionAgreement:
             idem = set(elements_at(ring, enumerate_idempotents(ring)))
             nil = set(elements_at(ring, enumerate_nilpotents(ring)))
             for a in range(m):
-                cert = decompose_triangular(RingMatrix.from_rows([[a]], zm_ring(m)))
+                cert = decompose(RingMatrix.from_rows([[a]], zm_ring(m)))
                 e, f, w = (x.to_rows()[0][0] for x in (cert.e, cert.f, cert.w))
                 assert (e + f + w) % m == a
                 assert (e,) in idem and (f,) in idem and (w,) in nil

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_mul_naive
+from conftest import mat_mul_naive, random_matrix
 import nilclean
 from nilclean import classifier, cli
 from nilclean.classifier import PropertyReport, parse_ring_descriptor
@@ -72,7 +72,7 @@ def documents(text):
 class TestDocuments:
     def test_certificate_roundtrip(self, rng):
         for m in (6, 12, 36):
-            cert = decompose(RingMatrix.random(3, zm_ring(m), rng))
+            cert = decompose(random_matrix(3, zm_ring(m), rng))
             doc = parse_document(certificate_to_doc(cert))
             rebuilt = certificate_from_doc(doc)
             assert rebuilt.a == cert.a and rebuilt.e == cert.e
@@ -139,7 +139,7 @@ class TestDecomposeCommand:
         --modulus: over Z_{2^31} the certificate holds, checked on Python
         ints, and over the prime 2^31 - 1 the ring is refused."""
         m = 2**31
-        rows = RingMatrix.random(n, zm_ring(m), np.random.default_rng(n)).to_rows()
+        rows = random_matrix(n, zm_ring(m), np.random.default_rng(n)).to_rows()
         text = "\n".join(" ".join(str(v) for v in row) for row in rows)
         code, out, err = run(capsys, monkeypatch, ["decompose", "--ring", f"Z{m}"], text)
         assert code == EXIT_OK and "Traceback" not in err
@@ -212,15 +212,18 @@ class TestDecomposeCommand:
         assert parsed["W"] == [[[0, 1]]]
 
     def test_triangular_flag(self, capsys, monkeypatch):
-        code, out, _ = run(
-            capsys, monkeypatch, ["decompose", "--triangular", "--modulus", "6"], "5 1\n0 2\n"
-        )
+        # the retired --triangular is an argparse error; decompose itself
+        # gives an upper-triangular matrix the certificate the flag printed
+        with pytest.raises(SystemExit) as exit_info:
+            main(["decompose", "--triangular", "--modulus", "6"])
+        assert exit_info.value.code == EXIT_PARSE
+        assert "unrecognized arguments: --triangular" in capsys.readouterr().err
+        code, out, _ = run(capsys, monkeypatch, ["decompose", "--modulus", "6"], "5 1\n0 2\n")
         assert code == EXIT_OK
         doc = parse_document(out)
         assert doc["E"] == [[1, 0], [0, 4]]
-        # one 1 x 1 block per diagonal entry and prime, as decompose tags them
+        # one 1 x 1 block per diagonal entry and prime
         assert doc["case-tags"] == ["gf2:j0:n1", "gf2:zero:n1", "gf3:j1:n1", "gf3:j1:n1"]
-        assert run(capsys, monkeypatch, ["decompose", "--modulus", "6"], "5 1\n0 2\n")[1] == out
 
     def test_plain_format(self, capsys, monkeypatch):
         """Plain output is the certificate document without its schema and
@@ -275,9 +278,8 @@ class TestDecomposeCommand:
         (["--input", "/no/such/file"], "--input"),
         (["--modulus", "5"], "--modulus"),
         (["--ring", "Z6"], "--ring"),
-        (["--triangular"], "--triangular"),
         (["--format", "plain"], "--format plain"),
-    ], ids=["input", "modulus", "ring", "triangular", "format-plain"])
+    ], ids=["input", "modulus", "ring", "format-plain"])
     def test_exhaustive_refuses_flags_it_cannot_use(self, capsys, monkeypatch, extra, named):
         code, out, err = run(capsys, monkeypatch, ["decompose", "--exhaustive", "1", "2", *extra])
         assert code == EXIT_PARSE and out == ""
@@ -704,7 +706,7 @@ def _documents(draw):
 
 # the flags each command reads, with rings over primes near 2^31 among them
 _FLAGS = {
-    "decompose": [("--format", "plain"), ("--triangular",), ("--ring", "Z3"), ("--ring", "Z6"),
+    "decompose": [("--format", "plain"), ("--ring", "Z3"), ("--ring", "Z6"),
                   ("--ring", "Z6[x]/(x^2)"), ("--ring", "Z2147483647"), ("--ring", "Z2147483629"),
                   ("--modulus", "5"), ("--modulus", "2147483629")],
     "verify": [()],  # no flag: verify reads only --input, and the fuzz feeds stdin
@@ -737,7 +739,7 @@ def _plain_rows(draw):
 _plain_argv = st.tuples(
     st.sampled_from([("--modulus", "6"), ("--modulus", "72"), ("--modulus", "2147483629"), ("--ring", "Z3"),
                      ("--ring", "Z72"), ("--ring", "Z2147483647"), ("--ring", "Z6[x]/(x^2)")]),
-    st.sampled_from([(), ("--triangular",), ("--format", "plain")]),
+    st.sampled_from([(), ("--format", "plain")]),
 ).map(lambda flags: ["decompose", *flags[0], *flags[1]])
 
 
@@ -879,7 +881,7 @@ class TestCertificateEmit:
 
     def test_decompositions(self, rng):
         for ring in (zm_ring(72), zm_ring(2**31), MatrixRing(6, 3)):
-            cert = decompose(RingMatrix.random(4, ring, rng))
+            cert = decompose(random_matrix(4, ring, rng))
             assert certificate_to_doc(cert) == _reference_certificate_doc(cert)
 
     @pytest.mark.parametrize("tags", [
@@ -1065,7 +1067,7 @@ class TestFlags:
 
     # the options each command reads, besides --help
     READ = {
-        "decompose": {"--input", "--format", "--modulus", "--ring", "--triangular", "--exhaustive"},
+        "decompose": {"--input", "--format", "--modulus", "--ring", "--exhaustive"},
         "classify": {"--format"},
         "verify": {"--input"},
         "demo-obstruction": {"--format"},
@@ -1106,7 +1108,7 @@ PUBLIC_NAMES = [
     "InputError", "InternalCheckError", "MatFactor", "MatrixRing",
     "NilcleanError", "PropertyReport", "ResourceCapError", "RingDescriptor",
     "RingMatrix", "TruncFactor", "UnsupportedRingError", "ZmFactor",
-    "decide", "decompose", "decompose_triangular",
+    "decide", "decompose",
     "min_nilpotent_index_over_decompositions", "parse_ring_descriptor",
     "verify_certificate", "zm_ring",
 ]
@@ -1337,7 +1339,7 @@ class TestImportGraph:
 
 class TestVerifyCommand:
     def _certificate_text(self, rng, m=6, n=2):
-        cert = decompose(RingMatrix.random(n, zm_ring(m), rng))
+        cert = decompose(random_matrix(n, zm_ring(m), rng))
         return certificate_to_doc(cert)
 
     def test_fresh_certificate_passes(self, capsys, monkeypatch, rng):
@@ -1391,7 +1393,7 @@ def _stream_pool():
     docs = []
     for ring in (zm_ring(6), MatrixRing(3, 2)):
         for n in (1, 2, 3):
-            cert = decompose(RingMatrix.random(n, ring, gen))
+            cert = decompose(random_matrix(n, ring, gen))
             docs.append(certificate_to_doc(cert))
             docs.append(certificate_to_doc(cert).replace("nilpotency-exponent: ",
                                                          "nilpotency-exponent: 1"))
@@ -1505,7 +1507,7 @@ class TestDecomposeStream:
     @pytest.mark.parametrize("k", (1, 2, 7))
     def test_k_documents_give_k_certificates(self, capsys, monkeypatch, rng, k):
         rings = (zm_ring(6), zm_ring(72), MatrixRing(6, 2), zm_ring(3))
-        mats = [RingMatrix.random(1 + i % 4, rings[i % len(rings)], rng) for i in range(k)]
+        mats = [random_matrix(1 + i % 4, rings[i % len(rings)], rng) for i in range(k)]
         text = "\n".join(_matrix_document(a) for a in mats)
         code, out, err = run(capsys, monkeypatch, ["decompose"], text)
         assert code == EXIT_OK, err
@@ -1522,7 +1524,7 @@ class TestDecomposeStream:
             assert code == EXIT_OK and out == certificate_to_doc(decompose(a))
 
     def test_plain_format_stream(self, capsys, monkeypatch):
-        mats = [RingMatrix.identity(2, zm_ring(6)), RingMatrix.zeros(3, zm_ring(4))]
+        mats = [RingMatrix.identity(2, zm_ring(6)), RingMatrix.from_rows([[0] * 3] * 3, zm_ring(4))]
         code, out, _ = run(capsys, monkeypatch, ["decompose", "--format", "plain"],
                            "\n\n".join(_matrix_document(a) for a in mats))
         assert code == EXIT_OK
@@ -1687,7 +1689,7 @@ def _verdict_stream():
     for ring in VERDICT_RINGS:
         for n in range(1, 9):
             for _ in range(2):
-                cert = decompose(RingMatrix.random(n, ring, gen))
+                cert = decompose(random_matrix(n, ring, gen))
                 docs.append(certificate_to_doc(cert))
                 docs.append(certificate_to_doc(_tampered(cert, TAMPERS[len(docs) // 2 % len(TAMPERS)])))
     return "\n".join(docs)
@@ -1725,10 +1727,10 @@ class TestParserReuse:
     that changes the next."""
 
     SEQUENCES = {
-        # decompose prints the same document for a triangular matrix with or
-        # without --triangular; on this one, a leaked flag would exit 2
-        "triangular-then-plain": ((["decompose", "--triangular", "--modulus", "6"], "5 1\n0 2\n"),
-                                  (["decompose", "--modulus", "6"], "5 1\n1 2\n")),
+        # --modulus outranks --ring when both are set, so a leaked modulus
+        # would decompose the second matrix over Z6, not Z6[x]/(x^2)
+        "modulus-then-ring": ((["decompose", "--modulus", "6"], "A: [[5, 1], [1, 2]]\n"),
+                              (["decompose", "--ring", "Z6[x]/(x^2)"], "A: [[5, 1], [1, 2]]\n")),
         "plain-format-then-default": ((["decompose", "--format", "plain", "--modulus", "3"], "0 1\n1 0\n"),
                                       (["decompose", "--modulus", "3"], "0 1\n1 0\n")),
         "argparse-error-then-valid": ((["decompose", "--modulus", "x"], "1\n"),

@@ -17,11 +17,13 @@ from conftest import (
     inverse_naive,
     mat_mul_naive,
     nilpotency_naive_exact,
+    random_matrix,
     rank_naive,
     smooth_moduli,
     trace_family,
     trace_family_j,
     unit_triangular_inverse,
+    upper_triangular,
 )
 from nilclean.classifier import min_nilpotent_index_over_decompositions, parse_ring_descriptor
 from nilclean.cli import certificate_to_doc
@@ -31,7 +33,6 @@ from nilclean.decompose import (
     _parts,
     _trace_split,
     decompose,
-    decompose_triangular,
     decompose_zm,
 )
 from nilclean.errors import InputError, InternalCheckError, UnsupportedRingError
@@ -252,7 +253,7 @@ class TestTraceFamily:
 
 class TestFieldMatrix:
     def test_zero_matrix(self):
-        cert = decompose(RingMatrix.zeros(3, zm_ring(3)))
+        cert = decompose(RingMatrix.from_rows([[0] * 3] * 3, zm_ring(3)))
         assert is_zero(cert.e) and is_zero(cert.f) and is_zero(cert.w)
         assert cert.nilpotency_exponent == 1
 
@@ -293,7 +294,7 @@ def repeated_blocks_conjugate(p, n, deg, gen):
             blocks[at + i, at + i - 1] = 1
         blocks[at : at + size, at + size - 1] = col[:size]
     while True:
-        t = RingMatrix.random(n, ring, gen)
+        t = random_matrix(n, ring, gen)
         if rank_naive(t.to_rows(), p) == n:
             t_inv = RingMatrix.from_rows(inverse_naive(t.to_rows(), p), ring)
             return t @ RingMatrix(ring, blocks[None]) @ t_inv
@@ -327,7 +328,7 @@ class TestJointConjugation:
     @pytest.mark.parametrize("n", (BLAS_MIN_DIMENSION - 1, BLAS_MIN_DIMENSION))
     def test_matches_python_ints(self, n, p, kind):
         gen = np.random.default_rng([n, p])
-        a = (RingMatrix.random(n, zm_ring(p), gen) if kind == "random"
+        a = (random_matrix(n, zm_ring(p), gen) if kind == "random"
              else repeated_blocks_conjugate(p, n, 3, gen))
         last_columns, q, q_inv = krylov_form(a.coeffs[0], p)
         e0 = [[0] * n for _ in range(n)]
@@ -384,13 +385,10 @@ class TestSelfCheckCount:
         (decompose, zm_ring(6)),
         (decompose, MatrixRing(6, 3)),
         (decompose, MatrixRing(72, 2)),
-        (decompose_triangular, zm_ring(72)),
+        (decompose_zm, zm_ring(72)),
     ])
     def test_one_check_per_public_call(self, checks, powerings, call, ring, rng):
-        a = RingMatrix.random(6, ring, rng)
-        if call is decompose_triangular:
-            a.coeffs[0][np.tril_indices(6, k=-1)] = 0
-        cert = call(a)
+        cert = call(random_matrix(6, ring, rng))
         assert cert.verified
         assert checks == [cert]
         # one powering pass both finds W's exponent and proves it
@@ -406,7 +404,7 @@ class TestSelfCheckCount:
         real, shapes = module._stack_mul, []
         monkeypatch.setattr(module, "_stack_mul", lambda a, b, m, c=None:
                             (c is None and shapes.append((a.shape, b.shape))) or real(a, b, m, c))
-        assert decompose(RingMatrix.random(6, ring, rng)).verified
+        assert decompose(random_matrix(6, ring, rng)).verified
         products = 2 * (ring.max_exponent - 1).bit_length()
         assert products == (4 if ring.m == 72 else 0)
         assert shapes == [((2, 1, 6, 6), (2, 1, 6, 6))] * products
@@ -463,9 +461,9 @@ class TestLiftMatrix:
         ring = zm_ring(q)
         p = ring.primes[0]
         base = decompose(
-            RingMatrix.random(n, zm_ring(p), gen)
+            random_matrix(n, zm_ring(p), gen)
         ).e  # a random-ish idempotent over GF(p)
-        noise = RingMatrix.random(n, ring, gen)
+        noise = random_matrix(n, ring, gen)
         x = RingMatrix.from_rows(
             (np.array(base.to_rows()) + p * np.array(noise.to_rows())).tolist(), ring
         )
@@ -485,7 +483,7 @@ class TestPrimePower:
         monkeypatch.setattr(module, "_lift_idempotents", lambda stack, m, rounds:
                             lifted.append((m, stack.shape, rounds)) or lift(stack, m, rounds))
         for ring in (zm_ring(3), zm_ring(6), MatrixRing(6, 2), zm_ring(9), MatrixRing(36, 2)):
-            decompose(RingMatrix.random(3, ring, rng))
+            decompose(random_matrix(3, ring, rng))
         assert [(m, shape) for m, shape, rounds in lifted if rounds] == [(9, (2, 1, 3, 3)), (36, (2, 1, 3, 3))]
 
     def test_doubled_identity(self):
@@ -509,7 +507,7 @@ def residually_idempotent_stack(m, n, gen):
     stack = rad * gen.integers(0, m // rad, size=(2, 1, n, n))
     for p, c in zip(mod.primes, mod.crt_basis):
         for k in range(2):
-            while rank_naive((g := RingMatrix.random(n, zm_ring(p), gen)).to_rows(), p) < n:
+            while rank_naive((g := random_matrix(n, zm_ring(p), gen)).to_rows(), p) < n:
                 pass
             proj = g.coeffs[0] @ np.diag(gen.integers(0, 2, n)) @ np.array(inverse_naive(g.to_rows(), p)) % p
             stack[k, 0] += c * proj
@@ -560,7 +558,7 @@ class TestLiftRounds:
     def test_one_round_short_fails_the_check(self, monkeypatch, k, seed):
         # a Z_{2^k} input whose E or F needs every round: one round fewer
         # leaves it unlifted, and the certificate check names it and the input
-        a = RingMatrix.random(6, zm_ring(2**k), np.random.default_rng(seed))
+        a = random_matrix(6, zm_ring(2**k), np.random.default_rng(seed))
         assert decompose(a).verified
         monkeypatch.setitem(a.ring.__dict__, "lift_rounds", a.ring.lift_rounds - 1)
         with pytest.raises(InternalCheckError, match=r"^certificate failed self-check: [EF] idempotency; "
@@ -636,7 +634,7 @@ class TestZm:
     def test_prime_moduli_match_field_path(self, rng):
         # over GF(p) the solver's split is returned as it is
         for p in (2, 3):
-            a = RingMatrix.random(3, zm_ring(p), rng)
+            a = random_matrix(3, zm_ring(p), rng)
             (e, f), tags = _krylov_solve(a.coeffs[0], p)
             cert = decompose(a)
             assert (cert.e.coeffs == e).all() and (cert.f.coeffs == f).all()
@@ -648,7 +646,7 @@ class TestZm:
         assert is_zero(cert.f) and is_zero(cert.w)
 
     def test_zero_matrix_zero_certificate(self):
-        cert = decompose(RingMatrix.zeros(2, zm_ring(6)))
+        cert = decompose(RingMatrix.from_rows([[0, 0], [0, 0]], zm_ring(6)))
         assert is_zero(cert.e) and is_zero(cert.f) and is_zero(cert.w)
 
     def test_unsupported_moduli(self):
@@ -658,7 +656,7 @@ class TestZm:
 
     def test_trunc_entries_rejected(self):
         with pytest.raises(InputError):
-            decompose_zm(RingMatrix.zeros(1, MatrixRing(6, 2)))
+            decompose_zm(RingMatrix.from_rows([[0]], MatrixRing(6, 2)))
 
     @pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (2, 4), (2, 6), (2, 9), (2, 12), (3, 2)])
     def test_exhaustive_small(self, n, m):
@@ -673,33 +671,36 @@ class TestZm:
     @settings(max_examples=80, deadline=None)
     def test_random_verified(self, m, n, seed):
         gen = np.random.default_rng(seed)
-        cert = decompose(RingMatrix.random(n, zm_ring(m), gen))
+        cert = decompose(random_matrix(n, zm_ring(m), gen))
         assert cert.verified
         assert cert.nilpotency_exponent <= cert.a.ring.nilpotency_bound(n)
 
     def test_deterministic(self, rng):
-        a = RingMatrix.random(4, zm_ring(36), rng)
+        a = random_matrix(4, zm_ring(36), rng)
         c1, c2 = decompose(a), decompose(RingMatrix(a.ring, a.coeffs.copy()))
         assert c1.e == c2.e and c1.f == c2.f and c1.w == c2.w
         assert c1.case_tags == c2.case_tags
 
 
 class TestTriangular:
+    """An upper-triangular matrix is its own Krylov form (Q = I, 1 x 1
+    blocks), so decompose keeps E, F and W upper triangular."""
+
     def test_strictly_upper_goes_to_w(self):
         t = RingMatrix.from_rows([[0, 5], [0, 0]], zm_ring(6))
-        cert = decompose_triangular(t)
+        cert = decompose(t)
         assert is_zero(cert.e) and is_zero(cert.f) and cert.w == t
 
     def test_diagonal_example(self):
         # per-entry tables: 5 = 1 + 4 + 0 and 2 = 4 + 4 + 0 in Z_6
-        cert = decompose_triangular(RingMatrix.from_rows([[5, 0], [0, 2]], zm_ring(6)))
+        cert = decompose(RingMatrix.from_rows([[5, 0], [0, 2]], zm_ring(6)))
         assert cert.e.to_rows() == [[1, 0], [0, 4]]
         assert cert.f.to_rows() == [[4, 0], [0, 4]]
         assert is_zero(cert.w)
 
     def test_mod_nine_example(self):
         # 2 = 1 + 1 + 0 and 3 = 0 + 0 + 3 in Z_9; the strict upper part rides in W
-        cert = decompose_triangular(RingMatrix.from_rows([[2, 7], [0, 3]], zm_ring(9)))
+        cert = decompose(RingMatrix.from_rows([[2, 7], [0, 3]], zm_ring(9)))
         assert cert.e.to_rows() == [[1, 0], [0, 0]]
         assert cert.f.to_rows() == [[1, 0], [0, 0]]
         assert cert.w.to_rows() == [[0, 7], [0, 3]]
@@ -709,44 +710,39 @@ class TestTriangular:
         for m in (6, 12, 36):
             ring = zm_ring(m)
             for _ in range(10):
-                t = RingMatrix.random(4, ring, rng)
+                t = random_matrix(4, ring, rng)
                 t.coeffs[0][np.tril_indices(4, k=-1)] = 0
-                cert = decompose_triangular(t)
-                for part in (cert.e, cert.f, cert.w):
-                    assert part.is_upper_triangular()
+                cert = decompose(t)
+                assert upper_triangular(cert.e, cert.f, cert.w)
 
-    @given(st.sampled_from(SMOOTH),
+    @given(st.sampled_from(SMOOTH), st.integers(1, 3),
            st.one_of(st.integers(1, 12).map(lambda n: [1] * n),
                      st.lists(st.integers(1, 8), min_size=1, max_size=4)),
            st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
-    def test_decompose_keeps_block_triangular_shape(self, m, sizes, seed):
+    def test_decompose_keeps_block_triangular_shape(self, m, d, sizes, seed):
         # the Krylov scan meets the leading blocks' coordinates first, so its
-        # basis, and E, F and W with it, stay block upper triangular
+        # basis, and E, F and W with it, stay block upper triangular; over
+        # Z_m[x]/(x^d) E and F are constant and W = A - E - F, so every
+        # coefficient slice keeps the shape
         n = sum(sizes)
         starts = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
         below = starts[:, None] > np.arange(n)[None, :]  # left of each row's block
-        a = RingMatrix.random(n, zm_ring(m), np.random.default_rng(seed))
-        a.coeffs[0][below] = 0
+        a = random_matrix(n, MatrixRing(m, d), np.random.default_rng(seed))
+        a.coeffs[:, below] = 0
         cert = decompose(a)
         for part in (cert.e, cert.f, cert.w):
-            assert not part.coeffs[0][below].any()
-        if n == len(sizes):
-            assert decompose_triangular(a) == cert
+            assert not part.coeffs[:, below].any()
 
     def test_exhaustive_t2_z6(self):
         ring = zm_ring(6)
         for a, b, d in itertools.product(range(6), repeat=3):
-            cert = decompose_triangular(RingMatrix.from_rows([[a, b], [0, d]], ring))
-            assert cert.verified
-
-    def test_rejects_non_triangular(self):
-        with pytest.raises(InputError):
-            decompose_triangular(RingMatrix.from_rows([[0, 0], [1, 0]], zm_ring(6)))
+            cert = decompose(RingMatrix.from_rows([[a, b], [0, d]], ring))
+            assert cert.verified and upper_triangular(cert.e, cert.f, cert.w)
 
     def test_rejects_unsupported_modulus(self):
         with pytest.raises(UnsupportedRingError):
-            decompose_triangular(RingMatrix.identity(2, zm_ring(10)))
+            decompose(RingMatrix.identity(2, zm_ring(10)))
 
 
 def product_route(m, n, d):
@@ -766,7 +762,7 @@ TRUNCATED_ROUTES = [(3**19, (7, 8), "split"), (2**17 * 3**8, (1, 4), "int64"), (
 
 class TestTruncPolyMatrix:
     def test_degree_one_equals_zm(self, rng):
-        a = RingMatrix.random(3, zm_ring(6), rng)
+        a = random_matrix(3, zm_ring(6), rng)
         lifted = RingMatrix(MatrixRing(6, 1), a.coeffs.copy())
         assert decompose(lifted).e == decompose_zm(a).e
 
@@ -795,12 +791,12 @@ class TestTruncPolyMatrix:
     @settings(max_examples=40, deadline=None)
     def test_random_z6x2(self, n, seed):
         gen = np.random.default_rng(seed)
-        cert = decompose(RingMatrix.random(n, MatrixRing(6, 2), gen))
+        cert = decompose(random_matrix(n, MatrixRing(6, 2), gen))
         assert cert.verified
 
     def test_unsupported_base(self):
         with pytest.raises(UnsupportedRingError):
-            decompose(RingMatrix.zeros(1, MatrixRing(5, 2)))
+            decompose(RingMatrix.from_rows([[0]], MatrixRing(5, 2)))
 
     @pytest.mark.parametrize("m,sizes,route", TRUNCATED_ROUTES, ids=[row[2] for row in TRUNCATED_ROUTES])
     def test_random_on_every_product_route(self, m, sizes, route):
@@ -808,28 +804,28 @@ class TestTruncPolyMatrix:
         for d in (2, 3):
             for n in sizes:
                 assert product_route(m, n, d) == route
-                cert = decompose(RingMatrix.random(n, MatrixRing(m, d), gen))
+                cert = decompose(random_matrix(n, MatrixRing(m, d), gen))
                 assert cert.verified
                 assert cert.nilpotency_exponent <= cert.a.ring.nilpotency_bound(n)
 
 
 class TestDispatch:
     def test_routes_by_ring(self, rng):
-        a = RingMatrix.random(2, zm_ring(12), rng)
+        a = random_matrix(2, zm_ring(12), rng)
         assert decompose(a).verified
-        b = RingMatrix.random(2, MatrixRing(6, 2), rng)
+        b = random_matrix(2, MatrixRing(6, 2), rng)
         assert decompose(b).verified
 
 
 # SHA-256 digests of certificate_to_doc over seeded matrices, recorded while
 # each prime power was solved and lifted on its own before the CRT: (m, d,
 # digest) per ring Z_m[x]/(x^d), over decompose(A) for each n in PINNED_SIZES
-# and, over plain Z_m, decompose_triangular of A's upper triangle.  Start
+# and, over plain Z_m, decompose of A's upper triangle.  Start
 # points congruent to the GF(p) solutions only mod p, not mod p^k (recombined
 # modulo the product of the primes), lift to other idempotents and change the
 # certificates wherever m has two primes and an exponent above 1.  The plain
-# Z_m digests were re-pinned when decompose_triangular became decompose plus
-# shape checks: its documents gained the case tags of their 1 x 1 blocks, and
+# Z_m digests were re-pinned when the triangular construction became decompose
+# plus shape checks: its documents gained the case tags of their 1 x 1 blocks, and
 # with that line removed they hash as before.  All were re-pinned when the
 # trace family replaced the per-field companion templates: every block of
 # degree 2 or more splits anew, and every case tag is renamed.
@@ -893,9 +889,10 @@ PINNED_CERTIFICATES = [
 
 
 class TestPinnedCertificates:
-    """decompose and decompose_triangular are bit-for-bit the pinned ones on
-    every 2-3-smooth m <= 200, three moduli past 2^23 and nine
-    coefficient rings Z_m[x]/(x^d)."""
+    """decompose's certificates are bit-for-bit the pinned ones on every
+    2-3-smooth m <= 200, three moduli past 2^23 and nine coefficient rings
+    Z_m[x]/(x^d), and an upper-triangular matrix's E, F and W stay upper
+    triangular."""
 
     @pytest.mark.parametrize("m,d,digest", PINNED_CERTIFICATES,
                              ids=[f"m{m}-d{d}" for m, d, _ in PINNED_CERTIFICATES])
@@ -904,12 +901,14 @@ class TestPinnedCertificates:
         rng = np.random.default_rng([m, d])
         h = hashlib.sha256()
         for n in PINNED_SIZES:
-            a = RingMatrix.random(n, ring, rng)
+            a = random_matrix(n, ring, rng)
             h.update(certificate_to_doc(decompose(a)).encode())
             if d == 1:
                 t = RingMatrix(a.ring, a.coeffs.copy())
                 t.coeffs[0][np.tril_indices(n, k=-1)] = 0
-                h.update(certificate_to_doc(decompose_triangular(t)).encode())
+                cert = decompose(t)
+                assert upper_triangular(cert.e, cert.f, cert.w)
+                h.update(certificate_to_doc(cert).encode())
         assert h.hexdigest() == digest
 
 
@@ -947,7 +946,7 @@ class TestPinnedLarge:
         gen = np.random.default_rng([m, 64])
         h = hashlib.sha256()
         for n in (32, 64):
-            for make in (RingMatrix.random, derogatory_conjugate):
+            for make in (random_matrix, derogatory_conjugate):
                 h.update(certificate_to_doc(decompose(make(n, ring, gen))).encode())
         assert h.hexdigest() == digest
 
@@ -1011,6 +1010,6 @@ class TestHalvedIndex:
     @pytest.mark.parametrize("n,median", [(16, 9), (32, 17), (64, 33)])
     def test_median_exponent_over_z3(self, n, median):
         gen = np.random.default_rng([5, n])
-        exponents = [decompose(RingMatrix.random(n, zm_ring(3), gen)).nilpotency_exponent
+        exponents = [decompose(random_matrix(n, zm_ring(3), gen)).nilpotency_exponent
                      for _ in range(20)]
         assert statistics.median(exponents) == median <= n // 2 + 1

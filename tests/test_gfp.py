@@ -13,10 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import charpoly_cofactor, companion, mat_mul_naive, poly_mul, rank_naive, smooth_moduli
+from conftest import (
+    charpoly_cofactor,
+    companion,
+    mat_mul_naive,
+    poly_mul,
+    random_matrix,
+    rank_naive,
+    smooth_moduli,
+    upper_triangular,
+)
 from nilclean import gfp
 from nilclean.cli import certificate_to_doc
-from nilclean.decompose import decompose_triangular
+from nilclean.decompose import decompose
 from nilclean.errors import InputError, InternalCheckError
 from nilclean.gfp import _pack_bytes, _unpack_bytes, krylov_form
 from nilclean.matrix import RingMatrix, zm_ring
@@ -389,7 +398,7 @@ class TestKrylovForm:
         for p in PRIMES:
             for n in (1, 4, 6):
                 for _ in range(5):
-                    self.check_form(RingMatrix.random(n, zm_ring(p), rng), p)
+                    self.check_form(random_matrix(n, zm_ring(p), rng), p)
 
     def test_identity_gives_unit_blocks(self):
         cols = self.check_form(RingMatrix.identity(3, zm_ring(3)), 3)
@@ -459,7 +468,7 @@ class TestPinnedOutputs:
         assert sha256([[list(c) for c in cols], q.tolist(), q_inv.tolist()]) == digest
 
 
-# SHA-256 digests of certificate_to_doc(decompose_triangular(T)): one seeded
+# SHA-256 digests of certificate_to_doc(decompose(T)): one seeded
 # upper-triangular T per 2-3-smooth m <= 2^31 (split products included),
 # for each n, with and without the case-tags line.  Re-pinned when the
 # documents gained the case tags of their 1 x 1 blocks, and again when the
@@ -478,7 +487,8 @@ PINNED_TRIANGULAR = [
 
 
 class TestPinnedTriangular:
-    """decompose_triangular's certificates are bit-for-bit the pinned ones."""
+    """decompose's certificates of upper-triangular matrices are bit-for-bit
+    the pinned ones, and E, F and W stay upper triangular."""
 
     @pytest.mark.parametrize("n,digest,untagged", PINNED_TRIANGULAR,
                              ids=[f"n{n}" for n, *_ in PINNED_TRIANGULAR])
@@ -487,7 +497,9 @@ class TestPinnedTriangular:
         h, bare = hashlib.sha256(), hashlib.sha256()
         for m in smooth_moduli(2**31):
             rows = np.triu(rng.integers(0, m, size=(n, n))).tolist()
-            doc = certificate_to_doc(decompose_triangular(RingMatrix.from_rows(rows, zm_ring(m))))
+            cert = decompose(RingMatrix.from_rows(rows, zm_ring(m)))
+            assert upper_triangular(cert.e, cert.f, cert.w)
+            doc = certificate_to_doc(cert)
             h.update(doc.encode())
             bare.update(re.sub(r"^case-tags: .*\n", "", doc, flags=re.M).encode())
         assert (h.hexdigest(), bare.hexdigest()) == (digest, untagged)

@@ -13,6 +13,7 @@ from conftest import (
     inverse_naive,
     mat_mul_naive,
     nilpotency_naive_exact,
+    random_matrix,
     rank_naive,
     unit_triangular_conjugator,
 )
@@ -46,7 +47,7 @@ def all_matrices(n, m):
 def random_invertible(n, ring, rng):
     """A random matrix over GF(p), redrawn until it is invertible."""
     while True:
-        cand = RingMatrix.random(n, ring, rng)
+        cand = random_matrix(n, ring, rng)
         if rank_naive(cand.to_rows(), ring.m) == n:
             return cand
 
@@ -63,14 +64,14 @@ def negative(x):
 class TestArithmetic:
     def test_identity_neutral(self, rng):
         ring = zm_ring(12)
-        a = RingMatrix.random(4, ring, rng)
+        a = random_matrix(4, ring, rng)
         ident = RingMatrix.identity(4, ring)
         assert ident @ a == a and a @ ident == a
 
     def test_additive_inverse(self, rng):
         ring = zm_ring(9)
-        a = RingMatrix.random(3, ring, rng)
-        assert a + negative(a) == RingMatrix.zeros(3, ring)
+        a = random_matrix(3, ring, rng)
+        assert a + negative(a) == RingMatrix.from_rows([[0] * 3] * 3, ring)
 
     def test_shift_square(self):
         shift = RingMatrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]], zm_ring(3))
@@ -80,7 +81,7 @@ class TestArithmetic:
 
     def test_pow_matches_naive(self, rng):
         ring = zm_ring(6)
-        a = RingMatrix.random(3, ring, rng)
+        a = random_matrix(3, ring, rng)
         rows = a.to_rows()
         acc, power = rows, a
         for _ in range(2, 7):
@@ -101,12 +102,12 @@ class TestArithmetic:
         # one representation for every supported modulus, at any n
         ring = MatrixRing(m, d)
         for n in (1, 64):
-            a = RingMatrix.random(n, ring, rng)
+            a = random_matrix(n, ring, rng)
             rows = a.to_rows()
             # entry by entry: ints past int64 for d = 1, ragged coefficient lists else
             slow = [[x + m * 2**64 for x in row] if d == 1 else [row[0][:1]] + row[1:]
                     for row in rows]
-            for x in (RingMatrix.zeros(n, ring), a, RingMatrix.from_rows(rows, ring),
+            for x in (RingMatrix.from_rows([[0] * n] * n, ring), a, RingMatrix.from_rows(rows, ring),
                       RingMatrix.from_rows(slow, ring)):
                 assert x.coeffs.dtype == np.int64 and x.coeffs.shape == (d, n, n)
             assert RingMatrix.from_rows(rows, ring) == a
@@ -122,7 +123,7 @@ class TestArithmetic:
         a = RingMatrix.from_rows([[m - 1, 1], [0, m - 1]], ring)
         sq = a @ a
         assert sq.to_rows() == [[(m - 1) ** 2 % m, 2 * (m - 1) % m], [0, (m - 1) ** 2 % m]]
-        assert a + negative(a) == RingMatrix.zeros(2, ring)
+        assert a + negative(a) == RingMatrix.from_rows([[0, 0], [0, 0]], ring)
 
 
 def exact_truncated_product(a, b, m):
@@ -212,10 +213,10 @@ class TestProductRoutes:
     @pytest.mark.parametrize("m,d,n", [(3**19, 2, 33), (2 * 1073741789, 3, 64)])
     def test_truncated_matches_python_ints(self, m, d, n):
         # the truncated convolution past the bound on ring elements drawn by
-        # RingMatrix.random, one (d, n, n) product and a (2, d, n, n) stack
+        # random_matrix, one (d, n, n) product and a (2, d, n, n) stack
         ring = MatrixRing(m, d)
         gen = np.random.default_rng([m, d, n])
-        a, b = (np.stack([RingMatrix.random(n, ring, gen).coeffs for _ in range(2)])
+        a, b = (np.stack([random_matrix(n, ring, gen).coeffs for _ in range(2)])
                 for _ in range(2))
         for x, y in ((a[0], b[0]), (a, b)):
             out = _stack_mul(x, y, m)
@@ -344,9 +345,9 @@ class TestExponentProof:
         # split over Z_(2^31-1), which splits from n = 3 on int64 too
         gen = np.random.default_rng([ring.m, ring.d, n])
         bound = ring.nilpotency_bound(n)
-        zero = RingMatrix.zeros(n, ring)
+        zero = RingMatrix.from_rows([[0] * n] * n, ring)
         ws = [_nilpotent(n, ring, gen, density) for density in (0.3, 0.7, 1.0)]
-        ws += [RingMatrix.random(n, ring, gen), RingMatrix.identity(n, ring)]
+        ws += [random_matrix(n, ring, gen), RingMatrix.identity(n, ring)]
         nilpotent = 0
         for w in ws:
             found = _min_exponent(w.coeffs, ring.m, bound)
@@ -363,7 +364,7 @@ class TestExponentProof:
     def test_products_per_stated_exponent(self, ring, monkeypatch, rng):
         from nilclean.decompose import decompose
 
-        certs = [decompose(RingMatrix.random(n, ring, rng)) for n in range(1, 9)]
+        certs = [decompose(random_matrix(n, ring, rng)) for n in range(1, 9)]
         products, searches, original = [], [], matrix_module._stack_mul
 
         def counting(*args):
@@ -394,7 +395,7 @@ class TestPower:
     @pytest.mark.parametrize("n", (3, 32))
     def test_equals_chained_products(self, ring, n):
         gen = np.random.default_rng([ring.m, ring.d, n])
-        for x in (RingMatrix.random(n, ring, gen).coeffs, _nilpotent(n, ring, gen, 0.7).coeffs):
+        for x in (random_matrix(n, ring, gen).coeffs, _nilpotent(n, ring, gen, 0.7).coeffs):
             chained = [x]
             for _ in range(1, 40):
                 chained.append(_stack_mul(chained[-1], x, ring.m))
@@ -405,7 +406,7 @@ class TestPower:
     def test_no_product_after_a_power_vanishes(self, ring, monkeypatch):
         gen = np.random.default_rng([ring.m, ring.d])
         xs = [_nilpotent(n, ring, gen, density).coeffs for n in (2, 5, 8) for density in (0.3, 1.0)]
-        xs += [RingMatrix.zeros(4, ring).coeffs, RingMatrix.random(4, ring, gen).coeffs]
+        xs += [RingMatrix.from_rows([[0] * 4] * 4, ring).coeffs, random_matrix(4, ring, gen).coeffs]
         products, original = [], matrix_module._stack_mul
 
         def counting(*args):
@@ -453,7 +454,7 @@ class TestPredicates:
         ring = zm_ring(12)
         hits = 0
         while hits < 25:
-            a = RingMatrix.random(2, ring, rng)
+            a = random_matrix(2, ring, rng)
             k = exponent(a)
             if k is None:
                 continue
@@ -467,20 +468,15 @@ class TestPredicates:
             n = int(rng.integers(2, 6))
             g = random_invertible(n, ring, rng)
             g_inv = RingMatrix.from_rows(inverse_naive(g.to_rows(), 3), ring)
-            e = RingMatrix.zeros(n, ring)
+            e = RingMatrix.from_rows([[0] * n] * n, ring)
             for i in range(int(rng.integers(1, n + 1))):
                 e.coeffs[0, i % n, i % n] = 1
             moved = g_inv @ e @ g
             assert moved @ moved == moved
-            w = RingMatrix.zeros(n, ring)
+            w = RingMatrix.from_rows([[0] * n] * n, ring)
             for i in range(1, n):
                 w.coeffs[0, i, i - 1] = int(rng.integers(0, 3))
             assert exponent(g_inv @ w @ g) == exponent(w)
-
-    def test_upper_triangular_flag(self):
-        ring = zm_ring(6)
-        assert RingMatrix.from_rows([[1, 2], [0, 3]], ring).is_upper_triangular()
-        assert not RingMatrix.from_rows([[1, 0], [2, 3]], ring).is_upper_triangular()
 
 
 class TestMatrixCrt:
@@ -490,7 +486,7 @@ class TestMatrixCrt:
         for m in (6, 72, 2**17 * 3**8):
             ring = zm_ring(m)
             for _ in range(10):
-                a = RingMatrix.random(3, ring, rng)
+                a = random_matrix(3, ring, rng)
                 back = sum(c * (a.coeffs % p**e)
                            for (p, e), c in zip(factorize(m), ring.crt_basis)) % m
                 assert back.tolist() == a.coeffs.tolist()
@@ -501,7 +497,7 @@ class TestMatrixCrt:
 
         ring = zm_ring(36)
         for _ in range(5):
-            cert = decompose(RingMatrix.random(3, ring, rng))
+            cert = decompose(random_matrix(3, ring, rng))
             for q in (4, 9):
                 parts = [RingMatrix(zm_ring(q), x.coeffs % q)
                          for x in (cert.a, cert.e, cert.f, cert.w)]
@@ -513,7 +509,7 @@ class TestMatrixCrt:
 
 class TestCertificates:
     def test_zero_certificate(self):
-        z = RingMatrix.zeros(2, zm_ring(6))
+        z = RingMatrix.from_rows([[0, 0], [0, 0]], zm_ring(6))
         cert = DecompositionCertificate(z, z, z, z, 1)
         assert verify_certificate(cert) and cert.verified and cert.failure is None
 
@@ -521,7 +517,7 @@ class TestCertificates:
         ring = zm_ring(3)
         a = RingMatrix.from_rows([[0, 1], [1, 1]], ring)
         e = RingMatrix.from_rows([[0, 1], [0, 1]], ring)
-        f = RingMatrix.zeros(2, ring)
+        f = RingMatrix.from_rows([[0, 0], [0, 0]], ring)
         w = RingMatrix.from_rows([[0, 0], [1, 0]], ring)
         cert = DecompositionCertificate(a, e, f, w, 2)
         assert verify_certificate(cert)
@@ -537,7 +533,7 @@ class TestCertificates:
         ring = zm_ring(6)
         a = RingMatrix.from_rows([[4]], ring)
         e = RingMatrix.from_rows([[4]], ring)
-        zero = RingMatrix.zeros(1, ring)
+        zero = RingMatrix.from_rows([[0]], ring)
         assert verify_certificate(DecompositionCertificate(a, e, zero, zero, 1))
 
         bad_e = DecompositionCertificate(a, RingMatrix.from_rows([[2]], ring), zero, zero, 1)
@@ -564,7 +560,7 @@ class TestCertificates:
 
         gen = np.random.default_rng(seed)
         ring = zm_ring(m)
-        cert = decompose(RingMatrix.random(n, ring, gen))
+        cert = decompose(random_matrix(n, ring, gen))
         p, p_inv = (RingMatrix.from_rows(x, ring) for x in unit_triangular_conjugator(n, m, gen))
         conj = [p @ x @ p_inv for x in (cert.a, cert.e, cert.f, cert.w)]
         moved = DecompositionCertificate(*conj, nilpotency_exponent=cert.nilpotency_exponent)
@@ -579,7 +575,7 @@ class TestCertificates:
         from nilclean.decompose import decompose
 
         ring = zm_ring(m)
-        cert = decompose(RingMatrix.random(n, ring, np.random.default_rng([m, n])))
+        cert = decompose(random_matrix(n, ring, np.random.default_rng([m, n])))
         for slot, name in (("e", "E idempotency"), ("f", "F idempotency")):
             failed = 0
             for i in range(min(n, 4)):
@@ -596,8 +592,8 @@ class TestCertificates:
             assert failed
 
     def test_ring_mismatch_raises(self):
-        a = RingMatrix.zeros(2, zm_ring(6))
-        b = RingMatrix.zeros(2, zm_ring(12))
+        a = RingMatrix.from_rows([[0, 0], [0, 0]], zm_ring(6))
+        b = RingMatrix.from_rows([[0, 0], [0, 0]], zm_ring(12))
         with pytest.raises(InputError):
             verify_certificate(DecompositionCertificate(a, b, b, b, 1))
 
@@ -605,7 +601,7 @@ class TestCertificates:
         ring = MatrixRing(3, 2)
         a = RingMatrix.from_rows([[[1, 1]]], ring)
         e = RingMatrix.from_rows([[[1, 0]]], ring)
-        zero = RingMatrix.zeros(1, ring)
+        zero = RingMatrix.from_rows([[0]], ring)
         w = RingMatrix.from_rows([[[0, 1]]], ring)
         cert = DecompositionCertificate(a, e, zero, w, 2)
         assert verify_certificate(cert)
@@ -670,7 +666,7 @@ class TestFromRows:
             return
         got = RingMatrix.from_rows(rows, ring)
         assert got.coeffs.tolist() == expected
-        assert got.coeffs.dtype == RingMatrix.zeros(len(rows), ring).coeffs.dtype
+        assert got.coeffs.dtype == np.int64
         assert all(type(v) is int for v in got.coeffs.ravel().tolist())
 
     @pytest.mark.parametrize("rows,d", [

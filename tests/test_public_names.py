@@ -1,7 +1,10 @@
 """Every public class, function and method of the package is named where the
 program runs: in the package itself, the benchmark, pyproject.toml or
-README's library example.  A name that only tests reach is API nobody runs,
-and is removed rather than kept for its tests.  Every private module-level
+README's library example.  A classmethod counts as named only where it is
+called through a class, as Class.method or cls.method: an attribute or word
+of the same spelling, such as np.zeros or rng.random(), is not a use.  A name
+that only tests reach is API nobody runs, and is removed rather than kept for
+its tests.  Every private module-level
 class and function is likewise named by the package or the benchmark: a
 private route that only tests reach is code the program never runs.  An
 exception class must moreover be raised by the package, or be the base of
@@ -30,13 +33,16 @@ def _docstrings(tree):
 def _uses(tree):
     """(name, line) of every identifier a module uses: names, attributes,
     imported names, keyword arguments, and the words of its strings other
-    than docstrings (a benchmark table names what it wraps in strings)."""
+    than docstrings (a benchmark table names what it wraps in strings).  An
+    attribute of a plain name is also yielded with it, as "name.attr"."""
     skip = {id(node) for node in _docstrings(tree)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
+            if isinstance(node.value, ast.Name):
+                yield f"{node.value.id}.{node.attr}", node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1], node.lineno
         elif isinstance(node, ast.keyword) and node.arg:
@@ -47,7 +53,8 @@ def _uses(tree):
 
 def public_defs():
     """(path, name, first line, last line) of each public module-level class
-    and function of the package and each public method of its public classes."""
+    and function of the package and each public method of its public classes;
+    a classmethod is named Class.method."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
@@ -57,7 +64,10 @@ def public_defs():
                 defs = [node]
             for item in defs:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield path, item.name, item.lineno, item.end_lineno
+                    classmethod = any(isinstance(d, ast.Name) and d.id == "classmethod"
+                                      for d in item.decorator_list)
+                    name = f"{node.name}.{item.name}" if classmethod else item.name
+                    yield path, name, item.lineno, item.end_lineno
 
 
 def private_defs():
@@ -89,8 +99,13 @@ def program_uses():
 def test_every_public_name_is_used_outside_tests():
     # an allowed name that is gone, or that the program now uses, is stale
     uses = program_uses()
+
+    def callers(name):  # a classmethod Class.method is also called as cls.method
+        method = name.partition(".")[2]
+        return uses.get(name, []) + (uses.get("cls." + method, []) if method else [])
+
     unused = {name for path, name, first, last in public_defs()
-              if all(where == path and first <= line <= last for where, line in uses.get(name, ()))}
+              if all(where == path and first <= line <= last for where, line in callers(name))}
     assert sorted(unused - ALLOWED.keys()) == []
     assert sorted(ALLOWED.keys() - unused) == []
 
