@@ -701,25 +701,52 @@ EQUIVALENCE_RINGS = (
 )
 
 
+def _refuse(*args):
+    raise AssertionError("the sumset took the route it was kept off")
+
+
+# (route, PAIRS_PER_ELEMENT, the step function the route must not call)
+SUMSET_ROUTES = [("default", None, None), ("pairs", 10**12, "_convolve"), ("convolution", 0, "_sums")]
+
+
 class TestSumsetEquivalence:
-    """The early-exit search returns the full-sumset algorithm's reports."""
+    """The sumset mask, on its own route and forced onto each of its two
+    routes, returns the full-sumset algorithm's reports."""
 
     @pytest.mark.parametrize("name,naive", [
         ("two-nil-clean", naive_two_nil_clean),
         ("nil-clean", naive_nil_clean),
         ("weakly-nil-clean", naive_weakly_nil_clean),
     ], ids=["two-nil-clean", "nil-clean", "weakly-nil-clean"])
-    def test_reports_identical(self, name, naive):
+    def test_reports_identical(self, monkeypatch, name, naive):
         verdicts = set()
         for text in EQUIVALENCE_RINGS:
             ring = parse_ring_descriptor(text)
-            report = decide(name, ring)
-            got = (report.holds, report.witness_element, report.witness_parts,
-                   report.counterexample)
-            assert got == naive(ring), text
-            assert report.replay(), text
+            want = naive(ring)
+            for route, ratio, unused in SUMSET_ROUTES:
+                with monkeypatch.context() as patch:
+                    if ratio is not None:
+                        patch.setattr(classifier, "PAIRS_PER_ELEMENT", ratio)
+                        patch.setattr(classifier, unused, _refuse)
+                    report = decide(name, ring)
+                got = (report.holds, report.witness_element, report.witness_parts,
+                       report.counterexample)
+                assert got == want, (text, route)
+                assert report.replay(), (text, route)
             verdicts.add(report.holds)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("text", ["M2(Z4)", "M2(Z5)", "M3(Z2)"])
+    def test_two_nil_clean_mask_against_min_index(self, text):
+        # the mask is True exactly at the elements with some split (e, f, w)
+        ring = parse_ring_descriptor(text)
+        scan = classifier._Scan(ring)
+        mask = classifier._sumset(ring, classifier.PROPERTIES["two-nil-clean"].addends(scan))
+        assert mask.shape == (ring.size,)
+        for i in range(ring.size):
+            index = min_nilpotent_index_over_decompositions(ring, ring.element(i))
+            assert mask[i] == (index is not None), (text, ring.element(i))
+        assert mask.all() == (text != "M2(Z5)")
 
 
 PINNED_SMALL_RINGS = [text for text in EQUIVALENCE_RINGS if parse_ring_descriptor(text).size <= 100]
